@@ -6,16 +6,14 @@ from .objects import (Monomial, ONE, ObjTerm, Polynomial, SortRef, Sum,
 from .theory import (AlgebraicTheory, App, Equation, OpSymbol, SigmaTerm, Var,
                      builtin_theory, check_term, choice, substitute)
 from .circuit import (CircuitTerm, MonSignature, copier_circuit,
-                      discharger_circuit, identity_circuit, structural_circuit,
-                      sym_circuit, type_of_circuit)
+                      discharger_circuit, identity_circuit, sym_circuit,
+                      type_of_circuit)
 from .kleisli import (Matrix, NATURALS, RATIONALS, Semiring, TheoryModel,
-                      eval_vector, model_for, model_soundness, op_matrix,
-                      structural)
-from .tape import (TapeTerm, cd_poly, cobang_tape, codiag_tape, copier_tape,
+                      eval_vector, model_for, model_soundness, op_matrix)
+from .tape import (TapeTerm, cobang_tape, codiag_tape, copier_tape,
                    discharger_tape, distributor, id_tape, nfold_codiag,
-                   op_inj_tape, structural_plus, symplus_tape, symtensor_tape,
-                   tensor_tape, term_tape, type_of_tape, whisker,
-                   whisker_left, whisker_right)
+                   op_inj_tape, symplus_tape, symtensor_tape, tensor_tape,
+                   term_tape, type_of_tape, whisker_left, whisker_right)
 from .interp import Interpretation, carrier_of, eval_circuit, eval_tape
 from .suites import (SuiteBounds, SuiteReport, axiom_suite, coherence_suite,
                      lemma_suite, sem_eq, standard_interpretation,

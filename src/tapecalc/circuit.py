@@ -3,12 +3,20 @@
 Circuits are typed by monomials.  Generators carry monomial arities and
 coarities; every sort has a copier and a discharger, extended to whole
 monomials by the usual inductive clauses.
+
+Term nodes, here and in ``tape``, are hash-consed (Filliatre & Conchon,
+*Type-safe modular hash-consing*, 2006): constructing a node equal to a
+live one returns that one, so equal terms are identical, ``==`` is
+identity and a term is a DAG of distinct subterms.  ``postorder`` lists
+those subterms without recursion; the walkers visit each once a call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import attrgetter
+from typing import Callable, Mapping
+from weakref import ref
 
 from .errors import TypeCheckError, UnknownGeneratorError, UnknownSortError
 from .objects import Monomial, ONE
@@ -42,88 +50,192 @@ class MonSignature:
         return MonSignature(self.sorts, gens)
 
 
-# --- terms -------------------------------------------------------------------
+# --- hash-consed terms ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class CircuitTerm:
+_LIVE: dict = {}    # (class, *field values) -> weak reference to the node
+_SWEEP_AT = 1 << 8  # table size at which dead entries are next dropped
+
+
+def _sweep() -> None:
+    """Drop the entries of dead nodes.  A node is entered after its
+    children, so one pass from the newest entry back also drops a child
+    that only its dead parent's key kept alive."""
+    global _SWEEP_AT
+    items = list(_LIVE.items())
+    while items:
+        key, node = items.pop()
+        if node() is None:
+            del _LIVE[key]
+    _SWEEP_AT = 2 * len(_LIVE) + (1 << 8)
+
+
+class Term:
+    """Base of circuit and tape nodes: one live node per class and field
+    values, so equality and hashing are by identity.
+
+    Nodes are frozen dataclasses declared by ``term_node``.  The fields of
+    a node are canonical already, so its key hashes in O(1) for subterm
+    fields.  ``__new__`` sets the fields of a new node (``__init__`` is
+    object's); a metaclass ``__call__`` would do too, but would slow every
+    ``isinstance`` test on terms.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        names = cls.__match_args__
+        if kwargs:      # keyword construction, as in dataclasses.replace
+            args += tuple(kwargs.pop(n) for n in names[len(args):] if n in kwargs)
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected keyword "
+                                f"arguments {sorted(kwargs)}")
+        key = (cls,) + args
+        live = _LIVE.get(key)
+        if live is not None:
+            live = live()
+            if live is not None:
+                return live
+        if len(args) != len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} "
+                            f"arguments {names}, got {len(args)}")
+        node = object.__new__(cls)
+        node.__dict__.update(zip(names, args))
+        _LIVE[key] = ref(node)
+        if len(_LIVE) > _SWEEP_AT:
+            _sweep()
+        return node
+
+    def __reduce__(self):
+        # copies and unpickled nodes are constructed, hence interned too
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+term_node = dataclass(frozen=True, eq=False, init=False)
+"""Class decorator of the hash-consed term nodes."""
+
+
+DONE = object()
+"""Stack marker of the term walkers: the node under it has its children
+done."""
+
+
+def postorder(root, kids: Mapping[type, Callable]) -> tuple[list, dict]:
+    """The distinct subterms of root, each after its own, and how often
+    each is used: once per parent edge, and the root once.
+
+    ``kids`` maps each inner node class to a function returning the
+    node's children as a tuple; other nodes are leaves.  No recursion, so
+    the depth of a term is not bounded by the interpreter's stack.
+    """
+    order, uses, stack = [], {}, [root]
+    while stack:
+        node = stack.pop()
+        if node is DONE:
+            order.append(stack.pop())
+        elif node in uses:
+            uses[node] += 1
+        else:
+            uses[node] = 1
+            get = kids.get(node.__class__)
+            if get is None:
+                order.append(node)
+            else:
+                stack += (node, DONE, *reversed(get(node)))
+    return order, uses
+
+
+class CircuitTerm(Term):
     pass
 
 
-@dataclass(frozen=True)
+@term_node
 class CIdSort(CircuitTerm):
     sort: str
 
 
-@dataclass(frozen=True)
+@term_node
 class CIdOne(CircuitTerm):
     pass
 
 
-@dataclass(frozen=True)
+@term_node
 class CGen(CircuitTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@term_node
 class CSym(CircuitTerm):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@term_node
 class CSeq(CircuitTerm):
     first: CircuitTerm
     second: CircuitTerm
 
 
-@dataclass(frozen=True)
+@term_node
 class CTensor(CircuitTerm):
     top: CircuitTerm
     bottom: CircuitTerm
 
 
-@dataclass(frozen=True)
+@term_node
 class CCopier(CircuitTerm):
     sort: str
 
 
-@dataclass(frozen=True)
+@term_node
 class CDischarger(CircuitTerm):
     sort: str
 
 
-def type_of_circuit(c: CircuitTerm, sig: MonSignature) -> tuple[Monomial, Monomial]:
-    if isinstance(c, CIdSort):
-        sig.check_sort(c.sort)
-        m = Monomial((c.sort,))
-        return m, m
-    if isinstance(c, CIdOne):
-        return ONE, ONE
-    if isinstance(c, CGen):
+CIRCUIT_KIDS: dict[type, Callable] = {
+    CSeq: attrgetter("first", "second"), CTensor: attrgetter("top", "bottom")}
+
+
+def circuit_node_type(c: CircuitTerm, sig: MonSignature,
+                      types: Mapping) -> tuple[Monomial, Monomial]:
+    """The type of c, given the types of its children."""
+    cls = c.__class__
+    if cls is CGen:
         return sig.gen_type(c.name)
-    if isinstance(c, CSym):
-        sig.check_sort(c.left)
-        sig.check_sort(c.right)
-        return Monomial((c.left, c.right)), Monomial((c.right, c.left))
-    if isinstance(c, CSeq):
-        dom1, cod1 = type_of_circuit(c.first, sig)
-        dom2, cod2 = type_of_circuit(c.second, sig)
+    if cls is CSeq:
+        dom1, cod1 = types[c.first]
+        dom2, cod2 = types[c.second]
         if cod1 != dom2:
             raise TypeCheckError(
                 f"circuit composition mismatch: {cod1} vs {dom2}")
         return dom1, cod2
-    if isinstance(c, CTensor):
-        dom1, cod1 = type_of_circuit(c.top, sig)
-        dom2, cod2 = type_of_circuit(c.bottom, sig)
+    if cls is CTensor:
+        dom1, cod1 = types[c.top]
+        dom2, cod2 = types[c.bottom]
         return dom1 * dom2, cod1 * cod2
-    if isinstance(c, CCopier):
+    if cls is CIdSort:
+        sig.check_sort(c.sort)
+        m = Monomial((c.sort,))
+        return m, m
+    if cls is CIdOne:
+        return ONE, ONE
+    if cls is CSym:
+        sig.check_sort(c.left)
+        sig.check_sort(c.right)
+        return Monomial((c.left, c.right)), Monomial((c.right, c.left))
+    if cls is CCopier:
         sig.check_sort(c.sort)
         m = Monomial((c.sort,))
         return m, m * m
-    if isinstance(c, CDischarger):
+    if cls is CDischarger:
         sig.check_sort(c.sort)
         return Monomial((c.sort,)), ONE
     raise TypeCheckError(f"not a circuit term: {c!r}")
+
+
+def type_of_circuit(c: CircuitTerm, sig: MonSignature) -> tuple[Monomial, Monomial]:
+    """(dom, cod) of c, each distinct subterm typed once, without recursion."""
+    types: dict = {}
+    for node in postorder(c, CIRCUIT_KIDS)[0]:
+        types[node] = circuit_node_type(node, sig, types)
+    return types[c]
 
 
 # --- derived structural circuits ----------------------------------------------
@@ -183,19 +295,3 @@ def copier_circuit(u: Monomial) -> CircuitTerm:
 
 def discharger_circuit(u: Monomial) -> CircuitTerm:
     return ctensor(*(CDischarger(a) for a in u))
-
-
-def structural_circuit(kind: str, u: Monomial,
-                       v: Monomial | None = None) -> CircuitTerm:
-    """Dispatch to the inductively defined structural circuits."""
-    if kind == "id":
-        return identity_circuit(u)
-    if kind == "sym":
-        if v is None:
-            raise TypeCheckError("sym needs two monomials")
-        return sym_circuit(u, v)
-    if kind == "copier":
-        return copier_circuit(u)
-    if kind == "discharger":
-        return discharger_circuit(u)
-    raise TypeCheckError(f"unknown structural circuit kind {kind!r}")

@@ -9,8 +9,7 @@ so identical terms produce identical bytes.
 from __future__ import annotations
 
 from ..circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq,
-                       CSym, CTensor, CircuitTerm, MonSignature,
-                       type_of_circuit)
+                       CSym, CTensor, CircuitTerm, MonSignature)
 from ..errors import TypeCheckError
 from ..objects import Monomial
 from ..tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSeq,
@@ -49,14 +48,6 @@ def _tape_band(x, y, w, h, elems):
 
 # --- circuits ---------------------------------------------------------------
 
-def _circuit_size(c: CircuitTerm, sig: MonSignature) -> float:
-    if isinstance(c, CSeq):
-        return _circuit_size(c.first, sig) + _circuit_size(c.second, sig)
-    if isinstance(c, CTensor):
-        return max(_circuit_size(c.top, sig), _circuit_size(c.bottom, sig))
-    return 1.0
-
-
 def _wire_ys(count: int, y: float, h: float) -> list[float]:
     if count == 0:
         return []
@@ -64,25 +55,25 @@ def _wire_ys(count: int, y: float, h: float) -> list[float]:
     return [y + step * (i + 1) for i in range(count)]
 
 
-def _draw_circuit(c: CircuitTerm, sig: MonSignature, x: float, y: float,
+def _draw_circuit(c: CircuitTerm, memo: _Memo, x: float, y: float,
                   w: float, h: float, elems: list[str]) -> None:
-    dom, cod = type_of_circuit(c, sig)
+    dom, cod = memo.types[c]
     ys_in = _wire_ys(len(dom), y, h)
     ys_out = _wire_ys(len(cod), y, h)
 
     if isinstance(c, CSeq):
-        w1 = w * _circuit_size(c.first, sig) / _circuit_size(c, sig)
-        _draw_circuit(c.first, sig, x, y, w1, h, elems)
-        _draw_circuit(c.second, sig, x + w1, y, w - w1, h, elems)
+        w1 = w * memo.sizes[c.first] / memo.sizes[c]
+        _draw_circuit(c.first, memo, x, y, w1, h, elems)
+        _draw_circuit(c.second, memo, x + w1, y, w - w1, h, elems)
         return
     if isinstance(c, CTensor):
-        dom1, cod1 = type_of_circuit(c.top, sig)
+        dom1, cod1 = memo.types[c.top]
         lanes_top = max(len(dom1), len(cod1), 1)
-        dom2, cod2 = type_of_circuit(c.bottom, sig)
+        dom2, cod2 = memo.types[c.bottom]
         lanes_bot = max(len(dom2), len(cod2), 1)
         h1 = h * lanes_top / (lanes_top + lanes_bot)
-        _draw_circuit(c.top, sig, x, y, w, h1, elems)
-        _draw_circuit(c.bottom, sig, x, y + h1, w, h - h1, elems)
+        _draw_circuit(c.top, memo, x, y, w, h1, elems)
+        _draw_circuit(c.bottom, memo, x, y + h1, w, h - h1, elems)
         return
     if isinstance(c, (CIdSort, CIdOne)):
         for wy in ys_in:
@@ -122,27 +113,42 @@ def _draw_circuit(c: CircuitTerm, sig: MonSignature, x: float, y: float,
 
 # --- tapes ------------------------------------------------------------------
 
-def _lanes(p) -> int:
-    return max(len(p), 1) if hasattr(p, "monomials") else 1
+class _Memo:
+    """Types and sizes of every distinct subterm, computed once a render.
 
+    A circuit's size is its width in units; a tape's is (width in units,
+    number of stacked lanes)."""
 
-def _tape_size(t: TapeTerm, sig: MonSignature) -> tuple[float, int]:
-    """(width in units, number of stacked lanes)."""
-    dom, cod = type_of_tape(t, sig)
-    lanes = max(len(dom), len(cod), 1)
-    if isinstance(t, TSeq):
-        w1, l1 = _tape_size(t.first, sig)
-        w2, l2 = _tape_size(t.second, sig)
-        return w1 + w2, max(l1, l2, lanes)
-    if isinstance(t, TSum):
-        w1, l1 = _tape_size(t.top, sig)
-        w2, l2 = _tape_size(t.bottom, sig)
-        return max(w1, w2), l1 + l2
-    if isinstance(t, TCirc):
-        return _circuit_size(t.circuit, sig), 1
-    if isinstance(t, (TSymPlus, TCodiag, TOpInj)):
-        return 1.5, lanes
-    return 1.0, lanes
+    def __init__(self, t: TapeTerm, sig: MonSignature):
+        self.types: dict = {}
+        type_of_tape(t, sig, self.types)
+        self.sizes: dict = {}
+        for node in self.types:     # each after its own subterms
+            self.sizes[node] = self._size(node)
+
+    def _size(self, t):
+        sizes = self.sizes
+        if isinstance(t, CSeq):
+            return sizes[t.first] + sizes[t.second]
+        if isinstance(t, CTensor):
+            return max(sizes[t.top], sizes[t.bottom])
+        if isinstance(t, CircuitTerm):
+            return 1.0
+        dom, cod = self.types[t]
+        lanes = max(len(dom), len(cod), 1)
+        if isinstance(t, TSeq):
+            w1, l1 = sizes[t.first]
+            w2, l2 = sizes[t.second]
+            return w1 + w2, max(l1, l2, lanes)
+        if isinstance(t, TSum):
+            w1, l1 = sizes[t.top]
+            w2, l2 = sizes[t.bottom]
+            return max(w1, w2), l1 + l2
+        if isinstance(t, TCirc):
+            return sizes[t.circuit], 1
+        if isinstance(t, (TSymPlus, TCodiag, TOpInj)):
+            return 1.5, lanes
+        return 1.0, lanes
 
 
 def _mono_label(u: Monomial) -> str:
@@ -159,24 +165,22 @@ def _draw_lane_wires(u: Monomial, x, y, w, elems, label=True):
             elems.append(_text(x + w / 2, wy - 3, name))
 
 
-def _draw_tape(t: TapeTerm, sig: MonSignature, x: float, y: float,
+def _draw_tape(t: TapeTerm, memo: _Memo, x: float, y: float,
                w: float, elems: list[str]) -> float:
     """Draw t at (x, y) with width w; returns the height used."""
-    dom, cod = type_of_tape(t, sig)
-
     if isinstance(t, TIdZero):
         return 0.0
     if isinstance(t, TSum):
-        h1 = _draw_tape(t.top, sig, x, y, w, elems)
+        h1 = _draw_tape(t.top, memo, x, y, w, elems)
         gap = LANE_GAP if h1 else 0.0
-        h2 = _draw_tape(t.bottom, sig, x, y + h1 + gap, w, elems)
+        h2 = _draw_tape(t.bottom, memo, x, y + h1 + gap, w, elems)
         return h1 + gap + h2
     if isinstance(t, TSeq):
-        total_w1, _ = _tape_size(t.first, sig)
-        total_w, _ = _tape_size(t, sig)
+        total_w1, _ = memo.sizes[t.first]
+        total_w, _ = memo.sizes[t]
         w1 = w * total_w1 / total_w
-        h1 = _draw_tape(t.first, sig, x, y, w1, elems)
-        h2 = _draw_tape(t.second, sig, x + w1, y, w - w1, elems)
+        h1 = _draw_tape(t.first, memo, x, y, w1, elems)
+        h2 = _draw_tape(t.second, memo, x + w1, y, w - w1, elems)
         return max(h1, h2)
     if isinstance(t, TIdMon):
         _tape_band(x, y, w, LANE_H, elems)
@@ -184,7 +188,7 @@ def _draw_tape(t: TapeTerm, sig: MonSignature, x: float, y: float,
         return LANE_H
     if isinstance(t, TCirc):
         _tape_band(x, y, w, LANE_H, elems)
-        _draw_circuit(t.circuit, sig, x, y, w, LANE_H, elems)
+        _draw_circuit(t.circuit, memo, x, y, w, LANE_H, elems)
         return LANE_H
     if isinstance(t, TSymPlus):
         _tape_band(x, y, w, LANE_H, elems)
@@ -230,12 +234,12 @@ def _draw_tape(t: TapeTerm, sig: MonSignature, x: float, y: float,
 
 def render_svg(t: TapeTerm, sig: MonSignature) -> str:
     """Valid SVG 1.1 text for a typeable tape; byte-stable per term."""
-    type_of_tape(t, sig)
-    w_units, lanes = _tape_size(t, sig)
+    memo = _Memo(t, sig)
+    w_units, lanes = memo.sizes[t]
     width = w_units * UNIT_W + 2 * PAD
     height = lanes * (LANE_H + LANE_GAP) + 2 * PAD
     elems: list[str] = []
-    used = _draw_tape(t, sig, PAD, PAD, w_units * UNIT_W, elems)
+    used = _draw_tape(t, memo, PAD, PAD, w_units * UNIT_W, elems)
     height = max(height, used + 2 * PAD)
     head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -14,12 +14,12 @@ from typing import Mapping, Union
 
 from . import kleisli
 from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
-                      CTensor, CircuitTerm, MonSignature)
+                      CTensor, CircuitTerm, MonSignature, postorder)
 from .errors import DimensionError, ModelError, UnknownSortError
 from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
-from .tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSeq,
-                   TSum, TSymPlus, TapeTerm)
+from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
+                   TOpInj, TSeq, TSum, TSymPlus, TapeTerm)
 
 
 @dataclass(frozen=True)
@@ -117,49 +117,67 @@ def prod_index(p: Polynomial, q: Polynomial, interp: Interpretation):
     return index
 
 
-def eval_circuit(c: CircuitTerm, interp: Interpretation) -> Matrix:
-    if isinstance(c, CIdSort):
-        return Matrix.identity(interp.sort_size(c.sort))
-    if isinstance(c, CIdOne):
-        return Matrix.identity(1)
-    if isinstance(c, CGen):
-        interp.sig.gen_type(c.name)
-        try:
-            return interp.gen_matrices[c.name]
-        except KeyError:
-            raise ModelError(f"generator {c.name} has no matrix")
-    if isinstance(c, CSym):
-        return kleisli.sym_tensor(interp.sort_size(c.left),
-                                  interp.sort_size(c.right))
-    if isinstance(c, CSeq):
-        return eval_circuit(c.first, interp).then(eval_circuit(c.second, interp))
-    if isinstance(c, CTensor):
-        return eval_circuit(c.top, interp).tensor(eval_circuit(c.bottom, interp))
-    if isinstance(c, CCopier):
-        return kleisli.copier(interp.sort_size(c.sort))
-    if isinstance(c, CDischarger):
-        return kleisli.discharger(interp.sort_size(c.sort))
-    raise ModelError(f"not a circuit term: {c!r}")
+def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation) -> Matrix:
+    """The matrix of a tape or circuit.
+
+    One post-order walk over the distinct subterms, without recursion: each
+    is evaluated once, and its matrix is dropped after its last use.
+    """
+    order, uses = postorder(t, TERM_KIDS)
+    values: dict = {}
+    for node in order:
+        cls = node.__class__
+        kids = ()
+        if cls is TSeq or cls is CSeq:
+            kids = node.first, node.second
+            m = values[node.first].then(values[node.second])
+        elif cls is TSum:
+            kids = node.top, node.bottom
+            m = values[node.top].oplus(values[node.bottom])
+        elif cls is CTensor:
+            kids = node.top, node.bottom
+            m = values[node.top].tensor(values[node.bottom])
+        elif cls is TCirc:
+            kids = node.circuit,
+            m = values[node.circuit]
+        elif cls is CGen:
+            interp.sig.gen_type(node.name)
+            try:
+                m = interp.gen_matrices[node.name]
+            except KeyError:
+                raise ModelError(f"generator {node.name} has no matrix")
+        elif cls is TIdMon:
+            m = Matrix.identity(interp.mono_size(node.mono))
+        elif cls is CIdSort:
+            m = Matrix.identity(interp.sort_size(node.sort))
+        elif cls is TSymPlus:
+            m = kleisli.sym_plus(interp.mono_size(node.left),
+                                 interp.mono_size(node.right))
+        elif cls is TCodiag:
+            m = kleisli.codiag(interp.mono_size(node.mono))
+        elif cls is TCobang:
+            m = kleisli.cobang(interp.mono_size(node.mono))
+        elif cls is TOpInj:
+            m = op_matrix(node.op, interp.model, interp.mono_size(node.mono))
+        elif cls is CSym:
+            m = kleisli.sym_tensor(interp.sort_size(node.left),
+                                   interp.sort_size(node.right))
+        elif cls is CCopier:
+            m = kleisli.copier(interp.sort_size(node.sort))
+        elif cls is CDischarger:
+            m = kleisli.discharger(interp.sort_size(node.sort))
+        elif cls is TIdZero:
+            m = Matrix.identity(0)
+        elif cls is CIdOne:
+            m = Matrix.identity(1)
+        else:
+            raise ModelError(f"not a tape term: {node!r}")
+        for k in kids:
+            uses[k] -= 1
+            if not uses[k]:
+                del values[k]
+        values[node] = m
+    return values[t]
 
 
-def eval_tape(t: TapeTerm, interp: Interpretation) -> Matrix:
-    if isinstance(t, TIdMon):
-        return Matrix.identity(interp.mono_size(t.mono))
-    if isinstance(t, TIdZero):
-        return Matrix.identity(0)
-    if isinstance(t, TCirc):
-        return eval_circuit(t.circuit, interp)
-    if isinstance(t, TSymPlus):
-        return kleisli.sym_plus(interp.mono_size(t.left),
-                                interp.mono_size(t.right))
-    if isinstance(t, TSeq):
-        return eval_tape(t.first, interp).then(eval_tape(t.second, interp))
-    if isinstance(t, TSum):
-        return eval_tape(t.top, interp).oplus(eval_tape(t.bottom, interp))
-    if isinstance(t, TCobang):
-        return kleisli.cobang(interp.mono_size(t.mono))
-    if isinstance(t, TCodiag):
-        return kleisli.codiag(interp.mono_size(t.mono))
-    if isinstance(t, TOpInj):
-        return op_matrix(t.op, interp.model, interp.mono_size(t.mono))
-    raise ModelError(f"not a tape term: {t!r}")
+eval_circuit = eval_tape    # one walker for both layers

@@ -242,18 +242,6 @@ def cobang(n: int) -> Matrix:
     return Matrix.zeros(0, n)
 
 
-def structural(kind: str, *sizes: int) -> Matrix:
-    """Dispatch to the structural matrices under the fixed index encodings."""
-    table = {"id": identity, "symT": sym_tensor, "symP": sym_plus, "dl": dl,
-             "dr": dr, "copier": copier, "discharger": discharger,
-             "codiag": codiag, "cobang": cobang}
-    try:
-        builder = table[kind]
-    except KeyError:
-        raise DimensionError(f"unknown structural morphism kind {kind!r}")
-    return builder(*sizes)
-
-
 # --- theory models -----------------------------------------------------------
 
 @dataclass(frozen=True)

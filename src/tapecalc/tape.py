@@ -6,110 +6,141 @@ cobang and the operation branchings); identities, symmetries, codiagonals,
 distributors, whiskerings, the tensor of tapes, term branchings and the
 polynomial copy/discard structure are all built inductively from them.
 
-Terms are not quotiented: equality of tapes is decided semantically,
-per interpretation.
+Nodes are hash-consed like circuits (see ``circuit``): equal terms are
+identical and ``==`` is identity.  It is syntactic equality only; equality
+of tapes is decided semantically, per interpretation.  Typing and
+whiskering visit each distinct subterm once a call, without recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from operator import attrgetter
+from typing import Callable, Sequence, Union
 
-from .circuit import (CircuitTerm, MonSignature, identity_circuit,
-                      sym_circuit, type_of_circuit, copier_circuit,
-                      discharger_circuit, ctensor)
+from .circuit import (CIRCUIT_KIDS, DONE, CircuitTerm, MonSignature, Term,
+                      circuit_node_type, copier_circuit, discharger_circuit,
+                      ctensor, identity_circuit, postorder, sym_circuit,
+                      term_node)
 from .errors import TypeCheckError
 from .objects import Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono
 from .theory import App, OpSymbol, SigmaTerm, Var, check_term
 
 
-@dataclass(frozen=True)
-class TapeTerm:
+class TapeTerm(Term):
     pass
 
 
-@dataclass(frozen=True)
+@term_node
 class TIdMon(TapeTerm):
     mono: Monomial
 
 
-@dataclass(frozen=True)
+@term_node
 class TIdZero(TapeTerm):
     pass
 
 
-@dataclass(frozen=True)
+@term_node
 class TCirc(TapeTerm):
     circuit: CircuitTerm
 
 
-@dataclass(frozen=True)
+@term_node
 class TSymPlus(TapeTerm):
     left: Monomial
     right: Monomial
 
 
-@dataclass(frozen=True)
+@term_node
 class TSeq(TapeTerm):
     first: TapeTerm
     second: TapeTerm
 
 
-@dataclass(frozen=True)
+@term_node
 class TSum(TapeTerm):
     top: TapeTerm
     bottom: TapeTerm
 
 
-@dataclass(frozen=True)
+@term_node
 class TCobang(TapeTerm):
     mono: Monomial
 
 
-@dataclass(frozen=True)
+@term_node
 class TCodiag(TapeTerm):
     mono: Monomial
 
 
-@dataclass(frozen=True)
+@term_node
 class TOpInj(TapeTerm):
     op: OpSymbol
     mono: Monomial
 
 
-def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial]:
-    if isinstance(t, TIdMon):
-        for s in t.mono:
-            sig.check_sort(s)
-        p = poly_of_mono(t.mono)
-        return p, p
-    if isinstance(t, TIdZero):
-        return ZERO, ZERO
-    if isinstance(t, TCirc):
-        dom, cod = type_of_circuit(t.circuit, sig)
-        return poly_of_mono(dom), poly_of_mono(cod)
-    if isinstance(t, TSymPlus):
-        p, q = poly_of_mono(t.left), poly_of_mono(t.right)
-        return p + q, q + p
-    if isinstance(t, TSeq):
-        dom1, cod1 = type_of_tape(t.first, sig)
-        dom2, cod2 = type_of_tape(t.second, sig)
-        if cod1 != dom2:
-            raise TypeCheckError(f"tape composition mismatch: {cod1} vs {dom2}")
-        return dom1, cod2
-    if isinstance(t, TSum):
-        dom1, cod1 = type_of_tape(t.top, sig)
-        dom2, cod2 = type_of_tape(t.bottom, sig)
-        return dom1 + dom2, cod1 + cod2
-    if isinstance(t, TCobang):
-        return ZERO, poly_of_mono(t.mono)
-    if isinstance(t, TCodiag):
-        p = poly_of_mono(t.mono)
-        return p + p, p
-    if isinstance(t, TOpInj):
-        p = poly_of_mono(t.mono)
-        return p, nfold_sum(p, t.op.arity)
-    raise TypeCheckError(f"not a tape term: {t!r}")
+TAPE_KIDS: dict[type, Callable] = {
+    TSeq: attrgetter("first", "second"), TSum: attrgetter("top", "bottom")}
+TERM_KIDS: dict[type, Callable] = {
+    **CIRCUIT_KIDS, **TAPE_KIDS, TCirc: lambda t: (t.circuit,)}
+
+
+def type_of_tape(t: TapeTerm, sig: MonSignature,
+                 types: dict | None = None) -> tuple[Polynomial, Polynomial]:
+    """(dom, cod) of t, each distinct subterm typed once, without
+    recursion.  If ``types`` is given, it receives the type of every
+    subterm, circuits included, each entered after its own subterms."""
+    if not isinstance(t, TapeTerm):
+        raise TypeCheckError(f"not a tape term: {t!r}")
+    if types is None:
+        types = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is DONE:
+            node = stack.pop()
+        elif node in types:
+            continue
+        elif node.__class__ in TERM_KIDS:
+            stack += (node, DONE, *reversed(TERM_KIDS[node.__class__](node)))
+            continue
+        cls = node.__class__
+        if cls is TSeq:
+            dom, cod1 = types[node.first]
+            dom2, cod = types[node.second]
+            if cod1 != dom2:
+                raise TypeCheckError(
+                    f"tape composition mismatch: {cod1} vs {dom2}")
+        elif cls is TSum:
+            dom1, cod1 = types[node.top]
+            dom2, cod2 = types[node.bottom]
+            dom, cod = dom1 + dom2, cod1 + cod2
+        elif cls is TCirc:
+            dom, cod = types[node.circuit]
+            dom, cod = poly_of_mono(dom), poly_of_mono(cod)
+        elif cls is TIdMon:
+            for s in node.mono:
+                sig.check_sort(s)
+            dom = cod = poly_of_mono(node.mono)
+        elif isinstance(node, CircuitTerm):
+            dom, cod = circuit_node_type(node, sig, types)
+        elif cls is TSymPlus:
+            p, q = poly_of_mono(node.left), poly_of_mono(node.right)
+            dom, cod = p + q, q + p
+        elif cls is TCodiag:
+            cod = poly_of_mono(node.mono)
+            dom = cod + cod
+        elif cls is TCobang:
+            dom, cod = ZERO, poly_of_mono(node.mono)
+        elif cls is TOpInj:
+            dom = poly_of_mono(node.mono)
+            cod = nfold_sum(dom, node.op.arity)
+        elif cls is TIdZero:
+            dom = cod = ZERO
+        else:
+            raise TypeCheckError(f"not a tape term: {node!r}")
+        types[node] = dom, cod
+    return types[t]
 
 
 # --- composition helpers ------------------------------------------------------
@@ -177,22 +208,6 @@ def codiag_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
     u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
     shuffle = tsum(TIdMon(u), symplus_tape(p_rest, poly_of_mono(u)), id_tape(p_rest))
     return tseq(shuffle, tsum(TCodiag(u), codiag_tape(p_rest)))
-
-
-def structural_plus(kind: str, p: Union[Polynomial, Monomial],
-                    q: Union[Polynomial, Monomial] | None = None) -> TapeTerm:
-    """Dispatch to the inductively defined sum-level structural tapes."""
-    if kind == "id":
-        return id_tape(p)
-    if kind == "codiag":
-        return codiag_tape(p)
-    if kind == "cobang":
-        return cobang_tape(p)
-    if kind == "symplus":
-        if q is None:
-            raise TypeCheckError("symplus needs two polynomials")
-        return symplus_tape(p, q)
-    raise TypeCheckError(f"unknown structural tape kind {kind!r}")
 
 
 def distributor(p: Union[Polynomial, Monomial],
@@ -292,50 +307,40 @@ def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
 
 # --- whiskerings and the tensor of tapes ---------------------------------------
 
+def _whisker_mono(t: TapeTerm, u: Monomial, left: bool) -> TapeTerm:
+    """U |> t if left, else t <| U: each distinct node of t rebuilt once."""
+    grow = (lambda m: u * m) if left else (lambda m: m * u)
+    out: dict = {}
+    for node in postorder(t, TAPE_KIDS)[0]:
+        cls = type(node)
+        if cls in TAPE_KIDS:
+            new = cls(*(out[k] for k in TAPE_KIDS[cls](node)))
+        elif isinstance(node, TIdZero):
+            new = node
+        elif isinstance(node, (TIdMon, TCobang, TCodiag)):
+            new = cls(grow(node.mono))
+        elif isinstance(node, TCirc):
+            idu = identity_circuit(u)
+            new = TCirc(ctensor(idu, node.circuit) if left
+                        else ctensor(node.circuit, idu))
+        elif isinstance(node, TSymPlus):
+            new = TSymPlus(grow(node.left), grow(node.right))
+        elif isinstance(node, TOpInj):
+            new = TOpInj(node.op, grow(node.mono))
+        else:
+            raise TypeCheckError(f"not a tape term: {node!r}")
+        out[node] = new
+    return out[t]
+
+
 def whisker_left_mono(u: Monomial, t: TapeTerm) -> TapeTerm:
     """U |> t, the left monomial whiskering."""
-    if isinstance(t, TIdZero):
-        return TIdZero()
-    if isinstance(t, TIdMon):
-        return TIdMon(u * t.mono)
-    if isinstance(t, TCirc):
-        return TCirc(ctensor(identity_circuit(u), t.circuit))
-    if isinstance(t, TSymPlus):
-        return TSymPlus(u * t.left, u * t.right)
-    if isinstance(t, TSeq):
-        return TSeq(whisker_left_mono(u, t.first), whisker_left_mono(u, t.second))
-    if isinstance(t, TSum):
-        return TSum(whisker_left_mono(u, t.top), whisker_left_mono(u, t.bottom))
-    if isinstance(t, TCobang):
-        return TCobang(u * t.mono)
-    if isinstance(t, TCodiag):
-        return TCodiag(u * t.mono)
-    if isinstance(t, TOpInj):
-        return TOpInj(t.op, u * t.mono)
-    raise TypeCheckError(f"not a tape term: {t!r}")
+    return _whisker_mono(t, u, left=True)
 
 
 def whisker_right_mono(t: TapeTerm, u: Monomial) -> TapeTerm:
     """t <| U, the right monomial whiskering."""
-    if isinstance(t, TIdZero):
-        return TIdZero()
-    if isinstance(t, TIdMon):
-        return TIdMon(t.mono * u)
-    if isinstance(t, TCirc):
-        return TCirc(ctensor(t.circuit, identity_circuit(u)))
-    if isinstance(t, TSymPlus):
-        return TSymPlus(t.left * u, t.right * u)
-    if isinstance(t, TSeq):
-        return TSeq(whisker_right_mono(t.first, u), whisker_right_mono(t.second, u))
-    if isinstance(t, TSum):
-        return TSum(whisker_right_mono(t.top, u), whisker_right_mono(t.bottom, u))
-    if isinstance(t, TCobang):
-        return TCobang(t.mono * u)
-    if isinstance(t, TCodiag):
-        return TCodiag(t.mono * u)
-    if isinstance(t, TOpInj):
-        return TOpInj(t.op, t.mono * u)
-    raise TypeCheckError(f"not a tape term: {t!r}")
+    return _whisker_mono(t, u, left=False)
 
 
 def whisker_left(s: Union[Polynomial, Monomial], t: TapeTerm,
@@ -360,15 +365,6 @@ def whisker_right(t: TapeTerm, s: Union[Polynomial, Monomial],
     return tseq(dl_nary(dom, [poly_of_mono(u) for u in s]),
                 parts,
                 dl_nary(cod, [poly_of_mono(u) for u in s], inverse=True))
-
-
-def whisker(side: str, by: Union[Polynomial, Monomial], t: TapeTerm,
-            sig: MonSignature) -> TapeTerm:
-    if side == "left":
-        return whisker_left(by, t, sig)
-    if side == "right":
-        return whisker_right(t, by, sig)
-    raise TypeCheckError(f"whisker side must be left or right, got {side!r}")
 
 
 def tensor_tape(t1: TapeTerm, t2: TapeTerm, sig: MonSignature) -> TapeTerm:
@@ -405,11 +401,3 @@ def discharger_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
         return TCirc(discharger_circuit(u))
     return tseq(tsum(TCirc(discharger_circuit(u)), discharger_tape(p_rest)),
                 TCodiag(ONE))
-
-
-def cd_poly(kind: str, p: Union[Polynomial, Monomial]) -> TapeTerm:
-    if kind == "copier":
-        return copier_tape(p)
-    if kind == "discharger":
-        return discharger_tape(p)
-    raise TypeCheckError(f"unknown copy/discard kind {kind!r}")
