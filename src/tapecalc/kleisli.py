@@ -6,11 +6,17 @@ the middle index, the tensor is the Kronecker product under left-major
 pair indexing, and the sum is block-diagonal with the left block first.
 Weights are exact: ``Fraction`` for the subdistribution reading,
 ``int`` for the multiset one.
+
+Structural morphisms (identities, symmetries, distributors, codiagonals,
+cobangs, copiers, dischargers) are total functions between carriers and
+are stored as row maps; composing, summing and tensoring them is index
+arithmetic with no weight arithmetic.  Matrices share columns, which are
+never mutated after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -46,13 +52,42 @@ NATURALS = Semiring(
 )
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Column-sparse exact matrix; cols[x] maps row index to nonzero weight."""
+    """Exact cod-by-dom matrix, column-sparse: cols[x] maps row index to
+    nonzero weight.
 
-    dom: int
-    cod: int
-    cols: tuple[Mapping[int, Any], ...] = field(default=())
+    A total function (one unit entry in each column, as every structural
+    morphism is) may instead be stored as ``image``, the row of each
+    column's unit entry; ``cols`` is then built from it on first read.
+    The kernels use index arithmetic when an operand has an image, and
+    share column dicts between matrices rather than copying them, so a
+    column is never mutated after its matrix is built.
+    """
+
+    __slots__ = ("dom", "cod", "image", "_cols")
+
+    def __init__(self, dom: int, cod: int,
+                 cols: tuple[Mapping[int, Any], ...] | None = None,
+                 image: tuple[int, ...] | None = None):
+        self.dom, self.cod, self.image, self._cols = dom, cod, image, cols
+
+    @property
+    def cols(self) -> tuple[Mapping[int, Any], ...]:
+        if self._cols is None:
+            self._cols = tuple([{y: 1} for y in self.image])
+        return self._cols
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.dom != other.dom or self.cod != other.cod:
+            return False
+        if self.image is not None and other.image is not None:
+            return self.image == other.image
+        return self.cols == other.cols
+
+    def __repr__(self) -> str:
+        return f"Matrix(dom={self.dom}, cod={self.cod}, cols={self.cols!r})"
 
     @staticmethod
     def make(dom: int, cod: int, entries: Iterable[tuple[int, int, Any]]) -> "Matrix":
@@ -86,7 +121,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple({i: 1} for i in range(n)))
+        return Matrix(n, n, image=tuple(range(n)))
 
     @staticmethod
     def zeros(dom: int, cod: int) -> "Matrix":
@@ -112,9 +147,31 @@ class Matrix:
         if self.cod != other.dom:
             raise DimensionError(
                 f"cannot compose: cod {self.cod} does not match dom {other.dom}")
+        if self.image is not None:
+            if other.image is not None:
+                return Matrix(self.dom, other.cod,
+                              image=tuple(map(other.image.__getitem__, self.image)))
+            return Matrix(self.dom, other.cod,
+                          tuple(map(other.cols.__getitem__, self.image)))
         cols: list[dict[int, Any]] = []
+        if other.image is not None:
+            # relabel rows; weights add only where two rows meet
+            target = other.image
+            for col in self.cols:
+                out = {target[y]: a for y, a in col.items()}
+                if len(out) < len(col):
+                    out = {}
+                    for y, a in col.items():
+                        z = target[y]
+                        v = out.get(z, 0) + a
+                        if v == 0:
+                            out.pop(z, None)
+                        else:
+                            out[z] = v
+                cols.append(out)
+            return Matrix(self.dom, other.cod, tuple(cols))
         for col in self.cols:
-            out: dict[int, Any] = {}
+            out = {}
             for y, a in col.items():
                 for z, b in other.cols[y].items():
                     v = out.get(z, 0) + b * a
@@ -129,20 +186,35 @@ class Matrix:
         """Kronecker product; pair (i, j) is indexed as i*width + j."""
         dom = self.dom * other.dom
         cod = self.cod * other.cod
+        width = other.cod
+        if self.image is not None:
+            if other.image is not None:
+                return Matrix(dom, cod, image=tuple([
+                    y1 * width + y2 for y1 in self.image for y2 in other.image]))
+            return Matrix(dom, cod, tuple([
+                {y1 * width + y2: w2 for y2, w2 in col2.items()}
+                for y1 in self.image for col2 in other.cols]))
+        if other.image is not None:
+            return Matrix(dom, cod, tuple([
+                {y1 * width + y2: w1 for y1, w1 in col1.items()}
+                for col1 in self.cols for y2 in other.image]))
         cols: list[dict[int, Any]] = [dict() for _ in range(dom)]
         for x1, col1 in enumerate(self.cols):
             for x2, col2 in enumerate(other.cols):
                 target = cols[x1 * other.dom + x2]
                 for y1, w1 in col1.items():
                     for y2, w2 in col2.items():
-                        target[y1 * other.cod + y2] = w1 * w2
+                        target[y1 * width + y2] = w1 * w2
         return Matrix(dom, cod, tuple(cols))
 
     def oplus(self, other: "Matrix") -> "Matrix":
         """Block-diagonal sum, left block first."""
-        cols = [dict(c) for c in self.cols]
-        cols += [{y + self.cod: w for y, w in c.items()} for c in other.cols]
-        return Matrix(self.dom + other.dom, self.cod + other.cod, tuple(cols))
+        dom, cod, shift = self.dom + other.dom, self.cod + other.cod, self.cod
+        if self.image is not None and other.image is not None:
+            return Matrix(dom, cod, image=self.image + tuple(
+                [y + shift for y in other.image]))
+        return Matrix(dom, cod, self.cols + tuple(
+            [{y + shift: w for y, w in c.items()} for c in other.cols]))
 
     def scale(self, w: Any) -> "Matrix":
         return Matrix.make(self.dom, self.cod,
@@ -155,6 +227,8 @@ class Matrix:
         return Matrix.make(self.dom, self.cod, entries)
 
     def is_permutation(self) -> bool:
+        if self.image is not None:
+            return self.dom == self.cod == len(set(self.image))
         seen_rows = set()
         for col in self.cols:
             if len(col) != 1:
@@ -176,8 +250,13 @@ class Matrix:
         """Inverse of a permutation matrix."""
         if not self.is_permutation():
             raise DimensionError("not a permutation matrix")
-        return Matrix.make(self.cod, self.dom,
-                           ((x, y, 1) for y, x, _ in self.nonzeros()))
+        image = self.image
+        if image is None:
+            image = [next(iter(col)) for col in self.cols]
+        inverse = [0] * self.dom
+        for x, y in enumerate(image):
+            inverse[y] = x
+        return Matrix(self.cod, self.dom, image=tuple(inverse))
 
     def pretty(self) -> str:
         rows = self.to_rows()
@@ -186,7 +265,7 @@ class Matrix:
 
 
 def permutation_matrix(n: int, image: Callable[[int], int]) -> Matrix:
-    return Matrix.make(n, n, ((image(x), x, 1) for x in range(n)))
+    return Matrix(n, n, image=tuple(image(x) for x in range(n)))
 
 
 # --- structural morphisms (fixed index encodings) ----------------------------
@@ -197,16 +276,13 @@ def identity(n: int) -> Matrix:
 
 def sym_tensor(m: int, n: int) -> Matrix:
     """X (x) Y -> Y (x) X on carriers of sizes m, n."""
-    return Matrix.make(m * n, n * m,
-                       ((y * m + x, x * n + y, 1)
-                        for x in range(m) for y in range(n)))
+    return Matrix(m * n, n * m,
+                  image=tuple(y * m + x for x in range(m) for y in range(n)))
 
 
 def sym_plus(m: int, n: int) -> Matrix:
     """X (+) Y -> Y (+) X: swap the two blocks."""
-    entries = [(n + x, x, 1) for x in range(m)]
-    entries += [(y, m + y, 1) for y in range(n)]
-    return Matrix.make(m + n, n + m, entries)
+    return Matrix(m + n, n + m, image=tuple(range(n, n + m)) + tuple(range(n)))
 
 
 def dl(x: int, y: int, z: int) -> Matrix:
@@ -225,21 +301,19 @@ def dr(x: int, y: int, z: int) -> Matrix:
 
 
 def copier(n: int) -> Matrix:
-    return Matrix.make(n, n * n, ((i * n + i, i, 1) for i in range(n)))
+    return Matrix(n, n * n, image=tuple(i * n + i for i in range(n)))
 
 
 def discharger(n: int) -> Matrix:
-    return Matrix.make(n, 1, ((0, i, 1) for i in range(n)))
+    return Matrix(n, 1, image=(0,) * n)
 
 
 def codiag(n: int) -> Matrix:
-    return Matrix.make(2 * n, n,
-                       [(i, i, 1) for i in range(n)] +
-                       [(i, n + i, 1) for i in range(n)])
+    return Matrix(2 * n, n, image=tuple(range(n)) * 2)
 
 
 def cobang(n: int) -> Matrix:
-    return Matrix.zeros(0, n)
+    return Matrix(0, n, image=())
 
 
 # --- theory models -----------------------------------------------------------

@@ -92,12 +92,16 @@ class SemEqResult:
 
 
 def first_difference(m1: Matrix, m2: Matrix):
-    for x in range(m1.dom):
-        rows = sorted(set(m1.cols[x]) | set(m2.cols[x]))
-        for y in rows:
-            a, b = m1.entry(y, x), m2.entry(y, x)
-            if a != b:
-                return (y, x, a, b)
+    """The first differing entry (y, x, m1's, m2's) in column-major order,
+    rows ascending; None when there is none."""
+    if m1.image is not None and m1.image == m2.image:
+        return None
+    for x, (c1, c2) in enumerate(zip(m1.cols, m2.cols)):
+        if c1 != c2:
+            for y in sorted(c1.keys() | c2.keys()):
+                a, b = c1.get(y, 0), c2.get(y, 0)
+                if a != b:
+                    return (y, x, a, b)
     return None
 
 

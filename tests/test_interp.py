@@ -140,3 +140,41 @@ def test_validation_catches_missing_matrix():
                          model_for(builtin_theory("PCA", [H])))
     with pytest.raises(ModelError):
         bad.validate()
+
+
+def test_copier_tensor_copier_is_a_row_map():
+    """copier(P) (x) copier(P) at carriers (2, 3), P = A (+) AB (+) B, is a
+    total function: it comes back as a row map, and each column's unit
+    entry sits where the left-major/block carrier encoding puts it."""
+    from tapecalc.tape import copier_tape, tensor_tape
+    interp = standard_interpretation("PCA", carriers=(2, 3))
+    size = {"A": 2, "B": 3}
+    p = [("A",), ("A", "B"), ("B",)]
+    pp = [u + v for u in p for v in p]
+
+    def width(u):
+        n = 1
+        for s in u:
+            n *= size[s]
+        return n
+
+    def split(q, z):                # carrier index of q -> (block, offset)
+        for block, u in enumerate(q):
+            if z < width(u):
+                return block, z
+            z -= width(u)
+
+    def pair(q, r, x, y):           # (x in q, y in r) -> index in q (x) r
+        (i, a), (j, b) = split(q, x), split(r, y)
+        before = sum(width(u + v) for u, v in
+                     [(u, v) for u in q for v in r][:i * len(r) + j])
+        return before + a * width(r[j]) + b
+
+    c = copier_tape(poly(*p))
+    m = eval_tape(tensor_tape(c, c, interp.sig), interp)
+    n = sum(map(width, p))
+    assert (m.dom, m.cod) == (n * n, n ** 4) and m.image is not None
+    expected = {pair(p, p, x1, x2):
+                pair(pp, pp, pair(p, p, x1, x1), pair(p, p, x2, x2))
+                for x1 in range(n) for x2 in range(n)}
+    assert list(m.nonzeros()) == [(expected[z], z, 1) for z in range(n * n)]
