@@ -94,6 +94,14 @@ def parse_bounds(pairs: list[str]) -> SuiteBounds:
     return SuiteBounds(**values)
 
 
+def definition(module, name: str):
+    """The body of definition name; an unknown name is bad input."""
+    body = module.defs.get(name)
+    if body is None:
+        raise TapecalcError(f"no definition named {name}")
+    return body
+
+
 def cmd_check(args) -> int:
     module = load_module(args.file)
     sig = module.signature()
@@ -105,8 +113,8 @@ def cmd_check(args) -> int:
             return EXIT_BAD_INPUT
     for check in module.checks:
         interp = module.interpretation(check.interp)
-        lhs = elaborate(module.defs[check.left], module, interp.sig)
-        rhs = elaborate(module.defs[check.right], module, interp.sig)
+        lhs = elaborate(definition(module, check.left), module, interp.sig)
+        rhs = elaborate(definition(module, check.right), module, interp.sig)
         result = sem_eq(lhs, rhs, interp)
         if result.kind == "type-error":
             sys.stderr.write(
@@ -130,11 +138,7 @@ def cmd_normalize(args) -> int:
 def cmd_eval(args) -> int:
     module = load_module(args.file)
     interp = module.interpretation(args.interp)
-    body = module.defs.get(args.term)
-    if body is None:
-        sys.stderr.write(f"error: no definition named {args.term}\n")
-        return EXIT_BAD_INPUT
-    tape = elaborate(body, module, interp.sig)
+    tape = elaborate(definition(module, args.term), module, interp.sig)
     type_of_tape(tape, interp.sig)
     sys.stdout.write(eval_tape(tape, interp).pretty() + "\n")
     return EXIT_OK
@@ -143,12 +147,9 @@ def cmd_eval(args) -> int:
 def cmd_eq(args) -> int:
     module = load_module(args.file)
     interp = module.interpretation(args.interp)
-    for name in (args.left, args.right):
-        if name not in module.defs:
-            sys.stderr.write(f"error: no definition named {name}\n")
-            return EXIT_BAD_INPUT
-    lhs = elaborate(module.defs[args.left], module, interp.sig)
-    rhs = elaborate(module.defs[args.right], module, interp.sig)
+    left, right = definition(module, args.left), definition(module, args.right)
+    lhs = elaborate(left, module, interp.sig)
+    rhs = elaborate(right, module, interp.sig)
     result = sem_eq(lhs, rhs, interp)
     if result.kind == "type-error":
         sys.stderr.write(f"error: {result.message}\n")
@@ -175,11 +176,7 @@ def cmd_suite(args) -> int:
 def cmd_render(args) -> int:
     module = load_module(args.file)
     sig = module.signature()
-    body = module.defs.get(args.term)
-    if body is None:
-        sys.stderr.write(f"error: no definition named {args.term}\n")
-        return EXIT_BAD_INPUT
-    tape = elaborate(body, module, sig)
+    tape = elaborate(definition(module, args.term), module, sig)
     type_of_tape(tape, sig)
     svg = render_svg(tape, sig)
     with open(args.output, "wb") as handle:
@@ -195,9 +192,6 @@ def main(argv: list[str] | None = None) -> int:
                 "render": cmd_render}
     try:
         return handlers[args.command](args)
-    except (ParseError, TypeCheckError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
     except TapecalcError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

@@ -18,8 +18,8 @@ from ..theory import App, CM_PLUS, CM_ZERO, OpSymbol, STAR, SigmaTerm, Var, \
     check_term, choice
 from .surface import (CAtomCopy, CAtomDel, CAtomGen, CAtomId, CAtomSym,
                       CExpr, CSeqS, CTensorS, CheckDecl, DefDecl, GenDecl,
-                      InterpDecl, SAtom, SCircuit, SExpr, SOp, SRef, SSeq,
-                      SSum, STensor, STermBr, SortDecl, SourceModule,
+                      INFIX, InterpDecl, SAtom, SCircuit, SExpr, SOp, SRef,
+                      SSeq, SSum, STensor, STermBr, SortDecl, SourceModule,
                       TheoryDecl)
 
 
@@ -98,19 +98,44 @@ def tokenize(text: str) -> list[Token]:
 
 
 def split_sorts(text: str, sorts: tuple[str, ...]) -> list[str] | None:
-    """Greedy longest-match split of a glued identifier into sort names."""
-    if not text:
-        return []
-    for name in sorted(sorts, key=len, reverse=True):
-        if text.startswith(name):
-            rest = split_sorts(text[len(name):], sorts)
-            if rest is not None:
-                return [name] + rest
-    return None
+    """Greedy longest-match split of a glued identifier into sort names.
+
+    The first split in longest-name-first order, searched depth first on
+    an explicit stack.  A position from which no split exists is tried
+    only once, so the search takes time linear in the length of text."""
+    names = sorted(sorts, key=len, reverse=True)
+    while names and not names[-1]:
+        names.pop()                    # an empty name would never advance
+    dead: set[int] = set()
+    stack = []                         # (position, names left to try there)
+    parts: list[str] = []
+    pos, todo = 0, iter(names)
+    while pos < len(text):
+        for name in todo:
+            end = pos + len(name)
+            if text.startswith(name, pos) and end not in dead:
+                stack.append((pos, todo))
+                parts.append(name)
+                pos, todo = end, iter(names)
+                break
+        else:
+            dead.add(pos)
+            if not stack:
+                return None
+            pos, todo = stack.pop()
+            parts.pop()
+    return parts
 
 
 TAPE_ATOM_KEYWORDS = {"id", "id0", "sym", "codiag", "cobang", "op", "term",
                       "copier", "discard", "dl"}
+
+# token kind -> (constructor, precedence level), read from surface.INFIX;
+# object expressions take the rows of the tape products they share symbols with.
+TAPE_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (SSeq, STensor, SSum)}
+CIRCUIT_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (CSeqS, CTensorS)}
+OBJECT_OPS = {INFIX[s][0]: (c, INFIX[s][2]) for s, c in ((STensor, Tensor),
+                                                          (SSum, Sum))}
 
 RESERVED = TAPE_ATOM_KEYWORDS | {"sort", "gen", "theory", "interp", "def",
                                  "check", "with", "model", "copy", "del",
@@ -367,36 +392,33 @@ class Parser:
             self.fail(f"check refers to undeclared interpretation {interp}")
         self.module.decls.append(CheckDecl(left, right, interp))
 
-    # -- tape expressions -----------------------------------------------------
+    # -- infix expressions ------------------------------------------------------
+
+    def infix(self, ops: dict, atom):
+        """Left-associative infix products of atom()s.  ops maps a token
+        kind to its constructor and precedence level, 0 binding loosest.
+        A ';' composes tapes only when a tape atom follows it; otherwise it
+        closes the surrounding declaration."""
+        operands, pending = [atom()], []
+        while True:
+            op = ops.get(self.peek().kind)
+            if op is not None and op[0] is SSeq and not self.starts_tape_atom(1):
+                op = None
+            level = -1 if op is None else op[1]
+            while pending and pending[-1][1] >= level:
+                right = operands.pop()
+                operands[-1] = pending.pop()[0](operands[-1], right)
+            if op is None:
+                return operands[0]
+            self.next()
+            pending.append(op)
+            operands.append(atom())
 
     def tape_expr(self) -> SExpr:
-        e = self.tensor_level()
-        # a ';' continues the composition only when an expression follows;
-        # otherwise it closes the surrounding declaration.
-        while self.at("SEMI"):
-            save = self.pos
-            self.next()
-            if self.starts_tape_atom():
-                e = SSeq(e, self.tensor_level())
-            else:
-                self.pos = save
-                break
-        return e
+        return self.infix(TAPE_OPS, self.tape_atom)
 
-    def tensor_level(self) -> SExpr:
-        e = self.sum_level()
-        while self.accept("OTENSOR"):
-            e = STensor(e, self.sum_level())
-        return e
-
-    def sum_level(self) -> SExpr:
-        e = self.tape_atom()
-        while self.accept("OPLUS"):
-            e = SSum(e, self.tape_atom())
-        return e
-
-    def starts_tape_atom(self) -> bool:
-        tok = self.peek()
+    def starts_tape_atom(self, ahead: int) -> bool:
+        tok = self.peek(ahead)
         if tok.kind in ("LPAREN", "LBRACK"):
             return True
         return tok.kind == "IDENT" and (
@@ -512,16 +534,7 @@ class Parser:
     # -- circuit expressions -----------------------------------------------------
 
     def circuit_expr(self) -> CExpr:
-        e = self.circuit_tensor()
-        while self.accept("SEMI"):
-            e = CSeqS(e, self.circuit_tensor())
-        return e
-
-    def circuit_tensor(self) -> CExpr:
-        e = self.circuit_atom()
-        while self.accept("OTENSOR"):
-            e = CTensorS(e, self.circuit_atom())
-        return e
+        return self.infix(CIRCUIT_OPS, self.circuit_atom)
 
     def circuit_atom(self) -> CExpr:
         if self.accept("LPAREN"):
@@ -586,7 +599,7 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
 
     def atom() -> ObjTerm:
         if parser.accept("LPAREN"):
-            e = expr()
+            e = parser.infix(OBJECT_OPS, atom)
             parser.expect("RPAREN", "')'")
             return e
         tok = parser.peek()
@@ -612,19 +625,7 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
             return term
         parser.fail("expected an object expression", {"sort", "0", "1", "'('"})
 
-    def summand() -> ObjTerm:
-        e = atom()
-        while parser.accept("OPLUS"):
-            e = Sum(e, atom())
-        return e
-
-    def expr() -> ObjTerm:
-        e = summand()
-        while parser.accept("OTENSOR"):
-            e = Tensor(e, summand())
-        return e
-
-    term = expr()
+    term = parser.infix(OBJECT_OPS, atom)
     parser.expect("EOF", "end of input")
     registered = tuple(sorts) if sorts is not None else tuple(found)
     return term, registered

@@ -151,10 +151,6 @@ class _Memo:
         return 1.0, lanes
 
 
-def _mono_label(u: Monomial) -> str:
-    return str(u)
-
-
 def _draw_lane_wires(u: Monomial, x, y, w, elems, label=True):
     ys = _wire_ys(max(len(u), 1), y, LANE_H)
     if u.is_unit:

@@ -20,7 +20,7 @@ from ..errors import ParseError
 from ..interp import Interpretation
 from ..kleisli import Matrix, model_for
 from ..objects import Monomial, Polynomial
-from ..tape import (TCirc, TIdZero, TOpInj, TSeq, TSum, TapeTerm, cobang_tape,
+from ..tape import (TCirc, TIdZero, TSeq, TSum, TapeTerm, cobang_tape,
                     codiag_tape, copier_tape, discharger_tape, distributor,
                     id_tape, op_inj_tape, symplus_tape, tensor_tape,
                     term_tape)
@@ -127,6 +127,18 @@ class SSum(SExpr):
     right: SExpr
 
 
+# The infix products of tape and circuit expressions: token kind, printed
+# symbol and precedence level, 0 binding loosest.  All associate to the
+# left.  The parser and the printer both read this table.
+INFIX = {
+    SSeq: ("SEMI", ";", 0),
+    STensor: ("OTENSOR", "(x)", 1),
+    SSum: ("OPLUS", "(+)", 2),
+    CSeqS: ("SEMI", ";", 0),
+    CTensorS: ("OTENSOR", "(x)", 1),
+}
+
+
 # --- declarations and modules -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -209,7 +221,6 @@ class SourceModule:
         if decl is None:
             raise ParseError(f"interpretation {name} is not declared")
         carriers = {sort: len(labels) for sort, labels in decl.carriers}
-        labels = {sort: labels for sort, labels in decl.carriers}
         sig = self.signature()
         matrices = {}
         for gen_name, rows in decl.matrices:
@@ -219,8 +230,7 @@ class SourceModule:
                 dom *= carriers[s]
             matrices[gen_name] = Matrix.from_rows(rows, dom=dom)
         interp = Interpretation(sig, carriers, matrices,
-                                model_for(self.theory(decl.model)),
-                                labels)
+                                model_for(self.theory(decl.model)))
         interp.validate()
         return interp
 
@@ -249,37 +259,29 @@ def elaborate(e: SExpr, module: SourceModule,
               sig: MonSignature | None = None) -> TapeTerm:
     sig = sig or module.signature()
     defs = module.defs
+    refs: dict[str, TapeTerm] = {}   # each definition elaborates once a call
+    atoms = {"id0": TIdZero, "id": id_tape, "symplus": symplus_tape,
+             "codiag": codiag_tape, "cobang": cobang_tape,
+             "copier": copier_tape, "discard": discharger_tape,
+             "dl": distributor}
 
     def go(e: SExpr) -> TapeTerm:
         if isinstance(e, SAtom):
-            kind, ps = e.kind, e.polys
-            if kind == "id0":
-                return TIdZero()
-            if kind == "id":
-                return id_tape(ps[0])
-            if kind == "symplus":
-                return symplus_tape(ps[0], ps[1])
-            if kind == "codiag":
-                return codiag_tape(ps[0])
-            if kind == "cobang":
-                return cobang_tape(ps[0])
-            if kind == "copier":
-                return copier_tape(ps[0])
-            if kind == "discard":
-                return discharger_tape(ps[0])
-            if kind == "dl":
-                return distributor(ps[0], ps[1], ps[2])
-            raise ParseError(f"unknown atom kind {kind}")
+            build = atoms.get(e.kind)
+            if build is None:
+                raise ParseError(f"unknown atom kind {e.kind}")
+            return build(*e.polys)
         if isinstance(e, SOp):
-            if len(e.poly) == 1:
-                return TOpInj(e.op, e.poly.monomials[0])
             return op_inj_tape(e.op, e.poly)
         if isinstance(e, STermBr):
             return term_tape(e.term, e.poly, e.context)
         if isinstance(e, SCircuit):
             return TCirc(elaborate_circuit(e.circuit))
         if isinstance(e, SRef):
-            return go(defs[e.name])
+            term = refs.get(e.name)
+            if term is None:
+                term = refs[e.name] = go(defs[e.name])
+            return term
         if isinstance(e, SSeq):
             return TSeq(go(e.left), go(e.right))
         if isinstance(e, SSum):
@@ -292,18 +294,6 @@ def elaborate(e: SExpr, module: SourceModule,
 
 
 # --- printing ----------------------------------------------------------------------
-
-def print_rational(r) -> str:
-    return str(r)
-
-
-def print_mono(m: Monomial) -> str:
-    return str(m)
-
-
-def print_poly(p: Polynomial) -> str:
-    return str(p)
-
 
 def print_op(op: OpSymbol) -> str:
     if op == STAR:
@@ -327,55 +317,39 @@ def print_sigma(t: SigmaTerm, parent_binary: bool = False) -> str:
     return f"({text})" if parent_binary else text
 
 
-def print_circuit(c: CExpr, level: int = 0) -> str:
-    # level 0 = sequence position, 1 = tensor position, 2 = atom position
-    if isinstance(c, CAtomId):
-        return f"id{c.mono}"
-    if isinstance(c, CAtomGen):
-        return c.name
-    if isinstance(c, CAtomSym):
-        return f"sym@{print_mono(c.left)},{print_mono(c.right)}"
-    if isinstance(c, CAtomCopy):
-        return f"copy@{print_mono(c.mono)}"
-    if isinstance(c, CAtomDel):
-        return f"del@{print_mono(c.mono)}"
-    if isinstance(c, CSeqS):
-        text = f"{print_circuit(c.left, 0)} ; {print_circuit(c.right, 1)}"
-        return f"({text})" if level > 0 else text
-    if isinstance(c, CTensorS):
-        text = f"{print_circuit(c.left, 1)} (x) {print_circuit(c.right, 2)}"
-        return f"({text})" if level > 1 else text
-    raise ParseError(f"not a circuit expression: {c!r}")
-
-
-def print_sexpr(e: SExpr, level: int = 0) -> str:
-    # level 0 = sequence, 1 = tensor, 2 = sum, 3 = atom
+def print_sexpr(e: Union[SExpr, CExpr], level: int = 0) -> str:
+    """A tape or circuit expression, parenthesised where an operand of
+    an infix product sits at a looser level than its position."""
+    op = INFIX.get(type(e))
+    if op is not None:
+        _, symbol, prec = op
+        text = (f"{print_sexpr(e.left, prec)} {symbol} "
+                f"{print_sexpr(e.right, prec + 1)}")
+        return f"({text})" if level > prec else text
     if isinstance(e, SAtom):
         if e.kind == "id0":
             return "id0"
-        if e.kind == "symplus":
-            return f"sym+@{print_poly(e.polys[0])},{print_poly(e.polys[1])}"
-        if e.kind == "dl":
-            return ("dl@" + ",".join(print_poly(p) for p in e.polys))
-        return f"{e.kind}@{print_poly(e.polys[0])}"
+        kind = "sym+" if e.kind == "symplus" else e.kind
+        return f"{kind}@{','.join(map(str, e.polys))}"
     if isinstance(e, SOp):
-        return f"op<{print_op(e.op)}>@{print_poly(e.poly)}"
+        return f"op<{print_op(e.op)}>@{e.poly}"
     if isinstance(e, STermBr):
-        return f"term<{print_sigma(e.term)}>@{print_poly(e.poly)}"
+        return f"term<{print_sigma(e.term)}>@{e.poly}"
     if isinstance(e, SCircuit):
-        return f"[ {print_circuit(e.circuit)} ]"
+        return f"[ {print_sexpr(e.circuit)} ]"
     if isinstance(e, SRef):
         return e.name
-    if isinstance(e, SSeq):
-        text = f"{print_sexpr(e.left, 0)} ; {print_sexpr(e.right, 1)}"
-        return f"({text})" if level > 0 else text
-    if isinstance(e, STensor):
-        text = f"{print_sexpr(e.left, 1)} (x) {print_sexpr(e.right, 2)}"
-        return f"({text})" if level > 1 else text
-    if isinstance(e, SSum):
-        text = f"{print_sexpr(e.left, 2)} (+) {print_sexpr(e.right, 3)}"
-        return f"({text})" if level > 2 else text
-    raise ParseError(f"not a tape expression: {e!r}")
+    if isinstance(e, CAtomId):
+        return f"id{e.mono}"
+    if isinstance(e, CAtomGen):
+        return e.name
+    if isinstance(e, CAtomSym):
+        return f"sym@{e.left},{e.right}"
+    if isinstance(e, CAtomCopy):
+        return f"copy@{e.mono}"
+    if isinstance(e, CAtomDel):
+        return f"del@{e.mono}"
+    raise ParseError(f"not a tape or circuit expression: {e!r}")
 
 
 def print_module(module: SourceModule) -> str:

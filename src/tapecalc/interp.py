@@ -9,7 +9,7 @@ its monomial blocks in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 from . import kleisli
@@ -28,7 +28,6 @@ class Interpretation:
     carriers: Mapping[str, int]
     gen_matrices: Mapping[str, Matrix]
     model: TheoryModel
-    labels: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def validate(self) -> None:
         for s in self.sig.sorts:
@@ -69,7 +68,7 @@ class Interpretation:
         mats = dict(self.gen_matrices)
         mats.update(extra_matrices)
         return Interpretation(self.sig.with_gens(extra_sig), self.carriers,
-                              mats, self.model, self.labels)
+                              mats, self.model)
 
 
 def carrier_of(p: Union[Polynomial, Monomial], interp: Interpretation) -> int:

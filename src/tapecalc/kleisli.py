@@ -239,12 +239,9 @@ class Matrix:
             seen_rows.add(y)
         return len(seen_rows) == self.dom == self.cod
 
-    def column_sums(self) -> list[Any]:
-        return [sum(col.values(), Fraction(0)) for col in self.cols]
-
     def is_substochastic(self) -> bool:
         return all(w >= 0 for _, _, w in self.nonzeros()) and all(
-            s <= 1 for s in self.column_sums())
+            sum(col.values(), Fraction(0)) <= 1 for col in self.cols)
 
     def transpose_permutation(self) -> "Matrix":
         """Inverse of a permutation matrix."""
@@ -353,15 +350,8 @@ class TheoryModel:
                     raise ModelError(f"weight {v} of {op} outside {self.semiring}")
 
 
-def model_for(theory: AlgebraicTheory,
-              weights: Mapping[OpSymbol, tuple[Any, ...]] | None = None) -> TheoryModel:
-    """The canonical model of a built-in theory, or one from explicit weights."""
-    if weights is not None:
-        semiring = RATIONALS if any(
-            isinstance(v, Fraction) for w in weights.values() for v in w) else NATURALS
-        model = TheoryModel(theory, semiring, dict(weights))
-        model.validate()
-        return model
+def model_for(theory: AlgebraicTheory) -> TheoryModel:
+    """The canonical model of a built-in theory."""
     if theory.name == "PCA":
         table: dict[OpSymbol, tuple[Any, ...]] = {}
         for op in theory.ops:
@@ -382,8 +372,7 @@ def model_for(theory: AlgebraicTheory,
         model = TheoryModel(theory, NATURALS, table)
         model.validate()
         return model
-    raise ModelError(
-        f"theory {theory.name} has no canonical weights; pass them explicitly")
+    raise ModelError(f"theory {theory.name} has no canonical weights")
 
 
 def op_matrix(op: OpSymbol, model: TheoryModel, n: int) -> Matrix:

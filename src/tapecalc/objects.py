@@ -131,26 +131,31 @@ def normalize(term: ObjTerm, sorts: Iterable[str]) -> Polynomial:
     Implements the innermost-leftmost strategy: subterms are normalized
     first and the results are combined with concatenation and the
     row-major product, which coincides with exhaustively applying the
-    distributivity/unit/annihilator rules oriented left-to-right.
+    distributivity/unit/annihilator rules oriented left-to-right.  The
+    walk keeps its own stack, so deeply nested terms do not recurse.
     """
     registered = set(sorts)
-
-    def go(t: ObjTerm) -> Polynomial:
-        if isinstance(t, SortRef):
+    results: list[Polynomial] = []
+    stack: list[tuple[ObjTerm, bool]] = [(term, False)]  # (term, operands done)
+    while stack:
+        t, combine = stack.pop()
+        if combine:
+            right = results.pop()
+            results[-1] = (results[-1] + right if isinstance(t, Sum)
+                           else results[-1] * right)
+        elif isinstance(t, (Sum, Tensor)):
+            stack += ((t, True), (t.right, False), (t.left, False))
+        elif isinstance(t, SortRef):
             if t.name not in registered:
                 raise UnknownSortError(f"unregistered sort: {t.name}")
-            return poly((t.name,))
-        if isinstance(t, UnitOne):
-            return poly_of_mono(ONE)
-        if isinstance(t, ZeroObj):
-            return ZERO
-        if isinstance(t, Sum):
-            return go(t.left) + go(t.right)
-        if isinstance(t, Tensor):
-            return go(t.left) * go(t.right)
-        raise TypeError(f"not an object term: {t!r}")
-
-    return go(term)
+            results.append(poly((t.name,)))
+        elif isinstance(t, UnitOne):
+            results.append(poly_of_mono(ONE))
+        elif isinstance(t, ZeroObj):
+            results.append(ZERO)
+        else:
+            raise TypeError(f"not an object term: {t!r}")
+    return results[0]
 
 
 def poly_tensor(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -67,9 +67,6 @@ class SuiteReport:
     def failed(self) -> int:
         return sum(1 for r in self.results if not r.ok)
 
-    def failures(self) -> list[InstanceResult]:
-        return [r for r in self.results if not r.ok]
-
     def merge(self, other: "SuiteReport") -> "SuiteReport":
         return SuiteReport(self.results + other.results)
 
@@ -297,10 +294,6 @@ class Ctx:
     def __getitem__(self, key):
         return self.binding[key]
 
-    @property
-    def sig(self) -> MonSignature:
-        return self.fresh.sig
-
 
 def _repro(interp: Interpretation, lhs: TapeTerm, rhs: TapeTerm) -> str:
     """A one-line reproduction: carriers, fresh matrices and both terms."""
@@ -349,13 +342,12 @@ def _mono_axiom(name: str, vars_: Sequence[str], builder: Builder,
 
 
 def _poly_axiom(name: str, vars_: Sequence[str], builder: Builder,
-                interp: Interpretation, bounds: SuiteBounds, seed: int,
-                samples: int | None = None) -> list[InstanceResult]:
+                interp: Interpretation, bounds: SuiteBounds,
+                seed: int) -> list[InstanceResult]:
     """Sample polynomial metavariables; a fresh morphism seed per sample."""
     sorts = interp.sig.sorts[:bounds.sorts]
-    n = samples if samples is not None else bounds.samples
     results = []
-    for index in range(n):
+    for index in range(bounds.samples):
         rng = Random(derive_seed(seed, name, index))
         fresh = Freshener(interp, rng)
         binding = {v: rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
@@ -380,8 +372,8 @@ def axiom_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
     def mono(name, vars_, builder):
         add(_mono_axiom(name, vars_, builder, interp, bounds, seed))
 
-    def polyax(name, vars_, builder, samples=None):
-        add(_poly_axiom(name, vars_, builder, interp, bounds, seed, samples))
+    def polyax(name, vars_, builder):
+        add(_poly_axiom(name, vars_, builder, interp, bounds, seed))
 
     # symmetric monoidal axioms, circuit layer
     def c_seq_assoc(ctx):
@@ -830,7 +822,6 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
     n_samples = max(bounds.samples, 3)
     for index in range(n_samples):
         rng, fresh, rp = sample(index, "whisker")
-        sig = fresh.sig
         s, t_poly = rp(), rp()
         p, q, r = rp(), rp(), rp()
         t = fresh.tape(p, q)
@@ -841,33 +832,33 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
         sig = fresh.sig
 
         check("W1-left", index, fresh,
-              whisker_left(s, id_tape(p), sig), id_tape(s * p), desc)
+              whisker_left(s, id_tape(p)), id_tape(s * p), desc)
         check("W1-right", index, fresh,
               whisker_right(id_tape(p), s, sig), id_tape(p * s), desc)
         check("W2-left", index, fresh,
-              whisker_left(s, tseq(t, t_s), sig),
-              tseq(whisker_left(s, t, sig), whisker_left(s, t_s, sig)), desc)
+              whisker_left(s, tseq(t, t_s)),
+              tseq(whisker_left(s, t), whisker_left(s, t_s)), desc)
         check("W2-right", index, fresh,
               whisker_right(tseq(t, t_s), s, sig),
               tseq(whisker_right(t, s, sig), whisker_right(t_s, s, sig)), desc)
-        check("W3-left", index, fresh, whisker_left(ONE, t, sig), t, desc)
+        check("W3-left", index, fresh, whisker_left(ONE, t), t, desc)
         check("W3-right", index, fresh, whisker_right(t, ONE, sig), t, desc)
-        check("W4-left", index, fresh, whisker_left(ZERO, t, sig), TIdZero(), desc)
+        check("W4-left", index, fresh, whisker_left(ZERO, t), TIdZero(), desc)
         check("W4-right", index, fresh, whisker_right(t, ZERO, sig), TIdZero(), desc)
 
         t2 = fresh.tape(r, p)
         sig = fresh.sig
         check("W5-left", index, fresh,
-              whisker_left(s, TSum(t, t2), sig),
+              whisker_left(s, TSum(t, t2)),
               tseq(distributor(s, p, r),
-                   TSum(whisker_left(s, t, sig), whisker_left(s, t2, sig)),
+                   TSum(whisker_left(s, t), whisker_left(s, t2)),
                    distributor(s, q, p, inverse=True)), desc)
         check("W5-right", index, fresh,
               whisker_right(TSum(t, t2), s, sig),
               TSum(whisker_right(t, s, sig), whisker_right(t2, s, sig)), desc)
         check("W6-left", index, fresh,
-              whisker_left(s + t_poly, t, sig),
-              TSum(whisker_left(s, t, sig), whisker_left(t_poly, t, sig)), desc)
+              whisker_left(s + t_poly, t),
+              TSum(whisker_left(s, t), whisker_left(t_poly, t)), desc)
         check("W6-right", index, fresh,
               whisker_right(t, s + t_poly, sig),
               tseq(distributor(p, s, t_poly),
@@ -877,8 +868,8 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
         t_b = fresh.tape(r, s)
         sig = fresh.sig
         check("W7-exchange", index, fresh,
-              tseq(whisker_left(p, t_b, sig), whisker_right(t, s, sig)),
-              tseq(whisker_right(t, r, sig), whisker_left(q, t_b, sig)), desc)
+              tseq(whisker_left(p, t_b), whisker_right(t, s, sig)),
+              tseq(whisker_right(t, r, sig), whisker_left(q, t_b)), desc)
 
         check("W8-codiag", index, fresh,
               whisker_right(TCodiag(u), s, sig),
@@ -891,17 +882,17 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
               symplus_tape(p * s, q * s), desc)
         check("W11-symtensor", index, fresh,
               symtensor_tape(p * q, s),
-              tseq(whisker_left(p, symtensor_tape(q, s), sig),
+              tseq(whisker_left(p, symtensor_tape(q, s)),
                    whisker_right(symtensor_tape(p, s), q, sig)), desc)
         check("W12-sym-nat", index, fresh,
               tseq(whisker_right(t, s, sig), symtensor_tape(q, s)),
-              tseq(symtensor_tape(p, s), whisker_left(s, t, sig)), desc)
+              tseq(symtensor_tape(p, s), whisker_left(s, t)), desc)
         check("W13-left-right", index, fresh,
-              whisker_left(s, whisker_right(t, t_poly, sig), sig),
-              whisker_right(whisker_left(s, t, sig), t_poly, sig), desc)
+              whisker_left(s, whisker_right(t, t_poly, sig)),
+              whisker_right(whisker_left(s, t), t_poly, sig), desc)
         check("W14-left-left", index, fresh,
-              whisker_left(s * t_poly, t, sig),
-              whisker_left(s, whisker_left(t_poly, t, sig), sig), desc)
+              whisker_left(s * t_poly, t),
+              whisker_left(s, whisker_left(t_poly, t)), desc)
         check("W15-right-right", index, fresh,
               whisker_right(t, t_poly * s, sig),
               whisker_right(whisker_right(t, t_poly, sig), s, sig), desc)
@@ -909,7 +900,7 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
               whisker_right(distributor(p, q, r), s, sig),
               distributor(p, q * s, r * s), desc)
         check("W17-left-dl", index, fresh,
-              whisker_left(s, distributor(p, q, r), sig),
+              whisker_left(s, distributor(p, q, r)),
               tseq(distributor(s * p, q, r),
                    distributor(s, p * q, p * r, inverse=True)), desc)
         check("W18-opinj", index, fresh,

@@ -343,8 +343,7 @@ def whisker_right_mono(t: TapeTerm, u: Monomial) -> TapeTerm:
     return _whisker_mono(t, u, left=False)
 
 
-def whisker_left(s: Union[Polynomial, Monomial], t: TapeTerm,
-                 sig: MonSignature) -> TapeTerm:
+def whisker_left(s: Union[Polynomial, Monomial], t: TapeTerm) -> TapeTerm:
     """S |> t for a polynomial S: the sum of the monomial whiskerings."""
     if isinstance(s, Monomial):
         return whisker_left_mono(s, t)
@@ -371,7 +370,7 @@ def tensor_tape(t1: TapeTerm, t2: TapeTerm, sig: MonSignature) -> TapeTerm:
     """t1 (x) t2, defined by whiskering: (P |> t2) ; (t1 <| S)."""
     dom1, _ = type_of_tape(t1, sig)
     _, cod2 = type_of_tape(t2, sig)
-    return TSeq(whisker_left(dom1, t2, sig), whisker_right(t1, cod2, sig))
+    return TSeq(whisker_left(dom1, t2), whisker_right(t1, cod2, sig))
 
 
 # --- polynomial copy/discard ----------------------------------------------------

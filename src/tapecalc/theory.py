@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ModelError, TypeCheckError, UnknownOperationError
+from .errors import ModelError, TypeCheckError
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,6 @@ class AlgebraicTheory:
     ops: tuple[OpSymbol, ...] = ()
     equations: tuple[Equation, ...] = ()
     primary_ops: tuple[OpSymbol, ...] = field(default=())
-
-    def find_op(self, name: str, params: tuple[Fraction, ...] = ()) -> OpSymbol:
-        for op in self.ops:
-            if op.name == name and op.params == params:
-                return op
-        raise UnknownOperationError(
-            f"operation {name}{params or ''} not declared in theory {self.name}")
-
-    def has_op(self, op: OpSymbol) -> bool:
-        return op in self.ops
 
     def validate(self) -> None:
         declared = set(self.ops)

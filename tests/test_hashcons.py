@@ -106,7 +106,7 @@ def random_tape(fresh, rng, depth):
         return tensor_tape(t, t2, fresh.sig)
     sig = fresh.sig
     if kind == 1:
-        return whisker_left(random_poly(rng), t, sig)
+        return whisker_left(random_poly(rng), t)
     if kind == 2:
         return whisker_right(t, random_poly(rng), sig)
     if kind == 3:

@@ -177,3 +177,27 @@ def test_poly_tensor_monoid_laws(data):
     assert poly_tensor(ZERO, p) == ZERO
     assert (p + q) + r == p + (q + r)
     assert ZERO + p == p + ZERO == p
+
+
+def test_normalize_long_product_without_recursion():
+    # 5000 (x)-factors, two of them sums, nested to the left and to the right
+    rng = random.Random(11)
+    sums = set(rng.sample(range(5000), 2))
+    factors = []
+    for i in range(5000):
+        if i in sums:
+            factors.append(poly(*rng.sample(["A", "B", "C", ""], 2)))
+        else:
+            factors.append(poly("".join(rng.choice(SORTS)
+                                        for _ in range(rng.randint(0, 2)))))
+    expected = factors[0]
+    for p in factors[1:]:
+        expected = poly_tensor(expected, p)
+    left = embed(factors[0])
+    for p in factors[1:]:
+        left = Tensor(left, embed(p))
+    right = embed(factors[-1])
+    for p in reversed(factors[:-1]):
+        right = Tensor(embed(p), right)
+    assert normalize(left, SORTS) == expected
+    assert normalize(right, SORTS) == expected

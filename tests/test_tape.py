@@ -198,7 +198,7 @@ def test_whisker_circuit_clause():
 
 
 def test_whisker_zero_clause():
-    assert isinstance(whisker_left(ZERO, TCodiag(A), SIG), TIdZero)
+    assert isinstance(whisker_left(ZERO, TCodiag(A)), TIdZero)
     assert isinstance(whisker_right(TCodiag(A), ZERO, SIG), TIdZero)
 
 
@@ -214,7 +214,7 @@ def test_tensor_with_identity_is_whiskering():
     t = fresh.tape(p, q)
     s = pB + pA
     lhs = tensor_tape(id_tape(s), t, fresh.sig)
-    rhs = whisker_left(s, t, fresh.sig)
+    rhs = whisker_left(s, t)
     result = sem_eq(lhs, rhs, fresh.interp())
     assert result.equal, result
 
