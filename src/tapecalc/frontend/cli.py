@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import ParseError, TapecalcError, TypeCheckError
+from ..errors import TapecalcError, TypeCheckError
 from ..interp import eval_tape
+from ..kleisli import exact_str
 from ..objects import normalize
 from ..suites import (SuiteBounds, axiom_suite, coherence_suite, lemma_suite,
                       sem_eq)
 from ..tape import type_of_tape
-from .parser import parse_module, parse_object_expr
+from .parser import ascii_int, parse_module, parse_object_expr
 from .render import render_svg
 from .surface import elaborate
 
@@ -87,10 +88,12 @@ def parse_bounds(pairs: list[str]) -> SuiteBounds:
     values = {}
     for pair in pairs:
         key, _, num = pair.partition("=")
-        if key not in keys or not num.isdigit():
-            raise ParseError(f"bad bound {pair!r}; use KEY=N with KEY in "
-                             f"{sorted(keys)}")
-        values[keys[key]] = int(num)
+        n = ascii_int(num)
+        if key not in keys or n is None:
+            sys.stderr.write(f"error: bad bound {pair!r}; use KEY=N with KEY "
+                             f"in {sorted(keys)}\n")
+            sys.exit(EXIT_USAGE)
+        values[keys[key]] = n
     return SuiteBounds(**values)
 
 
@@ -124,7 +127,7 @@ def cmd_check(args) -> int:
             y, x, a, b = result.witness
             sys.stdout.write(
                 f"check {check.left} = {check.right} with {check.interp}: "
-                f"unequal at entry ({y},{x}): {a} vs {b}\n")
+                f"unequal at entry ({y},{x}): {exact_str(a)} vs {exact_str(b)}\n")
             return EXIT_UNEQUAL
     return EXIT_OK
 
@@ -157,7 +160,8 @@ def cmd_eq(args) -> int:
     if result.equal:
         return EXIT_OK
     y, x, a, b = result.witness
-    sys.stdout.write(f"unequal at entry ({y},{x}): left={a} right={b}\n")
+    sys.stdout.write(f"unequal at entry ({y},{x}): left={exact_str(a)} "
+                     f"right={exact_str(b)}\n")
     return EXIT_UNEQUAL
 
 

@@ -72,9 +72,9 @@ def tokenize(text: str) -> list[Token]:
                 tokens.append(Token(PUNCT[ch], ch, start_line, start_col))
                 i += 1
                 col += 1
-            elif ch.isdigit():
+            elif ch in "0123456789":
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in "0123456789":
                     j += 1
                 if j < n and text[j] == ".":
                     raise ParseError("decimal literals are not supported; "
@@ -95,6 +95,17 @@ def tokenize(text: str) -> list[Token]:
                                  start_line, start_col)
     tokens.append(Token("EOF", "", line, col))
     return tokens
+
+
+def ascii_int(text: str) -> int | None:
+    """The value of a numeral of ASCII digits; None for any other text,
+    and for numerals longer than Python converts (by default 4300 digits)."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def split_sorts(text: str, sorts: tuple[str, ...]) -> list[str] | None:
@@ -203,13 +214,23 @@ class Parser:
                              {word})
         return self.next()
 
-    def rational(self) -> Fraction:
-        tok = self.expect("INT", "a rational number")
-        value = Fraction(int(tok.text))
-        if self.accept("SLASH"):
-            den = self.expect("INT", "a denominator")
-            value = Fraction(int(tok.text), int(den.text))
+    def integer(self, what: str) -> int:
+        tok = self.expect("INT", what)
+        value = ascii_int(tok.text)
+        if value is None:
+            raise ParseError(f"numeral of {len(tok.text)} digits is too long",
+                             tok.line, tok.col)
         return value
+
+    def rational(self) -> Fraction:
+        num = self.integer("a rational number")
+        if not self.accept("SLASH"):
+            return Fraction(num)
+        tok = self.peek()
+        den = self.integer("a denominator")
+        if den == 0:
+            raise ParseError("zero denominator", tok.line, tok.col)
+        return Fraction(num, den)
 
     def monomial_token(self, tok: Token) -> Monomial:
         if tok.kind == "INT" and tok.text == "1":
@@ -526,9 +547,10 @@ class Parser:
         if tok.kind == "INT" and tok.text == "0":
             self.next()
             return App(CM_ZERO, ())
-        if tok.kind == "IDENT" and tok.text.startswith("x") and tok.text[1:].isdigit():
+        index = ascii_int(tok.text[1:]) if tok.text.startswith("x") else None
+        if tok.kind == "IDENT" and index is not None:
             self.next()
-            return Var(int(tok.text[1:]))
+            return Var(index)
         self.fail("expected a term", {"x<i>", "star", "0", "'('"})
 
     # -- circuit expressions -----------------------------------------------------

@@ -55,26 +55,12 @@ def _wire_ys(count: int, y: float, h: float) -> list[float]:
     return [y + step * (i + 1) for i in range(count)]
 
 
-def _draw_circuit(c: CircuitTerm, memo: _Memo, x: float, y: float,
-                  w: float, h: float, elems: list[str]) -> None:
+def _draw_gate(c: CircuitTerm, memo: _Memo, x: float, y: float,
+               w: float, h: float, elems: list[str]) -> None:
+    """Draw a circuit that is not a composite at (x, y), w wide, h high."""
     dom, cod = memo.types[c]
     ys_in = _wire_ys(len(dom), y, h)
     ys_out = _wire_ys(len(cod), y, h)
-
-    if isinstance(c, CSeq):
-        w1 = w * memo.sizes[c.first] / memo.sizes[c]
-        _draw_circuit(c.first, memo, x, y, w1, h, elems)
-        _draw_circuit(c.second, memo, x + w1, y, w - w1, h, elems)
-        return
-    if isinstance(c, CTensor):
-        dom1, cod1 = memo.types[c.top]
-        lanes_top = max(len(dom1), len(cod1), 1)
-        dom2, cod2 = memo.types[c.bottom]
-        lanes_bot = max(len(dom2), len(cod2), 1)
-        h1 = h * lanes_top / (lanes_top + lanes_bot)
-        _draw_circuit(c.top, memo, x, y, w, h1, elems)
-        _draw_circuit(c.bottom, memo, x, y + h1, w, h - h1, elems)
-        return
     if isinstance(c, (CIdSort, CIdOne)):
         for wy in ys_in:
             elems.append(_line(x, wy, x + w, wy))
@@ -114,17 +100,22 @@ def _draw_circuit(c: CircuitTerm, memo: _Memo, x: float, y: float,
 # --- tapes ------------------------------------------------------------------
 
 class _Memo:
-    """Types and sizes of every distinct subterm, computed once a render.
+    """Types, sizes and heights of every distinct subterm, computed once a
+    render.
 
     A circuit's size is its width in units; a tape's is (width in units,
-    number of stacked lanes)."""
+    number of stacked lanes).  A tape's height is the height its drawing
+    takes, which does not depend on where it is drawn."""
 
     def __init__(self, t: TapeTerm, sig: MonSignature):
         self.types: dict = {}
         type_of_tape(t, sig, self.types)
         self.sizes: dict = {}
+        self.heights: dict = {}
         for node in self.types:     # each after its own subterms
             self.sizes[node] = self._size(node)
+            if not isinstance(node, CircuitTerm):
+                self.heights[node] = self._height(node)
 
     def _size(self, t):
         sizes = self.sizes
@@ -150,6 +141,21 @@ class _Memo:
             return 1.5, lanes
         return 1.0, lanes
 
+    def _height(self, t) -> float:
+        heights = self.heights
+        if isinstance(t, TSum):
+            h1 = heights[t.top]
+            return h1 + (LANE_GAP if h1 else 0.0) + heights[t.bottom]
+        if isinstance(t, TSeq):
+            return max(heights[t.first], heights[t.second])
+        if isinstance(t, TIdZero):
+            return 0.0
+        if isinstance(t, (TSymPlus, TCodiag)):
+            return 2 * LANE_H + LANE_GAP
+        if isinstance(t, TOpInj) and t.op.arity:
+            return t.op.arity * LANE_H + (t.op.arity - 1) * LANE_GAP
+        return LANE_H
+
 
 def _draw_lane_wires(u: Monomial, x, y, w, elems, label=True):
     ys = _wire_ys(max(len(u), 1), y, LANE_H)
@@ -161,31 +167,55 @@ def _draw_lane_wires(u: Monomial, x, y, w, elems, label=True):
             elems.append(_text(x + w / 2, wy - 3, name))
 
 
-def _draw_tape(t: TapeTerm, memo: _Memo, x: float, y: float,
-               w: float, elems: list[str]) -> float:
-    """Draw t at (x, y) with width w; returns the height used."""
+def _draw(t: TapeTerm, memo: _Memo, x: float, y: float, w: float,
+          elems: list[str]) -> None:
+    """Draw t at (x, y) with width w: each node before its subterms, the
+    first subterm before the second, on an explicit stack of
+    (term, x, y, width, height)."""
+    stack = [(t, x, y, w, memo.heights[t])]
+    while stack:
+        node, x, y, w, h = stack.pop()
+        if isinstance(node, TSum):
+            h1 = memo.heights[node.top]
+            gap = LANE_GAP if h1 else 0.0
+            stack.append((node.bottom, x, y + h1 + gap, w,
+                          memo.heights[node.bottom]))
+            stack.append((node.top, x, y, w, h1))
+        elif isinstance(node, TSeq):
+            w1 = w * memo.sizes[node.first][0] / memo.sizes[node][0]
+            stack.append((node.second, x + w1, y, w - w1,
+                          memo.heights[node.second]))
+            stack.append((node.first, x, y, w1, memo.heights[node.first]))
+        elif isinstance(node, CSeq):
+            w1 = w * memo.sizes[node.first] / memo.sizes[node]
+            stack.append((node.second, x + w1, y, w - w1, h))
+            stack.append((node.first, x, y, w1, h))
+        elif isinstance(node, CTensor):
+            dom1, cod1 = memo.types[node.top]
+            lanes_top = max(len(dom1), len(cod1), 1)
+            dom2, cod2 = memo.types[node.bottom]
+            lanes_bot = max(len(dom2), len(cod2), 1)
+            h1 = h * lanes_top / (lanes_top + lanes_bot)
+            stack.append((node.bottom, x, y + h1, w, h - h1))
+            stack.append((node.top, x, y, w, h1))
+        elif isinstance(node, CircuitTerm):
+            _draw_gate(node, memo, x, y, w, h, elems)
+        elif isinstance(node, TCirc):
+            _tape_band(x, y, w, LANE_H, elems)
+            stack.append((node.circuit, x, y, w, LANE_H))
+        else:
+            _draw_tape_leaf(node, x, y, w, h, elems)
+
+
+def _draw_tape_leaf(t: TapeTerm, x: float, y: float, w: float, h: float,
+                    elems: list[str]) -> None:
+    """Draw a tape that is neither a sum, a sequence nor a circuit."""
     if isinstance(t, TIdZero):
-        return 0.0
-    if isinstance(t, TSum):
-        h1 = _draw_tape(t.top, memo, x, y, w, elems)
-        gap = LANE_GAP if h1 else 0.0
-        h2 = _draw_tape(t.bottom, memo, x, y + h1 + gap, w, elems)
-        return h1 + gap + h2
-    if isinstance(t, TSeq):
-        total_w1, _ = memo.sizes[t.first]
-        total_w, _ = memo.sizes[t]
-        w1 = w * total_w1 / total_w
-        h1 = _draw_tape(t.first, memo, x, y, w1, elems)
-        h2 = _draw_tape(t.second, memo, x + w1, y, w - w1, elems)
-        return max(h1, h2)
+        return
     if isinstance(t, TIdMon):
         _tape_band(x, y, w, LANE_H, elems)
         _draw_lane_wires(t.mono, x, y, w, elems)
-        return LANE_H
-    if isinstance(t, TCirc):
-        _tape_band(x, y, w, LANE_H, elems)
-        _draw_circuit(t.circuit, memo, x, y, w, LANE_H, elems)
-        return LANE_H
+        return
     if isinstance(t, TSymPlus):
         _tape_band(x, y, w, LANE_H, elems)
         _tape_band(x, y + LANE_H + LANE_GAP, w, LANE_H, elems)
@@ -194,9 +224,8 @@ def _draw_tape(t: TapeTerm, memo: _Memo, x: float, y: float,
         elems.append(_line(x, m1, x + w, m2))
         elems.append(_line(x, m2, x + w, m1))
         elems.append(_text(x + w / 2, y - 2, f"{t.left}/{t.right}"))
-        return 2 * LANE_H + LANE_GAP
+        return
     if isinstance(t, TCodiag):
-        h = 2 * LANE_H + LANE_GAP
         mid = y + h / 2
         _tape_band(x, y, w * 0.4, LANE_H, elems)
         _tape_band(x, y + LANE_H + LANE_GAP, w * 0.4, LANE_H, elems)
@@ -206,15 +235,13 @@ def _draw_tape(t: TapeTerm, memo: _Memo, x: float, y: float,
                            x + w * 0.6, mid))
         elems.append(_line(x + w * 0.6, mid, x + w, mid))
         elems.append(_text(x + w / 2, y - 2, str(t.mono)))
-        return h
+        return
     if isinstance(t, TCobang):
         _tape_band(x + w * 0.3, y, w * 0.7, LANE_H, elems)
         elems.append(_line(x + w * 0.3, y, x + w * 0.3, y + LANE_H, 2.0))
         _draw_lane_wires(t.mono, x + w * 0.5, y, w * 0.5, elems)
-        return LANE_H
+        return
     if isinstance(t, TOpInj):
-        n = max(t.op.arity, 1)
-        h = n * LANE_H + (n - 1) * LANE_GAP if t.op.arity else LANE_H
         mid_in = y + h / 2
         _tape_band(x, mid_in - LANE_H / 2, w * 0.35, LANE_H, elems)
         elems.append(_line(x, mid_in, x + w * 0.45, mid_in))
@@ -224,7 +251,7 @@ def _draw_tape(t: TapeTerm, memo: _Memo, x: float, y: float,
             elems.append(_line(x + w * 0.45, mid_in, x + w * 0.55,
                                ly + LANE_H / 2))
         elems.append(_text(x + w / 2, mid_in - LANE_H / 2 - 2, str(t.op)))
-        return h
+        return
     raise TypeCheckError(f"not a tape term: {t!r}")
 
 
@@ -235,8 +262,8 @@ def render_svg(t: TapeTerm, sig: MonSignature) -> str:
     width = w_units * UNIT_W + 2 * PAD
     height = lanes * (LANE_H + LANE_GAP) + 2 * PAD
     elems: list[str] = []
-    used = _draw_tape(t, memo, PAD, PAD, w_units * UNIT_W, elems)
-    height = max(height, used + 2 * PAD)
+    _draw(t, memo, PAD, PAD, w_units * UNIT_W, elems)
+    height = max(height, memo.heights[t] + 2 * PAD)
     head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{_fmt(width)}" height="{_fmt(height)}" '

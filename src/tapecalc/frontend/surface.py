@@ -24,8 +24,8 @@ from ..tape import (TCirc, TIdZero, TSeq, TSum, TapeTerm, cobang_tape,
                     codiag_tape, copier_tape, discharger_tape, distributor,
                     id_tape, op_inj_tape, symplus_tape, tensor_tape,
                     term_tape)
-from ..theory import (AlgebraicTheory, App, CM_ZERO, OpSymbol, STAR,
-                      SigmaTerm, Var, builtin_theory)
+from ..theory import (AlgebraicTheory, App, OpSymbol, SigmaTerm, Var,
+                      builtin_theory)
 
 
 # --- circuit surface expressions ------------------------------------------------
@@ -295,25 +295,15 @@ def elaborate(e: SExpr, module: SourceModule,
 
 # --- printing ----------------------------------------------------------------------
 
-def print_op(op: OpSymbol) -> str:
-    if op == STAR:
-        return "star"
-    if op == CM_ZERO:
-        return "0"
-    if op.params:
-        return f"+_{op.params[0]}"
-    return "+"
-
-
 def print_sigma(t: SigmaTerm, parent_binary: bool = False) -> str:
     if isinstance(t, Var):
         return f"x{t.index}"
     assert isinstance(t, App)
     if not t.args:
-        return print_op(t.op)
+        return str(t.op)
     left = print_sigma(t.args[0], parent_binary=True)
     right = print_sigma(t.args[1], parent_binary=True)
-    text = f"{left} {print_op(t.op)} {right}"
+    text = f"{left} {t.op} {right}"
     return f"({text})" if parent_binary else text
 
 
@@ -332,7 +322,7 @@ def print_sexpr(e: Union[SExpr, CExpr], level: int = 0) -> str:
         kind = "sym+" if e.kind == "symplus" else e.kind
         return f"{kind}@{','.join(map(str, e.polys))}"
     if isinstance(e, SOp):
-        return f"op<{print_op(e.op)}>@{e.poly}"
+        return f"op<{e.op}>@{e.poly}"
     if isinstance(e, STermBr):
         return f"term<{print_sigma(e.term)}>@{e.poly}"
     if isinstance(e, SCircuit):

@@ -24,6 +24,26 @@ from .errors import DimensionError, ModelError, UnknownOperationError
 from .theory import AlgebraicTheory, App, Equation, OpSymbol, SigmaTerm, Var
 
 
+_PIECE = 10 ** 500    # 500 digits: under any int->str limit Python allows
+
+
+def exact_str(w) -> str:
+    """str(w) for an int or Fraction weight, with every digit even past
+    Python's limit on int->str conversion (4300 digits by default)."""
+    try:
+        return str(w)
+    except ValueError:
+        pass
+    if isinstance(w, Fraction):
+        num = exact_str(w.numerator)
+        return num if w.denominator == 1 else f"{num}/{exact_str(w.denominator)}"
+    n, pieces = abs(w), []
+    while n:
+        n, low = divmod(n, _PIECE)
+        pieces.append(f"{low:0500d}")
+    return ("-" if w < 0 else "") + "".join(reversed(pieces)).lstrip("0")
+
+
 @dataclass(frozen=True)
 class Semiring:
     name: str
@@ -258,7 +278,7 @@ class Matrix:
     def pretty(self) -> str:
         rows = self.to_rows()
         return "[" + ", ".join(
-            "[" + ", ".join(str(w) for w in row) + "]" for row in rows) + "]"
+            "[" + ", ".join(map(exact_str, row)) + "]" for row in rows) + "]"
 
 
 def permutation_matrix(n: int, image: Callable[[int], int]) -> Matrix:

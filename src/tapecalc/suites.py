@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import kleisli
 from .circuit import (CGen, CIdOne, CircuitTerm, CTensor, MonSignature,
@@ -23,7 +23,7 @@ from .circuit import (CGen, CIdOne, CircuitTerm, CTensor, MonSignature,
                       identity_circuit, sym_circuit)
 from .errors import TypeCheckError
 from .interp import Interpretation, carrier_of, eval_tape, prod_index
-from .kleisli import Matrix, TheoryModel, model_for
+from .kleisli import Matrix, TheoryModel, exact_str, model_for
 from .objects import Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono
 from .tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSum,
                    TSymPlus, TapeTerm, cobang_tape, codiag_tape, copier_tape,
@@ -281,19 +281,7 @@ def capped(seq: list, cap: int) -> list:
     return [seq[int(i * step)] for i in range(cap)]
 
 
-# --- the axiom suite -------------------------------------------------------------
-
-Builder = Callable[["Ctx"], tuple[TapeTerm, TapeTerm]]
-
-
-@dataclass
-class Ctx:
-    fresh: Freshener
-    binding: dict
-
-    def __getitem__(self, key):
-        return self.binding[key]
-
+# --- law instances ---------------------------------------------------------------
 
 def _repro(interp: Interpretation, lhs: TapeTerm, rhs: TapeTerm) -> str:
     """A one-line reproduction: carriers, fresh matrices and both terms."""
@@ -306,331 +294,283 @@ def _repro(interp: Interpretation, lhs: TapeTerm, rhs: TapeTerm) -> str:
     return f"carriers[{carriers}] gens[{gens}] lhs={clip(lhs)} rhs={clip(rhs)}"
 
 
-def _check_instance(name: str, binding_desc: str, fresh: Freshener,
+def _result(instance: str, ok: bool, witness: str) -> InstanceResult:
+    """An instance's result; the witness is kept only when it failed."""
+    return InstanceResult(instance, ok, "" if ok else witness)
+
+
+def _check_instance(name: str, binding_desc: str, interp: Interpretation,
                     lhs: TapeTerm, rhs: TapeTerm) -> InstanceResult:
-    interp = fresh.interp()
+    """Decide lhs = rhs under interp; a failure carries a reproduction."""
     result = sem_eq(lhs, rhs, interp)
-    if result.equal:
-        return InstanceResult(f"{name}[{binding_desc}]", True)
+    witness = ""
     if result.kind == "type-error":
-        return InstanceResult(f"{name}[{binding_desc}]", False,
-                              f"type error: {result.message}")
-    y, x, a, b = result.witness
-    return InstanceResult(
-        f"{name}[{binding_desc}]", False,
-        f"entry ({y},{x}): lhs={a} rhs={b} | {_repro(interp, lhs, rhs)}")
+        witness = f"type error: {result.message}"
+    elif result.kind == "unequal":
+        y, x, a, b = result.witness
+        witness = (f"entry ({y},{x}): lhs={exact_str(a)} rhs={exact_str(b)} | "
+                   f"{_repro(interp, lhs, rhs)}")
+    return _result(f"{name}[{binding_desc}]", result.equal, witness)
 
 
-def _mono_axiom(name: str, vars_: Sequence[str], builder: Builder,
-                interp: Interpretation, bounds: SuiteBounds,
-                seed: int) -> list[InstanceResult]:
-    """Enumerate monomial metavariables fully (capped); one seeded random
-    morphism instantiation per tuple."""
+def _axiom(name: str, vars_: str, build, interp: Interpretation,
+           bounds: SuiteBounds, seed: int,
+           tuples: list | None = None) -> list[InstanceResult]:
+    """One instance per tuple of monomials bound to vars_, or, when tuples
+    is None, per sample of random polynomials.  Instance i draws its
+    polynomials and then its fresh morphisms from its own seeded rng;
+    build(fresh, *binding) returns the two sides."""
     sorts = interp.sig.sorts[:bounds.sorts]
-    monos = all_monomials(sorts, bounds.mono_len)
-    tuples = capped(list(itertools.product(monos, repeat=len(vars_))),
-                    bounds.max_tuples)
     results = []
+    if tuples is None:
+        tuples = [None] * bounds.samples
     for index, tup in enumerate(tuples):
         rng = Random(derive_seed(seed, name, index))
+        if tup is None:
+            tup = [rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
+                   for _ in vars_]
+        desc = ",".join(f"{k}={v}" for k, v in zip(vars_, tup)) + f"#{index}"
         fresh = Freshener(interp, rng)
-        binding = dict(zip(vars_, tup))
-        desc = ",".join(f"{k}={v}" for k, v in binding.items()) + f"#{index}"
-        lhs, rhs = builder(Ctx(fresh, binding))
-        results.append(_check_instance(name, desc, fresh, lhs, rhs))
+        lhs, rhs = build(fresh, *tup)
+        results.append(_check_instance(name, desc, fresh.interp(), lhs, rhs))
     return results
 
 
-def _poly_axiom(name: str, vars_: Sequence[str], builder: Builder,
-                interp: Interpretation, bounds: SuiteBounds,
-                seed: int) -> list[InstanceResult]:
-    """Sample polynomial metavariables; a fresh morphism seed per sample."""
-    sorts = interp.sig.sorts[:bounds.sorts]
-    results = []
-    for index in range(bounds.samples):
-        rng = Random(derive_seed(seed, name, index))
-        fresh = Freshener(interp, rng)
-        binding = {v: rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
-                   for v in vars_}
-        desc = ",".join(f"{k}={v}" for k, v in binding.items()) + f"#{index}"
-        lhs, rhs = builder(Ctx(fresh, binding))
-        results.append(_check_instance(name, desc, fresh, lhs, rhs))
-    return results
-
-
-def _suite_ops(interp: Interpretation) -> list[OpSymbol]:
-    return list(interp.model.theory.primary_ops)
-
+# --- the axiom suite -------------------------------------------------------------
 
 def axiom_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
                 seed: int = 0) -> SuiteReport:
     """Check every axiom of the calculus under the given interpretation."""
     report = SuiteReport()
-    add = report.results.extend
-    ops = _suite_ops(interp)
+    monos = all_monomials(interp.sig.sorts[:bounds.sorts], bounds.mono_len)
 
-    def mono(name, vars_, builder):
-        add(_mono_axiom(name, vars_, builder, interp, bounds, seed))
+    def mono(name, vars_, build):
+        """Monomial metavariables, enumerated fully (capped)."""
+        tuples = capped(list(itertools.product(monos, repeat=len(vars_))),
+                        bounds.max_tuples)
+        report.results.extend(
+            _axiom(name, vars_, build, interp, bounds, seed, tuples))
 
-    def polyax(name, vars_, builder):
-        add(_poly_axiom(name, vars_, builder, interp, bounds, seed))
+    def poly(name, vars_, build):
+        """Polynomial metavariables, sampled."""
+        report.results.extend(_axiom(name, vars_, build, interp, bounds, seed))
 
     # symmetric monoidal axioms, circuit layer
-    def c_seq_assoc(ctx):
-        c = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        d = ctx.fresh.circuit(ctx["V"], ctx["W"])
-        e = ctx.fresh.circuit(ctx["W"], ctx["U"])
+    def c_seq_assoc(f, u, v, w):
+        c, d, e = f.circuit(u, v), f.circuit(v, w), f.circuit(w, u)
         return TCirc(cseq(cseq(c, d), e)), TCirc(cseq(c, cseq(d, e)))
 
-    mono("circ-seq-assoc", ["U", "V", "W"], c_seq_assoc)
+    mono("circ-seq-assoc", "UVW", c_seq_assoc)
 
-    def c_id_unit(ctx):
-        c = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        lhs = cseq(identity_circuit(ctx["U"]), c, identity_circuit(ctx["V"]))
-        return TCirc(lhs), TCirc(c)
+    def c_id_unit(f, u, v):
+        c = f.circuit(u, v)
+        return TCirc(cseq(identity_circuit(u), c, identity_circuit(v))), TCirc(c)
 
-    mono("circ-id-unit", ["U", "V"], c_id_unit)
+    mono("circ-id-unit", "UV", c_id_unit)
 
-    def c_interchange(ctx):
-        c1 = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        c2 = ctx.fresh.circuit(ctx["U"], ctx["W"])
-        d1 = ctx.fresh.circuit(ctx["V"], ctx["W"])
-        d2 = ctx.fresh.circuit(ctx["W"], ctx["U"])
+    def c_interchange(f, u, v, w):
+        c1, c2 = f.circuit(u, v), f.circuit(u, w)
+        d1, d2 = f.circuit(v, w), f.circuit(w, u)
         lhs = cseq(ctensor(c1, c2), ctensor(d1, d2))
         rhs = ctensor(cseq(c1, d1), cseq(c2, d2))
         return TCirc(lhs), TCirc(rhs)
 
-    mono("circ-interchange", ["U", "V", "W"], c_interchange)
+    mono("circ-interchange", "UVW", c_interchange)
 
-    def c_unit_tensor(ctx):
-        c = ctx.fresh.circuit(ctx["U"], ctx["V"])
+    def c_unit_tensor(f, u, v):
+        c = f.circuit(u, v)
         return TCirc(CTensor(CIdOne(), CTensor(c, CIdOne()))), TCirc(c)
 
-    mono("circ-unit-tensor", ["U", "V"], c_unit_tensor)
+    mono("circ-unit-tensor", "UV", c_unit_tensor)
 
-    def c_tensor_assoc(ctx):
-        c1 = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        c2 = ctx.fresh.circuit(ctx["V"], ctx["W"])
-        c3 = ctx.fresh.circuit(ctx["W"], ctx["U"])
+    def c_tensor_assoc(f, u, v, w):
+        c1, c2, c3 = f.circuit(u, v), f.circuit(v, w), f.circuit(w, u)
         return (TCirc(CTensor(CTensor(c1, c2), c3)),
                 TCirc(CTensor(c1, CTensor(c2, c3))))
 
-    mono("circ-tensor-assoc", ["U", "V", "W"], c_tensor_assoc)
+    mono("circ-tensor-assoc", "UVW", c_tensor_assoc)
 
-    def c_sym_inv(ctx):
-        u, v = ctx["U"], ctx["V"]
+    def c_sym_inv(f, u, v):
         return (TCirc(cseq(sym_circuit(u, v), sym_circuit(v, u))),
                 TCirc(identity_circuit(u * v)))
 
-    mono("circ-sym-inv", ["U", "V"], c_sym_inv)
+    mono("circ-sym-inv", "UV", c_sym_inv)
 
-    def c_sym_nat(ctx):
-        c = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        d = ctx.fresh.circuit(ctx["W"], ctx["X"])
-        lhs = cseq(ctensor(c, d), sym_circuit(ctx["V"], ctx["X"]))
-        rhs = cseq(sym_circuit(ctx["U"], ctx["W"]), ctensor(d, c))
+    def c_sym_nat(f, u, v, w, x):
+        c, d = f.circuit(u, v), f.circuit(w, x)
+        lhs = cseq(ctensor(c, d), sym_circuit(v, x))
+        rhs = cseq(sym_circuit(u, w), ctensor(d, c))
         return TCirc(lhs), TCirc(rhs)
 
-    mono("circ-sym-nat", ["U", "V", "W", "X"], c_sym_nat)
+    mono("circ-sym-nat", "UVWX", c_sym_nat)
 
     # copy/discard comonoid axioms over monomials
-    def cd_assoc(ctx):
-        u = ctx["U"]
+    def cd_assoc(f, u):
         lhs = cseq(copier_circuit(u), ctensor(copier_circuit(u), identity_circuit(u)))
         rhs = cseq(copier_circuit(u), ctensor(identity_circuit(u), copier_circuit(u)))
         return TCirc(lhs), TCirc(rhs)
 
-    mono("cd-copier-assoc", ["U"], cd_assoc)
+    mono("cd-copier-assoc", "U", cd_assoc)
 
-    def cd_unit_left(ctx):
-        u = ctx["U"]
+    def cd_unit_left(f, u):
         lhs = cseq(copier_circuit(u),
                    ctensor(discharger_circuit(u), identity_circuit(u)))
         return TCirc(lhs), TCirc(identity_circuit(u))
 
-    mono("cd-copier-unit-left", ["U"], cd_unit_left)
+    mono("cd-copier-unit-left", "U", cd_unit_left)
 
-    def cd_unit_right(ctx):
-        u = ctx["U"]
+    def cd_unit_right(f, u):
         lhs = cseq(copier_circuit(u),
                    ctensor(identity_circuit(u), discharger_circuit(u)))
         return TCirc(lhs), TCirc(identity_circuit(u))
 
-    mono("cd-copier-unit-right", ["U"], cd_unit_right)
+    mono("cd-copier-unit-right", "U", cd_unit_right)
 
-    def cd_comm(ctx):
-        u = ctx["U"]
+    def cd_comm(f, u):
         return (TCirc(cseq(copier_circuit(u), sym_circuit(u, u))),
                 TCirc(copier_circuit(u)))
 
-    mono("cd-copier-comm", ["U"], cd_comm)
+    mono("cd-copier-comm", "U", cd_comm)
 
     # symmetric monoidal axioms, tape layer
-    def t_seq_assoc(ctx):
-        t = ctx.fresh.tape(ctx["P"], ctx["Q"])
-        s = ctx.fresh.tape(ctx["Q"], ctx["R"])
-        r = ctx.fresh.tape(ctx["R"], ctx["P"])
-        return tseq(tseq(t, s), r), tseq(t, tseq(s, r))
+    def t_seq_assoc(f, p, q, r):
+        t1, t2, t3 = f.tape(p, q), f.tape(q, r), f.tape(r, p)
+        return tseq(tseq(t1, t2), t3), tseq(t1, tseq(t2, t3))
 
-    polyax("tape-seq-assoc", ["P", "Q", "R"], t_seq_assoc)
+    poly("tape-seq-assoc", "PQR", t_seq_assoc)
 
-    def t_id_unit(ctx):
-        t = ctx.fresh.tape(ctx["P"], ctx["Q"])
-        return tseq(id_tape(ctx["P"]), t, id_tape(ctx["Q"])), t
+    def t_id_unit(f, p, q):
+        t = f.tape(p, q)
+        return tseq(id_tape(p), t, id_tape(q)), t
 
-    polyax("tape-id-unit", ["P", "Q"], t_id_unit)
+    poly("tape-id-unit", "PQ", t_id_unit)
 
-    def t_interchange(ctx):
-        t1 = ctx.fresh.tape(ctx["P"], ctx["Q"])
-        t2 = ctx.fresh.tape(ctx["R"], ctx["S"])
-        s1 = ctx.fresh.tape(ctx["Q"], ctx["R"])
-        s2 = ctx.fresh.tape(ctx["S"], ctx["P"])
+    def t_interchange(f, p, q, r, s):
+        t1, t2 = f.tape(p, q), f.tape(r, s)
+        s1, s2 = f.tape(q, r), f.tape(s, p)
         return (tseq(TSum(t1, t2), TSum(s1, s2)),
                 TSum(tseq(t1, s1), tseq(t2, s2)))
 
-    polyax("tape-interchange", ["P", "Q", "R", "S"], t_interchange)
+    poly("tape-interchange", "PQRS", t_interchange)
 
-    def t_unit_sum(ctx):
-        t = ctx.fresh.tape(ctx["P"], ctx["Q"])
+    def t_unit_sum(f, p, q):
+        t = f.tape(p, q)
         return TSum(TIdZero(), TSum(t, TIdZero())), t
 
-    polyax("tape-unit-sum", ["P", "Q"], t_unit_sum)
+    poly("tape-unit-sum", "PQ", t_unit_sum)
 
-    def t_sum_assoc(ctx):
-        t1 = ctx.fresh.tape(ctx["P"], ctx["Q"])
-        t2 = ctx.fresh.tape(ctx["Q"], ctx["R"])
-        t3 = ctx.fresh.tape(ctx["R"], ctx["P"])
+    def t_sum_assoc(f, p, q, r):
+        t1, t2, t3 = f.tape(p, q), f.tape(q, r), f.tape(r, p)
         return TSum(TSum(t1, t2), t3), TSum(t1, TSum(t2, t3))
 
-    polyax("tape-sum-assoc", ["P", "Q", "R"], t_sum_assoc)
+    poly("tape-sum-assoc", "PQR", t_sum_assoc)
 
-    def t_symplus_inv(ctx):
-        p, q = ctx["P"], ctx["Q"]
-        return (tseq(symplus_tape(p, q), symplus_tape(q, p)),
-                id_tape(p + q))
+    def t_symplus_inv(f, p, q):
+        return tseq(symplus_tape(p, q), symplus_tape(q, p)), id_tape(p + q)
 
-    polyax("tape-symplus-inv", ["P", "Q"], t_symplus_inv)
+    poly("tape-symplus-inv", "PQ", t_symplus_inv)
 
-    def t_symplus_nat(ctx):
-        t = ctx.fresh.tape(ctx["P"], ctx["Q"])
-        s = ctx.fresh.tape(ctx["R"], ctx["S"])
-        lhs = tseq(TSum(t, s), symplus_tape(ctx["Q"], ctx["S"]))
-        rhs = tseq(symplus_tape(ctx["P"], ctx["R"]), TSum(s, t))
+    def t_symplus_nat(f, p, q, r, s):
+        t1, t2 = f.tape(p, q), f.tape(r, s)
+        lhs = tseq(TSum(t1, t2), symplus_tape(q, s))
+        rhs = tseq(symplus_tape(p, r), TSum(t2, t1))
         return lhs, rhs
 
-    polyax("tape-symplus-nat", ["P", "Q", "R", "S"], t_symplus_nat)
+    poly("tape-symplus-nat", "PQRS", t_symplus_nat)
 
-    def t_symplus_inv_mono(ctx):
-        u, v = ctx["U"], ctx["V"]
+    def t_symplus_inv_mono(f, u, v):
         return (tseq(TSymPlus(u, v), TSymPlus(v, u)),
                 tsum(TIdMon(u), TIdMon(v)))
 
-    mono("tape-symplus-inv-mono", ["U", "V"], t_symplus_inv_mono)
+    mono("tape-symplus-inv-mono", "UV", t_symplus_inv_mono)
 
-    def t_symplus_nat_circ(ctx):
-        c = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        d = ctx.fresh.circuit(ctx["W"], ctx["X"])
-        lhs = tseq(TSum(TCirc(c), TCirc(d)), TSymPlus(ctx["V"], ctx["X"]))
-        rhs = tseq(TSymPlus(ctx["U"], ctx["W"]), TSum(TCirc(d), TCirc(c)))
+    def t_symplus_nat_circ(f, u, v, w, x):
+        c, d = f.circuit(u, v), f.circuit(w, x)
+        lhs = tseq(TSum(TCirc(c), TCirc(d)), TSymPlus(v, x))
+        rhs = tseq(TSymPlus(u, w), TSum(TCirc(d), TCirc(c)))
         return lhs, rhs
 
-    mono("tape-symplus-nat-circ", ["U", "V", "W", "X"], t_symplus_nat_circ)
+    mono("tape-symplus-nat-circ", "UVWX", t_symplus_nat_circ)
 
     # finite coproduct structure
-    def nabla_assoc(ctx):
-        u = ctx["U"]
+    def nabla_assoc(f, u):
         lhs = tseq(tsum(TIdMon(u), TCodiag(u)), TCodiag(u))
         rhs = tseq(tsum(TCodiag(u), TIdMon(u)), TCodiag(u))
         return lhs, rhs
 
-    mono("codiag-assoc", ["U"], nabla_assoc)
+    mono("codiag-assoc", "U", nabla_assoc)
 
-    def nabla_unit(ctx):
-        u = ctx["U"]
+    def nabla_unit(f, u):
         return tseq(tsum(TCobang(u), TIdMon(u)), TCodiag(u)), TIdMon(u)
 
-    mono("codiag-unit", ["U"], nabla_unit)
+    mono("codiag-unit", "U", nabla_unit)
 
-    def nabla_comm(ctx):
-        u = ctx["U"]
+    def nabla_comm(f, u):
         return tseq(TSymPlus(u, u), TCodiag(u)), TCodiag(u)
 
-    mono("codiag-comm", ["U"], nabla_comm)
+    mono("codiag-comm", "U", nabla_comm)
 
-    def nabla_nat_circ(ctx):
-        c = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        lhs = tseq(TCodiag(ctx["U"]), TCirc(c))
-        rhs = tseq(TSum(TCirc(c), TCirc(c)), TCodiag(ctx["V"]))
+    def nabla_nat_circ(f, u, v):
+        c = f.circuit(u, v)
+        lhs = tseq(TCodiag(u), TCirc(c))
+        rhs = tseq(TSum(TCirc(c), TCirc(c)), TCodiag(v))
         return lhs, rhs
 
-    mono("codiag-nat-circ", ["U", "V"], nabla_nat_circ)
+    mono("codiag-nat-circ", "UV", nabla_nat_circ)
 
-    def cobang_nat_circ(ctx):
-        c = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        return tseq(TCobang(ctx["U"]), TCirc(c)), TCobang(ctx["V"])
+    def cobang_nat_circ(f, u, v):
+        return tseq(TCobang(u), TCirc(f.circuit(u, v))), TCobang(v)
 
-    mono("cobang-nat-circ", ["U", "V"], cobang_nat_circ)
+    mono("cobang-nat-circ", "UV", cobang_nat_circ)
 
     # naturality of the operation branchings
-    for op in ops:
-        op_tag = str(op)
-
-        def nabla_nat_op(ctx, op=op):
-            u = ctx["U"]
+    for op in interp.model.theory.primary_ops:
+        def nabla_nat_op(f, u, op=op):
             lhs = tseq(TCodiag(u), TOpInj(op, u))
             rhs = tseq(tsum(TOpInj(op, u), TOpInj(op, u)),
                        codiag_tape(nfold_sum(poly_of_mono(u), op.arity)))
             return lhs, rhs
 
-        mono(f"codiag-nat-op({op_tag})", ["U"], nabla_nat_op)
+        mono(f"codiag-nat-op({op})", "U", nabla_nat_op)
 
-        def cobang_nat_op(ctx, op=op):
-            u = ctx["U"]
+        def cobang_nat_op(f, u, op=op):
             return (tseq(TCobang(u), TOpInj(op, u)),
                     cobang_tape(nfold_sum(poly_of_mono(u), op.arity)))
 
-        mono(f"cobang-nat-op({op_tag})", ["U"], cobang_nat_op)
+        mono(f"cobang-nat-op({op})", "U", cobang_nat_op)
 
-        def op_nat_tape(ctx, op=op):
-            p, q = ctx["P"], ctx["Q"]
-            t = ctx.fresh.tape(p, q)
+        def op_nat_tape(f, p, q, op=op):
+            t = f.tape(p, q)
             lhs = tseq(t, op_inj_tape(op, q))
             rhs = tseq(op_inj_tape(op, p), tsum(*([t] * op.arity)))
             return lhs, rhs
 
-        polyax(f"op-nat-tape({op_tag})", ["P", "Q"], op_nat_tape)
+        poly(f"op-nat-tape({op})", "PQ", op_nat_tape)
 
     # the taping functor
-    def tape_functor_id(ctx):
-        return TCirc(identity_circuit(ctx["U"])), TIdMon(ctx["U"])
+    def tape_functor_id(f, u):
+        return TCirc(identity_circuit(u)), TIdMon(u)
 
-    mono("tape-functor-id", ["U"], tape_functor_id)
+    mono("tape-functor-id", "U", tape_functor_id)
 
-    def tape_functor_seq(ctx):
-        c = ctx.fresh.circuit(ctx["U"], ctx["V"])
-        d = ctx.fresh.circuit(ctx["V"], ctx["W"])
+    def tape_functor_seq(f, u, v, w):
+        c, d = f.circuit(u, v), f.circuit(v, w)
         return TCirc(cseq(c, d)), tseq(TCirc(c), TCirc(d))
 
-    mono("tape-functor-seq", ["U", "V", "W"], tape_functor_seq)
+    mono("tape-functor-seq", "UVW", tape_functor_seq)
 
     # equations of the theory, as term tapes
     for eq in interp.model.theory.equations:
-        def eq_axiom(ctx, eq=eq):
-            u = ctx["U"]
+        def eq_axiom(f, u, eq=eq):
             return (term_tape(eq.lhs, u, eq.context),
                     term_tape(eq.rhs, u, eq.context))
 
-        mono(f"theory-eq({eq.name})", ["U"], eq_axiom)
+        mono(f"theory-eq({eq.name})", "U", eq_axiom)
 
     return report
 
 
 # --- the lemma suite --------------------------------------------------------------
-
-def _pairs(interp: Interpretation, bounds: SuiteBounds) -> list[tuple[Polynomial, Polynomial]]:
-    polys = small_polys(interp.sig.sorts[:bounds.sorts])
-    return list(itertools.product(polys, repeat=2))
-
 
 def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
                 seed: int = 0) -> SuiteReport:
@@ -641,14 +581,14 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
     sig = interp.sig
     sorts = sig.sorts[:bounds.sorts]
     polys = all_polynomials(sorts, bounds.mono_len, bounds.poly_len)
-    ops = _suite_ops(interp)
+    pairs = list(itertools.product(small_polys(sorts), repeat=2))
+    ops = interp.model.theory.primary_ops
 
-    def check(name, desc, lhs, rhs, fresh=None):
-        fresh = fresh or Freshener(interp, Random(derive_seed(seed, name, desc)))
-        add(_check_instance(name, desc, fresh, lhs, rhs))
+    def check(name, desc, lhs, rhs, inst=interp):
+        add(_check_instance(name, desc, inst, lhs, rhs))
 
     # fc rig structure of the tensor (codiag and cobang against (x))
-    for i, (x, y) in enumerate(_pairs(interp, bounds)):
+    for i, (x, y) in enumerate(pairs):
         desc = f"X={x},Y={y}#{i}"
         check("fcrig-codiag-right", desc,
               codiag_tape(x * y),
@@ -691,7 +631,7 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
               tseq(bot, disc), discharger_tape(ZERO))
 
     # coherence of copy/discard with the sum decomposition
-    for i, (x, y) in enumerate(_pairs(interp, bounds)):
+    for i, (x, y) in enumerate(pairs):
         desc = f"X={x},Y={y}#{i}"
         blocks = tsum(copier_tape(x), cobang_tape(x * y),
                       cobang_tape(y * x), copier_tape(y))
@@ -709,18 +649,16 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
         n = carrier_of(p, interp)
         expected_cop = Matrix.make(n, carrier_of(p * p, interp),
                                    ((idx(x, x), x, 1) for x in range(n)))
-        got_cop = eval_tape(copier_tape(p), interp)
-        ok = got_cop == expected_cop
-        add(InstanceResult(f"copier-canonical[{desc}]", ok,
-                           "" if ok else "matrix differs from transported copy map"))
+        add(_result(f"copier-canonical[{desc}]",
+                    eval_tape(copier_tape(p), interp) == expected_cop,
+                    "matrix differs from transported copy map"))
         expected_disc = Matrix.make(n, 1, ((0, x, 1) for x in range(n)))
-        got_disc = eval_tape(discharger_tape(p), interp)
-        ok = got_disc == expected_disc
-        add(InstanceResult(f"discharger-canonical[{desc}]", ok,
-                           "" if ok else "matrix is not the all-ones row"))
+        add(_result(f"discharger-canonical[{desc}]",
+                    eval_tape(discharger_tape(p), interp) == expected_disc,
+                    "matrix is not the all-ones row"))
 
     # distributor sanity: composing with the inverse
-    for i, (p, q) in enumerate(_pairs(interp, bounds)):
+    for i, (p, q) in enumerate(pairs):
         r = q + poly_of_mono(ONE)
         desc = f"P={p},Q={q},R={r}#{i}"
         check("dl-inverse", desc,
@@ -729,31 +667,29 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
 
     # operation naturality and the n-ary distributor lemmas
     for op in ops:
-        op_tag = str(op)
         for index in range(bounds.samples):
-            rng = Random(derive_seed(seed, f"opnat({op_tag})", index))
+            rng = Random(derive_seed(seed, f"opnat({op})", index))
             fresh = Freshener(interp, rng)
             x = rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
             y = rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
             h = fresh.tape(x, y)
             desc = f"X={x},Y={y}#{index}"
-            check(f"opinj-natural({op_tag})", desc,
+            check(f"opinj-natural({op})", desc,
                   tseq(h, op_inj_tape(op, y)),
                   tseq(op_inj_tape(op, x), tsum(*([h] * op.arity))),
-                  fresh)
-        for i, (x, y) in enumerate(capped(_pairs(interp, bounds), 20)):
+                  fresh.interp())
+        for i, (x, y) in enumerate(capped(pairs, 20)):
             desc = f"X={x},Y={y}#{i}"
-            n = op.arity
-            check(f"dr-n-opinj({op_tag})", desc,
+            check(f"dr-n-opinj({op})", desc,
                   tensor_tape(op_inj_tape(op, x), id_tape(y), sig),
                   op_inj_tape(op, x * y))
-            check(f"dl-n-opinj({op_tag})", desc,
+            check(f"dl-n-opinj({op})", desc,
                   tseq(tensor_tape(id_tape(y), op_inj_tape(op, x), sig),
-                       dl_nary(y, [x] * n)),
+                       dl_nary(y, [x] * op.arity)),
                   op_inj_tape(op, y * x))
 
     for m in range(4):
-        for i, (x, y) in enumerate(capped(_pairs(interp, bounds), 20)):
+        for i, (x, y) in enumerate(capped(pairs, 20)):
             desc = f"X={x},Y={y},n={m}#{i}"
             check("dr-n-codiag", desc,
                   tensor_tape(nfold_codiag(x, m), id_tape(y), sig),
@@ -782,21 +718,22 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
             g_out = fresh.tape(y, z)
             check(f"enrich-post({op})", desc,
                   tseq(enriched(hs, x, y), g_out),
-                  enriched([tseq(h, g_out) for h in hs], x, z), fresh)
+                  enriched([tseq(h, g_out) for h in hs], x, z), fresh.interp())
             g_in = fresh.tape(z, x)
             check(f"enrich-pre({op})", desc,
                   tseq(g_in, enriched(hs, x, y)),
-                  enriched([tseq(g_in, h) for h in hs], z, y), fresh)
+                  enriched([tseq(g_in, h) for h in hs], z, y), fresh.interp())
             w = rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
             g = fresh.tape(z, w)
+            inst = fresh.interp()
             check(f"enrich-tensor-right({op})", desc,
-                  tensor_tape(enriched(hs, x, y), g, fresh.sig),
-                  enriched([tensor_tape(h, g, fresh.sig) for h in hs],
-                           x * z, y * w), fresh)
+                  tensor_tape(enriched(hs, x, y), g, inst.sig),
+                  enriched([tensor_tape(h, g, inst.sig) for h in hs],
+                           x * z, y * w), inst)
             check(f"enrich-tensor-left({op})", desc,
-                  tensor_tape(g, enriched(hs, x, y), fresh.sig),
-                  enriched([tensor_tape(g, h, fresh.sig) for h in hs],
-                           z * x, w * y), fresh)
+                  tensor_tape(g, enriched(hs, x, y), inst.sig),
+                  enriched([tensor_tape(g, h, inst.sig) for h in hs],
+                           z * x, w * y), inst)
 
     report.results.extend(whiskering_suite(interp, bounds, seed).results)
     return report
@@ -806,106 +743,101 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
                      seed: int = 0) -> SuiteReport:
     """The eighteen laws of the whiskering algebra, sampled and exact."""
     report = SuiteReport()
-    add = report.results.append
     sorts = interp.sig.sorts[:bounds.sorts]
-    monos = [m for m in all_monomials(sorts, bounds.mono_len)]
+    monos = all_monomials(sorts, bounds.mono_len)
 
-    def sample(index, law):
-        rng = Random(derive_seed(seed, law, index))
+    def check(law, desc, inst, lhs, rhs):
+        report.results.append(_check_instance(law, desc, inst, lhs, rhs))
+
+    for index in range(max(bounds.samples, 3)):
+        rng = Random(derive_seed(seed, "whisker", index))
         fresh = Freshener(interp, rng)
-        rp = lambda: rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
-        return rng, fresh, rp
-
-    def check(law, index, fresh, lhs, rhs, desc):
-        add(_check_instance(law, f"{desc}#{index}", fresh, lhs, rhs))
-
-    n_samples = max(bounds.samples, 3)
-    for index in range(n_samples):
-        rng, fresh, rp = sample(index, "whisker")
-        s, t_poly = rp(), rp()
-        p, q, r = rp(), rp(), rp()
+        s, t_poly, p, q, r = (rand_poly(rng, sorts, bounds.poly_len,
+                                        bounds.mono_len) for _ in range(5))
         t = fresh.tape(p, q)
         t_s = fresh.tape(q, r)
         u = rng.choice(monos)
         f_op = fresh.binary_op()
-        desc = f"S={s},T={t_poly},P={p},Q={q}"
-        sig = fresh.sig
+        desc = f"S={s},T={t_poly},P={p},Q={q}#{index}"
+        u_desc = f"U={u},S={s}#{index}"
+        inst = fresh.interp()
+        sig = inst.sig
 
-        check("W1-left", index, fresh,
-              whisker_left(s, id_tape(p)), id_tape(s * p), desc)
-        check("W1-right", index, fresh,
-              whisker_right(id_tape(p), s, sig), id_tape(p * s), desc)
-        check("W2-left", index, fresh,
+        check("W1-left", desc, inst, whisker_left(s, id_tape(p)), id_tape(s * p))
+        check("W1-right", desc, inst,
+              whisker_right(id_tape(p), s, sig), id_tape(p * s))
+        check("W2-left", desc, inst,
               whisker_left(s, tseq(t, t_s)),
-              tseq(whisker_left(s, t), whisker_left(s, t_s)), desc)
-        check("W2-right", index, fresh,
+              tseq(whisker_left(s, t), whisker_left(s, t_s)))
+        check("W2-right", desc, inst,
               whisker_right(tseq(t, t_s), s, sig),
-              tseq(whisker_right(t, s, sig), whisker_right(t_s, s, sig)), desc)
-        check("W3-left", index, fresh, whisker_left(ONE, t), t, desc)
-        check("W3-right", index, fresh, whisker_right(t, ONE, sig), t, desc)
-        check("W4-left", index, fresh, whisker_left(ZERO, t), TIdZero(), desc)
-        check("W4-right", index, fresh, whisker_right(t, ZERO, sig), TIdZero(), desc)
+              tseq(whisker_right(t, s, sig), whisker_right(t_s, s, sig)))
+        check("W3-left", desc, inst, whisker_left(ONE, t), t)
+        check("W3-right", desc, inst, whisker_right(t, ONE, sig), t)
+        check("W4-left", desc, inst, whisker_left(ZERO, t), TIdZero())
+        check("W4-right", desc, inst, whisker_right(t, ZERO, sig), TIdZero())
 
         t2 = fresh.tape(r, p)
-        sig = fresh.sig
-        check("W5-left", index, fresh,
+        inst = fresh.interp()
+        sig = inst.sig
+        check("W5-left", desc, inst,
               whisker_left(s, TSum(t, t2)),
               tseq(distributor(s, p, r),
                    TSum(whisker_left(s, t), whisker_left(s, t2)),
-                   distributor(s, q, p, inverse=True)), desc)
-        check("W5-right", index, fresh,
+                   distributor(s, q, p, inverse=True)))
+        check("W5-right", desc, inst,
               whisker_right(TSum(t, t2), s, sig),
-              TSum(whisker_right(t, s, sig), whisker_right(t2, s, sig)), desc)
-        check("W6-left", index, fresh,
+              TSum(whisker_right(t, s, sig), whisker_right(t2, s, sig)))
+        check("W6-left", desc, inst,
               whisker_left(s + t_poly, t),
-              TSum(whisker_left(s, t), whisker_left(t_poly, t)), desc)
-        check("W6-right", index, fresh,
+              TSum(whisker_left(s, t), whisker_left(t_poly, t)))
+        check("W6-right", desc, inst,
               whisker_right(t, s + t_poly, sig),
               tseq(distributor(p, s, t_poly),
                    TSum(whisker_right(t, s, sig), whisker_right(t, t_poly, sig)),
-                   distributor(q, s, t_poly, inverse=True)), desc)
+                   distributor(q, s, t_poly, inverse=True)))
 
         t_b = fresh.tape(r, s)
-        sig = fresh.sig
-        check("W7-exchange", index, fresh,
+        inst = fresh.interp()
+        sig = inst.sig
+        check("W7-exchange", desc, inst,
               tseq(whisker_left(p, t_b), whisker_right(t, s, sig)),
-              tseq(whisker_right(t, r, sig), whisker_left(q, t_b)), desc)
-
-        check("W8-codiag", index, fresh,
+              tseq(whisker_right(t, r, sig), whisker_left(q, t_b)))
+        check("W8-codiag", u_desc, inst,
               whisker_right(TCodiag(u), s, sig),
-              codiag_tape(poly_of_mono(u) * s), f"U={u},S={s}")
-        check("W9-cobang", index, fresh,
+              codiag_tape(poly_of_mono(u) * s))
+        check("W9-cobang", u_desc, inst,
               whisker_right(TCobang(u), s, sig),
-              cobang_tape(poly_of_mono(u) * s), f"U={u},S={s}")
-        check("W10-symplus", index, fresh,
+              cobang_tape(poly_of_mono(u) * s))
+        check("W10-symplus", desc, inst,
               whisker_right(symplus_tape(p, q), s, sig),
-              symplus_tape(p * s, q * s), desc)
-        check("W11-symtensor", index, fresh,
+              symplus_tape(p * s, q * s))
+        check("W11-symtensor", desc, inst,
               symtensor_tape(p * q, s),
               tseq(whisker_left(p, symtensor_tape(q, s)),
-                   whisker_right(symtensor_tape(p, s), q, sig)), desc)
-        check("W12-sym-nat", index, fresh,
+                   whisker_right(symtensor_tape(p, s), q, sig)))
+        check("W12-sym-nat", desc, inst,
               tseq(whisker_right(t, s, sig), symtensor_tape(q, s)),
-              tseq(symtensor_tape(p, s), whisker_left(s, t)), desc)
-        check("W13-left-right", index, fresh,
+              tseq(symtensor_tape(p, s), whisker_left(s, t)))
+        check("W13-left-right", desc, inst,
               whisker_left(s, whisker_right(t, t_poly, sig)),
-              whisker_right(whisker_left(s, t), t_poly, sig), desc)
-        check("W14-left-left", index, fresh,
+              whisker_right(whisker_left(s, t), t_poly, sig))
+        check("W14-left-left", desc, inst,
               whisker_left(s * t_poly, t),
-              whisker_left(s, whisker_left(t_poly, t)), desc)
-        check("W15-right-right", index, fresh,
+              whisker_left(s, whisker_left(t_poly, t)))
+        check("W15-right-right", desc, inst,
               whisker_right(t, t_poly * s, sig),
-              whisker_right(whisker_right(t, t_poly, sig), s, sig), desc)
-        check("W16-right-dl", index, fresh,
+              whisker_right(whisker_right(t, t_poly, sig), s, sig))
+        check("W16-right-dl", desc, inst,
               whisker_right(distributor(p, q, r), s, sig),
-              distributor(p, q * s, r * s), desc)
-        check("W17-left-dl", index, fresh,
+              distributor(p, q * s, r * s))
+        check("W17-left-dl", desc, inst,
               whisker_left(s, distributor(p, q, r)),
               tseq(distributor(s * p, q, r),
-                   distributor(s, p * q, p * r, inverse=True)), desc)
-        check("W18-opinj", index, fresh,
+                   distributor(s, p * q, p * r, inverse=True)))
+        check("W18-opinj", u_desc, inst,
               whisker_right(TOpInj(f_op, u), s, sig),
-              op_inj_tape(f_op, poly_of_mono(u) * s), f"U={u},S={s}")
+              op_inj_tape(f_op, poly_of_mono(u) * s))
 
     return report
 
@@ -922,26 +854,23 @@ def coherence_suite(bounds: SuiteBounds = SuiteBounds(), seed: int = 0,
     for x, y in itertools.product(sizes, repeat=2):
         for name, m in (("symT", kleisli.sym_tensor(x, y)),
                         ("symP", kleisli.sym_plus(x, y))):
-            ok = m.is_permutation()
-            add(InstanceResult(f"perm-{name}[{x},{y}]", ok,
-                               "" if ok else "not a permutation"))
+            add(_result(f"perm-{name}[{x},{y}]", m.is_permutation(),
+                        "not a permutation"))
             back = (kleisli.sym_tensor(y, x) if name == "symT"
                     else kleisli.sym_plus(y, x))
-            ok = m.then(back) == Matrix.identity(m.dom)
-            add(InstanceResult(f"inv-{name}[{x},{y}]", ok,
-                               "" if ok else "inverse composite not identity"))
+            add(_result(f"inv-{name}[{x},{y}]",
+                        m.then(back) == Matrix.identity(m.dom),
+                        "inverse composite not identity"))
 
     for x, y, z in itertools.product(sizes, repeat=3):
         d = kleisli.dl(x, y, z)
-        ok = d.is_permutation()
-        add(InstanceResult(f"perm-dl[{x},{y},{z}]", ok,
-                           "" if ok else "not a permutation"))
-        ok = kleisli.dr(x, y, z).is_permutation()
-        add(InstanceResult(f"perm-dr[{x},{y},{z}]", ok,
-                           "" if ok else "not a permutation"))
-        ok = d.then(d.transpose_permutation()) == Matrix.identity(d.dom)
-        add(InstanceResult(f"dl-inv[{x},{y},{z}]", ok,
-                           "" if ok else "dl;dl^-1 is not the identity"))
+        add(_result(f"perm-dl[{x},{y},{z}]", d.is_permutation(),
+                    "not a permutation"))
+        add(_result(f"perm-dr[{x},{y},{z}]", kleisli.dr(x, y, z).is_permutation(),
+                    "not a permutation"))
+        add(_result(f"dl-inv[{x},{y},{z}]",
+                    d.then(d.transpose_permutation()) == Matrix.identity(d.dom),
+                    "dl;dl^-1 is not the identity"))
         rng = Random(derive_seed(seed, "dl-nat", x, y, z))
         for index in range(2):
             f = rand_substochastic(x, rng.randint(0, max_size), rng)
@@ -949,8 +878,7 @@ def coherence_suite(bounds: SuiteBounds = SuiteBounds(), seed: int = 0,
             h = rand_substochastic(z, rng.randint(0, max_size), rng)
             lhs = f.tensor(g.oplus(h)).then(kleisli.dl(f.cod, g.cod, h.cod))
             rhs = d.then(f.tensor(g).oplus(f.tensor(h)))
-            ok = lhs == rhs
-            add(InstanceResult(f"dl-nat[{x},{y},{z}]#{index}", ok,
-                               "" if ok else "dl naturality fails"))
+            add(_result(f"dl-nat[{x},{y},{z}]#{index}", lhs == rhs,
+                        "dl naturality fails"))
 
     return report

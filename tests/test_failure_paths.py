@@ -38,7 +38,7 @@ def test_check_instance_fail_carries_a_repro_witness():
     pad = (g, id_tape(A)) * 3
     lhs = tseq(*pad, TOpInj(choice(Fraction(1, 2)), A))
     rhs = tseq(*pad, TOpInj(choice(Fraction(1, 3)), A))
-    result = _check_instance("law", "P=A#0", fresh, lhs, rhs)
+    result = _check_instance("law", "P=A#0", fresh.interp(), lhs, rhs)
     assert not result.ok
     assert result.instance == "law[P=A#0]"
     assert result.line().startswith("law[P=A#0]\tFAIL\tentry (")
@@ -58,13 +58,13 @@ def test_check_instance_short_terms_are_not_clipped():
     fresh = Freshener(INTERP, Random(0))
     lhs = TOpInj(choice(Fraction(1, 2)), A)
     rhs = TOpInj(choice(Fraction(1, 3)), A)
-    result = _check_instance("law", "x", fresh, lhs, rhs)
+    result = _check_instance("law", "x", fresh.interp(), lhs, rhs)
     assert result.witness.endswith(f"gens[] lhs={lhs!r} rhs={rhs!r}")
 
 
 def test_check_instance_type_error():
     fresh = Freshener(INTERP, Random(0))
-    result = _check_instance("law", "x", fresh, TCodiag(A), TCodiag(mono("B")))
+    result = _check_instance("law", "x", fresh.interp(), TCodiag(A), TCodiag(mono("B")))
     assert not result.ok
     assert result.witness.startswith("type error: type mismatch: ")
 

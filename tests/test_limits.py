@@ -1,0 +1,132 @@
+"""Inputs at Python's limits: digits that are not ASCII, weights longer
+than Python's int->str conversion allows (4300 digits by default), and
+terms deeper than the recursion limit.  Each ends in a documented exit
+code, never in a traceback."""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from tapecalc.circuit import CGen, MonSignature
+from tapecalc.frontend.cli import main
+from tapecalc.frontend.render import render_svg
+from tapecalc.kleisli import exact_str
+from tapecalc.objects import mono
+from tapecalc.tape import TCirc, id_tape, tseq, tsum
+
+A = mono("A")
+
+
+def run(tmp_path, capsys, text, argv):
+    path = tmp_path / "m.tape"
+    path.write_text(text, encoding="utf-8")
+    code = main([a.format(f=path) for a in argv])
+    return code, capsys.readouterr()
+
+
+def test_superscript_numeral_is_a_parse_error(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, "theory PCA with p = ²;\n",
+                    ["check", "{f}"])
+    assert code == 3
+    assert out.err == "error: 1:21: unexpected character '²'\n"
+
+
+def test_superscript_variable_index_is_a_parse_error(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, "sort A;\ndef t = term<x²>@A;\n",
+                    ["check", "{f}"])
+    assert code == 3
+    assert out.err.startswith("error: 2:14: expected a term")
+
+
+def test_superscript_bound_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, capsys, FLIP, ["suite", "{f}", "--interp", "I",
+                                     "--bound", "samples=²"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad bound 'samples=²'; use KEY=N")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("theory PCA with p = 1/0;\n", "1:23: zero denominator"),
+    ("theory PCA with p = 1/" + "3" * 4400 + ";\n",
+     "1:23: numeral of 4400 digits is too long"),
+], ids=["zero-denominator", "numeral-too-long"])
+def test_bad_numerals_are_parse_errors(tmp_path, capsys, text, message):
+    code, out = run(tmp_path, capsys, text, ["check", "{f}"])
+    assert code == 3
+    assert out.err == f"error: {message}\n"
+
+
+FLIP = """sort A;
+gen G : A -> A;
+theory PCA with p = 1/2;
+interp I {
+  A = {0, 1};
+  G = [[1/2, 0], [0, 1/2]];
+  model = PCA;
+}
+def d0 = [ G ];
+"""
+
+
+def doubling_module(levels: int) -> str:
+    """d_k is a chain of 2^k steps of G, which halves both entries."""
+    return FLIP + "".join(f"def d{k} = d{k - 1} ; d{k - 1};\n"
+                          for k in range(1, levels + 1))
+
+
+def unlimited_str(n: int) -> str:
+    """str(n) with Python's digit limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_eval_prints_every_digit_of_a_long_weight(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, doubling_module(14),
+                    ["eval", "{f}", "--term", "d14", "--interp", "I"])
+    assert code == 0
+    den = unlimited_str(2 ** 16384)
+    assert len(den) == 4933
+    assert out.out == f"[[1/{den}, 0], [0, 1/{den}]]\n"
+    assert out.err == ""
+
+
+def test_eq_witness_prints_every_digit(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, doubling_module(14),
+                    ["eq", "{f}", "--left", "d14", "--right", "d13",
+                     "--interp", "I"])
+    assert code == 1
+    assert out.out == (f"unequal at entry (0,0): left=1/{unlimited_str(2 ** 16384)}"
+                       f" right=1/{unlimited_str(2 ** 8192)}\n")
+
+
+@pytest.mark.parametrize("w", [0, 7, -7, 10 ** 500, 10 ** 5000 - 1,
+                               -(2 ** 20000), 3 * 10 ** 4999],
+                         ids=["0", "7", "-7", "10^500", "10^5000-1",
+                              "-2^20000", "3*10^4999"])
+def test_exact_str_matches_unlimited_str(w):
+    assert exact_str(w) == unlimited_str(w)
+    q = Fraction(w, 2 ** 16384 + 1)
+    expected = unlimited_str(q.numerator)
+    if q.denominator != 1:
+        expected += "/" + unlimited_str(q.denominator)
+    assert exact_str(q) == expected
+
+
+@pytest.mark.parametrize("shape", ["seq", "sum"])
+def test_render_5000_step_term(shape):
+    sig = MonSignature(("A",), {f"G{i}": (A, A) for i in range(3)})
+    steps = [TCirc(CGen(f"G{i * 7 % 3}")) for i in range(5000)]
+    if shape == "sum":
+        steps = [id_tape(A) if i % 2 else s for i, s in enumerate(steps)]
+    term = tseq(*steps) if shape == "seq" else tsum(*steps)
+    svg = render_svg(term, sig)
+    assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
+    # a generator draws a band and a box, an identity a band
+    assert svg.count("<rect") == {"seq": 10000, "sum": 7500}[shape]
