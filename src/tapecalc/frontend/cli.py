@@ -79,6 +79,8 @@ def load_module(path: str):
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.exit(EXIT_USAGE)
+    except UnicodeDecodeError as exc:
+        raise TapecalcError(f"{path}: {exc}") from None
     return parse_module(text)
 
 
@@ -181,7 +183,6 @@ def cmd_render(args) -> int:
     module = load_module(args.file)
     sig = module.signature()
     tape = elaborate(definition(module, args.term), module, sig)
-    type_of_tape(tape, sig)
     svg = render_svg(tape, sig)
     with open(args.output, "wb") as handle:
         handle.write(svg.encode("utf-8"))

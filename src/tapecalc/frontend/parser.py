@@ -16,11 +16,11 @@ from ..objects import Monomial, ONE, Polynomial, ZERO, SortRef, Sum, Tensor, \
     UnitOne, ZeroObj, ObjTerm, poly_of_mono
 from ..theory import App, CM_PLUS, CM_ZERO, OpSymbol, STAR, SigmaTerm, Var, \
     check_term, choice
-from .surface import (CAtomCopy, CAtomDel, CAtomGen, CAtomId, CAtomSym,
-                      CExpr, CSeqS, CTensorS, CheckDecl, DefDecl, GenDecl,
-                      INFIX, InterpDecl, SAtom, SCircuit, SExpr, SOp, SRef,
-                      SSeq, SSum, STensor, STermBr, SortDecl, SourceModule,
-                      TheoryDecl)
+from .surface import (CAtomGen, CAtomId, CIRCUIT_ATOMS, CExpr, CSeqS,
+                      CTensorS, CheckDecl, DefDecl, GenDecl, INFIX,
+                      InterpDecl, SAtom, SCircuit, SExpr, SOp, SRef, SSeq,
+                      SSum, STensor, STermBr, SortDecl, SourceModule,
+                      TAPE_ATOMS, TheoryDecl)
 
 
 PUNCT = {
@@ -138,8 +138,10 @@ def split_sorts(text: str, sorts: tuple[str, ...]) -> list[str] | None:
     return parts
 
 
-TAPE_ATOM_KEYWORDS = {"id", "id0", "sym", "codiag", "cobang", "op", "term",
-                      "copier", "discard", "dl"}
+# spelling -> (surface key, argument count), read from surface's atom tables
+TAPE_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in TAPE_ATOMS.items()}
+CIRCUIT_SPELLINGS = {s: (cls, n) for cls, (s, n, _) in CIRCUIT_ATOMS.items()}
+TAPE_ATOM_KEYWORDS = {s.rstrip("+") for s in TAPE_SPELLINGS} | {"op", "term"}
 
 # token kind -> (constructor, precedence level), read from surface.INFIX;
 # object expressions take the rows of the tape products they share symbols with.
@@ -147,10 +149,11 @@ TAPE_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (SSeq, STensor, SSum)}
 CIRCUIT_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (CSeqS, CTensorS)}
 OBJECT_OPS = {INFIX[s][0]: (c, INFIX[s][2]) for s, c in ((STensor, Tensor),
                                                           (SSum, Sum))}
+OPEN = (None, -2)    # an open parenthesis on infix's operator stack
 
-RESERVED = TAPE_ATOM_KEYWORDS | {"sort", "gen", "theory", "interp", "def",
-                                 "check", "with", "model", "copy", "del",
-                                 "star", "id1"}
+RESERVED = TAPE_ATOM_KEYWORDS | set(CIRCUIT_SPELLINGS) | {
+    "sort", "gen", "theory", "interp", "def", "check", "with", "model",
+    "star", "id1"}
 
 
 class Parser:
@@ -393,7 +396,7 @@ class Parser:
         self.next()
         name = self.fresh_name("definition", self.def_names)
         self.expect("EQUALS", "'='")
-        body = self.tape_expr()
+        body = self.infix(TAPE_OPS, self.tape_atom)
         self.expect("SEMI", "';'")
         self.def_names.add(name)
         self.module.decls.append(DefDecl(name, body))
@@ -418,25 +421,50 @@ class Parser:
     def infix(self, ops: dict, atom):
         """Left-associative infix products of atom()s.  ops maps a token
         kind to its constructor and precedence level, 0 binding loosest.
-        A ';' composes tapes only when a tape atom follows it; otherwise it
-        closes the surrounding declaration."""
-        operands, pending = [atom()], []
+        '(' is a marker on the operator stack that ')' pops (Dijkstra's
+        shunting-yard), so nesting costs no recursion.  A ';' composes tapes
+        only when a tape atom follows it; otherwise it closes the
+        surrounding declaration."""
+        operands, pending = [], []
         while True:
-            op = ops.get(self.peek().kind)
-            if op is not None and op[0] is SSeq and not self.starts_tape_atom(1):
-                op = None
-            level = -1 if op is None else op[1]
-            while pending and pending[-1][1] >= level:
-                right = operands.pop()
-                operands[-1] = pending.pop()[0](operands[-1], right)
-            if op is None:
-                return operands[0]
-            self.next()
-            pending.append(op)
+            while self.accept("LPAREN"):
+                pending.append(OPEN)
             operands.append(atom())
+            while True:
+                op = ops.get(self.peek().kind)
+                if op is not None and op[0] is SSeq and not self.starts_tape_atom(1):
+                    op = None
+                level = -1 if op is None else op[1]
+                while pending and pending[-1][1] >= level:
+                    right = operands.pop()
+                    operands[-1] = pending.pop()[0](operands[-1], right)
+                if op is not None:
+                    self.next()
+                    pending.append(op)
+                    break
+                if not pending:
+                    return operands[0]
+                self.expect("RPAREN", "')'")
+                pending.pop()
 
-    def tape_expr(self) -> SExpr:
-        return self.infix(TAPE_OPS, self.tape_atom)
+    def table_atom(self, spellings: dict, arg):
+        """The surface key and arguments of the table atom the next tokens
+        spell, or None.  `sym +` commits once both tokens are read and then
+        expects '@'; any other atom that takes arguments is one only with
+        '@' right after its name."""
+        text = self.peek().text
+        glued = self.at("PLUS", ahead=1) and text + "+" in spellings
+        key, n = spellings.get(text + "+" if glued else text, (None, 0))
+        if not glued and (key is None or (n and not self.at("AT", ahead=1))):
+            return None
+        self.pos += 2 if glued or n else 1
+        if glued:
+            self.expect("AT", "'@'")
+        args = [arg()] if n else []
+        while len(args) < n:
+            self.expect("COMMA", "','")
+            args.append(arg())
+        return key, tuple(args)
 
     def starts_tape_atom(self, ahead: int) -> bool:
         tok = self.peek(ahead)
@@ -446,47 +474,18 @@ class Parser:
             tok.text in TAPE_ATOM_KEYWORDS or tok.text in self.def_names)
 
     def tape_atom(self) -> SExpr:
-        if self.accept("LPAREN"):
-            e = self.tape_expr()
-            self.expect("RPAREN", "')'")
-            return e
         if self.accept("LBRACK"):
-            c = self.circuit_expr()
+            c = self.infix(CIRCUIT_OPS, self.circuit_atom)
             self.expect("RBRACK", "']'")
             return SCircuit(c)
         tok = self.peek()
         if tok.kind != "IDENT":
             self.fail(f"expected a tape expression, found {tok.text!r}",
                       {"atom", "'('", "'['"})
+        atom = self.table_atom(TAPE_SPELLINGS, self.poly_arg)
+        if atom is not None:
+            return SAtom(*atom)
         text = tok.text
-        if text == "id0":
-            self.next()
-            return SAtom("id0")
-        if text == "id" and self.at("AT", ahead=1):
-            self.next()
-            self.next()
-            return SAtom("id", (self.poly_arg(),))
-        if text == "sym" and self.at("PLUS", ahead=1):
-            self.next()
-            self.next()
-            self.expect("AT", "'@'")
-            p = self.poly_arg()
-            self.expect("COMMA", "','")
-            q = self.poly_arg()
-            return SAtom("symplus", (p, q))
-        if text in ("codiag", "cobang", "copier", "discard") and self.at("AT", ahead=1):
-            self.next()
-            self.next()
-            return SAtom(text, (self.poly_arg(),))
-        if text == "dl" and self.at("AT", ahead=1):
-            self.next()
-            self.next()
-            p = self.poly_arg()
-            self.expect("COMMA", "','")
-            q = self.poly_arg()
-            self.expect("COMMA", "','")
-            r = self.poly_arg()
-            return SAtom("dl", (p, q, r))
         if text == "op" and self.at("LT", ahead=1):
             self.next()
             self.next()
@@ -555,31 +554,16 @@ class Parser:
 
     # -- circuit expressions -----------------------------------------------------
 
-    def circuit_expr(self) -> CExpr:
-        return self.infix(CIRCUIT_OPS, self.circuit_atom)
-
     def circuit_atom(self) -> CExpr:
-        if self.accept("LPAREN"):
-            e = self.circuit_expr()
-            self.expect("RPAREN", "')'")
-            return e
         tok = self.peek()
         if tok.kind != "IDENT":
             self.fail(f"expected a circuit expression, found {tok.text!r}",
-                      {"generator", "id<mono>", "sym", "copy", "del", "'('"})
+                      {"generator", "id<mono>", *CIRCUIT_SPELLINGS, "'('"})
+        atom = self.table_atom(CIRCUIT_SPELLINGS, self.monomial)
+        if atom is not None:
+            cls, args = atom
+            return cls(*args)
         text = tok.text
-        if text == "sym" and self.at("AT", ahead=1):
-            self.next()
-            self.next()
-            a = self.monomial()
-            self.expect("COMMA", "','")
-            b = self.monomial()
-            return CAtomSym(a, b)
-        if text in ("copy", "del") and self.at("AT", ahead=1):
-            self.next()
-            self.next()
-            m = self.monomial()
-            return CAtomCopy(m) if text == "copy" else CAtomDel(m)
         if text in self.gen_names:
             self.next()
             return CAtomGen(text)
@@ -592,7 +576,7 @@ class Parser:
                 self.next()
                 return CAtomId(Monomial(tuple(parts)))
         self.fail(f"unknown circuit atom {text!r}",
-                  {"generator", "id<mono>", "sym", "copy", "del"})
+                  {"generator", "id<mono>", *CIRCUIT_SPELLINGS})
 
 
 def max_var(term: SigmaTerm) -> int:
@@ -620,10 +604,6 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
         parser.sorts = tuple(sorts)
 
     def atom() -> ObjTerm:
-        if parser.accept("LPAREN"):
-            e = parser.infix(OBJECT_OPS, atom)
-            parser.expect("RPAREN", "')'")
-            return e
         tok = parser.peek()
         if tok.kind == "INT" and tok.text == "1":
             parser.next()

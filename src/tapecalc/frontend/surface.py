@@ -24,8 +24,7 @@ from ..tape import (TCirc, TIdZero, TSeq, TSum, TapeTerm, cobang_tape,
                     codiag_tape, copier_tape, discharger_tape, distributor,
                     id_tape, op_inj_tape, symplus_tape, tensor_tape,
                     term_tape)
-from ..theory import (AlgebraicTheory, App, OpSymbol, SigmaTerm, Var,
-                      builtin_theory)
+from ..theory import AlgebraicTheory, OpSymbol, SigmaTerm, builtin_theory
 
 
 # --- circuit surface expressions ------------------------------------------------
@@ -82,7 +81,7 @@ class SExpr:
 
 @dataclass(frozen=True)
 class SAtom(SExpr):
-    kind: str  # id | id0 | symplus | codiag | cobang | copier | discard | dl
+    kind: str  # a key of TAPE_ATOMS
     polys: tuple[Polynomial, ...] = ()
 
 
@@ -137,6 +136,35 @@ INFIX = {
     CSeqS: ("SEMI", ";", 0),
     CTensorS: ("OTENSOR", "(x)", 1),
 }
+
+# The atoms spelt `spelling@arg,...,arg` (`id0` takes no '@'): spelling,
+# argument count and core builder.  A tape atom is SAtom(kind, polys); a
+# circuit atom's fields are its arguments.  The parser, the printer and the
+# elaborators all read these tables.
+TAPE_ATOMS = {
+    "id0": ("id0", 0, TIdZero),
+    "id": ("id", 1, id_tape),
+    "symplus": ("sym+", 2, symplus_tape),
+    "codiag": ("codiag", 1, codiag_tape),
+    "cobang": ("cobang", 1, cobang_tape),
+    "copier": ("copier", 1, copier_tape),
+    "discard": ("discard", 1, discharger_tape),
+    "dl": ("dl", 3, distributor),
+}
+CIRCUIT_ATOMS = {
+    CAtomSym: ("sym", 2, sym_circuit),
+    CAtomCopy: ("copy", 1, copier_circuit),
+    CAtomDel: ("del", 1, discharger_circuit),
+}
+
+
+def atom_entry(e):
+    """(table entry, arguments) of a table atom; None for anything else."""
+    if isinstance(e, SAtom):
+        entry = TAPE_ATOMS.get(e.kind)
+        return entry and (entry, e.polys)
+    entry = CIRCUIT_ATOMS.get(type(e))
+    return entry and (entry, tuple(vars(e).values()))
 
 
 # --- declarations and modules -----------------------------------------------------
@@ -238,21 +266,27 @@ class SourceModule:
 # --- elaboration -------------------------------------------------------------------
 
 def elaborate_circuit(c: CExpr) -> CircuitTerm:
-    if isinstance(c, CAtomId):
-        return identity_circuit(c.mono)
-    if isinstance(c, CAtomGen):
-        return CGen(c.name)
-    if isinstance(c, CAtomSym):
-        return sym_circuit(c.left, c.right)
-    if isinstance(c, CAtomCopy):
-        return copier_circuit(c.mono)
-    if isinstance(c, CAtomDel):
-        return discharger_circuit(c.mono)
-    if isinstance(c, CSeqS):
-        return CSeq(elaborate_circuit(c.left), elaborate_circuit(c.right))
-    if isinstance(c, CTensorS):
-        return CTensor(elaborate_circuit(c.left), elaborate_circuit(c.right))
-    raise ParseError(f"not a circuit expression: {c!r}")
+    """The core circuit of c, folded on an explicit stack, so a bracket of
+    any length elaborates."""
+    products = {CSeqS: CSeq, CTensorS: CTensor}
+    out: list[CircuitTerm] = []
+    todo: list = [c]
+    while todo:
+        e = todo.pop()
+        if type(e) in products:
+            todo += (products[type(e)], e.right, e.left)
+        elif isinstance(e, type):        # a core product; operands are folded
+            right = out.pop()
+            out[-1] = e(out[-1], right)
+        elif isinstance(e, CAtomId):
+            out.append(identity_circuit(e.mono))
+        elif isinstance(e, CAtomGen):
+            out.append(CGen(e.name))
+        elif (atom := atom_entry(e)) is not None:
+            out.append(atom[0][2](*atom[1]))
+        else:
+            raise ParseError(f"not a circuit expression: {e!r}")
+    return out[0]
 
 
 def elaborate(e: SExpr, module: SourceModule,
@@ -260,17 +294,10 @@ def elaborate(e: SExpr, module: SourceModule,
     sig = sig or module.signature()
     defs = module.defs
     refs: dict[str, TapeTerm] = {}   # each definition elaborates once a call
-    atoms = {"id0": TIdZero, "id": id_tape, "symplus": symplus_tape,
-             "codiag": codiag_tape, "cobang": cobang_tape,
-             "copier": copier_tape, "discard": discharger_tape,
-             "dl": distributor}
 
     def go(e: SExpr) -> TapeTerm:
-        if isinstance(e, SAtom):
-            build = atoms.get(e.kind)
-            if build is None:
-                raise ParseError(f"unknown atom kind {e.kind}")
-            return build(*e.polys)
+        if isinstance(e, SAtom) and (atom := atom_entry(e)) is not None:
+            return atom[0][2](*atom[1])
         if isinstance(e, SOp):
             return op_inj_tape(e.op, e.poly)
         if isinstance(e, STermBr):
@@ -295,51 +322,42 @@ def elaborate(e: SExpr, module: SourceModule,
 
 # --- printing ----------------------------------------------------------------------
 
-def print_sigma(t: SigmaTerm, parent_binary: bool = False) -> str:
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    assert isinstance(t, App)
-    if not t.args:
-        return str(t.op)
-    left = print_sigma(t.args[0], parent_binary=True)
-    right = print_sigma(t.args[1], parent_binary=True)
-    text = f"{left} {t.op} {right}"
-    return f"({text})" if parent_binary else text
-
-
-def print_sexpr(e: Union[SExpr, CExpr], level: int = 0) -> str:
+def print_sexpr(e: Union[SExpr, CExpr]) -> str:
     """A tape or circuit expression, parenthesised where an operand of
-    an infix product sits at a looser level than its position."""
-    op = INFIX.get(type(e))
-    if op is not None:
-        _, symbol, prec = op
-        text = (f"{print_sexpr(e.left, prec)} {symbol} "
-                f"{print_sexpr(e.right, prec + 1)}")
-        return f"({text})" if level > prec else text
-    if isinstance(e, SAtom):
-        if e.kind == "id0":
-            return "id0"
-        kind = "sym+" if e.kind == "symplus" else e.kind
-        return f"{kind}@{','.join(map(str, e.polys))}"
-    if isinstance(e, SOp):
-        return f"op<{e.op}>@{e.poly}"
-    if isinstance(e, STermBr):
-        return f"term<{print_sigma(e.term)}>@{e.poly}"
-    if isinstance(e, SCircuit):
-        return f"[ {print_sexpr(e.circuit)} ]"
-    if isinstance(e, SRef):
-        return e.name
-    if isinstance(e, CAtomId):
-        return f"id{e.mono}"
-    if isinstance(e, CAtomGen):
-        return e.name
-    if isinstance(e, CAtomSym):
-        return f"sym@{e.left},{e.right}"
-    if isinstance(e, CAtomCopy):
-        return f"copy@{e.mono}"
-    if isinstance(e, CAtomDel):
-        return f"del@{e.mono}"
-    raise ParseError(f"not a tape or circuit expression: {e!r}")
+    an infix product sits at a looser level than its position.  Pieces
+    wait on an explicit stack, so depth costs no recursion."""
+    pieces: list[str] = []
+    todo: list = [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        e, level = item
+        op = INFIX.get(type(e))
+        if op is not None:
+            _, symbol, prec = op
+            group = level > prec
+            todo += (")" if group else "", (e.right, prec + 1), f" {symbol} ",
+                     (e.left, prec), "(" if group else "")
+        elif isinstance(e, SCircuit):
+            todo += (" ]", (e.circuit, 0), "[ ")
+        elif (atom := atom_entry(e)) is not None:
+            (spelling, n, _), args = atom
+            pieces.append(f"{spelling}@{','.join(map(str, args))}" if n
+                          else spelling)
+        elif isinstance(e, SOp):
+            pieces.append(f"op<{e.op}>@{e.poly}")
+        elif isinstance(e, STermBr):     # str puts a binary term in parentheses
+            term = str(e.term)
+            pieces.append(f"term<{term[1:-1] if term[0] == '(' else term}>@{e.poly}")
+        elif isinstance(e, (SRef, CAtomGen)):
+            pieces.append(e.name)
+        elif isinstance(e, CAtomId):
+            pieces.append(f"id{e.mono}")
+        else:
+            raise ParseError(f"not a tape or circuit expression: {e!r}")
+    return "".join(pieces)
 
 
 def print_module(module: SourceModule) -> str:

@@ -1,16 +1,21 @@
-"""Inputs at Python's limits: digits that are not ASCII, weights longer
-than Python's int->str conversion allows (4300 digits by default), and
-terms deeper than the recursion limit.  Each ends in a documented exit
-code, never in a traceback."""
+"""Inputs at Python's limits: bytes that are not UTF-8, digits that are
+not ASCII, weights longer than Python's int->str conversion allows (4300
+digits by default), and terms and parentheses deeper than the recursion
+limit.  Each ends in a documented exit code, never in a traceback."""
 
 import sys
 from fractions import Fraction
 
 import pytest
 
-from tapecalc.circuit import CGen, MonSignature
+from tapecalc.circuit import CGen, MonSignature, cseq
 from tapecalc.frontend.cli import main
+from tapecalc.frontend.parser import parse_module
 from tapecalc.frontend.render import render_svg
+from tapecalc.frontend.surface import (CSeqS, CTensorS, DefDecl, SCircuit,
+                                       SRef, SSeq, SSum, STensor,
+                                       print_module)
+from tapecalc.interp import eval_tape
 from tapecalc.kleisli import exact_str
 from tapecalc.objects import mono
 from tapecalc.tape import TCirc, id_tape, tseq, tsum
@@ -23,6 +28,16 @@ def run(tmp_path, capsys, text, argv):
     path.write_text(text, encoding="utf-8")
     code = main([a.format(f=path) for a in argv])
     return code, capsys.readouterr()
+
+
+def test_file_that_is_not_utf8_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "m.tape"
+    path.write_bytes(b"sort A;\n# \xff\xfe\n")
+    code = main(["check", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 10: "
+        "invalid start byte\n")
 
 
 def test_superscript_numeral_is_a_parse_error(tmp_path, capsys):
@@ -130,3 +145,69 @@ def test_render_5000_step_term(shape):
     assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
     # a generator draws a band and a box, an identity a band
     assert svg.count("<rect") == {"seq": 10000, "sum": 7500}[shape]
+
+
+DEEP = 5000
+
+
+@pytest.mark.parametrize("body, matrix", [
+    ("(" * DEEP + "id@A" + ")" * DEEP, "[[1, 0], [0, 1]]"),
+    ("[ " + "(" * DEEP + "G" + ")" * DEEP + " ]", "[[1/2, 0], [0, 1/2]]"),
+], ids=["tape", "circuit"])
+def test_5000_nested_parentheses(tmp_path, capsys, body, matrix):
+    text = FLIP + f"def d = {body};\n"
+    assert run(tmp_path, capsys, text, ["check", "{f}"]) == (0, ("", ""))
+    code, out = run(tmp_path, capsys, text,
+                    ["eval", "{f}", "--term", "d", "--interp", "I"])
+    assert (code, out.out, out.err) == (0, matrix + "\n", "")
+
+
+def test_normalize_5000_nested_parentheses(capsys):
+    code = main(["normalize", "(" * DEEP + "A (+) (B)" + ")" * DEEP])
+    assert (code, capsys.readouterr().out) == (0, "A (+) B\n")
+
+
+def test_5000_step_bracket_checks_and_evaluates(tmp_path, capsys):
+    text = FLIP + "def d = [ " + " ; ".join(["G"] * DEEP) + " ];\n"
+    assert run(tmp_path, capsys, text, ["check", "{f}"]) == (0, ("", ""))
+    code, out = run(tmp_path, capsys, text,
+                    ["eval", "{f}", "--term", "d", "--interp", "I"])
+    interp = parse_module(FLIP).interpretation("I")
+    expected = eval_tape(TCirc(cseq(*[CGen("G")] * DEEP)), interp).pretty()
+    assert (code, out.out) == (0, expected + "\n")
+
+
+def same_tree(a, b) -> bool:
+    """a == b for surface trees, compared on an explicit stack."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (SSeq, STensor, SSum, CSeqS, CTensorS)):
+            todo += [(x.left, y.left), (x.right, y.right)]
+        elif isinstance(x, SCircuit):
+            todo.append((x.circuit, y.circuit))
+        elif x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_print_module_of_5000_step_definition(nesting):
+    """Left-nested steps print as a flat chain, right-nested ones with
+    4998 levels of parentheses; both read back as the same module."""
+    module = parse_module(FLIP)
+    head = print_module(module)
+    body = SRef("d0")
+    for _ in range(DEEP - 1):
+        body = SSeq(body, SRef("d0")) if nesting == "left" else \
+            SSeq(SRef("d0"), body)
+    module.decls.append(DefDecl("d", body))
+    text = print_module(module)
+    chain = " ; ".join(["d0"] * DEEP) if nesting == "left" else \
+        "d0 ; (" * (DEEP - 2) + "d0 ; d0" + ")" * (DEEP - 2)
+    assert text == head + f"def d = {chain};\n"
+    again = parse_module(text)
+    assert again.decls[:-1] == module.decls[:-1]
+    assert same_tree(again.decls[-1].body, body)

@@ -49,3 +49,14 @@ def test_render_is_valid_xml_for_varied_terms():
                  copier_tape(poly(("A",), ("B",))),
                  symplus_tape(poly(("A",)), poly(("B",)))):
         ET.fromstring(render_svg(tape, SIG))
+
+
+def test_render_of_ill_typed_definition_is_bad_input(tmp_path, capsys):
+    from tapecalc.frontend.cli import main
+    path, svg = tmp_path / "m.tape", tmp_path / "out.svg"
+    path.write_text("sort A;\nsort B;\ngen G : A -> B;\ndef bad = [ G ] ; [ G ];\n",
+                    encoding="utf-8")
+    code = main(["render", str(path), "--term", "bad", "-o", str(svg)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: tape composition mismatch: B vs A\n"
+    assert not svg.exists()
