@@ -4,8 +4,11 @@ A morphism between finite carriers is a cod-by-dom matrix whose entry
 (y, x) is the weight of output y given input x.  Composition sums over
 the middle index, the tensor is the Kronecker product under left-major
 pair indexing, and the sum is block-diagonal with the left block first.
-Weights are exact: ``Fraction`` for the subdistribution reading,
-``int`` for the multiset one.
+Weights are exact: nonnegative rationals for the subdistribution
+reading, naturals for the multiset one.  A matrix stores them
+fraction-free, as ``int`` numerators over one canonical denominator, so
+the kernels do integer arithmetic only; weights are read back as
+``Fraction`` or ``int``.
 
 Structural morphisms (identities, symmetries, distributors, codiagonals,
 cobangs, copiers, dischargers) are total functions between carriers and
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ModelError, UnknownOperationError
@@ -46,11 +50,11 @@ def exact_str(w) -> str:
 
 @dataclass(frozen=True)
 class Semiring:
+    """Weights of a model: the kernels combine them with ``+`` and ``*``."""
+
     name: str
     zero: Any
     one: Any
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
     contains: Callable[[Any], bool]
 
     def __repr__(self) -> str:
@@ -60,39 +64,62 @@ class Semiring:
 RATIONALS = Semiring(
     "nonnegative rationals",
     Fraction(0), Fraction(1),
-    lambda a, b: a + b, lambda a, b: a * b,
     lambda v: isinstance(v, (Fraction, int)) and v >= 0,
 )
 
 NATURALS = Semiring(
     "naturals",
     0, 1,
-    lambda a, b: a + b, lambda a, b: a * b,
     lambda v: isinstance(v, int) and v >= 0,
 )
 
 
+def _reduced(dom: int, cod: int, cols: tuple[dict[int, int], ...],
+             den: int) -> "Matrix":
+    """The canonical matrix of numerators ``cols`` over the common
+    denominator ``den``: both divided by the gcd of den and every
+    numerator, which leaves den the lcm of the reduced denominators."""
+    g = den
+    for col in cols:
+        if g == 1:
+            break
+        g = gcd(g, *col.values())
+    if g != 1:
+        den //= g
+        cols = tuple([{y: v // g for y, v in col.items()} for col in cols])
+    return Matrix(dom, cod, cols, den=den)
+
+
 class Matrix:
-    """Exact cod-by-dom matrix, column-sparse: cols[x] maps row index to
-    nonzero weight.
+    """Exact cod-by-dom matrix, column-sparse and fraction-free: entry
+    (y, x) is cols[x][y] / den, where cols[x] maps row index to a nonzero
+    ``int`` numerator and ``den`` is the lcm of the entries' reduced
+    denominators (1 when every weight is an integer).  The form is
+    canonical, so two matrices are equal exactly when their den and cols
+    are, and the kernels multiply and add ints only.  ``entry``,
+    ``to_rows`` and ``nonzeros`` read weights back as reduced
+    ``Fraction``s, or as ``int``s when den is 1.
 
     A total function (one unit entry in each column, as every structural
     morphism is) may instead be stored as ``image``, the row of each
-    column's unit entry; ``cols`` is then built from it on first read.
-    The kernels use index arithmetic when an operand has an image, and
-    share column dicts between matrices rather than copying them, so a
-    column is never mutated after its matrix is built.
+    column's unit entry, with den 1; ``cols`` is then built from it on
+    first read.  The kernels use index arithmetic when an operand has an
+    image, and share column dicts between matrices rather than copying
+    them, so a column is never mutated after its matrix is built.  The
+    constructor trusts its arguments to be canonical; ``make`` and
+    ``from_rows`` build a matrix from weights.
     """
 
-    __slots__ = ("dom", "cod", "image", "_cols")
+    __slots__ = ("dom", "cod", "image", "_cols", "den")
 
     def __init__(self, dom: int, cod: int,
-                 cols: tuple[Mapping[int, Any], ...] | None = None,
-                 image: tuple[int, ...] | None = None):
+                 cols: tuple[Mapping[int, int], ...] | None = None,
+                 image: tuple[int, ...] | None = None, den: int = 1):
         self.dom, self.cod, self.image, self._cols = dom, cod, image, cols
+        self.den = den
 
     @property
-    def cols(self) -> tuple[Mapping[int, Any], ...]:
+    def cols(self) -> tuple[Mapping[int, int], ...]:
         if self._cols is None:
             self._cols = tuple([{y: 1} for y in self.image])
         return self._cols
@@ -104,24 +131,27 @@ class Matrix:
             return False
         if self.image is not None and other.image is not None:
             return self.image == other.image
-        return self.cols == other.cols
+        return self.den == other.den and self.cols == other.cols
 
     def __repr__(self) -> str:
-        return f"Matrix(dom={self.dom}, cod={self.cod}, cols={self.cols!r})"
+        return (f"Matrix(dom={self.dom}, cod={self.cod}, den={self.den}, "
+                f"cols={self.cols!r})")
 
     @staticmethod
     def make(dom: int, cod: int, entries: Iterable[tuple[int, int, Any]]) -> "Matrix":
-        """Build from (row, col, weight) triples; zero weights are dropped."""
+        """Build from (row, col, weight) triples with ``int`` or
+        ``Fraction`` weights; weights at one position add, and zeros are
+        dropped."""
         cols: list[dict[int, Any]] = [dict() for _ in range(dom)]
         for y, x, w in entries:
             if not 0 <= y < cod or not 0 <= x < dom:
                 raise DimensionError(f"entry ({y},{x}) outside {cod}x{dom}")
-            if w == 0:
-                continue
-            cols[x][y] = cols[x].get(y, 0) + w if y in cols[x] else w
-            if cols[x][y] == 0:
-                del cols[x][y]
-        return Matrix(dom, cod, tuple(cols))
+            col = cols[x]
+            col[y] = col[y] + w if y in col else w
+        den = lcm(*[w.denominator for col in cols for w in col.values()])
+        return Matrix(dom, cod, tuple([
+            {y: w.numerator * (den // w.denominator)
+             for y, w in col.items() if w} for col in cols]), den=den)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Any]], dom: int | None = None) -> "Matrix":
@@ -147,20 +177,27 @@ class Matrix:
     def zeros(dom: int, cod: int) -> "Matrix":
         return Matrix(dom, cod, tuple({} for _ in range(dom)))
 
+    def weight(self, numerator: int) -> Any:
+        """The weight numerator/den: a reduced Fraction, or an int when
+        den is 1 or the numerator is 0."""
+        if self.den == 1 or not numerator:
+            return numerator
+        return Fraction(numerator, self.den)
+
     def entry(self, y: int, x: int) -> Any:
-        return self.cols[x].get(y, 0)
+        return self.weight(self.cols[x].get(y, 0))
 
     def to_rows(self) -> list[list[Any]]:
         rows = [[0] * self.dom for _ in range(self.cod)]
         for x, col in enumerate(self.cols):
-            for y, w in col.items():
-                rows[y][x] = w
+            for y, v in col.items():
+                rows[y][x] = self.weight(v)
         return rows
 
     def nonzeros(self) -> Iterable[tuple[int, int, Any]]:
         for x, col in enumerate(self.cols):
-            for y, w in sorted(col.items()):
-                yield y, x, w
+            for y, v in sorted(col.items()):
+                yield y, x, self.weight(v)
 
     def then(self, other: "Matrix") -> "Matrix":
         """Kleisli composition: self followed by other."""
@@ -171,9 +208,11 @@ class Matrix:
             if other.image is not None:
                 return Matrix(self.dom, other.cod,
                               image=tuple(map(other.image.__getitem__, self.image)))
-            return Matrix(self.dom, other.cod,
-                          tuple(map(other.cols.__getitem__, self.image)))
-        cols: list[dict[int, Any]] = []
+            # selecting columns may drop the ones that needed all of den
+            return _reduced(self.dom, other.cod,
+                            tuple(map(other.cols.__getitem__, self.image)),
+                            other.den)
+        cols: list[dict[int, int]] = []
         if other.image is not None:
             # relabel rows; weights add only where two rows meet
             target = other.image
@@ -189,7 +228,7 @@ class Matrix:
                         else:
                             out[z] = v
                 cols.append(out)
-            return Matrix(self.dom, other.cod, tuple(cols))
+            return _reduced(self.dom, other.cod, tuple(cols), self.den)
         for col in self.cols:
             out = {}
             for y, a in col.items():
@@ -200,7 +239,7 @@ class Matrix:
                     else:
                         out[z] = v
             cols.append(out)
-        return Matrix(self.dom, other.cod, tuple(cols))
+        return _reduced(self.dom, other.cod, tuple(cols), self.den * other.den)
 
     def tensor(self, other: "Matrix") -> "Matrix":
         """Kronecker product; pair (i, j) is indexed as i*width + j."""
@@ -211,21 +250,24 @@ class Matrix:
             if other.image is not None:
                 return Matrix(dom, cod, image=tuple([
                     y1 * width + y2 for y1 in self.image for y2 in other.image]))
+            # repeats other's columns, all of them unless there are none
             return Matrix(dom, cod, tuple([
                 {y1 * width + y2: w2 for y2, w2 in col2.items()}
-                for y1 in self.image for col2 in other.cols]))
+                for y1 in self.image for col2 in other.cols]),
+                den=other.den if dom else 1)
         if other.image is not None:
             return Matrix(dom, cod, tuple([
                 {y1 * width + y2: w1 for y1, w1 in col1.items()}
-                for col1 in self.cols for y2 in other.image]))
-        cols: list[dict[int, Any]] = [dict() for _ in range(dom)]
+                for col1 in self.cols for y2 in other.image]),
+                den=self.den if dom else 1)
+        cols: list[dict[int, int]] = [dict() for _ in range(dom)]
         for x1, col1 in enumerate(self.cols):
             for x2, col2 in enumerate(other.cols):
                 target = cols[x1 * other.dom + x2]
                 for y1, w1 in col1.items():
                     for y2, w2 in col2.items():
                         target[y1 * width + y2] = w1 * w2
-        return Matrix(dom, cod, tuple(cols))
+        return _reduced(dom, cod, tuple(cols), self.den * other.den)
 
     def oplus(self, other: "Matrix") -> "Matrix":
         """Block-diagonal sum, left block first."""
@@ -233,8 +275,13 @@ class Matrix:
         if self.image is not None and other.image is not None:
             return Matrix(dom, cod, image=self.image + tuple(
                 [y + shift for y in other.image]))
-        return Matrix(dom, cod, self.cols + tuple(
-            [{y + shift: w for y, w in c.items()} for c in other.cols]))
+        den = lcm(self.den, other.den)
+        k1, k2 = den // self.den, den // other.den
+        left = self.cols if k1 == 1 else tuple(
+            [{y: v * k1 for y, v in c.items()} for c in self.cols])
+        return Matrix(dom, cod, left + tuple(
+            [{y + shift: v * k2 for y, v in c.items()} for c in other.cols]),
+            den=den)
 
     def scale(self, w: Any) -> "Matrix":
         return Matrix.make(self.dom, self.cod,
@@ -249,6 +296,8 @@ class Matrix:
     def is_permutation(self) -> bool:
         if self.image is not None:
             return self.dom == self.cod == len(set(self.image))
+        if self.den != 1:
+            return False
         seen_rows = set()
         for col in self.cols:
             if len(col) != 1:
@@ -260,8 +309,8 @@ class Matrix:
         return len(seen_rows) == self.dom == self.cod
 
     def is_substochastic(self) -> bool:
-        return all(w >= 0 for _, _, w in self.nonzeros()) and all(
-            sum(col.values(), Fraction(0)) <= 1 for col in self.cols)
+        return all(all(v >= 0 for v in col.values())
+                   and sum(col.values()) <= self.den for col in self.cols)
 
     def transpose_permutation(self) -> "Matrix":
         """Inverse of a permutation matrix."""
@@ -412,7 +461,6 @@ def eval_vector(term: SigmaTerm, context: int, model: TheoryModel) -> tuple[Any,
     """Weight vector of a term: variables are unit vectors, applications
     combine argument vectors with the operation weights."""
     zero = model.semiring.zero
-    add, mul = model.semiring.add, model.semiring.mul
     if isinstance(term, Var):
         return tuple(model.semiring.one if i == term.index - 1 else zero
                      for i in range(context))
@@ -422,7 +470,7 @@ def eval_vector(term: SigmaTerm, context: int, model: TheoryModel) -> tuple[Any,
         for wj, arg in zip(w, term.args):
             vec = eval_vector(arg, context, model)
             for i in range(context):
-                acc[i] = add(acc[i], mul(wj, vec[i]))
+                acc[i] += wj * vec[i]
         return tuple(acc)
     raise ModelError(f"not a term: {term!r}")
 

@@ -14,6 +14,7 @@ import itertools
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 from typing import Iterable, Sequence
 
@@ -93,12 +94,14 @@ def first_difference(m1: Matrix, m2: Matrix):
     rows ascending; None when there is none."""
     if m1.image is not None and m1.image == m2.image:
         return None
+    d1, d2 = m1.den, m2.den
     for x, (c1, c2) in enumerate(zip(m1.cols, m2.cols)):
-        if c1 != c2:
-            for y in sorted(c1.keys() | c2.keys()):
-                a, b = c1.get(y, 0), c2.get(y, 0)
-                if a != b:
-                    return (y, x, a, b)
+        if d1 == d2 and c1 == c2:
+            continue
+        for y in sorted(c1.keys() | c2.keys()):
+            a, b = c1.get(y, 0), c2.get(y, 0)
+            if a * d2 != b * d1:
+                return (y, x, m1.weight(a), m2.weight(b))
     return None
 
 
@@ -128,18 +131,25 @@ def derive_seed(master: int, *parts) -> int:
 
 
 def rand_substochastic(dom: int, cod: int, rng: Random) -> Matrix:
-    entries = []
+    """Column x gets weights a/denom, denom drawn from 2..6, that sum to
+    at most one; stored over the lcm of their reduced denominators."""
+    drawn = []
     for x in range(dom):
         denom = rng.randint(2, 6)
         remaining = denom
         rows = list(range(cod))
         rng.shuffle(rows)
+        col = {}
         for y in rows:
             a = rng.randint(0, remaining)
             remaining -= a
             if a:
-                entries.append((y, x, Fraction(a, denom)))
-    return Matrix.make(dom, cod, entries)
+                col[y] = a
+        drawn.append((denom, col))
+    den = lcm(*[denom // gcd(a, denom) for denom, col in drawn
+                for a in col.values()])
+    return Matrix(dom, cod, tuple([{y: a * den // denom for y, a in col.items()}
+                                   for denom, col in drawn]), den=den)
 
 
 def rand_natural(dom: int, cod: int, rng: Random) -> Matrix:

@@ -196,13 +196,13 @@ def test_semiring_laws(data):
     naturals = st.integers(min_value=0, max_value=20)
     for semiring, values in ((RATIONALS, rationals), (NATURALS, naturals)):
         a, b, c = (data.draw(values) for _ in range(3))
-        add, mul = semiring.add, semiring.mul
-        assert add(a, b) == add(b, a)
-        assert mul(a, b) == mul(b, a)
-        assert add(add(a, b), c) == add(a, add(b, c))
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert add(a, semiring.zero) == a
-        assert mul(a, semiring.one) == a
-        assert mul(a, semiring.zero) == semiring.zero
-        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a + semiring.zero == a
+        assert a * semiring.one == a
+        assert a * semiring.zero == semiring.zero
+        assert a * (b + c) == a * b + a * c
         assert semiring.contains(a)
+        assert semiring.contains(a + b) and semiring.contains(a * b)

@@ -1,19 +1,24 @@
 """The matrix kernels against a naive dense exact reference.
 
 Matrices are drawn in both storage forms: row maps (total functions,
-``image``) and column dicts (``Matrix.make``), with int or Fraction
-weights and with empty domains and codomains.  Every kernel result must
-equal the dense list-of-lists product, sum or Kronecker product.
+``image``) and column dicts (``Matrix.make``), with int weights,
+Fraction weights or both mixed in one matrix, and with empty domains and
+codomains.  Every kernel result must equal the dense list-of-lists
+product, sum or Kronecker product, and must be canonical: int numerators
+over ``den``, the lcm of the entries' reduced denominators, with no
+stored zero.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tapecalc.kleisli import Matrix
-from tapecalc.suites import first_difference
+from tapecalc.suites import first_difference, rand_substochastic
 
 
 # --- dense reference: (dom, cod, rows), rows[y][x] is entry (y, x) -------------
@@ -48,15 +53,28 @@ def dense_first_difference(left, right):
 
 def from_dense(m):
     dom, cod, rows = m
-    return Matrix.make(dom, cod, ((y, x, w) for y, row in enumerate(rows)
-                                  for x, w in enumerate(row)))
+    return assert_canonical(Matrix.make(
+        dom, cod, ((y, x, w) for y, row in enumerate(rows)
+                   for x, w in enumerate(row))))
+
+
+def assert_canonical(m):
+    numerators = [v for col in m.cols for v in col.values()]
+    assert all(type(v) is int and v != 0 for v in numerators)
+    assert m.den == math.lcm(*[Fraction(w).denominator
+                               for _, _, w in m.nonzeros()])
+    assert math.gcd(m.den, *numerators) == 1
+    if m.image is not None:
+        assert m.den == 1
+    return m
 
 
 # --- strategies ----------------------------------------------------------------
 
 SIZES = st.integers(0, 3)
-WEIGHTS = (st.integers(0, 3),
-           st.fractions(min_value=0, max_value=2, max_denominator=4))
+INTS = st.integers(0, 3)
+FRACTIONS = st.fractions(min_value=0, max_value=2, max_denominator=6)
+WEIGHTS = (INTS, FRACTIONS, st.one_of(INTS, FRACTIONS))
 
 
 @st.composite
@@ -79,6 +97,7 @@ def matrices(draw, kind, dom=None, cod=None):
 
 
 def check(m, dense):
+    assert_canonical(m)
     assert (m.dom, m.cod, m.to_rows()) == dense
     reference = from_dense(dense)
     assert m == reference and reference == m
@@ -148,3 +167,72 @@ def test_permutation_inverse(stored, perm):
         merged = Matrix(n, n, image=(0,) * n)
         assert not merged.is_permutation()
         assert not Matrix.make(n, n, ((0, x, 1) for x in range(n))).is_permutation()
+
+
+def test_first_difference_across_denominators():
+    # den 2 against den 3: the columns are compared by value, not as stored
+    half = Matrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(1, 2)]])
+    third = Matrix.from_rows([[Fraction(1, 3), 1], [0, Fraction(1, 2)]])
+    assert (half.den, third.den) == (2, 6)
+    assert first_difference(half, third) == (0, 0, Fraction(1, 2), Fraction(1, 3))
+    assert first_difference(third, half) == (0, 0, Fraction(1, 3), Fraction(1, 2))
+    # equal first columns stored over different dens; the witness is in column 1
+    left = Matrix.from_rows([[Fraction(1, 2), 1]])
+    right = Matrix.from_rows([[Fraction(1, 2), Fraction(3, 4)]])
+    assert first_difference(left, right) == (0, 1, 1, Fraction(3, 4))
+    assert first_difference(right, left) == (0, 1, Fraction(3, 4), 1)
+    assert first_difference(left, Matrix.from_rows([[Fraction(2, 4), 1]])) is None
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_first_difference_across_scaled_copies(kinds, data):
+    # g's first column is f's over a larger denominator, so the dens differ
+    # while the first column still agrees
+    f, df = data.draw(matrices(kinds[0]))
+    g, dg = data.draw(matrices(kinds[1], dom=f.dom, cod=f.cod))
+    k = data.draw(st.sampled_from((Fraction(1, 5), Fraction(1, 7))))
+    rows = [[w * k if x else v for x, (v, w) in enumerate(zip(r1, r2))]
+            for r1, r2 in zip(df[2], dg[2])]
+    h, dh = from_dense((f.dom, f.cod, rows)), (f.dom, f.cod, rows)
+    assert first_difference(f, h) == dense_first_difference(df, dh)
+    assert first_difference(h, f) == dense_first_difference(dh, df)
+
+
+def test_reduction_after_each_kernel():
+    # products and selections whose den shrinks below the operands'
+    f = Matrix.from_rows([[Fraction(1, 2), Fraction(2, 3)]])
+    g = Matrix.from_rows([[Fraction(3, 2)]])
+    assert (f.den, g.den) == (6, 2)
+    assert f.tensor(g).den == 4 and f.tensor(g).to_rows() == [[Fraction(3, 4), 1]]
+    two = Matrix.from_rows([[2]])
+    assert two.then(Matrix.from_rows([[Fraction(1, 2)]])) == Matrix.identity(1)
+    row = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3), 1]])
+    assert assert_canonical(Matrix(1, 3, image=(2,)).then(row)) == Matrix.from_rows([[1]])
+    merge = Matrix(2, 1, image=(0, 0))
+    halves = Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    assert assert_canonical(halves.then(merge)).to_rows() == [[Fraction(1, 2)] * 2]
+    both = Matrix.from_rows([[Fraction(1, 2)], [Fraction(1, 2)]])
+    assert assert_canonical(both.then(merge)) == Matrix.from_rows([[1]])
+    assert assert_canonical(Matrix(0, 1, image=()).tensor(f)).den == 1
+    assert assert_canonical(f.tensor(Matrix(0, 0, image=()))).den == 1
+
+
+@given(dom=SIZES, cod=SIZES, seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rand_substochastic_matches_its_draws(dom, cod, seed):
+    # the same draws made one Fraction at a time, as weights for make
+    rng, entries = random.Random(seed), []
+    for x in range(dom):
+        denom = rng.randint(2, 6)
+        remaining = denom
+        rows = list(range(cod))
+        rng.shuffle(rows)
+        for y in rows:
+            a = rng.randint(0, remaining)
+            remaining -= a
+            entries.append((y, x, Fraction(a, denom)))
+    drawn = rand_substochastic(dom, cod, random.Random(seed))
+    assert assert_canonical(drawn) == Matrix.make(dom, cod, entries)
+    assert drawn.is_substochastic()
