@@ -2,13 +2,8 @@
 
 Circuits are typed by monomials.  Generators carry monomial arities and
 coarities; every sort has a copier and a discharger, extended to whole
-monomials by the usual inductive clauses.
-
-Term nodes, here and in ``tape``, are hash-consed (Filliatre & Conchon,
-*Type-safe modular hash-consing*, 2006): constructing a node equal to a
-live one returns that one, so equal terms are identical, ``==`` is
-identity and a term is a DAG of distinct subterms.  ``postorder`` lists
-those subterms without recursion; the walkers visit each once a call.
+monomials by the usual inductive clauses.  Nodes are hash-consed (see
+``hashcons``).
 """
 
 from __future__ import annotations
@@ -16,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Mapping
-from weakref import ref
 
 from .errors import TypeCheckError, UnknownGeneratorError, UnknownSortError
+from .hashcons import Term, postorder, term_node
 from .objects import Monomial, ONE
 
 
@@ -48,98 +43,6 @@ class MonSignature:
         gens = dict(self.gens)
         gens.update(extra)
         return MonSignature(self.sorts, gens)
-
-
-# --- hash-consed terms ---------------------------------------------------------
-
-_LIVE: dict = {}    # (class, *field values) -> weak reference to the node
-_SWEEP_AT = 1 << 8  # table size at which dead entries are next dropped
-
-
-def _sweep() -> None:
-    """Drop the entries of dead nodes.  A node is entered after its
-    children, so one pass from the newest entry back also drops a child
-    that only its dead parent's key kept alive."""
-    global _SWEEP_AT
-    items = list(_LIVE.items())
-    while items:
-        key, node = items.pop()
-        if node() is None:
-            del _LIVE[key]
-    _SWEEP_AT = 2 * len(_LIVE) + (1 << 8)
-
-
-class Term:
-    """Base of circuit and tape nodes: one live node per class and field
-    values, so equality and hashing are by identity.
-
-    Nodes are frozen dataclasses declared by ``term_node``.  The fields of
-    a node are canonical already, so its key hashes in O(1) for subterm
-    fields.  ``__new__`` sets the fields of a new node (``__init__`` is
-    object's); a metaclass ``__call__`` would do too, but would slow every
-    ``isinstance`` test on terms.
-    """
-
-    def __new__(cls, *args, **kwargs):
-        names = cls.__match_args__
-        if kwargs:      # keyword construction, as in dataclasses.replace
-            args += tuple(kwargs.pop(n) for n in names[len(args):] if n in kwargs)
-            if kwargs:
-                raise TypeError(f"{cls.__name__}() got unexpected keyword "
-                                f"arguments {sorted(kwargs)}")
-        key = (cls,) + args
-        live = _LIVE.get(key)
-        if live is not None:
-            live = live()
-            if live is not None:
-                return live
-        if len(args) != len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} "
-                            f"arguments {names}, got {len(args)}")
-        node = object.__new__(cls)
-        node.__dict__.update(zip(names, args))
-        _LIVE[key] = ref(node)
-        if len(_LIVE) > _SWEEP_AT:
-            _sweep()
-        return node
-
-    def __reduce__(self):
-        # copies and unpickled nodes are constructed, hence interned too
-        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
-
-
-term_node = dataclass(frozen=True, eq=False, init=False)
-"""Class decorator of the hash-consed term nodes."""
-
-
-DONE = object()
-"""Stack marker of the term walkers: the node under it has its children
-done."""
-
-
-def postorder(root, kids: Mapping[type, Callable]) -> tuple[list, dict]:
-    """The distinct subterms of root, each after its own, and how often
-    each is used: once per parent edge, and the root once.
-
-    ``kids`` maps each inner node class to a function returning the
-    node's children as a tuple; other nodes are leaves.  No recursion, so
-    the depth of a term is not bounded by the interpreter's stack.
-    """
-    order, uses, stack = [], {}, [root]
-    while stack:
-        node = stack.pop()
-        if node is DONE:
-            order.append(stack.pop())
-        elif node in uses:
-            uses[node] += 1
-        else:
-            uses[node] = 1
-            get = kids.get(node.__class__)
-            if get is None:
-                order.append(node)
-            else:
-                stack += (node, DONE, *reversed(get(node)))
-    return order, uses
 
 
 class CircuitTerm(Term):

@@ -95,6 +95,10 @@ def parse_bounds(pairs: list[str]) -> SuiteBounds:
             sys.stderr.write(f"error: bad bound {pair!r}; use KEY=N with KEY "
                              f"in {sorted(keys)}\n")
             sys.exit(EXIT_USAGE)
+        if n < 1 and key in ("sorts", "poly", "tuples"):   # others may be 0
+            sys.stderr.write(f"error: bad bound {pair!r}; {key} must be at "
+                             "least 1\n")
+            sys.exit(EXIT_USAGE)
         values[keys[key]] = n
     return SuiteBounds(**values)
 

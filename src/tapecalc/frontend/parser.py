@@ -14,8 +14,9 @@ from fractions import Fraction
 from ..errors import ParseError
 from ..objects import Monomial, ONE, Polynomial, ZERO, SortRef, Sum, Tensor, \
     UnitOne, ZeroObj, ObjTerm, poly_of_mono
-from ..theory import App, CM_PLUS, CM_ZERO, OpSymbol, STAR, SigmaTerm, Var, \
-    check_term, choice
+from ..hashcons import fold
+from ..theory import App, CM_PLUS, CM_ZERO, OpSymbol, SIGMA_KIDS, STAR, \
+    SigmaTerm, Var, check_term, choice
 from .surface import (CAtomGen, CAtomId, CIRCUIT_ATOMS, CExpr, CSeqS,
                       CTensorS, CheckDecl, DefDecl, GenDecl, INFIX,
                       InterpDecl, SAtom, SCircuit, SExpr, SOp, SRef, SSeq,
@@ -149,6 +150,8 @@ TAPE_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (SSeq, STensor, SSum)}
 CIRCUIT_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (CSeqS, CTensorS)}
 OBJECT_OPS = {INFIX[s][0]: (c, INFIX[s][2]) for s, c in ((STensor, Tensor),
                                                           (SSum, Sum))}
+# Σ-term `+` and `+_p`, one level; infix reads the operation after the `+`.
+SIGMA_OPS = {"PLUS": (App, 0)}
 OPEN = (None, -2)    # an open parenthesis on infix's operator stack
 
 RESERVED = TAPE_ATOM_KEYWORDS | set(CIRCUIT_SPELLINGS) | {
@@ -440,6 +443,8 @@ class Parser:
                     operands[-1] = pending.pop()[0](operands[-1], right)
                 if op is not None:
                     self.next()
+                    if op[0] is App:    # `+` or `+_p`: read its operation
+                        op = (self.plus_op(), op[1])
                     pending.append(op)
                     break
                 if not pending:
@@ -496,7 +501,7 @@ class Parser:
         if text == "term" and self.at("LT", ahead=1):
             self.next()
             self.next()
-            term = self.sigma_expr()
+            term = self.infix(SIGMA_OPS, self.sigma_atom)
             self.expect("GT", "'>'")
             self.expect("AT", "'@'")
             poly = self.poly_arg()
@@ -511,9 +516,7 @@ class Parser:
 
     def op_symbol(self) -> OpSymbol:
         if self.accept("PLUS"):
-            if self.accept("UNDERSCORE"):
-                return choice(self.rational())
-            return CM_PLUS
+            return self.plus_op()
         if self.at("IDENT", "star"):
             self.next()
             return STAR
@@ -523,22 +526,13 @@ class Parser:
         self.fail("expected an operation symbol",
                   {"+_p", "+", "star", "0"})
 
-    def sigma_expr(self) -> SigmaTerm:
-        e = self.sigma_atom()
-        while self.at("PLUS"):
-            self.next()
-            if self.accept("UNDERSCORE"):
-                op = choice(self.rational())
-            else:
-                op = CM_PLUS
-            e = App(op, (e, self.sigma_atom()))
-        return e
+    def plus_op(self) -> OpSymbol:
+        """The operation of a `+` just read: `+_p` or the monoid's `+`."""
+        if self.accept("UNDERSCORE"):
+            return choice(self.rational())
+        return CM_PLUS
 
     def sigma_atom(self) -> SigmaTerm:
-        if self.accept("LPAREN"):
-            e = self.sigma_expr()
-            self.expect("RPAREN", "')'")
-            return e
         tok = self.peek()
         if tok.kind == "IDENT" and tok.text == "star":
             self.next()
@@ -580,11 +574,8 @@ class Parser:
 
 
 def max_var(term: SigmaTerm) -> int:
-    if isinstance(term, Var):
-        return term.index
-    if isinstance(term, App):
-        return max((max_var(a) for a in term.args), default=0)
-    return 0
+    return fold(term, SIGMA_KIDS, lambda t, sub: (
+        t.index if isinstance(t, Var) else max(sub, default=0)))
 
 
 def parse_module(text: str) -> SourceModule:

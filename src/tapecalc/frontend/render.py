@@ -11,9 +11,10 @@ from __future__ import annotations
 from ..circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq,
                        CSym, CTensor, CircuitTerm, MonSignature)
 from ..errors import TypeCheckError
+from ..hashcons import postorder
 from ..objects import Monomial
-from ..tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSeq,
-                    TSum, TSymPlus, TapeTerm, type_of_tape)
+from ..tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
+                    TOpInj, TSeq, TSum, TSymPlus, TapeTerm, node_type)
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -108,14 +109,13 @@ class _Memo:
     takes, which does not depend on where it is drawn."""
 
     def __init__(self, t: TapeTerm, sig: MonSignature):
-        self.types: dict = {}
-        type_of_tape(t, sig, self.types)
-        self.sizes: dict = {}
-        self.heights: dict = {}
-        for node in self.types:     # each after its own subterms
+        if not isinstance(t, TapeTerm):
+            raise TypeCheckError(f"not a tape term: {t!r}")
+        self.types, self.sizes, self.heights = {}, {}, {}
+        for node in postorder(t, TERM_KIDS)[0]:
+            self.types[node] = node_type(node, sig, self.types)
             self.sizes[node] = self._size(node)
-            if not isinstance(node, CircuitTerm):
-                self.heights[node] = self._height(node)
+            self.heights[node] = self._height(node)
 
     def _size(self, t):
         sizes = self.sizes

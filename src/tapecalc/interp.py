@@ -14,8 +14,9 @@ from typing import Mapping, Union
 
 from . import kleisli
 from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
-                      CTensor, CircuitTerm, MonSignature, postorder)
+                      CTensor, CircuitTerm, MonSignature)
 from .errors import DimensionError, ModelError, UnknownSortError
+from .hashcons import postorder
 from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
 from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,

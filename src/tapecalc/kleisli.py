@@ -25,7 +25,9 @@ from math import gcd, lcm
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ModelError, UnknownOperationError
-from .theory import AlgebraicTheory, App, Equation, OpSymbol, SigmaTerm, Var
+from .hashcons import fold
+from .theory import (SIGMA_KIDS, AlgebraicTheory, App, Equation, OpSymbol,
+                     SigmaTerm, Var)
 
 
 _PIECE = 10 ** 500    # 500 digits: under any int->str limit Python allows
@@ -460,19 +462,20 @@ def op_matrix(op: OpSymbol, model: TheoryModel, n: int) -> Matrix:
 def eval_vector(term: SigmaTerm, context: int, model: TheoryModel) -> tuple[Any, ...]:
     """Weight vector of a term: variables are unit vectors, applications
     combine argument vectors with the operation weights."""
-    zero = model.semiring.zero
-    if isinstance(term, Var):
-        return tuple(model.semiring.one if i == term.index - 1 else zero
-                     for i in range(context))
-    if isinstance(term, App):
-        w = model.weight_vector(term.op)
-        acc = [zero] * context
-        for wj, arg in zip(w, term.args):
-            vec = eval_vector(arg, context, model)
-            for i in range(context):
-                acc[i] += wj * vec[i]
-        return tuple(acc)
-    raise ModelError(f"not a term: {term!r}")
+    zero, one = model.semiring.zero, model.semiring.one
+
+    def step(t, vecs: tuple) -> tuple:
+        if isinstance(t, Var):
+            return tuple(one if i == t.index - 1 else zero for i in range(context))
+        if isinstance(t, App):
+            acc = [zero] * context
+            for wj, vec in zip(model.weight_vector(t.op), vecs):
+                for i in range(context):
+                    acc[i] += wj * vec[i]
+            return tuple(acc)
+        raise ModelError(f"not a term: {t!r}")
+
+    return fold(term, SIGMA_KIDS, step)
 
 
 def model_soundness(model: TheoryModel) -> list[Equation]:

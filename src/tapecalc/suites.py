@@ -206,13 +206,11 @@ class Freshener:
         """A term over context m whose tape splits one input into m branches."""
         if m == 0:
             return App(self.nullary_op(), ()), 0
-
-        def nested(i: int) -> SigmaTerm:
-            if i == m:
-                return Var(i)
-            return App(self.binary_op(), (Var(i), nested(i + 1)))
-
-        return nested(1), m
+        ops = [self.binary_op() for _ in range(1, m)]   # x_i's op drawn i-th
+        term: SigmaTerm = Var(m)
+        for i in reversed(range(1, m)):
+            term = ops[i - 1](Var(i), term)
+        return term, m
 
     def tape(self, p: Polynomial, q: Polynomial) -> TapeTerm:
         """A random tape p -> q: branch each monomial of p across q."""

@@ -6,24 +6,24 @@ cobang and the operation branchings); identities, symmetries, codiagonals,
 distributors, whiskerings, the tensor of tapes, term branchings and the
 polynomial copy/discard structure are all built inductively from them.
 
-Nodes are hash-consed like circuits (see ``circuit``): equal terms are
+Nodes are hash-consed like circuits (see ``hashcons``): equal terms are
 identical and ``==`` is identity.  It is syntactic equality only; equality
-of tapes is decided semantically, per interpretation.  Typing and
-whiskering visit each distinct subterm once a call, without recursion.
+of tapes is decided semantically, per interpretation.  Each walker visits
+each distinct subterm once a call, without recursion.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
-from .circuit import (CIRCUIT_KIDS, DONE, CircuitTerm, MonSignature, Term,
+from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
-                      ctensor, identity_circuit, postorder, sym_circuit,
-                      term_node)
+                      ctensor, identity_circuit, sym_circuit)
 from .errors import TypeCheckError
+from .hashcons import Term, fold, postorder, term_node
 from .objects import Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono
-from .theory import App, OpSymbol, SigmaTerm, Var, check_term
+from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
 
 
 class TapeTerm(Term):
@@ -85,61 +85,54 @@ TERM_KIDS: dict[type, Callable] = {
     **CIRCUIT_KIDS, **TAPE_KIDS, TCirc: lambda t: (t.circuit,)}
 
 
-def type_of_tape(t: TapeTerm, sig: MonSignature,
-                 types: dict | None = None) -> tuple[Polynomial, Polynomial]:
-    """(dom, cod) of t, each distinct subterm typed once, without
-    recursion.  If ``types`` is given, it receives the type of every
-    subterm, circuits included, each entered after its own subterms."""
+def node_type(node: Term, sig: MonSignature, types: Mapping) -> tuple:
+    """The type of a tape node (polynomials) or circuit node (monomials),
+    given its children's types."""
+    cls = node.__class__
+    if cls is TSeq:
+        dom, cod1 = types[node.first]
+        dom2, cod = types[node.second]
+        if cod1 != dom2:
+            raise TypeCheckError(
+                f"tape composition mismatch: {cod1} vs {dom2}")
+    elif cls is TSum:
+        dom1, cod1 = types[node.top]
+        dom2, cod2 = types[node.bottom]
+        dom, cod = dom1 + dom2, cod1 + cod2
+    elif cls is TCirc:
+        dom, cod = types[node.circuit]
+        dom, cod = poly_of_mono(dom), poly_of_mono(cod)
+    elif cls is TIdMon:
+        for s in node.mono:
+            sig.check_sort(s)
+        dom = cod = poly_of_mono(node.mono)
+    elif isinstance(node, CircuitTerm):
+        dom, cod = circuit_node_type(node, sig, types)
+    elif cls is TSymPlus:
+        p, q = poly_of_mono(node.left), poly_of_mono(node.right)
+        dom, cod = p + q, q + p
+    elif cls is TCodiag:
+        cod = poly_of_mono(node.mono)
+        dom = cod + cod
+    elif cls is TCobang:
+        dom, cod = ZERO, poly_of_mono(node.mono)
+    elif cls is TOpInj:
+        dom = poly_of_mono(node.mono)
+        cod = nfold_sum(dom, node.op.arity)
+    elif cls is TIdZero:
+        dom = cod = ZERO
+    else:
+        raise TypeCheckError(f"not a tape term: {node!r}")
+    return dom, cod
+
+
+def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial]:
+    """(dom, cod) of t, each distinct subterm typed once."""
     if not isinstance(t, TapeTerm):
         raise TypeCheckError(f"not a tape term: {t!r}")
-    if types is None:
-        types = {}
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is DONE:
-            node = stack.pop()
-        elif node in types:
-            continue
-        elif node.__class__ in TERM_KIDS:
-            stack += (node, DONE, *reversed(TERM_KIDS[node.__class__](node)))
-            continue
-        cls = node.__class__
-        if cls is TSeq:
-            dom, cod1 = types[node.first]
-            dom2, cod = types[node.second]
-            if cod1 != dom2:
-                raise TypeCheckError(
-                    f"tape composition mismatch: {cod1} vs {dom2}")
-        elif cls is TSum:
-            dom1, cod1 = types[node.top]
-            dom2, cod2 = types[node.bottom]
-            dom, cod = dom1 + dom2, cod1 + cod2
-        elif cls is TCirc:
-            dom, cod = types[node.circuit]
-            dom, cod = poly_of_mono(dom), poly_of_mono(cod)
-        elif cls is TIdMon:
-            for s in node.mono:
-                sig.check_sort(s)
-            dom = cod = poly_of_mono(node.mono)
-        elif isinstance(node, CircuitTerm):
-            dom, cod = circuit_node_type(node, sig, types)
-        elif cls is TSymPlus:
-            p, q = poly_of_mono(node.left), poly_of_mono(node.right)
-            dom, cod = p + q, q + p
-        elif cls is TCodiag:
-            cod = poly_of_mono(node.mono)
-            dom = cod + cod
-        elif cls is TCobang:
-            dom, cod = ZERO, poly_of_mono(node.mono)
-        elif cls is TOpInj:
-            dom = poly_of_mono(node.mono)
-            cod = nfold_sum(dom, node.op.arity)
-        elif cls is TIdZero:
-            dom = cod = ZERO
-        else:
-            raise TypeCheckError(f"not a tape term: {node!r}")
-        types[node] = dom, cod
+    types: dict = {}
+    for node in postorder(t, TERM_KIDS)[0]:
+        types[node] = node_type(node, sig, types)
     return types[t]
 
 
@@ -290,19 +283,18 @@ def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
     p = as_poly(p)
     check_term(term, context)
 
-    def go(t: SigmaTerm) -> TapeTerm:
+    def step(t: SigmaTerm, branches: tuple) -> TapeTerm:
         if isinstance(t, Var):
             return tsum(cobang_tape(nfold_sum(p, t.index - 1)),
                         id_tape(p),
                         cobang_tape(nfold_sum(p, context - t.index)))
-        assert isinstance(t, App)
-        branches = tsum(*(go(arg) for arg in t.args))
         split = op_inj_tape(t.op, p)
-        if not t.args:
+        if not branches:
             return tseq(split, nfold_codiag(nfold_sum(p, context), 0))
-        return tseq(split, branches, nfold_codiag(nfold_sum(p, context), len(t.args)))
+        return tseq(split, tsum(*branches),
+                    nfold_codiag(nfold_sum(p, context), len(branches)))
 
-    return go(term)
+    return fold(term, SIGMA_KIDS, step)
 
 
 # --- whiskerings and the tensor of tapes ---------------------------------------

@@ -4,16 +4,18 @@ Two theories ship built in: the pointed convex one (binary choice
 operations ``+_p`` for rational ``p`` in (0,1) and a failure constant
 ``star``) and commutative monoids (binary ``+`` and constant ``0``).
 Operation families are kept extensional: a theory instance carries only
-the finitely many parameter values actually in use.
+the finitely many parameter values actually in use.  Σ-terms are
+hash-consed (see ``hashcons``); an operation applied to terms is a term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ModelError, TypeCheckError
+from .hashcons import Term, fold, postorder, term_node
 
 
 @dataclass(frozen=True)
@@ -27,33 +29,41 @@ class OpSymbol:
             return f"{self.name}_{'_'.join(str(p) for p in self.params)}"
         return self.name
 
+    def __call__(self, *args: SigmaTerm) -> App:
+        return App(self, args)
+
 
 # --- terms ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaTerm:
-    pass
+class SigmaTerm(Term):
+    def __str__(self) -> str:
+        return fold(self, SIGMA_KIDS, _show)
 
 
-@dataclass(frozen=True)
+@term_node
 class Var(SigmaTerm):
     index: int  # 1-based
 
-    def __str__(self) -> str:
-        return f"x{self.index}"
 
-
-@dataclass(frozen=True)
+@term_node
 class App(SigmaTerm):
     op: OpSymbol
-    args: tuple[SigmaTerm, ...] = ()
+    args: tuple[SigmaTerm, ...]
 
-    def __str__(self) -> str:
-        if self.op.arity == 2 and len(self.args) == 2:
-            return f"({self.args[0]} {self.op} {self.args[1]})"
-        if not self.args:
-            return str(self.op)
-        return f"{self.op}({', '.join(str(a) for a in self.args)})"
+
+SIGMA_KIDS: dict[type, Callable] = {App: lambda t: t.args}
+
+
+def _show(t, args: tuple[str, ...]) -> str:
+    if isinstance(t, Var):
+        return f"x{t.index}"
+    if not isinstance(t, App):
+        return str(t)
+    if t.op.arity == 2 and len(args) == 2:
+        return f"({args[0]} {t.op} {args[1]})"
+    if not args:
+        return str(t.op)
+    return f"{t.op}({', '.join(args)})"
 
 
 @dataclass(frozen=True)
@@ -66,32 +76,30 @@ class Equation:
 
 def check_term(term: SigmaTerm, context: int) -> None:
     """Raise unless all variables lie in 1..context and arities match."""
-    if isinstance(term, Var):
-        if not 1 <= term.index <= context:
+    for t in postorder(term, SIGMA_KIDS)[0]:
+        if not isinstance(t, (Var, App)):
+            raise TypeCheckError(f"not a term: {t!r}")
+        if isinstance(t, Var) and not 1 <= t.index <= context:
             raise TypeCheckError(
-                f"variable x{term.index} out of context of size {context}")
-        return
-    if isinstance(term, App):
-        if term.op.arity != len(term.args):
-            raise TypeCheckError(
-                f"operation {term.op} has arity {term.op.arity}, "
-                f"applied to {len(term.args)} arguments")
-        for arg in term.args:
-            check_term(arg, context)
-        return
-    raise TypeCheckError(f"not a term: {term!r}")
+                f"variable x{t.index} out of context of size {context}")
+        if isinstance(t, App) and t.op.arity != len(t.args):
+            raise TypeCheckError(f"operation {t.op} has arity {t.op.arity}, "
+                                 f"applied to {len(t.args)} arguments")
 
 
 def substitute(term: SigmaTerm, args: Sequence[SigmaTerm]) -> SigmaTerm:
     """Simultaneous substitution of x_i by args[i-1]."""
-    if isinstance(term, Var):
-        if term.index > len(args):
-            raise TypeCheckError(
-                f"substitution expects {term.index} arguments, got {len(args)}")
-        return args[term.index - 1]
-    if isinstance(term, App):
-        return App(term.op, tuple(substitute(a, args) for a in term.args))
-    raise TypeCheckError(f"not a term: {term!r}")
+    def step(t, new_args: tuple) -> SigmaTerm:
+        if isinstance(t, Var):
+            if t.index > len(args):
+                raise TypeCheckError(
+                    f"substitution expects {t.index} arguments, got {len(args)}")
+            return args[t.index - 1]
+        if isinstance(t, App):
+            return App(t.op, new_args)
+        raise TypeCheckError(f"not a term: {t!r}")
+
+    return fold(term, SIGMA_KIDS, step)
 
 
 # --- theories ---------------------------------------------------------------
@@ -105,20 +113,14 @@ class AlgebraicTheory:
 
     def validate(self) -> None:
         declared = set(self.ops)
-
-        def ops_of(t: SigmaTerm):
-            if isinstance(t, App):
-                yield t.op
-                for a in t.args:
-                    yield from ops_of(a)
-
         for eq in self.equations:
             check_term(eq.lhs, eq.context)
             check_term(eq.rhs, eq.context)
-            for op in list(ops_of(eq.lhs)) + list(ops_of(eq.rhs)):
-                if op not in declared:
-                    raise ModelError(
-                        f"equation {eq.name} uses undeclared operation {op}")
+            for side in (eq.lhs, eq.rhs):
+                for t in postorder(side, SIGMA_KIDS)[0]:
+                    if isinstance(t, App) and t.op not in declared:
+                        raise ModelError(f"equation {eq.name} uses "
+                                         f"undeclared operation {t.op}")
 
 
 STAR = OpSymbol("star", 0)
@@ -145,10 +147,10 @@ def builtin_theory(name: str, params: Sequence[Fraction] = ()) -> AlgebraicTheor
     if name == "CM":
         x1, x2, x3 = Var(1), Var(2), Var(3)
         eqs = (
-            Equation(3, App(CM_PLUS, (App(CM_PLUS, (x1, x2)), x3)),
-                     App(CM_PLUS, (x1, App(CM_PLUS, (x2, x3)))), "cm-assoc"),
-            Equation(2, App(CM_PLUS, (x1, x2)), App(CM_PLUS, (x2, x1)), "cm-comm"),
-            Equation(1, App(CM_PLUS, (x1, App(CM_ZERO, ()))), x1, "cm-unit"),
+            Equation(3, CM_PLUS(CM_PLUS(x1, x2), x3),
+                     CM_PLUS(x1, CM_PLUS(x2, x3)), "cm-assoc"),
+            Equation(2, CM_PLUS(x1, x2), CM_PLUS(x2, x1), "cm-comm"),
+            Equation(1, CM_PLUS(x1, CM_ZERO()), x1, "cm-unit"),
         )
         theory = AlgebraicTheory("CM", (CM_PLUS, CM_ZERO), eqs,
                                  primary_ops=(CM_PLUS, CM_ZERO))
@@ -172,18 +174,16 @@ def builtin_theory(name: str, params: Sequence[Fraction] = ()) -> AlgebraicTheor
             return choice(r)
 
         for p in ps:
-            eqs.append(Equation(
-                2, App(choice(p), (x1, x2)), App(need(1 - p), (x2, x1)),
-                f"pca-comm[p={p}]"))
-            eqs.append(Equation(
-                1, App(choice(p), (x1, x1)), x1, f"pca-idem[p={p}]"))
+            eqs.append(Equation(2, choice(p)(x1, x2), need(1 - p)(x2, x1),
+                                f"pca-comm[p={p}]"))
+            eqs.append(Equation(1, choice(p)(x1, x1), x1, f"pca-idem[p={p}]"))
         for p in ps:
             for q in ps:
                 if 1 - p * q == 0:
                     continue
                 inner = p * (1 - q) / (1 - p * q)
-                lhs = App(choice(p), (App(choice(q), (x1, x2)), x3))
-                rhs = App(need(p * q), (x1, App(need(inner), (x2, x3))))
+                lhs = choice(p)(choice(q)(x1, x2), x3)
+                rhs = need(p * q)(x1, need(inner)(x2, x3))
                 eqs.append(Equation(3, lhs, rhs, f"pca-assoc[p={p},q={q}]"))
         ops = tuple(choice(r) for r in params_used) + (STAR,)
         theory = AlgebraicTheory("PCA", ops, tuple(eqs),

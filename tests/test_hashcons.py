@@ -1,8 +1,9 @@
 """Hash-consed terms and the DAG walkers.
 
 Equal constructions give one node, each distinct subterm is typed and
-evaluated once a call, deep terms need no recursion, and the DAG
-evaluator agrees with the tree-recursive reference evaluator below.
+evaluated once a call, deep terms need no recursion, and the DAG typer
+and evaluator agree with the tree-recursive reference typer and
+evaluator below.
 """
 
 import copy
@@ -21,10 +22,11 @@ from tapecalc import kleisli, suites
 from tapecalc.circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort,
                               CSeq, CSym, CTensor, MonSignature,
                               type_of_circuit)
-from tapecalc.errors import ModelError
+from tapecalc.errors import ModelError, TapecalcError, TypeCheckError
+from tapecalc.frontend.render import render_svg
 from tapecalc.interp import Interpretation, eval_circuit, eval_tape
 from tapecalc.kleisli import Matrix, model_for, op_matrix
-from tapecalc.objects import mono, poly
+from tapecalc.objects import ZERO, mono, nfold_sum, poly, poly_of_mono
 from tapecalc.suites import Freshener, rand_poly, sem_eq, standard_interpretation
 from tapecalc.tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
                            TSeq, TSum, TSymPlus, distributor, id_tape,
@@ -84,6 +86,74 @@ def ref_eval_tape(t, interp):
     if isinstance(t, TOpInj):
         return op_matrix(t.op, interp.model, interp.mono_size(t.mono))
     raise ModelError(f"not a tape term: {t!r}")
+
+
+# --- the tree-recursive reference typer ----------------------------------------
+
+def ref_type_circuit(c, sig):
+    if isinstance(c, CGen):
+        return sig.gen_type(c.name)
+    if isinstance(c, CSeq):
+        dom, cod1 = ref_type_circuit(c.first, sig)
+        dom2, cod = ref_type_circuit(c.second, sig)
+        if cod1 != dom2:
+            raise TypeCheckError(
+                f"circuit composition mismatch: {cod1} vs {dom2}")
+        return dom, cod
+    if isinstance(c, CTensor):
+        dom1, cod1 = ref_type_circuit(c.top, sig)
+        dom2, cod2 = ref_type_circuit(c.bottom, sig)
+        return dom1 * dom2, cod1 * cod2
+    if isinstance(c, CIdSort):
+        sig.check_sort(c.sort)
+        return mono(c.sort), mono(c.sort)
+    if isinstance(c, CIdOne):
+        return mono(), mono()
+    if isinstance(c, CSym):
+        sig.check_sort(c.left)
+        sig.check_sort(c.right)
+        return mono(c.left, c.right), mono(c.right, c.left)
+    if isinstance(c, CCopier):
+        sig.check_sort(c.sort)
+        return mono(c.sort), mono(c.sort, c.sort)
+    if isinstance(c, CDischarger):
+        sig.check_sort(c.sort)
+        return mono(c.sort), mono()
+    raise TypeCheckError(f"not a circuit term: {c!r}")
+
+
+def ref_type_tape(t, sig):
+    if isinstance(t, TSeq):
+        dom, cod1 = ref_type_tape(t.first, sig)
+        dom2, cod = ref_type_tape(t.second, sig)
+        if cod1 != dom2:
+            raise TypeCheckError(f"tape composition mismatch: {cod1} vs {dom2}")
+        return dom, cod
+    if isinstance(t, TSum):
+        dom1, cod1 = ref_type_tape(t.top, sig)
+        dom2, cod2 = ref_type_tape(t.bottom, sig)
+        return dom1 + dom2, cod1 + cod2
+    if isinstance(t, TCirc):
+        dom, cod = ref_type_circuit(t.circuit, sig)
+        return poly_of_mono(dom), poly_of_mono(cod)
+    if isinstance(t, TIdMon):
+        for s in t.mono:
+            sig.check_sort(s)
+        return poly_of_mono(t.mono), poly_of_mono(t.mono)
+    if isinstance(t, TSymPlus):
+        p, q = poly_of_mono(t.left), poly_of_mono(t.right)
+        return p + q, q + p
+    if isinstance(t, TCodiag):
+        p = poly_of_mono(t.mono)
+        return p + p, p
+    if isinstance(t, TCobang):
+        return ZERO, poly_of_mono(t.mono)
+    if isinstance(t, TOpInj):
+        p = poly_of_mono(t.mono)
+        return p, nfold_sum(p, t.op.arity)
+    if isinstance(t, TIdZero):
+        return ZERO, ZERO
+    raise TypeCheckError(f"not a tape term: {t!r}")
 
 
 # --- random well-typed tapes ---------------------------------------------------
@@ -161,6 +231,92 @@ def test_sem_eq_verdicts_match_reference(model, seed):
     with mock.patch.object(suites, "eval_tape", ref_eval_tape):
         assert verdicts == [sem_eq(a, b, interp) for a, b in pairs]
     assert verdicts[0].equal and verdicts[1].equal
+
+
+def tape_nodes(t, seen=None):
+    """The distinct tape nodes of t, each after its own, in first-visit
+    order."""
+    seen = [] if seen is None else seen
+    if t not in seen:
+        if isinstance(t, TSeq):
+            tape_nodes(t.first, seen)
+            tape_nodes(t.second, seen)
+        elif isinstance(t, TSum):
+            tape_nodes(t.top, seen)
+            tape_nodes(t.bottom, seen)
+        seen.append(t)
+    return seen
+
+
+def splice(t, target, new, done=None):
+    """t with every occurrence of target replaced by new."""
+    done = {} if done is None else done
+    if t is target:
+        return new
+    if t not in done:
+        if isinstance(t, TSeq):
+            done[t] = TSeq(splice(t.first, target, new, done),
+                           splice(t.second, target, new, done))
+        elif isinstance(t, TSum):
+            done[t] = TSum(splice(t.top, target, new, done),
+                           splice(t.bottom, target, new, done))
+        else:
+            done[t] = t
+    return done[t]
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of the library error it raises."""
+    try:
+        return f(*args)
+    except TapecalcError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("model", ["PCA", "CM"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_typer_matches_reference(model, seed):
+    """Random tapes, and the same tapes with one node n replaced by
+    n ; x for an x that mostly does not fit: a fresh tape of a random
+    type, an identity on an unregistered sort or an unknown generator.
+    Typed under the fresh signature or under the base one, which lacks
+    the fresh generators."""
+    rng = Random(seed)
+    fresh = Freshener(interpretation(model), rng)
+    t = random_tape(fresh, rng, rng.randrange(3))
+    if rng.random() < 0.7:
+        target = rng.choice(tape_nodes(t))
+        x = rng.choice([lambda: fresh.tape(random_poly(rng), random_poly(rng)),
+                        lambda: TIdMon(mono("A", "C")),
+                        lambda: TCirc(CSeq(CIdSort("A"), CGen("unknown")))])()
+        t = splice(t, target, TSeq(target, x))
+    sig = fresh.sig if rng.random() < 0.8 else fresh.base.sig
+    expected = outcome(ref_type_tape, t, sig)
+    assert outcome(type_of_tape, t, sig) == expected
+    svg = outcome(render_svg, t, sig)
+    if isinstance(expected, tuple) and len(expected) == 2 \
+            and isinstance(expected[0], type):
+        assert svg == expected
+    else:
+        assert svg.startswith("<?xml")
+
+
+def test_type_errors_match_reference():
+    sig = MonSignature(("A", "B"), {"F": (mono("A"), mono("B"))})
+    cases = [
+        TSeq(TCirc(CGen("F")), TCirc(CGen("F"))),
+        TSum(TIdMon(mono("C")), TCirc(CGen("G"))),
+        TCirc(CSeq(CGen("F"), CGen("F"))),
+        TCirc(CTensor(CSym("A", "C"), CGen("F"))),
+        TSeq(TIdZero(), TCodiag(mono("A"))),
+        CGen("F"),
+    ]
+    for t in cases:
+        expected = outcome(ref_type_tape, t, sig)
+        assert isinstance(expected[0], type)
+        assert outcome(type_of_tape, t, sig) == expected
+        assert outcome(render_svg, t, sig) == expected
 
 
 # --- hash-consing -------------------------------------------------------------

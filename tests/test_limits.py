@@ -63,6 +63,28 @@ def test_superscript_bound_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: bad bound 'samples=²'; use KEY=N")
 
 
+@pytest.mark.parametrize("bound, key", [
+    ("sorts=0", "sorts"), ("poly=0", "poly"), ("tuples=0", "tuples"),
+])
+def test_bound_below_minimum_is_a_usage_error(tmp_path, capsys, bound, key):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, capsys, FLIP, ["suite", "{f}", "--interp", "I",
+                                     "--bound", bound])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: bad bound {bound!r}; {key} must be at least 1\n"
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("bound", ["mono=0", "carrier=0", "samples=0",
+                                   "sorts=1", "poly=1", "tuples=1"])
+def test_bound_at_minimum_runs(tmp_path, capsys, bound):
+    code, out = run(tmp_path, capsys, FLIP, ["suite", "{f}", "--interp", "I",
+                                             "--bound", bound])
+    assert code == 0
+    assert out.err == ""
+
+
 @pytest.mark.parametrize("text, message", [
     ("theory PCA with p = 1/0;\n", "1:23: zero denominator"),
     ("theory PCA with p = 1/" + "3" * 4400 + ";\n",
@@ -175,6 +197,44 @@ def test_5000_step_bracket_checks_and_evaluates(tmp_path, capsys):
     interp = parse_module(FLIP).interpretation("I")
     expected = eval_tape(TCirc(cseq(*[CGen("G")] * DEEP)), interp).pretty()
     assert (code, out.out) == (0, expected + "\n")
+
+
+CM_MODULE = """sort A;
+theory CM;
+interp I {
+  A = {0, 1};
+  model = CM;
+}
+"""
+
+SIGMA_BODIES = {
+    "flat": (" + ".join(["x1"] * DEEP), f"[[{DEEP}, 0], [0, {DEEP}]]",
+             "(" * (DEEP - 2) + "x1 + x1" + ") + x1" * (DEEP - 2)),
+    "nested": ("(" * DEEP + "x1" + ")" * DEEP, "[[1, 0], [0, 1]]", "x1"),
+}
+
+
+@pytest.mark.parametrize("shape", SIGMA_BODIES)
+def test_5000_deep_sigma_term(tmp_path, capsys, shape):
+    """5000 summands of x1 (the monoid's 5000 x1), and x1 inside 5000
+    parentheses, under the commutative-monoid theory."""
+    body, matrix, _ = SIGMA_BODIES[shape]
+    text = CM_MODULE + f"def d = term<{body}>@A;\n"
+    assert run(tmp_path, capsys, text, ["check", "{f}"]) == (0, ("", ""))
+    code, out = run(tmp_path, capsys, text,
+                    ["eval", "{f}", "--term", "d", "--interp", "I"])
+    assert (code, out.out, out.err) == (0, matrix + "\n", "")
+
+
+@pytest.mark.parametrize("shape", SIGMA_BODIES)
+def test_print_module_of_5000_deep_sigma_term(shape):
+    body, _, printed = SIGMA_BODIES[shape]
+    module = parse_module(CM_MODULE + f"def d = term<{body}>@A;\n")
+    text = print_module(module)
+    assert text.endswith(f"def d = term<{printed}>@A;\n")
+    again = parse_module(text)
+    assert again.decls[-1].body.term is module.decls[-1].body.term
+    assert print_module(again) == text
 
 
 def same_tree(a, b) -> bool:

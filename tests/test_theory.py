@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from tapecalc.circuit import MonSignature
 from tapecalc.errors import ModelError, TypeCheckError
+from tapecalc.interp import Interpretation, eval_tape
+from tapecalc.kleisli import Matrix, eval_vector, model_for
+from tapecalc.objects import mono, poly
+from tapecalc.tape import term_tape, type_of_tape
 from tapecalc.theory import (App, CM_PLUS, CM_ZERO, STAR, Var, builtin_theory,
                              check_term, choice, substitute)
 
@@ -80,3 +85,27 @@ def test_parameter_range_errors():
         builtin_theory("PCA", [])
     with pytest.raises(ModelError):
         builtin_theory("XYZ")
+
+
+def test_10000_deep_term():
+    """Every walker over Σ-terms loops, so depth is not bounded by the
+    interpreter's recursion limit."""
+    deep = 10000
+    x1, x2 = Var(1), Var(2)
+    t = swapped = x1
+    for _ in range(deep):
+        t, swapped = App(CM_PLUS, (t, x2)), App(CM_PLUS, (swapped, x1))
+    check_term(t, 2)
+    with pytest.raises(TypeCheckError, match="variable x2 out of context of size 1"):
+        check_term(t, 1)
+    assert substitute(t, [x1, x2]) is t
+    assert substitute(substitute(t, [x2, x1]), [x2, x1]) is t
+    cm = model_for(builtin_theory("CM"))
+    assert eval_vector(t, 2, cm) == (1, deep)
+    assert eval_vector(App(CM_PLUS, (t, swapped)), 2, cm) == (deep + 2, deep)
+    assert str(t) == "(" * deep + "x1" + " + x2)" * deep
+    sig = MonSignature(("A",))
+    tape = term_tape(t, mono("A"), 2)
+    assert type_of_tape(tape, sig) == (poly(("A",)), poly(("A",), ("A",)))
+    interp = Interpretation(sig, {"A": 1}, {}, cm)
+    assert eval_tape(tape, interp) == Matrix.make(1, 2, [(0, 0, 1), (1, 0, deep)])
