@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import TapecalcError, TypeCheckError
+from ..errors import TapecalcError, TypeCheckError, UnknownOperationError
+from ..hashcons import postorder
 from ..interp import eval_tape
-from ..kleisli import exact_str
+from ..kleisli import exact_str, model_for
 from ..objects import normalize
 from ..suites import (SuiteBounds, axiom_suite, coherence_suite, lemma_suite,
                       sem_eq)
-from ..tape import type_of_tape
+from ..tape import TERM_KIDS, TOpInj, type_of_tape
 from .parser import ascii_int, parse_module, parse_object_expr
 from .render import render_svg
-from .surface import elaborate
+from .surface import TheoryDecl, elaborate
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -111,13 +112,35 @@ def definition(module, name: str):
     return body
 
 
+def weighs(model, op) -> bool:
+    try:
+        model.weight_vector(op)
+    except UnknownOperationError:
+        return False
+    return True
+
+
+def check_weights(tape, models) -> None:
+    """Raise UnknownOperationError for an operation of tape that no model
+    weighs, as evaluating tape under any declared theory would."""
+    for node in postorder(tape, TERM_KIDS)[0]:
+        if isinstance(node, TOpInj) and not any(weighs(m, node.op)
+                                                for m in models):
+            raise UnknownOperationError(f"operation {node.op} has no "
+                                        "weights in any declared theory")
+
+
 def cmd_check(args) -> int:
     module = load_module(args.file)
     sig = module.signature()
+    models = [model_for(module.theory(d.name)) for d in module.decls
+              if isinstance(d, TheoryDecl)]
     for name, body in module.defs.items():
         try:
-            type_of_tape(elaborate(body, module, sig), sig)
-        except TypeCheckError as exc:
+            tape = elaborate(body, module, sig)
+            type_of_tape(tape, sig)
+            check_weights(tape, models)
+        except (TypeCheckError, UnknownOperationError) as exc:
             sys.stderr.write(f"error: definition {name}: {exc}\n")
             return EXIT_BAD_INPUT
     for check in module.checks:

@@ -8,7 +8,7 @@ are rejected.  Diagnostics carry line, column and the expected tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from ..errors import ParseError
@@ -34,68 +34,47 @@ PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# A token is (kind, text, pos): pos is the offset of its first character.
+Token = tuple[str, str, int]
+
+# One alternative per lexeme class, punctuation longest first so that `(x)`
+# is one token.  A name starts with a letter: `[^\W\d_]` also admits the
+# non-decimal numerals (`²`, `½`), which tokenize rejects.
+LEXEME = re.compile("|".join((
+    r"(?P<SKIP>\s+|#[^\n]*)",
+    "(?P<PUNCT>" + "|".join(map(re.escape, sorted(PUNCT, key=len, reverse=True)))
+    + ")",
+    r"(?P<IDENT>[^\W\d_][\w']*)",
+    r"(?P<DECIMAL>[0-9]+\.)",
+    r"(?P<INT>[0-9]+)",
+    r"(?P<BAD>.)")), re.S)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text, ending in one EOF token."""
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for m in LEXEME.finditer(text):
+        kind, lexeme, pos = m.lastgroup, m.group(), m.start()
+        if kind == "SKIP":
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        for lexeme in ("->", "(x)", "(+)"):
-            if text.startswith(lexeme, i):
-                tokens.append(Token(PUNCT[lexeme], lexeme, start_line, start_col))
-                i += len(lexeme)
-                col += len(lexeme)
-                break
-        else:
-            if ch in PUNCT:
-                tokens.append(Token(PUNCT[ch], ch, start_line, start_col))
-                i += 1
-                col += 1
-            elif ch in "0123456789":
-                j = i
-                while j < n and text[j] in "0123456789":
-                    j += 1
-                if j < n and text[j] == ".":
-                    raise ParseError("decimal literals are not supported; "
-                                     "write an exact rational like 1/2",
-                                     start_line, start_col)
-                tokens.append(Token("INT", text[i:j], start_line, start_col))
-                col += j - i
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_'"):
-                    j += 1
-                tokens.append(Token("IDENT", text[i:j], start_line, start_col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}",
-                                 start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+        if kind == "PUNCT":
+            kind = PUNCT[lexeme]
+        elif kind == "DECIMAL":
+            raise parse_error(text, pos, "decimal literals are not supported; "
+                                         "write an exact rational like 1/2")
+        elif kind == "BAD" or (kind == "IDENT" and not lexeme[0].isalpha()):
+            raise parse_error(text, pos, f"unexpected character {lexeme[0]!r}")
+        tokens.append((kind, lexeme, pos))
+    tokens.append(("EOF", "", len(text)))
     return tokens
+
+
+def parse_error(text: str, pos: int, message: str,
+                expected: set[str] | None = None) -> ParseError:
+    """A ParseError at offset pos of text.  Lines and columns count from 1;
+    only a newline ends a line, and every other character is one column."""
+    return ParseError(message, text.count("\n", 0, pos) + 1,
+                      pos - text.rfind("\n", 0, pos), expected)
 
 
 def ascii_int(text: str) -> int | None:
@@ -161,6 +140,7 @@ RESERVED = TAPE_ATOM_KEYWORDS | set(CIRCUIT_SPELLINGS) | {
 
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.module = SourceModule()
@@ -173,17 +153,19 @@ class Parser:
     # -- token plumbing --------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The token `ahead` places past the cursor, unclamped: the cursor
+        stops at EOF, and the parser looks ahead only from other tokens."""
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == kind and (text is None or tok.text == text)
+        tok = self.tokens[self.pos + ahead]
+        return tok[0] == kind and (text is None or tok[1] == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         if self.at(kind, text):
@@ -191,41 +173,38 @@ class Parser:
         return None
 
     def expect(self, kind: str, expected: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.kind} {tok.text!r}",
-                             tok.line, tok.col, {expected or kind})
+        found, text, _ = self.peek()
+        if found != kind:
+            self.fail(f"unexpected {found} {text!r}", {expected or kind})
         return self.next()
 
-    def fail(self, message: str, expected: set[str] | None = None):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected or set())
+    def fail(self, message: str, expected: set[str] | None = None,
+             tok: Token | None = None):
+        """Raise a ParseError at tok, by default at the next token."""
+        raise parse_error(self.text, (tok or self.peek())[2], message,
+                          expected)
 
     # -- names and small pieces -------------------------------------------
 
     def fresh_name(self, kind: str, taken: set[str]) -> str:
         tok = self.expect("IDENT", "a name")
-        if tok.text in RESERVED:
-            raise ParseError(f"{tok.text!r} is a reserved word",
-                             tok.line, tok.col)
-        if tok.text in taken:
-            raise ParseError(f"duplicate {kind} name {tok.text}",
-                             tok.line, tok.col)
-        return tok.text
+        name = tok[1]
+        if name in RESERVED:
+            self.fail(f"{name!r} is a reserved word", tok=tok)
+        if name in taken:
+            self.fail(f"duplicate {kind} name {name}", tok=tok)
+        return name
 
     def expect_word(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col,
-                             {word})
+        if not self.at("IDENT", word):
+            self.fail(f"unexpected {self.peek()[1]!r}", {word})
         return self.next()
 
     def integer(self, what: str) -> int:
         tok = self.expect("INT", what)
-        value = ascii_int(tok.text)
+        value = ascii_int(tok[1])
         if value is None:
-            raise ParseError(f"numeral of {len(tok.text)} digits is too long",
-                             tok.line, tok.col)
+            self.fail(f"numeral of {len(tok[1])} digits is too long", tok=tok)
         return value
 
     def rational(self) -> Fraction:
@@ -235,26 +214,26 @@ class Parser:
         tok = self.peek()
         den = self.integer("a denominator")
         if den == 0:
-            raise ParseError("zero denominator", tok.line, tok.col)
+            self.fail("zero denominator", tok=tok)
         return Fraction(num, den)
 
     def monomial_token(self, tok: Token) -> Monomial:
-        if tok.kind == "INT" and tok.text == "1":
+        kind, text, _ = tok
+        if kind == "INT" and text == "1":
             return ONE
-        if tok.kind != "IDENT":
-            raise ParseError(f"expected a monomial, found {tok.text!r}",
-                             tok.line, tok.col, {"monomial"})
-        parts = split_sorts(tok.text, self.sorts)
+        if kind != "IDENT":
+            self.fail(f"expected a monomial, found {text!r}", {"monomial"}, tok)
+        parts = split_sorts(text, self.sorts)
         if parts is None:
-            raise ParseError(
-                f"cannot read {tok.text!r} as a word of declared sorts",
-                tok.line, tok.col)
+            self.fail(f"cannot read {text!r} as a word of declared sorts",
+                      tok=tok)
         return Monomial(tuple(parts))
 
     def splittable(self, tok: Token) -> bool:
-        if tok.kind == "INT" and tok.text == "1":
+        kind, text, _ = tok
+        if kind == "INT" and text == "1":
             return True
-        return tok.kind == "IDENT" and split_sorts(tok.text, self.sorts) is not None
+        return kind == "IDENT" and split_sorts(text, self.sorts) is not None
 
     def monomial(self) -> Monomial:
         m = self.monomial_token(self.next())
@@ -282,17 +261,17 @@ class Parser:
 
     def parse_module(self) -> SourceModule:
         while not self.at("EOF"):
-            tok = self.peek()
-            if tok.kind != "IDENT":
-                self.fail(f"expected a declaration, found {tok.text!r}",
+            kind, text, _ = self.peek()
+            if kind != "IDENT":
+                self.fail(f"expected a declaration, found {text!r}",
                           {"sort", "gen", "theory", "interp", "def", "check"})
             handler = {
                 "sort": self.sort_decl, "gen": self.gen_decl,
                 "theory": self.theory_decl, "interp": self.interp_decl,
                 "def": self.def_decl, "check": self.check_decl,
-            }.get(tok.text)
+            }.get(text)
             if handler is None:
-                self.fail(f"unknown declaration {tok.text!r}",
+                self.fail(f"unknown declaration {text!r}",
                           {"sort", "gen", "theory", "interp", "def", "check"})
             handler()
         return self.module
@@ -338,12 +317,12 @@ class Parser:
         carriers, matrices, model = [], [], None
         while not self.at("RBRACE"):
             key = self.expect("IDENT", "an interpretation item")
+            item = key[1]
             self.expect("EQUALS", "'='")
-            if key.text == "model":
-                model = self.expect("IDENT", "a theory name").text
+            if item == "model":
+                model = self.expect("IDENT", "a theory name")[1]
                 if model not in self.theory_names:
-                    raise ParseError(f"theory {model} is not declared",
-                                     key.line, key.col)
+                    self.fail(f"theory {model} is not declared", tok=key)
             elif self.at("LBRACE"):
                 self.next()
                 labels = []
@@ -352,16 +331,14 @@ class Parser:
                     while self.accept("COMMA"):
                         labels.append(self.label())
                 self.expect("RBRACE", "'}'")
-                if key.text not in self.sorts:
-                    raise ParseError(f"sort {key.text} is not declared",
-                                     key.line, key.col)
-                carriers.append((key.text, tuple(labels)))
+                if item not in self.sorts:
+                    self.fail(f"sort {item} is not declared", tok=key)
+                carriers.append((item, tuple(labels)))
             elif self.at("LBRACK"):
                 rows = self.matrix_literal()
-                if key.text not in self.gen_names:
-                    raise ParseError(f"generator {key.text} is not declared",
-                                     key.line, key.col)
-                matrices.append((key.text, rows))
+                if item not in self.gen_names:
+                    self.fail(f"generator {item} is not declared", tok=key)
+                matrices.append((item, rows))
             else:
                 self.fail("expected '{', '[' or a theory name")
             self.expect("SEMI", "';'")
@@ -373,9 +350,8 @@ class Parser:
                                             tuple(matrices), model))
 
     def label(self) -> str:
-        tok = self.peek()
-        if tok.kind in ("IDENT", "INT"):
-            return self.next().text
+        if self.peek()[0] in ("IDENT", "INT"):
+            return self.next()[1]
         self.fail("expected a carrier label", {"identifier", "number"})
 
     def matrix_literal(self):
@@ -406,11 +382,11 @@ class Parser:
 
     def check_decl(self):
         self.next()
-        left = self.expect("IDENT", "a definition name").text
+        left = self.expect("IDENT", "a definition name")[1]
         self.expect("EQUALS", "'='")
-        right = self.expect("IDENT", "a definition name").text
+        right = self.expect("IDENT", "a definition name")[1]
         self.expect_word("with")
-        interp = self.expect("IDENT", "an interpretation name").text
+        interp = self.expect("IDENT", "an interpretation name")[1]
         self.expect("SEMI", "';'")
         for ref in (left, right):
             if ref not in self.def_names:
@@ -434,7 +410,7 @@ class Parser:
                 pending.append(OPEN)
             operands.append(atom())
             while True:
-                op = ops.get(self.peek().kind)
+                op = ops.get(self.peek()[0])
                 if op is not None and op[0] is SSeq and not self.starts_tape_atom(1):
                     op = None
                 level = -1 if op is None else op[1]
@@ -457,7 +433,7 @@ class Parser:
         spell, or None.  `sym +` commits once both tokens are read and then
         expects '@'; any other atom that takes arguments is one only with
         '@' right after its name."""
-        text = self.peek().text
+        text = self.peek()[1]
         glued = self.at("PLUS", ahead=1) and text + "+" in spellings
         key, n = spellings.get(text + "+" if glued else text, (None, 0))
         if not glued and (key is None or (n and not self.at("AT", ahead=1))):
@@ -472,25 +448,24 @@ class Parser:
         return key, tuple(args)
 
     def starts_tape_atom(self, ahead: int) -> bool:
-        tok = self.peek(ahead)
-        if tok.kind in ("LPAREN", "LBRACK"):
+        kind, text, _ = self.peek(ahead)
+        if kind in ("LPAREN", "LBRACK"):
             return True
-        return tok.kind == "IDENT" and (
-            tok.text in TAPE_ATOM_KEYWORDS or tok.text in self.def_names)
+        return kind == "IDENT" and (
+            text in TAPE_ATOM_KEYWORDS or text in self.def_names)
 
     def tape_atom(self) -> SExpr:
         if self.accept("LBRACK"):
             c = self.infix(CIRCUIT_OPS, self.circuit_atom)
             self.expect("RBRACK", "']'")
             return SCircuit(c)
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.fail(f"expected a tape expression, found {tok.text!r}",
+        kind, text, _ = self.peek()
+        if kind != "IDENT":
+            self.fail(f"expected a tape expression, found {text!r}",
                       {"atom", "'('", "'['"})
         atom = self.table_atom(TAPE_SPELLINGS, self.poly_arg)
         if atom is not None:
             return SAtom(*atom)
-        text = tok.text
         if text == "op" and self.at("LT", ahead=1):
             self.next()
             self.next()
@@ -533,15 +508,15 @@ class Parser:
         return CM_PLUS
 
     def sigma_atom(self) -> SigmaTerm:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "star":
+        kind, text, _ = self.peek()
+        if kind == "IDENT" and text == "star":
             self.next()
             return App(STAR, ())
-        if tok.kind == "INT" and tok.text == "0":
+        if kind == "INT" and text == "0":
             self.next()
             return App(CM_ZERO, ())
-        index = ascii_int(tok.text[1:]) if tok.text.startswith("x") else None
-        if tok.kind == "IDENT" and index is not None:
+        index = ascii_int(text[1:]) if text.startswith("x") else None
+        if kind == "IDENT" and index is not None:
             self.next()
             return Var(index)
         self.fail("expected a term", {"x<i>", "star", "0", "'('"})
@@ -549,15 +524,14 @@ class Parser:
     # -- circuit expressions -----------------------------------------------------
 
     def circuit_atom(self) -> CExpr:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.fail(f"expected a circuit expression, found {tok.text!r}",
+        kind, text, _ = self.peek()
+        if kind != "IDENT":
+            self.fail(f"expected a circuit expression, found {text!r}",
                       {"generator", "id<mono>", *CIRCUIT_SPELLINGS, "'('"})
         atom = self.table_atom(CIRCUIT_SPELLINGS, self.monomial)
         if atom is not None:
             cls, args = atom
             return cls(*args)
-        text = tok.text
         if text in self.gen_names:
             self.next()
             return CAtomGen(text)
@@ -596,19 +570,19 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
 
     def atom() -> ObjTerm:
         tok = parser.peek()
-        if tok.kind == "INT" and tok.text == "1":
+        kind, text, _ = tok
+        if kind == "INT" and text == "1":
             parser.next()
             return UnitOne()
-        if tok.kind == "INT" and tok.text == "0":
+        if kind == "INT" and text == "0":
             parser.next()
             return ZeroObj()
-        if tok.kind == "IDENT":
+        if kind == "IDENT":
             parser.next()
-            names = list(tok.text) if auto else split_sorts(tok.text, parser.sorts)
+            names = list(text) if auto else split_sorts(text, parser.sorts)
             if names is None:
-                raise ParseError(
-                    f"cannot read {tok.text!r} as a word of declared sorts",
-                    tok.line, tok.col)
+                parser.fail(f"cannot read {text!r} as a word of declared sorts",
+                            tok=tok)
             for name in names:
                 if name not in found:
                     found.append(name)

@@ -127,6 +127,25 @@ def test_cli_parse_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, body, op", [
+    ("d", "term<x1 + x2>@A", "+"),     # the monoid's +, not PCA's +_p
+    ("e", "op<0>@A", "0"),
+    ("s", "op<star>@A (+) term<x1 +_1/3 x2>@A", None),
+])
+def test_cli_check_rejects_operations_no_declared_theory_weighs(
+        tmp_path, capsys, name, body, op):
+    path = tmp_path / "ops.tape"
+    path.write_text(f"sort A;\ntheory PCA with p = 1/2;\ndef {name} = {body};\n")
+    code = main(["check", str(path)])
+    out = capsys.readouterr()
+    if op is None:
+        assert (code, out.err) == (0, "")
+    else:
+        assert code == 3
+        assert out.err == (f"error: definition {name}: operation {op} has no "
+                           "weights in any declared theory\n")
+
+
 def test_cli_render_deterministic(tmp_path):
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"
