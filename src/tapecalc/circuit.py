@@ -136,7 +136,7 @@ def circuit_node_type(c: CircuitTerm, sig: MonSignature,
 def type_of_circuit(c: CircuitTerm, sig: MonSignature) -> tuple[Monomial, Monomial]:
     """(dom, cod) of c, each distinct subterm typed once, without recursion."""
     types: dict = {}
-    for node in postorder(c, CIRCUIT_KIDS)[0]:
+    for node in postorder((c,), CIRCUIT_KIDS)[0]:
         types[node] = circuit_node_type(node, sig, types)
     return types[c]
 

@@ -11,13 +11,12 @@ import argparse
 import sys
 
 from ..errors import TapecalcError, TypeCheckError, UnknownOperationError
-from ..hashcons import postorder
 from ..interp import eval_tape
 from ..kleisli import exact_str, model_for
 from ..objects import normalize
 from ..suites import (SuiteBounds, axiom_suite, coherence_suite, lemma_suite,
                       sem_eq)
-from ..tape import TERM_KIDS, TOpInj, type_of_tape
+from ..tape import TOpInj, typed_postorder
 from .parser import ascii_int, parse_module, parse_object_expr
 from .render import render_svg
 from .surface import TheoryDecl, elaborate
@@ -120,10 +119,11 @@ def weighs(model, op) -> bool:
     return True
 
 
-def check_weights(tape, models) -> None:
-    """Raise UnknownOperationError for an operation of tape that no model
-    weighs, as evaluating tape under any declared theory would."""
-    for node in postorder(tape, TERM_KIDS)[0]:
+def check_weights(nodes, models) -> None:
+    """Raise UnknownOperationError for an operation among a tape's nodes
+    that no model weighs, as evaluating the tape under any declared theory
+    would."""
+    for node in nodes:
         if isinstance(node, TOpInj) and not any(weighs(m, node.op)
                                                 for m in models):
             raise UnknownOperationError(f"operation {node.op} has no "
@@ -138,8 +138,7 @@ def cmd_check(args) -> int:
     for name, body in module.defs.items():
         try:
             tape = elaborate(body, module, sig)
-            type_of_tape(tape, sig)
-            check_weights(tape, models)
+            check_weights(typed_postorder((tape,), sig)[0], models)
         except (TypeCheckError, UnknownOperationError) as exc:
             sys.stderr.write(f"error: definition {name}: {exc}\n")
             return EXIT_BAD_INPUT
@@ -171,8 +170,8 @@ def cmd_eval(args) -> int:
     module = load_module(args.file)
     interp = module.interpretation(args.interp)
     tape = elaborate(definition(module, args.term), module, interp.sig)
-    type_of_tape(tape, interp.sig)
-    sys.stdout.write(eval_tape(tape, interp).pretty() + "\n")
+    order, uses, _ = typed_postorder((tape,), interp.sig)
+    sys.stdout.write(eval_tape(tape, interp, (order, uses)).pretty() + "\n")
     return EXIT_OK
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 from ..circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq,
                        CSym, CTensor, CircuitTerm, MonSignature)
 from ..errors import TypeCheckError
-from ..hashcons import postorder
 from ..objects import Monomial
-from ..tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
-                    TOpInj, TSeq, TSum, TSymPlus, TapeTerm, node_type)
+from ..tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSeq,
+                    TSum, TSymPlus, TapeTerm, typed_postorder)
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -109,11 +108,9 @@ class _Memo:
     takes, which does not depend on where it is drawn."""
 
     def __init__(self, t: TapeTerm, sig: MonSignature):
-        if not isinstance(t, TapeTerm):
-            raise TypeCheckError(f"not a tape term: {t!r}")
-        self.types, self.sizes, self.heights = {}, {}, {}
-        for node in postorder(t, TERM_KIDS)[0]:
-            self.types[node] = node_type(node, sig, self.types)
+        order, _, self.types = typed_postorder((t,), sig)
+        self.sizes, self.heights = {}, {}
+        for node in order:
             self.sizes[node] = self._size(node)
             self.heights[node] = self._height(node)
 

@@ -67,12 +67,13 @@ term_node = dataclass(frozen=True, eq=False, init=False)
 """Class decorator of the hash-consed term nodes."""
 
 
-def postorder(root, kids: Mapping[type, Callable]) -> tuple[list, dict]:
-    """The distinct subterms of root, each after its own, and how often
-    each is used: once per parent edge, and the root once.  ``kids`` maps
-    each inner node class to a function returning the node's children as a
-    tuple; other nodes are leaves."""
-    order, uses, stack = [], {}, [root]
+def postorder(roots, kids: Mapping[type, Callable]) -> tuple[list, dict]:
+    """The distinct subterms of the roots, each after its own, and how
+    often each is used: once per parent edge, and once per root.  The
+    first root's subterms come first, then the second root's new ones, and
+    so on.  ``kids`` maps each inner node class to a function returning
+    the node's children as a tuple; other nodes are leaves."""
+    order, uses, stack = [], {}, list(reversed(roots))
     done = object()     # stack marker: the node under it has its children done
     while stack:
         node = stack.pop()
@@ -93,7 +94,7 @@ def postorder(root, kids: Mapping[type, Callable]) -> tuple[list, dict]:
 def fold(root, kids: Mapping[type, Callable], step: Callable):
     """The value of root, where a node's value is ``step(node, values of
     its children)``; each is computed once and dropped after its last use."""
-    order, uses = postorder(root, kids)
+    order, uses = postorder((root,), kids)
     values: dict = {}
     for node in order:
         get = kids.get(node.__class__)

@@ -117,13 +117,20 @@ def prod_index(p: Polynomial, q: Polynomial, interp: Interpretation):
     return index
 
 
-def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation) -> Matrix:
-    """The matrix of a tape or circuit.
+def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
+              walk: tuple[list, dict] | None = None) -> Matrix:
+    """The matrix of a tape or circuit; ``walk`` is its ``postorder`` walk,
+    if the caller has made it already."""
+    order, uses = walk or postorder((t,), TERM_KIDS)
+    return eval_nodes(order, uses, interp)[t]
 
-    One post-order walk over the distinct subterms, without recursion: each
-    is evaluated once, and its matrix is dropped after its last use.
+
+def eval_nodes(order: list, uses: dict, interp: Interpretation) -> dict:
+    """The matrices of the roots of a ``postorder`` walk (``order`` and
+    ``uses``), keyed by root.  One loop over the distinct subterms, without
+    recursion: each is evaluated once, and its matrix is dropped after its
+    last use, so only the roots' matrices are left.
     """
-    order, uses = postorder(t, TERM_KIDS)
     values: dict = {}
     for node in order:
         cls = node.__class__
@@ -177,7 +184,7 @@ def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation) -> Matrix:
             if not uses[k]:
                 del values[k]
         values[node] = m
-    return values[t]
+    return values
 
 
 eval_circuit = eval_tape    # one walker for both layers

@@ -23,14 +23,15 @@ from .circuit import (CGen, CIdOne, CircuitTerm, CTensor, MonSignature,
                       copier_circuit, cseq, ctensor, discharger_circuit,
                       identity_circuit, sym_circuit)
 from .errors import TypeCheckError
-from .interp import Interpretation, carrier_of, eval_tape, prod_index
+from .interp import (Interpretation, carrier_of, eval_nodes, eval_tape,
+                     prod_index)
 from .kleisli import Matrix, TheoryModel, exact_str, model_for
 from .objects import Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono
 from .tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSum,
                    TSymPlus, TapeTerm, cobang_tape, codiag_tape, copier_tape,
                    discharger_tape, distributor, dl_nary, id_tape,
                    nfold_codiag, op_inj_tape, symplus_tape, symtensor_tape,
-                   tensor_tape, term_tape, tseq, tsum, type_of_tape,
+                   tensor_tape, term_tape, tseq, tsum, typed_postorder,
                    whisker_left, whisker_right)
 from .theory import App, OpSymbol, SigmaTerm, Var, builtin_theory
 
@@ -106,18 +107,24 @@ def first_difference(m1: Matrix, m2: Matrix):
 
 
 def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation) -> SemEqResult:
-    """Decide equality of two tapes under an interpretation, exactly."""
+    """Decide equality of two tapes under an interpretation, exactly.
+
+    One walk over the distinct subterms of both sides: every node is
+    typed before any is evaluated, so a type error wins over a model
+    error, and t1's error over t2's.  A shared subterm is typed and
+    evaluated once."""
     try:
-        dom1, cod1 = type_of_tape(t1, interp.sig)
-        dom2, cod2 = type_of_tape(t2, interp.sig)
+        order, uses, types = typed_postorder((t1, t2), interp.sig)
     except TypeCheckError as exc:
         return SemEqResult("type-error", message=str(exc))
+    (dom1, cod1), (dom2, cod2) = types[t1], types[t2]
     if dom1 != dom2 or cod1 != cod2:
         return SemEqResult(
             "type-error",
             message=f"type mismatch: {dom1} -> {cod1} vs {dom2} -> {cod2}")
-    m1, m2 = eval_tape(t1, interp), eval_tape(t2, interp)
-    diff = first_difference(m1, m2)
+    del types       # not needed while the matrices are built
+    values = eval_nodes(order, uses, interp)
+    diff = first_difference(values[t1], values[t2])
     if diff is None:
         return SemEqResult("equal")
     return SemEqResult("unequal", witness=diff)

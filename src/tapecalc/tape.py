@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence, Union
+from weakref import WeakValueDictionary
 
 from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
@@ -126,14 +127,25 @@ def node_type(node: Term, sig: MonSignature, types: Mapping) -> tuple:
     return dom, cod
 
 
+def typed_postorder(roots: Sequence[TapeTerm], sig: MonSignature
+                    ) -> tuple[list, dict, dict]:
+    """``postorder`` of the roots, and the type of each of its nodes.  The
+    roots are typed in turn, so an error of the first is raised first."""
+    order, uses = postorder(roots, TERM_KIDS)
+    types: dict = {}
+    nodes = iter(order)
+    for t in roots:
+        if not isinstance(t, TapeTerm):
+            raise TypeCheckError(f"not a tape term: {t!r}")
+        while t not in types:
+            node = next(nodes)
+            types[node] = node_type(node, sig, types)
+    return order, uses, types
+
+
 def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial]:
     """(dom, cod) of t, each distinct subterm typed once."""
-    if not isinstance(t, TapeTerm):
-        raise TypeCheckError(f"not a tape term: {t!r}")
-    types: dict = {}
-    for node in postorder(t, TERM_KIDS)[0]:
-        types[node] = node_type(node, sig, types)
-    return types[t]
+    return typed_postorder((t,), sig)[2][t]
 
 
 # --- composition helpers ------------------------------------------------------
@@ -161,46 +173,91 @@ def as_poly(x: Union[Polynomial, Monomial]) -> Polynomial:
 
 
 # --- structural tapes over polynomials ----------------------------------------
+#
+# The structural tapes are defined by recursion on the first monomial of a
+# polynomial.  Each is computed by a loop instead (``_right_fold``), and
+# every tape built is kept in ``_BUILT`` while it lives, so a builder
+# called again on the same arguments returns the same node at once.
+
+_BUILT: WeakValueDictionary = WeakValueDictionary()
+"""(builder name or node class, arguments) -> the tape built, for as long
+as it lives.  A polynomial argument is keyed by its ``_words``."""
+
+
+def _words(p: Polynomial) -> tuple:
+    """p's monomials as tuples of sort names: a key hashed without a
+    Python call per monomial."""
+    return tuple([u.sorts for u in p.monomials])
+
+
+def _right_fold(name: str, p: Polynomial, args: tuple,
+                base: Callable[[], TapeTerm],
+                step: Callable[[Monomial, Polynomial, TapeTerm], TapeTerm]
+                ) -> TapeTerm:
+    """The tape of the builder ``name`` at p, where its tape is base() at
+    0 and step(u, rest, tape at rest) at u (+) rest.  Starts from the
+    longest suffix of p whose tape is in ``_BUILT`` and keeps the tape of
+    every longer suffix there."""
+    monos, words, pending = p.monomials, _words(p), []
+    for i in range(len(monos) + 1):
+        key = (name, words[i:], *args)
+        t = _BUILT.get(key)
+        if t is not None:
+            break
+        pending.append((i, key))
+    else:
+        t = _BUILT[pending.pop()[1]] = base()
+    for i, key in reversed(pending):
+        t = _BUILT[key] = step(monos[i], Polynomial(monos[i + 1:]), t)
+    return t
+
+
+def _monowise(cls: type, p: Union[Polynomial, Monomial]) -> TapeTerm:
+    """The sum of cls(u) over the monomials u of p."""
+    p = as_poly(p)
+    key = (cls, _words(p))
+    t = _BUILT.get(key)
+    if t is None:
+        t = _BUILT[key] = tsum(*(cls(u) for u in p))
+    return t
+
 
 def id_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
-    p = as_poly(p)
-    return tsum(*(TIdMon(u) for u in p))
+    return _monowise(TIdMon, p)
 
 
 def cobang_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
-    p = as_poly(p)
-    return tsum(*(TCobang(u) for u in p))
+    return _monowise(TCobang, p)
+
+
+def _mono_vs_poly(u: Monomial, q: Polynomial) -> TapeTerm:
+    """sigma+_{U,Q} : U (+) Q -> Q (+) U, one monomial of Q at a time."""
+    return _right_fold(
+        "mono_vs_poly", q, (u.sorts,), lambda: TIdMon(u),
+        lambda w, q_rest, t: tseq(tsum(TSymPlus(u, w), id_tape(q_rest)),
+                                  tsum(TIdMon(w), t)))
 
 
 def symplus_tape(p: Union[Polynomial, Monomial],
                  q: Union[Polynomial, Monomial]) -> TapeTerm:
     """sigma+_{P,Q} : P (+) Q -> Q (+) P."""
     p, q = as_poly(p), as_poly(q)
-
-    def mono_vs_poly(u: Monomial, q: Polynomial) -> TapeTerm:
-        if q.is_zero:
-            return TIdMon(u)
-        w, q_rest = q.monomials[0], Polynomial(q.monomials[1:])
-        return tseq(tsum(TSymPlus(u, w), id_tape(q_rest)),
-                    tsum(TIdMon(w), mono_vs_poly(u, q_rest)))
-
-    if p.is_zero:
-        return id_tape(q)
     if q.is_zero:
         return id_tape(p)
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
-    return tseq(tsum(TIdMon(u), symplus_tape(p_rest, q)),
-                tsum(mono_vs_poly(u, q), id_tape(p_rest)))
+    return _right_fold(
+        "symplus", p, (_words(q),), lambda: id_tape(q),
+        lambda u, p_rest, t: tseq(tsum(TIdMon(u), t),
+                                  tsum(_mono_vs_poly(u, q), id_tape(p_rest))))
 
 
 def codiag_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
     """codiag_P : P (+) P -> P."""
-    p = as_poly(p)
-    if p.is_zero:
-        return TIdZero()
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
-    shuffle = tsum(TIdMon(u), symplus_tape(p_rest, poly_of_mono(u)), id_tape(p_rest))
-    return tseq(shuffle, tsum(TCodiag(u), codiag_tape(p_rest)))
+    def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
+        shuffle = tsum(TIdMon(u), symplus_tape(p_rest, poly_of_mono(u)),
+                       id_tape(p_rest))
+        return tseq(shuffle, tsum(TCodiag(u), t))
+
+    return _right_fold("codiag", as_poly(p), (), TIdZero, step)
 
 
 def distributor(p: Union[Polynomial, Monomial],
@@ -212,16 +269,18 @@ def distributor(p: Union[Polynomial, Monomial],
     Both directions are composites of block permutations; the inverse is
     the mirrored composite with each sum symmetry flipped.
     """
-    p, q, r = as_poly(p), as_poly(q), as_poly(r)
-    if p.is_zero:
-        return TIdZero()
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
-    u_poly = poly_of_mono(u)
-    head = tsum(id_tape(u_poly * (q + r)), distributor(p_rest, q, r, inverse))
-    swap = (symplus_tape(p_rest * q, u_poly * r) if inverse
-            else symplus_tape(u_poly * r, p_rest * q))
-    shuffle = tsum(id_tape(u_poly * q), swap, id_tape(p_rest * r))
-    return tseq(shuffle, head) if inverse else tseq(head, shuffle)
+    q, r = as_poly(q), as_poly(r)
+
+    def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
+        u_poly = poly_of_mono(u)
+        head = tsum(id_tape(u_poly * (q + r)), t)
+        swap = (symplus_tape(p_rest * q, u_poly * r) if inverse
+                else symplus_tape(u_poly * r, p_rest * q))
+        shuffle = tsum(id_tape(u_poly * q), swap, id_tape(p_rest * r))
+        return tseq(shuffle, head) if inverse else tseq(head, shuffle)
+
+    return _right_fold("distributor", as_poly(p),
+                       (_words(q), _words(r), inverse), TIdZero, step)
 
 
 def dl_nary(p: Union[Polynomial, Monomial],
@@ -232,39 +291,38 @@ def dl_nary(p: Union[Polynomial, Monomial],
     qs = [as_poly(q) for q in qs]
     if not qs:
         return TIdZero()
-    if len(qs) == 1:
-        return id_tape(p * qs[0])
-    q_rest = ZERO
-    for q in qs[1:]:
-        q_rest = q_rest + q
-    step = distributor(p, qs[0], q_rest, inverse)
-    rest = tsum(id_tape(p * qs[0]), dl_nary(p, qs[1:], inverse))
-    return tseq(rest, step) if inverse else tseq(step, rest)
+    t = id_tape(p * qs[-1])
+    q_rest = qs[-1]
+    for q in reversed(qs[:-1]):
+        step = distributor(p, q, q_rest, inverse)
+        rest = tsum(id_tape(p * q), t)
+        t = tseq(rest, step) if inverse else tseq(step, rest)
+        q_rest = q + q_rest
+    return t
 
 
 def symtensor_tape(p: Union[Polynomial, Monomial],
                    q: Union[Polynomial, Monomial]) -> TapeTerm:
     """sigma_{P,Q} : P (x) Q -> Q (x) P."""
-    p, q = as_poly(p), as_poly(q)
-    if q.is_zero:
-        return TIdZero()
-    v, q_rest = q.monomials[0], Polynomial(q.monomials[1:])
-    blocks = tsum(*(TCirc(sym_circuit(u, v)) for u in p))
-    return tseq(distributor(p, poly_of_mono(v), q_rest),
-                tsum(blocks, symtensor_tape(p, q_rest)))
+    p = as_poly(p)
+
+    def step(v: Monomial, q_rest: Polynomial, t: TapeTerm) -> TapeTerm:
+        blocks = tsum(*(TCirc(sym_circuit(u, v)) for u in p))
+        return tseq(distributor(p, poly_of_mono(v), q_rest), tsum(blocks, t))
+
+    return _right_fold("symtensor", as_poly(q), (_words(p),), TIdZero, step)
 
 
 def op_inj_tape(op: OpSymbol, p: Union[Polynomial, Monomial]) -> TapeTerm:
     """<f>_P : P -> (+)^n P for arbitrary polynomials."""
-    p = as_poly(p)
-    if p.is_zero:
-        return TIdZero()
-    if len(p) == 1:
-        return TOpInj(op, p.monomials[0])
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
-    n_ones = nfold_sum(poly_of_mono(ONE), op.arity)
-    return tseq(tsum(TOpInj(op, u), op_inj_tape(op, p_rest)),
-                distributor(n_ones, poly_of_mono(u), p_rest, inverse=True))
+    def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
+        if p_rest.is_zero:
+            return TOpInj(op, u)
+        n_ones = nfold_sum(poly_of_mono(ONE), op.arity)
+        return tseq(tsum(TOpInj(op, u), t),
+                    distributor(n_ones, poly_of_mono(u), p_rest, inverse=True))
+
+    return _right_fold("op_inj", as_poly(p), (op,), TIdZero, step)
 
 
 def nfold_codiag(p: Union[Polynomial, Monomial], m: int) -> TapeTerm:
@@ -272,9 +330,15 @@ def nfold_codiag(p: Union[Polynomial, Monomial], m: int) -> TapeTerm:
     p = as_poly(p)
     if m == 0:
         return cobang_tape(p)
-    if m == 1:
-        return id_tape(p)
-    return tseq(tsum(id_tape(p), nfold_codiag(p, m - 1)), codiag_tape(p))
+    key = ("nfold_codiag", _words(p))
+    t, k = None, m      # k: the largest count up to m whose tape is kept
+    while k > 1 and (t := _BUILT.get((*key, k))) is None:
+        k -= 1
+    if t is None:
+        t = id_tape(p)
+    for k in range(k + 1, m + 1):
+        t = _BUILT[(*key, k)] = tseq(tsum(id_tape(p), t), codiag_tape(p))
+    return t
 
 
 def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
@@ -303,7 +367,7 @@ def _whisker_mono(t: TapeTerm, u: Monomial, left: bool) -> TapeTerm:
     """U |> t if left, else t <| U: each distinct node of t rebuilt once."""
     grow = (lambda m: u * m) if left else (lambda m: m * u)
     out: dict = {}
-    for node in postorder(t, TAPE_KIDS)[0]:
+    for node in postorder((t,), TAPE_KIDS)[0]:
         cls = type(node)
         if cls in TAPE_KIDS:
             new = cls(*(out[k] for k in TAPE_KIDS[cls](node)))
@@ -369,26 +433,24 @@ def tensor_tape(t1: TapeTerm, t2: TapeTerm, sig: MonSignature) -> TapeTerm:
 
 def copier_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
     """copier_P : P -> P (x) P via the coherence between sums and copying."""
-    p = as_poly(p)
-    if p.is_zero:
-        return TIdZero()
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
-    top = tsum(TCirc(copier_circuit(u)), cobang_tape(poly_of_mono(u) * p_rest))
-    if p_rest.is_zero:
-        return top
-    bottom = tseq(
-        tsum(cobang_tape(p_rest * poly_of_mono(u)), copier_tape(p_rest)),
-        distributor(p_rest, poly_of_mono(u), p_rest, inverse=True))
-    return tsum(top, bottom)
+    def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
+        u_poly = poly_of_mono(u)
+        top = tsum(TCirc(copier_circuit(u)), cobang_tape(u_poly * p_rest))
+        if p_rest.is_zero:
+            return top
+        bottom = tseq(tsum(cobang_tape(p_rest * u_poly), t),
+                      distributor(p_rest, u_poly, p_rest, inverse=True))
+        return tsum(top, bottom)
+
+    return _right_fold("copier", as_poly(p), (), TIdZero, step)
 
 
 def discharger_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
     """discharger_P : P -> 1."""
-    p = as_poly(p)
-    if p.is_zero:
-        return TCobang(ONE)
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
-    if p_rest.is_zero:
-        return TCirc(discharger_circuit(u))
-    return tseq(tsum(TCirc(discharger_circuit(u)), discharger_tape(p_rest)),
-                TCodiag(ONE))
+    def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
+        if p_rest.is_zero:
+            return TCirc(discharger_circuit(u))
+        return tseq(tsum(TCirc(discharger_circuit(u)), t), TCodiag(ONE))
+
+    return _right_fold("discharger", as_poly(p), (), lambda: TCobang(ONE),
+                       step)

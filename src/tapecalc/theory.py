@@ -76,7 +76,7 @@ class Equation:
 
 def check_term(term: SigmaTerm, context: int) -> None:
     """Raise unless all variables lie in 1..context and arities match."""
-    for t in postorder(term, SIGMA_KIDS)[0]:
+    for t in postorder((term,), SIGMA_KIDS)[0]:
         if not isinstance(t, (Var, App)):
             raise TypeCheckError(f"not a term: {t!r}")
         if isinstance(t, Var) and not 1 <= t.index <= context:
@@ -117,7 +117,7 @@ class AlgebraicTheory:
             check_term(eq.lhs, eq.context)
             check_term(eq.rhs, eq.context)
             for side in (eq.lhs, eq.rhs):
-                for t in postorder(side, SIGMA_KIDS)[0]:
+                for t in postorder((side,), SIGMA_KIDS)[0]:
                     if isinstance(t, App) and t.op not in declared:
                         raise ModelError(f"equation {eq.name} uses "
                                          f"undeclared operation {t.op}")

@@ -13,7 +13,6 @@ import pickle
 import weakref
 from fractions import Fraction
 from random import Random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +26,8 @@ from tapecalc.frontend.render import render_svg
 from tapecalc.interp import Interpretation, eval_circuit, eval_tape
 from tapecalc.kleisli import Matrix, model_for, op_matrix
 from tapecalc.objects import ZERO, mono, nfold_sum, poly, poly_of_mono
-from tapecalc.suites import Freshener, rand_poly, sem_eq, standard_interpretation
+from tapecalc.suites import (Freshener, SemEqResult, rand_poly, sem_eq,
+                             standard_interpretation)
 from tapecalc.tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
                            TSeq, TSum, TSymPlus, distributor, id_tape,
                            tensor_tape, tseq, tsum, type_of_tape, whisker_left,
@@ -228,9 +228,75 @@ def test_sem_eq_verdicts_match_reference(model, seed):
     ]
     interp = fresh.interp()
     verdicts = [sem_eq(a, b, interp) for a, b in pairs]
-    with mock.patch.object(suites, "eval_tape", ref_eval_tape):
-        assert verdicts == [sem_eq(a, b, interp) for a, b in pairs]
+    assert verdicts == [ref_sem_eq(a, b, interp) for a, b in pairs]
     assert verdicts[0].equal and verdicts[1].equal
+
+
+def ref_sem_eq(t1, t2, interp):
+    """sem_eq from the reference typer and evaluator: each side typed,
+    then each side evaluated, one after the other."""
+    try:
+        dom1, cod1 = ref_type_tape(t1, interp.sig)
+        dom2, cod2 = ref_type_tape(t2, interp.sig)
+    except TypeCheckError as exc:
+        return SemEqResult("type-error", message=str(exc))
+    if (dom1, cod1) != (dom2, cod2):
+        return SemEqResult(
+            "type-error",
+            message=f"type mismatch: {dom1} -> {cod1} vs {dom2} -> {cod2}")
+    diff = suites.first_difference(ref_eval_tape(t1, interp),
+                                   ref_eval_tape(t2, interp))
+    if diff is None:
+        return SemEqResult("equal")
+    return SemEqResult("unequal", witness=diff)
+
+
+def one_sort_interpretation(matrices):
+    sig = MonSignature(("A",), {"F": (mono("A"), mono("A"))})
+    return Interpretation(sig, {"A": 2}, matrices,
+                          model_for(builtin_theory("CM")))
+
+
+def test_sem_eq_type_error_wins_over_missing_matrix():
+    """Both sides are typed before either is evaluated: the lhs uses F,
+    which has no matrix, and the rhs is ill-typed."""
+    interp = one_sort_interpretation({})
+    lhs = TCirc(CGen("F"))
+    rhs = TSeq(TCirc(CGen("F")), TIdZero())
+    with pytest.raises(ModelError):
+        eval_tape(lhs, interp)
+    result = sem_eq(lhs, rhs, interp)
+    assert result == SemEqResult(
+        "type-error", message="tape composition mismatch: A vs 0")
+    assert result == ref_sem_eq(lhs, rhs, interp)
+
+
+def test_sem_eq_reports_the_lhs_type_error_first():
+    interp = one_sort_interpretation({"F": Matrix.identity(2)})
+    lhs = TSum(TCirc(CGen("F")), TSeq(TIdMon(mono("A")), TIdZero()))
+    rhs = TSeq(TIdZero(), TCirc(CGen("F")))
+    result = sem_eq(lhs, rhs, interp)
+    assert result.message == "tape composition mismatch: A vs 0"
+    assert sem_eq(rhs, lhs, interp).message == \
+        "tape composition mismatch: 0 vs A"
+    assert result == ref_sem_eq(lhs, rhs, interp)
+
+
+def test_sem_eq_evaluates_a_shared_subterm_once(monkeypatch):
+    """Both sides share F ; F: its product is computed once a call."""
+    interp = one_sort_interpretation(
+        {"F": Matrix.from_rows([[0, 1], [1, 1]])})
+    shared = TSeq(TCirc(CGen("F")), TCirc(CGen("F")))
+    calls = []
+    original = Matrix.then
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "then", counted)
+    result = sem_eq(TSum(shared, TIdZero()), shared, interp)
+    assert result.equal and len(calls) == 1
 
 
 def tape_nodes(t, seen=None):

@@ -271,3 +271,17 @@ def test_print_module_of_5000_step_definition(nesting):
     again = parse_module(text)
     assert again.decls[:-1] == module.decls[:-1]
     assert same_tree(again.decls[-1].body, body)
+
+
+def test_sigma_term_with_variable_index_1000(tmp_path, capsys):
+    """x1000 makes the term's tape range over (+)^1000 A: its codiagonals
+    and sum symmetries range over 1000 monomials, past the recursion
+    limit, and are built by loops in time quadratic in that count."""
+    assert sys.getrecursionlimit() == 1000
+    text = FLIP + "def d = term<x1 +_1/2 x1000>@A;\n"
+    assert run(tmp_path, capsys, text, ["check", "{f}"]) == (0, ("", ""))
+    code, out = run(tmp_path, capsys, text,
+                    ["eval", "{f}", "--term", "d", "--interp", "I"])
+    half = "[1/2, 0], [0, 1/2]"
+    rows = [half] + ["[0, 0], [0, 0]"] * 998 + [half]
+    assert (code, out.out, out.err) == (0, "[" + ", ".join(rows) + "]\n", "")
