@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from .errors import TypeCheckError, UnknownGeneratorError, UnknownSortError
 from .hashcons import Term, postorder, term_node
-from .objects import Monomial, ONE
+from .objects import Monomial
 
 
 @dataclass(frozen=True)
@@ -97,39 +97,39 @@ CIRCUIT_KIDS: dict[type, Callable] = {
 
 
 def circuit_node_type(c: CircuitTerm, sig: MonSignature,
-                      types: Mapping) -> tuple[Monomial, Monomial]:
-    """The type of c, given the types of its children."""
+                      types: Mapping) -> tuple[tuple, tuple]:
+    """The type of c as sort words (``Monomial.sorts``), given the types
+    of its children."""
     cls = c.__class__
     if cls is CGen:
-        return sig.gen_type(c.name)
+        dom, cod = sig.gen_type(c.name)
+        return dom.sorts, cod.sorts
     if cls is CSeq:
         dom1, cod1 = types[c.first]
         dom2, cod2 = types[c.second]
         if cod1 != dom2:
-            raise TypeCheckError(
-                f"circuit composition mismatch: {cod1} vs {dom2}")
+            raise TypeCheckError(f"circuit composition mismatch: "
+                                 f"{Monomial(cod1)} vs {Monomial(dom2)}")
         return dom1, cod2
     if cls is CTensor:
         dom1, cod1 = types[c.top]
         dom2, cod2 = types[c.bottom]
-        return dom1 * dom2, cod1 * cod2
+        return dom1 + dom2, cod1 + cod2
     if cls is CIdSort:
         sig.check_sort(c.sort)
-        m = Monomial((c.sort,))
-        return m, m
+        return (c.sort,), (c.sort,)
     if cls is CIdOne:
-        return ONE, ONE
+        return (), ()
     if cls is CSym:
         sig.check_sort(c.left)
         sig.check_sort(c.right)
-        return Monomial((c.left, c.right)), Monomial((c.right, c.left))
+        return (c.left, c.right), (c.right, c.left)
     if cls is CCopier:
         sig.check_sort(c.sort)
-        m = Monomial((c.sort,))
-        return m, m * m
+        return (c.sort,), (c.sort, c.sort)
     if cls is CDischarger:
         sig.check_sort(c.sort)
-        return Monomial((c.sort,)), ONE
+        return (c.sort,), ()
     raise TypeCheckError(f"not a circuit term: {c!r}")
 
 
@@ -138,7 +138,8 @@ def type_of_circuit(c: CircuitTerm, sig: MonSignature) -> tuple[Monomial, Monomi
     types: dict = {}
     for node in postorder((c,), CIRCUIT_KIDS)[0]:
         types[node] = circuit_node_type(node, sig, types)
-    return types[c]
+    dom, cod = types[c]
+    return Monomial(dom), Monomial(cod)
 
 
 # --- derived structural circuits ----------------------------------------------

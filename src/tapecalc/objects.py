@@ -86,6 +86,11 @@ def poly_of_mono(m: Monomial) -> Polynomial:
     return Polynomial((m,))
 
 
+def poly_of_words(words: tuple) -> Polynomial:
+    """The polynomial whose monomials have the given sort words."""
+    return Polynomial(tuple(map(Monomial, words)))
+
+
 def nfold_sum(p: Polynomial, n: int) -> Polynomial:
     """The n-fold concatenation p (+) ... (+) p."""
     return Polynomial(p.monomials * n)

@@ -26,7 +26,8 @@ from .errors import TypeCheckError
 from .interp import (Interpretation, carrier_of, eval_nodes, eval_tape,
                      prod_index)
 from .kleisli import Matrix, TheoryModel, exact_str, model_for
-from .objects import Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono
+from .objects import (Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono,
+                      poly_of_words)
 from .tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSum,
                    TSymPlus, TapeTerm, cobang_tape, codiag_tape, copier_tape,
                    discharger_tape, distributor, dl_nary, id_tape,
@@ -119,6 +120,7 @@ def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation) -> SemEqResult:
         return SemEqResult("type-error", message=str(exc))
     (dom1, cod1), (dom2, cod2) = types[t1], types[t2]
     if dom1 != dom2 or cod1 != cod2:
+        dom1, cod1, dom2, cod2 = map(poly_of_words, (dom1, cod1, dom2, cod2))
         return SemEqResult(
             "type-error",
             message=f"type mismatch: {dom1} -> {cod1} vs {dom2} -> {cod2}")

@@ -23,7 +23,8 @@ from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       ctensor, identity_circuit, sym_circuit)
 from .errors import TypeCheckError
 from .hashcons import Term, fold, postorder, term_node
-from .objects import Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono
+from .objects import (Monomial, ONE, Polynomial, nfold_sum, poly_of_mono,
+                      poly_of_words)
 from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
 
 
@@ -87,41 +88,44 @@ TERM_KIDS: dict[type, Callable] = {
 
 
 def node_type(node: Term, sig: MonSignature, types: Mapping) -> tuple:
-    """The type of a tape node (polynomials) or circuit node (monomials),
-    given its children's types."""
+    """The type of a tape node or circuit node as sort words, given its
+    children's types: a monomial is a tuple of sort names
+    (``Monomial.sorts``) and a polynomial a tuple of those, so a sum is
+    one tuple concatenation and a composition check one comparison."""
     cls = node.__class__
     if cls is TSeq:
         dom, cod1 = types[node.first]
         dom2, cod = types[node.second]
         if cod1 != dom2:
             raise TypeCheckError(
-                f"tape composition mismatch: {cod1} vs {dom2}")
+                f"tape composition mismatch: {poly_of_words(cod1)} vs "
+                f"{poly_of_words(dom2)}")
     elif cls is TSum:
         dom1, cod1 = types[node.top]
         dom2, cod2 = types[node.bottom]
         dom, cod = dom1 + dom2, cod1 + cod2
     elif cls is TCirc:
         dom, cod = types[node.circuit]
-        dom, cod = poly_of_mono(dom), poly_of_mono(cod)
+        dom, cod = (dom,), (cod,)
     elif cls is TIdMon:
-        for s in node.mono:
+        for s in node.mono.sorts:
             sig.check_sort(s)
-        dom = cod = poly_of_mono(node.mono)
+        dom = cod = (node.mono.sorts,)
     elif isinstance(node, CircuitTerm):
         dom, cod = circuit_node_type(node, sig, types)
     elif cls is TSymPlus:
-        p, q = poly_of_mono(node.left), poly_of_mono(node.right)
-        dom, cod = p + q, q + p
+        u, v = node.left.sorts, node.right.sorts
+        dom, cod = (u, v), (v, u)
     elif cls is TCodiag:
-        cod = poly_of_mono(node.mono)
+        cod = (node.mono.sorts,)
         dom = cod + cod
     elif cls is TCobang:
-        dom, cod = ZERO, poly_of_mono(node.mono)
+        dom, cod = (), (node.mono.sorts,)
     elif cls is TOpInj:
-        dom = poly_of_mono(node.mono)
-        cod = nfold_sum(dom, node.op.arity)
+        dom = (node.mono.sorts,)
+        cod = dom * node.op.arity
     elif cls is TIdZero:
-        dom = cod = ZERO
+        dom = cod = ()
     else:
         raise TypeCheckError(f"not a tape term: {node!r}")
     return dom, cod
@@ -129,8 +133,9 @@ def node_type(node: Term, sig: MonSignature, types: Mapping) -> tuple:
 
 def typed_postorder(roots: Sequence[TapeTerm], sig: MonSignature
                     ) -> tuple[list, dict, dict]:
-    """``postorder`` of the roots, and the type of each of its nodes.  The
-    roots are typed in turn, so an error of the first is raised first."""
+    """``postorder`` of the roots, and the type of each of its nodes as
+    sort words (see ``node_type``).  The roots are typed in turn, so an
+    error of the first is raised first."""
     order, uses = postorder(roots, TERM_KIDS)
     types: dict = {}
     nodes = iter(order)
@@ -145,7 +150,8 @@ def typed_postorder(roots: Sequence[TapeTerm], sig: MonSignature
 
 def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial]:
     """(dom, cod) of t, each distinct subterm typed once."""
-    return typed_postorder((t,), sig)[2][t]
+    dom, cod = typed_postorder((t,), sig)[2][t]
+    return poly_of_words(dom), poly_of_words(cod)
 
 
 # --- composition helpers ------------------------------------------------------
@@ -213,12 +219,18 @@ def _right_fold(name: str, p: Polynomial, args: tuple,
 
 
 def _monowise(cls: type, p: Union[Polynomial, Monomial]) -> TapeTerm:
-    """The sum of cls(u) over the monomials u of p."""
+    """The sum of cls(u) over the monomials u of p.  Starts from the
+    longest prefix of p whose tape is in ``_BUILT`` and adds one monomial
+    at a time, keeping the tape of every longer prefix there."""
     p = as_poly(p)
-    key = (cls, _words(p))
-    t = _BUILT.get(key)
-    if t is None:
-        t = _BUILT[key] = tsum(*(cls(u) for u in p))
+    monos, words = p.monomials, _words(p)
+    i = len(monos)
+    while i and (t := _BUILT.get((cls, words[:i]))) is None:
+        i -= 1
+    if not i:
+        t = TIdZero()
+    for j in range(i, len(monos)):
+        t = _BUILT[(cls, words[:j + 1])] = tsum(t, cls(monos[j]))
     return t
 
 

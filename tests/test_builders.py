@@ -249,3 +249,22 @@ def test_memo_keeps_nothing_alive():
     gc.collect()
     assert ref() is None
     assert key not in tape._BUILT.data
+
+
+def test_repeated_monomial_builds_in_linear_constructions(monkeypatch):
+    """id_tape extends the longest prefix it has built already, so the
+    codiagonal of n copies of one monomial, which needs the identity of
+    every shorter run of copies, constructs O(n) nodes, not n^2/2."""
+    constructed = []
+    new = tape.Term.__new__
+
+    def counting(cls, *args, **kwargs):
+        constructed.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(tape.Term, "__new__", counting)
+    for n in (100, 400):
+        p = nfold_sum(poly((f"Linear{n}",)), n)
+        constructed.clear()
+        tape.codiag_tape(p)
+        assert len(constructed) <= 20 * n, n

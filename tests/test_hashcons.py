@@ -19,21 +19,22 @@ from hypothesis import given, settings, strategies as st
 
 from tapecalc import kleisli, suites
 from tapecalc.circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort,
-                              CSeq, CSym, CTensor, MonSignature,
+                              CSeq, CSym, CTensor, CircuitTerm, MonSignature,
                               type_of_circuit)
 from tapecalc.errors import ModelError, TapecalcError, TypeCheckError
 from tapecalc.frontend.render import render_svg
 from tapecalc.interp import Interpretation, eval_circuit, eval_tape
 from tapecalc.kleisli import Matrix, model_for, op_matrix
-from tapecalc.objects import ZERO, mono, nfold_sum, poly, poly_of_mono
+from tapecalc.objects import (Monomial, ZERO, mono, nfold_sum, poly,
+                              poly_of_mono, poly_of_words)
 from tapecalc.suites import (Freshener, SemEqResult, rand_poly, sem_eq,
                              standard_interpretation)
 from tapecalc.tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
                            TSeq, TSum, TSymPlus, distributor, id_tape,
-                           tensor_tape, tseq, tsum, type_of_tape, whisker_left,
-                           whisker_left_mono, whisker_right,
-                           whisker_right_mono)
-from tapecalc.theory import builtin_theory
+                           tensor_tape, tseq, tsum, type_of_tape,
+                           typed_postorder, whisker_left, whisker_left_mono,
+                           whisker_right, whisker_right_mono)
+from tapecalc.theory import OpSymbol, builtin_theory
 
 
 # --- the tree-recursive reference evaluator ------------------------------------
@@ -360,12 +361,54 @@ def test_typer_matches_reference(model, seed):
     sig = fresh.sig if rng.random() < 0.8 else fresh.base.sig
     expected = outcome(ref_type_tape, t, sig)
     assert outcome(type_of_tape, t, sig) == expected
+    if not isinstance(expected[0], type):
+        order, _, types = typed_postorder((t,), sig)
+        for node in order:
+            dom, cod = types[node]
+            if isinstance(node, CircuitTerm):
+                assert (Monomial(dom), Monomial(cod)) == \
+                    ref_type_circuit(node, sig)
+            else:
+                assert (poly_of_words(dom), poly_of_words(cod)) == \
+                    ref_type_tape(node, sig)
     svg = outcome(render_svg, t, sig)
     if isinstance(expected, tuple) and len(expected) == 2 \
             and isinstance(expected[0], type):
         assert svg == expected
     else:
         assert svg.startswith("<?xml")
+
+
+def test_type_error_texts():
+    """Word types are printed as polynomials and monomials: the zero
+    polynomial as 0 and the unit monomial as 1."""
+    sig = MonSignature(("A", "B"), {"F": (mono("A"), mono("B"))})
+    cases = [
+        (TSeq(TIdZero(), TCodiag(mono("A"))),
+         "tape composition mismatch: 0 vs A (+) A"),
+        (TSeq(TCirc(CGen("F")), TCobang(mono("B", "A"))),
+         "tape composition mismatch: B vs 0"),
+        (TSeq(TSymPlus(mono(), mono("A", "B")), TIdMon(mono("A", "B"))),
+         "tape composition mismatch: AB (+) 1 vs AB"),
+        (TCirc(CSeq(CIdOne(), CGen("F"))),
+         "circuit composition mismatch: 1 vs A"),
+        (TCirc(CSeq(CTensor(CGen("F"), CIdSort("A")), CCopier("B"))),
+         "circuit composition mismatch: BA vs B"),
+    ]
+    for t, text in cases:
+        with pytest.raises(TypeCheckError) as exc:
+            type_of_tape(t, sig)
+        assert str(exc.value) == text
+    interp = one_sort_interpretation({})
+    plus = OpSymbol("+", 2)
+    results = [sem_eq(TIdMon(mono("A")), TCobang(mono("A")), interp),
+               sem_eq(TIdMon(mono()), TIdZero(), interp),
+               sem_eq(TCodiag(mono("A", "A")), TOpInj(plus, mono()), interp)]
+    assert [r.message for r in results] == [
+        "type mismatch: A -> A vs 0 -> A",
+        "type mismatch: 1 -> 1 vs 0 -> 0",
+        "type mismatch: AA (+) AA -> AA vs 1 -> 1 (+) 1"]
+    assert {r.kind for r in results} == {"type-error"}
 
 
 def test_type_errors_match_reference():
