@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import Callable, Mapping
 
 from .errors import TypeCheckError, UnknownGeneratorError, UnknownSortError
-from .hashcons import Term, postorder, term_node
+from .hashcons import Term, fold, term_node
 from .objects import Monomial
 
 
@@ -97,23 +97,21 @@ CIRCUIT_KIDS: dict[type, Callable] = {
 
 
 def circuit_node_type(c: CircuitTerm, sig: MonSignature,
-                      types: Mapping) -> tuple[tuple, tuple]:
+                      kids: tuple) -> tuple[tuple, tuple]:
     """The type of c as sort words (``Monomial.sorts``), given the types
-    of its children."""
+    of its children, in order."""
     cls = c.__class__
     if cls is CGen:
         dom, cod = sig.gen_type(c.name)
         return dom.sorts, cod.sorts
     if cls is CSeq:
-        dom1, cod1 = types[c.first]
-        dom2, cod2 = types[c.second]
+        (dom1, cod1), (dom2, cod2) = kids
         if cod1 != dom2:
             raise TypeCheckError(f"circuit composition mismatch: "
                                  f"{Monomial(cod1)} vs {Monomial(dom2)}")
         return dom1, cod2
     if cls is CTensor:
-        dom1, cod1 = types[c.top]
-        dom2, cod2 = types[c.bottom]
+        (dom1, cod1), (dom2, cod2) = kids
         return dom1 + dom2, cod1 + cod2
     if cls is CIdSort:
         sig.check_sort(c.sort)
@@ -135,10 +133,8 @@ def circuit_node_type(c: CircuitTerm, sig: MonSignature,
 
 def type_of_circuit(c: CircuitTerm, sig: MonSignature) -> tuple[Monomial, Monomial]:
     """(dom, cod) of c, each distinct subterm typed once, without recursion."""
-    types: dict = {}
-    for node in postorder((c,), CIRCUIT_KIDS)[0]:
-        types[node] = circuit_node_type(node, sig, types)
-    dom, cod = types[c]
+    dom, cod = fold((c,), CIRCUIT_KIDS,
+                    lambda node, kids: circuit_node_type(node, sig, kids))[0]
     return Monomial(dom), Monomial(cod)
 
 

@@ -11,12 +11,13 @@ import argparse
 import sys
 
 from ..errors import TapecalcError, TypeCheckError, UnknownOperationError
+from ..hashcons import postorder
 from ..interp import eval_tape
 from ..kleisli import exact_str, model_for
 from ..objects import normalize
 from ..suites import (SuiteBounds, axiom_suite, coherence_suite, lemma_suite,
                       sem_eq)
-from ..tape import TOpInj, typed_postorder
+from ..tape import TERM_KIDS, TOpInj, tape_types
 from .parser import ascii_int, parse_module, parse_object_expr
 from .render import render_svg
 from .surface import TheoryDecl, elaborate
@@ -138,7 +139,9 @@ def cmd_check(args) -> int:
     for name, body in module.defs.items():
         try:
             tape = elaborate(body, module, sig)
-            check_weights(typed_postorder((tape,), sig)[0], models)
+            walk = postorder((tape,), TERM_KIDS)
+            tape_types((tape,), sig, walk)
+            check_weights(walk[0], models)
         except (TypeCheckError, UnknownOperationError) as exc:
             sys.stderr.write(f"error: definition {name}: {exc}\n")
             return EXIT_BAD_INPUT
@@ -170,8 +173,9 @@ def cmd_eval(args) -> int:
     module = load_module(args.file)
     interp = module.interpretation(args.interp)
     tape = elaborate(definition(module, args.term), module, interp.sig)
-    order, uses, _ = typed_postorder((tape,), interp.sig)
-    sys.stdout.write(eval_tape(tape, interp, (order, uses)).pretty() + "\n")
+    walk = postorder((tape,), TERM_KIDS)
+    tape_types((tape,), interp.sig, walk)
+    sys.stdout.write(eval_tape(tape, interp, walk).pretty() + "\n")
     return EXIT_OK
 
 

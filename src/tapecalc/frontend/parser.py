@@ -548,8 +548,8 @@ class Parser:
 
 
 def max_var(term: SigmaTerm) -> int:
-    return fold(term, SIGMA_KIDS, lambda t, sub: (
-        t.index if isinstance(t, Var) else max(sub, default=0)))
+    return fold((term,), SIGMA_KIDS, lambda t, sub: (
+        t.index if isinstance(t, Var) else max(sub, default=0)))[0]
 
 
 def parse_module(text: str) -> SourceModule:

@@ -11,9 +11,10 @@ from __future__ import annotations
 from ..circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq,
                        CSym, CTensor, CircuitTerm, MonSignature)
 from ..errors import TypeCheckError
+from ..hashcons import fold
 from ..objects import Monomial
-from ..tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSeq,
-                    TSum, TSymPlus, TapeTerm, typed_postorder)
+from ..tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
+                    TOpInj, TSeq, TSum, TSymPlus, TapeTerm, node_type)
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -108,11 +109,16 @@ class _Memo:
     takes, which does not depend on where it is drawn."""
 
     def __init__(self, t: TapeTerm, sig: MonSignature):
-        order, _, self.types = typed_postorder((t,), sig)
-        self.sizes, self.heights = {}, {}
-        for node in order:
-            self.sizes[node] = self._size(node)
-            self.heights[node] = self._height(node)
+        if not isinstance(t, TapeTerm):
+            raise TypeCheckError(f"not a tape term: {t!r}")
+        self.sig, self.types, self.sizes, self.heights = sig, {}, {}, {}
+        fold((t,), TERM_KIDS, self._visit)
+
+    def _visit(self, node, kids: tuple) -> tuple:
+        self.types[node] = typ = node_type(node, self.sig, kids)
+        self.sizes[node] = self._size(node)
+        self.heights[node] = self._height(node)
+        return typ
 
     def _size(self, t):
         sizes = self.sizes

@@ -2,7 +2,8 @@
 *Type-safe modular hash-consing*, 2006): constructing a node equal to a
 live one returns that one, so equal terms are identical, ``==`` is
 identity and a term is a DAG of distinct subterms.  ``postorder`` lists
-those subterms without recursion; every term walker loops over it.
+those subterms without recursion; ``fold`` over it is every term walker:
+typing, evaluation, whiskering and the walks over Σ-terms.
 """
 
 from __future__ import annotations
@@ -91,17 +92,21 @@ def postorder(roots, kids: Mapping[type, Callable]) -> tuple[list, dict]:
     return order, uses
 
 
-def fold(root, kids: Mapping[type, Callable], step: Callable):
-    """The value of root, where a node's value is ``step(node, values of
-    its children)``; each is computed once and dropped after its last use."""
-    order, uses = postorder((root,), kids)
+def fold(roots, kids: Mapping[type, Callable], step: Callable,
+         walk: tuple[list, dict] | None = None) -> tuple:
+    """The roots' values, where a node's value is ``step(node, values of its
+    children)``: each is computed once and dropped after its last use.
+    ``walk`` is the roots' ``postorder``, if made already; it is not changed."""
+    order, uses = (postorder(roots, kids) if walk is None
+                   else (walk[0], dict(walk[1])))
     values: dict = {}
+    value = values.__getitem__
     for node in order:
         get = kids.get(node.__class__)
         children = () if get is None else get(node)
-        values[node] = step(node, tuple(values[k] for k in children))
+        values[node] = step(node, tuple(map(value, children)))
         for k in children:
             uses[k] -= 1
             if not uses[k]:
                 del values[k]
-    return values[root]
+    return tuple(map(value, roots))

@@ -2,21 +2,22 @@
 
 An interpretation assigns a finite carrier to every sort and an exact
 matrix to every generator; it extends homomorphically to all circuits
-and tapes.  Carrier indexing is fixed once and for all: tensor indices
-are left-major within a monomial, and a polynomial carrier concatenates
-its monomial blocks in order.
+and tapes: ``eval_tape`` is a ``hashcons.fold`` of ``evaluator``, which
+gives a node's matrix from its children's.  Carrier indexing is fixed
+once and for all: tensor indices are left-major within a monomial, and a
+polynomial carrier concatenates its monomial blocks in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from . import kleisli
 from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
                       CTensor, CircuitTerm, MonSignature)
 from .errors import DimensionError, ModelError, UnknownSortError
-from .hashcons import postorder
+from .hashcons import fold
 from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
 from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
@@ -119,72 +120,59 @@ def prod_index(p: Polynomial, q: Polynomial, interp: Interpretation):
 
 def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
               walk: tuple[list, dict] | None = None) -> Matrix:
-    """The matrix of a tape or circuit; ``walk`` is its ``postorder`` walk,
-    if the caller has made it already."""
-    order, uses = walk or postorder((t,), TERM_KIDS)
-    return eval_nodes(order, uses, interp)[t]
+    """The matrix of a tape or circuit: one ``fold`` of ``evaluator``, so
+    each distinct subterm is evaluated once and its matrix dropped after
+    its last use; ``walk`` is t's ``postorder`` walk, if the caller has
+    made it already."""
+    return fold((t,), TERM_KIDS, evaluator(interp), walk)[0]
 
 
-def eval_nodes(order: list, uses: dict, interp: Interpretation) -> dict:
-    """The matrices of the roots of a ``postorder`` walk (``order`` and
-    ``uses``), keyed by root.  One loop over the distinct subterms, without
-    recursion: each is evaluated once, and its matrix is dropped after its
-    last use, so only the roots' matrices are left.
-    """
-    values: dict = {}
-    for node in order:
+def evaluator(interp: Interpretation) -> Callable:
+    """The ``fold`` step of the semantics under interp: a node's matrix
+    from its children's matrices, in order."""
+    def step(node, kids: tuple) -> Matrix:
         cls = node.__class__
-        kids = ()
         if cls is TSeq or cls is CSeq:
-            kids = node.first, node.second
-            m = values[node.first].then(values[node.second])
-        elif cls is TSum:
-            kids = node.top, node.bottom
-            m = values[node.top].oplus(values[node.bottom])
-        elif cls is CTensor:
-            kids = node.top, node.bottom
-            m = values[node.top].tensor(values[node.bottom])
-        elif cls is TCirc:
-            kids = node.circuit,
-            m = values[node.circuit]
-        elif cls is CGen:
+            return kids[0].then(kids[1])
+        if cls is TSum:
+            return kids[0].oplus(kids[1])
+        if cls is CTensor:
+            return kids[0].tensor(kids[1])
+        if cls is TCirc:
+            return kids[0]
+        if cls is CGen:
             interp.sig.gen_type(node.name)
             try:
-                m = interp.gen_matrices[node.name]
+                return interp.gen_matrices[node.name]
             except KeyError:
                 raise ModelError(f"generator {node.name} has no matrix")
-        elif cls is TIdMon:
-            m = Matrix.identity(interp.mono_size(node.mono))
-        elif cls is CIdSort:
-            m = Matrix.identity(interp.sort_size(node.sort))
-        elif cls is TSymPlus:
-            m = kleisli.sym_plus(interp.mono_size(node.left),
-                                 interp.mono_size(node.right))
-        elif cls is TCodiag:
-            m = kleisli.codiag(interp.mono_size(node.mono))
-        elif cls is TCobang:
-            m = kleisli.cobang(interp.mono_size(node.mono))
-        elif cls is TOpInj:
-            m = op_matrix(node.op, interp.model, interp.mono_size(node.mono))
-        elif cls is CSym:
-            m = kleisli.sym_tensor(interp.sort_size(node.left),
-                                   interp.sort_size(node.right))
-        elif cls is CCopier:
-            m = kleisli.copier(interp.sort_size(node.sort))
-        elif cls is CDischarger:
-            m = kleisli.discharger(interp.sort_size(node.sort))
-        elif cls is TIdZero:
-            m = Matrix.identity(0)
-        elif cls is CIdOne:
-            m = Matrix.identity(1)
-        else:
-            raise ModelError(f"not a tape term: {node!r}")
-        for k in kids:
-            uses[k] -= 1
-            if not uses[k]:
-                del values[k]
-        values[node] = m
-    return values
+        if cls is TIdMon:
+            return Matrix.identity(interp.mono_size(node.mono))
+        if cls is CIdSort:
+            return Matrix.identity(interp.sort_size(node.sort))
+        if cls is TSymPlus:
+            return kleisli.sym_plus(interp.mono_size(node.left),
+                                    interp.mono_size(node.right))
+        if cls is TCodiag:
+            return kleisli.codiag(interp.mono_size(node.mono))
+        if cls is TCobang:
+            return kleisli.cobang(interp.mono_size(node.mono))
+        if cls is TOpInj:
+            return op_matrix(node.op, interp.model, interp.mono_size(node.mono))
+        if cls is CSym:
+            return kleisli.sym_tensor(interp.sort_size(node.left),
+                                      interp.sort_size(node.right))
+        if cls is CCopier:
+            return kleisli.copier(interp.sort_size(node.sort))
+        if cls is CDischarger:
+            return kleisli.discharger(interp.sort_size(node.sort))
+        if cls is TIdZero:
+            return Matrix.identity(0)
+        if cls is CIdOne:
+            return Matrix.identity(1)
+        raise ModelError(f"not a tape term: {node!r}")
+
+    return step
 
 
 eval_circuit = eval_tape    # one walker for both layers

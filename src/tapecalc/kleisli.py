@@ -475,7 +475,7 @@ def eval_vector(term: SigmaTerm, context: int, model: TheoryModel) -> tuple[Any,
             return tuple(acc)
         raise ModelError(f"not a term: {t!r}")
 
-    return fold(term, SIGMA_KIDS, step)
+    return fold((term,), SIGMA_KIDS, step)[0]
 
 
 def model_soundness(model: TheoryModel) -> list[Equation]:

@@ -23,16 +23,17 @@ from .circuit import (CGen, CIdOne, CircuitTerm, CTensor, MonSignature,
                       copier_circuit, cseq, ctensor, discharger_circuit,
                       identity_circuit, sym_circuit)
 from .errors import TypeCheckError
-from .interp import (Interpretation, carrier_of, eval_nodes, eval_tape,
+from .hashcons import fold, postorder
+from .interp import (Interpretation, carrier_of, eval_tape, evaluator,
                      prod_index)
 from .kleisli import Matrix, TheoryModel, exact_str, model_for
 from .objects import (Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono,
                       poly_of_words)
-from .tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSum,
-                   TSymPlus, TapeTerm, cobang_tape, codiag_tape, copier_tape,
-                   discharger_tape, distributor, dl_nary, id_tape,
+from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
+                   TOpInj, TSum, TSymPlus, TapeTerm, cobang_tape, codiag_tape,
+                   copier_tape, discharger_tape, distributor, dl_nary, id_tape,
                    nfold_codiag, op_inj_tape, symplus_tape, symtensor_tape,
-                   tensor_tape, term_tape, tseq, tsum, typed_postorder,
+                   tape_types, tensor_tape, term_tape, tseq, tsum,
                    whisker_left, whisker_right)
 from .theory import App, OpSymbol, SigmaTerm, Var, builtin_theory
 
@@ -114,19 +115,17 @@ def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation) -> SemEqResult:
     typed before any is evaluated, so a type error wins over a model
     error, and t1's error over t2's.  A shared subterm is typed and
     evaluated once."""
+    walk = postorder((t1, t2), TERM_KIDS)
     try:
-        order, uses, types = typed_postorder((t1, t2), interp.sig)
+        (dom1, cod1), (dom2, cod2) = tape_types((t1, t2), interp.sig, walk)
     except TypeCheckError as exc:
         return SemEqResult("type-error", message=str(exc))
-    (dom1, cod1), (dom2, cod2) = types[t1], types[t2]
     if dom1 != dom2 or cod1 != cod2:
         dom1, cod1, dom2, cod2 = map(poly_of_words, (dom1, cod1, dom2, cod2))
         return SemEqResult(
             "type-error",
             message=f"type mismatch: {dom1} -> {cod1} vs {dom2} -> {cod2}")
-    del types       # not needed while the matrices are built
-    values = eval_nodes(order, uses, interp)
-    diff = first_difference(values[t1], values[t2])
+    diff = first_difference(*fold((t1, t2), TERM_KIDS, evaluator(interp), walk))
     if diff is None:
         return SemEqResult("equal")
     return SemEqResult("unequal", witness=diff)

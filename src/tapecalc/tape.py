@@ -15,14 +15,14 @@ each distinct subterm once a call, without recursion.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 from weakref import WeakValueDictionary
 
 from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
                       ctensor, identity_circuit, sym_circuit)
 from .errors import TypeCheckError
-from .hashcons import Term, fold, postorder, term_node
+from .hashcons import Term, fold, term_node
 from .objects import (Monomial, ONE, Polynomial, nfold_sum, poly_of_mono,
                       poly_of_words)
 from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
@@ -87,32 +87,31 @@ TERM_KIDS: dict[type, Callable] = {
     **CIRCUIT_KIDS, **TAPE_KIDS, TCirc: lambda t: (t.circuit,)}
 
 
-def node_type(node: Term, sig: MonSignature, types: Mapping) -> tuple:
+def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     """The type of a tape node or circuit node as sort words, given its
-    children's types: a monomial is a tuple of sort names
-    (``Monomial.sorts``) and a polynomial a tuple of those, so a sum is
-    one tuple concatenation and a composition check one comparison."""
+    children's types, in order (the ``fold`` step of ``tape_types``): a
+    monomial is a tuple of sort names (``Monomial.sorts``) and a
+    polynomial a tuple of those, so a sum is one tuple concatenation and
+    a composition check one comparison."""
     cls = node.__class__
     if cls is TSeq:
-        dom, cod1 = types[node.first]
-        dom2, cod = types[node.second]
+        (dom, cod1), (dom2, cod) = kids
         if cod1 != dom2:
             raise TypeCheckError(
                 f"tape composition mismatch: {poly_of_words(cod1)} vs "
                 f"{poly_of_words(dom2)}")
     elif cls is TSum:
-        dom1, cod1 = types[node.top]
-        dom2, cod2 = types[node.bottom]
+        (dom1, cod1), (dom2, cod2) = kids
         dom, cod = dom1 + dom2, cod1 + cod2
     elif cls is TCirc:
-        dom, cod = types[node.circuit]
+        (dom, cod), = kids
         dom, cod = (dom,), (cod,)
     elif cls is TIdMon:
         for s in node.mono.sorts:
             sig.check_sort(s)
         dom = cod = (node.mono.sorts,)
     elif isinstance(node, CircuitTerm):
-        dom, cod = circuit_node_type(node, sig, types)
+        dom, cod = circuit_node_type(node, sig, kids)
     elif cls is TSymPlus:
         u, v = node.left.sorts, node.right.sorts
         dom, cod = (u, v), (v, u)
@@ -131,26 +130,22 @@ def node_type(node: Term, sig: MonSignature, types: Mapping) -> tuple:
     return dom, cod
 
 
-def typed_postorder(roots: Sequence[TapeTerm], sig: MonSignature
-                    ) -> tuple[list, dict, dict]:
-    """``postorder`` of the roots, and the type of each of its nodes as
-    sort words (see ``node_type``).  The roots are typed in turn, so an
-    error of the first is raised first."""
-    order, uses = postorder(roots, TERM_KIDS)
-    types: dict = {}
-    nodes = iter(order)
-    for t in roots:
+def tape_types(roots: Sequence[TapeTerm], sig: MonSignature,
+               walk: tuple[list, dict] | None = None) -> tuple:
+    """The types of the roots as sort words (see ``node_type``), each
+    distinct subterm typed once; ``walk`` as for ``fold``.  The roots are
+    typed in turn, so an error of the first is raised first."""
+    for i, t in enumerate(roots):
         if not isinstance(t, TapeTerm):
+            tape_types(roots[:i], sig)
             raise TypeCheckError(f"not a tape term: {t!r}")
-        while t not in types:
-            node = next(nodes)
-            types[node] = node_type(node, sig, types)
-    return order, uses, types
+    return fold(roots, TERM_KIDS,
+                lambda node, kids: node_type(node, sig, kids), walk)
 
 
 def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial]:
     """(dom, cod) of t, each distinct subterm typed once."""
-    dom, cod = typed_postorder((t,), sig)[2][t]
+    dom, cod = tape_types((t,), sig)[0]
     return poly_of_words(dom), poly_of_words(cod)
 
 
@@ -370,75 +365,79 @@ def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
         return tseq(split, tsum(*branches),
                     nfold_codiag(nfold_sum(p, context), len(branches)))
 
-    return fold(term, SIGMA_KIDS, step)
+    return fold((term,), SIGMA_KIDS, step)[0]
 
 
 # --- whiskerings and the tensor of tapes ---------------------------------------
 
-def _whisker_mono(t: TapeTerm, u: Monomial, left: bool) -> TapeTerm:
-    """U |> t if left, else t <| U: each distinct node of t rebuilt once."""
-    grow = (lambda m: u * m) if left else (lambda m: m * u)
-    out: dict = {}
-    for node in postorder((t,), TAPE_KIDS)[0]:
-        cls = type(node)
-        if cls in TAPE_KIDS:
-            new = cls(*(out[k] for k in TAPE_KIDS[cls](node)))
-        elif isinstance(node, TIdZero):
-            new = node
-        elif isinstance(node, (TIdMon, TCobang, TCodiag)):
-            new = cls(grow(node.mono))
-        elif isinstance(node, TCirc):
-            idu = identity_circuit(u)
-            new = TCirc(ctensor(idu, node.circuit) if left
-                        else ctensor(node.circuit, idu))
-        elif isinstance(node, TSymPlus):
-            new = TSymPlus(grow(node.left), grow(node.right))
-        elif isinstance(node, TOpInj):
-            new = TOpInj(node.op, grow(node.mono))
-        else:
-            raise TypeCheckError(f"not a tape term: {node!r}")
-        out[node] = new
-    return out[t]
+def _whiskers(t: TapeTerm, monos: Sequence[Monomial], left: bool) -> tuple:
+    """(U |> t for U in monos) if left, else (t <| U for U in monos): one
+    walk over t, each distinct node rebuilt once per monomial."""
+    if not monos:
+        return ()
+
+    def step(node: TapeTerm, kids: tuple) -> tuple:
+        cls = node.__class__
+        if kids:
+            return tuple(map(cls, *kids))
+        if cls is TIdZero:
+            return (node,) * len(monos)
+        if cls is TIdMon or cls is TCobang or cls is TCodiag:
+            return tuple([cls(g(node.mono)) for g in grows])
+        if cls is TCirc:
+            return tuple([TCirc(ctensor(i, node.circuit) if left
+                                else ctensor(node.circuit, i)) for i in ids])
+        if cls is TSymPlus:
+            return tuple([TSymPlus(g(node.left), g(node.right)) for g in grows])
+        if cls is TOpInj:
+            return tuple([TOpInj(node.op, g(node.mono)) for g in grows])
+        raise TypeCheckError(f"not a tape term: {node!r}")
+
+    grows = [(lambda m, u=u: u * m) if left else (lambda m, u=u: m * u)
+             for u in monos]
+    ids = [identity_circuit(u) for u in monos]
+    return fold((t,), TAPE_KIDS, step)[0]
 
 
 def whisker_left_mono(u: Monomial, t: TapeTerm) -> TapeTerm:
     """U |> t, the left monomial whiskering."""
-    return _whisker_mono(t, u, left=True)
+    return _whiskers(t, (u,), left=True)[0]
 
 
 def whisker_right_mono(t: TapeTerm, u: Monomial) -> TapeTerm:
     """t <| U, the right monomial whiskering."""
-    return _whisker_mono(t, u, left=False)
+    return _whiskers(t, (u,), left=False)[0]
 
 
 def whisker_left(s: Union[Polynomial, Monomial], t: TapeTerm) -> TapeTerm:
     """S |> t for a polynomial S: the sum of the monomial whiskerings."""
     if isinstance(s, Monomial):
         return whisker_left_mono(s, t)
-    return tsum(*(whisker_left_mono(u, t) for u in s))
+    return tsum(*_whiskers(t, s.monomials, left=True))
 
 
 def whisker_right(t: TapeTerm, s: Union[Polynomial, Monomial],
                   sig: MonSignature) -> TapeTerm:
     """t <| S for a polynomial S, sandwiched between left distributors."""
-    if isinstance(s, Monomial):
-        return whisker_right_mono(t, s)
-    if s.is_zero:
-        return TIdZero()
-    if len(s) == 1:
-        return whisker_right_mono(t, s.monomials[0])
-    dom, cod = type_of_tape(t, sig)
-    parts = tsum(*(whisker_right_mono(t, u) for u in s))
-    return tseq(dl_nary(dom, [poly_of_mono(u) for u in s]),
-                parts,
-                dl_nary(cod, [poly_of_mono(u) for u in s], inverse=True))
+    s = as_poly(s)
+    return _whisker_right(t, s, type_of_tape(t, sig) if len(s) > 1 else None)
+
+
+def _whisker_right(t: TapeTerm, s: Polynomial, typ) -> TapeTerm:
+    """t <| S, given t's (dom, cod) when S has two monomials or more."""
+    parts = _whiskers(t, s.monomials, left=False)
+    if len(parts) < 2:
+        return tsum(*parts)
+    summands = [poly_of_mono(u) for u in s]
+    return tseq(dl_nary(typ[0], summands), tsum(*parts),
+                dl_nary(typ[1], summands, inverse=True))
 
 
 def tensor_tape(t1: TapeTerm, t2: TapeTerm, sig: MonSignature) -> TapeTerm:
     """t1 (x) t2, defined by whiskering: (P |> t2) ; (t1 <| S)."""
-    dom1, _ = type_of_tape(t1, sig)
-    _, cod2 = type_of_tape(t2, sig)
-    return TSeq(whisker_left(dom1, t2), whisker_right(t1, cod2, sig))
+    (dom1, cod1), (_, cod2) = tape_types((t1, t2), sig)
+    dom1, cod1, cod2 = map(poly_of_words, (dom1, cod1, cod2))
+    return TSeq(whisker_left(dom1, t2), _whisker_right(t1, cod2, (dom1, cod1)))
 
 
 # --- polynomial copy/discard ----------------------------------------------------

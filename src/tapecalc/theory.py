@@ -37,7 +37,7 @@ class OpSymbol:
 
 class SigmaTerm(Term):
     def __str__(self) -> str:
-        return fold(self, SIGMA_KIDS, _show)
+        return fold((self,), SIGMA_KIDS, _show)[0]
 
 
 @term_node
@@ -99,7 +99,7 @@ def substitute(term: SigmaTerm, args: Sequence[SigmaTerm]) -> SigmaTerm:
             return App(t.op, new_args)
         raise TypeCheckError(f"not a term: {t!r}")
 
-    return fold(term, SIGMA_KIDS, step)
+    return fold((term,), SIGMA_KIDS, step)[0]
 
 
 # --- theories ---------------------------------------------------------------

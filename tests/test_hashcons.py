@@ -23,17 +23,17 @@ from tapecalc.circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort,
                               type_of_circuit)
 from tapecalc.errors import ModelError, TapecalcError, TypeCheckError
 from tapecalc.frontend.render import render_svg
+from tapecalc.hashcons import fold, postorder
 from tapecalc.interp import Interpretation, eval_circuit, eval_tape
 from tapecalc.kleisli import Matrix, model_for, op_matrix
-from tapecalc.objects import (Monomial, ZERO, mono, nfold_sum, poly,
-                              poly_of_mono, poly_of_words)
+from tapecalc.objects import ZERO, mono, nfold_sum, poly, poly_of_mono
 from tapecalc.suites import (Freshener, SemEqResult, rand_poly, sem_eq,
                              standard_interpretation)
-from tapecalc.tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
-                           TSeq, TSum, TSymPlus, distributor, id_tape,
-                           tensor_tape, tseq, tsum, type_of_tape,
-                           typed_postorder, whisker_left, whisker_left_mono,
-                           whisker_right, whisker_right_mono)
+from tapecalc.tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon,
+                           TIdZero, TOpInj, TSeq, TSum, TSymPlus, distributor,
+                           id_tape, tensor_tape, tseq, tsum, type_of_tape,
+                           whisker_left, whisker_left_mono, whisker_right,
+                           whisker_right_mono)
 from tapecalc.theory import OpSymbol, builtin_theory
 
 
@@ -362,15 +362,11 @@ def test_typer_matches_reference(model, seed):
     expected = outcome(ref_type_tape, t, sig)
     assert outcome(type_of_tape, t, sig) == expected
     if not isinstance(expected[0], type):
-        order, _, types = typed_postorder((t,), sig)
-        for node in order:
-            dom, cod = types[node]
+        for node in postorder((t,), TERM_KIDS)[0]:
             if isinstance(node, CircuitTerm):
-                assert (Monomial(dom), Monomial(cod)) == \
-                    ref_type_circuit(node, sig)
+                assert type_of_circuit(node, sig) == ref_type_circuit(node, sig)
             else:
-                assert (poly_of_words(dom), poly_of_words(cod)) == \
-                    ref_type_tape(node, sig)
+                assert type_of_tape(node, sig) == ref_type_tape(node, sig)
     svg = outcome(render_svg, t, sig)
     if isinstance(expected, tuple) and len(expected) == 2 \
             and isinstance(expected[0], type):
@@ -502,3 +498,70 @@ def test_deep_chain_types_and_evaluates():
     assert eval_circuit(deep_circuit, interp) == Matrix.from_rows([[0, 1], [1, 0]])
     assert whisker_right_mono(chain, mono("A")) is tseq(
         *[whisker_right_mono(s, mono("A")) for s in steps])
+
+
+# --- fold ----------------------------------------------------------------------
+
+class Value:
+    """A fold value that can be weakly referenced."""
+
+    def __init__(self, node):
+        self.node = node
+
+
+def test_fold_drops_each_value_after_its_last_use():
+    """Along a 10 000-step chain, a constant number of values is alive at
+    every step: the children's values of the node being built, and the
+    shared step's."""
+    step_tape = TCirc(CGen("S"))
+    chain = tseq(*[step_tape] * 10000)
+    alive = weakref.WeakSet()
+    most = 0
+
+    def step(node, kids):
+        nonlocal most
+        most = max(most, len(alive))
+        value = Value(node)
+        alive.add(value)
+        return value
+
+    root, = fold((chain,), TERM_KIDS, step)
+    assert root.node is chain
+    assert 1 <= most <= 3
+    del root
+    assert not alive
+
+
+def test_fold_returns_the_roots_values_in_roots_order():
+    shared = TSeq(TCirc(CGen("F")), TIdMon(mono("A")))
+    roots = (TSum(shared, TIdZero()), shared, TCirc(CGen("F")), shared)
+    walk = postorder(roots, TERM_KIDS)
+    uses = dict(walk[1])
+
+    def size(node, kids):
+        return 1 + sum(kids)
+
+    expected = (6, 4, 2, 4)     # tree sizes, counting the circuit nodes
+    assert fold(roots, TERM_KIDS, size) == expected
+    assert fold(roots, TERM_KIDS, size, walk) == expected
+    assert walk[1] == uses      # the walk's use counts are left as they were
+    assert fold(roots[::-1], TERM_KIDS, size) == expected[::-1]
+
+
+@pytest.mark.parametrize("model", ["PCA", "CM"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_polynomial_whiskering_is_the_sum_of_monomial_ones(model, seed):
+    """Whiskering by a polynomial walks t once for all its monomials, and
+    builds the very node that whiskering monomial by monomial builds."""
+    rng = Random(seed)
+    fresh = Freshener(interpretation(model), rng)
+    t = random_tape(fresh, rng, rng.randrange(3))
+    s = rand_poly(rng, SORTS, 3, 2)
+    assert whisker_left(s, t) is tsum(*(whisker_left_mono(u, t) for u in s))
+    parts = tsum(*(whisker_right_mono(t, u) for u in s))
+    right = whisker_right(t, s, fresh.sig)
+    if len(s) > 1:
+        assert isinstance(right, TSeq) and isinstance(right.first, TSeq)
+        right = right.first.second      # between the two distributors
+    assert right is parts
