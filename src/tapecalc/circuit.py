@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from .errors import TypeCheckError, UnknownGeneratorError, UnknownSortError
 from .hashcons import Term, fold, term_node
-from .objects import Monomial
+from .objects import ONE, Monomial
 
 
 @dataclass(frozen=True)
@@ -97,45 +97,42 @@ CIRCUIT_KIDS: dict[type, Callable] = {
 
 
 def circuit_node_type(c: CircuitTerm, sig: MonSignature,
-                      kids: tuple) -> tuple[tuple, tuple]:
-    """The type of c as sort words (``Monomial.sorts``), given the types
-    of its children, in order."""
+                      kids: tuple) -> tuple[Monomial, Monomial]:
+    """The type of c, given the types of its children, in order."""
     cls = c.__class__
     if cls is CGen:
-        dom, cod = sig.gen_type(c.name)
-        return dom.sorts, cod.sorts
+        return sig.gen_type(c.name)
     if cls is CSeq:
         (dom1, cod1), (dom2, cod2) = kids
         if cod1 != dom2:
             raise TypeCheckError(f"circuit composition mismatch: "
-                                 f"{Monomial(cod1)} vs {Monomial(dom2)}")
+                                 f"{cod1} vs {dom2}")
         return dom1, cod2
     if cls is CTensor:
         (dom1, cod1), (dom2, cod2) = kids
-        return dom1 + dom2, cod1 + cod2
+        return dom1 * dom2, cod1 * cod2
     if cls is CIdSort:
         sig.check_sort(c.sort)
-        return (c.sort,), (c.sort,)
+        return Monomial((c.sort,)), Monomial((c.sort,))
     if cls is CIdOne:
-        return (), ()
+        return ONE, ONE
     if cls is CSym:
         sig.check_sort(c.left)
         sig.check_sort(c.right)
-        return (c.left, c.right), (c.right, c.left)
+        return Monomial((c.left, c.right)), Monomial((c.right, c.left))
     if cls is CCopier:
         sig.check_sort(c.sort)
-        return (c.sort,), (c.sort, c.sort)
+        return Monomial((c.sort,)), Monomial((c.sort, c.sort))
     if cls is CDischarger:
         sig.check_sort(c.sort)
-        return (c.sort,), ()
+        return Monomial((c.sort,)), ONE
     raise TypeCheckError(f"not a circuit term: {c!r}")
 
 
 def type_of_circuit(c: CircuitTerm, sig: MonSignature) -> tuple[Monomial, Monomial]:
     """(dom, cod) of c, each distinct subterm typed once, without recursion."""
-    dom, cod = fold((c,), CIRCUIT_KIDS,
-                    lambda node, kids: circuit_node_type(node, sig, kids))[0]
-    return Monomial(dom), Monomial(cod)
+    return fold((c,), CIRCUIT_KIDS,
+                lambda node, kids: circuit_node_type(node, sig, kids))[0]
 
 
 # --- derived structural circuits ----------------------------------------------
@@ -165,7 +162,7 @@ def _sym_sort_mono(a: str, w: Monomial) -> CircuitTerm:
     # sigma_{A, B.W'} = (sigma_{A,B} (x) id_{W'}) ; (id_B (x) sigma_{A,W'})
     if w.is_unit:
         return CIdSort(a)
-    b, w_rest = w.sorts[0], Monomial(w.sorts[1:])
+    b, w_rest = w[0], Monomial(w[1:])
     return cseq(ctensor(CSym(a, b), identity_circuit(w_rest)),
                 ctensor(CIdSort(b), _sym_sort_mono(a, w_rest)))
 
@@ -176,7 +173,7 @@ def sym_circuit(u: Monomial, w: Monomial) -> CircuitTerm:
         return identity_circuit(w)
     if w.is_unit:
         return identity_circuit(u)
-    a, u_rest = u.sorts[0], Monomial(u.sorts[1:])
+    a, u_rest = u[0], Monomial(u[1:])
     # sigma_{A.U',W} = (id_A (x) sigma_{U',W}) ; (sigma_{A,W} (x) id_{U'})
     return cseq(ctensor(CIdSort(a), sym_circuit(u_rest, w)),
                 ctensor(_sym_sort_mono(a, w), identity_circuit(u_rest)))
@@ -186,7 +183,7 @@ def copier_circuit(u: Monomial) -> CircuitTerm:
     """copier_U : U -> UU, interleaving the per-sort copies."""
     if u.is_unit:
         return CIdOne()
-    a, u_rest = u.sorts[0], Monomial(u.sorts[1:])
+    a, u_rest = u[0], Monomial(u[1:])
     return cseq(
         ctensor(CCopier(a), copier_circuit(u_rest)),
         ctensor(CIdSort(a), ctensor(sym_circuit(Monomial((a,)), u_rest),

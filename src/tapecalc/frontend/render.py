@@ -164,7 +164,7 @@ def _draw_lane_wires(u: Monomial, x, y, w, elems, label=True):
     ys = _wire_ys(max(len(u), 1), y, LANE_H)
     if u.is_unit:
         return
-    for wy, name in zip(ys, u.sorts):
+    for wy, name in zip(ys, u):
         elems.append(_line(x, wy, x + w, wy))
         if label:
             elems.append(_text(x + w / 2, wy - 3, name))

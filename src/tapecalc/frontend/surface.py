@@ -366,8 +366,8 @@ def print_module(module: SourceModule) -> str:
         if isinstance(d, SortDecl):
             lines.append(f"sort {d.name};")
         elif isinstance(d, GenDecl):
-            ar = " ".join(d.ar.sorts) if d.ar.sorts else "1"
-            coar = " ".join(d.coar.sorts) if d.coar.sorts else "1"
+            ar = " ".join(d.ar) if d.ar else "1"
+            coar = " ".join(d.coar) if d.coar else "1"
             lines.append(f"gen {d.name} : {ar} -> {coar};")
         elif isinstance(d, TheoryDecl):
             if d.params:

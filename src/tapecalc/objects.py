@@ -5,6 +5,11 @@ Objects are generated by sorts, the units 1 and 0, and the two products
 normal form: a word of words over the sort alphabet.  Monomials are words
 of sorts (the ``(x)``-products), polynomials are words of monomials (the
 ``(+)``-sums).  Neither level is commutative.
+
+Both are tuples, a ``Monomial`` of sort names and a ``Polynomial`` of
+monomials, so a monomial equals the plain tuple of its sorts and ``ONE ==
+ZERO``: a table keyed by objects keeps one kind per slot, and term nodes
+are given real ``Monomial``s.
 """
 
 from __future__ import annotations
@@ -15,56 +20,46 @@ from typing import Iterable, Union
 from .errors import UnknownSortError
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(tuple):
     """A word of sort names; the empty word is the unit 1."""
 
-    sorts: tuple[str, ...] = ()
+    __slots__ = ()
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.sorts + other.sorts)
-
-    def __len__(self) -> int:
-        return len(self.sorts)
-
-    def __iter__(self):
-        return iter(self.sorts)
+        return Monomial(tuple.__add__(self, other))
 
     @property
     def is_unit(self) -> bool:
-        return not self.sorts
+        return not self
+
+    def __repr__(self) -> str:
+        return f"Monomial(sorts={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "".join(self.sorts) if self.sorts else "1"
+        return "".join(self) if self else "1"
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(tuple):
     """A word of monomials; the empty word is the zero object 0."""
 
-    monomials: tuple[Monomial, ...] = ()
+    __slots__ = ()
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(self.monomials + other.monomials)
+        return Polynomial(tuple.__add__(self, other))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         # Row-major product: all monomials of self against each of other.
-        return Polynomial(tuple(u * v for u in self.monomials for v in other.monomials))
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
+        return Polynomial([u * v for u in self for v in other])
 
     @property
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self
+
+    def __repr__(self) -> str:
+        return f"Polynomial(monomials={tuple(self)!r})"
 
     def __str__(self) -> str:
-        if not self.monomials:
-            return "0"
-        return " (+) ".join(str(m) for m in self.monomials)
+        return " (+) ".join(map(str, self)) if self else "0"
 
 
 ONE = Monomial()
@@ -72,28 +67,20 @@ ZERO = Polynomial()
 
 
 def mono(*sorts: str) -> Monomial:
-    return Monomial(tuple(sorts))
+    return Monomial(sorts)
 
 
 def poly(*monomials: Union[Monomial, Iterable[str]]) -> Polynomial:
-    parts = []
-    for m in monomials:
-        parts.append(m if isinstance(m, Monomial) else Monomial(tuple(m)))
-    return Polynomial(tuple(parts))
+    return Polynomial(map(Monomial, monomials))
 
 
 def poly_of_mono(m: Monomial) -> Polynomial:
     return Polynomial((m,))
 
 
-def poly_of_words(words: tuple) -> Polynomial:
-    """The polynomial whose monomials have the given sort words."""
-    return Polynomial(tuple(map(Monomial, words)))
-
-
 def nfold_sum(p: Polynomial, n: int) -> Polynomial:
     """The n-fold concatenation p (+) ... (+) p."""
-    return Polynomial(p.monomials * n)
+    return Polynomial(tuple.__mul__(p, n))
 
 
 # --- object terms -----------------------------------------------------------
@@ -174,14 +161,14 @@ def embed(p: Polynomial) -> ObjTerm:
     def embed_mono(m: Monomial) -> ObjTerm:
         if m.is_unit:
             return UnitOne()
-        term: ObjTerm = SortRef(m.sorts[-1])
-        for name in reversed(m.sorts[:-1]):
+        term: ObjTerm = SortRef(m[-1])
+        for name in reversed(m[:-1]):
             term = Tensor(SortRef(name), term)
         return term
 
     if p.is_zero:
         return ZeroObj()
-    term = embed_mono(p.monomials[-1])
-    for m in reversed(p.monomials[:-1]):
+    term = embed_mono(p[-1])
+    for m in reversed(p[:-1]):
         term = Sum(embed_mono(m), term)
     return term

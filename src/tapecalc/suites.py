@@ -27,8 +27,8 @@ from .hashcons import fold, postorder
 from .interp import (Interpretation, carrier_of, eval_tape, evaluator,
                      prod_index)
 from .kleisli import Matrix, TheoryModel, exact_str, model_for
-from .objects import (Monomial, ONE, Polynomial, ZERO, nfold_sum, poly_of_mono,
-                      poly_of_words)
+from .objects import (Monomial, ONE, Polynomial, ZERO, nfold_sum,
+                      poly_of_mono)
 from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
                    TOpInj, TSum, TSymPlus, TapeTerm, cobang_tape, codiag_tape,
                    copier_tape, discharger_tape, distributor, dl_nary, id_tape,
@@ -121,7 +121,7 @@ def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation) -> SemEqResult:
     except TypeCheckError as exc:
         return SemEqResult("type-error", message=str(exc))
     if dom1 != dom2 or cod1 != cod2:
-        dom1, cod1, dom2, cod2 = map(poly_of_words, (dom1, cod1, dom2, cod2))
+        dom1, cod1, dom2, cod2 = map(Polynomial, (dom1, cod1, dom2, cod2))
         return SemEqResult(
             "type-error",
             message=f"type mismatch: {dom1} -> {cod1} vs {dom2} -> {cod2}")
@@ -227,7 +227,7 @@ class Freshener:
         branches = []
         for u in p:
             term, ctx = self.split_term(len(q))
-            split = term_tape(term, Monomial(u.sorts), ctx)
+            split = term_tape(term, u, ctx)
             blocks = tsum(*(TCirc(self.circuit(u, v)) for v in q))
             branches.append(tseq(split, blocks) if len(q) else split)
         return tseq(tsum(*branches), nfold_codiag(q, len(p)))

@@ -23,8 +23,7 @@ from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       ctensor, identity_circuit, sym_circuit)
 from .errors import TypeCheckError
 from .hashcons import Term, fold, term_node
-from .objects import (Monomial, ONE, Polynomial, nfold_sum, poly_of_mono,
-                      poly_of_words)
+from .objects import Monomial, ONE, Polynomial, nfold_sum, poly_of_mono
 from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
 
 
@@ -88,18 +87,18 @@ TERM_KIDS: dict[type, Callable] = {
 
 
 def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
-    """The type of a tape node or circuit node as sort words, given its
-    children's types, in order (the ``fold`` step of ``tape_types``): a
-    monomial is a tuple of sort names (``Monomial.sorts``) and a
-    polynomial a tuple of those, so a sum is one tuple concatenation and
-    a composition check one comparison."""
+    """The type of a tape node or circuit node, given its children's
+    types, in order (the ``fold`` step of ``tape_types``): a circuit's
+    is a pair of ``Monomial``s, a tape's a pair of plain tuples of
+    ``Monomial``s, so a sum is one tuple concatenation and a composition
+    check one tuple comparison."""
     cls = node.__class__
     if cls is TSeq:
         (dom, cod1), (dom2, cod) = kids
         if cod1 != dom2:
             raise TypeCheckError(
-                f"tape composition mismatch: {poly_of_words(cod1)} vs "
-                f"{poly_of_words(dom2)}")
+                f"tape composition mismatch: {Polynomial(cod1)} vs "
+                f"{Polynomial(dom2)}")
     elif cls is TSum:
         (dom1, cod1), (dom2, cod2) = kids
         dom, cod = dom1 + dom2, cod1 + cod2
@@ -107,21 +106,21 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
         (dom, cod), = kids
         dom, cod = (dom,), (cod,)
     elif cls is TIdMon:
-        for s in node.mono.sorts:
+        for s in node.mono:
             sig.check_sort(s)
-        dom = cod = (node.mono.sorts,)
+        dom = cod = (node.mono,)
     elif isinstance(node, CircuitTerm):
         dom, cod = circuit_node_type(node, sig, kids)
     elif cls is TSymPlus:
-        u, v = node.left.sorts, node.right.sorts
+        u, v = node.left, node.right
         dom, cod = (u, v), (v, u)
     elif cls is TCodiag:
-        cod = (node.mono.sorts,)
+        cod = (node.mono,)
         dom = cod + cod
     elif cls is TCobang:
-        dom, cod = (), (node.mono.sorts,)
+        dom, cod = (), (node.mono,)
     elif cls is TOpInj:
-        dom = (node.mono.sorts,)
+        dom = (node.mono,)
         cod = dom * node.op.arity
     elif cls is TIdZero:
         dom = cod = ()
@@ -132,9 +131,9 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
 
 def tape_types(roots: Sequence[TapeTerm], sig: MonSignature,
                walk: tuple[list, dict] | None = None) -> tuple:
-    """The types of the roots as sort words (see ``node_type``), each
-    distinct subterm typed once; ``walk`` as for ``fold``.  The roots are
-    typed in turn, so an error of the first is raised first."""
+    """The types of the roots (see ``node_type``), each distinct subterm
+    typed once; ``walk`` as for ``fold``.  The roots are typed in turn, so
+    an error of the first is raised first."""
     for i, t in enumerate(roots):
         if not isinstance(t, TapeTerm):
             tape_types(roots[:i], sig)
@@ -146,7 +145,7 @@ def tape_types(roots: Sequence[TapeTerm], sig: MonSignature,
 def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial]:
     """(dom, cod) of t, each distinct subterm typed once."""
     dom, cod = tape_types((t,), sig)[0]
-    return poly_of_words(dom), poly_of_words(cod)
+    return Polynomial(dom), Polynomial(cod)
 
 
 # --- composition helpers ------------------------------------------------------
@@ -182,13 +181,9 @@ def as_poly(x: Union[Polynomial, Monomial]) -> Polynomial:
 
 _BUILT: WeakValueDictionary = WeakValueDictionary()
 """(builder name or node class, arguments) -> the tape built, for as long
-as it lives.  A polynomial argument is keyed by its ``_words``."""
-
-
-def _words(p: Polynomial) -> tuple:
-    """p's monomials as tuples of sort names: a key hashed without a
-    Python call per monomial."""
-    return tuple([u.sorts for u in p.monomials])
+as it lives.  A polynomial argument is keyed by itself, a suffix or prefix
+by its slice.  A Monomial equals the plain tuple of its sorts and ONE
+equals ZERO, so each key slot holds one kind of object."""
 
 
 def _right_fold(name: str, p: Polynomial, args: tuple,
@@ -199,9 +194,9 @@ def _right_fold(name: str, p: Polynomial, args: tuple,
     0 and step(u, rest, tape at rest) at u (+) rest.  Starts from the
     longest suffix of p whose tape is in ``_BUILT`` and keeps the tape of
     every longer suffix there."""
-    monos, words, pending = p.monomials, _words(p), []
-    for i in range(len(monos) + 1):
-        key = (name, words[i:], *args)
+    pending = []
+    for i in range(len(p) + 1):
+        key = (name, p[i:], *args)
         t = _BUILT.get(key)
         if t is not None:
             break
@@ -209,7 +204,7 @@ def _right_fold(name: str, p: Polynomial, args: tuple,
     else:
         t = _BUILT[pending.pop()[1]] = base()
     for i, key in reversed(pending):
-        t = _BUILT[key] = step(monos[i], Polynomial(monos[i + 1:]), t)
+        t = _BUILT[key] = step(p[i], Polynomial(p[i + 1:]), t)
     return t
 
 
@@ -218,14 +213,13 @@ def _monowise(cls: type, p: Union[Polynomial, Monomial]) -> TapeTerm:
     longest prefix of p whose tape is in ``_BUILT`` and adds one monomial
     at a time, keeping the tape of every longer prefix there."""
     p = as_poly(p)
-    monos, words = p.monomials, _words(p)
-    i = len(monos)
-    while i and (t := _BUILT.get((cls, words[:i]))) is None:
+    i = len(p)
+    while i and (t := _BUILT.get((cls, p[:i]))) is None:
         i -= 1
     if not i:
         t = TIdZero()
-    for j in range(i, len(monos)):
-        t = _BUILT[(cls, words[:j + 1])] = tsum(t, cls(monos[j]))
+    for j in range(i, len(p)):
+        t = _BUILT[(cls, p[:j + 1])] = tsum(t, cls(p[j]))
     return t
 
 
@@ -240,7 +234,7 @@ def cobang_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
 def _mono_vs_poly(u: Monomial, q: Polynomial) -> TapeTerm:
     """sigma+_{U,Q} : U (+) Q -> Q (+) U, one monomial of Q at a time."""
     return _right_fold(
-        "mono_vs_poly", q, (u.sorts,), lambda: TIdMon(u),
+        "mono_vs_poly", q, (u,), lambda: TIdMon(u),
         lambda w, q_rest, t: tseq(tsum(TSymPlus(u, w), id_tape(q_rest)),
                                   tsum(TIdMon(w), t)))
 
@@ -252,7 +246,7 @@ def symplus_tape(p: Union[Polynomial, Monomial],
     if q.is_zero:
         return id_tape(p)
     return _right_fold(
-        "symplus", p, (_words(q),), lambda: id_tape(q),
+        "symplus", p, (q,), lambda: id_tape(q),
         lambda u, p_rest, t: tseq(tsum(TIdMon(u), t),
                                   tsum(_mono_vs_poly(u, q), id_tape(p_rest))))
 
@@ -287,7 +281,7 @@ def distributor(p: Union[Polynomial, Monomial],
         return tseq(shuffle, head) if inverse else tseq(head, shuffle)
 
     return _right_fold("distributor", as_poly(p),
-                       (_words(q), _words(r), inverse), TIdZero, step)
+                       (q, r, inverse), TIdZero, step)
 
 
 def dl_nary(p: Union[Polynomial, Monomial],
@@ -317,7 +311,7 @@ def symtensor_tape(p: Union[Polynomial, Monomial],
         blocks = tsum(*(TCirc(sym_circuit(u, v)) for u in p))
         return tseq(distributor(p, poly_of_mono(v), q_rest), tsum(blocks, t))
 
-    return _right_fold("symtensor", as_poly(q), (_words(p),), TIdZero, step)
+    return _right_fold("symtensor", as_poly(q), (p,), TIdZero, step)
 
 
 def op_inj_tape(op: OpSymbol, p: Union[Polynomial, Monomial]) -> TapeTerm:
@@ -337,7 +331,7 @@ def nfold_codiag(p: Union[Polynomial, Monomial], m: int) -> TapeTerm:
     p = as_poly(p)
     if m == 0:
         return cobang_tape(p)
-    key = ("nfold_codiag", _words(p))
+    key = ("nfold_codiag", p)
     t, k = None, m      # k: the largest count up to m whose tape is kept
     while k > 1 and (t := _BUILT.get((*key, k))) is None:
         k -= 1
@@ -413,7 +407,7 @@ def whisker_left(s: Union[Polynomial, Monomial], t: TapeTerm) -> TapeTerm:
     """S |> t for a polynomial S: the sum of the monomial whiskerings."""
     if isinstance(s, Monomial):
         return whisker_left_mono(s, t)
-    return tsum(*_whiskers(t, s.monomials, left=True))
+    return tsum(*_whiskers(t, s, left=True))
 
 
 def whisker_right(t: TapeTerm, s: Union[Polynomial, Monomial],
@@ -425,7 +419,7 @@ def whisker_right(t: TapeTerm, s: Union[Polynomial, Monomial],
 
 def _whisker_right(t: TapeTerm, s: Polynomial, typ) -> TapeTerm:
     """t <| S, given t's (dom, cod) when S has two monomials or more."""
-    parts = _whiskers(t, s.monomials, left=False)
+    parts = _whiskers(t, s, left=False)
     if len(parts) < 2:
         return tsum(*parts)
     summands = [poly_of_mono(u) for u in s]
@@ -436,7 +430,7 @@ def _whisker_right(t: TapeTerm, s: Polynomial, typ) -> TapeTerm:
 def tensor_tape(t1: TapeTerm, t2: TapeTerm, sig: MonSignature) -> TapeTerm:
     """t1 (x) t2, defined by whiskering: (P |> t2) ; (t1 <| S)."""
     (dom1, cod1), (_, cod2) = tape_types((t1, t2), sig)
-    dom1, cod1, cod2 = map(poly_of_words, (dom1, cod1, cod2))
+    dom1, cod1, cod2 = map(Polynomial, (dom1, cod1, cod2))
     return TSeq(whisker_left(dom1, t2), _whisker_right(t1, cod2, (dom1, cod1)))
 
 

@@ -141,8 +141,8 @@ def test_criterion_5_copy_discard_coherence():
         count += 1
         # both coherence paths, for every split of p into x (+) y
         for k in range(len(p) + 1):
-            x = Polynomial(p.monomials[:k])
-            y = Polynomial(p.monomials[k:])
+            x = Polynomial(p[:k])
+            y = Polynomial(p[k:])
             blocks = tsum(copier_tape(x), cobang_tape(x * y),
                           cobang_tape(y * x), copier_tape(y))
             reshuffle = tsum(distributor(x, x, y, inverse=True),

@@ -41,7 +41,7 @@ def ref_symplus_tape(p, q):
     def mono_vs_poly(u, q):
         if q.is_zero:
             return TIdMon(u)
-        w, q_rest = q.monomials[0], Polynomial(q.monomials[1:])
+        w, q_rest = q[0], Polynomial(q[1:])
         return tseq(tsum(TSymPlus(u, w), ref_id_tape(q_rest)),
                     tsum(TIdMon(w), mono_vs_poly(u, q_rest)))
 
@@ -49,7 +49,7 @@ def ref_symplus_tape(p, q):
         return ref_id_tape(q)
     if q.is_zero:
         return ref_id_tape(p)
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
+    u, p_rest = p[0], Polynomial(p[1:])
     return tseq(tsum(TIdMon(u), ref_symplus_tape(p_rest, q)),
                 tsum(mono_vs_poly(u, q), ref_id_tape(p_rest)))
 
@@ -58,7 +58,7 @@ def ref_codiag_tape(p):
     p = as_poly(p)
     if p.is_zero:
         return TIdZero()
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
+    u, p_rest = p[0], Polynomial(p[1:])
     shuffle = tsum(TIdMon(u), ref_symplus_tape(p_rest, poly_of_mono(u)),
                    ref_id_tape(p_rest))
     return tseq(shuffle, tsum(TCodiag(u), ref_codiag_tape(p_rest)))
@@ -68,7 +68,7 @@ def ref_distributor(p, q, r, inverse=False):
     p, q, r = as_poly(p), as_poly(q), as_poly(r)
     if p.is_zero:
         return TIdZero()
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
+    u, p_rest = p[0], Polynomial(p[1:])
     u_poly = poly_of_mono(u)
     head = tsum(ref_id_tape(u_poly * (q + r)),
                 ref_distributor(p_rest, q, r, inverse))
@@ -97,7 +97,7 @@ def ref_symtensor_tape(p, q):
     p, q = as_poly(p), as_poly(q)
     if q.is_zero:
         return TIdZero()
-    v, q_rest = q.monomials[0], Polynomial(q.monomials[1:])
+    v, q_rest = q[0], Polynomial(q[1:])
     blocks = tsum(*(TCirc(sym_circuit(u, v)) for u in p))
     return tseq(ref_distributor(p, poly_of_mono(v), q_rest),
                 tsum(blocks, ref_symtensor_tape(p, q_rest)))
@@ -108,8 +108,8 @@ def ref_op_inj_tape(op, p):
     if p.is_zero:
         return TIdZero()
     if len(p) == 1:
-        return TOpInj(op, p.monomials[0])
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
+        return TOpInj(op, p[0])
+    u, p_rest = p[0], Polynomial(p[1:])
     n_ones = nfold_sum(poly_of_mono(ONE), op.arity)
     return tseq(tsum(TOpInj(op, u), ref_op_inj_tape(op, p_rest)),
                 ref_distributor(n_ones, poly_of_mono(u), p_rest, inverse=True))
@@ -129,7 +129,7 @@ def ref_copier_tape(p):
     p = as_poly(p)
     if p.is_zero:
         return TIdZero()
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
+    u, p_rest = p[0], Polynomial(p[1:])
     top = tsum(TCirc(copier_circuit(u)),
                ref_cobang_tape(poly_of_mono(u) * p_rest))
     if p_rest.is_zero:
@@ -145,7 +145,7 @@ def ref_discharger_tape(p):
     p = as_poly(p)
     if p.is_zero:
         return TCobang(ONE)
-    u, p_rest = p.monomials[0], Polynomial(p.monomials[1:])
+    u, p_rest = p[0], Polynomial(p[1:])
     if p_rest.is_zero:
         return TCirc(discharger_circuit(u))
     return tseq(tsum(TCirc(discharger_circuit(u)), ref_discharger_tape(p_rest)),
@@ -164,7 +164,7 @@ def random_call(rng):
     def p():
         # a monomial now and then: the builders take either
         x = rand_poly(rng, SORTS, 3, 2)
-        return x.monomials[0] if len(x) == 1 and rng.random() < 0.3 else x
+        return x[0] if len(x) == 1 and rng.random() < 0.3 else x
 
     kind = rng.randrange(11)
     if kind == 0:
@@ -206,7 +206,7 @@ def test_builders_return_the_reference_node(seed):
         built, ref, args = rng.choice(calls)
         if rng.random() < 0.3 and isinstance(args[0], Polynomial) \
                 and len(args[0]) > 1:
-            args = (Polynomial(args[0].monomials[1:]),) + args[1:]
+            args = (Polynomial(args[0][1:]),) + args[1:]
         t = built(*args)
         assert t is ref(*args), (built.__name__, args)
         if rng.random() < 0.5:
@@ -241,7 +241,7 @@ def test_memo_keeps_nothing_alive():
     """A built tape dies with its last reference outside the memo, and its
     entry goes with it."""
     p, q, r = poly(("Dead1",), ("Dead2",)), poly(("Dead3",)), poly(("Dead4",))
-    key = ("distributor", *map(tape._words, (p, q, r)), False)
+    key = ("distributor", p, q, r, False)
     t = tape.distributor(p, q, r)
     assert tape._BUILT.get(key) is t
     ref = weakref.ref(t)

@@ -17,7 +17,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tapecalc import kleisli, suites
+from tapecalc import hashcons, kleisli, suites
 from tapecalc.circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort,
                               CSeq, CSym, CTensor, CircuitTerm, MonSignature,
                               type_of_circuit)
@@ -26,8 +26,10 @@ from tapecalc.frontend.render import render_svg
 from tapecalc.hashcons import fold, postorder
 from tapecalc.interp import Interpretation, eval_circuit, eval_tape
 from tapecalc.kleisli import Matrix, model_for, op_matrix
-from tapecalc.objects import ZERO, mono, nfold_sum, poly, poly_of_mono
-from tapecalc.suites import (Freshener, SemEqResult, rand_poly, sem_eq,
+from tapecalc.objects import (Monomial, ZERO, mono, nfold_sum, poly,
+                              poly_of_mono)
+from tapecalc.suites import (Freshener, SemEqResult, SuiteBounds, axiom_suite,
+                             lemma_suite, rand_poly, sem_eq,
                              standard_interpretation)
 from tapecalc.tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon,
                            TIdZero, TOpInj, TSeq, TSum, TSymPlus, distributor,
@@ -565,3 +567,36 @@ def test_polynomial_whiskering_is_the_sum_of_monomial_ones(model, seed):
         assert isinstance(right, TSeq) and isinstance(right.first, TSeq)
         right = right.first.second      # between the two distributors
     assert right is parts
+
+
+@pytest.mark.parametrize("model", ["PCA", "CM"])
+def test_every_monomial_field_is_a_monomial(monkeypatch, model):
+    """A Monomial equals the plain tuple of its sort names, and the intern
+    table compares keys with ==, so a node built from a plain tuple would
+    be handed back for the equal Monomial and print without it.  The
+    suites construct every node with a real Monomial in each monomial
+    field, and every live node holds one (all are kept alive for the
+    check)."""
+    fields = {TIdMon: ("mono",), TCobang: ("mono",), TCodiag: ("mono",),
+              TOpInj: ("mono",), TSymPlus: ("left", "right")}
+    kept, new = [], hashcons.Term.__new__
+
+    def keeping(cls, *args, **kwargs):
+        given = {**dict(zip(cls.__match_args__, args)), **kwargs}
+        for name in fields.get(cls, ()):
+            assert type(given[name]) is Monomial, (cls, given)
+        kept.append(new(cls, *args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(hashcons.Term, "__new__", keeping)
+    interp = standard_interpretation(model)
+    bounds = SuiteBounds(mono_len=1, poly_len=2, samples=1, max_tuples=12)
+    assert axiom_suite(interp, bounds, seed=2).failed == 0
+    assert lemma_suite(interp, bounds, seed=2).failed == 0
+    seen = set()
+    for entry in list(hashcons._LIVE.values()):
+        node = entry()
+        for name in fields.get(type(node), ()):
+            assert type(getattr(node, name)) is Monomial, node
+            seen.add(type(node))
+    assert seen == set(fields)

@@ -1,14 +1,20 @@
 """Object normalization against an independent brute-force rewriter."""
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tapecalc.circuit import (CGen, CIdOne, CIdSort, CSym, CTensor,
+                              MonSignature, type_of_circuit)
 from tapecalc.errors import UnknownSortError
 from tapecalc.objects import (Monomial, ONE, Polynomial, SortRef, Sum, Tensor,
-                              UnitOne, ZERO, ZeroObj, embed, mono, normalize,
-                              poly, poly_of_mono, poly_tensor)
+                              UnitOne, ZERO, ZeroObj, embed, mono, nfold_sum,
+                              normalize, poly, poly_of_mono, poly_tensor)
+from tapecalc.tape import (TCirc, TCodiag, TIdMon, TIdZero, TSum, TSymPlus,
+                           type_of_tape)
 
 SORTS = ("A", "B", "C")
 
@@ -201,3 +207,84 @@ def test_normalize_long_product_without_recursion():
         right = Tensor(embed(p), right)
     assert normalize(left, SORTS) == expected
     assert normalize(right, SORTS) == expected
+
+
+# --- the object types -------------------------------------------------------------
+
+def is_polynomial(p):
+    return type(p) is Polynomial and all(type(u) is Monomial for u in p)
+
+
+def test_object_operations_return_the_object_types():
+    p, q = poly(("A",), ("B", "C")), poly_of_mono(mono("A", "B"))
+    assert type(mono("A", "B")) is Monomial and type(ONE) is Monomial
+    assert type(mono("A") * mono("B")) is Monomial
+    assert mono("A") * mono("B") == mono("A", "B")
+    for r in (p, q, ZERO, p + q, p * q, p * ZERO, nfold_sum(p, 3),
+              nfold_sum(p, 0), poly(("A",), "BC", mono("C"), ()),
+              poly_of_mono(ONE), poly_tensor(p, q)):
+        assert is_polynomial(r), r
+    assert nfold_sum(p, 2) == p + p
+    rng = random.Random(14)
+    for _ in range(100):
+        assert is_polynomial(normalize(random_term(rng, 4), SORTS))
+
+
+def test_types_are_object_types():
+    sig = MonSignature(("A", "B"), {"F": (mono("A"), mono("B", "A"))})
+    tapes = (TSum(TIdMon(mono("A")), TCodiag(mono("A", "B"))), TIdZero(),
+             TSymPlus(ONE, mono("B")), TCirc(CTensor(CGen("F"), CIdOne())))
+    for t in tapes:
+        dom, cod = type_of_tape(t, sig)
+        assert is_polynomial(dom) and is_polynomial(cod), t
+    for c in (CTensor(CGen("F"), CIdSort("A")), CIdOne(), CSym("A", "B")):
+        dom, cod = type_of_circuit(c, sig)
+        assert type(dom) is Monomial and type(cod) is Monomial, c
+    assert type_of_circuit(CIdOne(), sig) == (ONE, ONE)
+    assert type_of_circuit(CTensor(CGen("F"), CIdSort("A")), sig) \
+        == (mono("A", "A"), mono("B", "A", "A"))
+
+
+def test_repr_and_str_keep_their_text():
+    """The text printed by the dataclasses these types once were, which
+    suite witnesses and node reprs embed."""
+    cases = [
+        (mono("A", "B"), "Monomial(sorts=('A', 'B'))", "AB"),
+        (mono("A"), "Monomial(sorts=('A',))", "A"),
+        (ONE, "Monomial(sorts=())", "1"),
+        (ZERO, "Polynomial(monomials=())", "0"),
+        (poly_of_mono(ONE), "Polynomial(monomials=(Monomial(sorts=()),))", "1"),
+        (poly_of_mono(mono("A")),
+         "Polynomial(monomials=(Monomial(sorts=('A',)),))", "A"),
+        (poly(("A", "B"), (), ("C",)),
+         "Polynomial(monomials=(Monomial(sorts=('A', 'B')), "
+         "Monomial(sorts=()), Monomial(sorts=('C',))))", "AB (+) 1 (+) C"),
+    ]
+    for x, text, shown in cases:
+        assert repr(x) == text
+        assert str(x) == shown
+
+
+def test_pickle_and_copy_round_trips():
+    for x in (mono("A", "B"), ONE, ZERO, poly(("A",), (), ("B", "C"))):
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [pickle.loads(pickle.dumps(x, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert y == x and type(y) is type(x)
+            if type(x) is Polynomial:
+                assert is_polynomial(y)
+
+
+def test_objects_are_tuples():
+    """Intended: a monomial is the tuple of its sort names and a polynomial
+    the tuple of its monomials, so each equals (and hashes as) that plain
+    tuple, and the unit 1 equals the zero 0, both being empty.  Tables
+    keyed by objects therefore keep one kind of object per key slot, and
+    term nodes are given real Monomials (see test_hashcons)."""
+    assert mono("A") == ("A",) and hash(mono("A")) == hash(("A",))
+    assert poly(("A",), ("B", "C")) == (("A",), ("B", "C"))
+    assert ONE == ZERO == ()
+    assert Monomial.__slots__ == () and Polynomial.__slots__ == ()
+    assert not hasattr(mono("A"), "__dict__")
+    assert len(poly(("A",), ())) == 2 and list(mono("A", "B")) == ["A", "B"]
