@@ -20,7 +20,7 @@ from ..suites import (SuiteBounds, axiom_suite, coherence_suite, lemma_suite,
 from ..tape import TERM_KIDS, TOpInj, tape_types
 from .parser import ascii_int, parse_module, parse_object_expr
 from .render import render_svg
-from .surface import TheoryDecl, elaborate
+from .surface import elaborate
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -134,8 +134,7 @@ def check_weights(nodes, models) -> None:
 def cmd_check(args) -> int:
     module = load_module(args.file)
     sig = module.signature()
-    models = [model_for(module.theory(d.name)) for d in module.decls
-              if isinstance(d, TheoryDecl)]
+    models = [model_for(module.theory(name)) for name in module.theories]
     for name, body in module.defs.items():
         try:
             tape = elaborate(body, module, sig)

@@ -9,6 +9,7 @@ are rejected.  Diagnostics carry line, column and the expected tokens.
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 from fractions import Fraction
 
 from ..errors import ParseError
@@ -17,11 +18,10 @@ from ..objects import Monomial, ONE, Polynomial, ZERO, SortRef, Sum, Tensor, \
 from ..hashcons import fold
 from ..theory import App, CM_PLUS, CM_ZERO, OpSymbol, SIGMA_KIDS, STAR, \
     SigmaTerm, Var, check_term, choice
-from .surface import (CAtomGen, CAtomId, CIRCUIT_ATOMS, CExpr, CSeqS,
-                      CTensorS, CheckDecl, DefDecl, GenDecl, INFIX,
-                      InterpDecl, SAtom, SCircuit, SExpr, SOp, SRef, SSeq,
-                      SSum, STensor, STermBr, SortDecl, SourceModule,
-                      TAPE_ATOMS, TheoryDecl)
+from .surface import (CAtomGen, CAtomId, CIRCUIT_ATOMS, CheckDecl, DefDecl,
+                      GenDecl, INFIX, InterpDecl, SAtom, SCircuit, SExpr,
+                      SOp, SRef, SSeq, SSum, STensor, STermBr, SortDecl,
+                      SourceModule, TAPE_ATOMS, TheoryDecl)
 
 
 PUNCT = {
@@ -118,15 +118,16 @@ def split_sorts(text: str, sorts: tuple[str, ...]) -> list[str] | None:
     return parts
 
 
-# spelling -> (surface key, argument count), read from surface's atom tables
+# spelling -> (SAtom kind, argument count), read from surface's atom tables
 TAPE_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in TAPE_ATOMS.items()}
-CIRCUIT_SPELLINGS = {s: (cls, n) for cls, (s, n, _) in CIRCUIT_ATOMS.items()}
+CIRCUIT_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in CIRCUIT_ATOMS.items()}
 TAPE_ATOM_KEYWORDS = {s.rstrip("+") for s in TAPE_SPELLINGS} | {"op", "term"}
 
 # token kind -> (constructor, precedence level), read from surface.INFIX;
-# object expressions take the rows of the tape products they share symbols with.
+# circuits take the tape products but (+), object expressions take the
+# rows of the tape products they share symbols with.
 TAPE_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (SSeq, STensor, SSum)}
-CIRCUIT_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (CSeqS, CTensorS)}
+CIRCUIT_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (SSeq, STensor)}
 OBJECT_OPS = {INFIX[s][0]: (c, INFIX[s][2]) for s, c in ((STensor, Tensor),
                                                           (SSum, Sum))}
 # Σ-term `+` and `+_p`, one level; infix reads the operation after the `+`.
@@ -144,11 +145,6 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.module = SourceModule()
-        self.sorts: tuple[str, ...] = ()
-        self.gen_names: set[str] = set()
-        self.def_names: set[str] = set()
-        self.theory_names: set[str] = set()
-        self.interp_names: set[str] = set()
 
     # -- token plumbing --------------------------------------------------
 
@@ -186,7 +182,7 @@ class Parser:
 
     # -- names and small pieces -------------------------------------------
 
-    def fresh_name(self, kind: str, taken: set[str]) -> str:
+    def fresh_name(self, kind: str, taken: Container[str]) -> str:
         tok = self.expect("IDENT", "a name")
         name = tok[1]
         if name in RESERVED:
@@ -217,28 +213,32 @@ class Parser:
             self.fail("zero denominator", tok=tok)
         return Fraction(num, den)
 
-    def monomial_token(self, tok: Token) -> Monomial:
+    def word(self, tok: Token) -> Monomial | None:
+        """The monomial that one token spells: `1`, or a glued identifier
+        split into declared sorts; None for any other token."""
         kind, text, _ = tok
         if kind == "INT" and text == "1":
             return ONE
-        if kind != "IDENT":
-            self.fail(f"expected a monomial, found {text!r}", {"monomial"}, tok)
-        parts = split_sorts(text, self.sorts)
-        if parts is None:
-            self.fail(f"cannot read {text!r} as a word of declared sorts",
-                      tok=tok)
-        return Monomial(tuple(parts))
+        parts = split_sorts(text, self.module.sorts) if kind == "IDENT" else None
+        return None if parts is None else Monomial(tuple(parts))
 
-    def splittable(self, tok: Token) -> bool:
-        kind, text, _ = tok
-        if kind == "INT" and text == "1":
-            return True
-        return kind == "IDENT" and split_sorts(text, self.sorts) is not None
-
-    def monomial(self) -> Monomial:
-        m = self.monomial_token(self.next())
-        while self.splittable(self.peek()):
-            m = m * self.monomial_token(self.next())
+    def monomial(self, first: Monomial | None = None) -> Monomial:
+        """Juxtaposed words; first is the word of the token just read, if
+        the caller has read one.  Each token is split once."""
+        m = first
+        if m is None:
+            tok = self.next()
+            kind, text, _ = tok
+            m = self.word(tok)
+            if kind != "IDENT" and m is None:
+                self.fail(f"expected a monomial, found {text!r}", {"monomial"},
+                          tok)
+            if m is None:
+                self.fail(f"cannot read {text!r} as a word of declared sorts",
+                          tok=tok)
+        while (w := self.word(self.peek())) is not None:
+            self.next()
+            m = m * w
         return m
 
     def poly_arg(self) -> Polynomial:
@@ -247,14 +247,9 @@ class Parser:
             self.next()
             return ZERO
         p = poly_of_mono(self.monomial())
-        while self.at("OPLUS"):
-            save = self.pos
-            self.next()
-            if self.splittable(self.peek()):
-                p = p + poly_of_mono(self.monomial())
-            else:
-                self.pos = save
-                break
+        while self.at("OPLUS") and (w := self.word(self.peek(1))) is not None:
+            self.pos += 2
+            p = p + poly_of_mono(self.monomial(w))
         return p
 
     # -- declarations ------------------------------------------------------
@@ -278,25 +273,25 @@ class Parser:
 
     def sort_decl(self):
         self.next()
-        name = self.fresh_name("sort", set(self.sorts))
+        name = self.fresh_name("sort", self.module.sorts)
         self.expect("SEMI", "';'")
-        self.sorts = self.sorts + (name,)
+        self.module.sorts += (name,)
         self.module.decls.append(SortDecl(name))
 
     def gen_decl(self):
         self.next()
-        name = self.fresh_name("generator", self.gen_names)
+        name = self.fresh_name("generator", self.module.gens)
         self.expect("COLON", "':'")
         ar = self.monomial()
         self.expect("ARROW", "'->'")
         coar = self.monomial()
         self.expect("SEMI", "';'")
-        self.gen_names.add(name)
+        self.module.gens[name] = (ar, coar)
         self.module.decls.append(GenDecl(name, ar, coar))
 
     def theory_decl(self):
         self.next()
-        name = self.fresh_name("theory", self.theory_names)
+        name = self.fresh_name("theory", self.module.theories)
         if name not in ("PCA", "CM"):
             self.fail(f"unknown theory {name!r}", {"PCA", "CM"})
         params: list[Fraction] = []
@@ -307,23 +302,30 @@ class Parser:
             while self.accept("COMMA"):
                 params.append(self.rational())
         self.expect("SEMI", "';'")
-        self.theory_names.add(name)
+        self.module.theories[name] = tuple(params)
         self.module.decls.append(TheoryDecl(name, tuple(params)))
 
     def interp_decl(self):
+        """An interpretation block: a carrier per sort, a matrix per
+        generator and one model, each given at most once."""
         self.next()
-        name = self.fresh_name("interpretation", self.interp_names)
+        name = self.fresh_name("interpretation", self.module.interps)
         self.expect("LBRACE", "'{'")
-        carriers, matrices, model = [], [], None
+        carriers, matrices, model = {}, {}, None
         while not self.at("RBRACE"):
             key = self.expect("IDENT", "an interpretation item")
             item = key[1]
             self.expect("EQUALS", "'='")
             if item == "model":
+                if model is not None:
+                    self.fail(f"duplicate model item in interpretation {name}",
+                              tok=key)
                 model = self.expect("IDENT", "a theory name")[1]
-                if model not in self.theory_names:
+                if model not in self.module.theories:
                     self.fail(f"theory {model} is not declared", tok=key)
             elif self.at("LBRACE"):
+                if item in carriers:
+                    self.fail(f"duplicate carrier of sort {item}", tok=key)
                 self.next()
                 labels = []
                 if not self.at("RBRACE"):
@@ -331,23 +333,26 @@ class Parser:
                     while self.accept("COMMA"):
                         labels.append(self.label())
                 self.expect("RBRACE", "'}'")
-                if item not in self.sorts:
+                if item not in self.module.sorts:
                     self.fail(f"sort {item} is not declared", tok=key)
-                carriers.append((item, tuple(labels)))
+                carriers[item] = tuple(labels)
             elif self.at("LBRACK"):
+                if item in matrices:
+                    self.fail(f"duplicate matrix of generator {item}", tok=key)
                 rows = self.matrix_literal()
-                if item not in self.gen_names:
+                if item not in self.module.gens:
                     self.fail(f"generator {item} is not declared", tok=key)
-                matrices.append((item, rows))
+                matrices[item] = rows
             else:
                 self.fail("expected '{', '[' or a theory name")
             self.expect("SEMI", "';'")
         self.expect("RBRACE", "'}'")
         if model is None:
             self.fail(f"interpretation {name} lacks a model item")
-        self.interp_names.add(name)
-        self.module.decls.append(InterpDecl(name, tuple(carriers),
-                                            tuple(matrices), model))
+        decl = InterpDecl(name, tuple(carriers.items()),
+                          tuple(matrices.items()), model)
+        self.module.interps[name] = decl
+        self.module.decls.append(decl)
 
     def label(self) -> str:
         if self.peek()[0] in ("IDENT", "INT"):
@@ -373,11 +378,11 @@ class Parser:
 
     def def_decl(self):
         self.next()
-        name = self.fresh_name("definition", self.def_names)
+        name = self.fresh_name("definition", self.module.defs)
         self.expect("EQUALS", "'='")
         body = self.infix(TAPE_OPS, self.tape_atom)
         self.expect("SEMI", "';'")
-        self.def_names.add(name)
+        self.module.defs[name] = body
         self.module.decls.append(DefDecl(name, body))
 
     def check_decl(self):
@@ -389,11 +394,13 @@ class Parser:
         interp = self.expect("IDENT", "an interpretation name")[1]
         self.expect("SEMI", "';'")
         for ref in (left, right):
-            if ref not in self.def_names:
+            if ref not in self.module.defs:
                 self.fail(f"check refers to undefined name {ref}")
-        if interp not in self.interp_names:
+        if interp not in self.module.interps:
             self.fail(f"check refers to undeclared interpretation {interp}")
-        self.module.decls.append(CheckDecl(left, right, interp))
+        check = CheckDecl(left, right, interp)
+        self.module.checks.append(check)
+        self.module.decls.append(check)
 
     # -- infix expressions ------------------------------------------------------
 
@@ -401,9 +408,10 @@ class Parser:
         """Left-associative infix products of atom()s.  ops maps a token
         kind to its constructor and precedence level, 0 binding loosest.
         '(' is a marker on the operator stack that ')' pops (Dijkstra's
-        shunting-yard), so nesting costs no recursion.  A ';' composes tapes
-        only when a tape atom follows it; otherwise it closes the
-        surrounding declaration."""
+        shunting-yard), so nesting costs no recursion.  Between tapes, a ';'
+        composes only when a tape atom follows it; otherwise it closes the
+        surrounding declaration.  Inside a circuit bracket every ';'
+        composes."""
         operands, pending = [], []
         while True:
             while self.accept("LPAREN"):
@@ -411,7 +419,8 @@ class Parser:
             operands.append(atom())
             while True:
                 op = ops.get(self.peek()[0])
-                if op is not None and op[0] is SSeq and not self.starts_tape_atom(1):
+                if (ops is TAPE_OPS and op is not None and op[0] is SSeq
+                        and not self.starts_tape_atom(1)):
                     op = None
                 level = -1 if op is None else op[1]
                 while pending and pending[-1][1] >= level:
@@ -452,7 +461,7 @@ class Parser:
         if kind in ("LPAREN", "LBRACK"):
             return True
         return kind == "IDENT" and (
-            text in TAPE_ATOM_KEYWORDS or text in self.def_names)
+            text in TAPE_ATOM_KEYWORDS or text in self.module.defs)
 
     def tape_atom(self) -> SExpr:
         if self.accept("LBRACK"):
@@ -483,7 +492,7 @@ class Parser:
             context = max_var(term)
             check_term(term, context)
             return STermBr(term, context, poly)
-        if text in self.def_names:
+        if text in self.module.defs:
             self.next()
             return SRef(text)
         self.fail(f"unknown tape atom {text!r}; forward references are rejected",
@@ -523,23 +532,22 @@ class Parser:
 
     # -- circuit expressions -----------------------------------------------------
 
-    def circuit_atom(self) -> CExpr:
+    def circuit_atom(self) -> SExpr:
         kind, text, _ = self.peek()
         if kind != "IDENT":
             self.fail(f"expected a circuit expression, found {text!r}",
                       {"generator", "id<mono>", *CIRCUIT_SPELLINGS, "'('"})
         atom = self.table_atom(CIRCUIT_SPELLINGS, self.monomial)
         if atom is not None:
-            cls, args = atom
-            return cls(*args)
-        if text in self.gen_names:
+            return SAtom(*atom)
+        if text in self.module.gens:
             self.next()
             return CAtomGen(text)
         if text == "id1":
             self.next()
             return CAtomId(ONE)
         if text.startswith("id") and len(text) > 2:
-            parts = split_sorts(text[2:], self.sorts)
+            parts = split_sorts(text[2:], self.module.sorts)
             if parts is not None:
                 self.next()
                 return CAtomId(Monomial(tuple(parts)))
@@ -566,7 +574,7 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
     auto = sorts is None
     found: list[str] = []
     if not auto:
-        parser.sorts = tuple(sorts)
+        parser.module.sorts = tuple(sorts)
 
     def atom() -> ObjTerm:
         tok = parser.peek()
@@ -579,7 +587,7 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
             return ZeroObj()
         if kind == "IDENT":
             parser.next()
-            names = list(text) if auto else split_sorts(text, parser.sorts)
+            names = list(text) if auto else split_sorts(text, parser.module.sorts)
             if names is None:
                 parser.fail(f"cannot read {text!r} as a word of declared sorts",
                             tok=tok)

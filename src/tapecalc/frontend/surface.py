@@ -1,8 +1,14 @@
 """Surface syntax trees, their elaboration into core terms, and printing.
 
-Parsing keeps the shape the user wrote (``copier@P`` stays one atom);
-elaboration lowers surface expressions to core circuit and tape terms on
-demand.  The printer emits the canonical concrete syntax, which is also
+One tree serves both layers: a circuit bracket ``[ ... ]`` is an
+``SCircuit`` whose contents are built from the same ``SSeq``, ``STensor``
+and ``SAtom`` nodes as the tape around it, its table atoms keyed into
+``CIRCUIT_ATOMS`` where a tape's are keyed into ``TAPE_ATOMS``.  Parsing
+keeps the shape the user wrote (``copier@P`` stays one atom); elaboration
+lowers surface expressions to core circuit and tape terms on demand.  A
+``SourceModule`` keeps its declarations in source order, for the printer,
+and one table per kind of declaration, filled by the parser as it reads
+each one.  The printer emits the canonical concrete syntax, which is also
 the format of the shipped corpus: parse then print is stable modulo
 whitespace.
 """
@@ -16,7 +22,7 @@ from typing import Union
 from ..circuit import (CGen, CSeq, CTensor, CircuitTerm, MonSignature,
                        copier_circuit, discharger_circuit,
                        identity_circuit, sym_circuit)
-from ..errors import ParseError
+from ..errors import ParseError, UnknownSortError
 from ..interp import Interpretation
 from ..kleisli import Matrix, model_for
 from ..objects import Monomial, Polynomial
@@ -27,52 +33,7 @@ from ..tape import (TCirc, TIdZero, TSeq, TSum, TapeTerm, cobang_tape,
 from ..theory import AlgebraicTheory, OpSymbol, SigmaTerm, builtin_theory
 
 
-# --- circuit surface expressions ------------------------------------------------
-
-@dataclass(frozen=True)
-class CExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class CAtomId(CExpr):
-    mono: Monomial
-
-
-@dataclass(frozen=True)
-class CAtomGen(CExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class CAtomSym(CExpr):
-    left: Monomial
-    right: Monomial
-
-
-@dataclass(frozen=True)
-class CAtomCopy(CExpr):
-    mono: Monomial
-
-
-@dataclass(frozen=True)
-class CAtomDel(CExpr):
-    mono: Monomial
-
-
-@dataclass(frozen=True)
-class CSeqS(CExpr):
-    left: CExpr
-    right: CExpr
-
-
-@dataclass(frozen=True)
-class CTensorS(CExpr):
-    left: CExpr
-    right: CExpr
-
-
-# --- tape surface expressions ----------------------------------------------------
+# --- surface expressions ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SExpr:
@@ -81,8 +42,8 @@ class SExpr:
 
 @dataclass(frozen=True)
 class SAtom(SExpr):
-    kind: str  # a key of TAPE_ATOMS
-    polys: tuple[Polynomial, ...] = ()
+    kind: str  # a key of TAPE_ATOMS, or of CIRCUIT_ATOMS inside a bracket
+    args: tuple = ()  # Polynomials for a tape atom, Monomials for a circuit atom
 
 
 @dataclass(frozen=True)
@@ -100,11 +61,21 @@ class STermBr(SExpr):
 
 @dataclass(frozen=True)
 class SCircuit(SExpr):
-    circuit: CExpr
+    circuit: SExpr
 
 
 @dataclass(frozen=True)
 class SRef(SExpr):
+    name: str
+
+
+@dataclass(frozen=True)
+class CAtomId(SExpr):
+    mono: Monomial
+
+
+@dataclass(frozen=True)
+class CAtomGen(SExpr):
     name: str
 
 
@@ -133,14 +104,12 @@ INFIX = {
     SSeq: ("SEMI", ";", 0),
     STensor: ("OTENSOR", "(x)", 1),
     SSum: ("OPLUS", "(+)", 2),
-    CSeqS: ("SEMI", ";", 0),
-    CTensorS: ("OTENSOR", "(x)", 1),
 }
 
-# The atoms spelt `spelling@arg,...,arg` (`id0` takes no '@'): spelling,
-# argument count and core builder.  A tape atom is SAtom(kind, polys); a
-# circuit atom's fields are its arguments.  The parser, the printer and the
-# elaborators all read these tables.
+# The atoms spelt `spelling@arg,...,arg` (`id0` takes no '@'), as
+# SAtom(kind, args): kind -> spelling, argument count and core builder.
+# Tape atoms take polynomials, circuit atoms monomials.  The parser, the
+# printer and the elaborators all read these tables.
 TAPE_ATOMS = {
     "id0": ("id0", 0, TIdZero),
     "id": ("id", 1, id_tape),
@@ -152,19 +121,10 @@ TAPE_ATOMS = {
     "dl": ("dl", 3, distributor),
 }
 CIRCUIT_ATOMS = {
-    CAtomSym: ("sym", 2, sym_circuit),
-    CAtomCopy: ("copy", 1, copier_circuit),
-    CAtomDel: ("del", 1, discharger_circuit),
+    "sym": ("sym", 2, sym_circuit),
+    "copy": ("copy", 1, copier_circuit),
+    "del": ("del", 1, discharger_circuit),
 }
-
-
-def atom_entry(e):
-    """(table entry, arguments) of a table atom; None for anything else."""
-    if isinstance(e, SAtom):
-        entry = TAPE_ATOMS.get(e.kind)
-        return entry and (entry, e.polys)
-    entry = CIRCUIT_ATOMS.get(type(e))
-    return entry and (entry, tuple(vars(e).values()))
 
 
 # --- declarations and modules -----------------------------------------------------
@@ -213,39 +173,28 @@ Decl = Union[SortDecl, GenDecl, TheoryDecl, InterpDecl, DefDecl, CheckDecl]
 
 @dataclass
 class SourceModule:
+    """A parsed module: its declarations in source order, which the printer
+    reads, and a table of each kind keyed by name, which the parser fills as
+    it reads each declaration.  A theory's table entry is its parameters."""
     decls: list[Decl] = field(default_factory=list)
-
-    @property
-    def sorts(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.decls if isinstance(d, SortDecl))
-
-    @property
-    def gens(self) -> dict[str, tuple[Monomial, Monomial]]:
-        return {d.name: (d.ar, d.coar) for d in self.decls
-                if isinstance(d, GenDecl)}
-
-    @property
-    def defs(self) -> dict[str, SExpr]:
-        return {d.name: d.body for d in self.decls if isinstance(d, DefDecl)}
-
-    @property
-    def checks(self) -> list[CheckDecl]:
-        return [d for d in self.decls if isinstance(d, CheckDecl)]
+    sorts: tuple[str, ...] = ()
+    gens: dict[str, tuple[Monomial, Monomial]] = field(default_factory=dict)
+    theories: dict[str, tuple[Fraction, ...]] = field(default_factory=dict)
+    interps: dict[str, InterpDecl] = field(default_factory=dict)
+    defs: dict[str, SExpr] = field(default_factory=dict)
+    checks: list[CheckDecl] = field(default_factory=list)
 
     def signature(self) -> MonSignature:
         return MonSignature(self.sorts, self.gens)
 
     def theory(self, name: str) -> AlgebraicTheory:
-        for d in self.decls:
-            if isinstance(d, TheoryDecl) and d.name == name:
-                return builtin_theory(d.name, d.params)
-        raise ParseError(f"theory {name} is not declared")
+        params = self.theories.get(name)
+        if params is None:
+            raise ParseError(f"theory {name} is not declared")
+        return builtin_theory(name, params)
 
     def interpretation(self, name: str) -> Interpretation:
-        decl = None
-        for d in self.decls:
-            if isinstance(d, InterpDecl) and d.name == name:
-                decl = d
+        decl = self.interps.get(name)
         if decl is None:
             raise ParseError(f"interpretation {name} is not declared")
         carriers = {sort: len(labels) for sort, labels in decl.carriers}
@@ -255,6 +204,8 @@ class SourceModule:
             ar, coar = sig.gen_type(gen_name)
             dom = 1
             for s in ar:
+                if s not in carriers:
+                    raise UnknownSortError(f"sort {s} has no carrier")
                 dom *= carriers[s]
             matrices[gen_name] = Matrix.from_rows(rows, dom=dom)
         interp = Interpretation(sig, carriers, matrices,
@@ -265,10 +216,10 @@ class SourceModule:
 
 # --- elaboration -------------------------------------------------------------------
 
-def elaborate_circuit(c: CExpr) -> CircuitTerm:
-    """The core circuit of c, folded on an explicit stack, so a bracket of
-    any length elaborates."""
-    products = {CSeqS: CSeq, CTensorS: CTensor}
+def elaborate_circuit(c: SExpr) -> CircuitTerm:
+    """The core circuit of a bracket's contents c, folded on an explicit
+    stack, so a bracket of any length elaborates."""
+    products = {SSeq: CSeq, STensor: CTensor}
     out: list[CircuitTerm] = []
     todo: list = [c]
     while todo:
@@ -282,8 +233,8 @@ def elaborate_circuit(c: CExpr) -> CircuitTerm:
             out.append(identity_circuit(e.mono))
         elif isinstance(e, CAtomGen):
             out.append(CGen(e.name))
-        elif (atom := atom_entry(e)) is not None:
-            out.append(atom[0][2](*atom[1]))
+        elif isinstance(e, SAtom) and e.kind in CIRCUIT_ATOMS:
+            out.append(CIRCUIT_ATOMS[e.kind][2](*e.args))
         else:
             raise ParseError(f"not a circuit expression: {e!r}")
     return out[0]
@@ -296,8 +247,8 @@ def elaborate(e: SExpr, module: SourceModule,
     refs: dict[str, TapeTerm] = {}   # each definition elaborates once a call
 
     def go(e: SExpr) -> TapeTerm:
-        if isinstance(e, SAtom) and (atom := atom_entry(e)) is not None:
-            return atom[0][2](*atom[1])
+        if isinstance(e, SAtom) and e.kind in TAPE_ATOMS:
+            return TAPE_ATOMS[e.kind][2](*e.args)
         if isinstance(e, SOp):
             return op_inj_tape(e.op, e.poly)
         if isinstance(e, STermBr):
@@ -322,7 +273,7 @@ def elaborate(e: SExpr, module: SourceModule,
 
 # --- printing ----------------------------------------------------------------------
 
-def print_sexpr(e: Union[SExpr, CExpr]) -> str:
+def print_sexpr(e: SExpr) -> str:
     """A tape or circuit expression, parenthesised where an operand of
     an infix product sits at a looser level than its position.  Pieces
     wait on an explicit stack, so depth costs no recursion."""
@@ -342,9 +293,10 @@ def print_sexpr(e: Union[SExpr, CExpr]) -> str:
                      (e.left, prec), "(" if group else "")
         elif isinstance(e, SCircuit):
             todo += (" ]", (e.circuit, 0), "[ ")
-        elif (atom := atom_entry(e)) is not None:
-            (spelling, n, _), args = atom
-            pieces.append(f"{spelling}@{','.join(map(str, args))}" if n
+        elif isinstance(e, SAtom) and (
+                atom := TAPE_ATOMS.get(e.kind) or CIRCUIT_ATOMS.get(e.kind)):
+            spelling, n, _ = atom
+            pieces.append(f"{spelling}@{','.join(map(str, e.args))}" if n
                           else spelling)
         elif isinstance(e, SOp):
             pieces.append(f"op<{e.op}>@{e.poly}")

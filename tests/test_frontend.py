@@ -5,12 +5,15 @@ from pathlib import Path
 
 import pytest
 
+from tapecalc.circuit import (CGen, CSeq, CTensor, copier_circuit, cseq,
+                              discharger_circuit, sym_circuit)
 from tapecalc.errors import ParseError
+from tapecalc.frontend import surface as S
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.parser import parse_module, parse_object_expr
 from tapecalc.frontend.surface import elaborate, print_module
 from tapecalc.objects import mono, normalize
-from tapecalc.tape import TIdZero, type_of_tape
+from tapecalc.tape import TCirc, TIdZero, type_of_tape
 
 CORPUS = sorted((Path(__file__).parent.parent / "corpus").glob("*.tape"))
 BOOL = Path(__file__).parent.parent / "corpus" / "bool_gates.tape"
@@ -49,6 +52,60 @@ def test_corpus_defs_typecheck(path):
     sig = module.signature()
     for name, body in module.defs.items():
         type_of_tape(elaborate(body, module, sig), sig)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_corpus_tables_survive_printing(path):
+    """The tables the parser fills agree with the declarations, and a
+    printed module parses back to the same tables."""
+    module = parse_module(path.read_text())
+
+    def of(cls):
+        return [d for d in module.decls if isinstance(d, cls)]
+
+    assert module.sorts == tuple(d.name for d in of(S.SortDecl))
+    assert module.gens == {d.name: (d.ar, d.coar) for d in of(S.GenDecl)}
+    assert module.theories == {d.name: d.params for d in of(S.TheoryDecl)}
+    assert module.interps == {d.name: d for d in of(S.InterpDecl)}
+    assert module.defs == {d.name: d.body for d in of(S.DefDecl)}
+    assert module.checks == of(S.CheckDecl)
+    again = parse_module(print_module(module))
+    for table in ("sorts", "gens", "theories", "interps", "defs", "checks"):
+        assert getattr(again, table) == getattr(module, table), table
+
+
+CIRCUIT_ATOMS_MODULE = """sort A;
+sort B;
+gen f : A -> B;
+gen g : B -> B;
+def s = [ sym@A,B ];
+def c = [ copy@A ];
+def k = [ del@A ];
+def fg = [ f ; g ];
+def all = [ sym@A,B ; del@B (x) copy@A ];
+"""
+
+
+def test_circuit_atoms_are_surface_atoms_and_elaborate_to_core_nodes():
+    """Inside a bracket, table atoms are SAtoms and `;` is SSeq, as
+    between tapes; a `;` followed by a generator still composes."""
+    A, B = mono("A"), mono("B")
+    module = parse_module(CIRCUIT_ATOMS_MODULE)
+    assert print_module(module) == CIRCUIT_ATOMS_MODULE
+    bodies = {name: body.circuit for name, body in module.defs.items()}
+    assert bodies["s"] == S.SAtom("sym", (A, B))
+    assert bodies["c"] == S.SAtom("copy", (A,))
+    assert bodies["k"] == S.SAtom("del", (A,))
+    assert bodies["fg"] == S.SSeq(S.CAtomGen("f"), S.CAtomGen("g"))
+    assert bodies["all"] == S.SSeq(S.SAtom("sym", (A, B)), S.STensor(
+        S.SAtom("del", (B,)), S.SAtom("copy", (A,))))
+    core = {name: elaborate(body, module) for name, body in module.defs.items()}
+    assert core["s"] is TCirc(sym_circuit(A, B))
+    assert core["c"] is TCirc(copier_circuit(A))
+    assert core["k"] is TCirc(discharger_circuit(A))
+    assert core["fg"] is TCirc(cseq(CGen("f"), CGen("g")))
+    assert core["all"] is TCirc(CSeq(sym_circuit(A, B), CTensor(
+        discharger_circuit(B), copier_circuit(A))))
 
 
 def test_diagnostics_carry_position_and_expectations():
@@ -183,9 +240,9 @@ def test_random_expressions_round_trip():
         if depth == 0 or rng.random() < 0.4:
             return rng.choice([
                 S.CAtomId(rand_mono()), S.CAtomGen("G"),
-                S.CAtomSym(rand_mono(), rand_mono()),
-                S.CAtomCopy(rand_mono()), S.CAtomDel(rand_mono())])
-        ctor = rng.choice([S.CSeqS, S.CTensorS])
+                S.SAtom("sym", (rand_mono(), rand_mono())),
+                S.SAtom("copy", (rand_mono(),)), S.SAtom("del", (rand_mono(),))])
+        ctor = rng.choice([S.SSeq, S.STensor])
         return ctor(rand_circuit(depth - 1), rand_circuit(depth - 1))
 
     def rand_expr(depth):

@@ -12,9 +12,8 @@ from tapecalc.circuit import CGen, MonSignature, cseq
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.parser import parse_module
 from tapecalc.frontend.render import render_svg
-from tapecalc.frontend.surface import (CSeqS, CTensorS, DefDecl, SCircuit,
-                                       SRef, SSeq, SSum, STensor,
-                                       print_module)
+from tapecalc.frontend.surface import (DefDecl, SCircuit, SRef, SSeq, SSum,
+                                       STensor, print_module)
 from tapecalc.interp import eval_tape
 from tapecalc.kleisli import exact_str
 from tapecalc.objects import mono
@@ -244,7 +243,7 @@ def same_tree(a, b) -> bool:
         x, y = todo.pop()
         if type(x) is not type(y):
             return False
-        if isinstance(x, (SSeq, STensor, SSum, CSeqS, CTensorS)):
+        if isinstance(x, (SSeq, STensor, SSum)):
             todo += [(x.left, y.left), (x.right, y.right)]
         elif isinstance(x, SCircuit):
             todo.append((x.circuit, y.circuit))
@@ -285,3 +284,53 @@ def test_sigma_term_with_variable_index_1000(tmp_path, capsys):
     half = "[1/2, 0], [0, 1/2]"
     rows = [half] + ["[0, 0], [0, 0]"] * 998 + [half]
     assert (code, out.out, out.err) == (0, "[" + ", ".join(rows) + "]\n", "")
+
+
+NO_CARRIER = """sort A;
+sort B;
+gen f : A -> B;
+theory PCA with p = 1/2;
+interp I {
+  B = {0, 1};
+  f = [[1], [0]];
+  model = PCA;
+}
+def d = [ f ];
+check d = d with I;
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{f}"], ["eval", "{f}", "--term", "d", "--interp", "I"],
+], ids=["check", "eval"])
+def test_generator_over_a_sort_with_no_carrier_is_bad_input(tmp_path, capsys,
+                                                             argv):
+    """The matrix of f needs A's carrier for its width; the module gives
+    none, which is bad input (exit 3), not a KeyError traceback (exit 1)."""
+    code, out = run(tmp_path, capsys, NO_CARRIER, argv)
+    assert (code, out.out, out.err) == (3, "", "error: sort A has no carrier\n")
+
+
+@pytest.mark.parametrize("items, message", [
+    ("A = {0};\n  A = {0, 1};\n  G = [[1]];\n  model = PCA;",
+     "6:3: duplicate carrier of sort A"),
+    ("A = {0};\n  G = [[1]];\n  model = PCA;\n  model = PCA;",
+     "8:3: duplicate model item in interpretation I"),
+    ("A = {0};\n  G = [[1]];\n  G = [[1/2]];\n  model = PCA;",
+     "7:3: duplicate matrix of generator G"),
+], ids=["carrier", "model", "matrix"])
+def test_duplicate_interpretation_item_is_a_parse_error(tmp_path, capsys,
+                                                        items, message):
+    """Each item of an interp block is given once; the second one is
+    rejected at its name, as every other duplicate name is."""
+    text = ("sort A;\ngen G : A -> A;\ntheory PCA with p = 1/2;\n"
+            f"interp I {{\n  {items}\n}}\n")
+    code, out = run(tmp_path, capsys, text, ["check", "{f}"])
+    assert (code, out.out, out.err) == (3, "", f"error: {message}\n")
+
+
+def test_carrier_and_matrix_of_one_name_are_not_duplicates():
+    """A sort and a generator may share a name; each has its own item."""
+    module = parse_module("sort A;\ngen A : A -> A;\ntheory PCA with p = 1/2;\n"
+                          "interp I { A = {0}; A = [[1]]; model = PCA; }\n")
+    assert module.interpretation("I").gen_matrices["A"].to_rows() == [[1]]
