@@ -132,31 +132,35 @@ def check_weights(nodes, models) -> None:
 
 
 def cmd_check(args) -> int:
+    """Elaborate and type every definition once, then decide the checks
+    on those tapes: the interpretations share the module's signature, so
+    elaborating again would rebuild the identical hash-consed nodes."""
     module = load_module(args.file)
     sig = module.signature()
     models = [model_for(module.theory(name)) for name in module.theories]
+    tapes, types = {}, {}
     for name, body in module.defs.items():
         try:
-            tape = elaborate(body, module, sig)
+            tape = tapes[name] = elaborate(body, module, sig)
             walk = postorder((tape,), TERM_KIDS)
-            tape_types((tape,), sig, walk)
+            types[name], = tape_types((tape,), sig, walk)
             check_weights(walk[0], models)
         except (TypeCheckError, UnknownOperationError) as exc:
             sys.stderr.write(f"error: definition {name}: {exc}\n")
             return EXIT_BAD_INPUT
     for check in module.checks:
         interp = module.interpretation(check.interp)
-        lhs = elaborate(definition(module, check.left), module, interp.sig)
-        rhs = elaborate(definition(module, check.right), module, interp.sig)
-        result = sem_eq(lhs, rhs, interp)
+        left, right = check.left, check.right
+        result = sem_eq(tapes[left], tapes[right], interp,
+                        (types[left], types[right]))
         if result.kind == "type-error":
             sys.stderr.write(
-                f"error: check {check.left} = {check.right}: {result.message}\n")
+                f"error: check {left} = {right}: {result.message}\n")
             return EXIT_BAD_INPUT
         if not result.equal:
             y, x, a, b = result.witness
             sys.stdout.write(
-                f"check {check.left} = {check.right} with {check.interp}: "
+                f"check {left} = {right} with {check.interp}: "
                 f"unequal at entry ({y},{x}): {exact_str(a)} vs {exact_str(b)}\n")
             return EXIT_UNEQUAL
     return EXIT_OK

@@ -9,10 +9,10 @@ are rejected.  Diagnostics carry line, column and the expected tokens.
 from __future__ import annotations
 
 import re
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from fractions import Fraction
 
-from ..errors import ParseError
+from ..errors import ModelError, ParseError
 from ..objects import Monomial, ONE, Polynomial, ZERO, SortRef, Sum, Tensor, \
     UnitOne, ZeroObj, ObjTerm, poly_of_mono
 from ..hashcons import fold
@@ -37,34 +37,44 @@ PUNCT = {
 # A token is (kind, text, pos): pos is the offset of its first character.
 Token = tuple[str, str, int]
 
-# One alternative per lexeme class, punctuation longest first so that `(x)`
-# is one token.  A name starts with a letter: `[^\W\d_]` also admits the
-# non-decimal numerals (`²`, `½`), which tokenize rejects.
-LEXEME = re.compile("|".join((
-    r"(?P<SKIP>\s+|#[^\n]*)",
-    "(?P<PUNCT>" + "|".join(map(re.escape, sorted(PUNCT, key=len, reverse=True)))
-    + ")",
-    r"(?P<IDENT>[^\W\d_][\w']*)",
-    r"(?P<DECIMAL>[0-9]+\.)",
-    r"(?P<INT>[0-9]+)",
-    r"(?P<BAD>.)")), re.S)
+# One match per token: the whitespace and comments skipped before it, then
+# one alternative per lexeme class, punctuation longest first so that `(x)`
+# is one token, and the end of the text after the last one.  A name starts
+# with a letter: `[^\W\d_]` also admits the non-decimal numerals (`²`,
+# `½`), which tokenize rejects.  Once the skip has run, some alternative
+# matches, so the skip never backtracks and the matches tile the text.
+LEXEME = re.compile("".join((
+    r"((?:\s+|#[^\n]*)*)(?:",
+    "(" + "|".join(map(re.escape, sorted(PUNCT, key=len, reverse=True))) + ")",
+    r"|([^\W\d_][\w']*)",
+    r"|([0-9]+\.?)",
+    r"|(.)|\Z)")), re.S)
 
 
 def tokenize(text: str) -> list[Token]:
     """The tokens of text, ending in one EOF token."""
     tokens = []
-    for m in LEXEME.finditer(text):
-        kind, lexeme, pos = m.lastgroup, m.group(), m.start()
-        if kind == "SKIP":
-            continue
-        if kind == "PUNCT":
-            kind = PUNCT[lexeme]
-        elif kind == "DECIMAL":
+    append = tokens.append
+    pos = 0
+    for skip, punct, ident, num, bad in LEXEME.findall(text):
+        pos += len(skip)
+        if punct:
+            append((PUNCT[punct], punct, pos))
+            pos += len(punct)
+        elif ident and ident[0].isalpha():
+            append(("IDENT", ident, pos))
+            pos += len(ident)
+        elif num[-1:] == ".":
             raise parse_error(text, pos, "decimal literals are not supported; "
                                          "write an exact rational like 1/2")
-        elif kind == "BAD" or (kind == "IDENT" and not lexeme[0].isalpha()):
-            raise parse_error(text, pos, f"unexpected character {lexeme[0]!r}")
-        tokens.append((kind, lexeme, pos))
+        elif num:
+            append(("INT", num, pos))
+            pos += len(num)
+        elif ident or bad:
+            raise parse_error(text, pos,
+                              f"unexpected character {(ident or bad)[0]!r}")
+        else:           # the end of the text
+            break
     tokens.append(("EOF", "", len(text)))
     return tokens
 
@@ -88,34 +98,59 @@ def ascii_int(text: str) -> int | None:
         return None
 
 
-def split_sorts(text: str, sorts: tuple[str, ...]) -> list[str] | None:
-    """Greedy longest-match split of a glued identifier into sort names.
+class SortIndex:
+    """Declared sort names, indexed for splitting glued identifiers: for
+    each first character, the lengths of the names that start with it,
+    longest first.  A split tries at each position only those lengths, one
+    set lookup each, so its cost does not grow with the number of sorts."""
 
-    The first split in longest-name-first order, searched depth first on
-    an explicit stack.  A position from which no split exists is tried
-    only once, so the search takes time linear in the length of text."""
-    names = sorted(sorts, key=len, reverse=True)
-    while names and not names[-1]:
-        names.pop()                    # an empty name would never advance
-    dead: set[int] = set()
-    stack = []                         # (position, names left to try there)
-    parts: list[str] = []
-    pos, todo = 0, iter(names)
-    while pos < len(text):
-        for name in todo:
-            end = pos + len(name)
-            if text.startswith(name, pos) and end not in dead:
-                stack.append((pos, todo))
-                parts.append(name)
-                pos, todo = end, iter(names)
-                break
-        else:
-            dead.add(pos)
-            if not stack:
-                return None
-            pos, todo = stack.pop()
-            parts.pop()
-    return parts
+    def __init__(self, sorts: Iterable[str] = ()):
+        self.names: set[str] = set()
+        self.lengths: dict[str, list[int]] = {}
+        for name in sorts:
+            self.add(name)
+
+    def add(self, name: str) -> None:
+        if name and name not in self.names:  # an empty name would never advance
+            self.names.add(name)
+            lengths = self.lengths.setdefault(name[0], [])
+            if len(name) not in lengths:
+                lengths.append(len(name))
+                lengths.sort(reverse=True)
+
+    def split(self, text: str) -> list[str] | None:
+        """Greedy longest-match split of a glued identifier into sort names.
+
+        The first split in longest-name-first order, searched depth first
+        on an explicit stack.  A position from which no split exists is
+        tried only once, so the search takes time linear in the length of
+        text."""
+        names, lengths = self.names, self.lengths
+        dead: set[int] = set()
+        stack = []                     # (position, lengths left to try there)
+        parts: list[str] = []
+        pos, todo = 0, iter(lengths.get(text[:1], ()))
+        while pos < len(text):
+            for n in todo:
+                end = pos + n
+                if (end <= len(text) and text[pos:end] in names
+                        and end not in dead):
+                    stack.append((pos, todo))
+                    parts.append(text[pos:end])
+                    pos, todo = end, iter(lengths.get(text[end:end + 1], ()))
+                    break
+            else:
+                dead.add(pos)
+                if not stack:
+                    return None
+                pos, todo = stack.pop()
+                parts.pop()
+        return parts
+
+
+def split_sorts(text: str, sorts: Iterable[str]) -> list[str] | None:
+    """The split of text into the given sort names; see SortIndex.split."""
+    return SortIndex(sorts).split(text)
 
 
 # spelling -> (SAtom kind, argument count), read from surface's atom tables
@@ -145,6 +180,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.module = SourceModule()
+        self.sort_index = SortIndex()
 
     # -- token plumbing --------------------------------------------------
 
@@ -219,7 +255,7 @@ class Parser:
         kind, text, _ = tok
         if kind == "INT" and text == "1":
             return ONE
-        parts = split_sorts(text, self.module.sorts) if kind == "IDENT" else None
+        parts = self.sort_index.split(text) if kind == "IDENT" else None
         return None if parts is None else Monomial(tuple(parts))
 
     def monomial(self, first: Monomial | None = None) -> Monomial:
@@ -273,9 +309,10 @@ class Parser:
 
     def sort_decl(self):
         self.next()
-        name = self.fresh_name("sort", self.module.sorts)
+        name = self.fresh_name("sort", self.sort_index.names)
         self.expect("SEMI", "';'")
         self.module.sorts += (name,)
+        self.sort_index.add(name)
         self.module.decls.append(SortDecl(name))
 
     def gen_decl(self):
@@ -333,7 +370,7 @@ class Parser:
                     while self.accept("COMMA"):
                         labels.append(self.label())
                 self.expect("RBRACE", "'}'")
-                if item not in self.module.sorts:
+                if item not in self.sort_index.names:
                     self.fail(f"sort {item} is not declared", tok=key)
                 carriers[item] = tuple(labels)
             elif self.at("LBRACK"):
@@ -513,7 +550,12 @@ class Parser:
     def plus_op(self) -> OpSymbol:
         """The operation of a `+` just read: `+_p` or the monoid's `+`."""
         if self.accept("UNDERSCORE"):
-            return choice(self.rational())
+            tok = self.peek()
+            p = self.rational()
+            try:
+                return choice(p)
+            except ModelError as exc:
+                self.fail(str(exc), tok=tok)
         return CM_PLUS
 
     def sigma_atom(self) -> SigmaTerm:
@@ -547,7 +589,7 @@ class Parser:
             self.next()
             return CAtomId(ONE)
         if text.startswith("id") and len(text) > 2:
-            parts = split_sorts(text[2:], self.module.sorts)
+            parts = self.sort_index.split(text[2:])
             if parts is not None:
                 self.next()
                 return CAtomId(Monomial(tuple(parts)))
@@ -575,6 +617,7 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
     found: list[str] = []
     if not auto:
         parser.module.sorts = tuple(sorts)
+        parser.sort_index = SortIndex(sorts)
 
     def atom() -> ObjTerm:
         tok = parser.peek()
@@ -587,7 +630,7 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
             return ZeroObj()
         if kind == "IDENT":
             parser.next()
-            names = list(text) if auto else split_sorts(text, parser.module.sorts)
+            names = list(text) if auto else parser.sort_index.split(text)
             if names is None:
                 parser.fail(f"cannot read {text!r} as a word of declared sorts",
                             tok=tok)

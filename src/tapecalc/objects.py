@@ -15,6 +15,7 @@ are given real ``Monomial``s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Iterable, Union
 
 from .errors import UnknownSortError
@@ -120,23 +121,38 @@ class Sum(ObjTerm):
 def normalize(term: ObjTerm, sorts: Iterable[str]) -> Polynomial:
     """Rewrite an object term to its polynomial normal form.
 
-    Implements the innermost-leftmost strategy: subterms are normalized
-    first and the results are combined with concatenation and the
-    row-major product, which coincides with exhaustively applying the
-    distributivity/unit/annihilator rules oriented left-to-right.  The
-    walk keeps its own stack, so deeply nested terms do not recurse.
+    A maximal spine of ``(+)`` nodes is one concatenation of its operands'
+    normal forms, and a maximal spine of ``(x)`` nodes one n-ary row-major
+    product, each output monomial joined once from one monomial per
+    operand.  This coincides with exhaustively applying the distributivity,
+    unit and annihilator rules oriented left-to-right, and costs time
+    linear in the size of the term and of its normal form.  The walk keeps
+    its own stack, so deeply nested terms do not recurse, and it meets the
+    leaves from left to right, so the first unregistered sort is reported.
     """
     registered = set(sorts)
     results: list[Polynomial] = []
-    stack: list[tuple[ObjTerm, bool]] = [(term, False)]  # (term, operands done)
+    # (term, 0) to visit a term; (spine, n) once its n operands are done
+    stack: list[tuple[ObjTerm, int]] = [(term, 0)]
     while stack:
-        t, combine = stack.pop()
-        if combine:
-            right = results.pop()
-            results[-1] = (results[-1] + right if isinstance(t, Sum)
-                           else results[-1] * right)
+        t, done = stack.pop()
+        if done:
+            parts = results[-done:]
+            del results[-done:]
+            results.append(Polynomial(chain.from_iterable(parts))
+                           if isinstance(t, Sum) else
+                           Polynomial(Monomial(chain.from_iterable(ms))
+                                      for ms in product(*parts)))
         elif isinstance(t, (Sum, Tensor)):
-            stack += ((t, True), (t.right, False), (t.left, False))
+            operands, spine = [], [t]
+            while spine:
+                u = spine.pop()
+                if type(u) is type(t):
+                    spine += (u.right, u.left)
+                else:
+                    operands.append((u, 0))
+            stack.append((t, len(operands)))
+            stack += reversed(operands)
         elif isinstance(t, SortRef):
             if t.name not in registered:
                 raise UnknownSortError(f"unregistered sort: {t.name}")

@@ -110,3 +110,18 @@ def test_cli_unknown_definition_exits_3(tmp_path, capsys, argv):
     assert captured.err == "error: no definition named nope\n"
     assert captured.out == ""
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("body, at, got", [
+    ("op<+_3/2>@A", "1:47", "3/2"),
+    ("term<x1 +_1 x2>@A", "1:52", "1"),
+])
+def test_cli_choice_parameter_out_of_range_has_a_position(
+        tmp_path, capsys, body, at, got):
+    path = tmp_path / "p.tape"
+    path.write_text(f"sort A; theory PCA with p = 1/2; def d = {body};")
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {at}: choice parameter must lie in (0,1), "
+                       f"got {got}\n")

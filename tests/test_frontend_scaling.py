@@ -3,13 +3,18 @@ glued sort words and definitions that reuse earlier ones."""
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from tapecalc.errors import ParseError
+from tapecalc.frontend import cli, parser
 from tapecalc.frontend.cli import main
-from tapecalc.frontend.parser import parse_module, split_sorts
+from tapecalc.frontend.parser import SortIndex, parse_module, split_sorts
 from tapecalc.frontend.surface import elaborate
+
+ROOT = Path(__file__).parent.parent
+CORPUS = sorted((ROOT / "corpus").glob("*.tape"))
 
 
 def reference_split_sorts(text, sorts):
@@ -53,6 +58,49 @@ def test_long_glued_word_splits_without_recursion():
     assert split_sorts("A" * 3001, ("A", "AA")) == ["AA"] * 1500 + ["A"]
 
 
+class CountingNames(set):
+    """A set of sort names that counts the names looked up in it."""
+    tried = 0
+
+    def __contains__(self, name):
+        CountingNames.tried += 1
+        return set.__contains__(self, name)
+
+
+class CountingIndex(SortIndex):
+    def __init__(self, sorts=()):
+        super().__init__()
+        self.names = CountingNames()
+        for name in sorts:
+            self.add(name)
+
+
+def many_sorts_module(n: int) -> str:
+    return "".join([f"sort S{i};\n" for i in range(n)]
+                   + [f"gen g{i} : S{i} -> S{i};\n" for i in range(n)])
+
+
+def test_split_tries_a_bounded_number_of_candidates(monkeypatch):
+    # the names S0..S1999 share their first character and have 4 lengths;
+    # trying every name at every position took 4.0M `startswith` calls
+    monkeypatch.setattr(parser, "SortIndex", CountingIndex)
+    monkeypatch.setattr(CountingNames, "tried", 0)
+    module = parse_module(many_sorts_module(2000))
+    assert len(module.sorts) == len(module.gens) == 2000
+    # a declared name is looked up twice (taken?, then added), and each of
+    # the 4,000 one-name monomials tries only lengths that fit in it, the
+    # longest of which is its own name's
+    assert CountingNames.tried == 2 * 2000 + 4000
+    index = CountingIndex(f"S{i}" for i in range(2000))
+    CountingNames.tried = 0
+    assert index.split("S17S1999S0") == ["S17", "S1999", "S0"]
+    # S17S1, S17S, S17; S1999; S0, as no longer name fits in what is left
+    assert CountingNames.tried == 3 + 1 + 1
+    CountingNames.tried = 0
+    assert index.split("S17" * 1000) == ["S17"] * 1000
+    assert CountingNames.tried == 3 * 1000 - 2
+
+
 def doubling_module(levels: int) -> str:
     lines = ["sort A;", "gen G : A -> A;", "theory PCA with p = 1/2;",
              "interp I {", "  A = {0, 1};", "  G = [[0, 1], [1, 0]];",
@@ -73,3 +121,48 @@ def test_nested_definitions_elaborate_once_each(tmp_path, capsys):
     path.write_text(doubling_module(21))
     assert main(["eval", str(path), "--term", "a21", "--interp", "I"]) == 0
     assert capsys.readouterr().out == "[[1, 0], [0, 1]]\n"
+
+
+CHECK_MODULE = """sort A;
+gen F0 : 1 -> A;
+gen F1 : 1 -> A;
+theory PCA with p = 1/3;
+interp I {
+  A = {0, 1};
+  F0 = [[1], [0]];
+  F1 = [[0], [1]];
+  model = PCA;
+}
+def zero = [ F0 ];
+def one = [ F1 ];
+def both = zero (+) one;
+def twice = both ; id@A (+) A;
+check zero = zero with I;
+check both = twice with I;
+check one = zero with I;
+"""
+
+
+@pytest.mark.parametrize("path", CORPUS + ["unequal"],
+                         ids=lambda p: getattr(p, "name", p))
+def test_check_elaborates_each_definition_once(path, tmp_path, monkeypatch,
+                                               capsys):
+    if path == "unequal":
+        path = tmp_path / "unequal.tape"
+        path.write_text(CHECK_MODULE)
+        expected = (1, "check one = zero with I: unequal at entry (0,0): "
+                       "0 vs 1\n", "")
+    else:
+        expected = (0, "", "")
+    calls = []
+
+    def counting(e, module, sig=None):
+        calls.append(e)
+        return elaborate(e, module, sig)
+
+    monkeypatch.setattr(cli, "elaborate", counting)
+    code = main(["check", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == expected
+    module = parse_module(path.read_text(encoding="utf-8"))
+    assert calls == list(module.defs.values())

@@ -99,6 +99,53 @@ def random_poly(rng, max_monos=3, max_len=3):
         for _ in range(rng.randint(0, max_monos))))
 
 
+def reference_normalize(term, sorts):
+    """The binary fold normalize used before it read whole spines, kept as
+    reference: each (x) node multiplies its operands' normal forms, each
+    (+) node concatenates them, on an explicit stack."""
+    registered = set(sorts)
+    results = []
+    stack = [(term, False)]  # (term, operands done)
+    while stack:
+        t, combine = stack.pop()
+        if combine:
+            right = results.pop()
+            results[-1] = (results[-1] + right if isinstance(t, Sum)
+                           else results[-1] * right)
+        elif isinstance(t, (Sum, Tensor)):
+            stack += ((t, True), (t.right, False), (t.left, False))
+        elif isinstance(t, SortRef):
+            if t.name not in registered:
+                raise UnknownSortError(f"unregistered sort: {t.name}")
+            results.append(poly((t.name,)))
+        elif isinstance(t, UnitOne):
+            results.append(poly_of_mono(ONE))
+        elif isinstance(t, ZeroObj):
+            results.append(ZERO)
+        else:
+            raise TypeError(f"not an object term: {t!r}")
+    return results[0]
+
+
+def spiny_term(rng, size):
+    """A random object term of about size leaves: runs of one product whose
+    operands are 0, 1, sorts (a few unregistered) or runs of the other
+    product, bracketed at random."""
+    if size <= 1 or rng.random() < 0.15:
+        r = rng.random()
+        return (SortRef("Z") if r < 0.01 else ZeroObj() if r < 0.08
+                else UnitOne() if r < 0.25 else SortRef(rng.choice(SORTS)))
+    ctor = rng.choice([Tensor, Sum])
+    operands = []
+    while size > 0:
+        k = rng.randint(1, max(1, size // 2))
+        operands.append(spiny_term(rng, k))
+        size -= k
+    while len(operands) > 1:
+        i = rng.randrange(len(operands) - 1)
+        operands[i:i + 2] = [ctor(operands[i], operands[i + 1])]
+    return operands[0]
+
 # --- frozen examples ------------------------------------------------------------
 
 def test_sort_distributes_over_sum():
@@ -207,6 +254,46 @@ def test_normalize_long_product_without_recursion():
         right = Tensor(embed(p), right)
     assert normalize(left, SORTS) == expected
     assert normalize(right, SORTS) == expected
+
+
+def outcome(normalizer, t):
+    try:
+        return normalizer(t, SORTS)
+    except UnknownSortError as err:
+        return str(err)
+
+
+def test_normalize_matches_the_binary_fold():
+    rng = random.Random(15)
+    for _ in range(3000):
+        t = spiny_term(rng, rng.randint(1, 24))
+        new, ref = outcome(normalize, t), outcome(reference_normalize, t)
+        assert new == ref, t
+        assert type(new) is str or is_polynomial(new)
+
+
+def test_normalize_reports_the_first_unregistered_sort():
+    t = Tensor(Sum(SortRef("A"), SortRef("Y")), Tensor(ZeroObj(), SortRef("Z")))
+    with pytest.raises(UnknownSortError, match="^unregistered sort: Y$"):
+        normalize(t, SORTS)
+
+
+def test_normalize_100000_factor_product():
+    # factor i is A, B or C by i mod 3, and factors 10 and 99990 are the
+    # sums (1 (+) B) and (C (+) A): four monomials, 99,998-100,000 long
+    n = 100_000
+    names = [SORTS[i % 3] for i in range(n)]
+    factors = [SortRef(s) for s in names]
+    factors[10] = Sum(UnitOne(), SortRef("B"))
+    factors[99_990] = Sum(SortRef("C"), SortRef("A"))
+    term = factors[0]
+    for f in factors[1:]:
+        term = Tensor(term, f)
+    head, mid, tail = names[:10], names[11:99_990], names[99_991:]
+    expected = Polynomial(tuple(
+        Monomial(tuple(head + a + mid + b + tail))
+        for a in ([], ["B"]) for b in (["C"], ["A"])))
+    assert normalize(term, SORTS) == expected
 
 
 # --- the object types -------------------------------------------------------------
