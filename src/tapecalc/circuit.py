@@ -21,16 +21,18 @@ from .objects import ONE, Monomial
 class MonSignature:
     sorts: tuple[str, ...] = ()
     gens: Mapping[str, tuple[Monomial, Monomial]] = field(default_factory=dict)
+    sort_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sort_set", frozenset(self.sorts))
         for name, (ar, coar) in self.gens.items():
             for s in tuple(ar) + tuple(coar):
-                if s not in self.sorts:
+                if s not in self.sort_set:
                     raise UnknownSortError(
                         f"generator {name} mentions unregistered sort {s}")
 
     def check_sort(self, name: str) -> None:
-        if name not in self.sorts:
+        if name not in self.sort_set:
             raise UnknownSortError(f"unregistered sort: {name}")
 
     def gen_type(self, name: str) -> tuple[Monomial, Monomial]:

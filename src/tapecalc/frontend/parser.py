@@ -181,6 +181,7 @@ class Parser:
         self.pos = 0
         self.module = SourceModule()
         self.sort_index = SortIndex()
+        self.sorts: list[str] = []     # module.sorts, frozen at the end
 
     # -- token plumbing --------------------------------------------------
 
@@ -305,13 +306,14 @@ class Parser:
                 self.fail(f"unknown declaration {text!r}",
                           {"sort", "gen", "theory", "interp", "def", "check"})
             handler()
+        self.module.sorts = tuple(self.sorts)
         return self.module
 
     def sort_decl(self):
         self.next()
         name = self.fresh_name("sort", self.sort_index.names)
         self.expect("SEMI", "';'")
-        self.module.sorts += (name,)
+        self.sorts.append(name)
         self.sort_index.add(name)
         self.module.decls.append(SortDecl(name))
 

@@ -183,9 +183,15 @@ class SourceModule:
     interps: dict[str, InterpDecl] = field(default_factory=dict)
     defs: dict[str, SExpr] = field(default_factory=dict)
     checks: list[CheckDecl] = field(default_factory=list)
+    _sig: MonSignature | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def signature(self) -> MonSignature:
-        return MonSignature(self.sorts, self.gens)
+        """The signature of the module's sorts and generators, built on
+        the first call, once the parser has filled both tables."""
+        if self._sig is None:
+            self._sig = MonSignature(self.sorts, self.gens)
+        return self._sig
 
     def theory(self, name: str) -> AlgebraicTheory:
         params = self.theories.get(name)

@@ -4,6 +4,12 @@ live one returns that one, so equal terms are identical, ``==`` is
 identity and a term is a DAG of distinct subterms.  ``postorder`` lists
 those subterms without recursion; ``fold`` over it is every term walker:
 typing, evaluation, whiskering and the walks over Σ-terms.
+
+A walk takes each node's children from a ``kids`` map, so the map decides
+where the walk stops: ``tape.SEM_KIDS`` makes a tape tagged with its
+closed form a leaf of typing and evaluation, while rendering and
+whiskering walk its whole tree, through ``tape.TERM_KIDS`` and
+``tape.TAPE_KIDS``.
 """
 
 from __future__ import annotations

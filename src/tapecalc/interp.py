@@ -3,7 +3,10 @@
 An interpretation assigns a finite carrier to every sort and an exact
 matrix to every generator; it extends homomorphically to all circuits
 and tapes: ``eval_tape`` is a ``hashcons.fold`` of ``evaluator``, which
-gives a node's matrix from its children's.  Carrier indexing is fixed
+gives a node's matrix from its children's.  The fold takes children from
+``tape.SEM_KIDS``, so a tagged block tape is a leaf: its matrix is one
+image, a ``range`` per monomial block, from its ``block_map`` and the
+carrier sizes.  Carrier indexing is fixed
 once and for all: tensor indices are left-major within a monomial, and a
 polynomial carrier concatenates its monomial blocks in order.
 """
@@ -11,17 +14,19 @@ polynomial carrier concatenates its monomial blocks in order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Callable, Mapping, Union
 
 from . import kleisli
 from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
                       CTensor, CircuitTerm, MonSignature)
-from .errors import DimensionError, ModelError, UnknownSortError
+from .errors import (DimensionError, ModelError, TapecalcError,
+                     UnknownSortError)
 from .hashcons import fold
 from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
-from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
-                   TOpInj, TSeq, TSum, TSymPlus, TapeTerm)
+from .tape import (SEM_KIDS, TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon,
+                   TIdZero, TOpInj, TSeq, TSum, TSymPlus, TapeTerm, block_map)
 
 
 @dataclass(frozen=True)
@@ -122,20 +127,38 @@ def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
               walk: tuple[list, dict] | None = None) -> Matrix:
     """The matrix of a tape or circuit: one ``fold`` of ``evaluator``, so
     each distinct subterm is evaluated once and its matrix dropped after
-    its last use; ``walk`` is t's ``postorder`` walk, if the caller has
-    made it already."""
-    return fold((t,), TERM_KIDS, evaluator(interp), walk)[0]
+    its last use; ``walk`` is t's ``postorder`` over ``SEM_KIDS``, if the
+    caller has made it already."""
+    return fold((t,), SEM_KIDS, evaluator(interp), walk)[0]
+
+
+def block_matrix(node: TapeTerm, interp: Interpretation) -> Matrix:
+    """The matrix of a tagged block tape, from its closed form: each dom
+    block is the identity onto the cod block that ``block_map`` names."""
+    _, cod, blocks = block_map(node.form)
+    ends = (0, *accumulate(map(interp.mono_size, cod)))
+    image = tuple(chain.from_iterable(
+        [range(ends[b], ends[b + 1]) for b in blocks]))
+    return Matrix(len(image), ends[-1], image=image)
 
 
 def evaluator(interp: Interpretation) -> Callable:
     """The ``fold`` step of the semantics under interp: a node's matrix
-    from its children's matrices, in order."""
+    from its children's matrices, in order.  A tagged block tape with
+    no children is a ``block_matrix``; on any error, its full tree is
+    folded instead, so the error raised is the tree's."""
+    def block(node: TapeTerm) -> Matrix:
+        try:
+            return block_matrix(node, interp)
+        except TapecalcError:
+            return fold((node,), TERM_KIDS, step)[0]
+
     def step(node, kids: tuple) -> Matrix:
         cls = node.__class__
         if cls is TSeq or cls is CSeq:
-            return kids[0].then(kids[1])
+            return kids[0].then(kids[1]) if kids else block(node)
         if cls is TSum:
-            return kids[0].oplus(kids[1])
+            return kids[0].oplus(kids[1]) if kids else block(node)
         if cls is CTensor:
             return kids[0].tensor(kids[1])
         if cls is TCirc:

@@ -10,10 +10,22 @@ Nodes are hash-consed like circuits (see ``hashcons``): equal terms are
 identical and ``==`` is identity.  It is syntactic equality only; equality
 of tapes is decided semantically, per interpretation.  Each walker visits
 each distinct subterm once a call, without recursion.
+
+A *block tape* is built only from ``TIdMon``, ``TSymPlus``, ``TCodiag``,
+``TCobang`` and ``TIdZero`` under ``TSum`` and ``TSeq``: it moves whole
+monomial blocks, so its meaning is a block map, for each dom monomial the
+cod monomial it lands in, with the identity inside the block.  The
+builders of such tapes (identities, cobangs, sum symmetries, codiagonals,
+distributors) and ``_whiskers`` tag the composite node they return with
+its closed form, the builder's name and arguments (``block_map``).  The
+semantic walks, typing and evaluation, take their children from
+``SEM_KIDS``, where a tagged node is a leaf; rendering and whiskering walk
+the full tree, ``TERM_KIDS``/``TAPE_KIDS``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Sequence, Union
 from weakref import WeakValueDictionary
@@ -28,7 +40,10 @@ from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
 
 
 class TapeTerm(Term):
-    pass
+    form = None
+    """The closed form of a tagged block tape (see ``block_map``), not a
+    field: set once, in the node's ``__dict__``, by the builder that
+    returns the node, so it dies with the node."""
 
 
 @term_node
@@ -84,6 +99,64 @@ TAPE_KIDS: dict[type, Callable] = {
     TSeq: attrgetter("first", "second"), TSum: attrgetter("top", "bottom")}
 TERM_KIDS: dict[type, Callable] = {
     **CIRCUIT_KIDS, **TAPE_KIDS, TCirc: lambda t: (t.circuit,)}
+SEM_KIDS: dict[type, Callable] = {
+    **TERM_KIDS,
+    TSeq: lambda t: () if t.form else (t.first, t.second),
+    TSum: lambda t: () if t.form else (t.top, t.bottom)}
+"""The children of the semantic walks: a tagged ``TSeq`` or ``TSum`` is a
+leaf, given its value by ``block_map`` from its closed form."""
+
+
+def _tag(t: TapeTerm, *form) -> TapeTerm:
+    """t, tagged with its closed form unless it is a leaf or tagged."""
+    if t.__class__ is TSeq or t.__class__ is TSum:
+        t.__dict__.setdefault("form", form)
+    return t
+
+
+def block_map(form: tuple) -> tuple[tuple, tuple, Sequence[int]]:
+    """(dom, cod, blocks) of a tape tagged with form: dom and cod are
+    tuples of monomials, and the i-th dom monomial lands identically in
+    the cod monomial blocks[i].  The forms are ("id", P), ("cobang", P),
+    ("symplus", P, Q), ("codiag", P, m) for the m-fold codiagonal,
+    ("dl", P, (Q1, ..., Qk), inverse) for the n-ary left distributor, and
+    ("whisker", inner form, U, left) for U |> t or t <| U."""
+    sides = []
+    while form[0] == "whisker":
+        form, u, left = form[1:]
+        sides.append((u, left))
+    name, p, *args = form
+    p, n = tuple(p), len(p)
+    if name == "id":
+        dom, cod, blocks = p, p, range(n)
+    elif name == "cobang":
+        dom, cod, blocks = (), p, ()
+    elif name == "symplus":
+        q = tuple(args[0])
+        dom, cod = p + q, q + p
+        blocks = [*range(len(q), len(q) + n), *range(len(q))]
+    elif name == "codiag":
+        m, = args
+        dom, cod, blocks = p * m, p, [*range(n)] * m
+    else:   # "dl": block (i, j), j the c-th of Qk, goes to PQk's (i, c)
+        qs, inverse = args
+        dom = tuple([u * v for u in p for q in qs for v in q])
+        cod = tuple([u * v for q in qs for u in p for v in q])
+        blocks = []
+        for i in range(n):
+            start = 0       # PQk starts at block n * (len Q1 + ... + len Qk-1)
+            for q in qs:
+                first = n * start + i * len(q)
+                blocks += range(first, first + len(q))
+                start += len(q)
+        if inverse:
+            dom, cod, forward, blocks = cod, dom, blocks, [0] * len(blocks)
+            for x, b in enumerate(forward):
+                blocks[b] = x
+    for u, left in reversed(sides):
+        grow = (lambda m: u * m) if left else (lambda m: m * u)
+        dom, cod = tuple(map(grow, dom)), tuple(map(grow, cod))
+    return dom, cod, blocks
 
 
 def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
@@ -91,15 +164,20 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     types, in order (the ``fold`` step of ``tape_types``): a circuit's
     is a pair of ``Monomial``s, a tape's a pair of plain tuples of
     ``Monomial``s, so a sum is one tuple concatenation and a composition
-    check one tuple comparison."""
+    check one tuple comparison.  A tagged block tape (a childless ``TSeq``
+    or ``TSum``) is typed by ``block_type``."""
     cls = node.__class__
     if cls is TSeq:
+        if not kids:
+            return block_type(node, sig)
         (dom, cod1), (dom2, cod) = kids
         if cod1 != dom2:
             raise TypeCheckError(
                 f"tape composition mismatch: {Polynomial(cod1)} vs "
                 f"{Polynomial(dom2)}")
     elif cls is TSum:
+        if not kids:
+            return block_type(node, sig)
         (dom1, cod1), (dom2, cod2) = kids
         dom, cod = dom1 + dom2, cod1 + cod2
     elif cls is TCirc:
@@ -129,16 +207,28 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     return dom, cod
 
 
+def block_type(node: TapeTerm, sig: MonSignature) -> tuple:
+    """The type of a tagged block tape: from its closed form when every
+    sort of its dom is in sig, else its full tree's type or error, so the
+    error text is the tree's."""
+    dom, cod, _ = block_map(node.form)
+    if sig.sort_set.issuperset(chain.from_iterable(dom)):
+        return dom, cod
+    return fold((node,), TERM_KIDS,
+                lambda node, kids: node_type(node, sig, kids))[0]
+
+
 def tape_types(roots: Sequence[TapeTerm], sig: MonSignature,
                walk: tuple[list, dict] | None = None) -> tuple:
     """The types of the roots (see ``node_type``), each distinct subterm
-    typed once; ``walk`` as for ``fold``.  The roots are typed in turn, so
-    an error of the first is raised first."""
+    typed once; ``walk`` as for ``fold``, a ``postorder`` over
+    ``SEM_KIDS``.  The roots are typed in turn, so an error of the first
+    is raised first."""
     for i, t in enumerate(roots):
         if not isinstance(t, TapeTerm):
             tape_types(roots[:i], sig)
             raise TypeCheckError(f"not a tape term: {t!r}")
-    return fold(roots, TERM_KIDS,
+    return fold(roots, SEM_KIDS,
                 lambda node, kids: node_type(node, sig, kids), walk)
 
 
@@ -208,10 +298,12 @@ def _right_fold(name: str, p: Polynomial, args: tuple,
     return t
 
 
-def _monowise(cls: type, p: Union[Polynomial, Monomial]) -> TapeTerm:
-    """The sum of cls(u) over the monomials u of p.  Starts from the
-    longest prefix of p whose tape is in ``_BUILT`` and adds one monomial
-    at a time, keeping the tape of every longer prefix there."""
+def _monowise(cls: type, name: str,
+              p: Union[Polynomial, Monomial]) -> TapeTerm:
+    """The sum of cls(u) over the monomials u of p, tagged ``(name, p)``.
+    Starts from the longest prefix of p whose tape is in ``_BUILT`` and
+    adds one monomial at a time, keeping the tape of every longer prefix
+    there."""
     p = as_poly(p)
     i = len(p)
     while i and (t := _BUILT.get((cls, p[:i]))) is None:
@@ -220,15 +312,15 @@ def _monowise(cls: type, p: Union[Polynomial, Monomial]) -> TapeTerm:
         t = TIdZero()
     for j in range(i, len(p)):
         t = _BUILT[(cls, p[:j + 1])] = tsum(t, cls(p[j]))
-    return t
+    return _tag(t, name, p)
 
 
 def id_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
-    return _monowise(TIdMon, p)
+    return _monowise(TIdMon, "id", p)
 
 
 def cobang_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
-    return _monowise(TCobang, p)
+    return _monowise(TCobang, "cobang", p)
 
 
 def _mono_vs_poly(u: Monomial, q: Polynomial) -> TapeTerm:
@@ -245,10 +337,11 @@ def symplus_tape(p: Union[Polynomial, Monomial],
     p, q = as_poly(p), as_poly(q)
     if q.is_zero:
         return id_tape(p)
-    return _right_fold(
+    return _tag(_right_fold(
         "symplus", p, (q,), lambda: id_tape(q),
         lambda u, p_rest, t: tseq(tsum(TIdMon(u), t),
-                                  tsum(_mono_vs_poly(u, q), id_tape(p_rest))))
+                                  tsum(_mono_vs_poly(u, q), id_tape(p_rest)))),
+        "symplus", p, q)
 
 
 def codiag_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
@@ -258,7 +351,8 @@ def codiag_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
                        id_tape(p_rest))
         return tseq(shuffle, tsum(TCodiag(u), t))
 
-    return _right_fold("codiag", as_poly(p), (), TIdZero, step)
+    p = as_poly(p)
+    return _tag(_right_fold("codiag", p, (), TIdZero, step), "codiag", p, 2)
 
 
 def distributor(p: Union[Polynomial, Monomial],
@@ -280,8 +374,9 @@ def distributor(p: Union[Polynomial, Monomial],
         shuffle = tsum(id_tape(u_poly * q), swap, id_tape(p_rest * r))
         return tseq(shuffle, head) if inverse else tseq(head, shuffle)
 
-    return _right_fold("distributor", as_poly(p),
-                       (q, r, inverse), TIdZero, step)
+    p = as_poly(p)
+    return _tag(_right_fold("distributor", p, (q, r, inverse), TIdZero, step),
+                "dl", p, (q, r), inverse)
 
 
 def dl_nary(p: Union[Polynomial, Monomial],
@@ -299,7 +394,7 @@ def dl_nary(p: Union[Polynomial, Monomial],
         rest = tsum(id_tape(p * q), t)
         t = tseq(rest, step) if inverse else tseq(step, rest)
         q_rest = q + q_rest
-    return t
+    return _tag(t, "dl", p, tuple(qs), inverse)
 
 
 def symtensor_tape(p: Union[Polynomial, Monomial],
@@ -339,7 +434,7 @@ def nfold_codiag(p: Union[Polynomial, Monomial], m: int) -> TapeTerm:
         t = id_tape(p)
     for k in range(k + 1, m + 1):
         t = _BUILT[(*key, k)] = tseq(tsum(id_tape(p), t), codiag_tape(p))
-    return t
+    return _tag(t, "codiag", p, m)
 
 
 def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
@@ -366,14 +461,19 @@ def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
 
 def _whiskers(t: TapeTerm, monos: Sequence[Monomial], left: bool) -> tuple:
     """(U |> t for U in monos) if left, else (t <| U for U in monos): one
-    walk over t, each distinct node rebuilt once per monomial."""
+    walk over t, each distinct node rebuilt once per monomial, and the
+    copy of a tagged block tape tagged with its form, U and the side."""
     if not monos:
         return ()
 
     def step(node: TapeTerm, kids: tuple) -> tuple:
         cls = node.__class__
         if kids:
-            return tuple(map(cls, *kids))
+            out = tuple(map(cls, *kids))
+            if node.form:
+                for w, u in zip(out, monos):
+                    _tag(w, "whisker", node.form, u, left)
+            return out
         if cls is TIdZero:
             return (node,) * len(monos)
         if cls is TIdMon or cls is TCobang or cls is TCodiag:

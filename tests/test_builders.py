@@ -4,25 +4,35 @@
 polynomial and keeps every tape it built in a weak-valued memo.  The
 references below are the recursive definitions, one call per monomial,
 with no memo.  Terms are hash-consed, so a builder agrees with its
-reference exactly when both return the very same node.
+reference exactly when both return the very same node.  The builders'
+closed forms, read by typing and evaluation, are checked against the
+full trees they tag.
 """
 
 import gc
+import itertools
 import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from tapecalc import tape
+from tapecalc import interp as interp_module, suites, tape
 from tapecalc.circuit import (MonSignature, copier_circuit, discharger_circuit,
                               sym_circuit)
-from tapecalc.objects import (ONE, Polynomial, ZERO, mono, nfold_sum, poly,
-                              poly_of_mono)
-from tapecalc.suites import rand_poly
-from tapecalc.tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
-                           TSymPlus, as_poly, tseq, tsum, type_of_tape)
-from tapecalc.theory import OpSymbol, choice
+from tapecalc.errors import TapecalcError
+from tapecalc.hashcons import postorder
+from tapecalc.interp import Interpretation, eval_tape
+from tapecalc.kleisli import model_for
+from tapecalc.objects import (ONE, Monomial, Polynomial, ZERO, mono, nfold_sum,
+                              poly, poly_of_mono)
+from tapecalc.suites import (Freshener, rand_poly, sem_eq,
+                             standard_interpretation)
+from tapecalc.tape import (SEM_KIDS, TERM_KIDS, TCirc, TCobang, TCodiag,
+                           TIdMon, TIdZero, TOpInj, TSeq, TSum, TSymPlus,
+                           as_poly, tape_types, tseq, tsum, type_of_tape)
+from tapecalc.theory import OpSymbol, builtin_theory, choice
 
 
 # --- the recursive references --------------------------------------------------
@@ -152,7 +162,7 @@ def ref_discharger_tape(p):
                 TCodiag(ONE))
 
 
-# --- random calls -----------------------------------------------------------------
+# --- random calls --------------------------------------------------------------
 
 SORTS = ("A", "B", "C")
 OPS = (choice(Fraction(1, 3)), OpSymbol("+", 2), OpSymbol("zero", 0),
@@ -268,3 +278,145 @@ def test_repeated_monomial_builds_in_linear_constructions(monkeypatch):
         constructed.clear()
         tape.codiag_tape(p)
         assert len(constructed) <= 20 * n, n
+
+
+# --- closed forms: tagged block tapes against their full trees -----------------
+
+@contextmanager
+def full_trees():
+    """The semantic walks over the full tree: no node is a leaf for its
+    tag, so typing and evaluation fold every node of a tagged tape."""
+    homes = (tape, interp_module, suites)
+    saved = [home.SEM_KIDS for home in homes]
+    for home in homes:
+        home.SEM_KIDS = TERM_KIDS
+    try:
+        yield
+    finally:
+        for home, kids in zip(homes, saved):
+            home.SEM_KIDS = kids
+
+
+def outcome(f, *args):
+    """f(*args), or the class and text of the library error it raised."""
+    try:
+        return f(*args)
+    except TapecalcError as exc:
+        return type(exc), str(exc)
+
+
+def both_ways(f, *args):
+    semantic = outcome(f, *args)
+    with full_trees():
+        full = outcome(f, *args)
+    return semantic, full
+
+
+monomials = st.lists(st.sampled_from(SORTS), max_size=2).map(
+    lambda sorts: Monomial(tuple(sorts)))
+polynomials = st.lists(monomials, max_size=3).map(Polynomial)
+
+
+@st.composite
+def block_tapes(draw):
+    """A tagged builder in either direction, maybe whiskered on a side."""
+    p, q, r = draw(polynomials), draw(polynomials), draw(polynomials)
+    inverse = draw(st.booleans())
+    kind = draw(st.sampled_from(("id", "cobang", "symplus", "codiag",
+                                 "distributor", "dl_nary", "nfold_codiag")))
+    if kind == "id":
+        t = tape.id_tape(p)
+    elif kind == "cobang":
+        t = tape.cobang_tape(p)
+    elif kind == "symplus":
+        t = tape.symplus_tape(p, q)
+    elif kind == "codiag":
+        t = tape.codiag_tape(p)
+    elif kind == "distributor":
+        t = tape.distributor(p, q, r, inverse)
+    elif kind == "dl_nary":
+        qs = draw(st.lists(polynomials, max_size=4))
+        t = tape.dl_nary(p, qs, inverse)
+    else:
+        t = tape.nfold_codiag(p, draw(st.integers(0, 4)))
+    side = draw(st.sampled_from((None, "left", "right")))
+    if side == "left":
+        t = tape.whisker_left_mono(draw(monomials), t)
+    elif side == "right":
+        t = tape.whisker_right_mono(t, draw(monomials))
+    assert t.form or not isinstance(t, (TSeq, TSum)), (kind, side)
+    return t
+
+
+def interpretation_over(carriers, sorts=SORTS):
+    sig = MonSignature(tuple(sorts), {})
+    return Interpretation(sig, dict(zip(SORTS, carriers)), {},
+                          model_for(builtin_theory("PCA", (Fraction(1, 2),))))
+
+
+@given(t=block_tapes(), carriers=st.tuples(*[st.integers(0, 3)] * 3))
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_match_the_full_tree(t, carriers):
+    interp = interpretation_over(carriers)
+    types, full_types = both_ways(tape_types, (t,), interp.sig)
+    assert types == full_types
+    matrix, full_matrix = both_ways(eval_tape, t, interp)
+    assert matrix == full_matrix
+    assert (matrix.dom, matrix.cod) == tuple(
+        sum(interp.mono_size(u) for u in side) for side in types[0])
+
+
+MISSING = [set(c) for n in (1, 2) for c in itertools.combinations(SORTS, n)]
+
+
+@given(t1=block_tapes(), t2=block_tapes(),
+       carriers=st.tuples(*[st.integers(0, 3)] * 3))
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_fail_as_the_full_tree_does(t1, t2, carriers):
+    """One or two sorts missing from the signature or from the carriers:
+    the same error class and text, naming the same sort, or the same
+    value, either way."""
+    for missing in MISSING:
+        kept = [s for s in SORTS if s not in missing]
+        unsorted = interpretation_over(carriers, kept)
+        full = interpretation_over(carriers)
+        uncarried = Interpretation(full.sig, {
+            s: n for s, n in full.carriers.items() if s in kept},
+            {}, full.model)
+        for interp in (unsorted, uncarried):
+            semantic, full_tree = both_ways(tape_types, (t1, t2), interp.sig)
+            assert semantic == full_tree
+            semantic, full_tree = both_ways(eval_tape, t1, interp)
+            assert semantic == full_tree
+            semantic, full_tree = both_ways(sem_eq, t1, t2, interp)
+            assert semantic == full_tree
+
+
+# --- node counts of the semantic walks -----------------------------------------
+
+P = poly(("A",), ("A", "B"), ("B",))
+
+
+def test_tensor_law_walks_few_nodes():
+    """The interchange law c (x) f = (c (x) id) ; (id (x) f) of the bench's
+    tensor workload, f drawn by a fixed-seed Freshener."""
+    fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1)),
+                      Random(3))
+    f = fresh.tape(P, P * P)
+    interp = fresh.interp()
+    sig = interp.sig
+    c = tape.copier_tape(P)
+    lhs = tape.tensor_tape(c, f, sig)
+    rhs = tseq(tape.tensor_tape(c, tape.id_tape(P), sig),
+               tape.tensor_tape(tape.id_tape(P * P), f, sig))
+    assert len(postorder((lhs, rhs), TERM_KIDS)[0]) == 21735
+    assert len(postorder((lhs, rhs), SEM_KIDS)[0]) <= 3000
+    assert sem_eq(lhs, rhs, interp).kind == "equal"
+
+
+def test_copier_tensor_copier_walks_few_nodes():
+    sig = MonSignature(("A", "B"), {})
+    c = tape.copier_tape(P)
+    t = tape.tensor_tape(c, c, sig)
+    assert len(postorder((t,), TERM_KIDS)[0]) == 8644
+    assert len(postorder((t,), SEM_KIDS)[0]) <= 300

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tapecalc.circuit import MonSignature
 from tapecalc.errors import ParseError
 from tapecalc.frontend import cli, parser
 from tapecalc.frontend.cli import main
@@ -166,3 +167,27 @@ def test_check_elaborates_each_definition_once(path, tmp_path, monkeypatch,
     assert (code, out.out, out.err) == expected
     module = parse_module(path.read_text(encoding="utf-8"))
     assert calls == list(module.defs.values())
+
+
+@pytest.mark.parametrize("path", CORPUS + ["unequal", "many sorts"],
+                         ids=lambda p: getattr(p, "name", p))
+def test_check_builds_one_signature(path, tmp_path, monkeypatch, capsys):
+    """check and every interpretation it makes share the module's one
+    signature; each signature built scans its generators' sorts."""
+    if path == "unequal":
+        path = tmp_path / "unequal.tape"
+        path.write_text(CHECK_MODULE)
+    elif path == "many sorts":
+        path = tmp_path / "many.tape"
+        path.write_text(many_sorts_module(4000))
+    built = []
+    post_init = MonSignature.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MonSignature, "__post_init__", counting)
+    assert main(["check", str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert len(built) == 1
