@@ -148,11 +148,6 @@ class SortIndex:
         return parts
 
 
-def split_sorts(text: str, sorts: Iterable[str]) -> list[str] | None:
-    """The split of text into the given sort names; see SortIndex.split."""
-    return SortIndex(sorts).split(text)
-
-
 # spelling -> (SAtom kind, argument count), read from surface's atom tables
 TAPE_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in TAPE_ATOMS.items()}
 CIRCUIT_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in CIRCUIT_ATOMS.items()}

@@ -6,6 +6,8 @@ instantiated at small types and checked as an exact matrix identity
 under a concrete interpretation.  Object metavariables are enumerated up
 to the bounds; morphism metavariables become fresh generators carrying
 seeded random matrices, so failures are reproducible from the seed.
+Each law is a row (name, draws, sides) that the one driver ``_laws``
+binds, seeds, draws and checks.
 """
 
 from __future__ import annotations
@@ -235,6 +237,11 @@ class Freshener:
             branches.append(tseq(split, blocks) if len(q) else split)
         return tseq(tsum(*branches), nfold_codiag(q, len(p)))
 
+    def morphism(self, a: Monomial | Polynomial,
+                 b: Monomial | Polynomial) -> CircuitTerm | TapeTerm:
+        """A fresh circuit between monomials, a fresh tape between polynomials."""
+        return (self.circuit if isinstance(a, Monomial) else self.tape)(a, b)
+
 
 def standard_interpretation(model_name: str = "PCA",
                             params: Sequence[Fraction] = (
@@ -332,260 +339,154 @@ def _check_instance(name: str, binding_desc: str, interp: Interpretation,
     return _result(f"{name}[{binding_desc}]", result.equal, witness)
 
 
-def _axiom(name: str, vars_: str, build, interp: Interpretation,
-           bounds: SuiteBounds, seed: int,
-           tuples: list | None = None) -> list[InstanceResult]:
-    """One instance per tuple of monomials bound to vars_, or, when tuples
-    is None, per sample of random polynomials.  Instance i draws its
-    polynomials and then its fresh morphisms from its own seeded rng;
-    build(fresh, *binding) returns the two sides."""
+def _laws(rows, vars_: str, interp: Interpretation, bounds: SuiteBounds,
+          seed: int, tuples: list | None = None,
+          key: str | None = None) -> list[InstanceResult]:
+    """Every instance of the laws `rows` over the metavariables `vars_`.
+
+    A row is (name, draws, sides).  The bindings of vars_ are `tuples`
+    when given; else, when vars_ are monomial metavariables (U-X) alone,
+    every tuple of small monomials (capped); else bindings of polynomials
+    sampled from each instance's rng.  Bindings are the outer loop and
+    rows the inner one.  Instance i of a row seeds its rng from `key`
+    (default: the row's name) and i, draws its polynomials if sampled,
+    then one fresh morphism a -> b for each pair ab of its draws, and
+    checks sides(*binding, *morphisms) under the interpretation that
+    holds them.  An instance that neither samples nor draws makes no rng
+    and is checked under interp itself."""
     sorts = interp.sig.sorts[:bounds.sorts]
-    results = []
-    if tuples is None:
+    if tuples is None and set(vars_) <= set("UVWX"):
+        tuples = capped(list(itertools.product(
+            all_monomials(sorts, bounds.mono_len), repeat=len(vars_))),
+            bounds.max_tuples)
+    elif tuples is None:
         tuples = [None] * bounds.samples
+    results = []
     for index, tup in enumerate(tuples):
-        rng = Random(derive_seed(seed, name, index))
-        if tup is None:
-            tup = [rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
-                   for _ in vars_]
-        desc = ",".join(f"{k}={v}" for k, v in zip(vars_, tup)) + f"#{index}"
-        fresh = Freshener(interp, rng)
-        lhs, rhs = build(fresh, *tup)
-        results.append(_check_instance(name, desc, fresh.interp(), lhs, rhs))
+        for name, draws, sides in rows:
+            binding, inst, drawn = tup, interp, []
+            if tup is None or draws:
+                fresh = Freshener(interp, Random(derive_seed(seed, key or name,
+                                                             index)))
+                if tup is None:
+                    binding = [rand_poly(fresh.rng, sorts, bounds.poly_len,
+                                         bounds.mono_len) for _ in vars_]
+                env = dict(zip(vars_, binding))
+                drawn = [fresh.morphism(env[a], env[b]) for a, b in draws]
+                inst = fresh.interp()
+            lhs, rhs = sides(*binding, *drawn)
+            desc = ",".join(f"{k}={v}" for k, v in zip(vars_, binding))
+            results.append(_check_instance(name, f"{desc}#{index}", inst,
+                                           lhs, rhs))
     return results
 
 
 # --- the axiom suite -------------------------------------------------------------
 
+def _axioms(theory) -> list:
+    """The axioms as rows (name, metavariables, draws, sides), in order."""
+    def op_rows(op):
+        def n_fold(u):
+            return nfold_sum(poly_of_mono(u), op.arity)
+        return [
+            (f"codiag-nat-op({op})", "U", (), lambda u: (
+                tseq(TCodiag(u), TOpInj(op, u)),
+                tseq(tsum(TOpInj(op, u), TOpInj(op, u)), codiag_tape(n_fold(u))))),
+            (f"cobang-nat-op({op})", "U", (), lambda u: (
+                tseq(TCobang(u), TOpInj(op, u)), cobang_tape(n_fold(u)))),
+            (f"op-nat-tape({op})", "PQ", ("PQ",), lambda p, q, t: (
+                tseq(t, op_inj_tape(op, q)),
+                tseq(op_inj_tape(op, p), tsum(*([t] * op.arity))))),
+        ]
+
+    def eq_row(eq):
+        return (f"theory-eq({eq.name})", "U", (), lambda u: (
+            term_tape(eq.lhs, u, eq.context), term_tape(eq.rhs, u, eq.context)))
+
+    idc, cop, disc = identity_circuit, copier_circuit, discharger_circuit
+    return [
+        # symmetric monoidal axioms, circuit layer
+        ("circ-seq-assoc", "UVW", ("UV", "VW", "WU"), lambda u, v, w, c, d, e: (
+            TCirc(cseq(cseq(c, d), e)), TCirc(cseq(c, cseq(d, e))))),
+        ("circ-id-unit", "UV", ("UV",), lambda u, v, c: (
+            TCirc(cseq(idc(u), c, idc(v))), TCirc(c))),
+        ("circ-interchange", "UVW", ("UV", "UW", "VW", "WU"),
+         lambda u, v, w, c1, c2, d1, d2: (
+             TCirc(cseq(ctensor(c1, c2), ctensor(d1, d2))),
+             TCirc(ctensor(cseq(c1, d1), cseq(c2, d2))))),
+        ("circ-unit-tensor", "UV", ("UV",), lambda u, v, c: (
+            TCirc(CTensor(CIdOne(), CTensor(c, CIdOne()))), TCirc(c))),
+        ("circ-tensor-assoc", "UVW", ("UV", "VW", "WU"), lambda u, v, w, c, d, e: (
+            TCirc(CTensor(CTensor(c, d), e)), TCirc(CTensor(c, CTensor(d, e))))),
+        ("circ-sym-inv", "UV", (), lambda u, v: (
+            TCirc(cseq(sym_circuit(u, v), sym_circuit(v, u))), TCirc(idc(u * v)))),
+        ("circ-sym-nat", "UVWX", ("UV", "WX"), lambda u, v, w, x, c, d: (
+            TCirc(cseq(ctensor(c, d), sym_circuit(v, x))),
+            TCirc(cseq(sym_circuit(u, w), ctensor(d, c))))),
+        # copy/discard comonoid axioms over monomials
+        ("cd-copier-assoc", "U", (), lambda u: (
+            TCirc(cseq(cop(u), ctensor(cop(u), idc(u)))),
+            TCirc(cseq(cop(u), ctensor(idc(u), cop(u)))))),
+        ("cd-copier-unit-left", "U", (), lambda u: (
+            TCirc(cseq(cop(u), ctensor(disc(u), idc(u)))), TCirc(idc(u)))),
+        ("cd-copier-unit-right", "U", (), lambda u: (
+            TCirc(cseq(cop(u), ctensor(idc(u), disc(u)))), TCirc(idc(u)))),
+        ("cd-copier-comm", "U", (), lambda u: (
+            TCirc(cseq(cop(u), sym_circuit(u, u))), TCirc(cop(u)))),
+        # symmetric monoidal axioms, tape layer
+        ("tape-seq-assoc", "PQR", ("PQ", "QR", "RP"),
+         lambda p, q, r, t1, t2, t3: (
+             tseq(tseq(t1, t2), t3), tseq(t1, tseq(t2, t3)))),
+        ("tape-id-unit", "PQ", ("PQ",), lambda p, q, t: (
+            tseq(id_tape(p), t, id_tape(q)), t)),
+        ("tape-interchange", "PQRS", ("PQ", "RS", "QR", "SP"),
+         lambda p, q, r, s, t1, t2, s1, s2: (
+             tseq(TSum(t1, t2), TSum(s1, s2)), TSum(tseq(t1, s1), tseq(t2, s2)))),
+        ("tape-unit-sum", "PQ", ("PQ",), lambda p, q, t: (
+            TSum(TIdZero(), TSum(t, TIdZero())), t)),
+        ("tape-sum-assoc", "PQR", ("PQ", "QR", "RP"),
+         lambda p, q, r, t1, t2, t3: (
+             TSum(TSum(t1, t2), t3), TSum(t1, TSum(t2, t3)))),
+        ("tape-symplus-inv", "PQ", (), lambda p, q: (
+            tseq(symplus_tape(p, q), symplus_tape(q, p)), id_tape(p + q))),
+        ("tape-symplus-nat", "PQRS", ("PQ", "RS"), lambda p, q, r, s, t1, t2: (
+            tseq(TSum(t1, t2), symplus_tape(q, s)),
+            tseq(symplus_tape(p, r), TSum(t2, t1)))),
+        ("tape-symplus-inv-mono", "UV", (), lambda u, v: (
+            tseq(TSymPlus(u, v), TSymPlus(v, u)), tsum(TIdMon(u), TIdMon(v)))),
+        ("tape-symplus-nat-circ", "UVWX", ("UV", "WX"), lambda u, v, w, x, c, d: (
+            tseq(TSum(TCirc(c), TCirc(d)), TSymPlus(v, x)),
+            tseq(TSymPlus(u, w), TSum(TCirc(d), TCirc(c))))),
+        # finite coproduct structure
+        ("codiag-assoc", "U", (), lambda u: (
+            tseq(tsum(TIdMon(u), TCodiag(u)), TCodiag(u)),
+            tseq(tsum(TCodiag(u), TIdMon(u)), TCodiag(u)))),
+        ("codiag-unit", "U", (), lambda u: (
+            tseq(tsum(TCobang(u), TIdMon(u)), TCodiag(u)), TIdMon(u))),
+        ("codiag-comm", "U", (), lambda u: (
+            tseq(TSymPlus(u, u), TCodiag(u)), TCodiag(u))),
+        ("codiag-nat-circ", "UV", ("UV",), lambda u, v, c: (
+            tseq(TCodiag(u), TCirc(c)), tseq(TSum(TCirc(c), TCirc(c)), TCodiag(v)))),
+        ("cobang-nat-circ", "UV", ("UV",), lambda u, v, c: (
+            tseq(TCobang(u), TCirc(c)), TCobang(v))),
+        # naturality of the operation branchings
+        *(row for op in theory.primary_ops for row in op_rows(op)),
+        # the taping functor
+        ("tape-functor-id", "U", (), lambda u: (TCirc(idc(u)), TIdMon(u))),
+        ("tape-functor-seq", "UVW", ("UV", "VW"), lambda u, v, w, c, d: (
+            TCirc(cseq(c, d)), tseq(TCirc(c), TCirc(d)))),
+        # equations of the theory, as term tapes
+        *(eq_row(eq) for eq in theory.equations),
+    ]
+
+
 def axiom_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
                 seed: int = 0) -> SuiteReport:
     """Check every axiom of the calculus under the given interpretation."""
     report = SuiteReport()
-    monos = all_monomials(interp.sig.sorts[:bounds.sorts], bounds.mono_len)
-
-    def mono(name, vars_, build):
-        """Monomial metavariables, enumerated fully (capped)."""
-        tuples = capped(list(itertools.product(monos, repeat=len(vars_))),
-                        bounds.max_tuples)
+    for name, vars_, draws, sides in _axioms(interp.model.theory):
         report.results.extend(
-            _axiom(name, vars_, build, interp, bounds, seed, tuples))
-
-    def poly(name, vars_, build):
-        """Polynomial metavariables, sampled."""
-        report.results.extend(_axiom(name, vars_, build, interp, bounds, seed))
-
-    # symmetric monoidal axioms, circuit layer
-    def c_seq_assoc(f, u, v, w):
-        c, d, e = f.circuit(u, v), f.circuit(v, w), f.circuit(w, u)
-        return TCirc(cseq(cseq(c, d), e)), TCirc(cseq(c, cseq(d, e)))
-
-    mono("circ-seq-assoc", "UVW", c_seq_assoc)
-
-    def c_id_unit(f, u, v):
-        c = f.circuit(u, v)
-        return TCirc(cseq(identity_circuit(u), c, identity_circuit(v))), TCirc(c)
-
-    mono("circ-id-unit", "UV", c_id_unit)
-
-    def c_interchange(f, u, v, w):
-        c1, c2 = f.circuit(u, v), f.circuit(u, w)
-        d1, d2 = f.circuit(v, w), f.circuit(w, u)
-        lhs = cseq(ctensor(c1, c2), ctensor(d1, d2))
-        rhs = ctensor(cseq(c1, d1), cseq(c2, d2))
-        return TCirc(lhs), TCirc(rhs)
-
-    mono("circ-interchange", "UVW", c_interchange)
-
-    def c_unit_tensor(f, u, v):
-        c = f.circuit(u, v)
-        return TCirc(CTensor(CIdOne(), CTensor(c, CIdOne()))), TCirc(c)
-
-    mono("circ-unit-tensor", "UV", c_unit_tensor)
-
-    def c_tensor_assoc(f, u, v, w):
-        c1, c2, c3 = f.circuit(u, v), f.circuit(v, w), f.circuit(w, u)
-        return (TCirc(CTensor(CTensor(c1, c2), c3)),
-                TCirc(CTensor(c1, CTensor(c2, c3))))
-
-    mono("circ-tensor-assoc", "UVW", c_tensor_assoc)
-
-    def c_sym_inv(f, u, v):
-        return (TCirc(cseq(sym_circuit(u, v), sym_circuit(v, u))),
-                TCirc(identity_circuit(u * v)))
-
-    mono("circ-sym-inv", "UV", c_sym_inv)
-
-    def c_sym_nat(f, u, v, w, x):
-        c, d = f.circuit(u, v), f.circuit(w, x)
-        lhs = cseq(ctensor(c, d), sym_circuit(v, x))
-        rhs = cseq(sym_circuit(u, w), ctensor(d, c))
-        return TCirc(lhs), TCirc(rhs)
-
-    mono("circ-sym-nat", "UVWX", c_sym_nat)
-
-    # copy/discard comonoid axioms over monomials
-    def cd_assoc(f, u):
-        lhs = cseq(copier_circuit(u), ctensor(copier_circuit(u), identity_circuit(u)))
-        rhs = cseq(copier_circuit(u), ctensor(identity_circuit(u), copier_circuit(u)))
-        return TCirc(lhs), TCirc(rhs)
-
-    mono("cd-copier-assoc", "U", cd_assoc)
-
-    def cd_unit_left(f, u):
-        lhs = cseq(copier_circuit(u),
-                   ctensor(discharger_circuit(u), identity_circuit(u)))
-        return TCirc(lhs), TCirc(identity_circuit(u))
-
-    mono("cd-copier-unit-left", "U", cd_unit_left)
-
-    def cd_unit_right(f, u):
-        lhs = cseq(copier_circuit(u),
-                   ctensor(identity_circuit(u), discharger_circuit(u)))
-        return TCirc(lhs), TCirc(identity_circuit(u))
-
-    mono("cd-copier-unit-right", "U", cd_unit_right)
-
-    def cd_comm(f, u):
-        return (TCirc(cseq(copier_circuit(u), sym_circuit(u, u))),
-                TCirc(copier_circuit(u)))
-
-    mono("cd-copier-comm", "U", cd_comm)
-
-    # symmetric monoidal axioms, tape layer
-    def t_seq_assoc(f, p, q, r):
-        t1, t2, t3 = f.tape(p, q), f.tape(q, r), f.tape(r, p)
-        return tseq(tseq(t1, t2), t3), tseq(t1, tseq(t2, t3))
-
-    poly("tape-seq-assoc", "PQR", t_seq_assoc)
-
-    def t_id_unit(f, p, q):
-        t = f.tape(p, q)
-        return tseq(id_tape(p), t, id_tape(q)), t
-
-    poly("tape-id-unit", "PQ", t_id_unit)
-
-    def t_interchange(f, p, q, r, s):
-        t1, t2 = f.tape(p, q), f.tape(r, s)
-        s1, s2 = f.tape(q, r), f.tape(s, p)
-        return (tseq(TSum(t1, t2), TSum(s1, s2)),
-                TSum(tseq(t1, s1), tseq(t2, s2)))
-
-    poly("tape-interchange", "PQRS", t_interchange)
-
-    def t_unit_sum(f, p, q):
-        t = f.tape(p, q)
-        return TSum(TIdZero(), TSum(t, TIdZero())), t
-
-    poly("tape-unit-sum", "PQ", t_unit_sum)
-
-    def t_sum_assoc(f, p, q, r):
-        t1, t2, t3 = f.tape(p, q), f.tape(q, r), f.tape(r, p)
-        return TSum(TSum(t1, t2), t3), TSum(t1, TSum(t2, t3))
-
-    poly("tape-sum-assoc", "PQR", t_sum_assoc)
-
-    def t_symplus_inv(f, p, q):
-        return tseq(symplus_tape(p, q), symplus_tape(q, p)), id_tape(p + q)
-
-    poly("tape-symplus-inv", "PQ", t_symplus_inv)
-
-    def t_symplus_nat(f, p, q, r, s):
-        t1, t2 = f.tape(p, q), f.tape(r, s)
-        lhs = tseq(TSum(t1, t2), symplus_tape(q, s))
-        rhs = tseq(symplus_tape(p, r), TSum(t2, t1))
-        return lhs, rhs
-
-    poly("tape-symplus-nat", "PQRS", t_symplus_nat)
-
-    def t_symplus_inv_mono(f, u, v):
-        return (tseq(TSymPlus(u, v), TSymPlus(v, u)),
-                tsum(TIdMon(u), TIdMon(v)))
-
-    mono("tape-symplus-inv-mono", "UV", t_symplus_inv_mono)
-
-    def t_symplus_nat_circ(f, u, v, w, x):
-        c, d = f.circuit(u, v), f.circuit(w, x)
-        lhs = tseq(TSum(TCirc(c), TCirc(d)), TSymPlus(v, x))
-        rhs = tseq(TSymPlus(u, w), TSum(TCirc(d), TCirc(c)))
-        return lhs, rhs
-
-    mono("tape-symplus-nat-circ", "UVWX", t_symplus_nat_circ)
-
-    # finite coproduct structure
-    def nabla_assoc(f, u):
-        lhs = tseq(tsum(TIdMon(u), TCodiag(u)), TCodiag(u))
-        rhs = tseq(tsum(TCodiag(u), TIdMon(u)), TCodiag(u))
-        return lhs, rhs
-
-    mono("codiag-assoc", "U", nabla_assoc)
-
-    def nabla_unit(f, u):
-        return tseq(tsum(TCobang(u), TIdMon(u)), TCodiag(u)), TIdMon(u)
-
-    mono("codiag-unit", "U", nabla_unit)
-
-    def nabla_comm(f, u):
-        return tseq(TSymPlus(u, u), TCodiag(u)), TCodiag(u)
-
-    mono("codiag-comm", "U", nabla_comm)
-
-    def nabla_nat_circ(f, u, v):
-        c = f.circuit(u, v)
-        lhs = tseq(TCodiag(u), TCirc(c))
-        rhs = tseq(TSum(TCirc(c), TCirc(c)), TCodiag(v))
-        return lhs, rhs
-
-    mono("codiag-nat-circ", "UV", nabla_nat_circ)
-
-    def cobang_nat_circ(f, u, v):
-        return tseq(TCobang(u), TCirc(f.circuit(u, v))), TCobang(v)
-
-    mono("cobang-nat-circ", "UV", cobang_nat_circ)
-
-    # naturality of the operation branchings
-    for op in interp.model.theory.primary_ops:
-        def nabla_nat_op(f, u, op=op):
-            lhs = tseq(TCodiag(u), TOpInj(op, u))
-            rhs = tseq(tsum(TOpInj(op, u), TOpInj(op, u)),
-                       codiag_tape(nfold_sum(poly_of_mono(u), op.arity)))
-            return lhs, rhs
-
-        mono(f"codiag-nat-op({op})", "U", nabla_nat_op)
-
-        def cobang_nat_op(f, u, op=op):
-            return (tseq(TCobang(u), TOpInj(op, u)),
-                    cobang_tape(nfold_sum(poly_of_mono(u), op.arity)))
-
-        mono(f"cobang-nat-op({op})", "U", cobang_nat_op)
-
-        def op_nat_tape(f, p, q, op=op):
-            t = f.tape(p, q)
-            lhs = tseq(t, op_inj_tape(op, q))
-            rhs = tseq(op_inj_tape(op, p), tsum(*([t] * op.arity)))
-            return lhs, rhs
-
-        poly(f"op-nat-tape({op})", "PQ", op_nat_tape)
-
-    # the taping functor
-    def tape_functor_id(f, u):
-        return TCirc(identity_circuit(u)), TIdMon(u)
-
-    mono("tape-functor-id", "U", tape_functor_id)
-
-    def tape_functor_seq(f, u, v, w):
-        c, d = f.circuit(u, v), f.circuit(v, w)
-        return TCirc(cseq(c, d)), tseq(TCirc(c), TCirc(d))
-
-    mono("tape-functor-seq", "UVW", tape_functor_seq)
-
-    # equations of the theory, as term tapes
-    for eq in interp.model.theory.equations:
-        def eq_axiom(f, u, eq=eq):
-            return (term_tape(eq.lhs, u, eq.context),
-                    term_tape(eq.rhs, u, eq.context))
-
-        mono(f"theory-eq({eq.name})", "U", eq_axiom)
-
+            _laws([(name, draws, sides)], vars_, interp, bounds, seed))
     return report
 
 
@@ -603,63 +504,60 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
     pairs = list(itertools.product(small_polys(sorts), repeat=2))
     ops = interp.model.theory.primary_ops
 
-    def check(name, desc, lhs, rhs, inst=interp):
-        add(_check_instance(name, desc, inst, lhs, rhs))
+    def laws(rows, vars_, tuples=None, key=None):
+        report.results.extend(
+            _laws(rows, vars_, interp, bounds, seed, tuples, key))
+
+    def tensor(t1, t2):
+        return tensor_tape(t1, t2, sig)
 
     # fc rig structure of the tensor (codiag and cobang against (x))
-    for i, (x, y) in enumerate(pairs):
-        desc = f"X={x},Y={y}#{i}"
-        check("fcrig-codiag-right", desc,
-              codiag_tape(x * y),
-              tensor_tape(codiag_tape(x), id_tape(y), sig))
-        check("fcrig-codiag-left", desc,
+    laws([("fcrig-codiag-right", (), lambda x, y: (
+              codiag_tape(x * y), tensor(codiag_tape(x), id_tape(y)))),
+          ("fcrig-codiag-left", (), lambda x, y: (
               codiag_tape(x * y),
               tseq(distributor(x, y, y, inverse=True),
-                   tensor_tape(id_tape(x), codiag_tape(y), sig)))
-        check("fcrig-cobang-right", desc,
-              cobang_tape(x * y),
-              tensor_tape(cobang_tape(x), id_tape(y), sig))
-        check("fcrig-cobang-left", desc,
-              cobang_tape(x * y),
-              tensor_tape(id_tape(x), cobang_tape(y), sig))
+                   tensor(id_tape(x), codiag_tape(y))))),
+          ("fcrig-cobang-right", (), lambda x, y: (
+              cobang_tape(x * y), tensor(cobang_tape(x), id_tape(y)))),
+          ("fcrig-cobang-left", (), lambda x, y: (
+              cobang_tape(x * y), tensor(id_tape(x), cobang_tape(y))))],
+         "XY", pairs)
 
     # interaction of sums with copy/discard (functional/total codiagonals)
-    for i, x in enumerate(polys):
-        desc = f"X={x}#{i}"
-        nabla, bot = codiag_tape(x), cobang_tape(x)
-        cop, disc = copier_tape(x), discharger_tape(x)
-        check("sumcd-codiag-copier", desc,
-              tseq(nabla, cop),
-              tseq(tsum(cop, cop), codiag_tape(x * x)))
-        check("sumcd-codiag-discard", desc,
-              tseq(nabla, disc),
-              tseq(tsum(disc, disc), TCodiag(ONE)))
-        check("sumcd-cobang-copier", desc,
-              tseq(bot, cop), cobang_tape(x * x))
-        check("sumcd-cobang-discard", desc,
-              tseq(bot, disc), TCobang(ONE))
-        check("maps-codiag-functional", desc,
-              tseq(nabla, cop),
-              tseq(copier_tape(x + x), tensor_tape(nabla, nabla, sig)))
-        check("maps-codiag-total", desc,
-              tseq(nabla, disc), discharger_tape(x + x))
-        check("maps-cobang-functional", desc,
-              tseq(bot, cop),
-              tseq(copier_tape(ZERO), tensor_tape(bot, bot, sig)))
-        check("maps-cobang-total", desc,
-              tseq(bot, disc), discharger_tape(ZERO))
+    laws([("sumcd-codiag-copier", (), lambda x: (
+              tseq(codiag_tape(x), copier_tape(x)),
+              tseq(tsum(copier_tape(x), copier_tape(x)), codiag_tape(x * x)))),
+          ("sumcd-codiag-discard", (), lambda x: (
+              tseq(codiag_tape(x), discharger_tape(x)),
+              tseq(tsum(discharger_tape(x), discharger_tape(x)), TCodiag(ONE)))),
+          ("sumcd-cobang-copier", (), lambda x: (
+              tseq(cobang_tape(x), copier_tape(x)), cobang_tape(x * x))),
+          ("sumcd-cobang-discard", (), lambda x: (
+              tseq(cobang_tape(x), discharger_tape(x)), TCobang(ONE))),
+          ("maps-codiag-functional", (), lambda x: (
+              tseq(codiag_tape(x), copier_tape(x)),
+              tseq(copier_tape(x + x), tensor(codiag_tape(x), codiag_tape(x))))),
+          ("maps-codiag-total", (), lambda x: (
+              tseq(codiag_tape(x), discharger_tape(x)), discharger_tape(x + x))),
+          ("maps-cobang-functional", (), lambda x: (
+              tseq(cobang_tape(x), copier_tape(x)),
+              tseq(copier_tape(ZERO), tensor(cobang_tape(x), cobang_tape(x))))),
+          ("maps-cobang-total", (), lambda x: (
+              tseq(cobang_tape(x), discharger_tape(x)), discharger_tape(ZERO)))],
+         "X", [(x,) for x in polys])
 
     # coherence of copy/discard with the sum decomposition
-    for i, (x, y) in enumerate(pairs):
-        desc = f"X={x},Y={y}#{i}"
-        blocks = tsum(copier_tape(x), cobang_tape(x * y),
-                      cobang_tape(y * x), copier_tape(y))
-        reshuffle = tsum(distributor(x, x, y, inverse=True),
-                         distributor(y, x, y, inverse=True))
-        check("coh-copier-sum", desc, copier_tape(x + y), tseq(blocks, reshuffle))
-        check("coh-discharger-sum", desc,
+    laws([("coh-copier-sum", (), lambda x, y: (
+              copier_tape(x + y),
+              tseq(tsum(copier_tape(x), cobang_tape(x * y),
+                        cobang_tape(y * x), copier_tape(y)),
+                   tsum(distributor(x, x, y, inverse=True),
+                        distributor(y, x, y, inverse=True))))),
+          ("coh-discharger-sum", (), lambda x, y: (
               discharger_tape(x + y),
-              tseq(tsum(discharger_tape(x), discharger_tape(y)), TCodiag(ONE)))
+              tseq(tsum(discharger_tape(x), discharger_tape(y)), TCodiag(ONE))))],
+         "XY", pairs)
 
     # canonical-copy and all-ones oracles
     for i, p in enumerate(polys):
@@ -677,47 +575,42 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
                     "matrix is not the all-ones row"))
 
     # distributor sanity: composing with the inverse
-    for i, (p, q) in enumerate(pairs):
-        r = q + poly_of_mono(ONE)
-        desc = f"P={p},Q={q},R={r}#{i}"
-        check("dl-inverse", desc,
+    laws([("dl-inverse", (), lambda p, q, r: (
               tseq(distributor(p, q, r), distributor(p, q, r, inverse=True)),
-              id_tape(p * (q + r)))
+              id_tape(p * (q + r))))],
+         "PQR", [(p, q, q + poly_of_mono(ONE)) for p, q in pairs])
 
     # operation naturality and the n-ary distributor lemmas
-    for op in ops:
-        for index in range(bounds.samples):
-            rng = Random(derive_seed(seed, f"opnat({op})", index))
-            fresh = Freshener(interp, rng)
-            x = rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
-            y = rand_poly(rng, sorts, bounds.poly_len, bounds.mono_len)
-            h = fresh.tape(x, y)
-            desc = f"X={x},Y={y}#{index}"
-            check(f"opinj-natural({op})", desc,
-                  tseq(h, op_inj_tape(op, y)),
-                  tseq(op_inj_tape(op, x), tsum(*([h] * op.arity))),
-                  fresh.interp())
-        for i, (x, y) in enumerate(capped(pairs, 20)):
-            desc = f"X={x},Y={y}#{i}"
-            check(f"dr-n-opinj({op})", desc,
-                  tensor_tape(op_inj_tape(op, x), id_tape(y), sig),
-                  op_inj_tape(op, x * y))
-            check(f"dl-n-opinj({op})", desc,
-                  tseq(tensor_tape(id_tape(y), op_inj_tape(op, x), sig),
-                       dl_nary(y, [x] * op.arity)),
-                  op_inj_tape(op, y * x))
+    def op_rows(op):
+        natural = [(f"opinj-natural({op})", ("XY",), lambda x, y, h: (
+            tseq(h, op_inj_tape(op, y)),
+            tseq(op_inj_tape(op, x), tsum(*([h] * op.arity)))))]
+        distributed = [
+            (f"dr-n-opinj({op})", (), lambda x, y: (
+                tensor(op_inj_tape(op, x), id_tape(y)), op_inj_tape(op, x * y))),
+            (f"dl-n-opinj({op})", (), lambda x, y: (
+                tseq(tensor(id_tape(y), op_inj_tape(op, x)),
+                     dl_nary(y, [x] * op.arity)),
+                op_inj_tape(op, y * x)))]
+        return natural, distributed
 
+    for op in ops:
+        natural, distributed = op_rows(op)
+        laws(natural, "XY", key=f"opnat({op})")
+        laws(distributed, "XY", capped(pairs, 20))
+
+    n_codiag = [("dr-n-codiag", (), lambda x, y, n: (
+                    tensor(nfold_codiag(x, n), id_tape(y)), nfold_codiag(x * y, n))),
+                ("dl-n-codiag", (), lambda x, y, n: (
+                    tensor(id_tape(y), nfold_codiag(x, n)),
+                    tseq(dl_nary(y, [x] * n), nfold_codiag(y * x, n))))]
     for m in range(4):
-        for i, (x, y) in enumerate(capped(pairs, 20)):
-            desc = f"X={x},Y={y},n={m}#{i}"
-            check("dr-n-codiag", desc,
-                  tensor_tape(nfold_codiag(x, m), id_tape(y), sig),
-                  nfold_codiag(x * y, m))
-            check("dl-n-codiag", desc,
-                  tensor_tape(id_tape(y), nfold_codiag(x, m), sig),
-                  tseq(dl_nary(y, [x] * m), nfold_codiag(y * x, m)))
+        laws(n_codiag, "XYn", [(x, y, m) for x, y in capped(pairs, 20)])
 
     # enrichment of hom-sets over the theory
+    def check(name, desc, lhs, rhs, inst):
+        add(_check_instance(name, desc, inst, lhs, rhs))
+
     enrichment_ops = [op for op in ops if op.arity == 2][:2]
     for op in enrichment_ops:
         t_term, ctx_n = App(op, (Var(1), Var(2))), 2

@@ -11,7 +11,7 @@ from tapecalc.circuit import MonSignature
 from tapecalc.errors import ParseError
 from tapecalc.frontend import cli, parser
 from tapecalc.frontend.cli import main
-from tapecalc.frontend.parser import SortIndex, parse_module, split_sorts
+from tapecalc.frontend.parser import SortIndex, parse_module
 from tapecalc.frontend.surface import elaborate
 
 ROOT = Path(__file__).parent.parent
@@ -42,21 +42,21 @@ def test_split_sorts_matches_the_backtracking_reference():
         sorts = tuple(dict.fromkeys(word(1, 3)
                                     for _ in range(rng.randint(1, 4))))
         text = word(0, 14)
-        assert split_sorts(text, sorts) == \
+        assert SortIndex(sorts).split(text) == \
             reference_split_sorts(text, sorts), (text, sorts)
 
 
 def test_glued_sort_word_fails_fast():
     word = "A" * 32 + "B"     # the backtracking split took over 5 s
     start = time.perf_counter()
-    assert split_sorts(word, ("A", "AA")) is None
+    assert SortIndex(("A", "AA")).split(word) is None
     with pytest.raises(ParseError, match="as a word of declared sorts"):
         parse_module(f"sort A;\nsort AA;\ngen F : {word} -> A;\n")
     assert time.perf_counter() - start < 0.1
 
 
 def test_long_glued_word_splits_without_recursion():
-    assert split_sorts("A" * 3001, ("A", "AA")) == ["AA"] * 1500 + ["A"]
+    assert SortIndex(("A", "AA")).split("A" * 3001) == ["AA"] * 1500 + ["A"]
 
 
 class CountingNames(set):

@@ -1,8 +1,12 @@
 """Semantic equality and the verification suites themselves."""
 
+import inspect
 from fractions import Fraction
 
-from tapecalc.objects import mono
+import pytest
+
+from tapecalc import suites
+from tapecalc.objects import Monomial, Polynomial, mono
 from tapecalc.suites import (SuiteBounds, axiom_suite, coherence_suite,
                              lemma_suite, sem_eq, standard_interpretation,
                              whiskering_suite)
@@ -116,6 +120,40 @@ def test_lemma_suite_small_bounds_passes():
         assert family in names, family
     assert any(n.startswith("enrich-post") for n in names)
     assert any(n.startswith("opinj-natural") for n in names)
+
+
+@pytest.mark.parametrize("model", ["PCA", "CM"])
+@pytest.mark.parametrize("suite", ["axiom_suite", "lemma_suite"])
+def test_law_tables_are_well_formed(monkeypatch, model, suite):
+    """Every row a suite hands to the law driver has a name unique in the
+    suite, draws that each name two of its metavariables, and sides that
+    take one argument per metavariable and per draw; every draw joins two
+    objects of one kind, monomials or polynomials."""
+    calls, kinds = [], []
+    real_laws, real_morphism = suites._laws, suites.Freshener.morphism
+
+    def laws(rows, vars_, *args, **kwargs):
+        calls.append((rows, vars_))
+        return real_laws(rows, vars_, *args, **kwargs)
+
+    def morphism(self, a, b):
+        kinds.append((type(a), type(b)))
+        return real_morphism(self, a, b)
+
+    monkeypatch.setattr(suites, "_laws", laws)
+    monkeypatch.setattr(suites.Freshener, "morphism", morphism)
+    getattr(suites, suite)(standard_interpretation(model), SMALL, seed=3)
+    rows = {id(row): (row, vars_) for group, vars_ in calls for row in group}
+    names = [name for (name, _, _), _ in rows.values()]
+    assert len(names) == len(set(names))
+    for (name, draws, sides), vars_ in rows.values():
+        for draw in draws:
+            assert len(draw) == 2 and set(draw) <= set(vars_), (name, draw)
+        arity = len(inspect.signature(sides).parameters)
+        assert arity == len(vars_) + len(draws), name
+    assert kinds
+    for a, b in kinds:
+        assert a is b and a in (Monomial, Polynomial)
 
 
 def test_whiskering_suite_covers_all_laws():
