@@ -217,8 +217,12 @@ def cmd_render(args) -> int:
     sig = module.signature()
     tape = elaborate(definition(module, args.term), module, sig)
     svg = render_svg(tape, sig)
-    with open(args.output, "wb") as handle:
-        handle.write(svg.encode("utf-8"))
+    try:
+        with open(args.output, "wb") as handle:
+            handle.write(svg.encode("utf-8"))
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -6,10 +6,10 @@ those subterms without recursion; ``fold`` over it is every term walker:
 typing, evaluation, whiskering and the walks over Σ-terms.
 
 A walk takes each node's children from a ``kids`` map, so the map decides
-where the walk stops: ``tape.SEM_KIDS`` makes a tape tagged with its
-closed form a leaf of typing and evaluation, while rendering and
-whiskering walk its whole tree, through ``tape.TERM_KIDS`` and
-``tape.TAPE_KIDS``.
+where the walk stops: ``tape.SEM_KIDS`` and ``tape.TAPE_KIDS`` make a
+tape tagged with its closed form a leaf of typing, evaluation and
+whiskering, while rendering walks its whole tree, through
+``tape.TERM_KIDS``.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ matrix to every generator; it extends homomorphically to all circuits
 and tapes: ``eval_tape`` is a ``hashcons.fold`` of ``evaluator``, which
 gives a node's matrix from its children's.  The fold takes children from
 ``tape.SEM_KIDS``, so a tagged block tape is a leaf: its matrix is one
-image, a ``range`` per monomial block, from its ``block_map`` and the
-carrier sizes.  Carrier indexing is fixed
-once and for all: tensor indices are left-major within a monomial, and a
-polynomial carrier concatenates its monomial blocks in order.
+image, a ``range`` per monomial block, from the carrier sizes and its
+``block_layout``, the ``block_map`` that the node computes once and keeps.
+Carrier indexing is fixed once and for all: tensor indices are left-major
+within a monomial, and a polynomial carrier concatenates its monomial
+blocks in order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .hashcons import fold
 from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
 from .tape import (SEM_KIDS, TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon,
-                   TIdZero, TOpInj, TSeq, TSum, TSymPlus, TapeTerm, block_map)
+                   TIdZero, TOpInj, TSeq, TSum, TSymPlus, TapeTerm)
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,9 @@ def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
 
 def block_matrix(node: TapeTerm, interp: Interpretation) -> Matrix:
     """The matrix of a tagged block tape, from its closed form: each dom
-    block is the identity onto the cod block that ``block_map`` names."""
-    _, cod, blocks = block_map(node.form)
+    block is the identity onto the cod block that ``block_map`` names,
+    kept in the node's ``block_layout``."""
+    _, cod, blocks = node.block_layout
     ends = (0, *accumulate(map(interp.mono_size, cod)))
     image = tuple(chain.from_iterable(
         [range(ends[b], ends[b + 1]) for b in blocks]))

@@ -16,15 +16,18 @@ A *block tape* is built only from ``TIdMon``, ``TSymPlus``, ``TCodiag``,
 monomial blocks, so its meaning is a block map, for each dom monomial the
 cod monomial it lands in, with the identity inside the block.  The
 builders of such tapes (identities, cobangs, sum symmetries, codiagonals,
-distributors) and ``_whiskers`` tag the composite node they return with
-its closed form, the builder's name and arguments (``block_map``).  The
-semantic walks, typing and evaluation, take their children from
-``SEM_KIDS``, where a tagged node is a leaf; rendering and whiskering walk
-the full tree, ``TERM_KIDS``/``TAPE_KIDS``.
+distributors) tag the composite node they return with its closed form,
+the builder call that made it (``block_map``).  Whiskering such a tape by
+a monomial gives the same builder's tape at the whiskered objects, so
+``_whiskers`` makes that call instead of entering the tree.  Typing,
+evaluation and whiskering take their children from ``SEM_KIDS`` or
+``TAPE_KIDS``, where a tagged node is a leaf; rendering walks the full
+tree, ``TERM_KIDS``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Sequence, Union
@@ -41,9 +44,16 @@ from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
 
 class TapeTerm(Term):
     form = None
-    """The closed form of a tagged block tape (see ``block_map``), not a
-    field: set once, in the node's ``__dict__``, by the builder that
-    returns the node, so it dies with the node."""
+    """The closed form of a tagged block tape, the builder call that made
+    it, ``(builder, *args)`` (see ``block_map``).  Not a field: set once,
+    in the node's ``__dict__``, by the builder that returns the node, so it
+    dies with the node."""
+
+    @cached_property
+    def block_layout(self) -> tuple[tuple, tuple, Sequence[int]]:
+        """``block_map(self.form)`` of a tagged node, computed on first use
+        and kept in the node's ``__dict__`` as ``form`` is."""
+        return block_map(self.form)
 
 
 @term_node
@@ -95,14 +105,15 @@ class TOpInj(TapeTerm):
     mono: Monomial
 
 
-TAPE_KIDS: dict[type, Callable] = {
-    TSeq: attrgetter("first", "second"), TSum: attrgetter("top", "bottom")}
 TERM_KIDS: dict[type, Callable] = {
-    **CIRCUIT_KIDS, **TAPE_KIDS, TCirc: lambda t: (t.circuit,)}
-SEM_KIDS: dict[type, Callable] = {
-    **TERM_KIDS,
+    **CIRCUIT_KIDS, TSeq: attrgetter("first", "second"),
+    TSum: attrgetter("top", "bottom"), TCirc: lambda t: (t.circuit,)}
+TAPE_KIDS: dict[type, Callable] = {
     TSeq: lambda t: () if t.form else (t.first, t.second),
     TSum: lambda t: () if t.form else (t.top, t.bottom)}
+"""The children of a tape node down to its tagged block tapes and circuits,
+which are leaves: the walk of whiskering."""
+SEM_KIDS: dict[type, Callable] = {**TERM_KIDS, **TAPE_KIDS}
 """The children of the semantic walks: a tagged ``TSeq`` or ``TSum`` is a
 leaf, given its value by ``block_map`` from its closed form."""
 
@@ -117,29 +128,25 @@ def _tag(t: TapeTerm, *form) -> TapeTerm:
 def block_map(form: tuple) -> tuple[tuple, tuple, Sequence[int]]:
     """(dom, cod, blocks) of a tape tagged with form: dom and cod are
     tuples of monomials, and the i-th dom monomial lands identically in
-    the cod monomial blocks[i].  The forms are ("id", P), ("cobang", P),
-    ("symplus", P, Q), ("codiag", P, m) for the m-fold codiagonal,
-    ("dl", P, (Q1, ..., Qk), inverse) for the n-ary left distributor, and
-    ("whisker", inner form, U, left) for U |> t or t <| U."""
-    sides = []
-    while form[0] == "whisker":
-        form, u, left = form[1:]
-        sides.append((u, left))
-    name, p, *args = form
+    the cod monomial blocks[i].  The forms are (id_tape, P),
+    (cobang_tape, P), (symplus_tape, P, Q), (codiag_tape, P),
+    (nfold_codiag, P, m), (distributor, P, Q, R, inverse) and
+    (dl_nary, P, (Q1, ..., Qk), inverse)."""
+    builder, p, *args = form
     p, n = tuple(p), len(p)
-    if name == "id":
+    if builder is id_tape:
         dom, cod, blocks = p, p, range(n)
-    elif name == "cobang":
+    elif builder is cobang_tape:
         dom, cod, blocks = (), p, ()
-    elif name == "symplus":
+    elif builder is symplus_tape:
         q = tuple(args[0])
         dom, cod = p + q, q + p
         blocks = [*range(len(q), len(q) + n), *range(len(q))]
-    elif name == "codiag":
-        m, = args
+    elif builder is codiag_tape or builder is nfold_codiag:
+        m = args[0] if args else 2
         dom, cod, blocks = p * m, p, [*range(n)] * m
-    else:   # "dl": block (i, j), j the c-th of Qk, goes to PQk's (i, c)
-        qs, inverse = args
+    else:   # distributors: block (i, j), j the c-th of Qk, to PQk's (i, c)
+        qs, inverse = (args[:2], args[2]) if builder is distributor else args
         dom = tuple([u * v for u in p for q in qs for v in q])
         cod = tuple([u * v for q in qs for u in p for v in q])
         blocks = []
@@ -153,9 +160,6 @@ def block_map(form: tuple) -> tuple[tuple, tuple, Sequence[int]]:
             dom, cod, forward, blocks = cod, dom, blocks, [0] * len(blocks)
             for x, b in enumerate(forward):
                 blocks[b] = x
-    for u, left in reversed(sides):
-        grow = (lambda m: u * m) if left else (lambda m: m * u)
-        dom, cod = tuple(map(grow, dom)), tuple(map(grow, cod))
     return dom, cod, blocks
 
 
@@ -211,7 +215,7 @@ def block_type(node: TapeTerm, sig: MonSignature) -> tuple:
     """The type of a tagged block tape: from its closed form when every
     sort of its dom is in sig, else its full tree's type or error, so the
     error text is the tree's."""
-    dom, cod, _ = block_map(node.form)
+    dom, cod, _ = node.block_layout
     if sig.sort_set.issuperset(chain.from_iterable(dom)):
         return dom, cod
     return fold((node,), TERM_KIDS,
@@ -298,9 +302,9 @@ def _right_fold(name: str, p: Polynomial, args: tuple,
     return t
 
 
-def _monowise(cls: type, name: str,
+def _monowise(cls: type, builder: Callable,
               p: Union[Polynomial, Monomial]) -> TapeTerm:
-    """The sum of cls(u) over the monomials u of p, tagged ``(name, p)``.
+    """The sum of cls(u) over the monomials u of p, tagged ``(builder, p)``.
     Starts from the longest prefix of p whose tape is in ``_BUILT`` and
     adds one monomial at a time, keeping the tape of every longer prefix
     there."""
@@ -312,15 +316,15 @@ def _monowise(cls: type, name: str,
         t = TIdZero()
     for j in range(i, len(p)):
         t = _BUILT[(cls, p[:j + 1])] = tsum(t, cls(p[j]))
-    return _tag(t, name, p)
+    return _tag(t, builder, p)
 
 
 def id_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
-    return _monowise(TIdMon, "id", p)
+    return _monowise(TIdMon, id_tape, p)
 
 
 def cobang_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
-    return _monowise(TCobang, "cobang", p)
+    return _monowise(TCobang, cobang_tape, p)
 
 
 def _mono_vs_poly(u: Monomial, q: Polynomial) -> TapeTerm:
@@ -341,7 +345,7 @@ def symplus_tape(p: Union[Polynomial, Monomial],
         "symplus", p, (q,), lambda: id_tape(q),
         lambda u, p_rest, t: tseq(tsum(TIdMon(u), t),
                                   tsum(_mono_vs_poly(u, q), id_tape(p_rest)))),
-        "symplus", p, q)
+        symplus_tape, p, q)
 
 
 def codiag_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
@@ -352,7 +356,7 @@ def codiag_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
         return tseq(shuffle, tsum(TCodiag(u), t))
 
     p = as_poly(p)
-    return _tag(_right_fold("codiag", p, (), TIdZero, step), "codiag", p, 2)
+    return _tag(_right_fold("codiag", p, (), TIdZero, step), codiag_tape, p)
 
 
 def distributor(p: Union[Polynomial, Monomial],
@@ -376,7 +380,7 @@ def distributor(p: Union[Polynomial, Monomial],
 
     p = as_poly(p)
     return _tag(_right_fold("distributor", p, (q, r, inverse), TIdZero, step),
-                "dl", p, (q, r), inverse)
+                distributor, p, q, r, inverse)
 
 
 def dl_nary(p: Union[Polynomial, Monomial],
@@ -384,17 +388,21 @@ def dl_nary(p: Union[Polynomial, Monomial],
             inverse: bool = False) -> TapeTerm:
     """dl_{P,(Q1,...,Qk)} : P (x) (Q1 (+) ... (+) Qk) -> PQ1 (+) ... (+) PQk."""
     p = as_poly(p)
-    qs = [as_poly(q) for q in qs]
+    qs = tuple([as_poly(q) for q in qs])
     if not qs:
         return TIdZero()
-    t = id_tape(p * qs[-1])
-    q_rest = qs[-1]
-    for q in reversed(qs[:-1]):
-        step = distributor(p, q, q_rest, inverse)
-        rest = tsum(id_tape(p * q), t)
-        t = tseq(rest, step) if inverse else tseq(step, rest)
-        q_rest = q + q_rest
-    return _tag(t, "dl", p, tuple(qs), inverse)
+    key = ("dl_nary", p, qs, inverse)
+    t = _BUILT.get(key)
+    if t is None:
+        t = id_tape(p * qs[-1])
+        q_rest = qs[-1]
+        for q in reversed(qs[:-1]):
+            step = distributor(p, q, q_rest, inverse)
+            rest = tsum(id_tape(p * q), t)
+            t = tseq(rest, step) if inverse else tseq(step, rest)
+            q_rest = q + q_rest
+        _BUILT[key] = t
+    return _tag(t, dl_nary, p, qs, inverse)
 
 
 def symtensor_tape(p: Union[Polynomial, Monomial],
@@ -434,7 +442,7 @@ def nfold_codiag(p: Union[Polynomial, Monomial], m: int) -> TapeTerm:
         t = id_tape(p)
     for k in range(k + 1, m + 1):
         t = _BUILT[(*key, k)] = tseq(tsum(id_tape(p), t), codiag_tape(p))
-    return _tag(t, "codiag", p, m)
+    return _tag(t, nfold_codiag, p, m)
 
 
 def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
@@ -459,21 +467,39 @@ def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
 
 # --- whiskerings and the tensor of tapes ---------------------------------------
 
+def _whiskered(form: tuple, u: Monomial, left: bool) -> TapeTerm:
+    """U |> t if left, else t <| U, for a tape t tagged with form: its
+    builder at the whiskered objects.  U multiplies every polynomial
+    argument on its side, except that for the distributors U joins P on
+    the left and the Q's on the right: U |> dl_{P,Q,R} = dl_{UP,Q,R} and
+    dl_{P,Q,R} <| U = dl_{P,QU,RU}."""
+    u = poly_of_mono(u)
+
+    def grow(x):
+        if isinstance(x, Polynomial):
+            return u * x if left else x * u
+        return tuple(map(grow, x)) if isinstance(x, tuple) else x
+
+    builder, *args = form
+    grown = [*map(grow, args)]
+    if builder is distributor or builder is dl_nary:
+        grown = grown[:1] + args[1:] if left else args[:1] + grown[1:]
+    return builder(*grown)
+
+
 def _whiskers(t: TapeTerm, monos: Sequence[Monomial], left: bool) -> tuple:
     """(U |> t for U in monos) if left, else (t <| U for U in monos): one
-    walk over t, each distinct node rebuilt once per monomial, and the
-    copy of a tagged block tape tagged with its form, U and the side."""
+    walk over t down to its tagged block tapes, each distinct node rebuilt
+    once per monomial, and each tagged one whiskered by its builder."""
     if not monos:
         return ()
 
     def step(node: TapeTerm, kids: tuple) -> tuple:
         cls = node.__class__
         if kids:
-            out = tuple(map(cls, *kids))
-            if node.form:
-                for w, u in zip(out, monos):
-                    _tag(w, "whisker", node.form, u, left)
-            return out
+            return tuple(map(cls, *kids))
+        if node.form:
+            return tuple([_whiskered(node.form, u, left) for u in monos])
         if cls is TIdZero:
             return (node,) * len(monos)
         if cls is TIdMon or cls is TCobang or cls is TCodiag:

@@ -18,7 +18,7 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from tapecalc import interp as interp_module, suites, tape
+from tapecalc import hashcons, interp as interp_module, suites, tape
 from tapecalc.circuit import (MonSignature, copier_circuit, discharger_circuit,
                               sym_circuit)
 from tapecalc.errors import TapecalcError
@@ -261,10 +261,9 @@ def test_memo_keeps_nothing_alive():
     assert key not in tape._BUILT.data
 
 
-def test_repeated_monomial_builds_in_linear_constructions(monkeypatch):
-    """id_tape extends the longest prefix it has built already, so the
-    codiagonal of n copies of one monomial, which needs the identity of
-    every shorter run of copies, constructs O(n) nodes, not n^2/2."""
+@contextmanager
+def counting_constructions():
+    """The classes of the nodes constructed, or found interned, inside."""
     constructed = []
     new = tape.Term.__new__
 
@@ -272,11 +271,21 @@ def test_repeated_monomial_builds_in_linear_constructions(monkeypatch):
         constructed.append(cls)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(tape.Term, "__new__", counting)
+    tape.Term.__new__ = counting
+    try:
+        yield constructed
+    finally:
+        tape.Term.__new__ = new
+
+
+def test_repeated_monomial_builds_in_linear_constructions():
+    """id_tape extends the longest prefix it has built already, so the
+    codiagonal of n copies of one monomial, which needs the identity of
+    every shorter run of copies, constructs O(n) nodes, not n^2/2."""
     for n in (100, 400):
         p = nfold_sum(poly((f"Linear{n}",)), n)
-        constructed.clear()
-        tape.codiag_tape(p)
+        with counting_constructions() as constructed:
+            tape.codiag_tape(p)
         assert len(constructed) <= 20 * n, n
 
 
@@ -317,34 +326,39 @@ monomials = st.lists(st.sampled_from(SORTS), max_size=2).map(
 polynomials = st.lists(monomials, max_size=3).map(Polynomial)
 
 
+TAGGED_BUILDERS = (tape.id_tape, tape.cobang_tape, tape.symplus_tape,
+                   tape.codiag_tape, tape.distributor, tape.dl_nary,
+                   tape.nfold_codiag)
+
+
 @st.composite
-def block_tapes(draw):
-    """A tagged builder in either direction, maybe whiskered on a side."""
+def builder_calls(draw):
+    """A tagged builder and its arguments, in either direction."""
     p, q, r = draw(polynomials), draw(polynomials), draw(polynomials)
     inverse = draw(st.booleans())
-    kind = draw(st.sampled_from(("id", "cobang", "symplus", "codiag",
-                                 "distributor", "dl_nary", "nfold_codiag")))
-    if kind == "id":
-        t = tape.id_tape(p)
-    elif kind == "cobang":
-        t = tape.cobang_tape(p)
-    elif kind == "symplus":
-        t = tape.symplus_tape(p, q)
-    elif kind == "codiag":
-        t = tape.codiag_tape(p)
-    elif kind == "distributor":
-        t = tape.distributor(p, q, r, inverse)
-    elif kind == "dl_nary":
-        qs = draw(st.lists(polynomials, max_size=4))
-        t = tape.dl_nary(p, qs, inverse)
-    else:
-        t = tape.nfold_codiag(p, draw(st.integers(0, 4)))
+    builder = draw(st.sampled_from(TAGGED_BUILDERS))
+    if builder is tape.symplus_tape:
+        return builder, (p, q)
+    if builder is tape.distributor:
+        return builder, (p, q, r, inverse)
+    if builder is tape.dl_nary:
+        return builder, (p, draw(st.lists(polynomials, max_size=4)), inverse)
+    if builder is tape.nfold_codiag:
+        return builder, (p, draw(st.integers(0, 4)))
+    return builder, (p,)
+
+
+@st.composite
+def block_tapes(draw):
+    """A tagged builder's tape, maybe whiskered on a side."""
+    builder, args = draw(builder_calls())
+    t = builder(*args)
     side = draw(st.sampled_from((None, "left", "right")))
     if side == "left":
         t = tape.whisker_left_mono(draw(monomials), t)
     elif side == "right":
         t = tape.whisker_right_mono(t, draw(monomials))
-    assert t.form or not isinstance(t, (TSeq, TSum)), (kind, side)
+    assert t.form or not isinstance(t, (TSeq, TSum)), (builder, side)
     return t
 
 
@@ -420,3 +434,87 @@ def test_copier_tensor_copier_walks_few_nodes():
     t = tape.tensor_tape(c, c, sig)
     assert len(postorder((t,), TERM_KIDS)[0]) == 8644
     assert len(postorder((t,), SEM_KIDS)[0]) <= 300
+
+
+# --- whiskering a tagged tape is its builder's call ----------------------------
+
+def whiskered_args(builder, args, u, left):
+    """The builder's arguments at U |> t if left, else t <| U: whiskering
+    a structural tape gives the same structural tape at the whiskered
+    objects, sigma+_{P,Q} <| U = sigma+_{PU,QU} for instance, but
+    U |> dl_{P,Q,R} = dl_{UP,Q,R} and dl_{P,Q,R} <| U = dl_{P,QU,RU}."""
+    def grow(x):
+        return poly_of_mono(u) * x if left else x * poly_of_mono(u)
+
+    p, *rest = args
+    if builder is tape.distributor or builder is tape.dl_nary:
+        if left:
+            return (grow(p), *rest)
+        if builder is tape.distributor:
+            q, r, inverse = rest
+            return p, grow(q), grow(r), inverse
+        qs, inverse = rest
+        return p, [grow(q) for q in qs], inverse
+    return tuple(grow(x) if isinstance(x, Polynomial) else x for x in args)
+
+
+@given(call=builder_calls(), u=monomials, left=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_whiskering_a_tagged_tape_calls_its_builder(call, u, left):
+    """_whiskers returns the builder's tape at the whiskered arguments, and
+    that tape is tagged with the call of the builder that tagged t."""
+    builder, args = call
+    t = builder(*args)
+    w = tape._whiskers(t, (u,), left)[0]
+    assert w is builder(*whiskered_args(builder, args, u, left))
+    if t.form:
+        tagger, *tagged_args = t.form
+        assert tagger(*tagged_args) is t
+        assert w.form[0] is tagger
+        assert tagger(*w.form[1:]) is w
+
+
+@given(call=builder_calls(), u=monomials, left=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_whiskering_a_tagged_tape_constructs_no_node(call, u, left):
+    """With its whiskered counterpart alive, whiskering a tagged tape
+    enters none of its nodes and constructs no tape node."""
+    builder, args = call
+    t = builder(*args)
+    if not t.form:
+        return
+    w = tape._whiskers(t, (u,), left)[0]    # the counterpart, now alive
+    with counting_constructions() as constructed:
+        assert tape._whiskers(t, (u,), left)[0] is w
+    assert not [cls for cls in constructed if issubclass(cls, tape.TapeTerm)]
+
+
+def test_sem_eq_computes_each_block_layout_once(monkeypatch):
+    """Building the tensor law and two sem_eq calls on it, typing and
+    evaluating both sides each time, compute the closed form of each
+    distinct tagged leaf of their walk once, and keep it on the leaf."""
+    gc.collect()
+    hashcons._sweep()   # the keys of dead parents keep no earlier tape alive
+    layouts = []
+    block_map = tape.block_map
+
+    def counting(form):
+        layouts.append(form)
+        return block_map(form)
+
+    monkeypatch.setattr(tape, "block_map", counting)
+    fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1)),
+                      Random(3))
+    f = fresh.tape(P, P * P)
+    interp = fresh.interp()
+    c = tape.copier_tape(P)
+    lhs = tape.tensor_tape(c, f, interp.sig)
+    rhs = tseq(tape.tensor_tape(c, tape.id_tape(P), interp.sig),
+               tape.tensor_tape(tape.id_tape(P * P), f, interp.sig))
+    for _ in range(2):
+        assert sem_eq(lhs, rhs, interp).kind == "equal"
+    leaves = [node for node in postorder((lhs, rhs), SEM_KIDS)[0]
+              if isinstance(node, (TSeq, TSum)) and node.form]
+    assert len(layouts) == len(set(layouts))
+    assert {leaf.form for leaf in leaves} <= set(layouts)
+    assert all("block_layout" in leaf.__dict__ for leaf in leaves)

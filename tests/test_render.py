@@ -60,3 +60,19 @@ def test_render_of_ill_typed_definition_is_bad_input(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err == "error: tape composition mismatch: B vs A\n"
     assert not svg.exists()
+
+
+def test_render_to_a_bad_output_path_is_a_usage_error(tmp_path, capsys):
+    """A directory, or a path in a missing directory: exit 2 with one
+    error line, as for an unreadable input file."""
+    from tapecalc.frontend.cli import main
+    path = tmp_path / "m.tape"
+    path.write_text("sort A;\ndef d = id@A;\n", encoding="utf-8")
+    for out in (tmp_path, tmp_path / "missing" / "out.svg"):
+        code = main(["render", str(path), "--term", "d", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2, out
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
