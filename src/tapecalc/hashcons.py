@@ -6,9 +6,10 @@ those subterms without recursion; ``fold`` over it is every term walker:
 typing, evaluation, whiskering and the walks over Σ-terms.
 
 A walk takes each node's children from a ``kids`` map, so the map decides
-where the walk stops: ``tape.SEM_KIDS`` and ``tape.TAPE_KIDS`` make a
-tape tagged with its closed form a leaf of typing, evaluation and
-whiskering, while rendering walks its whole tree, through
+where the walk stops, and what a node's children are: ``tape.TAPE_KIDS``
+makes a tagged tape a leaf of whiskering; ``tape.SEM_KIDS`` makes a
+block tape a leaf of typing and evaluation, and gives a whiskered copy
+of a tape t one child, t itself; rendering walks the whole tree, through
 ``tape.TERM_KIDS``.
 """
 

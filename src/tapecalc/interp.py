@@ -2,14 +2,15 @@
 
 An interpretation assigns a finite carrier to every sort and an exact
 matrix to every generator; it extends homomorphically to all circuits
-and tapes: ``eval_tape`` is a ``hashcons.fold`` of ``evaluator``, which
+and tapes: ``eval_tape`` is a ``tape.sem_fold`` of ``evaluator``, which
 gives a node's matrix from its children's.  The fold takes children from
 ``tape.SEM_KIDS``, so a tagged block tape is a leaf: its matrix is one
 image, a ``range`` per monomial block, from the carrier sizes and its
 ``block_layout``, the ``block_map`` that the node computes once and keeps.
-Carrier indexing is fixed once and for all: tensor indices are left-major
-within a monomial, and a polynomial carrier concatenates its monomial
-blocks in order.
+A whiskered copy of a tape t has one child, t: its matrix is t's
+tensored with an identity per whiskering.  Carrier indexing is fixed
+once and for all: tensor indices are left-major within a monomial, and a
+polynomial carrier concatenates its monomial blocks in order.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from typing import Callable, Mapping, Union
 from . import kleisli
 from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
                       CTensor, CircuitTerm, MonSignature)
-from .errors import (DimensionError, ModelError, TapecalcError,
-                     UnknownSortError)
-from .hashcons import fold
+from .errors import DimensionError, ModelError, UnknownSortError
 from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
-from .tape import (SEM_KIDS, TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon,
-                   TIdZero, TOpInj, TSeq, TSum, TSymPlus, TapeTerm)
+from .tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSeq,
+                   TSum, TSymPlus, TapeTerm, sem_fold, tape_types)
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,11 @@ def prod_index(p: Polynomial, q: Polynomial, interp: Interpretation):
 
 def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
               walk: tuple[list, dict] | None = None) -> Matrix:
-    """The matrix of a tape or circuit: one ``fold`` of ``evaluator``, so
-    each distinct subterm is evaluated once and its matrix dropped after
-    its last use; ``walk`` is t's ``postorder`` over ``SEM_KIDS``, if the
-    caller has made it already."""
-    return fold((t,), SEM_KIDS, evaluator(interp), walk)[0]
+    """The matrix of a tape or circuit: one ``sem_fold`` of ``evaluator``,
+    so each distinct subterm is evaluated once and its matrix dropped
+    after its last use; ``walk`` is t's ``postorder`` over ``SEM_KIDS``,
+    if the caller has made it already."""
+    return sem_fold((t,), evaluator(interp), walk)[0]
 
 
 def block_matrix(node: TapeTerm, interp: Interpretation) -> Matrix:
@@ -144,23 +143,62 @@ def block_matrix(node: TapeTerm, interp: Interpretation) -> Matrix:
     return Matrix(len(image), ends[-1], image=image)
 
 
+def pairing(n: int, sizes: list[int]) -> Matrix:
+    """The permutation from carrier(U (x) P) to carrier(U) x carrier(P),
+    for a monomial U with n elements and a polynomial P whose monomial
+    blocks have the given sizes: block i of U (x) P holds the pairs of U
+    and P's i-th monomial, and pairs are indexed left-major on both."""
+    total, start, image = sum(sizes), 0, []
+    for size in sizes:
+        for u in range(n):
+            image += range(u * total + start, u * total + start + size)
+        start += size
+    return Matrix(len(image), len(image), image=tuple(image))
+
+
 def evaluator(interp: Interpretation) -> Callable:
     """The ``fold`` step of the semantics under interp: a node's matrix
     from its children's matrices, in order.  A tagged block tape with
-    no children is a ``block_matrix``; on any error, its full tree is
-    folded instead, so the error raised is the tree's."""
-    def block(node: TapeTerm) -> Matrix:
-        try:
-            return block_matrix(node, interp)
-        except TapecalcError:
-            return fold((node,), TERM_KIDS, step)[0]
+    no children is a ``block_matrix``.  A whiskered tape's one child is
+    the tape t it whiskers; each step of its chain tensors t's matrix
+    with the identity on U.  On the right, t <| U is exactly that; on the
+    left, U |> t is that with its dom and cod blocks reordered by
+    ``pairing``, from the carrier sizes of the monomials of t's type,
+    which are computed once per tape."""
+    sizes: dict = {}
+
+    def whiskered(node: TapeTerm, m: Matrix) -> Matrix:
+        _, t, steps = node.form
+        scale = 1       # the carrier size of the steps so far
+        for left, u in steps:
+            n = interp.mono_size(u)
+            if n == 1:
+                continue
+            if not left:
+                m = m.tensor(Matrix.identity(n))
+            else:
+                if t not in sizes:
+                    sizes[t] = [[*map(interp.mono_size, side)]
+                                for side in tape_types((t,), interp.sig)[0]]
+                dom, cod = [[size * scale for size in side]
+                            for side in sizes[t]]
+                m = Matrix.identity(n).tensor(m)
+                if len(dom) > 1:
+                    m = pairing(n, dom).then(m)
+                if len(cod) > 1:
+                    m = m.then(pairing(n, cod).transpose_permutation())
+            scale *= n
+        return m
+
+    def tagged(node: TapeTerm, kids: tuple) -> Matrix:
+        return whiskered(node, *kids) if kids else block_matrix(node, interp)
 
     def step(node, kids: tuple) -> Matrix:
         cls = node.__class__
         if cls is TSeq or cls is CSeq:
-            return kids[0].then(kids[1]) if kids else block(node)
+            return kids[0].then(kids[1]) if len(kids) == 2 else tagged(node, kids)
         if cls is TSum:
-            return kids[0].oplus(kids[1]) if kids else block(node)
+            return kids[0].oplus(kids[1]) if len(kids) == 2 else tagged(node, kids)
         if cls is CTensor:
             return kids[0].tensor(kids[1])
         if cls is TCirc:

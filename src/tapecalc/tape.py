@@ -19,10 +19,15 @@ builders of such tapes (identities, cobangs, sum symmetries, codiagonals,
 distributors) tag the composite node they return with its closed form,
 the builder call that made it (``block_map``).  Whiskering such a tape by
 a monomial gives the same builder's tape at the whiskered objects, so
-``_whiskers`` makes that call instead of entering the tree.  Typing,
-evaluation and whiskering take their children from ``SEM_KIDS`` or
-``TAPE_KIDS``, where a tagged node is a leaf; rendering walks the full
-tree, ``TERM_KIDS``.
+``_whiskers`` makes that call instead of entering the tree.  Whiskering
+any other composite tape t tags each copy with its builder call too,
+``(whisker_chain, t, steps)``, and whiskering a copy again extends its
+chain of steps.  Whiskering takes its children from ``TAPE_KIDS``, where
+a tagged node is a leaf; typing and evaluation from ``SEM_KIDS``, where a
+block tape is a leaf and a whiskered copy's one child is t, so t is
+walked once however many copies a tensor makes.  Should a walk over
+``SEM_KIDS`` fail, ``sem_fold`` walks the full tree, ``TERM_KIDS``, and
+reports its value or error; rendering always walks ``TERM_KIDS``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from weakref import WeakValueDictionary
 from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
                       ctensor, identity_circuit, sym_circuit)
-from .errors import TypeCheckError
+from .errors import TapecalcError, TypeCheckError, UnknownSortError
 from .hashcons import Term, fold, term_node
 from .objects import Monomial, ONE, Polynomial, nfold_sum, poly_of_mono
 from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
@@ -111,17 +116,38 @@ TERM_KIDS: dict[type, Callable] = {
 TAPE_KIDS: dict[type, Callable] = {
     TSeq: lambda t: () if t.form else (t.first, t.second),
     TSum: lambda t: () if t.form else (t.top, t.bottom)}
-"""The children of a tape node down to its tagged block tapes and circuits,
+"""The children of a tape node down to its tagged tapes and circuits,
 which are leaves: the walk of whiskering."""
-SEM_KIDS: dict[type, Callable] = {**TERM_KIDS, **TAPE_KIDS}
-"""The children of the semantic walks: a tagged ``TSeq`` or ``TSum`` is a
-leaf, given its value by ``block_map`` from its closed form."""
+
+
+def _semantic(children: Callable) -> Callable:
+    """The children of a ``TSeq`` or ``TSum`` in the semantic walks: none
+    for a tagged block tape, the tape it whiskers for a whiskered one."""
+    def kids(t: TapeTerm) -> tuple:
+        form = t.form
+        if form is None:
+            return children(t)
+        return form[1:2] if form[0] is whisker_chain else ()
+    return kids
+
+
+SEM_KIDS: dict[type, Callable] = {
+    **TERM_KIDS, TSeq: _semantic(TERM_KIDS[TSeq]),
+    TSum: _semantic(TERM_KIDS[TSum])}
+"""The children of the semantic walks: a block tape is a leaf, given its
+value by ``block_map`` from its closed form, and a whiskered tape has one
+child, the tape it whiskers, whose value its chain of whiskerings maps to
+its own."""
 
 
 def _tag(t: TapeTerm, *form) -> TapeTerm:
-    """t, tagged with its closed form unless it is a leaf or tagged."""
+    """t, tagged with its closed form unless it is a leaf or tagged; a
+    block tape's form replaces a whiskering's, as the walks stop there."""
     if t.__class__ is TSeq or t.__class__ is TSum:
-        t.__dict__.setdefault("form", form)
+        old = t.form
+        if old is None or (old[0] is whisker_chain
+                            and form[0] is not whisker_chain):
+            t.__dict__["form"] = form
     return t
 
 
@@ -168,20 +194,20 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     types, in order (the ``fold`` step of ``tape_types``): a circuit's
     is a pair of ``Monomial``s, a tape's a pair of plain tuples of
     ``Monomial``s, so a sum is one tuple concatenation and a composition
-    check one tuple comparison.  A tagged block tape (a childless ``TSeq``
-    or ``TSum``) is typed by ``block_type``."""
+    check one tuple comparison.  A tagged tape (a ``TSeq`` or ``TSum``
+    with fewer than two children) is typed by ``tagged_type``."""
     cls = node.__class__
     if cls is TSeq:
-        if not kids:
-            return block_type(node, sig)
+        if len(kids) < 2:
+            return tagged_type(node, sig, kids)
         (dom, cod1), (dom2, cod) = kids
         if cod1 != dom2:
             raise TypeCheckError(
                 f"tape composition mismatch: {Polynomial(cod1)} vs "
                 f"{Polynomial(dom2)}")
     elif cls is TSum:
-        if not kids:
-            return block_type(node, sig)
+        if len(kids) < 2:
+            return tagged_type(node, sig, kids)
         (dom1, cod1), (dom2, cod2) = kids
         dom, cod = dom1 + dom2, cod1 + cod2
     elif cls is TCirc:
@@ -211,29 +237,49 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     return dom, cod
 
 
-def block_type(node: TapeTerm, sig: MonSignature) -> tuple:
-    """The type of a tagged block tape: from its closed form when every
-    sort of its dom is in sig, else its full tree's type or error, so the
-    error text is the tree's."""
-    dom, cod, _ = node.block_layout
-    if sig.sort_set.issuperset(chain.from_iterable(dom)):
+def tagged_type(node: TapeTerm, sig: MonSignature, kids: tuple) -> tuple:
+    """The type of a tagged tape: a block tape's from its closed form, a
+    whiskered tape's from the type of the tape it whiskers, its one child,
+    with each step's monomial multiplied into every monomial on its side.
+    Raises if a sort of a block tape's dom or of a step is not in sig;
+    ``sem_fold`` then types the full tree, whose type or error it is."""
+    if not kids:
+        dom, cod, _ = node.block_layout
+        if not sig.sort_set.issuperset(chain.from_iterable(dom)):
+            raise UnknownSortError(f"unregistered sort in {Polynomial(dom)}")
         return dom, cod
-    return fold((node,), TERM_KIDS,
-                lambda node, kids: node_type(node, sig, kids))[0]
+    (dom, cod), = kids
+    for left, u in node.form[2]:
+        for s in u:
+            sig.check_sort(s)
+        dom, cod = ([u * x if left else x * u for x in side]
+                    for side in (dom, cod))
+    return tuple(dom), tuple(cod)
+
+
+def sem_fold(roots, step: Callable, walk: tuple[list, dict] | None = None
+             ) -> tuple:
+    """``fold(roots, SEM_KIDS, step, walk)``; should that raise a library
+    error, the fold over the full trees, ``TERM_KIDS``, whose values or
+    error are then the result.  So the tagged tapes' shortcuts change how
+    fast typing and evaluation are, never what they give."""
+    try:
+        return fold(roots, SEM_KIDS, step, walk)
+    except TapecalcError:
+        return fold(roots, TERM_KIDS, step)
 
 
 def tape_types(roots: Sequence[TapeTerm], sig: MonSignature,
                walk: tuple[list, dict] | None = None) -> tuple:
     """The types of the roots (see ``node_type``), each distinct subterm
-    typed once; ``walk`` as for ``fold``, a ``postorder`` over
-    ``SEM_KIDS``.  The roots are typed in turn, so an error of the first
-    is raised first."""
+    typed once, by ``sem_fold``; ``walk`` as for ``fold``, a ``postorder``
+    over ``SEM_KIDS``.  The roots are typed in turn, so an error of the
+    first is raised first."""
     for i, t in enumerate(roots):
         if not isinstance(t, TapeTerm):
             tape_types(roots[:i], sig)
             raise TypeCheckError(f"not a tape term: {t!r}")
-    return fold(roots, SEM_KIDS,
-                lambda node, kids: node_type(node, sig, kids), walk)
+    return sem_fold(roots, lambda node, kids: node_type(node, sig, kids), walk)
 
 
 def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial]:
@@ -468,8 +514,8 @@ def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
 # --- whiskerings and the tensor of tapes ---------------------------------------
 
 def _whiskered(form: tuple, u: Monomial, left: bool) -> TapeTerm:
-    """U |> t if left, else t <| U, for a tape t tagged with form: its
-    builder at the whiskered objects.  U multiplies every polynomial
+    """U |> t if left, else t <| U, for a block tape t tagged with form:
+    its builder at the whiskered objects.  U multiplies every polynomial
     argument on its side, except that for the distributors U joins P on
     the left and the Q's on the right: U |> dl_{P,Q,R} = dl_{UP,Q,R} and
     dl_{P,Q,R} <| U = dl_{P,QU,RU}."""
@@ -487,36 +533,68 @@ def _whiskered(form: tuple, u: Monomial, left: bool) -> TapeTerm:
     return builder(*grown)
 
 
-def _whiskers(t: TapeTerm, monos: Sequence[Monomial], left: bool) -> tuple:
-    """(U |> t for U in monos) if left, else (t <| U for U in monos): one
-    walk over t down to its tagged block tapes, each distinct node rebuilt
-    once per monomial, and each tagged one whiskered by its builder."""
-    if not monos:
-        return ()
-
-    def step(node: TapeTerm, kids: tuple) -> tuple:
+def _whisker_leaf(node: TapeTerm, steps: tuple, ids: dict) -> TapeTerm:
+    """node whiskered by each step of steps in turn (see ``whisker_chain``),
+    for a leaf of ``TAPE_KIDS``: a whiskered tape is its builder's call
+    with the steps appended to its chain, a block tape is whiskered by its
+    builder, and a primitive tape by whiskering its fields; ``ids`` holds
+    the identity circuit of each step's monomial."""
+    for k, (left, u) in enumerate(steps):
+        form = node.form
+        if form and form[0] is whisker_chain:
+            return whisker_chain(form[1], form[2] + steps[k:])
+        if form:
+            node = _whiskered(form, u, left)
+            continue
         cls = node.__class__
-        if kids:
-            return tuple(map(cls, *kids))
-        if node.form:
-            return tuple([_whiskered(node.form, u, left) for u in monos])
         if cls is TIdZero:
-            return (node,) * len(monos)
+            continue
+        times = (lambda m: u * m) if left else (lambda m: m * u)
         if cls is TIdMon or cls is TCobang or cls is TCodiag:
-            return tuple([cls(g(node.mono)) for g in grows])
-        if cls is TCirc:
-            return tuple([TCirc(ctensor(i, node.circuit) if left
-                                else ctensor(node.circuit, i)) for i in ids])
-        if cls is TSymPlus:
-            return tuple([TSymPlus(g(node.left), g(node.right)) for g in grows])
-        if cls is TOpInj:
-            return tuple([TOpInj(node.op, g(node.mono)) for g in grows])
-        raise TypeCheckError(f"not a tape term: {node!r}")
+            node = cls(times(node.mono))
+        elif cls is TCirc:
+            node = TCirc(ctensor(ids[u], node.circuit) if left
+                         else ctensor(node.circuit, ids[u]))
+        elif cls is TSymPlus:
+            node = TSymPlus(times(node.left), times(node.right))
+        elif cls is TOpInj:
+            node = TOpInj(node.op, times(node.mono))
+        else:
+            raise TypeCheckError(f"not a tape term: {node!r}")
+    return node
 
-    grows = [(lambda m, u=u: u * m) if left else (lambda m, u=u: m * u)
-             for u in monos]
-    ids = [identity_circuit(u) for u in monos]
-    return fold((t,), TAPE_KIDS, step)[0]
+
+def _whiskers_by(t: TapeTerm, chains: Sequence[tuple]) -> tuple:
+    """(whisker_chain(t, steps) for steps in chains): one walk over t down
+    to its tagged tapes, each distinct node rebuilt once per chain and
+    each leaf whiskered by ``_whisker_leaf``.  When t is an untagged
+    composite, each result but t itself is tagged (whisker_chain, t,
+    steps), so that the semantic walks enter t once in its place."""
+    if not chains:
+        return ()
+    untagged = (t.__class__ is TSeq or t.__class__ is TSum) and not t.form
+    ids = {u: identity_circuit(u) for steps in chains for _, u in steps}
+    roots = fold((t,), TAPE_KIDS, lambda node, kids: (
+        tuple(map(node.__class__, *kids)) if kids
+        else tuple([_whisker_leaf(node, steps, ids) for steps in chains])))[0]
+    if untagged:
+        for r, steps in zip(roots, chains):
+            if r is not t:
+                _tag(r, whisker_chain, t, steps)
+    return roots
+
+
+def whisker_chain(t: TapeTerm, steps: tuple) -> TapeTerm:
+    """t whiskered by each step (left, U) of steps in turn: U |> - if left,
+    else - <| U.  Applied leaf by leaf, in order, so U |> (t <| V) is the
+    node that whiskering t <| V by U builds, down to how ``ctensor``
+    groups a circuit's factors.  Its call tags the tape it returns."""
+    return _whiskers_by(t, (steps,))[0]
+
+
+def _whiskers(t: TapeTerm, monos: Sequence[Monomial], left: bool) -> tuple:
+    """(U |> t for U in monos) if left, else (t <| U for U in monos)."""
+    return _whiskers_by(t, [((left, u),) for u in monos])
 
 
 def whisker_left_mono(u: Monomial, t: TapeTerm) -> TapeTerm:
