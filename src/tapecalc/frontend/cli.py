@@ -17,7 +17,7 @@ from ..kleisli import exact_str, model_for
 from ..objects import normalize
 from ..suites import (SuiteBounds, axiom_suite, coherence_suite, lemma_suite,
                       sem_eq)
-from ..tape import SEM_KIDS, TOpInj, tape_types
+from ..tape import TERM_KIDS, TOpInj, tape_types
 from .parser import ascii_int, parse_module, parse_object_expr
 from .render import render_svg
 from .surface import elaborate
@@ -142,7 +142,7 @@ def cmd_check(args) -> int:
     for name, body in module.defs.items():
         try:
             tape = tapes[name] = elaborate(body, module, sig)
-            walk = postorder((tape,), SEM_KIDS)
+            walk = postorder((tape,), TERM_KIDS)
             types[name], = tape_types((tape,), sig, walk)
             check_weights(walk[0], models)
         except (TypeCheckError, UnknownOperationError) as exc:
@@ -176,7 +176,7 @@ def cmd_eval(args) -> int:
     module = load_module(args.file)
     interp = module.interpretation(args.interp)
     tape = elaborate(definition(module, args.term), module, interp.sig)
-    walk = postorder((tape,), SEM_KIDS)
+    walk = postorder((tape,), TERM_KIDS)
     tape_types((tape,), interp.sig, walk)
     sys.stdout.write(eval_tape(tape, interp, walk).pretty() + "\n")
     return EXIT_OK

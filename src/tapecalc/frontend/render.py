@@ -14,7 +14,7 @@ from ..errors import TypeCheckError
 from ..hashcons import fold
 from ..objects import Monomial
 from ..tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
-                    TOpInj, TSeq, TSum, TSymPlus, TapeTerm, node_type)
+                    TOpInj, TSeq, TSum, TSymPlus, TapeTerm, expand, node_type)
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -259,7 +259,9 @@ def _draw_tape_leaf(t: TapeTerm, x: float, y: float, w: float, h: float,
 
 
 def render_svg(t: TapeTerm, sig: MonSignature) -> str:
-    """Valid SVG 1.1 text for a typeable tape; byte-stable per term."""
+    """Valid SVG 1.1 text for a typeable tape, drawn as its full tree
+    (``tape.expand``); byte-stable per term."""
+    t = expand(t)
     memo = _Memo(t, sig)
     w_units, lanes = memo.sizes[t]
     width = w_units * UNIT_W + 2 * PAD

@@ -3,18 +3,17 @@
 live one returns that one, so equal terms are identical, ``==`` is
 identity and a term is a DAG of distinct subterms.  ``postorder`` lists
 those subterms without recursion; ``fold`` over it is every term walker:
-typing, evaluation, whiskering and the walks over Σ-terms.
+typing, evaluation, full-tree expansion and the walks over Σ-terms.
 
 A walk takes each node's children from a ``kids`` map, so the map decides
-where the walk stops, and what a node's children are: ``tape.TAPE_KIDS``
-makes a tagged tape a leaf of whiskering; ``tape.SEM_KIDS`` makes a
-block tape a leaf of typing and evaluation, and gives a whiskered copy
-of a tape t one child, t itself; rendering walks the whole tree, through
-``tape.TERM_KIDS``.
+where the walk stops, and what a node's children are: in
+``tape.TERM_KIDS``, the map of typing, evaluation and rendering, a block
+tape is a leaf and a whiskered tape has one child, the tape it whiskers.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable, Mapping
 from weakref import ref
@@ -26,14 +25,32 @@ _SWEEP_AT = 1 << 8  # table size at which dead entries are next dropped
 def _sweep() -> None:
     """Drop the entries of dead nodes.  A node is entered after its
     children, so one pass from the newest entry back also drops a child
-    that only its dead parent's key kept alive."""
+    that only its dead parent's key kept alive.  A sweep that a collection
+    starts inside this one drops some of these entries first."""
     global _SWEEP_AT
-    items = list(_LIVE.items())
-    while items:
-        key, node = items.pop()
-        if node() is None:
+    keys = list(_LIVE)
+    while keys:
+        key = keys.pop()
+        node = _LIVE.get(key)
+        if node is not None and node() is None:
             del _LIVE[key]
     _SWEEP_AT = 2 * len(_LIVE) + (1 << 8)
+
+
+def _collected(phase: str, info: dict) -> None:
+    """After each full collection, sweep too, so that the key of a dead
+    node keeps none of its children alive past ``gc.collect()``."""
+    if phase == "stop" and info["generation"] == 2:
+        _sweep()
+
+
+# One callback a process: a fresh import of this module replaces the one
+# an earlier import registered, which would keep that module alive.
+gc.callbacks[:] = [
+    c for c in gc.callbacks
+    if (getattr(c, "__module__", None), getattr(c, "__qualname__", None))
+    != (__name__, _collected.__qualname__)]
+gc.callbacks.append(_collected)
 
 
 class Term:

@@ -3,14 +3,14 @@
 An interpretation assigns a finite carrier to every sort and an exact
 matrix to every generator; it extends homomorphically to all circuits
 and tapes: ``eval_tape`` is a ``tape.sem_fold`` of ``evaluator``, which
-gives a node's matrix from its children's.  The fold takes children from
-``tape.SEM_KIDS``, so a tagged block tape is a leaf: its matrix is one
-image, a ``range`` per monomial block, from the carrier sizes and its
-``block_layout``, the ``block_map`` that the node computes once and keeps.
-A whiskered copy of a tape t has one child, t: its matrix is t's
-tensored with an identity per whiskering.  Carrier indexing is fixed
-once and for all: tensor indices are left-major within a monomial, and a
-polynomial carrier concatenates its monomial blocks in order.
+gives a node's matrix from its children's.  A block tape (``TBlock``) is
+a leaf: its matrix is one image, a ``range`` per monomial block, from the
+carrier sizes and its ``block_layout``, the ``block_map`` that the node
+computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
+the tape t it whiskers: its matrix is t's tensored with an identity per
+whiskering.  Carrier indexing is fixed once and for all: tensor indices
+are left-major within a monomial, and a polynomial carrier concatenates
+its monomial blocks in order.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
 from .errors import DimensionError, ModelError, UnknownSortError
 from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
-from .tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj, TSeq,
-                   TSum, TSymPlus, TapeTerm, sem_fold, tape_types)
+from .tape import (TBlock, TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
+                   TSeq, TSum, TSymPlus, TWhisker, TapeTerm, sem_fold,
+                   tape_types)
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,13 @@ def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
               walk: tuple[list, dict] | None = None) -> Matrix:
     """The matrix of a tape or circuit: one ``sem_fold`` of ``evaluator``,
     so each distinct subterm is evaluated once and its matrix dropped
-    after its last use; ``walk`` is t's ``postorder`` over ``SEM_KIDS``,
+    after its last use; ``walk`` is t's ``postorder`` over ``TERM_KIDS``,
     if the caller has made it already."""
     return sem_fold((t,), evaluator(interp), walk)[0]
 
 
 def block_matrix(node: TapeTerm, interp: Interpretation) -> Matrix:
-    """The matrix of a tagged block tape, from its closed form: each dom
+    """The matrix of a block tape, from its builder call: each dom
     block is the identity onto the cod block that ``block_map`` names,
     kept in the node's ``block_layout``."""
     _, cod, blocks = node.block_layout
@@ -158,19 +159,19 @@ def pairing(n: int, sizes: list[int]) -> Matrix:
 
 def evaluator(interp: Interpretation) -> Callable:
     """The ``fold`` step of the semantics under interp: a node's matrix
-    from its children's matrices, in order.  A tagged block tape with
-    no children is a ``block_matrix``.  A whiskered tape's one child is
-    the tape t it whiskers; each step of its chain tensors t's matrix
-    with the identity on U.  On the right, t <| U is exactly that; on the
+    from its children's matrices, in order.  A block tape is a
+    ``block_matrix``.  A whiskered tape's one child is the tape t it
+    whiskers; each step of its chain tensors t's matrix with the
+    identity on U.  On the right, t <| U is exactly that; on the
     left, U |> t is that with its dom and cod blocks reordered by
     ``pairing``, from the carrier sizes of the monomials of t's type,
     which are computed once per tape."""
     sizes: dict = {}
 
-    def whiskered(node: TapeTerm, m: Matrix) -> Matrix:
-        _, t, steps = node.form
+    def whiskered(node: TWhisker, m: Matrix) -> Matrix:
+        t = node.tape
         scale = 1       # the carrier size of the steps so far
-        for left, u in steps:
+        for left, u in node.steps:
             n = interp.mono_size(u)
             if n == 1:
                 continue
@@ -190,15 +191,16 @@ def evaluator(interp: Interpretation) -> Callable:
             scale *= n
         return m
 
-    def tagged(node: TapeTerm, kids: tuple) -> Matrix:
-        return whiskered(node, *kids) if kids else block_matrix(node, interp)
-
     def step(node, kids: tuple) -> Matrix:
         cls = node.__class__
         if cls is TSeq or cls is CSeq:
-            return kids[0].then(kids[1]) if len(kids) == 2 else tagged(node, kids)
+            return kids[0].then(kids[1])
         if cls is TSum:
-            return kids[0].oplus(kids[1]) if len(kids) == 2 else tagged(node, kids)
+            return kids[0].oplus(kids[1])
+        if cls is TBlock:
+            return block_matrix(node, interp)
+        if cls is TWhisker:
+            return whiskered(node, *kids)
         if cls is CTensor:
             return kids[0].tensor(kids[1])
         if cls is TCirc:

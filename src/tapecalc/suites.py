@@ -31,7 +31,7 @@ from .interp import (Interpretation, carrier_of, eval_tape, evaluator,
 from .kleisli import Matrix, TheoryModel, exact_str, model_for
 from .objects import (Monomial, ONE, Polynomial, ZERO, nfold_sum,
                       poly_of_mono)
-from .tape import (SEM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
+from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
                    TOpInj, TSum, TSymPlus, TapeTerm, cobang_tape, codiag_tape,
                    copier_tape, discharger_tape, distributor, dl_nary, id_tape,
                    nfold_codiag, op_inj_tape, sem_fold, symplus_tape,
@@ -119,7 +119,7 @@ def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation,
     error, and t1's error over t2's.  A shared subterm is typed and
     evaluated once.  ``types`` are the sides' ``tape_types`` under
     ``interp.sig``, if known already; then the sides are not typed again."""
-    walk = postorder((t1, t2), SEM_KIDS)
+    walk = postorder((t1, t2), TERM_KIDS)
     try:
         (dom1, cod1), (dom2, cod2) = types or tape_types((t1, t2), interp.sig,
                                                          walk)

@@ -1,12 +1,13 @@
 """The structural tape builders against their recursive definitions.
 
-``tape`` builds each structural tape with a loop over the suffixes of a
-polynomial and keeps every tape it built in a weak-valued memo.  The
-references below are the recursive definitions, one call per monomial,
-with no memo.  Terms are hash-consed, so a builder agrees with its
-reference exactly when both return the very same node.  The builders'
-closed forms, read by typing and evaluation, are checked against the
-full trees they tag.
+``tape`` returns each block tape as one node, its builder call, and each
+whiskered composite as one node, the tape and its chain of whiskerings;
+``tape.expand`` builds the full trees they stand for.  The references
+below are the recursive definitions, one call per monomial, with no
+memo.  Terms are hash-consed, so a builder agrees with its reference
+exactly when the builder's full tree is the very node the reference
+returns.  Typing and evaluation, which read the derived nodes as they
+are, are checked against folds over the full trees.
 """
 
 import gc
@@ -18,10 +19,11 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from tapecalc import hashcons, suites, tape
+from tapecalc import hashcons, interp as interp_module, suites, tape
 from tapecalc.circuit import (MonSignature, copier_circuit, discharger_circuit,
                               sym_circuit)
 from tapecalc.errors import TapecalcError, TypeCheckError
+from tapecalc.frontend.cli import main
 from tapecalc.hashcons import postorder
 from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import model_for
@@ -29,9 +31,10 @@ from tapecalc.objects import (ONE, Monomial, Polynomial, ZERO, mono, nfold_sum,
                               poly, poly_of_mono)
 from tapecalc.suites import (Freshener, rand_poly, sem_eq,
                              standard_interpretation)
-from tapecalc.tape import (SEM_KIDS, TERM_KIDS, TCirc, TCobang, TCodiag,
-                           TIdMon, TIdZero, TOpInj, TSeq, TSum, TSymPlus,
-                           as_poly, tape_types, tseq, tsum, type_of_tape)
+from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon,
+                           TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker,
+                           as_poly, expand, tape_types, tseq, tsum,
+                           type_of_tape)
 from tapecalc.theory import OpSymbol, builtin_theory, choice
 
 
@@ -218,29 +221,31 @@ def test_builders_return_the_reference_node(seed):
                 and len(args[0]) > 1:
             args = (Polynomial(args[0][1:]),) + args[1:]
         t = built(*args)
-        assert t is ref(*args), (built.__name__, args)
+        assert expand(t) is ref(*args), (built.__name__, args)
         if rng.random() < 0.5:
             kept.append(t)
 
 
 def test_builders_on_the_empty_and_unit_polynomials():
     for p in (ZERO, poly(()), mono(), poly((), ()), poly(("A",), ())):
-        assert tape.codiag_tape(p) is ref_codiag_tape(p)
-        assert tape.copier_tape(p) is ref_copier_tape(p)
-        assert tape.discharger_tape(p) is ref_discharger_tape(p)
-        assert tape.symplus_tape(p, p) is ref_symplus_tape(p, p)
+        assert expand(tape.codiag_tape(p)) is ref_codiag_tape(p)
+        assert expand(tape.copier_tape(p)) is ref_copier_tape(p)
+        assert expand(tape.discharger_tape(p)) is ref_discharger_tape(p)
+        assert expand(tape.symplus_tape(p, p)) is ref_symplus_tape(p, p)
         for inverse in (False, True):
-            assert tape.distributor(p, p, p, inverse) is \
+            assert expand(tape.distributor(p, p, p, inverse)) is \
                 ref_distributor(p, p, p, inverse)
 
 
 def test_long_polynomial_needs_no_recursion():
     """A polynomial of 1100 monomials, past the default recursion limit:
-    the references recurse once per monomial, the builders loop."""
+    the references recurse once per monomial, the builders and ``expand``
+    do not."""
     a = poly(("A",))
     p = nfold_sum(a, 1100)
     sig = MonSignature(("A",), {})
     assert type_of_tape(tape.codiag_tape(p), sig) == (p + p, p)
+    assert type_of_tape(expand(tape.codiag_tape(p)), sig) == (p + p, p)
     assert type_of_tape(tape.nfold_codiag(a, 1100), sig) == (p, a)
     assert type_of_tape(tape.symplus_tape(p, a), sig) == (p + a, a + p)
     assert type_of_tape(tape.symplus_tape(a, p), sig) == (a + p, p + a)
@@ -248,17 +253,19 @@ def test_long_polynomial_needs_no_recursion():
 
 
 def test_memo_keeps_nothing_alive():
-    """A built tape dies with its last reference outside the memo, and its
-    entry goes with it."""
+    """A block tape is its builder call, and ``expand`` keeps its full tree
+    in a weak memo: both die with the tape's last reference outside the
+    memo, and the memo's entry goes with them."""
     p, q, r = poly(("Dead1",), ("Dead2",)), poly(("Dead3",)), poly(("Dead4",))
-    key = ("distributor", p, q, r, False)
     t = tape.distributor(p, q, r)
-    assert tape._BUILT.get(key) is t
-    ref = weakref.ref(t)
-    del t
+    assert (t.builder, t.args) == ("distributor", (p, q, r, False))
+    tree = expand(t)
+    assert tape._TREES.get(t) is tree
+    refs = [weakref.ref(t), weakref.ref(tree)]
+    del t, tree
     gc.collect()
-    assert ref() is None
-    assert key not in tape._BUILT.data
+    assert [ref() for ref in refs] == [None, None]
+    assert not [t for t in tape._TREES.keys() if p in getattr(t, "args", ())]
 
 
 @contextmanager
@@ -289,21 +296,40 @@ def test_repeated_monomial_builds_in_linear_constructions():
         assert len(constructed) <= 20 * n, n
 
 
-# --- closed forms: tagged block tapes against their full trees -----------------
+def test_repeated_monomial_expands_in_linear_constructions():
+    """A block tape's definition refers to the block tapes of shorter
+    polynomials, each one node whose tree ``expand`` builds once, so the
+    full tree of the codiagonal of n copies of one monomial, which holds
+    the identity of every shorter run of copies, constructs O(n) nodes,
+    not n^2/2."""
+    counts = []
+    for n in (100, 400):
+        p = nfold_sum(poly((f"Expanded{n}",)), n)
+        with counting_constructions() as constructed:
+            expand(tape.codiag_tape(p))
+        counts.append(len(constructed))
+        assert len(constructed) <= 40 * n, n
+    assert counts[1] <= 4.5 * counts[0]
+
+
+# --- closed forms: block tapes against their full trees ------------------------
 
 @contextmanager
 def full_trees():
-    """The semantic walks over the full tree: no node is a leaf for its
-    tag, so typing and evaluation fold every node of a tagged tape."""
-    homes = (tape, suites)
-    saved = [home.SEM_KIDS for home in homes]
+    """The semantic walks over the full trees: typing and evaluation fold
+    every node of ``expand(t)``, not the block and whiskered nodes."""
+    def full(roots, step, walk=None):
+        return hashcons.fold(tuple(map(expand, roots)), TERM_KIDS, step)
+
+    homes = (tape, suites, interp_module)
+    saved = [home.sem_fold for home in homes]
     for home in homes:
-        home.SEM_KIDS = TERM_KIDS
+        home.sem_fold = full
     try:
         yield
     finally:
-        for home, kids in zip(homes, saved):
-            home.SEM_KIDS = kids
+        for home, fold in zip(homes, saved):
+            home.sem_fold = fold
 
 
 def outcome(f, *args):
@@ -326,17 +352,17 @@ monomials = st.lists(st.sampled_from(SORTS), max_size=2).map(
 polynomials = st.lists(monomials, max_size=3).map(Polynomial)
 
 
-TAGGED_BUILDERS = (tape.id_tape, tape.cobang_tape, tape.symplus_tape,
+BLOCK_BUILDERS = (tape.id_tape, tape.cobang_tape, tape.symplus_tape,
                    tape.codiag_tape, tape.distributor, tape.dl_nary,
                    tape.nfold_codiag)
 
 
 @st.composite
 def builder_calls(draw):
-    """A tagged builder and its arguments, in either direction."""
+    """A block tape's builder and its arguments, in either direction."""
     p, q, r = draw(polynomials), draw(polynomials), draw(polynomials)
     inverse = draw(st.booleans())
-    builder = draw(st.sampled_from(TAGGED_BUILDERS))
+    builder = draw(st.sampled_from(BLOCK_BUILDERS))
     if builder is tape.symplus_tape:
         return builder, (p, q)
     if builder is tape.distributor:
@@ -350,7 +376,7 @@ def builder_calls(draw):
 
 @st.composite
 def block_tapes(draw):
-    """A tagged builder's tape, maybe whiskered on a side."""
+    """A block tape's builder's tape, maybe whiskered on a side."""
     builder, args = draw(builder_calls())
     t = builder(*args)
     side = draw(st.sampled_from((None, "left", "right")))
@@ -358,7 +384,7 @@ def block_tapes(draw):
         t = tape.whisker_left_mono(draw(monomials), t)
     elif side == "right":
         t = tape.whisker_right_mono(t, draw(monomials))
-    assert t.form or not isinstance(t, (TSeq, TSum)), (builder, side)
+    assert not isinstance(t, (TSeq, TSum, TWhisker)), (builder, side)
     return t
 
 
@@ -423,8 +449,8 @@ def test_tensor_law_walks_few_nodes():
     lhs = tape.tensor_tape(c, f, sig)
     rhs = tseq(tape.tensor_tape(c, tape.id_tape(P), sig),
                tape.tensor_tape(tape.id_tape(P * P), f, sig))
-    assert len(postorder((lhs, rhs), TERM_KIDS)[0]) == 21735
-    assert len(postorder((lhs, rhs), SEM_KIDS)[0]) <= 400
+    assert len(postorder((expand(lhs), expand(rhs)), TERM_KIDS)[0]) == 21735
+    assert len(postorder((lhs, rhs), TERM_KIDS)[0]) <= 400
     assert sem_eq(lhs, rhs, interp).kind == "equal"
 
 
@@ -432,11 +458,11 @@ def test_copier_tensor_copier_walks_few_nodes():
     sig = MonSignature(("A", "B"), {})
     c = tape.copier_tape(P)
     t = tape.tensor_tape(c, c, sig)
-    assert len(postorder((t,), TERM_KIDS)[0]) == 8644
-    assert len(postorder((t,), SEM_KIDS)[0]) <= 70
+    assert len(postorder((expand(t),), TERM_KIDS)[0]) == 8644
+    assert len(postorder((t,), TERM_KIDS)[0]) <= 70
 
 
-# --- whiskering a tagged tape is its builder's call ----------------------------
+# --- whiskering a block tape is its builder's call -----------------------------
 
 def whiskered_args(builder, args, u, left):
     """The builder's arguments at U |> t if left, else t <| U: whiskering
@@ -461,32 +487,33 @@ def whiskered_args(builder, args, u, left):
 @given(call=builder_calls(), u=monomials, left=st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_whiskering_a_tagged_tape_calls_its_builder(call, u, left):
-    """_whiskers returns the builder's tape at the whiskered arguments, and
-    that tape is tagged with the call of the builder that tagged t."""
+    """_whiskers returns the builder's tape at the whiskered arguments,
+    and a block tape is the call of the builder that returned t."""
     builder, args = call
     t = builder(*args)
     w = tape._whiskers(t, (u,), left)[0]
     assert w is builder(*whiskered_args(builder, args, u, left))
-    if t.form:
-        tagger, *tagged_args = t.form
-        assert tagger(*tagged_args) is t
-        assert w.form[0] is tagger
-        assert tagger(*w.form[1:]) is w
+    if isinstance(t, TBlock):
+        assert getattr(tape, t.builder)(*t.args) is t
+        assert w.builder == t.builder
+        assert getattr(tape, w.builder)(*w.args) is w
 
 
 @given(call=builder_calls(), u=monomials, left=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_whiskering_a_tagged_tape_constructs_no_node(call, u, left):
-    """With its whiskered counterpart alive, whiskering a tagged tape
-    enters none of its nodes and constructs no tape node."""
+def test_whiskering_a_block_tape_constructs_one_node(call, u, left):
+    """Whiskering a block tape constructs one tape node, the block tape at
+    the whiskered objects, and enters no tree; whiskering by ONE returns
+    the tape itself."""
     builder, args = call
     t = builder(*args)
-    if not t.form:
+    if not isinstance(t, TBlock):
         return
-    w = tape._whiskers(t, (u,), left)[0]    # the counterpart, now alive
     with counting_constructions() as constructed:
-        assert tape._whiskers(t, (u,), left)[0] is w
-    assert not [cls for cls in constructed if issubclass(cls, tape.TapeTerm)]
+        w = tape._whiskers(t, (u,), left)[0]
+    assert w is t if u.is_unit else isinstance(w, TBlock)
+    assert [cls for cls in constructed if issubclass(cls, tape.TapeTerm)] \
+        == ([] if u.is_unit else [TBlock])
 
 
 def test_sem_eq_computes_each_block_layout_once(monkeypatch):
@@ -498,9 +525,9 @@ def test_sem_eq_computes_each_block_layout_once(monkeypatch):
     layouts = []
     block_map = tape.block_map
 
-    def counting(form):
-        layouts.append(form)
-        return block_map(form)
+    def counting(builder, *args):
+        layouts.append((builder, args))
+        return block_map(builder, *args)
 
     monkeypatch.setattr(tape, "block_map", counting)
     fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1)),
@@ -513,11 +540,10 @@ def test_sem_eq_computes_each_block_layout_once(monkeypatch):
                tape.tensor_tape(tape.id_tape(P * P), f, interp.sig))
     for _ in range(2):
         assert sem_eq(lhs, rhs, interp).kind == "equal"
-    leaves = [node for node in postorder((lhs, rhs), SEM_KIDS)[0]
-              if isinstance(node, (TSeq, TSum)) and node.form
-              and not SEM_KIDS[node.__class__](node)]     # block tapes
+    leaves = [node for node in postorder((lhs, rhs), TERM_KIDS)[0]
+              if isinstance(node, TBlock)]
     assert len(layouts) == len(set(layouts))
-    assert {leaf.form for leaf in leaves} <= set(layouts)
+    assert {(leaf.builder, leaf.args) for leaf in leaves} <= set(layouts)
     assert all("block_layout" in leaf.__dict__ for leaf in leaves)
 
 
@@ -613,24 +639,26 @@ def test_whiskered_ill_typed_tape_fails_as_its_tree():
     sig = MonSignature(("A", "B"), {})
     t = tape.whisker_left_mono(
         mono("B"), TSeq(TIdMon(mono("A")), TIdMon(mono("B"))))
-    assert SEM_KIDS[TSeq](t) == (t.form[1],)
+    assert isinstance(t, TWhisker) and TERM_KIDS[TWhisker](t) == (t.tape,)
     expected = (TypeCheckError, "tape composition mismatch: BA vs BB")
     assert outcome(tape_types, (t,), sig) == expected
     with full_trees():
         assert outcome(tape_types, (t,), sig) == expected
 
 
-def test_a_block_tapes_tag_replaces_a_whiskerings():
-    """A sum of identities built by hand is untagged, so whiskering it
-    tags the copy as a whiskering; id_tape, returning that very node,
-    tags it as its own, a leaf of the semantic walks."""
+def test_a_hand_built_tree_and_its_block_tape_share_a_full_tree():
+    """A sum of identities built by hand is a composite, so whiskering it
+    gives a whiskered tape; id_tape at the whiskered polynomial gives
+    another node, a leaf of the walks, with the same full tree."""
     a, b, u = mono("Hand1"), mono("Hand2"), mono("Hand3")
     w = tape.whisker_left_mono(u, tsum(TIdMon(a), TIdMon(b)))
-    assert w.form[0] is tape.whisker_chain
+    assert isinstance(w, TWhisker)
     p = Polynomial((u * a, u * b))
-    assert tape.id_tape(p) is w
-    assert w.form == (tape.id_tape, p)
-    assert SEM_KIDS[TSum](w) == ()
+    block = tape.id_tape(p)
+    assert block is not w
+    assert (block.builder, block.args) == ("id_tape", (p,))
+    assert TERM_KIDS.get(TBlock) is None
+    assert expand(block) is expand(w) is tsum(TIdMon(u * a), TIdMon(u * b))
 
 
 TAPE_TREE = {TSeq: lambda t: (t.first, t.second),
@@ -638,8 +666,7 @@ TAPE_TREE = {TSeq: lambda t: (t.first, t.second),
 
 
 def ref_whisker_mono(t, u, left):
-    """U |> t if left, else t <| U, node by node over t's whole tree,
-    reading no tag."""
+    """U |> t if left, else t <| U, node by node over the full tree t."""
     def times(m):
         return u * m if left else m * u
 
@@ -670,8 +697,8 @@ def ref_whisker(t, s, left, sig):
         return tsum(*parts)
     dom, cod = type_of_tape(t, sig)
     summands = [poly_of_mono(u) for u in s]
-    return tseq(tape.dl_nary(dom, summands), tsum(*parts),
-                tape.dl_nary(cod, summands, inverse=True))
+    return tseq(ref_dl_nary(dom, summands), tsum(*parts),
+                ref_dl_nary(cod, summands, inverse=True))
 
 
 @given(p=small_polynomials, q=small_polynomials, s=whisker_polynomials,
@@ -679,30 +706,130 @@ def ref_whisker(t, s, left, sig):
 @settings(max_examples=60, deadline=None)
 def test_nested_whiskerings_build_the_sequential_walks_node(p, q, s, r, seed):
     """U |> (t <| V) and (U |> t) <| V, for monomials and for polynomials
-    as in W13, end and return the node that whiskering twice, node by
-    node and reading no tag, builds."""
+    as in W13, end, and their full trees are the node that whiskering
+    t's full tree twice, node by node, builds."""
     fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1, 1)),
                       Random(seed))
     t = fresh.tape(p, q)
+    x = expand(t)
     sig = fresh.interp().sig
     u, v = s[0], r[0]
-    assert tape.whisker_left_mono(u, tape.whisker_right_mono(t, v)) is \
-        ref_whisker_mono(ref_whisker_mono(t, v, False), u, True)
-    assert tape.whisker_right_mono(tape.whisker_left_mono(u, t), v) is \
-        ref_whisker_mono(ref_whisker_mono(t, u, True), v, False)
-    assert tape.whisker_left(s, tape.whisker_right(t, r, sig)) is \
-        ref_whisker(ref_whisker(t, r, False, sig), s, True, sig)
-    assert tape.whisker_right(tape.whisker_left(s, t), r, sig) is \
-        ref_whisker(ref_whisker(t, s, True, sig), r, False, sig)
+    assert expand(tape.whisker_left_mono(u, tape.whisker_right_mono(t, v))) \
+        is ref_whisker_mono(ref_whisker_mono(x, v, False), u, True)
+    assert expand(tape.whisker_right_mono(tape.whisker_left_mono(u, t), v)) \
+        is ref_whisker_mono(ref_whisker_mono(x, u, True), v, False)
+    assert expand(tape.whisker_left(s, tape.whisker_right(t, r, sig))) is \
+        ref_whisker(ref_whisker(x, r, False, sig), s, True, sig)
+    assert expand(tape.whisker_right(tape.whisker_left(s, t), r, sig)) is \
+        ref_whisker(ref_whisker(x, s, True, sig), r, False, sig)
 
 
 def test_whiskering_suite_reports_as_the_full_trees():
     """The W-laws compare whiskered tapes built by the syntactic
     construction: the same report lines whether the semantic walks read
-    whiskered tapes as their chains or walk every node."""
+    the derived nodes or walk every node of the full trees."""
     for model in ("PCA", "CM"):
         interp = standard_interpretation(model)
         semantic = list(suites.whiskering_suite(interp, seed=7).lines())
         with full_trees():
             full = list(suites.whiskering_suite(interp, seed=7).lines())
         assert semantic == full, model
+
+
+# --- one node per builder call -------------------------------------------------
+
+def test_each_builder_call_is_its_own_node():
+    """dl_nary(0, [A, B]) and nfold_codiag(0, 2) have the same full tree,
+    (id_0 ; id_0), but are two nodes, each its own builder's call, each
+    typed and evaluated as the identity on 0, and each whiskered by its
+    own builder."""
+    a, b, u = poly(("A",)), poly(("B",)), mono("B")
+    grown = [a * poly_of_mono(u), b * poly_of_mono(u)]
+    dl, codiag = tape.dl_nary(ZERO, [a, b]), tape.nfold_codiag(ZERO, 2)
+    assert dl is not codiag
+    assert (dl.builder, dl.args) == ("dl_nary", (ZERO, (a, b), False))
+    assert (codiag.builder, codiag.args) == ("nfold_codiag", (ZERO, 2))
+    assert expand(dl) is expand(codiag) is TSeq(TIdZero(), TIdZero())
+    interp = interpretation_over((2, 2, 2))
+    for t in (dl, codiag):
+        assert type_of_tape(t, interp.sig) == (ZERO, ZERO)
+        assert eval_tape(t, interp) == eval_tape(TIdZero(), interp)
+    assert tape.whisker_left_mono(u, dl) is dl
+    assert tape.whisker_right_mono(dl, u) is tape.dl_nary(ZERO, grown)
+    assert tape.whisker_left_mono(u, codiag) is codiag
+    assert tape.whisker_right_mono(codiag, u) is codiag
+
+
+def law_sides(sig, f):
+    """Both sides of the bench's interchange law c (x) f =
+    (c (x) id) ; (id (x) f)."""
+    c = tape.copier_tape(P)
+    return (tape.tensor_tape(c, f, sig),
+            tseq(tape.tensor_tape(c, tape.id_tape(P), sig),
+                 tape.tensor_tape(tape.id_tape(P * P), f, sig)))
+
+
+def test_tensor_law_builds_in_few_constructions():
+    """Building both sides of the law constructs a few hundred nodes, as
+    many on the first build as on the next, since no builder builds a
+    tree: the full trees hold 21,735 distinct nodes."""
+    fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1)),
+                      Random(3))
+    f = fresh.tape(P, P * P)
+    sig = fresh.interp().sig
+    counts = []
+    for _ in range(2):
+        with counting_constructions() as constructed:
+            law_sides(sig, f)
+        counts.append(len(constructed))
+    assert counts[0] == counts[1] <= 500
+
+
+def test_dead_law_keeps_no_leaf_alive():
+    """A law built and evaluated inside a function leaves none of its
+    block and whiskered tapes alive after a full collection: the keys of
+    dead parents in the intern table are dropped with them."""
+    def evaluated_law():
+        fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1)),
+                          Random(7))
+        f = fresh.tape(P, P * P)
+        interp = fresh.interp()
+        lhs, rhs = law_sides(interp.sig, f)
+        assert sem_eq(lhs, rhs, interp).kind == "equal"
+        return [weakref.ref(node)
+                for node in postorder((lhs, rhs), TERM_KIDS)[0]
+                if isinstance(node, (TBlock, TWhisker))]
+
+    leaves = evaluated_law()
+    assert len(leaves) > 40
+    gc.collect()
+    assert [leaf for leaf in leaves if leaf() is not None] == []
+
+
+def test_wide_term_check_builds_no_tree(tmp_path):
+    """``check`` of term<x1 +_1/2 xN>@A constructs a fixed number of nodes,
+    whose keys hold about 3N polynomial slots: no identity or codiagonal
+    of (+)^N A is built monomial by monomial."""
+    def slots(x):
+        if isinstance(x, Polynomial):
+            return len(x)
+        return sum(map(slots, x)) if isinstance(x, tuple) else 0
+
+    for n in (2000, 4000):
+        path = tmp_path / f"term{n}.tape"
+        path.write_text(f"sort A;\ntheory PCA with p = 1/2;\n"
+                        f"def d = term<x1 +_1/2 x{n}>@A;\n")
+        keys = []
+        new = tape.Term.__new__
+
+        def recording(cls, *args, **kwargs):
+            keys.append(args)
+            return new(cls, *args, **kwargs)
+
+        tape.Term.__new__ = recording
+        try:
+            assert main(["check", str(path)]) == 0
+        finally:
+            tape.Term.__new__ = new
+        assert len(keys) <= 50, n
+        assert sum(map(slots, keys)) <= 4 * n, n

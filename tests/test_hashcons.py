@@ -3,13 +3,15 @@
 Equal constructions give one node, each distinct subterm is typed and
 evaluated once a call, deep terms need no recursion, and the DAG typer
 and evaluator agree with the tree-recursive reference typer and
-evaluator below.
+evaluator below, run on the full trees (``tape.expand``).
 """
 
 import copy
 import dataclasses
 import gc
+import importlib
 import pickle
+import sys
 import weakref
 from fractions import Fraction
 from random import Random
@@ -33,8 +35,8 @@ from tapecalc.suites import (Freshener, SemEqResult, SuiteBounds, axiom_suite,
                              standard_interpretation)
 from tapecalc.tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon,
                            TIdZero, TOpInj, TSeq, TSum, TSymPlus, distributor,
-                           id_tape, tensor_tape, tseq, tsum, type_of_tape,
-                           whisker_left, whisker_left_mono, whisker_right,
+                           expand, id_tape, tensor_tape, tseq, tsum,
+                           type_of_tape, whisker_left, whisker_left_mono, whisker_right,
                            whisker_right_mono)
 from tapecalc.theory import OpSymbol, builtin_theory
 
@@ -206,7 +208,7 @@ def test_dag_evaluator_matches_reference(model, seed):
     t = random_tape(fresh, rng, rng.randrange(3))
     interp = fresh.interp()
     type_of_tape(t, interp.sig)
-    assert eval_tape(t, interp) == ref_eval_tape(t, interp)
+    assert eval_tape(t, interp) == ref_eval_tape(expand(t), interp)
 
 
 @pytest.mark.parametrize("model", ["PCA", "CM"])
@@ -237,7 +239,8 @@ def test_sem_eq_verdicts_match_reference(model, seed):
 
 def ref_sem_eq(t1, t2, interp):
     """sem_eq from the reference typer and evaluator: each side typed,
-    then each side evaluated, one after the other."""
+    then each side evaluated, one after the other, over their full trees."""
+    t1, t2 = expand(t1), expand(t2)
     try:
         dom1, cod1 = ref_type_tape(t1, interp.sig)
         dom2, cod2 = ref_type_tape(t2, interp.sig)
@@ -361,14 +364,15 @@ def test_typer_matches_reference(model, seed):
                         lambda: TCirc(CSeq(CIdSort("A"), CGen("unknown")))])()
         t = splice(t, target, TSeq(target, x))
     sig = fresh.sig if rng.random() < 0.8 else fresh.base.sig
-    expected = outcome(ref_type_tape, t, sig)
+    expected = outcome(ref_type_tape, expand(t), sig)
     assert outcome(type_of_tape, t, sig) == expected
     if not isinstance(expected[0], type):
         for node in postorder((t,), TERM_KIDS)[0]:
             if isinstance(node, CircuitTerm):
                 assert type_of_circuit(node, sig) == ref_type_circuit(node, sig)
             else:
-                assert type_of_tape(node, sig) == ref_type_tape(node, sig)
+                assert type_of_tape(node, sig) == ref_type_tape(expand(node),
+                                                                sig)
     svg = outcome(render_svg, t, sig)
     if isinstance(expected, tuple) and len(expected) == 2 \
             and isinstance(expected[0], type):
@@ -449,6 +453,24 @@ def test_equal_constructions_are_identical():
         TSeq(TIdZero(), third=TIdZero())
 
 
+def test_a_fresh_import_replaces_the_collection_callback():
+    """Importing hashcons afresh, as the benchmark does before each set-up,
+    leaves one sweeping callback, the fresh module's: the earlier one
+    would keep its module alive and sweep its table at every full
+    collection."""
+    saved_callbacks, saved_module = gc.callbacks[:], hashcons
+    try:
+        del sys.modules["tapecalc.hashcons"]
+        fresh = importlib.import_module("tapecalc.hashcons")
+        assert fresh is not saved_module
+        assert [c for c in gc.callbacks
+                if getattr(c, "__qualname__", None) == "_collected"] \
+            == [fresh._collected]
+    finally:
+        sys.modules["tapecalc.hashcons"] = saved_module
+        gc.callbacks[:] = saved_callbacks
+
+
 def test_dead_terms_are_not_kept():
     node = TCirc(CGen("dropped-generator"))
     ref = weakref.ref(node)
@@ -498,7 +520,7 @@ def test_deep_chain_types_and_evaluates():
         deep_circuit = CSeq(deep_circuit, CGen("S"))
     assert type_of_circuit(deep_circuit, sig) == (mono("A"), mono("A"))
     assert eval_circuit(deep_circuit, interp) == Matrix.from_rows([[0, 1], [1, 0]])
-    assert whisker_right_mono(chain, mono("A")) is tseq(
+    assert expand(whisker_right_mono(chain, mono("A"))) is tseq(
         *[whisker_right_mono(s, mono("A")) for s in steps])
 
 
