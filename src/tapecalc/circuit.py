@@ -160,36 +160,52 @@ def identity_circuit(u: Monomial) -> CircuitTerm:
     return ctensor(*(CIdSort(a) for a in u))
 
 
-def _sym_sort_mono(a: str, w: Monomial) -> CircuitTerm:
-    # sigma_{A, B.W'} = (sigma_{A,B} (x) id_{W'}) ; (id_B (x) sigma_{A,W'})
-    if w.is_unit:
-        return CIdSort(a)
-    b, w_rest = w[0], Monomial(w[1:])
-    return cseq(ctensor(CSym(a, b), identity_circuit(w_rest)),
-                ctensor(CIdSort(b), _sym_sort_mono(a, w_rest)))
+def _suffix_identities(u: tuple) -> list[CircuitTerm]:
+    """identity_circuit of u[i:] for i = 0 .. len(u), each built once."""
+    return [identity_circuit(u[i:]) for i in range(len(u) + 1)]
+
+
+def _sort_syms(a: str, w: tuple, w_ids: list) -> list[CircuitTerm]:
+    """sigma_{A,w[j:]} for j = 0 .. len(w), given w's
+    ``_suffix_identities``, each from the next shorter one:
+    sigma_{A, B.W'} = (sigma_{A,B} (x) id_{W'}) ; (id_B (x) sigma_{A,W'})."""
+    syms = [CIdSort(a)]
+    for j in reversed(range(len(w))):
+        syms.append(CSeq(ctensor(CSym(a, w[j]), w_ids[j + 1]),
+                         CTensor(CIdSort(w[j]), syms[-1])))
+    return syms[::-1]
 
 
 def sym_circuit(u: Monomial, w: Monomial) -> CircuitTerm:
-    """sigma_{U,W} : U (x) W -> W (x) U by the inductive clauses."""
-    if u.is_unit:
-        return identity_circuit(w)
-    if w.is_unit:
-        return identity_circuit(u)
-    a, u_rest = u[0], Monomial(u[1:])
-    # sigma_{A.U',W} = (id_A (x) sigma_{U',W}) ; (sigma_{A,W} (x) id_{U'})
-    return cseq(ctensor(CIdSort(a), sym_circuit(u_rest, w)),
-                ctensor(_sym_sort_mono(a, w), identity_circuit(u_rest)))
+    """sigma_{U,W} : U (x) W -> W (x) U by the inductive clauses, from the
+    last sort of u to the first:
+    sigma_{A.U',W} = (id_A (x) sigma_{U',W}) ; (sigma_{A,W} (x) id_{U'})."""
+    if u.is_unit or w.is_unit:
+        return identity_circuit(u * w)
+    u_ids, w_ids = _suffix_identities(u), _suffix_identities(w)
+    syms = {a: _sort_syms(a, w, w_ids)[0] for a in dict.fromkeys(u)}
+    t = w_ids[0]
+    for i in reversed(range(len(u))):
+        t = CSeq(CTensor(CIdSort(u[i]), t), ctensor(syms[u[i]], u_ids[i + 1]))
+    return t
 
 
 def copier_circuit(u: Monomial) -> CircuitTerm:
-    """copier_U : U -> UU, interleaving the per-sort copies."""
-    if u.is_unit:
-        return CIdOne()
-    a, u_rest = u[0], Monomial(u[1:])
-    return cseq(
-        ctensor(CCopier(a), copier_circuit(u_rest)),
-        ctensor(CIdSort(a), ctensor(sym_circuit(Monomial((a,)), u_rest),
-                                    identity_circuit(u_rest))))
+    """copier_U : U -> UU, interleaving the per-sort copies, from the last
+    sort of u to the first:
+    copier_{A.U'} = (copier_A (x) copier_{U'}) ;
+                    (id_A (x) sigma_{A,U'} (x) id_{U'}),
+    with sigma_{A,U'} built as ``sym_circuit`` builds it."""
+    ids = _suffix_identities(u)
+    syms = {a: _sort_syms(a, u, ids) for a in dict.fromkeys(u)}
+    t = CIdOne()
+    for i in reversed(range(len(u))):
+        a, id_rest = u[i], ids[i + 1]
+        sym = (CSeq(CTensor(CIdSort(a), id_rest), syms[a][i + 1])
+               if i + 1 < len(u) else CIdSort(a))
+        t = CSeq(ctensor(CCopier(a), t),
+                 CTensor(CIdSort(a), ctensor(sym, id_rest)))
+    return t
 
 
 def discharger_circuit(u: Monomial) -> CircuitTerm:

@@ -134,16 +134,17 @@ def check_weights(nodes, models) -> None:
 def cmd_check(args) -> int:
     """Elaborate and type every definition once, then decide the checks
     on those tapes: the interpretations share the module's signature, so
-    elaborating again would rebuild the identical hash-consed nodes."""
+    each tape keeps its type for the checks, and elaborating again would
+    rebuild the identical hash-consed nodes."""
     module = load_module(args.file)
     sig = module.signature()
     models = [model_for(module.theory(name)) for name in module.theories]
-    tapes, types = {}, {}
+    tapes = {}
     for name, body in module.defs.items():
         try:
             tape = tapes[name] = elaborate(body, module, sig)
             walk = postorder((tape,), TERM_KIDS)
-            types[name], = tape_types((tape,), sig, walk)
+            tape_types((tape,), sig, walk)
             check_weights(walk[0], models)
         except (TypeCheckError, UnknownOperationError) as exc:
             sys.stderr.write(f"error: definition {name}: {exc}\n")
@@ -151,8 +152,7 @@ def cmd_check(args) -> int:
     for check in module.checks:
         interp = module.interpretation(check.interp)
         left, right = check.left, check.right
-        result = sem_eq(tapes[left], tapes[right], interp,
-                        (types[left], types[right]))
+        result = sem_eq(tapes[left], tapes[right], interp)
         if result.kind == "type-error":
             sys.stderr.write(
                 f"error: check {left} = {right}: {result.message}\n")

@@ -8,9 +8,10 @@ a leaf: its matrix is one image, a ``range`` per monomial block, from the
 carrier sizes and its ``block_layout``, the ``block_map`` that the node
 computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
 the tape t it whiskers: its matrix is t's tensored with an identity per
-whiskering.  Carrier indexing is fixed once and for all: tensor indices
-are left-major within a monomial, and a polynomial carrier concatenates
-its monomial blocks in order.
+whiskering, its blocks reordered by the carrier sizes of t's type, which
+t keeps (``tape.tape_types``).  Carrier indexing is fixed once and for
+all: tensor indices are left-major within a monomial, and a polynomial
+carrier concatenates its monomial blocks in order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
 from .tape import (TBlock, TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
                    TSeq, TSum, TSymPlus, TWhisker, TapeTerm, sem_fold,
-                   tape_types)
+                   type_of_tape)
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,13 @@ class Interpretation:
                 raise DimensionError(
                     f"matrix of {name} is {m.cod}x{m.dom}, expected "
                     f"{self.mono_size(coar)}x{self.mono_size(ar)}")
+            theory = self.model.theory.name
+            if theory == "CM" and m.den != 1:
+                raise ModelError(f"matrix of {name} has a weight that is not "
+                                 "a natural number, as CM needs")
+            if theory == "PCA" and not m.is_substochastic():
+                raise ModelError(f"matrix of {name} has a column summing "
+                                 "above 1, as PCA forbids")
         failures = kleisli.model_soundness(self.model)
         if failures:
             names = ", ".join(eq.name or str(eq) for eq in failures)
@@ -165,9 +173,7 @@ def evaluator(interp: Interpretation) -> Callable:
     identity on U.  On the right, t <| U is exactly that; on the
     left, U |> t is that with its dom and cod blocks reordered by
     ``pairing``, from the carrier sizes of the monomials of t's type,
-    which are computed once per tape."""
-    sizes: dict = {}
-
+    which t keeps (see ``tape.tape_types``)."""
     def whiskered(node: TWhisker, m: Matrix) -> Matrix:
         t = node.tape
         scale = 1       # the carrier size of the steps so far
@@ -178,11 +184,8 @@ def evaluator(interp: Interpretation) -> Callable:
             if not left:
                 m = m.tensor(Matrix.identity(n))
             else:
-                if t not in sizes:
-                    sizes[t] = [[*map(interp.mono_size, side)]
-                                for side in tape_types((t,), interp.sig)[0]]
-                dom, cod = [[size * scale for size in side]
-                            for side in sizes[t]]
+                dom, cod = [[interp.mono_size(u) * scale for u in side]
+                            for side in type_of_tape(t, interp.sig)]
                 m = Matrix.identity(n).tensor(m)
                 if len(dom) > 1:
                     m = pairing(n, dom).then(m)

@@ -7,7 +7,9 @@ under a concrete interpretation.  Object metavariables are enumerated up
 to the bounds; morphism metavariables become fresh generators carrying
 seeded random matrices, so failures are reproducible from the seed.
 Each law is a row (name, draws, sides) that the one driver ``_laws``
-binds, seeds, draws and checks.
+binds, seeds, draws and checks.  ``sem_eq`` decides an instance by one
+walk over both sides, typing a side only if it keeps no type under the
+instance's signature (see ``tape.tape_types``).
 """
 
 from __future__ import annotations
@@ -110,19 +112,17 @@ def first_difference(m1: Matrix, m2: Matrix):
     return None
 
 
-def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation,
-           types: tuple | None = None) -> SemEqResult:
+def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation) -> SemEqResult:
     """Decide equality of two tapes under an interpretation, exactly.
 
     One walk over the distinct subterms of both sides: every node is
     typed before any is evaluated, so a type error wins over a model
     error, and t1's error over t2's.  A shared subterm is typed and
-    evaluated once.  ``types`` are the sides' ``tape_types`` under
-    ``interp.sig``, if known already; then the sides are not typed again."""
+    evaluated once, and a side that keeps its type under ``interp.sig``
+    (see ``tape.tape_types``) is not typed again."""
     walk = postorder((t1, t2), TERM_KIDS)
     try:
-        (dom1, cod1), (dom2, cod2) = types or tape_types((t1, t2), interp.sig,
-                                                         walk)
+        (dom1, cod1), (dom2, cod2) = tape_types((t1, t2), interp.sig, walk)
     except TypeCheckError as exc:
         return SemEqResult("type-error", message=str(exc))
     if dom1 != dom2 or cod1 != cod2:

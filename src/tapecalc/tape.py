@@ -28,6 +28,11 @@ builds the full tree of primitive nodes that a term stands for, from the
 inductive definitions: rendering draws it, and should a walk over a term
 fail, ``sem_fold`` walks its full tree and reports that walk's value or
 error.
+
+A tape keeps its type: ``tape_types`` stores each root's type on the
+node, with the signature object it was typed under, so a tape is walked
+once per signature however many callers (``tensor_tape``,
+``whisker_right``, ``sem_eq``, the evaluator) ask for its type.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from weakref import WeakKeyDictionary
 from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
                       ctensor, identity_circuit, sym_circuit)
-from .errors import TapecalcError, TypeCheckError, UnknownSortError
+from .errors import TapecalcError, TypeCheckError
 from .hashcons import Term, fold, term_node
 from .objects import Monomial, ONE, Polynomial, nfold_sum, poly_of_mono
 from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
@@ -176,8 +181,9 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     check one tuple comparison.  A block tape's type is its block map's;
     a whiskered tape's is that of the tape it whiskers, its one child,
     with each step's monomial multiplied into every monomial on its side.
-    Raises if a sort of a block tape's dom or of a step is not in sig;
-    ``sem_fold`` then types the full tree, whose type or error it is."""
+    Raises if a step, or the type of a leaf, names a sort not in sig; for
+    a block tape, ``sem_fold`` then types the full tree, whose type or
+    error it is."""
     cls = node.__class__
     if cls is TSeq:
         (dom, cod1), (dom2, cod) = kids
@@ -191,16 +197,8 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     elif cls is TCirc:
         (dom, cod), = kids
         dom, cod = (dom,), (cod,)
-    elif cls is TIdMon:
-        for s in node.mono:
-            sig.check_sort(s)
-        dom = cod = (node.mono,)
     elif isinstance(node, CircuitTerm):
         dom, cod = circuit_node_type(node, sig, kids)
-    elif cls is TBlock:
-        dom, cod, _ = node.block_layout
-        if not sig.sort_set.issuperset(chain.from_iterable(dom)):
-            raise UnknownSortError(f"unregistered sort in {Polynomial(dom)}")
     elif cls is TWhisker:
         (dom, cod), = kids
         for left, u in node.steps:
@@ -208,21 +206,29 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
                 sig.check_sort(s)
             dom, cod = (tuple([u * x if left else x * u for x in side])
                         for side in (dom, cod))
-    elif cls is TSymPlus:
-        u, v = node.left, node.right
-        dom, cod = (u, v), (v, u)
-    elif cls is TCodiag:
-        cod = (node.mono,)
-        dom = cod + cod
-    elif cls is TCobang:
-        dom, cod = (), (node.mono,)
-    elif cls is TOpInj:
-        dom = (node.mono,)
-        cod = dom * node.op.arity
-    elif cls is TIdZero:
-        dom = cod = ()
     else:
-        raise TypeCheckError(f"not a tape term: {node!r}")
+        if cls is TIdMon:
+            dom = cod = (node.mono,)
+        elif cls is TBlock:
+            dom, cod, _ = node.block_layout
+        elif cls is TSymPlus:
+            u, v = node.left, node.right
+            dom, cod = (u, v), (v, u)
+        elif cls is TCodiag:
+            cod = (node.mono,)
+            dom = cod + cod
+        elif cls is TCobang:
+            dom, cod = (), (node.mono,)
+        elif cls is TOpInj:
+            dom = (node.mono,)
+            cod = dom * node.op.arity
+        elif cls is TIdZero:
+            dom = cod = ()
+        else:
+            raise TypeCheckError(f"not a tape term: {node!r}")
+        if not sig.sort_set.issuperset(chain.from_iterable(dom + cod)):
+            for s in chain.from_iterable(dom + cod):
+                sig.check_sort(s)
     return dom, cod
 
 
@@ -240,15 +246,25 @@ def sem_fold(roots, step: Callable, walk: tuple[list, dict] | None = None
 
 def tape_types(roots: Sequence[TapeTerm], sig: MonSignature,
                walk: tuple[list, dict] | None = None) -> tuple:
-    """The types of the roots (see ``node_type``), each distinct subterm
-    typed once, by ``sem_fold``; ``walk`` as for ``fold``, a ``postorder``
-    over ``TERM_KIDS``.  The roots are typed in turn, so an error of the
-    first is raised first."""
+    """The types of the roots (see ``node_type``) under sig.  A root keeps
+    its type in its ``__dict__``, as ``typed`` = (sig, type), so it dies
+    with the node; a root typed before under the very same signature
+    object is not walked again.  The other roots are typed by one
+    ``sem_fold``, each distinct subterm once; ``walk`` is the roots'
+    ``postorder`` over ``TERM_KIDS``, used when no root is kept.  The
+    roots are typed in turn, so an error of the first is raised first,
+    and an error is never kept."""
     for i, t in enumerate(roots):
         if not isinstance(t, TapeTerm):
             tape_types(roots[:i], sig)
             raise TypeCheckError(f"not a tape term: {t!r}")
-    return sem_fold(roots, lambda node, kids: node_type(node, sig, kids), walk)
+    todo = [t for t in roots if t.__dict__.get("typed", (None,))[0] is not sig]
+    if todo:
+        types = sem_fold(todo, lambda node, kids: node_type(node, sig, kids),
+                         walk if len(todo) == len(roots) else None)
+        for t, typ in zip(todo, types):
+            t.__dict__["typed"] = sig, typ
+    return tuple([t.__dict__["typed"][1] for t in roots])
 
 
 def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial]:
@@ -545,24 +561,20 @@ def whisker_right(t: TapeTerm, s: Union[Polynomial, Monomial],
                   sig: MonSignature) -> TapeTerm:
     """t <| S for a polynomial S, sandwiched between left distributors."""
     s = as_poly(s)
-    return _whisker_right(t, s, type_of_tape(t, sig) if len(s) > 1 else None)
-
-
-def _whisker_right(t: TapeTerm, s: Polynomial, typ) -> TapeTerm:
-    """t <| S, given t's (dom, cod) when S has two monomials or more."""
     parts = _whiskers(t, s, left=False)
     if len(parts) < 2:
         return tsum(*parts)
+    dom, cod = type_of_tape(t, sig)
     summands = [poly_of_mono(u) for u in s]
-    return tseq(dl_nary(typ[0], summands), tsum(*parts),
-                dl_nary(typ[1], summands, inverse=True))
+    return tseq(dl_nary(dom, summands), tsum(*parts),
+                dl_nary(cod, summands, inverse=True))
 
 
 def tensor_tape(t1: TapeTerm, t2: TapeTerm, sig: MonSignature) -> TapeTerm:
     """t1 (x) t2, defined by whiskering: (P |> t2) ; (t1 <| S)."""
-    (dom1, cod1), (_, cod2) = tape_types((t1, t2), sig)
-    dom1, cod1, cod2 = map(Polynomial, (dom1, cod1, cod2))
-    return TSeq(whisker_left(dom1, t2), _whisker_right(t1, cod2, (dom1, cod1)))
+    (dom1, _), (_, cod2) = tape_types((t1, t2), sig)
+    return TSeq(whisker_left(Polynomial(dom1), t2),
+                whisker_right(t1, Polynomial(cod2), sig))
 
 
 # --- polynomial copy/discard ----------------------------------------------------

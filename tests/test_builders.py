@@ -10,6 +10,7 @@ returns.  Typing and evaluation, which read the derived nodes as they
 are, are checked against folds over the full trees.
 """
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -17,6 +18,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapecalc import hashcons, interp as interp_module, suites, tape
@@ -340,10 +342,23 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def fresh_signature(x):
+    """x with its signature, if it is or holds one, replaced by an equal
+    new object, under which no tape keeps a type."""
+    if isinstance(x, MonSignature):
+        return MonSignature(x.sorts, x.gens)
+    if isinstance(x, Interpretation):
+        return dataclasses.replace(x, sig=fresh_signature(x.sig))
+    return x
+
+
 def both_ways(f, *args):
+    """f(*args) as the library computes it, and over the full trees under
+    a fresh signature, so that no type that the first call, or an earlier
+    one, kept on a root answers for the second."""
     semantic = outcome(f, *args)
     with full_trees():
-        full = outcome(f, *args)
+        full = outcome(f, *map(fresh_signature, args))
     return semantic, full
 
 
@@ -397,13 +412,32 @@ def interpretation_over(carriers, sorts=SORTS):
 @given(t=block_tapes(), carriers=st.tuples(*[st.integers(0, 3)] * 3))
 @settings(max_examples=300, deadline=None)
 def test_closed_forms_match_the_full_tree(t, carriers):
-    interp = interpretation_over(carriers)
+    check_closed_form(t, interpretation_over(carriers))
+
+
+def check_closed_form(t, interp):
     types, full_types = both_ways(tape_types, (t,), interp.sig)
     assert types == full_types
     matrix, full_matrix = both_ways(eval_tape, t, interp)
     assert matrix == full_matrix
     assert (matrix.dom, matrix.cod) == tuple(
         sum(interp.mono_size(u) for u in side) for side in types[0])
+
+
+def test_a_corrupted_kept_type_fails_the_closed_form_check():
+    """The full-tree side reads no kept type: a root's kept type, with its
+    dom and cod swapped by hand, fails the check that the true one
+    passes."""
+    t = tape.symplus_tape(poly(("A",)), poly(("B",), ("A", "B")))
+    interp = interpretation_over((1, 2, 3))
+    check_closed_form(t, interp)
+    (dom, cod), = tape_types((t,), interp.sig)
+    t.__dict__["typed"] = interp.sig, (cod, dom)
+    try:
+        with pytest.raises(AssertionError):
+            check_closed_form(t, interp)
+    finally:
+        del t.__dict__["typed"]
 
 
 MISSING = [set(c) for n in (1, 2) for c in itertools.combinations(SORTS, n)]
@@ -452,6 +486,38 @@ def test_tensor_law_walks_few_nodes():
     assert len(postorder((expand(lhs), expand(rhs)), TERM_KIDS)[0]) == 21735
     assert len(postorder((lhs, rhs), TERM_KIDS)[0]) <= 400
     assert sem_eq(lhs, rhs, interp).kind == "equal"
+
+
+def test_warm_tensor_law_types_each_node_of_its_walk_once(monkeypatch):
+    """The bench's tensor law op (f drawn with seed 5), run a second time
+    on the same operands: tensor_tape, whisker_right and the evaluator
+    find their operands' kept types, so only sem_eq's walk of the two new
+    sides is typed, each node once."""
+    fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1)),
+                      Random(5))
+    f = fresh.tape(P, P * P)
+    interp = fresh.interp()
+    c, ids = tape.copier_tape(P), (tape.id_tape(P), tape.id_tape(P * P))
+    calls = []
+    node_type = tape.node_type
+
+    def counting(*args):
+        calls.append(args[0])
+        return node_type(*args)
+
+    def law():
+        sig = interp.sig
+        lhs = tape.tensor_tape(c, f, sig)
+        rhs = tseq(tape.tensor_tape(c, ids[0], sig),
+                   tape.tensor_tape(ids[1], f, sig))
+        assert sem_eq(lhs, rhs, interp).kind == "equal"
+        return len(postorder((lhs, rhs), TERM_KIDS)[0])
+
+    monkeypatch.setattr(tape, "node_type", counting)
+    law()
+    calls.clear()
+    walked = law()
+    assert len(calls) == len(set(calls)) == walked <= 357
 
 
 def test_copier_tensor_copier_walks_few_nodes():
@@ -728,11 +794,14 @@ def test_whiskering_suite_reports_as_the_full_trees():
     """The W-laws compare whiskered tapes built by the syntactic
     construction: the same report lines whether the semantic walks read
     the derived nodes or walk every node of the full trees."""
-    for model in ("PCA", "CM"):
+    def lines(model):   # a fresh signature each run: no kept type is shared
         interp = standard_interpretation(model)
-        semantic = list(suites.whiskering_suite(interp, seed=7).lines())
+        return list(suites.whiskering_suite(interp, seed=7).lines())
+
+    for model in ("PCA", "CM"):
+        semantic = lines(model)
         with full_trees():
-            full = list(suites.whiskering_suite(interp, seed=7).lines())
+            full = lines(model)
         assert semantic == full, model
 
 

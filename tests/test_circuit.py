@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from tapecalc import hashcons
 from tapecalc.circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort,
                               CSeq, CTensor, MonSignature,
                               copier_circuit, discharger_circuit,
@@ -61,6 +62,35 @@ def test_sym_base_cases():
     assert sym_circuit(w, ONE) == identity_circuit(w)
     assert copier_circuit(ONE) == CIdOne()
     assert discharger_circuit(ONE) == CIdOne()
+
+
+def count_constructions(build):
+    """The number of nodes build() constructs, or finds interned."""
+    calls = []
+    new = hashcons.Term.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(cls)
+        return new(cls, *args, **kwargs)
+
+    hashcons.Term.__new__ = counting
+    try:
+        build()
+    finally:
+        hashcons.Term.__new__ = new
+    return len(calls)
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: sym_circuit(w, mono("A")), lambda w: sym_circuit(mono("A"), w),
+    lambda w: sym_circuit(w, w), copier_circuit,
+], ids=["sym-long-left", "sym-long-right", "sym-both-long", "copy"])
+def test_long_words_build_in_quadratic_constructions(build):
+    """Each identity of a suffix is built once a call, so doubling the
+    word's length multiplies the constructions by about 4, not 8."""
+    counts = [count_constructions(lambda: build(Monomial(("A", "B") * n)))
+              for n in (50, 100)]
+    assert counts[1] <= 4.5 * counts[0], counts
 
 
 def test_structural_types():

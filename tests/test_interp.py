@@ -142,6 +142,31 @@ def test_validation_catches_missing_matrix():
         bad.validate()
 
 
+@pytest.mark.parametrize("model, rows, message", [
+    ("CM", [[H]], "weight that is not a natural number, as CM needs"),
+    ("PCA", [[2, 0], [3, 1]], "column summing above 1, as PCA forbids"),
+], ids=["CM-fraction", "PCA-column-above-1"])
+def test_validation_rejects_a_matrix_outside_the_models_monad(model, rows,
+                                                              message):
+    """A generator's matrix is a morphism of the model's monad: natural
+    weights for CM, columns summing to at most 1 for PCA."""
+    sig = MonSignature(("A",), {"G": (mono("A"), mono("A"))})
+    theory = builtin_theory(model, [H] if model == "PCA" else [])
+    bad = Interpretation(sig, {"A": len(rows)},
+                         {"G": Matrix.from_rows(rows)}, model_for(theory))
+    with pytest.raises(ModelError, match=f"matrix of G has a {message}"):
+        bad.validate()
+
+
+def test_validation_accepts_partial_and_natural_matrices():
+    """PCA allows columns summing below 1; CM allows any natural weight."""
+    sig = MonSignature(("A",), {"G": (mono("A"), mono("A"))})
+    for model, rows in (("PCA", [[H, 0], [0, 0]]), ("CM", [[2, 0], [3, 1]])):
+        theory = builtin_theory(model, [H] if model == "PCA" else [])
+        Interpretation(sig, {"A": 2}, {"G": Matrix.from_rows(rows)},
+                       model_for(theory)).validate()
+
+
 def test_copier_tensor_copier_is_a_row_map():
     """copier(P) (x) copier(P) at carriers (2, 3), P = A (+) AB (+) B, is a
     total function: it comes back as a row map, and each column's unit

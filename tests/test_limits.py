@@ -4,6 +4,7 @@ digits by default), and terms and parentheses deeper than the recursion
 limit.  Each ends in a documented exit code, never in a traceback."""
 
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -334,3 +335,19 @@ def test_carrier_and_matrix_of_one_name_are_not_duplicates():
     module = parse_module("sort A;\ngen A : A -> A;\ntheory PCA with p = 1/2;\n"
                           "interp I { A = {0}; A = [[1]]; model = PCA; }\n")
     assert module.interpretation("I").gen_matrices["A"].to_rows() == [[1]]
+
+
+LONG_WORD = "A" * 1100
+
+
+@pytest.mark.parametrize("body", [
+    f"sym@{LONG_WORD},A", f"sym@A,{LONG_WORD}", f"copy@{LONG_WORD}",
+], ids=["sym-long-left", "sym-long-right", "copy"])
+def test_1100_sort_circuit_word_checks(tmp_path, capsys, body):
+    """sym_circuit and copier_circuit are built by loops, so a word longer
+    than the recursion limit checks (exit 0), and in quadratic time."""
+    start = time.perf_counter()
+    code, out = run(tmp_path, capsys, f"sort A;\ndef d = [ {body} ];\n",
+                    ["check", "{f}"])
+    assert (code, out.out, out.err) == (0, "", "")
+    assert time.perf_counter() - start < 10

@@ -6,14 +6,16 @@ from random import Random
 
 import pytest
 
-from tapecalc.errors import TypeCheckError
+from tapecalc.circuit import CGen, MonSignature
+from tapecalc.errors import (TypeCheckError, UnknownGeneratorError,
+                             UnknownSortError)
 from tapecalc.interp import carrier_of, eval_tape, prod_index
 from tapecalc.kleisli import Matrix
 from tapecalc.objects import (Monomial, ONE, Polynomial, ZERO, mono,
                               poly, poly_of_mono)
 from tapecalc.suites import Freshener, sem_eq, standard_interpretation
 from tapecalc.tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
-                           TSeq, cobang_tape, codiag_tape,
+                           TSeq, TSymPlus, cobang_tape, codiag_tape,
                            copier_tape, discharger_tape, distributor, id_tape,
                            nfold_codiag, op_inj_tape, symplus_tape,
                            symtensor_tape, tensor_tape, term_tape, tseq, tsum,
@@ -61,6 +63,36 @@ def test_id_zero_type():
 def test_seq_mismatch():
     with pytest.raises(TypeCheckError):
         type_of_tape(TSeq(TIdMon(A), TIdMon(B)), SIG)
+
+
+def test_every_primitive_checks_its_sorts():
+    """Each primitive tape, and a block tape on either side, raises on a
+    sort that the signature lacks, with the primitive's error text."""
+    sig = MonSignature(("A",), {})
+    z, az = mono("Z"), poly(("A",), ("Z",))
+    for t in (TIdMon(z), TCobang(z), TCodiag(z), TSymPlus(A, z),
+              TSymPlus(z, A), TOpInj(choice(H), z), id_tape(az),
+              cobang_tape(az), codiag_tape(az), symplus_tape(pA, az)):
+        with pytest.raises(UnknownSortError, match="unregistered sort: Z$"):
+            type_of_tape(t, sig)
+
+
+def test_a_kept_type_answers_only_under_its_signature():
+    """A root keeps its type under the signature object it was typed
+    under; under another, even an equal one, it is typed again, so a
+    signature that lacks its generator still raises, and the error is
+    not kept."""
+    gen = {"kept_g": (A, A)}
+    with_g, without_g = MonSignature(("A",), gen), MonSignature(("A",), {})
+    t = tseq(TCirc(CGen("kept_g")), TIdMon(A))
+    assert type_of_tape(t, with_g) == (pA, pA)
+    assert t.__dict__["typed"] == (with_g, ((A,), (A,)))
+    with pytest.raises(UnknownGeneratorError):
+        type_of_tape(t, without_g)
+    assert t.__dict__["typed"][0] is with_g
+    equal = MonSignature(("A",), gen)
+    assert type_of_tape(t, equal) == (pA, pA)
+    assert t.__dict__["typed"][0] is equal
 
 
 # --- structural sums ---------------------------------------------------------------
