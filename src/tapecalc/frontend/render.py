@@ -3,7 +3,9 @@
 One horizontal lane per sum-summand; circuits are drawn as boxes on
 wires inside their lane.  Merges, caps and operation splits get fixed
 glyphs.  Nothing is optimized: box sizes and lane heights are constants,
-so identical terms produce identical bytes.
+so identical terms produce identical bytes.  A tape is typed on its
+derived nodes first, as ``check`` types it, and only a well-typed tape
+is expanded to the full tree (``tape.expand``) that is drawn.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from ..errors import TypeCheckError
 from ..hashcons import fold
 from ..objects import Monomial
 from ..tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
-                    TOpInj, TSeq, TSum, TSymPlus, TapeTerm, expand, node_type)
+                    TOpInj, TSeq, TSum, TSymPlus, TapeTerm, expand, node_type,
+                    tape_types)
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -260,7 +263,9 @@ def _draw_tape_leaf(t: TapeTerm, x: float, y: float, w: float, h: float,
 
 def render_svg(t: TapeTerm, sig: MonSignature) -> str:
     """Valid SVG 1.1 text for a typeable tape, drawn as its full tree
-    (``tape.expand``); byte-stable per term."""
+    (``tape.expand``); byte-stable per term.  An ill-typed tape fails as
+    ``check`` does, before any full tree is built."""
+    tape_types((t,), sig)
     t = expand(t)
     memo = _Memo(t, sig)
     w_units, lanes = memo.sizes[t]

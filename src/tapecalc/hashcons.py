@@ -7,8 +7,9 @@ typing, evaluation, full-tree expansion and the walks over Σ-terms.
 
 A walk takes each node's children from a ``kids`` map, so the map decides
 where the walk stops, and what a node's children are: in
-``tape.TERM_KIDS``, the map of typing, evaluation and rendering, a block
-tape is a leaf and a whiskered tape has one child, the tape it whiskers.
+``tape.TERM_KIDS``, the one map of typing and evaluation, a block tape is
+a leaf and a whiskered tape has one child, the tape it whiskers.  Only
+``tape.expand``, for rendering, walks past them to the full tree.
 """
 
 from __future__ import annotations

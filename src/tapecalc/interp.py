@@ -2,8 +2,9 @@
 
 An interpretation assigns a finite carrier to every sort and an exact
 matrix to every generator; it extends homomorphically to all circuits
-and tapes: ``eval_tape`` is a ``tape.sem_fold`` of ``evaluator``, which
-gives a node's matrix from its children's.  A block tape (``TBlock``) is
+and tapes: ``eval_tape`` is one ``fold`` of ``evaluator`` over
+``tape.TERM_KIDS``, which gives a node's matrix from its children's, and
+a failure is the error that walk raises.  A block tape (``TBlock``) is
 a leaf: its matrix is one image, a ``range`` per monomial block, from the
 carrier sizes and its ``block_layout``, the ``block_map`` that the node
 computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
@@ -24,10 +25,11 @@ from . import kleisli
 from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
                       CTensor, CircuitTerm, MonSignature)
 from .errors import DimensionError, ModelError, UnknownSortError
+from .hashcons import fold
 from .kleisli import Matrix, TheoryModel, op_matrix
 from .objects import Monomial, Polynomial
-from .tape import (TBlock, TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
-                   TSeq, TSum, TSymPlus, TWhisker, TapeTerm, sem_fold,
+from .tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
+                   TOpInj, TSeq, TSum, TSymPlus, TWhisker, TapeTerm,
                    type_of_tape)
 
 
@@ -134,19 +136,22 @@ def prod_index(p: Polynomial, q: Polynomial, interp: Interpretation):
 
 def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
               walk: tuple[list, dict] | None = None) -> Matrix:
-    """The matrix of a tape or circuit: one ``sem_fold`` of ``evaluator``,
-    so each distinct subterm is evaluated once and its matrix dropped
-    after its last use; ``walk`` is t's ``postorder`` over ``TERM_KIDS``,
-    if the caller has made it already."""
-    return sem_fold((t,), evaluator(interp), walk)[0]
+    """The matrix of a tape or circuit: one ``fold`` of ``evaluator`` over
+    ``TERM_KIDS``, so each distinct subterm is evaluated once and its
+    matrix dropped after its last use; ``walk`` is t's ``postorder``, if
+    the caller has made it already."""
+    return fold((t,), TERM_KIDS, evaluator(interp), walk)[0]
 
 
 def block_matrix(node: TapeTerm, interp: Interpretation) -> Matrix:
     """The matrix of a block tape, from its builder call: each dom
     block is the identity onto the cod block that ``block_map`` names,
-    kept in the node's ``block_layout``."""
-    _, cod, blocks = node.block_layout
-    ends = (0, *accumulate(map(interp.mono_size, cod)))
+    kept in the node's ``block_layout``.  The carriers are read in dom
+    order, as the leaves of the node's full tree read them, so a missing
+    one is named as there; every cod monomial but a cobang's is in dom."""
+    dom, cod, blocks = node.block_layout
+    size = {u: interp.mono_size(u) for u in dom or cod}
+    ends = (0, *accumulate(map(size.__getitem__, cod)))
     image = tuple(chain.from_iterable(
         [range(ends[b], ends[b + 1]) for b in blocks]))
     return Matrix(len(image), ends[-1], image=image)

@@ -8,8 +8,9 @@ to the bounds; morphism metavariables become fresh generators carrying
 seeded random matrices, so failures are reproducible from the seed.
 Each law is a row (name, draws, sides) that the one driver ``_laws``
 binds, seeds, draws and checks.  ``sem_eq`` decides an instance by one
-walk over both sides, typing a side only if it keeps no type under the
-instance's signature (see ``tape.tape_types``).
+walk over both sides' derived nodes (``tape.TERM_KIDS``), typing a side
+only if it keeps no type under the instance's signature (see
+``tape.tape_types``); a type error is the one that walk raises.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .circuit import (CGen, CIdOne, CircuitTerm, CTensor, MonSignature,
                       copier_circuit, cseq, ctensor, discharger_circuit,
                       identity_circuit, sym_circuit)
 from .errors import TypeCheckError
-from .hashcons import postorder
+from .hashcons import fold, postorder
 from .interp import (Interpretation, carrier_of, eval_tape, evaluator,
                      prod_index)
 from .kleisli import Matrix, TheoryModel, exact_str, model_for
@@ -36,7 +37,7 @@ from .objects import (Monomial, ONE, Polynomial, ZERO, nfold_sum,
 from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
                    TOpInj, TSum, TSymPlus, TapeTerm, cobang_tape, codiag_tape,
                    copier_tape, discharger_tape, distributor, dl_nary, id_tape,
-                   nfold_codiag, op_inj_tape, sem_fold, symplus_tape,
+                   nfold_codiag, op_inj_tape, symplus_tape,
                    symtensor_tape, tape_types, tensor_tape, term_tape, tseq,
                    tsum, whisker_left, whisker_right)
 from .theory import App, OpSymbol, SigmaTerm, Var, builtin_theory
@@ -130,7 +131,8 @@ def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation) -> SemEqResult:
         return SemEqResult(
             "type-error",
             message=f"type mismatch: {dom1} -> {cod1} vs {dom2} -> {cod2}")
-    diff = first_difference(*sem_fold((t1, t2), evaluator(interp), walk))
+    diff = first_difference(
+        *fold((t1, t2), TERM_KIDS, evaluator(interp), walk))
     if diff is None:
         return SemEqResult("equal")
     return SemEqResult("unequal", witness=diff)

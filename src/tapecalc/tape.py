@@ -25,9 +25,11 @@ builder whose tree is one primitive node returns that node.  In
 tape is a leaf and a whiskered tape has one child, t, so typing and
 evaluation walk t once however many copies a tensor makes.  ``expand``
 builds the full tree of primitive nodes that a term stands for, from the
-inductive definitions: rendering draws it, and should a walk over a term
-fail, ``sem_fold`` walks its full tree and reports that walk's value or
-error.
+inductive definitions, anew each call; only rendering draws it.  The
+derived nodes never change a verdict or a value, and an error is the one
+the walk over them raises, so it names the subterm where that walk
+failed: for a failure inside a whiskered tape, the composition the user
+wrote, not its whiskered copy in the full tree.
 
 A tape keeps its type: ``tape_types`` stores each root's type on the
 node, with the signature object it was typed under, so a tape is walked
@@ -41,12 +43,11 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Sequence, Union
-from weakref import WeakKeyDictionary
 
 from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
                       ctensor, identity_circuit, sym_circuit)
-from .errors import TapecalcError, TypeCheckError
+from .errors import TypeCheckError
 from .hashcons import Term, fold, term_node
 from .objects import Monomial, ONE, Polynomial, nfold_sum, poly_of_mono
 from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
@@ -181,9 +182,7 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     check one tuple comparison.  A block tape's type is its block map's;
     a whiskered tape's is that of the tape it whiskers, its one child,
     with each step's monomial multiplied into every monomial on its side.
-    Raises if a step, or the type of a leaf, names a sort not in sig; for
-    a block tape, ``sem_fold`` then types the full tree, whose type or
-    error it is."""
+    Raises if a step, or the type of a leaf, names a sort not in sig."""
     cls = node.__class__
     if cls is TSeq:
         (dom, cod1), (dom2, cod) = kids
@@ -232,36 +231,25 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     return dom, cod
 
 
-def sem_fold(roots, step: Callable, walk: tuple[list, dict] | None = None
-             ) -> tuple:
-    """``fold(roots, TERM_KIDS, step, walk)``; should that raise a library
-    error, the fold over the roots' full trees (``expand``), whose values
-    or error are then the result.  So the derived nodes change how fast
-    typing and evaluation are, never what they give."""
-    try:
-        return fold(roots, TERM_KIDS, step, walk)
-    except TapecalcError:
-        return fold(tuple(map(expand, roots)), TERM_KIDS, step)
-
-
 def tape_types(roots: Sequence[TapeTerm], sig: MonSignature,
                walk: tuple[list, dict] | None = None) -> tuple:
     """The types of the roots (see ``node_type``) under sig.  A root keeps
     its type in its ``__dict__``, as ``typed`` = (sig, type), so it dies
     with the node; a root typed before under the very same signature
     object is not walked again.  The other roots are typed by one
-    ``sem_fold``, each distinct subterm once; ``walk`` is the roots'
-    ``postorder`` over ``TERM_KIDS``, used when no root is kept.  The
-    roots are typed in turn, so an error of the first is raised first,
-    and an error is never kept."""
+    ``fold`` over ``TERM_KIDS``, each distinct subterm once; ``walk`` is
+    the roots' ``postorder``, used when no root is kept.  The roots are
+    typed in turn, so an error of the first is raised first, and an error
+    is never kept."""
     for i, t in enumerate(roots):
         if not isinstance(t, TapeTerm):
             tape_types(roots[:i], sig)
             raise TypeCheckError(f"not a tape term: {t!r}")
     todo = [t for t in roots if t.__dict__.get("typed", (None,))[0] is not sig]
     if todo:
-        types = sem_fold(todo, lambda node, kids: node_type(node, sig, kids),
-                         walk if len(todo) == len(roots) else None)
+        types = fold(todo, TERM_KIDS,
+                     lambda node, kids: node_type(node, sig, kids),
+                     walk if len(todo) == len(roots) else None)
         for t, typ in zip(todo, types):
             t.__dict__["typed"] = sig, typ
     return tuple([t.__dict__["typed"][1] for t in roots])
@@ -605,10 +593,6 @@ def discharger_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
 
 # --- full trees -------------------------------------------------------------------
 
-_TREES: WeakKeyDictionary = WeakKeyDictionary()
-"""Block or whiskered tape -> its full tree, for as long as it lives."""
-
-
 def expand(t: Term) -> Term:
     """The full tree of t: t with each block tape replaced by the tree of
     its builder's inductive definition, and each whiskered tape by the
@@ -617,16 +601,14 @@ def expand(t: Term) -> Term:
     unfolded: dict = {}
 
     def unfold(node: TBlock | TWhisker) -> tuple:
-        """The children of a derived node in the walk: none if its tree
-        is known; else a block tape's body, and the children of the tape
-        a whiskered tape whiskers, each whiskered by its chain, so that
-        U |> (t <| V) is whiskered leaf by leaf, in order, down to how
-        ``ctensor`` groups a circuit's factors."""
+        """The children of a derived node in the walk: a block tape's
+        body, and the children of the tape a whiskered tape whiskers,
+        each whiskered by its chain, so that U |> (t <| V) is whiskered
+        leaf by leaf, in order, down to how ``ctensor`` groups a
+        circuit's factors."""
         kids = unfolded.get(node)
         if kids is None:
-            if node in _TREES:
-                kids = ()
-            elif node.__class__ is TBlock:
+            if node.__class__ is TBlock:
                 kids = (_body(node),)
             else:
                 t = node.tape
@@ -637,12 +619,10 @@ def expand(t: Term) -> Term:
 
     def step(node, kids: tuple):
         cls = node.__class__
-        if cls is TBlock or cls is TWhisker:
-            if not kids:
-                return _TREES[node]
-            tree = _TREES[node] = (kids[0] if cls is TBlock
-                                   else node.tape.__class__(*kids))
-            return tree
+        if cls is TBlock:
+            return kids[0]
+        if cls is TWhisker:
+            return node.tape.__class__(*kids)
         if kids and kids != TERM_KIDS[cls](node):
             return cls(*kids)
         return node

@@ -7,12 +7,13 @@ below are the recursive definitions, one call per monomial, with no
 memo.  Terms are hash-consed, so a builder agrees with its reference
 exactly when the builder's full tree is the very node the reference
 returns.  Typing and evaluation, which read the derived nodes as they
-are, are checked against folds over the full trees.
+are, are checked against the same calls on the full trees.
 """
 
 import dataclasses
 import gc
 import itertools
+import time
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
@@ -21,17 +22,18 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tapecalc import hashcons, interp as interp_module, suites, tape
+from tapecalc import hashcons, suites, tape
 from tapecalc.circuit import (MonSignature, copier_circuit, discharger_circuit,
                               sym_circuit)
 from tapecalc.errors import TapecalcError, TypeCheckError
+from tapecalc.frontend import render
 from tapecalc.frontend.cli import main
 from tapecalc.hashcons import postorder
 from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import model_for
 from tapecalc.objects import (ONE, Monomial, Polynomial, ZERO, mono, nfold_sum,
                               poly, poly_of_mono)
-from tapecalc.suites import (Freshener, rand_poly, sem_eq,
+from tapecalc.suites import (Freshener, SemEqResult, rand_poly, sem_eq,
                              standard_interpretation)
 from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon,
                            TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker,
@@ -255,19 +257,18 @@ def test_long_polynomial_needs_no_recursion():
 
 
 def test_memo_keeps_nothing_alive():
-    """A block tape is its builder call, and ``expand`` keeps its full tree
-    in a weak memo: both die with the tape's last reference outside the
-    memo, and the memo's entry goes with them."""
+    """A block tape is its builder call, and ``expand`` builds its full
+    tree per call and keeps none: both die once the last reference to
+    them is dropped."""
     p, q, r = poly(("Dead1",), ("Dead2",)), poly(("Dead3",)), poly(("Dead4",))
     t = tape.distributor(p, q, r)
     assert (t.builder, t.args) == ("distributor", (p, q, r, False))
     tree = expand(t)
-    assert tape._TREES.get(t) is tree
+    assert not isinstance(tree, TBlock)
     refs = [weakref.ref(t), weakref.ref(tree)]
     del t, tree
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    assert not [t for t in tape._TREES.keys() if p in getattr(t, "args", ())]
 
 
 @contextmanager
@@ -316,24 +317,6 @@ def test_repeated_monomial_expands_in_linear_constructions():
 
 # --- closed forms: block tapes against their full trees ------------------------
 
-@contextmanager
-def full_trees():
-    """The semantic walks over the full trees: typing and evaluation fold
-    every node of ``expand(t)``, not the block and whiskered nodes."""
-    def full(roots, step, walk=None):
-        return hashcons.fold(tuple(map(expand, roots)), TERM_KIDS, step)
-
-    homes = (tape, suites, interp_module)
-    saved = [home.sem_fold for home in homes]
-    for home in homes:
-        home.sem_fold = full
-    try:
-        yield
-    finally:
-        for home, fold in zip(homes, saved):
-            home.sem_fold = fold
-
-
 def outcome(f, *args):
     """f(*args), or the class and text of the library error it raised."""
     try:
@@ -342,24 +325,26 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-def fresh_signature(x):
-    """x with its signature, if it is or holds one, replaced by an equal
-    new object, under which no tape keeps a type."""
+def full_tree(x):
+    """x with each tape in it, itself or in a tuple, replaced by its full
+    tree (``expand``), and its signature, if it is or holds one, by an
+    equal new object, under which no tape keeps a type."""
+    if isinstance(x, tape.TapeTerm):
+        return expand(x)
+    if isinstance(x, tuple):
+        return tuple(map(full_tree, x))
     if isinstance(x, MonSignature):
         return MonSignature(x.sorts, x.gens)
     if isinstance(x, Interpretation):
-        return dataclasses.replace(x, sig=fresh_signature(x.sig))
+        return dataclasses.replace(x, sig=full_tree(x.sig))
     return x
 
 
 def both_ways(f, *args):
-    """f(*args) as the library computes it, and over the full trees under
-    a fresh signature, so that no type that the first call, or an earlier
-    one, kept on a root answers for the second."""
-    semantic = outcome(f, *args)
-    with full_trees():
-        full = outcome(f, *map(fresh_signature, args))
-    return semantic, full
+    """f(*args) as the library computes it, and f on the full trees of the
+    tapes under a fresh signature, so that no type that the first call, or
+    an earlier one, kept on a root answers for the second."""
+    return outcome(f, *args), outcome(f, *map(full_tree, args))
 
 
 monomials = st.lists(st.sampled_from(SORTS), max_size=2).map(
@@ -684,32 +669,58 @@ def variants(interp):
 def test_whiskered_tapes_type_and_evaluate_as_the_full_tree(
         p, q, chain, ill_typed, carriers, seed):
     """Fresh tapes whiskered by chains of one to three steps, each a left
-    or right whiskering or a tensor with an identity: types, matrices,
-    sem_eq results and error texts are the full tree's, also when a sort
-    is missing from the signature or the carriers, or t is ill-typed."""
+    or right whiskering or a tensor with an identity: the verdicts are the
+    full tree's, also when a sort is missing from the signature or the
+    carriers, or t is ill-typed.  Types and matrices are equal, or both
+    sides raise; sem_eq gives the same kind, and the same witness when
+    the tapes are unequal.  Error texts may differ, since the walk names
+    the subterm it fails at, and that may lie inside a whiskered tape.
+    Matrices are compared for a tape that types: evaluating a full tree
+    types none of it, so an ill-typed one whose dimensions happen to
+    agree (all 0, say) has a matrix, where the walk, which reads the
+    type of a tape it whiskers on the left, raises."""
     fresh = Freshener(standard_interpretation("PCA", carriers=carriers),
                       Random(seed))
     w1, w2 = whiskered_pair(fresh, p, q, chain, ill_typed)
     for interp in variants(fresh.interp()):
-        semantic, full = both_ways(tape_types, (w1, w2), interp.sig)
-        assert semantic == full
-        semantic, full = both_ways(eval_tape, w1, interp)
-        assert semantic == full
-        semantic, full = both_ways(sem_eq, w1, w2, interp)
-        assert semantic == full
+        calls = [(tape_types, (w1, w2), interp.sig), (sem_eq, w1, w2, interp)]
+        if verdict(outcome(tape_types, (w1,), interp.sig)) is not TapecalcError:
+            calls.append((eval_tape, w1, interp))
+        for f, *args in calls:
+            semantic, full = map(verdict, both_ways(f, *args))
+            assert semantic == full, f.__name__
 
 
-def test_whiskered_ill_typed_tape_fails_as_its_tree():
-    """B |> (id_A ; id_B) is ill-typed at BA vs BB, its own composition,
-    not at A vs B, the composition of the tape it whiskers."""
+def verdict(result):
+    """What an ``outcome`` decides: ``TapecalcError`` for any library
+    error, and for a ``sem_eq`` type error, which the CLI reports alike
+    (exit 3); a ``sem_eq`` result's kind and witness (None unless
+    unequal); else the value itself.  An ill-typed tape over a missing
+    sort may fail at its composition on the walk and at the sort in the
+    full tree, which ``sem_eq`` returns and raises respectively."""
+    if isinstance(result, SemEqResult):
+        if result.kind == "type-error":
+            return TapecalcError
+        return result.kind, result.witness
+    if (isinstance(result, tuple) and len(result) == 2
+            and isinstance(result[0], type)
+            and issubclass(result[0], TapecalcError)):
+        return TapecalcError
+    return result
+
+
+def test_whiskered_ill_typed_tape_fails_at_the_composition_it_whiskers():
+    """B |> (id_A ; id_B) is ill-typed at A vs B, the composition the walk
+    reaches, inside the whiskered tape; its full tree fails at BA vs BB,
+    the whiskered copy of that composition."""
     sig = MonSignature(("A", "B"), {})
     t = tape.whisker_left_mono(
         mono("B"), TSeq(TIdMon(mono("A")), TIdMon(mono("B"))))
     assert isinstance(t, TWhisker) and TERM_KIDS[TWhisker](t) == (t.tape,)
-    expected = (TypeCheckError, "tape composition mismatch: BA vs BB")
-    assert outcome(tape_types, (t,), sig) == expected
-    with full_trees():
-        assert outcome(tape_types, (t,), sig) == expected
+    assert outcome(tape_types, (t,), sig) == (
+        TypeCheckError, "tape composition mismatch: A vs B")
+    assert outcome(tape_types, (expand(t),), sig) == (
+        TypeCheckError, "tape composition mismatch: BA vs BB")
 
 
 def test_a_hand_built_tree_and_its_block_tape_share_a_full_tree():
@@ -790,17 +801,21 @@ def test_nested_whiskerings_build_the_sequential_walks_node(p, q, s, r, seed):
         ref_whisker(ref_whisker(x, s, True, sig), r, False, sig)
 
 
-def test_whiskering_suite_reports_as_the_full_trees():
+def test_whiskering_suite_reports_as_the_full_trees(monkeypatch):
     """The W-laws compare whiskered tapes built by the syntactic
-    construction: the same report lines whether the semantic walks read
-    the derived nodes or walk every node of the full trees."""
+    construction: the same report lines whether ``sem_eq`` reads the
+    derived nodes or is given the full trees of its two terms."""
     def lines(model):   # a fresh signature each run: no kept type is shared
         interp = standard_interpretation(model)
         return list(suites.whiskering_suite(interp, seed=7).lines())
 
+    sem_eq_on_derived_nodes = suites.sem_eq
     for model in ("PCA", "CM"):
         semantic = lines(model)
-        with full_trees():
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "sem_eq", lambda t1, t2, interp:
+                          sem_eq_on_derived_nodes(expand(t1), expand(t2),
+                                                  interp))
             full = lines(model)
         assert semantic == full, model
 
@@ -902,3 +917,32 @@ def test_wide_term_check_builds_no_tree(tmp_path):
             tape.Term.__new__ = new
         assert len(keys) <= 50, n
         assert sum(map(slots, keys)) <= 4 * n, n
+
+
+def test_ill_typed_terms_build_no_full_tree(tmp_path, monkeypatch, capsys):
+    """An ill-typed tape fails on the walk over its derived nodes, and no
+    full tree is built to report it: ``check`` and ``render`` of
+    term<x1 +_1/2 x4000>@A ; id@B exit 3 with an ``error:`` line, and
+    sem_eq of copier(P) (x) copier(P) ; id@A is a type error, each in
+    well under a second."""
+    def no_tree(t):
+        raise AssertionError("a full tree was built")
+
+    monkeypatch.setattr(tape, "expand", no_tree)
+    monkeypatch.setattr(render, "expand", no_tree)
+    path = tmp_path / "term4000.tape"
+    path.write_text("sort A;\nsort B;\ntheory PCA with p = 1/2;\n"
+                    "def d = term<x1 +_1/2 x4000>@A ; id@B;\n")
+    for argv in (["check", str(path)],
+                 ["render", str(path), "--term", "d",
+                  "-o", str(tmp_path / "d.svg")]):
+        start = time.perf_counter()
+        assert main(argv) == 3, argv[0]
+        assert time.perf_counter() - start < 1, argv[0]
+        assert capsys.readouterr().err.startswith("error: "), argv[0]
+    interp = standard_interpretation("PCA")
+    c = tape.copier_tape(P)
+    t = tseq(tape.tensor_tape(c, c, interp.sig), tape.id_tape(poly(("A",))))
+    start = time.perf_counter()
+    assert sem_eq(t, t, interp).kind == "type-error"
+    assert time.perf_counter() - start < 1
