@@ -6,22 +6,32 @@ the middle index, the tensor is the Kronecker product under left-major
 pair indexing, and the sum is block-diagonal with the left block first.
 Weights are exact: nonnegative rationals for the subdistribution
 reading, naturals for the multiset one.  A matrix stores them
-fraction-free, as ``int`` numerators over one canonical denominator, so
-the kernels do integer arithmetic only; weights are read back as
-``Fraction`` or ``int``.
+fraction-free, as nonnegative ``int`` numerators over one canonical
+denominator, so the kernels do integer arithmetic only and no sum of
+weights cancels; weights are read back as ``Fraction`` or ``int``.
 
-Structural morphisms (identities, symmetries, distributors, codiagonals,
-cobangs, copiers, dischargers) are total functions between carriers and
-are stored as row maps; composing, summing and tensoring them is index
-arithmetic with no weight arithmetic.  Matrices share columns, which are
-never mutated after construction.
+A matrix is stored in one of three forms.  Structural morphisms
+(identities, symmetries, distributors, codiagonals, cobangs, copiers,
+dischargers) are total functions between carriers and are stored as row
+maps; composing, summing and tensoring them is index arithmetic with no
+weight arithmetic.  A large dense Kronecker product of two weighted
+matrices packs each column into one ``int``, its numerators in
+fixed-width slots, so that an output column is one bigint product
+(Kronecker substitution), and a composite with such a matrix is one
+bigint multiply-add per entry.  Every other matrix keeps a dict of
+nonzero numerators per column.  Matrices share columns, which are never
+mutated after construction.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
+from operator import itemgetter, mul
+from sys import byteorder
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ModelError, UnknownOperationError
@@ -92,39 +102,184 @@ def _reduced(dom: int, cod: int, cols: tuple[dict[int, int], ...],
     return Matrix(dom, cod, cols, den=den)
 
 
+# A packed column holds row y's numerator in bytes [w*y, w*(y+1)) of one
+# int, little-endian, for a slot width w of 1, 2, 4 or 8 bytes: the item
+# sizes of machine arrays, so that packing and unpacking run in C.
+_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_SWAP = byteorder == "big"
+
+
+def slot_width(top: int) -> int | None:
+    """The narrowest slot width in bytes that holds every numerator up to
+    top; None when top needs more than 8 bytes."""
+    for w in (1, 2, 4, 8):
+        if top < 1 << 8 * w:
+            return w
+    return None
+
+
+def _dense(dom: int, cod: int, w: int, nnz: int) -> bool:
+    """Whether dom columns of cod slots of w bytes, nnz of them nonzero,
+    are kept packed rather than as dicts.  The packed kernels pass over
+    every slot byte and make a fixed number of calls per column; a dict
+    kernel makes one dict store per nonzero.  Measured on the suites'
+    laws, a store costs about as much as 8 slot bytes and a column's
+    fixed calls as 64, so a small or sparse matrix, or one with no
+    entry, keeps dicts."""
+    return 0 < nnz and (cod * w + 64) * dom <= 8 * nnz
+
+
+def _slots(p: int, n: int, w: int) -> array:
+    """The n slots of width w packed in p."""
+    slots = array(_CODES[w], p.to_bytes(n * w, "little"))
+    if _SWAP:
+        slots.byteswap()
+    return slots
+
+
+def _pack(slots: array) -> int:
+    if _SWAP:
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _unpack(p: int, n: int, w: int) -> dict[int, int]:
+    """The nonzero slots of p by row; the scan over zero slots runs in C."""
+    slots = _slots(p, n, w)
+    return dict(zip(compress(range(n), slots), filter(None, slots)))
+
+
+def _packed_result(dom: int, cod: int, sums: list[int], w: int,
+                   den: int) -> "Matrix":
+    """The canonical matrix of the columns ``sums``, packed in slots of w
+    bytes, over ``den``: one pass over the slots finds the largest
+    numerator, their gcd and their number, then the ints are divided by
+    the gcd with den and repacked at the width the largest needs."""
+    top = content = zeros = 0
+    columns = [_slots(p, cod, w) for p in sums]
+    for c in columns:
+        top = max(top, max(c, default=0))
+        content = gcd(content, *c)
+        zeros += c.count(0)
+    nnz = dom * cod - zeros
+    g = gcd(den, content)
+    top //= g
+    w1 = slot_width(top)
+    if g > 1:
+        sums = [p // g for p in sums]
+    if not _dense(dom, cod, w1, nnz):
+        return Matrix(dom, cod, tuple([_unpack(p, cod, w) for p in sums]),
+                      den=den // g)
+    if w1 != w:
+        code = _CODES[w1]
+        sums = [_pack(array(code, _slots(p, cod, w) if g > 1 else c))
+                for p, c in zip(sums, columns)]
+    return Matrix(dom, cod, den=den // g, packed=tuple(sums), top=top,
+                  content=content // g, nnz=nnz)
+
+
 class Matrix:
     """Exact cod-by-dom matrix, column-sparse and fraction-free: entry
-    (y, x) is cols[x][y] / den, where cols[x] maps row index to a nonzero
-    ``int`` numerator and ``den`` is the lcm of the entries' reduced
-    denominators (1 when every weight is an integer).  The form is
-    canonical, so two matrices are equal exactly when their den and cols
-    are, and the kernels multiply and add ints only.  ``entry``,
+    (y, x) is cols[x][y] / den, where cols[x] maps row index to a
+    positive ``int`` numerator and ``den`` is the lcm of the entries'
+    reduced denominators (1 when every weight is an integer).  The form
+    is canonical, so two matrices are equal exactly when their den and
+    cols are, and the kernels multiply and add ints only.  ``entry``,
     ``to_rows`` and ``nonzeros`` read weights back as reduced
     ``Fraction``s, or as ``int``s when den is 1.
 
-    A total function (one unit entry in each column, as every structural
-    morphism is) may instead be stored as ``image``, the row of each
-    column's unit entry, with den 1; ``cols`` is then built from it on
-    first read.  The kernels use index arithmetic when an operand has an
-    image, and share column dicts between matrices rather than copying
-    them, so a column is never mutated after its matrix is built.  The
+    Two other forms stand in for ``cols``, which is built from them on
+    first read:
+
+    - ``image``: a total function (one unit entry in each column, as
+      every structural morphism is), the row of each column's unit
+      entry, with den 1.  The kernels use index arithmetic when an
+      operand has an image.
+    - ``packed``: one ``int`` per column, its numerators in slots of
+      ``slot_width(top)`` bytes, where ``top`` is the largest numerator,
+      ``content`` the gcd of all of them (0 when there is none) and
+      ``nnz`` their number.  ``tensor`` of two weighted matrices and
+      ``then`` with a packed operand return this form when ``_dense``
+      finds the matrix large and dense enough and top fits in 8 bytes;
+      permuting a packed matrix's rows or columns keeps it.  Equal
+      packed matrices have equal den, top and packed, so ``==`` compares
+      those, and ``suites.first_difference`` unpacks only the columns
+      whose ints differ.
+
+    The kernels share columns between matrices rather than copying them,
+    so a column is never mutated after its matrix is built.  The
     constructor trusts its arguments to be canonical; ``make`` and
     ``from_rows`` build a matrix from weights.
     """
 
-    __slots__ = ("dom", "cod", "image", "_cols", "den")
+    __slots__ = ("dom", "cod", "image", "_cols", "den", "packed", "top",
+                 "content", "nnz")
 
     def __init__(self, dom: int, cod: int,
                  cols: tuple[Mapping[int, int], ...] | None = None,
-                 image: tuple[int, ...] | None = None, den: int = 1):
+                 image: tuple[int, ...] | None = None, den: int = 1,
+                 packed: tuple[int, ...] | None = None, top: int = 0,
+                 content: int = 0, nnz: int = 0):
         self.dom, self.cod, self.image, self._cols = dom, cod, image, cols
-        self.den = den
+        self.den, self.packed = den, packed
+        self.top, self.content, self.nnz = top, content, nnz
 
     @property
     def cols(self) -> tuple[Mapping[int, int], ...]:
         if self._cols is None:
-            self._cols = tuple([{y: 1} for y in self.image])
+            if self.image is not None:
+                self._cols = tuple([{y: 1} for y in self.image])
+            else:
+                n, w = self.cod, slot_width(self.top)
+                self._cols = tuple([_unpack(p, n, w) for p in self.packed])
         return self._cols
+
+    def column(self, x: int) -> Mapping[int, int]:
+        """cols[x], unpacking no other column of a packed matrix."""
+        if self._cols is None and self.packed is not None:
+            return _unpack(self.packed[x], self.cod, slot_width(self.top))
+        return self.cols[x]
+
+    def columns(self) -> Iterable[Mapping[int, int]]:
+        """The columns in order, a packed one unpacked as it is read."""
+        if self._cols is None and self.packed is not None:
+            return map(self.column, range(self.dom))
+        return self.cols
+
+    def _count(self) -> int:
+        """The number of nonzero entries."""
+        return self.nnz if self.packed is not None else sum(map(len, self.cols))
+
+    def _extent(self) -> tuple[int, int]:
+        """The largest numerator and the gcd of all of them (0, 0 when
+        there is none)."""
+        if self.packed is not None:
+            return self.top, self.content
+        values = list(chain.from_iterable(map(dict.values, self.cols)))
+        return max(values, default=0), gcd(*values)
+
+    def _packed_at(self, g: int, w: int, stride: int = 1) -> Sequence[int]:
+        """Each column's numerators divided by g, packed in slots of w
+        bytes with row y at slot y * stride."""
+        n, code = self.cod, _CODES[w]
+        if self.packed is not None:
+            w0 = slot_width(self.top)
+            if w0 == w and stride == 1:
+                return self.packed if g == 1 else [p // g for p in self.packed]
+            columns = [array(code, _slots(p // g, n, w0)) for p in self.packed]
+        else:
+            columns = []
+            for col in self.cols:
+                c = array(code, bytes(n * w))
+                for y, v in col.items():
+                    c[y] = v // g
+                columns.append(c)
+        if stride > 1:
+            spread = [array(code, bytes(n * stride * w)) for _ in columns]
+            for s, c in zip(spread, columns):
+                s[::stride] = c
+            columns = spread
+        return [_pack(c) for c in columns]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -133,6 +288,9 @@ class Matrix:
             return False
         if self.image is not None and other.image is not None:
             return self.image == other.image
+        if self.packed is not None and other.packed is not None:
+            return ((self.den, self.top, self.packed)
+                    == (other.den, other.top, other.packed))
         return self.den == other.den and self.cols == other.cols
 
     def __repr__(self) -> str:
@@ -143,11 +301,14 @@ class Matrix:
     def make(dom: int, cod: int, entries: Iterable[tuple[int, int, Any]]) -> "Matrix":
         """Build from (row, col, weight) triples with ``int`` or
         ``Fraction`` weights; weights at one position add, and zeros are
-        dropped."""
+        dropped.  A negative weight is refused: the kernels rely on no
+        sum of numerators cancelling."""
         cols: list[dict[int, Any]] = [dict() for _ in range(dom)]
         for y, x, w in entries:
             if not 0 <= y < cod or not 0 <= x < dom:
                 raise DimensionError(f"entry ({y},{x}) outside {cod}x{dom}")
+            if w < 0:
+                raise DimensionError(f"negative weight {w} at ({y},{x})")
             col = cols[x]
             col[y] = col[y] + w if y in col else w
         den = lcm(*[w.denominator for col in cols for w in col.values()])
@@ -210,41 +371,87 @@ class Matrix:
             if other.image is not None:
                 return Matrix(self.dom, other.cod,
                               image=tuple(map(other.image.__getitem__, self.image)))
+            if (other.packed is not None and self.dom == other.dom
+                    == len(set(self.image))):
+                # a permutation of the columns keeps top, content and den
+                return Matrix(self.dom, other.cod, den=other.den,
+                              packed=tuple(map(other.packed.__getitem__, self.image)),
+                              top=other.top, content=other.content,
+                              nnz=other.nnz)
             # selecting columns may drop the ones that needed all of den
             return _reduced(self.dom, other.cod,
                             tuple(map(other.cols.__getitem__, self.image)),
                             other.den)
         cols: list[dict[int, int]] = []
         if other.image is not None:
-            # relabel rows; weights add only where two rows meet
             target = other.image
+            if (self.packed is not None and 1 < other.dom == other.cod
+                    == len(set(target))):
+                # permuting the rows keeps every numerator
+                source = [0] * other.dom
+                for y, z in enumerate(target):
+                    source[z] = y
+                n, w = self.cod, slot_width(self.top)
+                permute = itemgetter(*[w * y + k for y in source
+                                       for k in range(w)])
+                return Matrix(self.dom, n, den=self.den, top=self.top,
+                              content=self.content, nnz=self.nnz, packed=tuple([
+                                  int.from_bytes(bytes(permute(
+                                      p.to_bytes(n * w, "little"))), "little")
+                                  for p in self.packed]))
+            # relabel rows; weights add only where two rows meet
             for col in self.cols:
                 out = {target[y]: a for y, a in col.items()}
                 if len(out) < len(col):
                     out = {}
                     for y, a in col.items():
                         z = target[y]
-                        v = out.get(z, 0) + a
-                        if v == 0:
-                            out.pop(z, None)
-                        else:
-                            out[z] = v
+                        out[z] = out.get(z, 0) + a
                 cols.append(out)
             return _reduced(self.dom, other.cod, tuple(cols), self.den)
+        if self.packed is not None or other.packed is not None:
+            product = self._then_packed(other)
+            if product is not None:
+                return product
         for col in self.cols:
             out = {}
             for y, a in col.items():
                 for z, b in other.cols[y].items():
-                    v = out.get(z, 0) + b * a
-                    if v == 0:
-                        out.pop(z, None)
-                    else:
-                        out[z] = v
+                    out[z] = out.get(z, 0) + b * a
             cols.append(out)
         return _reduced(self.dom, other.cod, tuple(cols), self.den * other.den)
 
+    def _then_packed(self, other: "Matrix") -> "Matrix | None":
+        """self ; other with other's columns packed: output column x is
+        the sum of a * other's column y over the entries a of self's
+        column x, so one bigint multiply-add per entry.  A slot of the
+        sum holds at most cod * top1 * top2; None when that needs more
+        than 8 bytes, or when self has no entry."""
+        top1, top2 = self._extent()[0], other._extent()[0]
+        w = slot_width(self.cod * top1 * top2)
+        if w is None or not top1:
+            return None
+        right, n = other._packed_at(1, w), other.cod
+        if self.packed is not None:
+            w1 = slot_width(top1)
+            columns = [_slots(p, self.cod, w1) for p in self.packed]
+            sums = [sum(map(mul, filter(None, c), compress(right, c)))
+                    for c in columns]
+        else:
+            sums = [sum(map(mul, col.values(), map(right.__getitem__, col)))
+                    for col in self.cols]
+        return _packed_result(self.dom, n, sums, w, self.den * other.den)
+
     def tensor(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; pair (i, j) is indexed as i*width + j."""
+        """Kronecker product; pair (i, j) is indexed as i*width + j.
+
+        Of two weighted matrices whose product ``_dense`` keeps packed,
+        self's column x1 spread at stride width times other's column x2
+        is output column (x1, x2), one slot per product and so no carry.  Dividing other's
+        numerators by g1 = gcd(self.den, content(other)) and self's by
+        g2 = gcd(other.den, content(self)) first leaves the product
+        canonical, since for canonical operands g1 * g2 is the gcd of
+        the product's den and every numerator."""
         dom = self.dom * other.dom
         cod = self.cod * other.cod
         width = other.cod
@@ -262,6 +469,19 @@ class Matrix:
                 {y1 * width + y2: w1 for y1, w1 in col1.items()}
                 for col1 in self.cols for y2 in other.image]),
                 den=self.den if dom else 1)
+        nnz = self._count() * other._count()
+        if _dense(dom, cod, 1, nnz):    # else no slot width would be kept
+            (top1, content1), (top2, content2) = self._extent(), other._extent()
+            g1, g2 = gcd(self.den, content2), gcd(other.den, content1)
+            top = top1 // g2 * (top2 // g1)
+            w = slot_width(top)
+            if w is not None and _dense(dom, cod, w, nnz):
+                right = other._packed_at(g1, w)
+                packed = tuple([a * b for a in self._packed_at(g2, w, width)
+                                for b in right])
+                return Matrix(dom, cod, den=self.den // g1 * (other.den // g2),
+                              packed=packed, top=top,
+                              content=content1 // g2 * (content2 // g1), nnz=nnz)
         cols: list[dict[int, int]] = [dict() for _ in range(dom)]
         for x1, col1 in enumerate(self.cols):
             for x2, col2 in enumerate(other.cols):

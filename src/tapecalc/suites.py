@@ -31,7 +31,7 @@ from .errors import TypeCheckError
 from .hashcons import fold, postorder
 from .interp import (Interpretation, carrier_of, eval_tape, evaluator,
                      prod_index)
-from .kleisli import Matrix, TheoryModel, exact_str, model_for
+from .kleisli import Matrix, TheoryModel, exact_str, model_for, slot_width
 from .objects import (Monomial, ONE, Polynomial, ZERO, nfold_sum,
                       poly_of_mono)
 from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
@@ -103,7 +103,14 @@ def first_difference(m1: Matrix, m2: Matrix):
     if m1.image is not None and m1.image == m2.image:
         return None
     d1, d2 = m1.den, m2.den
-    for x, (c1, c2) in enumerate(zip(m1.cols, m2.cols)):
+    p1, p2 = m1.packed, m2.packed
+    pairs = enumerate(zip(m1.columns(), m2.columns()))
+    if (p1 is not None and p2 is not None and d1 == d2
+            and slot_width(m1.top) == slot_width(m2.top)):
+        # over one den and slot width, equal columns are equal ints
+        pairs = ((x, (m1.column(x), m2.column(x)))
+                 for x, (a, b) in enumerate(zip(p1, p2)) if a != b)
+    for x, (c1, c2) in pairs:
         if d1 == d2 and c1 == c2:
             continue
         for y in sorted(c1.keys() | c2.keys()):

@@ -1,12 +1,14 @@
 """The matrix kernels against a naive dense exact reference.
 
-Matrices are drawn in both storage forms: row maps (total functions,
-``image``) and column dicts (``Matrix.make``), with int weights,
-Fraction weights or both mixed in one matrix, and with empty domains and
-codomains.  Every kernel result must equal the dense list-of-lists
-product, sum or Kronecker product, and must be canonical: int numerators
-over ``den``, the lcm of the entries' reduced denominators, with no
-stored zero.
+Matrices are drawn in all three storage forms: row maps (total
+functions, ``image``), column dicts (``Matrix.make``) and packed columns
+(built here from the documented slot layout), with int weights, Fraction
+weights or both mixed in one matrix, numerators at the slot-width edges,
+and with empty domains and codomains.  Every kernel result must equal
+the dense list-of-lists product, sum or Kronecker product, and must be
+canonical: int numerators over ``den``, the lcm of the entries' reduced
+denominators, with no stored zero, and a packed result's ints, top,
+content and count exactly those of its numerators.
 """
 
 import itertools
@@ -15,9 +17,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
-from tapecalc.kleisli import Matrix
+from tapecalc import kleisli
+from tapecalc.errors import DimensionError
+from tapecalc.kleisli import Matrix, slot_width
 from tapecalc.suites import first_difference, rand_substochastic
 
 
@@ -60,13 +64,31 @@ def from_dense(m):
 
 def assert_canonical(m):
     numerators = [v for col in m.cols for v in col.values()]
-    assert all(type(v) is int and v != 0 for v in numerators)
+    assert all(type(v) is int and v > 0 for v in numerators)
     assert m.den == math.lcm(*[Fraction(w).denominator
                                for _, _, w in m.nonzeros()])
     assert math.gcd(m.den, *numerators) == 1
     if m.image is not None:
         assert m.den == 1
+    if m.packed is not None:
+        laid_out = packed_form(Matrix(m.dom, m.cod, m.cols, den=m.den))
+        assert ((m.packed, m.top, m.content, m.nnz)
+                == (laid_out.packed, laid_out.top, laid_out.content,
+                    laid_out.nnz))
     return m
+
+
+def packed_form(m):
+    """m with packed columns, laid out as the kernel documents: row y's
+    numerator in bytes [w*y, w*(y+1)) of its column's int, little-endian,
+    for the narrowest w of 1, 2, 4 or 8 bytes that holds the largest."""
+    numerators = [v for col in m.cols for v in col.values()]
+    top = max(numerators, default=0)
+    w = next(w for w in (1, 2, 4, 8) if top < 2 ** (8 * w))
+    packed = tuple(sum(v << (8 * w * y) for y, v in col.items())
+                   for col in m.cols)
+    return Matrix(m.dom, m.cod, den=m.den, packed=packed, top=top,
+                  content=math.gcd(*numerators), nnz=len(numerators))
 
 
 # --- strategies ----------------------------------------------------------------
@@ -74,12 +96,16 @@ def assert_canonical(m):
 SIZES = st.integers(0, 3)
 INTS = st.integers(0, 3)
 FRACTIONS = st.fractions(min_value=0, max_value=2, max_denominator=6)
-WEIGHTS = (INTS, FRACTIONS, st.one_of(INTS, FRACTIONS))
+# numerators on both sides of each slot width, and past 8 bytes
+EDGES = st.sampled_from([0, 1, 2 ** 8 - 1, 2 ** 8, 2 ** 16 - 1, 2 ** 16,
+                         2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64])
+WEIGHTS = (INTS, FRACTIONS, st.one_of(INTS, FRACTIONS),
+           st.one_of(INTS, EDGES))
 
 
 @st.composite
 def matrices(draw, kind, dom=None, cod=None):
-    """A (Matrix, dense) pair; kind is "function" or "dict"."""
+    """A (Matrix, dense) pair; kind is "function", "dict" or "packed"."""
     dom = draw(SIZES) if dom is None else dom
     if kind == "function":
         assume(cod != 0 or not dom)     # no function from a nonempty set to 0
@@ -93,7 +119,11 @@ def matrices(draw, kind, dom=None, cod=None):
     rows = draw(st.lists(st.lists(weights, min_size=dom, max_size=dom),
                          min_size=cod, max_size=cod))
     dense = dom, cod, rows
-    return from_dense(dense), dense
+    m = from_dense(dense)
+    if kind == "packed":
+        assume(all(v < 2 ** 64 for col in m.cols for v in col.values()))
+        m = assert_canonical(packed_form(m))
+    return m, dense
 
 
 def check(m, dense):
@@ -101,9 +131,15 @@ def check(m, dense):
     assert (m.dom, m.cod, m.to_rows()) == dense
     reference = from_dense(dense)
     assert m == reference and reference == m
+    if slot_width(max([v for c in reference.cols for v in c.values()],
+                      default=0)):
+        packed = packed_form(reference)
+        assert m == packed and packed == m
 
 
-KINDS = list(itertools.product(("function", "dict"), repeat=2))
+# the row-map and dict pairs first, then every pair with a packed side
+KINDS = sorted(itertools.product(("function", "dict", "packed"), repeat=2),
+               key=lambda kinds: "packed" in kinds)
 
 
 @pytest.mark.parametrize("kinds", KINDS)
@@ -236,3 +272,149 @@ def test_rand_substochastic_matches_its_draws(dom, cod, seed):
     drawn = rand_substochastic(dom, cod, random.Random(seed))
     assert assert_canonical(drawn) == Matrix.make(dom, cod, entries)
     assert drawn.is_substochastic()
+
+
+# --- packed columns ---------------------------------------------------------------
+
+POSITIVE = (st.integers(1, 3),
+            st.fractions(min_value=Fraction(1, 6), max_value=2,
+                         max_denominator=6),
+            st.one_of(st.integers(1, 3), EDGES.filter(bool)))
+
+
+def drawn_dense(data, dom, cod, kind, weights):
+    """A dense (Matrix, dense) pair with every entry nonzero."""
+    rows = data.draw(st.lists(st.lists(weights, min_size=dom, max_size=dom),
+                              min_size=cod, max_size=cod))
+    m = from_dense((dom, cod, rows))
+    if kind == "packed":
+        assume(all(v < 2 ** 64 for col in m.cols for v in col.values()))
+        m = packed_form(m)
+    return m, (dom, cod, rows)
+
+
+def packs(dense):
+    """Whether the kernels keep a result with these entries packed."""
+    m = from_dense(dense)
+    numerators = [v for col in m.cols for v in col.values()]
+    w = slot_width(max(numerators, default=0))
+    return w is not None and kleisli._dense(m.dom, m.cod, w, len(numerators))
+
+
+@pytest.mark.parametrize("kinds", list(itertools.product(("dict", "packed"),
+                                                         repeat=2)))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_packed_kernels_on_dense_products(kinds, data):
+    # products large and dense enough to be packed: the tensor, a
+    # composite with it on either side, and permutations of its rows
+    # and columns.  A failure is reported unshrunk: each example draws
+    # a few hundred entries, and shrinking one took over ten minutes
+    weights = data.draw(st.sampled_from(POSITIVE))
+    (f, df), (g, dg) = (drawn_dense(data, data.draw(st.integers(4, 5)),
+                                    data.draw(st.integers(4, 5)), kind, weights)
+                        for kind in kinds)
+    t, dt = f.tensor(g), dense_tensor(df, dg)
+    check(t, dt)
+    assert (t.packed is not None) == packs(dt)
+    (h, dh), (k, dk) = (drawn_dense(data, t.cod, 2, "dict", weights),
+                        drawn_dense(data, 2, t.dom, "dict", weights))
+    for result, dense in ((t.then(h), dense_then(dt, dh)),
+                          (k.then(t), dense_then(dk, dt))):
+        check(result, dense)
+        assert (result.packed is not None) == packs(dense)
+    # row y moves to rows[y]; column x reads column columns[x]
+    rows, columns = (data.draw(st.permutations(range(n)))
+                     for n in (t.cod, t.dom))
+    moved = [None] * t.cod
+    for y, row in enumerate(dt[2]):
+        moved[rows[y]] = row
+    for result, dense in (
+            (t.then(Matrix(t.cod, t.cod, image=tuple(rows))),
+             (t.dom, t.cod, moved)),
+            (Matrix(t.dom, t.dom, image=tuple(columns)).then(t),
+             (t.dom, t.cod, [[row[x] for x in columns] for row in dt[2]]))):
+        check(result, dense)
+        assert (result.packed is not None) == (t.packed is not None)
+
+
+@pytest.mark.parametrize("top, width", [
+    (2 ** 8 - 1, 1), (2 ** 8, 2), (2 ** 16 - 1, 2), (2 ** 16, 4),
+    (2 ** 32 - 1, 4), (2 ** 32, 8), (2 ** 64 - 1, 8), (2 ** 64, None)])
+def test_tensor_at_slot_width_edges(top, width):
+    # the product's largest numerator is top; past 8 bytes it keeps dicts
+    df = (4, 4, [[top, 1, 1, 1]] + [[1] * 4] * 3)
+    dg = (4, 4, [[1] * 4] * 4)
+    t, dt = from_dense(df).tensor(from_dense(dg)), dense_tensor(df, dg)
+    check(t, dt)
+    packed = width is not None and kleisli._dense(16, 16, width, 256)
+    assert (t.packed is not None) == packed
+    if packed:
+        assert (t.top, slot_width(t.top)) == (top, width)
+    # a composite whose slot sums may need more than 8 bytes
+    dh = (2, 16, [[1, 1]] * 16)
+    dk = (16, 2, [[1] * 16] * 2)
+    check(from_dense(dh).then(t), dense_then(dh, dt))
+    check(t.then(from_dense(dk)), dense_then(dt, dk))
+
+
+def test_packed_reductions_over_den():
+    # den 2 (numerators 1, 3) times den 3 (numerators 2, 4): the product
+    # is over 3, so g1 = gcd(2, 2) and g2 = gcd(3, 1) divide first
+    df = (4, 4, [[Fraction(1, 2), Fraction(3, 2)] * 2] * 4)
+    dg = (4, 4, [[Fraction(2, 3), Fraction(4, 3)] * 2] * 4)
+    f, g = from_dense(df), from_dense(dg)
+    assert (f.den, g.den) == (2, 3)
+    t = f.tensor(g)
+    check(t, dense_tensor(df, dg))
+    assert t.packed is not None and (t.den, t.top, t.content) == (3, 6, 1)
+    check(packed_form(f).tensor(packed_form(g)), dense_tensor(df, dg))
+    # composites with it on either side, over den 3 * 3
+    dt = dense_tensor(df, dg)
+    dh = (16, 2, [[Fraction(1, 3)] * 16] * 2)
+    dk = (2, 16, [[Fraction(1, 3)] * 2] * 16)
+    check(t.then(from_dense(dh)), dense_then(dt, dh))
+    check(from_dense(dk).then(t), dense_then(dk, dt))
+
+
+PRIMES = (2, 3, 5, 7)
+EXPONENTS = st.lists(st.integers(0, 3), min_size=4, max_size=4)
+
+
+@given(e=st.tuples(EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS))
+@settings(max_examples=300, deadline=None)
+def test_pre_division_gcd_identity(e):
+    # for canonical operands (den coprime to content), g1 * g2 is the gcd
+    # of the product's den and its content, the product of the contents
+    def smooth(exponents, coprime_to=(0,) * 4):
+        return math.prod(p ** (0 if c else k)
+                         for p, k, c in zip(PRIMES, exponents, coprime_to))
+    d1, d2 = smooth(e[0]), smooth(e[1])
+    c1, c2 = smooth(e[2], e[0]), smooth(e[3], e[1])
+    assert math.gcd(d1, c1) == 1 and math.gcd(d2, c2) == 1
+    assert math.gcd(d1 * d2, c1 * c2) == math.gcd(d1, c2) * math.gcd(d2, c1)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pre_division_gcd_identity_on_matrices(data):
+    # the same on the canonical pairs the kernels see, empty ones included
+    (f, df), (g, dg) = (data.draw(matrices("dict")) for _ in range(2))
+    c1, c2 = math.gcd(*numerators_of(f)), math.gcd(*numerators_of(g))
+    products = [a * b for a in numerators_of(f) for b in numerators_of(g)]
+    g1, g2 = math.gcd(f.den, c2), math.gcd(g.den, c1)
+    assert math.gcd(f.den * g.den, *products) == g1 * g2
+    reference = from_dense(dense_tensor(df, dg))
+    assert reference.den == f.den * g.den // (g1 * g2)
+
+
+def numerators_of(m):
+    return [v for col in m.cols for v in col.values()]
+
+
+def test_make_refuses_a_negative_weight():
+    with pytest.raises(DimensionError, match="negative weight"):
+        Matrix.make(1, 2, [(0, 0, 1), (1, 0, Fraction(-1, 2))])
+    with pytest.raises(DimensionError, match="negative weight"):
+        Matrix.from_rows([[1, -1]])
