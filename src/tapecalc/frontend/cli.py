@@ -142,7 +142,7 @@ def cmd_check(args) -> int:
     tapes = {}
     for name, body in module.defs.items():
         try:
-            tape = tapes[name] = elaborate(body, module, sig)
+            tape = tapes[name] = elaborate(body, module)
             walk = postorder((tape,), TERM_KIDS)
             tape_types((tape,), sig, walk)
             check_weights(walk[0], models)
@@ -175,7 +175,7 @@ def cmd_normalize(args) -> int:
 def cmd_eval(args) -> int:
     module = load_module(args.file)
     interp = module.interpretation(args.interp)
-    tape = elaborate(definition(module, args.term), module, interp.sig)
+    tape = elaborate(definition(module, args.term), module)
     walk = postorder((tape,), TERM_KIDS)
     tape_types((tape,), interp.sig, walk)
     sys.stdout.write(eval_tape(tape, interp, walk).pretty() + "\n")
@@ -186,8 +186,8 @@ def cmd_eq(args) -> int:
     module = load_module(args.file)
     interp = module.interpretation(args.interp)
     left, right = definition(module, args.left), definition(module, args.right)
-    lhs = elaborate(left, module, interp.sig)
-    rhs = elaborate(right, module, interp.sig)
+    lhs = elaborate(left, module)
+    rhs = elaborate(right, module)
     result = sem_eq(lhs, rhs, interp)
     if result.kind == "type-error":
         sys.stderr.write(f"error: {result.message}\n")
@@ -214,9 +214,8 @@ def cmd_suite(args) -> int:
 
 def cmd_render(args) -> int:
     module = load_module(args.file)
-    sig = module.signature()
-    tape = elaborate(definition(module, args.term), module, sig)
-    svg = render_svg(tape, sig)
+    tape = elaborate(definition(module, args.term), module)
+    svg = render_svg(tape, module.signature())
     try:
         with open(args.output, "wb") as handle:
             handle.write(svg.encode("utf-8"))

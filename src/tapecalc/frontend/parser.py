@@ -603,22 +603,16 @@ def parse_module(text: str) -> SourceModule:
     return Parser(text).parse_module()
 
 
-def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[ObjTerm, tuple[str, ...]]:
-    """Parse an object expression for the normalizer.
-
-    When no sort registry is supplied, each letter of every identifier
-    counts as a sort, so AB means A (x) B.
+def parse_object_expr(text: str) -> tuple[ObjTerm, tuple[str, ...]]:
+    """Parse an object expression for the normalizer, and list its sorts
+    in order of first use: each letter of every identifier counts as a
+    sort, so AB means A (x) B.
     """
     parser = Parser(text)
-    auto = sorts is None
     found: list[str] = []
-    if not auto:
-        parser.module.sorts = tuple(sorts)
-        parser.sort_index = SortIndex(sorts)
 
     def atom() -> ObjTerm:
-        tok = parser.peek()
-        kind, text, _ = tok
+        kind, text, _ = parser.peek()
         if kind == "INT" and text == "1":
             parser.next()
             return UnitOne()
@@ -627,20 +621,15 @@ def parse_object_expr(text: str, sorts: tuple[str, ...] | None = None) -> tuple[
             return ZeroObj()
         if kind == "IDENT":
             parser.next()
-            names = list(text) if auto else parser.sort_index.split(text)
-            if names is None:
-                parser.fail(f"cannot read {text!r} as a word of declared sorts",
-                            tok=tok)
-            for name in names:
+            for name in text:
                 if name not in found:
                     found.append(name)
-            term: ObjTerm = SortRef(names[-1])
-            for name in reversed(names[:-1]):
+            term: ObjTerm = SortRef(text[-1])
+            for name in reversed(text[:-1]):
                 term = Tensor(SortRef(name), term)
             return term
         parser.fail("expected an object expression", {"sort", "0", "1", "'('"})
 
     term = parser.infix(OBJECT_OPS, atom)
     parser.expect("EOF", "end of input")
-    registered = tuple(sorts) if sorts is not None else tuple(found)
-    return term, registered
+    return term, tuple(found)

@@ -3,7 +3,8 @@
 One horizontal lane per sum-summand; circuits are drawn as boxes on
 wires inside their lane.  Merges, caps and operation splits get fixed
 glyphs.  Nothing is optimized: box sizes and lane heights are constants,
-so identical terms produce identical bytes.  A tape is typed on its
+a leaf takes one lane per monomial on the longer side of its type, so
+identical terms produce identical bytes.  A tape is typed on its
 derived nodes first, as ``check`` types it, and only a well-typed tape
 is expanded to the full tree (``tape.expand``) that is drawn.
 """
@@ -109,7 +110,8 @@ class _Memo:
 
     A circuit's size is its width in units; a tape's is (width in units,
     number of stacked lanes).  A tape's height is the height its drawing
-    takes, which does not depend on where it is drawn."""
+    takes, which does not depend on where it is drawn: a leaf's is that
+    of one lane per monomial on the longer side of its type."""
 
     def __init__(self, t: TapeTerm, sig: MonSignature):
         if not isinstance(t, TapeTerm):
@@ -120,7 +122,8 @@ class _Memo:
     def _visit(self, node, kids: tuple) -> tuple:
         self.types[node] = typ = node_type(node, self.sig, kids)
         self.sizes[node] = self._size(node)
-        self.heights[node] = self._height(node)
+        if isinstance(node, TapeTerm):
+            self.heights[node] = self._height(node)
         return typ
 
     def _size(self, t):
@@ -154,13 +157,9 @@ class _Memo:
             return h1 + (LANE_GAP if h1 else 0.0) + heights[t.bottom]
         if isinstance(t, TSeq):
             return max(heights[t.first], heights[t.second])
-        if isinstance(t, TIdZero):
-            return 0.0
-        if isinstance(t, (TSymPlus, TCodiag)):
-            return 2 * LANE_H + LANE_GAP
-        if isinstance(t, TOpInj) and t.op.arity:
-            return t.op.arity * LANE_H + (t.op.arity - 1) * LANE_GAP
-        return LANE_H
+        dom, cod = self.types[t]
+        lanes = max(len(dom), len(cod))
+        return lanes * LANE_H + (lanes - 1) * LANE_GAP if lanes else 0.0
 
 
 def _draw_lane_wires(u: Monomial, x, y, w, elems, label=True):

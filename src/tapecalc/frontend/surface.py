@@ -246,9 +246,8 @@ def elaborate_circuit(c: SExpr) -> CircuitTerm:
     return out[0]
 
 
-def elaborate(e: SExpr, module: SourceModule,
-              sig: MonSignature | None = None) -> TapeTerm:
-    sig = sig or module.signature()
+def elaborate(e: SExpr, module: SourceModule) -> TapeTerm:
+    sig = module.signature()
     defs = module.defs
     refs: dict[str, TapeTerm] = {}   # each definition elaborates once a call
 

@@ -4,15 +4,17 @@ An interpretation assigns a finite carrier to every sort and an exact
 matrix to every generator; it extends homomorphically to all circuits
 and tapes: ``eval_tape`` is one ``fold`` of ``evaluator`` over
 ``tape.TERM_KIDS``, which gives a node's matrix from its children's, and
-a failure is the error that walk raises.  A block tape (``TBlock``) is
-a leaf: its matrix is one image, a ``range`` per monomial block, from the
+a failure is the error that walk raises.  A structural tape (a
+``TBlock`` or one of the five primitives of ``tape.Structural``) is a
+leaf: its matrix is one image, a ``range`` per monomial block, from the
 carrier sizes and its ``block_layout``, the ``block_map`` that the node
 computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
 the tape t it whiskers: its matrix is t's tensored with an identity per
-whiskering, its blocks reordered by the carrier sizes of t's type, which
-t keeps (``tape.tape_types``).  Carrier indexing is fixed once and for
-all: tensor indices are left-major within a monomial, and a polynomial
-carrier concatenates its monomial blocks in order.
+whiskering, its blocks reordered by ``kleisli.pairing`` from the
+carrier sizes of t's type, which t keeps (``tape.tape_types``).
+Carrier indexing is fixed once and for all: tensor indices are
+left-major within a monomial, and a polynomial carrier concatenates its
+monomial blocks in order.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
                       CTensor, CircuitTerm, MonSignature)
 from .errors import DimensionError, ModelError, UnknownSortError
 from .hashcons import fold
-from .kleisli import Matrix, TheoryModel, op_matrix
+from .kleisli import Matrix, TheoryModel, op_matrix, pairing
 from .objects import Monomial, Polynomial
-from .tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
-                   TOpInj, TSeq, TSum, TSymPlus, TWhisker, TapeTerm,
-                   type_of_tape)
+from .tape import (TERM_KIDS, Structural, TCirc, TOpInj, TSeq, TSum, TWhisker,
+                   TapeTerm, type_of_tape)
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,8 @@ def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
     return fold((t,), TERM_KIDS, evaluator(interp), walk)[0]
 
 
-def block_matrix(node: TapeTerm, interp: Interpretation) -> Matrix:
-    """The matrix of a block tape, from its builder call: each dom
+def block_matrix(node: Structural, interp: Interpretation) -> Matrix:
+    """The matrix of a structural tape, from its builder call: each dom
     block is the identity onto the cod block that ``block_map`` names,
     kept in the node's ``block_layout``.  The carriers are read in dom
     order, as the leaves of the node's full tree read them, so a missing
@@ -157,22 +158,9 @@ def block_matrix(node: TapeTerm, interp: Interpretation) -> Matrix:
     return Matrix(len(image), ends[-1], image=image)
 
 
-def pairing(n: int, sizes: list[int]) -> Matrix:
-    """The permutation from carrier(U (x) P) to carrier(U) x carrier(P),
-    for a monomial U with n elements and a polynomial P whose monomial
-    blocks have the given sizes: block i of U (x) P holds the pairs of U
-    and P's i-th monomial, and pairs are indexed left-major on both."""
-    total, start, image = sum(sizes), 0, []
-    for size in sizes:
-        for u in range(n):
-            image += range(u * total + start, u * total + start + size)
-        start += size
-    return Matrix(len(image), len(image), image=tuple(image))
-
-
 def evaluator(interp: Interpretation) -> Callable:
     """The ``fold`` step of the semantics under interp: a node's matrix
-    from its children's matrices, in order.  A block tape is a
+    from its children's matrices, in order.  A structural tape is a
     ``block_matrix``.  A whiskered tape's one child is the tape t it
     whiskers; each step of its chain tensors t's matrix with the
     identity on U.  On the right, t <| U is exactly that; on the
@@ -205,7 +193,7 @@ def evaluator(interp: Interpretation) -> Callable:
             return kids[0].then(kids[1])
         if cls is TSum:
             return kids[0].oplus(kids[1])
-        if cls is TBlock:
+        if isinstance(node, Structural):
             return block_matrix(node, interp)
         if cls is TWhisker:
             return whiskered(node, *kids)
@@ -219,17 +207,8 @@ def evaluator(interp: Interpretation) -> Callable:
                 return interp.gen_matrices[node.name]
             except KeyError:
                 raise ModelError(f"generator {node.name} has no matrix")
-        if cls is TIdMon:
-            return Matrix.identity(interp.mono_size(node.mono))
         if cls is CIdSort:
             return Matrix.identity(interp.sort_size(node.sort))
-        if cls is TSymPlus:
-            return kleisli.sym_plus(interp.mono_size(node.left),
-                                    interp.mono_size(node.right))
-        if cls is TCodiag:
-            return kleisli.codiag(interp.mono_size(node.mono))
-        if cls is TCobang:
-            return kleisli.cobang(interp.mono_size(node.mono))
         if cls is TOpInj:
             return op_matrix(node.op, interp.model, interp.mono_size(node.mono))
         if cls is CSym:
@@ -239,8 +218,6 @@ def evaluator(interp: Interpretation) -> Callable:
             return kleisli.copier(interp.sort_size(node.sort))
         if cls is CDischarger:
             return kleisli.discharger(interp.sort_size(node.sort))
-        if cls is TIdZero:
-            return Matrix.identity(0)
         if cls is CIdOne:
             return Matrix.identity(1)
         raise ModelError(f"not a tape term: {node!r}")

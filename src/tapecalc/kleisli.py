@@ -552,10 +552,6 @@ class Matrix:
             "[" + ", ".join(map(exact_str, row)) + "]" for row in rows) + "]"
 
 
-def permutation_matrix(n: int, image: Callable[[int], int]) -> Matrix:
-    return Matrix(n, n, image=tuple(image(x) for x in range(n)))
-
-
 # --- structural morphisms (fixed index encodings) ----------------------------
 
 def identity(n: int) -> Matrix:
@@ -573,14 +569,23 @@ def sym_plus(m: int, n: int) -> Matrix:
     return Matrix(m + n, n + m, image=tuple(range(n, n + m)) + tuple(range(n)))
 
 
+def pairing(n: int, sizes: Sequence[int]) -> Matrix:
+    """The permutation from carrier(U (x) P) to carrier(U) x carrier(P),
+    for a monomial U with n elements and a polynomial P whose monomial
+    blocks have the given sizes: block i of U (x) P holds the pairs of U
+    and P's i-th monomial, and pairs are indexed left-major on both."""
+    total, start, image = sum(sizes), 0, []
+    for size in sizes:
+        for u in range(n):
+            image += range(u * total + start, u * total + start + size)
+        start += size
+    return Matrix(len(image), len(image), image=tuple(image))
+
+
 def dl(x: int, y: int, z: int) -> Matrix:
-    """Left distributor X (x) (Y (+) Z) -> XY (+) XZ as an index bijection."""
-
-    def image(i: int) -> int:
-        a, b = divmod(i, y + z)
-        return a * y + b if b < y else x * y + a * z + (b - y)
-
-    return permutation_matrix(x * (y + z), image)
+    """Left distributor X (x) (Y (+) Z) -> XY (+) XZ: the inverse of
+    ``pairing``, which left whiskering uses too."""
+    return pairing(x, (y, z)).transpose_permutation()
 
 
 def dr(x: int, y: int, z: int) -> Matrix:

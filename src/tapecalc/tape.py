@@ -17,19 +17,23 @@ builder of *block tapes* (identities, cobangs, sum symmetries,
 codiagonals, distributors): tapes built from ``TIdMon``, ``TSymPlus``,
 ``TCodiag``, ``TCobang`` and ``TIdZero`` under ``TSum`` and ``TSeq``,
 which move whole monomial blocks, so that the meaning of one is a block
-map (``block_map``).  A ``TWhisker`` is a composite tape t whiskered by a
-chain of monomials.  Whiskering a block tape calls its builder at the
-whiskered objects, and whiskering a whiskered tape extends its chain.  A
-builder whose tree is one primitive node returns that node.  In
-``TERM_KIDS``, the one map of children that every walk reads, a block
-tape is a leaf and a whiskered tape has one child, t, so typing and
-evaluation walk t once however many copies a tensor makes.  ``expand``
-builds the full tree of primitive nodes that a term stands for, from the
-inductive definitions, anew each call; only rendering draws it.  The
-derived nodes never change a verdict or a value, and an error is the one
-the walk over them raises, so it names the subterm where that walk
-failed: for a failure inside a whiskered tape, the composition the user
-wrote, not its whiskered copy in the full tree.
+map (``block_map``).  Those five primitives are builder calls too, each
+at one monomial: every ``Structural`` node keeps the block map of its
+call, and its type and matrix are read from that alone.  A ``TWhisker``
+is a composite tape t whiskered by a chain of monomials.  Whiskering a
+block tape calls its builder at the whiskered objects, whiskering a
+whiskered tape extends its chain, and whiskering a primitive whiskers
+its monomial fields.  A builder whose tree is one primitive node
+returns that node.  In ``TERM_KIDS``, the one map of children that
+every walk reads, a structural tape is a leaf and a whiskered tape has
+one child, t, so typing and evaluation walk t once however many copies
+a tensor makes.  ``expand`` builds the full tree of primitive nodes that
+a term stands for, from the inductive definitions, anew each call; only
+rendering draws it.  The derived nodes never change a verdict or a
+value, and an error is the one the walk over them raises, so it names
+the subterm where that walk failed: for a failure inside a whiskered
+tape, the composition the user wrote, not its whiskered copy in the
+full tree.
 
 A tape keeps its type: ``tape_types`` stores each root's type on the
 node, with the signature object it was typed under, so a tape is walked
@@ -57,14 +61,28 @@ class TapeTerm(Term):
     """Base of the tape nodes."""
 
 
+class Structural(TapeTerm):
+    """Base of the structural tapes, the nodes whose meaning is a block
+    map: ``TBlock`` and the five primitives below.  ``call`` is the
+    node's builder call (builder, *args), a primitive's the call of its
+    class's builder at the one-monomial polynomials of its fields."""
+
+    @cached_property
+    def block_layout(self) -> tuple[tuple, tuple, Sequence[int]]:
+        """``block_map`` of the node's call, computed on first use and
+        kept in the node's ``__dict__``, so it dies with the node."""
+        return block_map(*self.call)
+
+
 @term_node
-class TIdMon(TapeTerm):
+class TIdMon(Structural):
     mono: Monomial
+    call = property(lambda t: ("id_tape", (t.mono,)))
 
 
 @term_node
-class TIdZero(TapeTerm):
-    pass
+class TIdZero(Structural):
+    call = property(lambda t: ("id_tape", ()))
 
 
 @term_node
@@ -73,9 +91,10 @@ class TCirc(TapeTerm):
 
 
 @term_node
-class TSymPlus(TapeTerm):
+class TSymPlus(Structural):
     left: Monomial
     right: Monomial
+    call = property(lambda t: ("symplus_tape", (t.left,), (t.right,)))
 
 
 @term_node
@@ -91,13 +110,15 @@ class TSum(TapeTerm):
 
 
 @term_node
-class TCobang(TapeTerm):
+class TCobang(Structural):
     mono: Monomial
+    call = property(lambda t: ("cobang_tape", (t.mono,)))
 
 
 @term_node
-class TCodiag(TapeTerm):
+class TCodiag(Structural):
     mono: Monomial
+    call = property(lambda t: ("codiag_tape", (t.mono,)))
 
 
 @term_node
@@ -107,16 +128,11 @@ class TOpInj(TapeTerm):
 
 
 @term_node
-class TBlock(TapeTerm):
+class TBlock(Structural):
     """The block tape of the builder named ``builder`` at ``args``."""
     builder: str
     args: tuple
-
-    @cached_property
-    def block_layout(self) -> tuple[tuple, tuple, Sequence[int]]:
-        """``block_map`` of the node, computed on first use and kept in
-        the node's ``__dict__``, so it dies with the node."""
-        return block_map(self.builder, *self.args)
+    call = property(lambda t: (t.builder, *t.args))
 
 
 @term_node
@@ -131,19 +147,21 @@ TERM_KIDS: dict[type, Callable] = {
     **CIRCUIT_KIDS, TSeq: attrgetter("first", "second"),
     TSum: attrgetter("top", "bottom"), TCirc: lambda t: (t.circuit,),
     TWhisker: lambda t: (t.tape,)}
-"""The children of a node in the walks: a block tape is a leaf, given its
-value by ``block_map``, and a whiskered tape has one child, the tape it
-whiskers, whose value its chain of whiskerings maps to its own."""
+"""The children of a node in the walks: a structural tape is a leaf,
+given its value by ``block_map``, and a whiskered tape has one child,
+the tape it whiskers, whose value its chain of whiskerings maps to its
+own."""
 
 
 def block_map(builder: str, p: Polynomial, *args
               ) -> tuple[tuple, tuple, Sequence[int]]:
-    """(dom, cod, blocks) of the block tape ``TBlock(builder, (p, *args))``:
-    dom and cod are tuples of monomials, and the i-th dom monomial lands
-    identically in the cod monomial blocks[i].  The calls are
-    id_tape(P), cobang_tape(P), symplus_tape(P, Q), codiag_tape(P),
-    nfold_codiag(P, m), distributor(P, Q, R, inverse) and
-    dl_nary(P, (Q1, ..., Qk), inverse)."""
+    """(dom, cod, blocks) of the structural tape of the call
+    builder(p, *args): dom and cod are tuples of monomials, and the i-th
+    dom monomial lands identically in the cod monomial blocks[i].  The
+    calls are id_tape(P), cobang_tape(P), symplus_tape(P, Q),
+    codiag_tape(P), nfold_codiag(P, m), distributor(P, Q, R, inverse)
+    and dl_nary(P, (Q1, ..., Qk), inverse); a primitive's P and Q are
+    plain tuples of one monomial, its P the empty tuple for ``TIdZero``."""
     p, n = tuple(p), len(p)
     if builder == "id_tape":
         dom, cod, blocks = p, p, range(n)
@@ -179,9 +197,10 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     types, in order (the ``fold`` step of ``tape_types``): a circuit's
     is a pair of ``Monomial``s, a tape's a pair of plain tuples of
     ``Monomial``s, so a sum is one tuple concatenation and a composition
-    check one tuple comparison.  A block tape's type is its block map's;
-    a whiskered tape's is that of the tape it whiskers, its one child,
-    with each step's monomial multiplied into every monomial on its side.
+    check one tuple comparison.  A structural tape's type is its block
+    map's; a whiskered tape's is that of the tape it whiskers, its one
+    child, with each step's monomial multiplied into every monomial on
+    its side.
     Raises if a step, or the type of a leaf, names a sort not in sig."""
     cls = node.__class__
     if cls is TSeq:
@@ -206,23 +225,11 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
             dom, cod = (tuple([u * x if left else x * u for x in side])
                         for side in (dom, cod))
     else:
-        if cls is TIdMon:
-            dom = cod = (node.mono,)
-        elif cls is TBlock:
+        if isinstance(node, Structural):
             dom, cod, _ = node.block_layout
-        elif cls is TSymPlus:
-            u, v = node.left, node.right
-            dom, cod = (u, v), (v, u)
-        elif cls is TCodiag:
-            cod = (node.mono,)
-            dom = cod + cod
-        elif cls is TCobang:
-            dom, cod = (), (node.mono,)
         elif cls is TOpInj:
             dom = (node.mono,)
             cod = dom * node.op.arity
-        elif cls is TIdZero:
-            dom = cod = ()
         else:
             raise TypeCheckError(f"not a tape term: {node!r}")
         if not sig.sort_set.issuperset(chain.from_iterable(dom + cod)):
@@ -484,23 +491,19 @@ def _whiskered(node: TBlock, u: Monomial, left: bool) -> TapeTerm:
 
 
 def _whisker_leaf(node: TapeTerm, u: Monomial, left: bool) -> TapeTerm:
-    """U |> t if left, else t <| U, for a primitive tape t: t with its
-    fields whiskered."""
-    cls = node.__class__
-    if cls is TIdZero:
-        return node
-    times = (lambda m: u * m) if left else (lambda m: m * u)
-    if cls is TIdMon or cls is TCobang or cls is TCodiag:
-        return cls(times(node.mono))
-    if cls is TCirc:
+    """U |> t if left, else t <| U, for a primitive tape t: a circuit
+    beside the identity on U, any other primitive with each of its
+    monomial fields whiskered."""
+    if node.__class__ is TCirc:
         ids = identity_circuit(u)
         return TCirc(ctensor(ids, node.circuit) if left
                      else ctensor(node.circuit, ids))
-    if cls is TSymPlus:
-        return TSymPlus(times(node.left), times(node.right))
-    if cls is TOpInj:
-        return TOpInj(node.op, times(node.mono))
-    raise TypeCheckError(f"not a tape term: {node!r}")
+    if not isinstance(node, (Structural, TOpInj)):
+        raise TypeCheckError(f"not a tape term: {node!r}")
+    fields = [getattr(node, name) for name in node.__match_args__]
+    return node.__class__(*[
+        (u * x if left else x * u) if isinstance(x, Monomial) else x
+        for x in fields])
 
 
 def whisker_chain(t: TapeTerm, steps: tuple) -> TapeTerm:

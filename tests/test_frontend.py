@@ -51,7 +51,7 @@ def test_corpus_defs_typecheck(path):
     module = parse_module(path.read_text())
     sig = module.signature()
     for name, body in module.defs.items():
-        type_of_tape(elaborate(body, module, sig), sig)
+        type_of_tape(elaborate(body, module), sig)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
@@ -201,6 +201,43 @@ def test_cli_check_rejects_operations_no_declared_theory_weighs(
         assert code == 3
         assert out.err == (f"error: definition {name}: operation {op} has no "
                            "weights in any declared theory\n")
+
+
+PCA_CHOICE = """sort A;
+theory {theory};
+interp I {{
+  A = {{a, b}};
+  model = {model};
+}}
+def d = {body};
+"""
+
+
+@pytest.mark.parametrize("p, q", [("1/3", "2/3"), ("1/5", "4/5")])
+@pytest.mark.parametrize("body", ["op<+_{}>@A", "term<x1 +_{} x2>@A"])
+def test_cli_eval_weighs_a_choice_the_module_does_not_declare(
+        tmp_path, capsys, body, p, q):
+    """PCA's model weighs +_p at (p, 1 - p) for every 0 < p < 1: from
+    p = 1/2 the theory derives +_1/3 (as +_{p(1-q)/(1-pq)} at q = 1/2)
+    but not +_1/5, which only the model's fallback weighs."""
+    path = tmp_path / "choice.tape"
+    path.write_text(PCA_CHOICE.format(theory="PCA with p = 1/2", model="PCA",
+                                      body=body.format(p)))
+    assert main(["eval", str(path), "--term", "d", "--interp", "I"]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        f"[[{p}, 0], [0, {p}], [{q}, 0], [0, {q}]]\n", "")
+
+
+@pytest.mark.parametrize("p", ["1/3", "1/5"])
+def test_cli_check_rejects_a_choice_under_cm(tmp_path, capsys, p):
+    path = tmp_path / "choice.tape"
+    path.write_text(PCA_CHOICE.format(theory="CM", model="CM",
+                                      body=f"op<+_{p}>@A"))
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: definition d: operation +_{p} "
+                                  "has no weights in any declared theory\n")
 
 
 def test_cli_render_deterministic(tmp_path):

@@ -157,9 +157,9 @@ def test_check_elaborates_each_definition_once(path, tmp_path, monkeypatch,
         expected = (0, "", "")
     calls = []
 
-    def counting(e, module, sig=None):
+    def counting(e, module):
         calls.append(e)
-        return elaborate(e, module, sig)
+        return elaborate(e, module)
 
     monkeypatch.setattr(cli, "elaborate", counting)
     code = main(["check", str(path)])

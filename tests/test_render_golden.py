@@ -37,7 +37,7 @@ def renders():
         module = parse_module(text)
         sig = module.signature()
         for name, body in module.defs.items():
-            yield f"{source}:{name}", render_svg(elaborate(body, module, sig), sig)
+            yield f"{source}:{name}", render_svg(elaborate(body, module), sig)
 
 
 def digest(svg: str) -> str:

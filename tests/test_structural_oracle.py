@@ -1,0 +1,154 @@
+"""The five structural primitives against their per-class rules.
+
+``TIdMon``, ``TIdZero``, ``TSymPlus``, ``TCodiag`` and ``TCobang`` are
+typed and evaluated from the block map of their builder call, as every
+``TBlock`` is, and whiskered by whiskering their monomial fields.  The
+references below are the rules each class had on its own: its type, its
+sort checks in order, its matrix from the ``kleisli`` builder at carrier
+level, with the carriers read in order, and its whiskering.  A primitive
+agrees with its reference when both give the same value, or both raise
+the same error.
+"""
+
+from fractions import Fraction
+from itertools import chain, product
+
+from hypothesis import given, settings, strategies as st
+
+from tapecalc import kleisli
+from tapecalc.circuit import MonSignature
+from tapecalc.errors import TapecalcError
+from tapecalc.interp import Interpretation, eval_tape
+from tapecalc.kleisli import Matrix, model_for
+from tapecalc.objects import Monomial
+from tapecalc.tape import (TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
+                           TSymPlus, tape_types, whisker_left_mono,
+                           whisker_right_mono)
+from tapecalc.theory import builtin_theory, choice
+
+SORTS = ("A", "B", "C")
+MODEL = model_for(builtin_theory("PCA", (Fraction(1, 2),)))
+
+monomials = st.lists(st.sampled_from(SORTS), max_size=3).map(
+    lambda sorts: Monomial(tuple(sorts)))
+primitives = st.one_of(
+    st.builds(TIdMon, monomials), st.just(TIdZero()),
+    st.builds(TSymPlus, monomials, monomials), st.builds(TCodiag, monomials),
+    st.builds(TCobang, monomials))
+sort_sets = st.sets(st.sampled_from(SORTS)).map(sorted)
+carrier_maps = st.dictionaries(st.sampled_from(SORTS), st.integers(0, 3))
+
+
+def outcome(f, *args):
+    """f(*args), or the class and text of the error it raises."""
+    try:
+        return f(*args)
+    except TapecalcError as exc:
+        return exc.__class__, str(exc)
+
+
+# --- the per-class rules ------------------------------------------------------
+
+def ref_type(t, sig):
+    """The class's type rule, then the check of each sort of dom and cod
+    in order."""
+    cls = t.__class__
+    if cls is TIdMon:
+        dom = cod = (t.mono,)
+    elif cls is TSymPlus:
+        dom, cod = (t.left, t.right), (t.right, t.left)
+    elif cls is TCodiag:
+        dom, cod = (t.mono, t.mono), (t.mono,)
+    elif cls is TCobang:
+        dom, cod = (), (t.mono,)
+    else:
+        dom = cod = ()
+    for s in chain.from_iterable(dom + cod):
+        sig.check_sort(s)
+    return dom, cod
+
+
+def ref_matrix(t, interp):
+    """The class's kleisli builder at the carrier sizes of its fields,
+    read left before right."""
+    size = interp.mono_size
+    cls = t.__class__
+    if cls is TIdMon:
+        return Matrix.identity(size(t.mono))
+    if cls is TSymPlus:
+        return kleisli.sym_plus(size(t.left), size(t.right))
+    if cls is TCodiag:
+        return kleisli.codiag(size(t.mono))
+    if cls is TCobang:
+        return kleisli.cobang(size(t.mono))
+    return Matrix.identity(0)
+
+
+def ref_whisker(t, u, left):
+    """U |> t if left, else t <| U, field by field."""
+    def times(m):
+        return u * m if left else m * u
+
+    cls = t.__class__
+    if cls is TIdZero:
+        return t
+    if cls is TSymPlus:
+        return TSymPlus(times(t.left), times(t.right))
+    if cls is TOpInj:
+        return TOpInj(t.op, times(t.mono))
+    return cls(times(t.mono))
+
+
+def old_dl_image(x, y, z):
+    """The closed form of the left distributor X (x) (Y (+) Z) ->
+    XY (+) XZ on indices."""
+    def image(i):
+        a, b = divmod(i, y + z)
+        return a * y + b if b < y else x * y + a * z + (b - y)
+
+    return tuple(image(i) for i in range(x * (y + z)))
+
+
+# --- the oracle ---------------------------------------------------------------
+
+@given(t=primitives, sorts=sort_sets)
+@settings(max_examples=300, deadline=None)
+def test_a_primitive_is_typed_by_its_class_rule(t, sorts):
+    """The type, or the unregistered sort named first, as the class's
+    rule gives it: for ``TSymPlus``, the left monomial's before the
+    right's."""
+    sig = MonSignature(tuple(sorts))
+    assert outcome(lambda: tape_types((t,), sig)[0]) == \
+        outcome(ref_type, t, sig)
+
+
+@given(t=primitives, carriers=carrier_maps)
+@settings(max_examples=300, deadline=None)
+def test_a_primitive_evaluates_to_its_kleisli_builder(t, carriers):
+    """The matrix, a row map, or the sort named first that has no
+    carrier, as the class's kleisli builder gives it."""
+    interp = Interpretation(MonSignature(SORTS), carriers, {}, MODEL)
+    got = outcome(eval_tape, t, interp)
+    expected = outcome(ref_matrix, t, interp)
+    assert got == expected
+    if isinstance(got, Matrix):
+        assert (got.dom, got.cod, got.image) == \
+            (expected.dom, expected.cod, expected.image)
+
+
+@given(t=st.one_of(primitives, st.builds(TOpInj, st.just(choice(Fraction(1, 2))),
+                                          monomials)),
+       u=monomials, left=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_a_primitive_is_whiskered_field_by_field(t, u, left):
+    whiskered = whisker_left_mono(u, t) if left else whisker_right_mono(t, u)
+    assert whiskered is ref_whisker(t, u, left)
+
+
+def test_dl_is_the_old_closed_form():
+    """kleisli.dl, the inverse of the pairing that left whiskering uses,
+    is the closed-form index bijection at every size from 0 to 4."""
+    for x, y, z in product(range(5), repeat=3):
+        d = kleisli.dl(x, y, z)
+        n = x * (y + z)
+        assert (d.dom, d.cod, d.image) == (n, n, old_dl_image(x, y, z))
