@@ -14,7 +14,7 @@ from .tape import (TapeTerm, cobang_tape, codiag_tape, copier_tape,
                    discharger_tape, distributor, id_tape, nfold_codiag,
                    op_inj_tape, symplus_tape, symtensor_tape, tensor_tape,
                    term_tape, type_of_tape, whisker_left, whisker_right)
-from .interp import Interpretation, carrier_of, eval_circuit, eval_tape
+from .interp import Interpretation, carrier_of, eval_tape
 from .suites import (SuiteBounds, SuiteReport, axiom_suite, coherence_suite,
                      lemma_suite, sem_eq, standard_interpretation,
                      whiskering_suite)

@@ -4,11 +4,16 @@ Circuits are typed by monomials.  Generators carry monomial arities and
 coarities; every sort has a copier and a discharger, extended to whole
 monomials by the usual inductive clauses.  Nodes are hash-consed (see
 ``hashcons``).
+
+The identity, symmetry, copier and discharger of a whole monomial are
+each one ``CBlock(builder, words)`` node, their builder call, read from
+its ``wire_map``; a call whose tree is one primitive node returns it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Mapping
 
@@ -94,6 +99,15 @@ class CDischarger(CircuitTerm):
     sort: str
 
 
+@term_node
+class CBlock(CircuitTerm):
+    """The structural circuit of the builder named ``builder`` at the
+    monomials ``words``: (U, W) for ``sym_circuit``, (U,) for
+    ``copier_circuit``, ``discharger_circuit`` and ``identity_circuit``."""
+    builder: str
+    words: tuple
+
+
 CIRCUIT_KIDS: dict[type, Callable] = {
     CSeq: attrgetter("first", "second"), CTensor: attrgetter("top", "bottom")}
 
@@ -128,6 +142,10 @@ def circuit_node_type(c: CircuitTerm, sig: MonSignature,
     if cls is CDischarger:
         sig.check_sort(c.sort)
         return Monomial((c.sort,)), ONE
+    if cls is CBlock:
+        for s in chain.from_iterable(c.words):
+            sig.check_sort(s)
+        return wire_map(c)[:2]
     raise TypeCheckError(f"not a circuit term: {c!r}")
 
 
@@ -138,6 +156,22 @@ def type_of_circuit(c: CircuitTerm, sig: MonSignature) -> tuple[Monomial, Monomi
 
 
 # --- derived structural circuits ----------------------------------------------
+
+def wire_map(c: CBlock) -> tuple[Monomial, Monomial, list]:
+    """(dom, cod, targets) of c: the i-th wire of dom joins the wires
+    targets[i] of cod, each wire carrying one sort."""
+    u, *w = c.words
+    n = len(u)
+    if c.builder == "sym_circuit":
+        m = len(w[0])
+        return (u * w[0], w[0] * u,
+                [(m + i,) for i in range(n)] + [(j,) for j in range(m)])
+    if c.builder == "copier_circuit":
+        return u, u * u, [(i, n + i) for i in range(n)]
+    if c.builder == "discharger_circuit":
+        return u, ONE, [()] * n
+    return u, u, [(i,) for i in range(n)]
+
 
 def cseq(*parts: CircuitTerm) -> CircuitTerm:
     term = parts[0]
@@ -157,56 +191,22 @@ def ctensor(*parts: CircuitTerm) -> CircuitTerm:
 
 
 def identity_circuit(u: Monomial) -> CircuitTerm:
-    return ctensor(*(CIdSort(a) for a in u))
-
-
-def _suffix_identities(u: tuple) -> list[CircuitTerm]:
-    """identity_circuit of u[i:] for i = 0 .. len(u), each built once."""
-    return [identity_circuit(u[i:]) for i in range(len(u) + 1)]
-
-
-def _sort_syms(a: str, w: tuple, w_ids: list) -> list[CircuitTerm]:
-    """sigma_{A,w[j:]} for j = 0 .. len(w), given w's
-    ``_suffix_identities``, each from the next shorter one:
-    sigma_{A, B.W'} = (sigma_{A,B} (x) id_{W'}) ; (id_B (x) sigma_{A,W'})."""
-    syms = [CIdSort(a)]
-    for j in reversed(range(len(w))):
-        syms.append(CSeq(ctensor(CSym(a, w[j]), w_ids[j + 1]),
-                         CTensor(CIdSort(w[j]), syms[-1])))
-    return syms[::-1]
-
-
-def sym_circuit(u: Monomial, w: Monomial) -> CircuitTerm:
-    """sigma_{U,W} : U (x) W -> W (x) U by the inductive clauses, from the
-    last sort of u to the first:
-    sigma_{A.U',W} = (id_A (x) sigma_{U',W}) ; (sigma_{A,W} (x) id_{U'})."""
-    if u.is_unit or w.is_unit:
-        return identity_circuit(u * w)
-    u_ids, w_ids = _suffix_identities(u), _suffix_identities(w)
-    syms = {a: _sort_syms(a, w, w_ids)[0] for a in dict.fromkeys(u)}
-    t = w_ids[0]
-    for i in reversed(range(len(u))):
-        t = CSeq(CTensor(CIdSort(u[i]), t), ctensor(syms[u[i]], u_ids[i + 1]))
-    return t
-
-
-def copier_circuit(u: Monomial) -> CircuitTerm:
-    """copier_U : U -> UU, interleaving the per-sort copies, from the last
-    sort of u to the first:
-    copier_{A.U'} = (copier_A (x) copier_{U'}) ;
-                    (id_A (x) sigma_{A,U'} (x) id_{U'}),
-    with sigma_{A,U'} built as ``sym_circuit`` builds it."""
-    ids = _suffix_identities(u)
-    syms = {a: _sort_syms(a, u, ids) for a in dict.fromkeys(u)}
-    t = CIdOne()
-    for i in reversed(range(len(u))):
-        a, id_rest = u[i], ids[i + 1]
-        sym = (CSeq(CTensor(CIdSort(a), id_rest), syms[a][i + 1])
-               if i + 1 < len(u) else CIdSort(a))
-        t = CSeq(ctensor(CCopier(a), t),
-                 CTensor(CIdSort(a), ctensor(sym, id_rest)))
-    return t
+    return (CBlock("identity_circuit", (u,)) if len(u) > 1
+            else ctensor(*map(CIdSort, u)))
 
 
 def discharger_circuit(u: Monomial) -> CircuitTerm:
-    return ctensor(*(CDischarger(a) for a in u))
+    return (CBlock("discharger_circuit", (u,)) if len(u) > 1
+            else ctensor(*map(CDischarger, u)))
+
+
+def sym_circuit(u: Monomial, w: Monomial) -> CircuitTerm:
+    """sigma_{U,W} : U (x) W -> W (x) U."""
+    if u.is_unit or w.is_unit:
+        return identity_circuit(u * w)
+    return CBlock("sym_circuit", (u, w))
+
+
+def copier_circuit(u: Monomial) -> CircuitTerm:
+    """copier_U : U -> UU, interleaving the per-sort copies."""
+    return CBlock("copier_circuit", (u,)) if u else CIdOne()

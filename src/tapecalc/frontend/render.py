@@ -4,21 +4,24 @@ One horizontal lane per sum-summand; circuits are drawn as boxes on
 wires inside their lane.  Merges, caps and operation splits get fixed
 glyphs.  Nothing is optimized: box sizes and lane heights are constants,
 a leaf takes one lane per monomial on the longer side of its type, so
-identical terms produce identical bytes.  A tape is typed on its
-derived nodes first, as ``check`` types it, and only a well-typed tape
-is expanded to the full tree (``tape.expand``) that is drawn.
+identical terms produce identical bytes.  The DAG that typing walks is
+drawn, so the drawing grows with the term: a block tape from its
+``block_layout``, a block circuit as its ``wire_map``, a whiskered tape
+as the tape it whiskers, labelled with its whiskerings.  A tape is typed
+first, as ``check`` types it, so an ill-typed one fails before drawing.
 """
 
 from __future__ import annotations
 
-from ..circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq,
-                       CSym, CTensor, CircuitTerm, MonSignature)
+from ..circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne, CIdSort,
+                       CSeq, CSym, CTensor, CircuitTerm, MonSignature,
+                       wire_map)
 from ..errors import TypeCheckError
 from ..hashcons import fold
 from ..objects import Monomial
-from ..tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
-                    TOpInj, TSeq, TSum, TSymPlus, TapeTerm, expand, node_type,
-                    tape_types)
+from ..tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon,
+                    TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker, TapeTerm,
+                    node_type, tape_types)
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -44,6 +47,10 @@ def _rect(x, y, w, h, fill="white") -> str:
 def _text(x, y, s, anchor="middle") -> str:
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
             f'{FONT}>{s}</text>')
+
+
+def _dot(x, y) -> str:
+    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="black"/>'
 
 
 def _tape_band(x, y, w, h, elems):
@@ -81,13 +88,15 @@ def _draw_gate(c: CircuitTerm, memo: _Memo, x: float, y: float,
         elems.append(_line(x, mid, x + w / 2, mid))
         elems.append(_line(x + w / 2, mid, x + w, ys_out[0]))
         elems.append(_line(x + w / 2, mid, x + w, ys_out[1]))
-        elems.append(f'<circle cx="{_fmt(x + w / 2)}" cy="{_fmt(mid)}" r="3" '
-                     f'fill="black"/>')
+        elems.append(_dot(x + w / 2, mid))
         return
     if isinstance(c, CDischarger):
         mid = y + h / 2
         elems.append(_line(x, mid, x + w / 2, mid))
         elems.append(_line(x + w / 2, mid - 5, x + w / 2, mid + 5, 2.0))
+        return
+    if isinstance(c, CBlock):
+        _draw_wire_map(c, ys_in, ys_out, x, w, elems)
         return
     if isinstance(c, CGen):
         bx, bw = x + w * 0.2, w * 0.6
@@ -100,6 +109,27 @@ def _draw_gate(c: CircuitTerm, memo: _Memo, x: float, y: float,
         elems.append(_text(x + w / 2, y + h / 2 + 4, c.name))
         return
     raise TypeCheckError(f"not a circuit term: {c!r}")
+
+
+def _draw_wire_map(c: CBlock, ys_in, ys_out, x: float, w: float,
+                   elems: list[str]) -> None:
+    """Each input wire, labelled with its sort, joined to each output wire
+    it reaches: a dot where it forks, a bar where it ends."""
+    x1, x2 = x + w * 0.3, x + w * 0.7
+    dom, _, wires = wire_map(c)
+    elems.append(f'<g class="wires {c.builder}">')
+    for sort, wy, targets in zip(dom, ys_in, wires):
+        elems.append(_line(x, wy, x1, wy))
+        elems.append(_text(x + w * 0.15, wy - 3, sort))
+        for j in targets:
+            elems.append(_line(x1, wy, x2, ys_out[j]))
+        if not targets:
+            elems.append(_line(x1, wy - 5, x1, wy + 5, 2.0))
+        elif len(targets) > 1:
+            elems.append(_dot(x1, wy))
+    for wy in ys_out:
+        elems.append(_line(x2, wy, x + w, wy))
+    elems.append("</g>")
 
 
 # --- tapes ------------------------------------------------------------------
@@ -146,7 +176,9 @@ class _Memo:
             return max(w1, w2), l1 + l2
         if isinstance(t, TCirc):
             return sizes[t.circuit], 1
-        if isinstance(t, (TSymPlus, TCodiag, TOpInj)):
+        if isinstance(t, TWhisker):
+            return sizes[t.tape]
+        if isinstance(t, (TSymPlus, TCodiag, TOpInj, TBlock)):
             return 1.5, lanes
         return 1.0, lanes
 
@@ -157,19 +189,17 @@ class _Memo:
             return h1 + (LANE_GAP if h1 else 0.0) + heights[t.bottom]
         if isinstance(t, TSeq):
             return max(heights[t.first], heights[t.second])
+        if isinstance(t, TWhisker):
+            return heights[t.tape]
         dom, cod = self.types[t]
         lanes = max(len(dom), len(cod))
         return lanes * LANE_H + (lanes - 1) * LANE_GAP if lanes else 0.0
 
 
-def _draw_lane_wires(u: Monomial, x, y, w, elems, label=True):
-    ys = _wire_ys(max(len(u), 1), y, LANE_H)
-    if u.is_unit:
-        return
-    for wy, name in zip(ys, u):
+def _draw_lane_wires(u: Monomial, x, y, w, elems):
+    for wy, name in zip(_wire_ys(len(u), y, LANE_H), u):
         elems.append(_line(x, wy, x + w, wy))
-        if label:
-            elems.append(_text(x + w / 2, wy - 3, name))
+        elems.append(_text(x + w / 2, wy - 3, name))
 
 
 def _draw(t: TapeTerm, memo: _Memo, x: float, y: float, w: float,
@@ -208,8 +238,51 @@ def _draw(t: TapeTerm, memo: _Memo, x: float, y: float, w: float,
         elif isinstance(node, TCirc):
             _tape_band(x, y, w, LANE_H, elems)
             stack.append((node.circuit, x, y, w, LANE_H))
+        elif isinstance(node, TWhisker):
+            label = "-"     # "U |> -" for U |> t, "- <| U" for t <| U
+            for left, u in node.steps:
+                label = f"{u} |&gt; {label}" if left else f"{label} &lt;| {u}"
+            elems.append(_text(x, y - 2, label, "start"))
+            stack.append((node.tape, x, y, w, h))
+        elif isinstance(node, TBlock):
+            _draw_block(node, x, y, w, elems)
         else:
             _draw_tape_leaf(node, x, y, w, h, elems)
+
+
+def _draw_block(t: TBlock, x: float, y: float, w: float,
+                elems: list[str]) -> None:
+    """A block tape from its ``block_layout``: the band of the i-th dom
+    monomial runs to the cod band ``blocks[i]``, and each band is
+    labelled with its monomial.  A band that alone stays in its lane is
+    one band across; any other is a dom band on the left, joined by a
+    connector to a cod band on the right, with a dot where several bands
+    merge into it and a cap where none reaches it."""
+    dom, cod, blocks = t.block_layout
+    band_w, x2 = w * 0.3, x + w * 0.7
+    mids = [y + i * (LANE_H + LANE_GAP) + LANE_H / 2
+            for i in range(max(len(dom), len(cod)))]
+    joins = [0] * len(cod)
+    for b in blocks:
+        joins[b] += 1
+    straight = {i for i, b in enumerate(blocks) if b == i and joins[b] == 1}
+    elems.append(f'<g class="block {t.builder}">')
+    for i, (mid, u) in enumerate(zip(mids, dom)):
+        width = w if i in straight else band_w
+        _tape_band(x, mid - LANE_H / 2, width, LANE_H, elems)
+        elems.append(_text(x + width / 2, mid + 4, str(u)))
+        if i not in straight:
+            elems.append(_line(x + band_w, mid, x2, mids[blocks[i]]))
+    for j, (mid, u) in enumerate(zip(mids, cod)):
+        if j in straight:
+            continue
+        _tape_band(x2, mid - LANE_H / 2, band_w, LANE_H, elems)
+        elems.append(_text(x2 + band_w / 2, mid + 4, str(u)))
+        if joins[j] > 1:
+            elems.append(_dot(x2, mid))
+        elif not joins[j]:
+            elems.append(_line(x2, mid - LANE_H / 2, x2, mid + LANE_H / 2, 2.0))
+    elems.append("</g>")
 
 
 def _draw_tape_leaf(t: TapeTerm, x: float, y: float, w: float, h: float,
@@ -261,11 +334,10 @@ def _draw_tape_leaf(t: TapeTerm, x: float, y: float, w: float, h: float,
 
 
 def render_svg(t: TapeTerm, sig: MonSignature) -> str:
-    """Valid SVG 1.1 text for a typeable tape, drawn as its full tree
-    (``tape.expand``); byte-stable per term.  An ill-typed tape fails as
-    ``check`` does, before any full tree is built."""
+    """Valid SVG 1.1 text for a typeable tape, drawn as its DAG;
+    byte-stable per term.  An ill-typed tape fails as ``check`` does,
+    before anything is drawn."""
     tape_types((t,), sig)
-    t = expand(t)
     memo = _Memo(t, sig)
     w_units, lanes = memo.sizes[t]
     width = w_units * UNIT_W + 2 * PAD

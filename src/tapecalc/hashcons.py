@@ -3,13 +3,13 @@
 live one returns that one, so equal terms are identical, ``==`` is
 identity and a term is a DAG of distinct subterms.  ``postorder`` lists
 those subterms without recursion; ``fold`` over it is every term walker:
-typing, evaluation, full-tree expansion and the walks over Σ-terms.
+typing, evaluation, rendering and the walks over Σ-terms.
 
 A walk takes each node's children from a ``kids`` map, so the map decides
 where the walk stops, and what a node's children are: in
-``tape.TERM_KIDS``, the one map of typing and evaluation, a block tape is
-a leaf and a whiskered tape has one child, the tape it whiskers.  Only
-``tape.expand``, for rendering, walks past them to the full tree.
+``tape.TERM_KIDS``, the one map of every walk over tapes and circuits, a
+block tape or block circuit is a leaf and a whiskered tape has one
+child, the tape it whiskers.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ carrier sizes and its ``block_layout``, the ``block_map`` that the node
 computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
 the tape t it whiskers: its matrix is t's tensored with an identity per
 whiskering, its blocks reordered by ``kleisli.pairing`` from the
-carrier sizes of t's type, which t keeps (``tape.tape_types``).
-Carrier indexing is fixed once and for all: tensor indices are
+carrier sizes of t's type, which t keeps (``tape.tape_types``).  A
+structural circuit (``circuit.CBlock``) is a leaf too, whose matrix is
+the ``kleisli`` closed form of its builder at the carrier sizes of its
+words.  Carrier indexing is fixed once and for all: tensor indices are
 left-major within a monomial, and a polynomial carrier concatenates its
 monomial blocks in order.
 """
@@ -24,8 +26,8 @@ from itertools import accumulate, chain
 from typing import Callable, Mapping, Union
 
 from . import kleisli
-from .circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort, CSeq, CSym,
-                      CTensor, CircuitTerm, MonSignature)
+from .circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne, CIdSort,
+                      CSeq, CSym, CTensor, CircuitTerm, MonSignature)
 from .errors import DimensionError, ModelError, UnknownSortError
 from .hashcons import fold
 from .kleisli import Matrix, TheoryModel, op_matrix, pairing
@@ -148,14 +150,20 @@ def block_matrix(node: Structural, interp: Interpretation) -> Matrix:
     """The matrix of a structural tape, from its builder call: each dom
     block is the identity onto the cod block that ``block_map`` names,
     kept in the node's ``block_layout``.  The carriers are read in dom
-    order, as the leaves of the node's full tree read them, so a missing
-    one is named as there; every cod monomial but a cobang's is in dom."""
+    order, so a missing one is the first in dom order that the node's
+    inductive definition would read; every cod monomial but a cobang's
+    is in dom."""
     dom, cod, blocks = node.block_layout
     size = {u: interp.mono_size(u) for u in dom or cod}
     ends = (0, *accumulate(map(size.__getitem__, cod)))
     image = tuple(chain.from_iterable(
         [range(ends[b], ends[b + 1]) for b in blocks]))
     return Matrix(len(image), ends[-1], image=image)
+
+
+CLOSED_FORMS = {"sym_circuit": "sym_tensor", "copier_circuit": "copier",
+                "discharger_circuit": "discharger",
+                "identity_circuit": "identity"}     # kleisli builders by name
 
 
 def evaluator(interp: Interpretation) -> Callable:
@@ -166,7 +174,8 @@ def evaluator(interp: Interpretation) -> Callable:
     identity on U.  On the right, t <| U is exactly that; on the
     left, U |> t is that with its dom and cod blocks reordered by
     ``pairing``, from the carrier sizes of the monomials of t's type,
-    which t keeps (see ``tape.tape_types``)."""
+    which t keeps (see ``tape.tape_types``).  A ``CBlock`` is its
+    ``CLOSED_FORMS`` builder at the carrier sizes of its words."""
     def whiskered(node: TWhisker, m: Matrix) -> Matrix:
         t = node.tape
         scale = 1       # the carrier size of the steps so far
@@ -199,6 +208,9 @@ def evaluator(interp: Interpretation) -> Callable:
             return whiskered(node, *kids)
         if cls is CTensor:
             return kids[0].tensor(kids[1])
+        if cls is CBlock:
+            return getattr(kleisli, CLOSED_FORMS[node.builder])(
+                *map(interp.mono_size, node.words))
         if cls is TCirc:
             return kids[0]
         if cls is CGen:
@@ -224,5 +236,3 @@ def evaluator(interp: Interpretation) -> Callable:
 
     return step
 
-
-eval_circuit = eval_tape    # one walker for both layers

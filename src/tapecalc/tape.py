@@ -26,14 +26,12 @@ whiskered tape extends its chain, and whiskering a primitive whiskers
 its monomial fields.  A builder whose tree is one primitive node
 returns that node.  In ``TERM_KIDS``, the one map of children that
 every walk reads, a structural tape is a leaf and a whiskered tape has
-one child, t, so typing and evaluation walk t once however many copies
-a tensor makes.  ``expand`` builds the full tree of primitive nodes that
-a term stands for, from the inductive definitions, anew each call; only
-rendering draws it.  The derived nodes never change a verdict or a
-value, and an error is the one the walk over them raises, so it names
-the subterm where that walk failed: for a failure inside a whiskered
-tape, the composition the user wrote, not its whiskered copy in the
-full tree.
+one child, t, so typing, evaluation and rendering walk t once however
+many copies a tensor makes.  A derived node is the only form of its
+tape: no tree of primitive nodes is built for it.  An error is the one
+the walk over the derived nodes raises, so it names the subterm where
+that walk failed: for a failure inside a whiskered tape, the
+composition the user wrote.
 
 A tape keeps its type: ``tape_types`` stores each root's type on the
 node, with the signature object it was typed under, so a tape is walked
@@ -296,8 +294,8 @@ def as_poly(x: Union[Polynomial, Monomial]) -> Polynomial:
 #
 # The structural tapes are defined by recursion on the first monomial of a
 # polynomial.  A block tape's builder returns its call as one ``TBlock``
-# node, and ``_body`` unfolds the definition once, for ``expand``; the
-# other builders compute the recursion by a loop (``_right_fold``).
+# node, whose meaning is its ``block_map``; the other builders compute
+# the recursion by a loop (``_right_fold``).
 
 def _right_fold(p: Polynomial, base: Callable[[], TapeTerm],
                 step: Callable[[Monomial, Polynomial, TapeTerm], TapeTerm]
@@ -325,14 +323,6 @@ def id_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
 
 def cobang_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
     return _monowise(TCobang, "cobang_tape", p)
-
-
-def _mono_vs_poly(u: Monomial, q: Polynomial) -> TapeTerm:
-    """sigma+_{U,Q} : U (+) Q -> Q (+) U, one monomial of Q at a time."""
-    return _right_fold(
-        q, lambda: TIdMon(u),
-        lambda w, q_rest, t: tseq(tsum(TSymPlus(u, w), id_tape(q_rest)),
-                                  tsum(TIdMon(w), t)))
 
 
 def symplus_tape(p: Union[Polynomial, Monomial],
@@ -382,40 +372,6 @@ def nfold_codiag(p: Union[Polynomial, Monomial], m: int) -> TapeTerm:
     if m < 2:
         return cobang_tape(p) if m == 0 else id_tape(p)
     return TBlock("nfold_codiag", (p, m))
-
-
-def _body(node: TBlock) -> TapeTerm:
-    """The definition of a block tape unfolded once: a term over
-    primitive nodes and the block tapes of smaller arguments."""
-    builder, (p, *args) = node.builder, node.args
-    if builder == "id_tape":
-        return TSum(id_tape(Polynomial(p[:-1])), TIdMon(p[-1]))
-    if builder == "cobang_tape":
-        return TSum(cobang_tape(Polynomial(p[:-1])), TCobang(p[-1]))
-    if builder == "nfold_codiag":
-        return tseq(tsum(id_tape(p), nfold_codiag(p, args[0] - 1)),
-                    codiag_tape(p))
-    if builder == "dl_nary":
-        (q, *qs), inverse = args
-        step = distributor(p, q, Polynomial(chain.from_iterable(qs)), inverse)
-        rest = tsum(id_tape(p * q), dl_nary(p, qs, inverse))
-        return tseq(rest, step) if inverse else tseq(step, rest)
-    u, p_rest = p[0], Polynomial(p[1:])
-    u_poly = poly_of_mono(u)
-    if builder == "symplus_tape":
-        q, = args
-        return tseq(tsum(TIdMon(u), symplus_tape(p_rest, q)),
-                    tsum(_mono_vs_poly(u, q), id_tape(p_rest)))
-    if builder == "codiag_tape":
-        shuffle = tsum(TIdMon(u), symplus_tape(p_rest, u_poly),
-                       id_tape(p_rest))
-        return tseq(shuffle, tsum(TCodiag(u), codiag_tape(p_rest)))
-    q, r, inverse = args    # the distributor
-    head = tsum(id_tape(u_poly * (q + r)), distributor(p_rest, q, r, inverse))
-    swap = (symplus_tape(p_rest * q, u_poly * r) if inverse
-            else symplus_tape(u_poly * r, p_rest * q))
-    shuffle = tsum(id_tape(u_poly * q), swap, id_tape(p_rest * r))
-    return tseq(shuffle, head) if inverse else tseq(head, shuffle)
 
 
 _BUILDERS = {builder.__name__: builder for builder in (
@@ -592,43 +548,3 @@ def discharger_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
         return tseq(tsum(TCirc(discharger_circuit(u)), t), TCodiag(ONE))
 
     return _right_fold(as_poly(p), lambda: TCobang(ONE), step)
-
-
-# --- full trees -------------------------------------------------------------------
-
-def expand(t: Term) -> Term:
-    """The full tree of t: t with each block tape replaced by the tree of
-    its builder's inductive definition, and each whiskered tape by the
-    tree that whiskering its tape leaf by leaf gives.  No node of it is a
-    ``TBlock`` or a ``TWhisker``."""
-    unfolded: dict = {}
-
-    def unfold(node: TBlock | TWhisker) -> tuple:
-        """The children of a derived node in the walk: a block tape's
-        body, and the children of the tape a whiskered tape whiskers,
-        each whiskered by its chain, so that U |> (t <| V) is whiskered
-        leaf by leaf, in order, down to how ``ctensor`` groups a
-        circuit's factors."""
-        kids = unfolded.get(node)
-        if kids is None:
-            if node.__class__ is TBlock:
-                kids = (_body(node),)
-            else:
-                t = node.tape
-                kids = tuple([whisker_chain(kid, node.steps)
-                              for kid in TERM_KIDS[t.__class__](t)])
-            unfolded[node] = kids
-        return kids
-
-    def step(node, kids: tuple):
-        cls = node.__class__
-        if cls is TBlock:
-            return kids[0]
-        if cls is TWhisker:
-            return node.tape.__class__(*kids)
-        if kids and kids != TERM_KIDS[cls](node):
-            return cls(*kids)
-        return node
-
-    return fold((t,), {**TERM_KIDS, TBlock: unfold, TWhisker: unfold},
-                step)[0]

@@ -1,0 +1,184 @@
+"""The full trees of derived nodes: the reference the tests check them by.
+
+A derived node stands for a tree of primitive nodes by the inductive
+definition of the call that builds it.  The library keeps only the node:
+a ``TBlock`` and a ``CBlock`` are read from their block or wire maps, and
+a ``TWhisker`` from the tape it whiskers.  This module builds the trees
+those definitions give, as the library built them before:
+
+- the structural circuits by the inductive clauses, a loop each
+  (``identity_circuit``, ``sym_circuit``, ``copier_circuit``,
+  ``discharger_circuit``), and ``circuit_tree`` of a ``CBlock``;
+- a block tape's definition unfolded once (``_body``, with
+  ``_mono_vs_poly``);
+- ``expand``, the full tree of any term, with no derived node in it.
+
+Terms are hash-consed, so a derived node agrees with its definition
+exactly when ``expand`` of it is the node the definition builds.
+"""
+
+from itertools import chain
+
+from tapecalc.circuit import (CBlock, CCopier, CDischarger, CIdOne, CIdSort,
+                              CSeq, CSym, CTensor, CircuitTerm, ctensor)
+from tapecalc.hashcons import Term, fold
+from tapecalc.objects import Monomial, Polynomial, poly_of_mono
+from tapecalc.tape import (TERM_KIDS, TBlock, TCobang, TCodiag, TIdMon,
+                           TSum, TSymPlus, TWhisker, TapeTerm, _right_fold,
+                           cobang_tape, codiag_tape, distributor, dl_nary,
+                           id_tape, nfold_codiag, symplus_tape, tseq, tsum,
+                           whisker_chain)
+
+
+# --- the structural circuits by their inductive clauses -------------------------
+
+def identity_circuit(u: Monomial) -> CircuitTerm:
+    return ctensor(*(CIdSort(a) for a in u))
+
+
+def _suffix_identities(u: tuple) -> list[CircuitTerm]:
+    """identity_circuit of u[i:] for i = 0 .. len(u), each built once."""
+    return [identity_circuit(u[i:]) for i in range(len(u) + 1)]
+
+
+def _sort_syms(a: str, w: tuple, w_ids: list) -> list[CircuitTerm]:
+    """sigma_{A,w[j:]} for j = 0 .. len(w), given w's
+    ``_suffix_identities``, each from the next shorter one:
+    sigma_{A, B.W'} = (sigma_{A,B} (x) id_{W'}) ; (id_B (x) sigma_{A,W'})."""
+    syms = [CIdSort(a)]
+    for j in reversed(range(len(w))):
+        syms.append(CSeq(ctensor(CSym(a, w[j]), w_ids[j + 1]),
+                         CTensor(CIdSort(w[j]), syms[-1])))
+    return syms[::-1]
+
+
+def sym_circuit(u: Monomial, w: Monomial) -> CircuitTerm:
+    """sigma_{U,W} : U (x) W -> W (x) U by the inductive clauses, from the
+    last sort of u to the first:
+    sigma_{A.U',W} = (id_A (x) sigma_{U',W}) ; (sigma_{A,W} (x) id_{U'})."""
+    if u.is_unit or w.is_unit:
+        return identity_circuit(u * w)
+    u_ids, w_ids = _suffix_identities(u), _suffix_identities(w)
+    syms = {a: _sort_syms(a, w, w_ids)[0] for a in dict.fromkeys(u)}
+    t = w_ids[0]
+    for i in reversed(range(len(u))):
+        t = CSeq(CTensor(CIdSort(u[i]), t), ctensor(syms[u[i]], u_ids[i + 1]))
+    return t
+
+
+def copier_circuit(u: Monomial) -> CircuitTerm:
+    """copier_U : U -> UU, interleaving the per-sort copies, from the last
+    sort of u to the first:
+    copier_{A.U'} = (copier_A (x) copier_{U'}) ;
+                    (id_A (x) sigma_{A,U'} (x) id_{U'}),
+    with sigma_{A,U'} built as ``sym_circuit`` builds it."""
+    ids = _suffix_identities(u)
+    syms = {a: _sort_syms(a, u, ids) for a in dict.fromkeys(u)}
+    t = CIdOne()
+    for i in reversed(range(len(u))):
+        a, id_rest = u[i], ids[i + 1]
+        sym = (CSeq(CTensor(CIdSort(a), id_rest), syms[a][i + 1])
+               if i + 1 < len(u) else CIdSort(a))
+        t = CSeq(ctensor(CCopier(a), t),
+                 CTensor(CIdSort(a), ctensor(sym, id_rest)))
+    return t
+
+
+def discharger_circuit(u: Monomial) -> CircuitTerm:
+    return ctensor(*(CDischarger(a) for a in u))
+
+
+CIRCUIT_BUILDERS = {builder.__name__: builder for builder in (
+    identity_circuit, sym_circuit, copier_circuit, discharger_circuit)}
+
+
+def circuit_tree(c: CBlock) -> CircuitTerm:
+    """The tree of primitive circuit nodes that c stands for."""
+    return CIRCUIT_BUILDERS[c.builder](*c.words)
+
+
+# --- the block tapes by their inductive definitions -----------------------------
+
+def _mono_vs_poly(u: Monomial, q: Polynomial) -> TapeTerm:
+    """sigma+_{U,Q} : U (+) Q -> Q (+) U, one monomial of Q at a time."""
+    return _right_fold(
+        q, lambda: TIdMon(u),
+        lambda w, q_rest, t: tseq(tsum(TSymPlus(u, w), id_tape(q_rest)),
+                                  tsum(TIdMon(w), t)))
+
+
+def _body(node: TBlock) -> TapeTerm:
+    """The definition of a block tape unfolded once: a term over
+    primitive nodes and the block tapes of smaller arguments."""
+    builder, (p, *args) = node.builder, node.args
+    if builder == "id_tape":
+        return TSum(id_tape(Polynomial(p[:-1])), TIdMon(p[-1]))
+    if builder == "cobang_tape":
+        return TSum(cobang_tape(Polynomial(p[:-1])), TCobang(p[-1]))
+    if builder == "nfold_codiag":
+        return tseq(tsum(id_tape(p), nfold_codiag(p, args[0] - 1)),
+                    codiag_tape(p))
+    if builder == "dl_nary":
+        (q, *qs), inverse = args
+        step = distributor(p, q, Polynomial(chain.from_iterable(qs)), inverse)
+        rest = tsum(id_tape(p * q), dl_nary(p, qs, inverse))
+        return tseq(rest, step) if inverse else tseq(step, rest)
+    u, p_rest = p[0], Polynomial(p[1:])
+    u_poly = poly_of_mono(u)
+    if builder == "symplus_tape":
+        q, = args
+        return tseq(tsum(TIdMon(u), symplus_tape(p_rest, q)),
+                    tsum(_mono_vs_poly(u, q), id_tape(p_rest)))
+    if builder == "codiag_tape":
+        shuffle = tsum(TIdMon(u), symplus_tape(p_rest, u_poly),
+                       id_tape(p_rest))
+        return tseq(shuffle, tsum(TCodiag(u), codiag_tape(p_rest)))
+    q, r, inverse = args    # the distributor
+    head = tsum(id_tape(u_poly * (q + r)), distributor(p_rest, q, r, inverse))
+    swap = (symplus_tape(p_rest * q, u_poly * r) if inverse
+            else symplus_tape(u_poly * r, p_rest * q))
+    shuffle = tsum(id_tape(u_poly * q), swap, id_tape(p_rest * r))
+    return tseq(shuffle, head) if inverse else tseq(head, shuffle)
+
+
+# --- full trees -------------------------------------------------------------------
+
+def expand(t: Term) -> Term:
+    """The full tree of t: t with each block tape replaced by the tree of
+    its builder's inductive definition, each block circuit by its
+    ``circuit_tree``, and each whiskered tape by the tree that whiskering
+    its tape leaf by leaf gives.  No node of it is a ``TBlock``, a
+    ``CBlock`` or a ``TWhisker``."""
+    unfolded: dict = {}
+
+    def unfold(node: TBlock | CBlock | TWhisker) -> tuple:
+        """The children of a derived node in the walk: a block tape's
+        body, a block circuit's tree, and the children of the tape a
+        whiskered tape whiskers, each whiskered by its chain, so that
+        U |> (t <| V) is whiskered leaf by leaf, in order, down to how
+        ``ctensor`` groups a circuit's factors."""
+        kids = unfolded.get(node)
+        if kids is None:
+            if node.__class__ is TBlock:
+                kids = (_body(node),)
+            elif node.__class__ is CBlock:
+                kids = (circuit_tree(node),)
+            else:
+                t = node.tape
+                kids = tuple([whisker_chain(kid, node.steps)
+                              for kid in TERM_KIDS[t.__class__](t)])
+            unfolded[node] = kids
+        return kids
+
+    def step(node, kids: tuple):
+        cls = node.__class__
+        if cls is TBlock or cls is CBlock:
+            return kids[0]
+        if cls is TWhisker:
+            return node.tape.__class__(*kids)
+        if kids and kids != TERM_KIDS[cls](node):
+            return cls(*kids)
+        return node
+
+    return fold((t,), {**TERM_KIDS, TBlock: unfold, CBlock: unfold,
+                       TWhisker: unfold}, step)[0]

@@ -2,7 +2,7 @@
 
 ``tape`` returns each block tape as one node, its builder call, and each
 whiskered composite as one node, the tape and its chain of whiskerings;
-``tape.expand`` builds the full trees they stand for.  The references
+``full_trees.expand`` builds the full trees they stand for.  The references
 below are the recursive definitions, one call per monomial, with no
 memo.  Terms are hash-consed, so a builder agrees with its reference
 exactly when the builder's full tree is the very node the reference
@@ -23,10 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapecalc import hashcons, suites, tape
-from tapecalc.circuit import (MonSignature, copier_circuit, discharger_circuit,
-                              sym_circuit)
+from tapecalc.circuit import MonSignature
 from tapecalc.errors import TapecalcError, TypeCheckError
-from tapecalc.frontend import render
 from tapecalc.frontend.cli import main
 from tapecalc.hashcons import postorder
 from tapecalc.interp import Interpretation, eval_tape
@@ -37,9 +35,12 @@ from tapecalc.suites import (Freshener, SemEqResult, rand_poly, sem_eq,
                              standard_interpretation)
 from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon,
                            TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker,
-                           as_poly, expand, tape_types, tseq, tsum,
+                           as_poly, tape_types, tseq, tsum,
                            type_of_tape)
 from tapecalc.theory import OpSymbol, builtin_theory, choice
+
+from full_trees import (copier_circuit, discharger_circuit, expand,
+                        identity_circuit, sym_circuit)
 
 
 # --- the recursive references --------------------------------------------------
@@ -754,7 +755,7 @@ def ref_whisker_mono(t, u, left):
         if cls is TIdZero:
             return node
         if cls is TCirc:
-            i = tape.identity_circuit(u)
+            i = identity_circuit(u)
             return TCirc(tape.ctensor(i, node.circuit) if left
                          else tape.ctensor(node.circuit, i))
         if cls is TSymPlus:
@@ -919,17 +920,12 @@ def test_wide_term_check_builds_no_tree(tmp_path):
         assert sum(map(slots, keys)) <= 4 * n, n
 
 
-def test_ill_typed_terms_build_no_full_tree(tmp_path, monkeypatch, capsys):
+def test_ill_typed_terms_build_no_full_tree(tmp_path, capsys):
     """An ill-typed tape fails on the walk over its derived nodes, and no
     full tree is built to report it: ``check`` and ``render`` of
     term<x1 +_1/2 x4000>@A ; id@B exit 3 with an ``error:`` line, and
     sem_eq of copier(P) (x) copier(P) ; id@A is a type error, each in
     well under a second."""
-    def no_tree(t):
-        raise AssertionError("a full tree was built")
-
-    monkeypatch.setattr(tape, "expand", no_tree)
-    monkeypatch.setattr(render, "expand", no_tree)
     path = tmp_path / "term4000.tape"
     path.write_text("sort A;\nsort B;\ntheory PCA with p = 1/2;\n"
                     "def d = term<x1 +_1/2 x4000>@A ; id@B;\n")

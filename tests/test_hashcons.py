@@ -3,7 +3,7 @@
 Equal constructions give one node, each distinct subterm is typed and
 evaluated once a call, deep terms need no recursion, and the DAG typer
 and evaluator agree with the tree-recursive reference typer and
-evaluator below, run on the full trees (``tape.expand``).
+evaluator below, run on the full trees (``full_trees.expand``).
 """
 
 import copy
@@ -26,7 +26,7 @@ from tapecalc.circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort,
 from tapecalc.errors import ModelError, TapecalcError, TypeCheckError
 from tapecalc.frontend.render import render_svg
 from tapecalc.hashcons import fold, postorder
-from tapecalc.interp import Interpretation, eval_circuit, eval_tape
+from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import Matrix, model_for, op_matrix
 from tapecalc.objects import (Monomial, ZERO, mono, nfold_sum, poly,
                               poly_of_mono)
@@ -35,10 +35,12 @@ from tapecalc.suites import (Freshener, SemEqResult, SuiteBounds, axiom_suite,
                              standard_interpretation)
 from tapecalc.tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon,
                            TIdZero, TOpInj, TSeq, TSum, TSymPlus, distributor,
-                           expand, id_tape, tensor_tape, tseq, tsum,
+                           id_tape, tensor_tape, tseq, tsum,
                            type_of_tape, whisker_left, whisker_left_mono, whisker_right,
                            whisker_right_mono)
 from tapecalc.theory import OpSymbol, builtin_theory
+
+from full_trees import expand
 
 
 # --- the tree-recursive reference evaluator ------------------------------------
@@ -519,7 +521,7 @@ def test_deep_chain_types_and_evaluates():
     for _ in range(20000):
         deep_circuit = CSeq(deep_circuit, CGen("S"))
     assert type_of_circuit(deep_circuit, sig) == (mono("A"), mono("A"))
-    assert eval_circuit(deep_circuit, interp) == Matrix.from_rows([[0, 1], [1, 0]])
+    assert eval_tape(deep_circuit, interp) == Matrix.from_rows([[0, 1], [1, 0]])
     assert expand(whisker_right_mono(chain, mono("A"))) is tseq(
         *[whisker_right_mono(s, mono("A")) for s in steps])
 

@@ -8,8 +8,7 @@ import pytest
 from tapecalc.circuit import (CCopier, CGen, CIdOne, CIdSort, CSeq, CTensor,
                               MonSignature)
 from tapecalc.errors import DimensionError, ModelError
-from tapecalc.interp import (Interpretation, carrier_of, eval_circuit,
-                             eval_tape, prod_index)
+from tapecalc.interp import Interpretation, carrier_of, eval_tape, prod_index
 from tapecalc.kleisli import Matrix, model_for
 from tapecalc.objects import ONE, ZERO, mono, poly, poly_of_mono
 from tapecalc.suites import Freshener, standard_interpretation
@@ -60,17 +59,17 @@ def test_prod_index_blocks():
 
 
 def test_eval_and_gate():
-    m = eval_circuit(CGen("AND"), INTERP)
+    m = eval_tape(CGen("AND"), INTERP)
     assert m.to_rows() == [[1, 1, 1, 0], [0, 0, 0, 1]]
 
 
 def test_eval_id_one():
-    assert eval_circuit(CIdOne(), INTERP) == Matrix.identity(1)
+    assert eval_tape(CIdOne(), INTERP) == Matrix.identity(1)
 
 
 def test_eval_copier_then_not():
     c = CSeq(CCopier("A"), CTensor(CGen("NOT"), CIdSort("A")))
-    m = eval_circuit(c, INTERP)
+    m = eval_tape(c, INTERP)
     # x maps to (not x, x): column x has a single 1 at row (1-x)*2 + x
     assert m.to_rows() == [[0, 0], [0, 1], [1, 0], [0, 0]]
 

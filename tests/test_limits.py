@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from tapecalc import hashcons
 from tapecalc.circuit import CGen, MonSignature, cseq
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.parser import parse_module
@@ -340,14 +341,55 @@ def test_carrier_and_matrix_of_one_name_are_not_duplicates():
 LONG_WORD = "A" * 1100
 
 
-@pytest.mark.parametrize("body", [
-    f"sym@{LONG_WORD},A", f"sym@A,{LONG_WORD}", f"copy@{LONG_WORD}",
-], ids=["sym-long-left", "sym-long-right", "copy"])
-def test_1100_sort_circuit_word_checks(tmp_path, capsys, body):
-    """sym_circuit and copier_circuit are built by loops, so a word longer
-    than the recursion limit checks (exit 0), and in quadratic time."""
+LONG_BODIES = {"sym-long-left": f"sym@{LONG_WORD},A",
+               "sym-long-right": f"sym@A,{LONG_WORD}",
+               "copy": f"copy@{LONG_WORD}"}
+
+
+@pytest.mark.parametrize("command, body", [
+    *[pytest.param("check", body, id=name)
+      for name, body in LONG_BODIES.items()],
+    *[pytest.param("render", body, id=f"render-{name}")
+      for name, body in LONG_BODIES.items()],
+])
+def test_1100_sort_circuit_word_checks(tmp_path, capsys, command, body):
+    """sym_circuit and copier_circuit of words longer than the recursion
+    limit are one node each, their builder call, so the word checks
+    (exit 0) in a fixed number of node constructions, and renders as its
+    wire map: an SVG of a few hundred kB."""
+    argv = ["check", "{f}"]
+    if command == "render":
+        argv = ["render", "{f}", "--term", "d", "-o", str(tmp_path / "d.svg")]
     start = time.perf_counter()
-    code, out = run(tmp_path, capsys, f"sort A;\ndef d = [ {body} ];\n",
-                    ["check", "{f}"])
+    code, out = run(tmp_path, capsys, f"sort A;\ndef d = [ {body} ];\n", argv)
     assert (code, out.out, out.err) == (0, "", "")
     assert time.perf_counter() - start < 10
+    if command == "render":
+        assert (tmp_path / "d.svg").stat().st_size < 1_000_000
+
+
+@pytest.mark.parametrize("body", [
+    "sym@{w},A", "sym@A,{w}", "copy@{w}",
+], ids=["sym-long-left", "sym-long-right", "copy"])
+def test_long_circuit_word_check_builds_a_constant_number_of_nodes(
+        tmp_path, capsys, body):
+    """``check`` of [ sym@W,A ], [ sym@A,W ] or [ copy@W ] constructs as
+    many nodes for a word W of 1100 sorts as for one of 550."""
+    counts = []
+    for n in (550, 1100):
+        new = hashcons.Term.__new__
+        constructed = []
+
+        def counting(cls, *args, **kwargs):
+            constructed.append(cls)
+            return new(cls, *args, **kwargs)
+
+        hashcons.Term.__new__ = counting
+        try:
+            code, out = run(tmp_path, capsys, "sort A;\ndef d = [ "
+                            f"{body.format(w='A' * n)} ];\n", ["check", "{f}"])
+        finally:
+            hashcons.Term.__new__ = new
+        assert (code, out.err) == (0, "")
+        counts.append(len(constructed))
+    assert counts[0] == counts[1], counts

@@ -1,5 +1,6 @@
-"""SVG output is byte-stable: every corpus definition and a 64-step chain
-render to the bytes recorded in ``golden_render.json`` (SHA-256 digests).
+"""SVG output is byte-stable: every corpus definition, a 64-step chain and
+the ``PINNED`` drawings of derived nodes render to the bytes recorded in
+``golden_render.json`` (SHA-256 digests).
 
 To record the digests again after a deliberate change of the layout:
 
@@ -19,6 +20,16 @@ HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
 GOLDEN = HERE / "golden_render.json"
 CHAIN_STEPS = 64
+PINNED = """sort A;
+sort B;
+theory PCA with p = 1/2;
+def copies = [ copy@ABAB ];
+def swap = [ sym@AB,BA ];
+def term8 = term<x1 +_1/2 x8>@A;
+def whisk = id@B (x) (op<+_1/2>@A ; codiag@A);
+"""
+"""A block circuit of each kind's wire map, a term's block tapes, and a
+whiskered composite."""
 
 
 def chain_module(n: int) -> str:
@@ -29,10 +40,12 @@ def chain_module(n: int) -> str:
 
 
 def renders():
-    """(name, SVG text) for every corpus definition and the chain."""
+    """(name, SVG text) for every corpus definition, the chain and the
+    pinned definitions."""
     sources = [(p.name, p.read_text(encoding="utf-8"))
                for p in sorted(CORPUS.glob("*.tape"))]
     sources.append((f"chain{CHAIN_STEPS}", chain_module(CHAIN_STEPS)))
+    sources.append(("pinned", PINNED))
     for source, text in sources:
         module = parse_module(text)
         sig = module.signature()
