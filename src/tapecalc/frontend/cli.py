@@ -8,6 +8,7 @@ except the artifact they were asked for.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from ..errors import TapecalcError, TypeCheckError, UnknownOperationError
@@ -35,7 +36,10 @@ class _Argparser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once a process: parsing leaves it as it
+    was, so every call of main reuses it."""
     parser = _Argparser(prog="tapecalc",
                         description="tape diagrams with exact matrix semantics")
     sub = parser.add_subparsers(dest="command", required=True)

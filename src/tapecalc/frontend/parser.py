@@ -177,6 +177,11 @@ class Parser:
         self.module = SourceModule()
         self.sort_index = SortIndex()
         self.sorts: list[str] = []     # module.sorts, frozen at the end
+        # each leaf atom built once: a reference by definition name, a
+        # generator by its name, an identity by its monomial
+        self.refs: dict[str, SRef] = {}
+        self.gen_atoms: dict[str, CAtomGen] = {}
+        self.id_atoms: dict[Monomial, CAtomId] = {}
 
     # -- token plumbing --------------------------------------------------
 
@@ -191,8 +196,8 @@ class Parser:
             self.pos += 1
         return tok
 
-    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        tok = self.tokens[self.pos + ahead]
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.tokens[self.pos]
         return tok[0] == kind and (text is None or tok[1] == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
@@ -321,6 +326,7 @@ class Parser:
         coar = self.monomial()
         self.expect("SEMI", "';'")
         self.module.gens[name] = (ar, coar)
+        self.gen_atoms[name] = CAtomGen(name)
         self.module.decls.append(GenDecl(name, ar, coar))
 
     def theory_decl(self):
@@ -417,6 +423,7 @@ class Parser:
         body = self.infix(TAPE_OPS, self.tape_atom)
         self.expect("SEMI", "';'")
         self.module.defs[name] = body
+        self.refs[name] = SRef(name)
         self.module.decls.append(DefDecl(name, body))
 
     def check_decl(self):
@@ -445,43 +452,53 @@ class Parser:
         shunting-yard), so nesting costs no recursion.  Between tapes, a ';'
         composes only when a tape atom follows it; otherwise it closes the
         surrounding declaration.  Inside a circuit bracket every ';'
-        composes."""
+        composes.  Like the atoms, it reads the tokens by index: no
+        helper call per token."""
+        tokens = self.tokens
         operands, pending = [], []
         while True:
-            while self.accept("LPAREN"):
+            while tokens[self.pos][0] == "LPAREN":
+                self.pos += 1
                 pending.append(OPEN)
             operands.append(atom())
             while True:
-                op = ops.get(self.peek()[0])
-                if (ops is TAPE_OPS and op is not None and op[0] is SSeq
-                        and not self.starts_tape_atom(1)):
+                op = ops.get(tokens[self.pos][0])
+                if (op is not None and op[0] is SSeq and ops is TAPE_OPS
+                        and not self.starts_tape_atom(tokens[self.pos + 1])):
                     op = None
                 level = -1 if op is None else op[1]
                 while pending and pending[-1][1] >= level:
                     right = operands.pop()
                     operands[-1] = pending.pop()[0](operands[-1], right)
                 if op is not None:
-                    self.next()
+                    self.pos += 1
                     if op[0] is App:    # `+` or `+_p`: read its operation
                         op = (self.plus_op(), op[1])
                     pending.append(op)
                     break
                 if not pending:
                     return operands[0]
-                self.expect("RPAREN", "')'")
+                self.close("RPAREN", "')'")
                 pending.pop()
+
+    def close(self, kind: str, expected: str) -> None:
+        """Step over the closing token of a bracket, which must come next."""
+        if self.tokens[self.pos][0] != kind:
+            self.expect(kind, expected)     # raises
+        self.pos += 1
 
     def table_atom(self, spellings: dict, arg):
         """The surface key and arguments of the table atom the next tokens
         spell, or None.  `sym +` commits once both tokens are read and then
         expects '@'; any other atom that takes arguments is one only with
         '@' right after its name."""
-        text = self.peek()[1]
-        glued = self.at("PLUS", ahead=1) and text + "+" in spellings
+        pos = self.pos
+        text, after = self.tokens[pos][1], self.tokens[pos + 1][0]
+        glued = after == "PLUS" and text + "+" in spellings
         key, n = spellings.get(text + "+" if glued else text, (None, 0))
-        if not glued and (key is None or (n and not self.at("AT", ahead=1))):
+        if not glued and (key is None or (n and after != "AT")):
             return None
-        self.pos += 2 if glued or n else 1
+        self.pos = pos + (2 if glued or n else 1)
         if glued:
             self.expect("AT", "'@'")
         args = [arg()] if n else []
@@ -490,35 +507,40 @@ class Parser:
             args.append(arg())
         return key, tuple(args)
 
-    def starts_tape_atom(self, ahead: int) -> bool:
-        kind, text, _ = self.peek(ahead)
+    def starts_tape_atom(self, tok: Token) -> bool:
+        kind, text, _ = tok
         if kind in ("LPAREN", "LBRACK"):
             return True
         return kind == "IDENT" and (
-            text in TAPE_ATOM_KEYWORDS or text in self.module.defs)
+            text in TAPE_ATOM_KEYWORDS or text in self.refs)
 
     def tape_atom(self) -> SExpr:
-        if self.accept("LBRACK"):
+        """A definition's name first: none is spelt as an atom keyword,
+        as fresh_name rejects the reserved words."""
+        pos = self.pos
+        kind, text, _ = self.tokens[pos]
+        ref = self.refs.get(text)
+        if ref is not None:
+            self.pos = pos + 1
+            return ref
+        if kind == "LBRACK":
+            self.pos = pos + 1
             c = self.infix(CIRCUIT_OPS, self.circuit_atom)
-            self.expect("RBRACK", "']'")
+            self.close("RBRACK", "']'")
             return SCircuit(c)
-        kind, text, _ = self.peek()
         if kind != "IDENT":
             self.fail(f"expected a tape expression, found {text!r}",
                       {"atom", "'('", "'['"})
         atom = self.table_atom(TAPE_SPELLINGS, self.poly_arg)
         if atom is not None:
             return SAtom(*atom)
-        if text == "op" and self.at("LT", ahead=1):
-            self.next()
-            self.next()
-            op = self.op_symbol()
-            self.expect("GT", "'>'")
-            self.expect("AT", "'@'")
-            return SOp(op, self.poly_arg())
-        if text == "term" and self.at("LT", ahead=1):
-            self.next()
-            self.next()
+        if text in ("op", "term") and self.tokens[pos + 1][0] == "LT":
+            self.pos = pos + 2
+            if text == "op":
+                op = self.op_symbol()
+                self.expect("GT", "'>'")
+                self.expect("AT", "'@'")
+                return SOp(op, self.poly_arg())
             term = self.infix(SIGMA_OPS, self.sigma_atom)
             self.expect("GT", "'>'")
             self.expect("AT", "'@'")
@@ -526,9 +548,6 @@ class Parser:
             context = max_var(term)
             check_term(term, context)
             return STermBr(term, context, poly)
-        if text in self.module.defs:
-            self.next()
-            return SRef(text)
         self.fail(f"unknown tape atom {text!r}; forward references are rejected",
                   TAPE_ATOM_KEYWORDS)
 
@@ -572,26 +591,34 @@ class Parser:
     # -- circuit expressions -----------------------------------------------------
 
     def circuit_atom(self) -> SExpr:
-        kind, text, _ = self.peek()
+        """A generator's name first: none is spelt as a circuit atom, as
+        fresh_name rejects the reserved words."""
+        pos = self.pos
+        kind, text, _ = self.tokens[pos]
+        atom = self.gen_atoms.get(text)
+        if atom is not None:
+            self.pos = pos + 1
+            return atom
         if kind != "IDENT":
             self.fail(f"expected a circuit expression, found {text!r}",
                       {"generator", "id<mono>", *CIRCUIT_SPELLINGS, "'('"})
         atom = self.table_atom(CIRCUIT_SPELLINGS, self.monomial)
         if atom is not None:
             return SAtom(*atom)
-        if text in self.module.gens:
-            self.next()
-            return CAtomGen(text)
         if text == "id1":
-            self.next()
-            return CAtomId(ONE)
-        if text.startswith("id") and len(text) > 2:
-            parts = self.sort_index.split(text[2:])
-            if parts is not None:
-                self.next()
-                return CAtomId(Monomial(tuple(parts)))
-        self.fail(f"unknown circuit atom {text!r}",
-                  {"generator", "id<mono>", *CIRCUIT_SPELLINGS})
+            mono = ONE
+        else:
+            parts = (self.sort_index.split(text[2:])
+                     if text.startswith("id") and len(text) > 2 else None)
+            if parts is None:
+                self.fail(f"unknown circuit atom {text!r}",
+                          {"generator", "id<mono>", *CIRCUIT_SPELLINGS})
+            mono = Monomial(tuple(parts))
+        self.pos = pos + 1
+        atom = self.id_atoms.get(mono)
+        if atom is None:
+            atom = self.id_atoms[mono] = CAtomId(mono)
+        return atom
 
 
 def max_var(term: SigmaTerm) -> int:

@@ -32,6 +32,7 @@ from itertools import chain, compress
 from math import gcd, lcm
 from operator import itemgetter, mul
 from sys import byteorder
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ModelError, UnknownOperationError
@@ -646,8 +647,22 @@ class TheoryModel:
                     raise ModelError(f"weight {v} of {op} outside {self.semiring}")
 
 
+# theory -> its canonical model and the equations that model fails: the
+# theory and the model's weights are immutable, so each is computed once
+_CANONICAL: dict[AlgebraicTheory, tuple[TheoryModel, tuple[Equation, ...]]] = {}
+
+
 def model_for(theory: AlgebraicTheory) -> TheoryModel:
-    """The canonical model of a built-in theory."""
+    """The canonical model of a built-in theory: one a process per theory,
+    with read-only weights."""
+    entry = _CANONICAL.get(theory)
+    if entry is None:
+        model = _canonical_model(theory)
+        entry = _CANONICAL[theory] = (model, tuple(model_soundness(model)))
+    return entry[0]
+
+
+def _canonical_model(theory: AlgebraicTheory) -> TheoryModel:
     if theory.name == "PCA":
         table: dict[OpSymbol, tuple[Any, ...]] = {}
         for op in theory.ops:
@@ -658,17 +673,15 @@ def model_for(theory: AlgebraicTheory) -> TheoryModel:
                 table[op] = (p, 1 - p)
             else:
                 raise ModelError(f"unexpected PCA operation {op}")
-        model = TheoryModel(theory, RATIONALS, table)
-        model.validate()
-        return model
-    if theory.name == "CM":
-        table = {}
-        for op in theory.ops:
-            table[op] = (1, 1) if op.arity == 2 else ()
-        model = TheoryModel(theory, NATURALS, table)
-        model.validate()
-        return model
-    raise ModelError(f"theory {theory.name} has no canonical weights")
+        semiring = RATIONALS
+    elif theory.name == "CM":
+        table = {op: (1, 1) if op.arity == 2 else () for op in theory.ops}
+        semiring = NATURALS
+    else:
+        raise ModelError(f"theory {theory.name} has no canonical weights")
+    model = TheoryModel(theory, semiring, MappingProxyType(table))
+    model.validate()
+    return model
 
 
 def op_matrix(op: OpSymbol, model: TheoryModel, n: int) -> Matrix:
@@ -704,7 +717,11 @@ def eval_vector(term: SigmaTerm, context: int, model: TheoryModel) -> tuple[Any,
 
 
 def model_soundness(model: TheoryModel) -> list[Equation]:
-    """Equations of the theory that fail as weight-vector identities."""
+    """Equations of the theory that fail as weight-vector identities:
+    recalled for a canonical model, computed for any other."""
+    entry = _CANONICAL.get(model.theory)
+    if entry is not None and entry[0] is model:
+        return list(entry[1])
     failures = []
     for eq in model.theory.equations:
         if (eval_vector(eq.lhs, eq.context, model)

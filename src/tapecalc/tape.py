@@ -41,7 +41,6 @@ once per signature however many callers (``tensor_tape``,
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Sequence, Union
@@ -59,17 +58,26 @@ class TapeTerm(Term):
     """Base of the tape nodes."""
 
 
+class _Layout:
+    """``Structural.block_layout``, the ``block_map`` of the node's call:
+    computed on first read and stored as a plain attribute in the node's
+    ``__dict__``, which later reads find first, so it dies with the node.
+    (A ``cached_property`` takes a lock on first read.)"""
+
+    def __get__(self, node, cls=None):
+        if node is None:
+            return self
+        layout = node.__dict__["block_layout"] = block_map(*node.call)
+        return layout
+
+
 class Structural(TapeTerm):
     """Base of the structural tapes, the nodes whose meaning is a block
     map: ``TBlock`` and the five primitives below.  ``call`` is the
     node's builder call (builder, *args), a primitive's the call of its
     class's builder at the one-monomial polynomials of its fields."""
 
-    @cached_property
-    def block_layout(self) -> tuple[tuple, tuple, Sequence[int]]:
-        """``block_map`` of the node's call, computed on first use and
-        kept in the node's ``__dict__``, so it dies with the node."""
-        return block_map(*self.call)
+    block_layout = _Layout()
 
 
 @term_node

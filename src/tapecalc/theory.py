@@ -10,6 +10,7 @@ hash-consed (see ``hashcons``); an operation applied to terms is a term.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -142,8 +143,14 @@ def builtin_theory(name: str, params: Sequence[Fraction] = ()) -> AlgebraicTheor
     For PCA the supplied parameters generate the operation slice; the
     equation schemas are instantiated at every supplied p and ordered pair
     (p,q), which forces the derived operations +_{1-p}, +_{pq} and
-    +_{p(1-q)/(1-pq)} into the signature as well.
+    +_{p(1-q)/(1-pq)} into the signature as well.  A theory is immutable,
+    so each (name, params) is instantiated once a process.
     """
+    return _builtin_theory(name, tuple(params))
+
+
+@functools.cache
+def _builtin_theory(name: str, params: tuple) -> AlgebraicTheory:
     if name == "CM":
         x1, x2, x3 = Var(1), Var(2), Var(3)
         eqs = (

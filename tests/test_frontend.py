@@ -1,6 +1,8 @@
 """Parser diagnostics, corpus round-trips and the CLI exit-code contract."""
 
+import io
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -175,6 +177,65 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["eq", str(BOOL), "--left", "flip"])
     assert exc.value.code == 2
+
+
+def corpus_commands(svg: str) -> list[list[str]]:
+    """check of every corpus file, eval and render of each definition, eq
+    of each check directive, an unequal and an ill-typed eq, a small
+    suite with repeated --bound options, and a normalize."""
+    commands = []
+    for path in CORPUS:
+        module = parse_module(path.read_text(encoding="utf-8"))
+        f, interp = str(path), next(iter(module.interps))
+        commands.append(["check", f])
+        for name in module.defs:
+            commands.append(["eval", f, "--term", name, "--interp", interp])
+            commands.append(["render", f, "--term", name, "-o", svg])
+        for c in module.checks:
+            commands.append(["eq", f, "--left", c.left, "--right", c.right,
+                             "--interp", c.interp])
+    flip = str(CORPUS[0].parent / "flip_basic.tape")
+    return commands + [
+        ["eq", str(BOOL), "--left", "muxfail", "--right", "pfail",
+         "--interp", "Bool"],
+        ["eq", str(BOOL), "--left", "flip", "--right", "mix",
+         "--interp", "Bool"],
+        ["suite", flip, "--interp", "Bool", "--seed", "1", "--bound",
+         "tuples=5", "--bound", "samples=1", "--bound", "poly=1"],
+        ["normalize", "(A (+) 1) (x) (B (+) C)"],
+    ]
+
+
+def captured(argv: list[str]) -> tuple:
+    """main(argv)'s exit code, returned or raised, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_can_be_called_again(tmp_path):
+    """One process runs every corpus command twice, the second pass in
+    reverse order and after a usage error: main reuses its argument
+    parser and the built-in theories, and every command prints the same
+    bytes, writes the same SVG and exits with the same code."""
+    svg = tmp_path / "d.svg"
+
+    def outcome(argv):
+        result = captured(argv)
+        return result + (svg.read_bytes(),) if argv[0] == "render" else result
+
+    commands = corpus_commands(str(svg))
+    first = [outcome(argv) for argv in commands]
+    assert {code for code, *_ in first} == {0, 1, 3}
+    code, out, err = captured(["eval", str(BOOL), "--interp", "Bool"])
+    assert (code, out) == (2, "")
+    assert "error: the following arguments are required: --term" in err
+    second = [outcome(argv) for argv in reversed(commands)]
+    assert second[::-1] == first
 
 
 def test_cli_parse_error(tmp_path, capsys):

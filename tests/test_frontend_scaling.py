@@ -2,6 +2,7 @@
 glued sort words and definitions that reuse earlier ones."""
 
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -57,6 +58,30 @@ def test_glued_sort_word_fails_fast():
 
 def test_long_glued_word_splits_without_recursion():
     assert SortIndex(("A", "AA")).split("A" * 3001) == ["AA"] * 1500 + ["A"]
+
+
+def test_parser_makes_few_calls_per_token():
+    """Parsing a 512-step `[ G ] ; ...` chain makes at most 2.5 Python
+    calls per token: the infix loop and the atoms read the token list by
+    index, and each generator atom is built once.  With a helper call per
+    token read, and a new atom per use, it made 6.4."""
+    steps = " ; ".join(f"[ G{i % 3} ]" for i in range(512))
+    gens = "".join(f"gen G{i} : A -> A;\n" for i in range(3))
+    text = f"sort A;\n{gens}def chain = {steps};\n"
+    tokens = len(parser.tokenize(text))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        module = parse_module(text)
+    finally:
+        sys.setprofile(None)
+    assert len(module.defs) == 1
+    assert calls <= 2.5 * tokens, calls / tokens
 
 
 class CountingNames(set):

@@ -115,6 +115,24 @@ def test_unsound_weights_detected():
     assert model_soundness(model) != []
 
 
+def test_canonical_model_is_one_read_only_model_per_theory():
+    """model_for returns one model per theory, and builtin_theory one
+    theory per (name, params); the model's weights refuse assignment, as
+    its soundness is computed once.  A hand-made model over the same
+    theory is checked on each call."""
+    model = model_for(builtin_theory("PCA", (H,)))
+    assert model_for(builtin_theory("PCA", [H])) is model
+    with pytest.raises(TypeError):
+        model.weights[choice(H)] = (Fraction(1, 4), Fraction(3, 4))
+    assert model.weight_vector(choice(H)) == (H, H)
+    assert model_soundness(model) == []
+    weights = dict(model.weights)
+    hand_made = K.TheoryModel(model.theory, RATIONALS, weights)
+    assert model_soundness(hand_made) == []
+    weights[choice(H)] = (Fraction(1, 4), Fraction(3, 4))
+    assert model_soundness(hand_made) != []
+
+
 def test_model_weight_validation():
     theory = builtin_theory("CM")
     with pytest.raises(ModelError):

@@ -185,6 +185,31 @@ def test_5000_nested_parentheses(tmp_path, capsys, body, matrix):
     assert (code, out.out, out.err) == (0, matrix + "\n", "")
 
 
+NESTED_BODIES = {
+    "parentheses": "(" * DEEP + "id@A" + ")" * DEEP,
+    "bracket": "[ " + "(" * DEEP + "G" + ")" * DEEP + " ]",
+    "term": "term<" + "(" * DEEP + "x1 +_1/2 x2" + ")" * DEEP + ">@A",
+    "choice": "term<" + "x1 +_1/2 (" * DEEP + "x2" + ")" * DEEP + ">@A",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "render"])
+@pytest.mark.parametrize("shape", NESTED_BODIES)
+def test_deep_nesting_checks_and_renders(tmp_path, capsys, shape, command):
+    """5000 levels of each bracket kind: parentheses around a tape atom,
+    around a generator inside [ ], around a term inside term<...>, and a
+    right-nested choice x1 +_1/2 (x1 +_1/2 (...)).  check and render
+    each exit 0 and print nothing; an escaped RecursionError fails the
+    test.  Right-nested `;` tapes are left out: surface.elaborate still
+    recurses once per step on them (ROADMAP item 1), so they exit 1."""
+    argv = ["check", "{f}"]
+    if command == "render":
+        argv = ["render", "{f}", "--term", "d", "-o", str(tmp_path / "d.svg")]
+    text = FLIP + f"def d = {NESTED_BODIES[shape]};\n"
+    code, out = run(tmp_path, capsys, text, argv)
+    assert (code, out.out, out.err) == (0, "", "")
+
+
 def test_normalize_5000_nested_parentheses(capsys):
     code = main(["normalize", "(" * DEEP + "A (+) (B)" + ")" * DEEP])
     assert (code, capsys.readouterr().out) == (0, "A (+) B\n")
