@@ -9,8 +9,10 @@ are rejected.  Diagnostics carry line, column and the expected tokens.
 from __future__ import annotations
 
 import re
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from ..errors import ModelError, ParseError
 from ..objects import Monomial, ONE, Polynomial, ZERO, SortRef, Sum, Tensor, \
@@ -34,55 +36,75 @@ PUNCT = {
 }
 
 
-# A token is (kind, text, pos): pos is the offset of its first character.
-Token = tuple[str, str, int]
-
-# One match per token: the whitespace and comments skipped before it, then
-# one alternative per lexeme class, punctuation longest first so that `(x)`
-# is one token, and the end of the text after the last one.  A name starts
-# with a letter: `[^\W\d_]` also admits the non-decimal numerals (`²`,
-# `½`), which tokenize rejects.  Once the skip has run, some alternative
-# matches, so the skip never backtracks and the matches tile the text.
-LEXEME = re.compile("".join((
-    r"((?:\s+|#[^\n]*)*)(?:",
-    "(" + "|".join(map(re.escape, sorted(PUNCT, key=len, reverse=True))) + ")",
-    r"|([^\W\d_][\w']*)",
-    r"|([0-9]+\.?)",
-    r"|(.)|\Z)")), re.S)
+# One match per token; the search skips whitespace, as no alternative
+# matches it.  Punctuation, longest first so that `(x)` is one token; a
+# comment, which tokenize drops; a name, from a letter (`[^\W\d_]` also
+# admits `²` and `½`, which tokenize rejects); a numeral, with a `.` to
+# reject; any other character, to reject; and the end, the EOF token.
+LEXEME = re.compile("|".join((
+    *map(re.escape, sorted((p for p in PUNCT if len(p) > 1), key=len,
+                           reverse=True)),
+    "[" + re.escape("".join(p for p in PUNCT if len(p) == 1)) + "]",
+    r"#[^\n]*", r"[^\W\d_][\w']*", r"[0-9]+\.?", r"\S", r"\Z")))
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of text, ending in one EOF token."""
-    tokens = []
-    append = tokens.append
-    pos = 0
-    for skip, punct, ident, num, bad in LEXEME.findall(text):
-        pos += len(skip)
-        if punct:
-            append((PUNCT[punct], punct, pos))
-            pos += len(punct)
-        elif ident and ident[0].isalpha():
-            append(("IDENT", ident, pos))
-            pos += len(ident)
-        elif num[-1:] == ".":
-            raise parse_error(text, pos, "decimal literals are not supported; "
-                                         "write an exact rational like 1/2")
-        elif num:
-            append(("INT", num, pos))
-            pos += len(num)
-        elif ident or bad:
-            raise parse_error(text, pos,
-                              f"unexpected character {(ident or bad)[0]!r}")
-        else:           # the end of the text
-            break
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+DIGITS = "0123456789"
 
 
-def parse_error(text: str, pos: int, message: str,
+class Kinds(dict):
+    """Token kind by text, seeded with the punctuation's and EOF's: each
+    distinct name or numeral is classified on its first lookup, and any
+    other text raises KeyError."""
+
+    def __missing__(self, text: str) -> str:
+        numeral = text[0] in DIGITS
+        if not (text[0].isalpha() or (numeral and text[-1] != ".")):
+            raise KeyError(text)
+        kind = self[text] = "INT" if numeral else "IDENT"
+        return kind
+
+
+KINDS = Kinds({**PUNCT, "": "EOF"})
+
+
+@dataclass(frozen=True)
+class Tokens:
+    """A text's tokens, ending in one EOF token: the i-th has kind kinds[i]
+    and text texts[i].  Offsets are not kept: see token_offsets."""
+    kinds: list[str]
+    texts: list[str]
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+
+def tokenize(text: str) -> Tokens:
+    """The tokens of text.  No Python code runs per token but to drop
+    comments; each call classifies its names in its own copy of KINDS."""
+    texts = LEXEME.findall(text)
+    if "#" in text:
+        texts = [t for t in texts if t[:1] != "#"]
+    try:
+        return Tokens(list(map(Kinds(KINDS).__getitem__, texts)), texts)
+    except KeyError as missing:     # at the first text with no kind
+        bad = missing.args[0]
+        raise parse_error(text, texts.index(bad), (
+            "decimal literals are not supported; write an exact rational "
+            "like 1/2" if bad[0] in DIGITS
+            else f"unexpected character {bad[0]!r}")) from None
+
+
+def token_offsets(text: str) -> Iterator[int]:
+    """Where each token of text starts, found by lexing text again."""
+    return (m.start() for m in LEXEME.finditer(text) if m[0][:1] != "#")
+
+
+def parse_error(text: str, index: int, message: str,
                 expected: set[str] | None = None) -> ParseError:
-    """A ParseError at offset pos of text.  Lines and columns count from 1;
-    only a newline ends a line, and every other character is one column."""
+    """A ParseError at the index-th token of text.  Lines and columns
+    count from 1; only a newline ends a line, and every other character
+    is one column."""
+    pos = next(islice(token_offsets(text), index, None))
     return ParseError(message, text.count("\n", 0, pos) + 1,
                       pos - text.rfind("\n", 0, pos), expected)
 
@@ -164,15 +186,16 @@ OBJECT_OPS = {INFIX[s][0]: (c, INFIX[s][2]) for s, c in ((STensor, Tensor),
 SIGMA_OPS = {"PLUS": (App, 0)}
 OPEN = (None, -2)    # an open parenthesis on infix's operator stack
 
-RESERVED = TAPE_ATOM_KEYWORDS | set(CIRCUIT_SPELLINGS) | {
-    "sort", "gen", "theory", "interp", "def", "check", "with", "model",
-    "star", "id1"}
+DECLARATIONS = {"sort", "gen", "theory", "interp", "def", "check"}
+RESERVED = TAPE_ATOM_KEYWORDS | set(CIRCUIT_SPELLINGS) | DECLARATIONS | {
+    "with", "model", "star", "id1"}
 
 
 class Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        tokens = tokenize(text)
+        self.kinds, self.texts = tokens.kinds, tokens.texts
         self.pos = 0
         self.module = SourceModule()
         self.sort_index = SortIndex()
@@ -183,77 +206,75 @@ class Parser:
         self.gen_atoms: dict[str, CAtomGen] = {}
         self.id_atoms: dict[Monomial, CAtomId] = {}
 
-    # -- token plumbing --------------------------------------------------
+    # -- token plumbing: a token is its index; the cursor stops at EOF ----
 
-    def peek(self, ahead: int = 0) -> Token:
-        """The token `ahead` places past the cursor, unclamped: the cursor
-        stops at EOF, and the parser looks ahead only from other tokens."""
-        return self.tokens[self.pos + ahead]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
+    def next(self) -> int:
+        pos = self.pos
+        if self.kinds[pos] != "EOF":
             self.pos += 1
-        return tok
+        return pos
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok[0] == kind and (text is None or tok[1] == text)
+        return self.kinds[self.pos] == kind and (
+            text is None or self.texts[self.pos] == text)
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
+    def accept(self, kind: str, text: str | None = None) -> bool:
         if self.at(kind, text):
-            return self.next()
-        return None
+            self.next()
+            return True
+        return False
 
-    def expect(self, kind: str, expected: str | None = None) -> Token:
-        found, text, _ = self.peek()
+    def expect(self, kind: str, expected: str | None = None) -> int:
+        found = self.kinds[self.pos]
         if found != kind:
-            self.fail(f"unexpected {found} {text!r}", {expected or kind})
+            self.fail(f"unexpected {found} {self.texts[self.pos]!r}",
+                      {expected or kind})
         return self.next()
 
     def fail(self, message: str, expected: set[str] | None = None,
-             tok: Token | None = None):
-        """Raise a ParseError at tok, by default at the next token."""
-        raise parse_error(self.text, (tok or self.peek())[2], message,
-                          expected)
+             tok: int | None = None):
+        """Raise a ParseError at token tok, by default at the next one."""
+        raise parse_error(self.text, self.pos if tok is None else tok,
+                          message, expected)
 
     # -- names and small pieces -------------------------------------------
 
     def fresh_name(self, kind: str, taken: Container[str]) -> str:
         tok = self.expect("IDENT", "a name")
-        name = tok[1]
+        name = self.texts[tok]
         if name in RESERVED:
             self.fail(f"{name!r} is a reserved word", tok=tok)
         if name in taken:
             self.fail(f"duplicate {kind} name {name}", tok=tok)
         return name
 
-    def expect_word(self, word: str) -> Token:
+    def expect_word(self, word: str) -> None:
         if not self.at("IDENT", word):
-            self.fail(f"unexpected {self.peek()[1]!r}", {word})
-        return self.next()
+            self.fail(f"unexpected {self.texts[self.pos]!r}", {word})
+        self.next()
 
     def integer(self, what: str) -> int:
         tok = self.expect("INT", what)
-        value = ascii_int(tok[1])
+        value = ascii_int(self.texts[tok])
         if value is None:
-            self.fail(f"numeral of {len(tok[1])} digits is too long", tok=tok)
+            self.fail(f"numeral of {len(self.texts[tok])} digits is too long",
+                      tok=tok)
         return value
 
     def rational(self) -> Fraction:
         num = self.integer("a rational number")
         if not self.accept("SLASH"):
             return Fraction(num)
-        tok = self.peek()
+        tok = self.pos
         den = self.integer("a denominator")
         if den == 0:
             self.fail("zero denominator", tok=tok)
         return Fraction(num, den)
 
-    def word(self, tok: Token) -> Monomial | None:
+    def word(self, tok: int) -> Monomial | None:
         """The monomial that one token spells: `1`, or a glued identifier
         split into declared sorts; None for any other token."""
-        kind, text, _ = tok
+        kind, text = self.kinds[tok], self.texts[tok]
         if kind == "INT" and text == "1":
             return ONE
         parts = self.sort_index.split(text) if kind == "IDENT" else None
@@ -265,7 +286,7 @@ class Parser:
         m = first
         if m is None:
             tok = self.next()
-            kind, text, _ = tok
+            kind, text = self.kinds[tok], self.texts[tok]
             m = self.word(tok)
             if kind != "IDENT" and m is None:
                 self.fail(f"expected a monomial, found {text!r}", {"monomial"},
@@ -273,7 +294,7 @@ class Parser:
             if m is None:
                 self.fail(f"cannot read {text!r} as a word of declared sorts",
                           tok=tok)
-        while (w := self.word(self.peek())) is not None:
+        while (w := self.word(self.pos)) is not None:
             self.next()
             m = m * w
         return m
@@ -284,7 +305,7 @@ class Parser:
             self.next()
             return ZERO
         p = poly_of_mono(self.monomial())
-        while self.at("OPLUS") and (w := self.word(self.peek(1))) is not None:
+        while self.at("OPLUS") and (w := self.word(self.pos + 1)) is not None:
             self.pos += 2
             p = p + poly_of_mono(self.monomial(w))
         return p
@@ -292,25 +313,20 @@ class Parser:
     # -- declarations ------------------------------------------------------
 
     def parse_module(self) -> SourceModule:
+        """Each declaration by the method named after its keyword, called
+        with the keyword read."""
         while not self.at("EOF"):
-            kind, text, _ = self.peek()
-            if kind != "IDENT":
-                self.fail(f"expected a declaration, found {text!r}",
-                          {"sort", "gen", "theory", "interp", "def", "check"})
-            handler = {
-                "sort": self.sort_decl, "gen": self.gen_decl,
-                "theory": self.theory_decl, "interp": self.interp_decl,
-                "def": self.def_decl, "check": self.check_decl,
-            }.get(text)
-            if handler is None:
-                self.fail(f"unknown declaration {text!r}",
-                          {"sort", "gen", "theory", "interp", "def", "check"})
-            handler()
+            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            if kind != "IDENT" or text not in DECLARATIONS:
+                self.fail(f"unknown declaration {text!r}" if kind == "IDENT"
+                          else f"expected a declaration, found {text!r}",
+                          DECLARATIONS)
+            self.next()
+            getattr(self, text + "_decl")()
         self.module.sorts = tuple(self.sorts)
         return self.module
 
     def sort_decl(self):
-        self.next()
         name = self.fresh_name("sort", self.sort_index.names)
         self.expect("SEMI", "';'")
         self.sorts.append(name)
@@ -318,7 +334,6 @@ class Parser:
         self.module.decls.append(SortDecl(name))
 
     def gen_decl(self):
-        self.next()
         name = self.fresh_name("generator", self.module.gens)
         self.expect("COLON", "':'")
         ar = self.monomial()
@@ -330,7 +345,6 @@ class Parser:
         self.module.decls.append(GenDecl(name, ar, coar))
 
     def theory_decl(self):
-        self.next()
         name = self.fresh_name("theory", self.module.theories)
         if name not in ("PCA", "CM"):
             self.fail(f"unknown theory {name!r}", {"PCA", "CM"})
@@ -348,19 +362,18 @@ class Parser:
     def interp_decl(self):
         """An interpretation block: a carrier per sort, a matrix per
         generator and one model, each given at most once."""
-        self.next()
         name = self.fresh_name("interpretation", self.module.interps)
         self.expect("LBRACE", "'{'")
         carriers, matrices, model = {}, {}, None
         while not self.at("RBRACE"):
             key = self.expect("IDENT", "an interpretation item")
-            item = key[1]
+            item = self.texts[key]
             self.expect("EQUALS", "'='")
             if item == "model":
                 if model is not None:
                     self.fail(f"duplicate model item in interpretation {name}",
                               tok=key)
-                model = self.expect("IDENT", "a theory name")[1]
+                model = self.texts[self.expect("IDENT", "a theory name")]
                 if model not in self.module.theories:
                     self.fail(f"theory {model} is not declared", tok=key)
             elif self.at("LBRACE"):
@@ -395,8 +408,8 @@ class Parser:
         self.module.decls.append(decl)
 
     def label(self) -> str:
-        if self.peek()[0] in ("IDENT", "INT"):
-            return self.next()[1]
+        if self.kinds[self.pos] in ("IDENT", "INT"):
+            return self.texts[self.next()]
         self.fail("expected a carrier label", {"identifier", "number"})
 
     def matrix_literal(self):
@@ -417,7 +430,6 @@ class Parser:
         return tuple(rows)
 
     def def_decl(self):
-        self.next()
         name = self.fresh_name("definition", self.module.defs)
         self.expect("EQUALS", "'='")
         body = self.infix(TAPE_OPS, self.tape_atom)
@@ -427,12 +439,11 @@ class Parser:
         self.module.decls.append(DefDecl(name, body))
 
     def check_decl(self):
-        self.next()
-        left = self.expect("IDENT", "a definition name")[1]
+        left = self.texts[self.expect("IDENT", "a definition name")]
         self.expect("EQUALS", "'='")
-        right = self.expect("IDENT", "a definition name")[1]
+        right = self.texts[self.expect("IDENT", "a definition name")]
         self.expect_word("with")
-        interp = self.expect("IDENT", "an interpretation name")[1]
+        interp = self.texts[self.expect("IDENT", "an interpretation name")]
         self.expect("SEMI", "';'")
         for ref in (left, right):
             if ref not in self.module.defs:
@@ -454,17 +465,17 @@ class Parser:
         surrounding declaration.  Inside a circuit bracket every ';'
         composes.  Like the atoms, it reads the tokens by index: no
         helper call per token."""
-        tokens = self.tokens
+        kinds = self.kinds
         operands, pending = [], []
         while True:
-            while tokens[self.pos][0] == "LPAREN":
+            while kinds[self.pos] == "LPAREN":
                 self.pos += 1
                 pending.append(OPEN)
             operands.append(atom())
             while True:
-                op = ops.get(tokens[self.pos][0])
+                op = ops.get(kinds[self.pos])
                 if (op is not None and op[0] is SSeq and ops is TAPE_OPS
-                        and not self.starts_tape_atom(tokens[self.pos + 1])):
+                        and not self.starts_tape_atom(self.pos + 1)):
                     op = None
                 level = -1 if op is None else op[1]
                 while pending and pending[-1][1] >= level:
@@ -483,7 +494,7 @@ class Parser:
 
     def close(self, kind: str, expected: str) -> None:
         """Step over the closing token of a bracket, which must come next."""
-        if self.tokens[self.pos][0] != kind:
+        if self.kinds[self.pos] != kind:
             self.expect(kind, expected)     # raises
         self.pos += 1
 
@@ -493,7 +504,7 @@ class Parser:
         expects '@'; any other atom that takes arguments is one only with
         '@' right after its name."""
         pos = self.pos
-        text, after = self.tokens[pos][1], self.tokens[pos + 1][0]
+        text, after = self.texts[pos], self.kinds[pos + 1]
         glued = after == "PLUS" and text + "+" in spellings
         key, n = spellings.get(text + "+" if glued else text, (None, 0))
         if not glued and (key is None or (n and after != "AT")):
@@ -507,18 +518,16 @@ class Parser:
             args.append(arg())
         return key, tuple(args)
 
-    def starts_tape_atom(self, tok: Token) -> bool:
-        kind, text, _ = tok
-        if kind in ("LPAREN", "LBRACK"):
-            return True
-        return kind == "IDENT" and (
+    def starts_tape_atom(self, tok: int) -> bool:
+        kind, text = self.kinds[tok], self.texts[tok]
+        return kind in ("LPAREN", "LBRACK") or kind == "IDENT" and (
             text in TAPE_ATOM_KEYWORDS or text in self.refs)
 
     def tape_atom(self) -> SExpr:
         """A definition's name first: none is spelt as an atom keyword,
         as fresh_name rejects the reserved words."""
         pos = self.pos
-        kind, text, _ = self.tokens[pos]
+        kind, text = self.kinds[pos], self.texts[pos]
         ref = self.refs.get(text)
         if ref is not None:
             self.pos = pos + 1
@@ -534,7 +543,7 @@ class Parser:
         atom = self.table_atom(TAPE_SPELLINGS, self.poly_arg)
         if atom is not None:
             return SAtom(*atom)
-        if text in ("op", "term") and self.tokens[pos + 1][0] == "LT":
+        if text in ("op", "term") and self.kinds[pos + 1] == "LT":
             self.pos = pos + 2
             if text == "op":
                 op = self.op_symbol()
@@ -554,19 +563,16 @@ class Parser:
     def op_symbol(self) -> OpSymbol:
         if self.accept("PLUS"):
             return self.plus_op()
-        if self.at("IDENT", "star"):
-            self.next()
+        if self.accept("IDENT", "star"):
             return STAR
-        if self.at("INT", "0"):
-            self.next()
+        if self.accept("INT", "0"):
             return CM_ZERO
-        self.fail("expected an operation symbol",
-                  {"+_p", "+", "star", "0"})
+        self.fail("expected an operation symbol", {"+_p", "+", "star", "0"})
 
     def plus_op(self) -> OpSymbol:
         """The operation of a `+` just read: `+_p` or the monoid's `+`."""
         if self.accept("UNDERSCORE"):
-            tok = self.peek()
+            tok = self.pos
             p = self.rational()
             try:
                 return choice(p)
@@ -575,13 +581,10 @@ class Parser:
         return CM_PLUS
 
     def sigma_atom(self) -> SigmaTerm:
-        kind, text, _ = self.peek()
-        if kind == "IDENT" and text == "star":
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if (kind, text) in (("IDENT", "star"), ("INT", "0")):
             self.next()
-            return App(STAR, ())
-        if kind == "INT" and text == "0":
-            self.next()
-            return App(CM_ZERO, ())
+            return App(STAR if text == "star" else CM_ZERO, ())
         index = ascii_int(text[1:]) if text.startswith("x") else None
         if kind == "IDENT" and index is not None:
             self.next()
@@ -594,7 +597,7 @@ class Parser:
         """A generator's name first: none is spelt as a circuit atom, as
         fresh_name rejects the reserved words."""
         pos = self.pos
-        kind, text, _ = self.tokens[pos]
+        kind, text = self.kinds[pos], self.texts[pos]
         atom = self.gen_atoms.get(text)
         if atom is not None:
             self.pos = pos + 1
@@ -639,13 +642,10 @@ def parse_object_expr(text: str) -> tuple[ObjTerm, tuple[str, ...]]:
     found: list[str] = []
 
     def atom() -> ObjTerm:
-        kind, text, _ = parser.peek()
-        if kind == "INT" and text == "1":
+        kind, text = parser.kinds[parser.pos], parser.texts[parser.pos]
+        if kind == "INT" and text in ("0", "1"):
             parser.next()
-            return UnitOne()
-        if kind == "INT" and text == "0":
-            parser.next()
-            return ZeroObj()
+            return UnitOne() if text == "1" else ZeroObj()
         if kind == "IDENT":
             parser.next()
             for name in text:

@@ -2,9 +2,10 @@
 parser's cursor on every prefix of the corpus.
 
 The reference loop tracked line and column per character; tokenize keeps
-offsets and derives the position only for a diagnostic.  They agree
-everywhere but one place: after a comment that runs to the end of input,
-the loop never advanced the column, so its EOF token sits at the `#`."""
+only kinds and texts, and a token's offset is found again, by lexing the
+text once more, only for a diagnostic.  They agree everywhere but one
+place: after a comment that runs to the end of input, the loop never
+advanced the column, so its EOF token sits at the `#`."""
 
 import sys
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from tapecalc.errors import ParseError
 from tapecalc.frontend.cli import main
-from tapecalc.frontend.parser import PUNCT, parse_module, tokenize
+from tapecalc.frontend.parser import (PUNCT, parse_error, parse_module,
+                                      token_offsets, tokenize)
 
 ROOT = Path(__file__).parent.parent
 CORPUS = sorted((ROOT / "corpus").glob("*.tape"))
@@ -95,14 +97,22 @@ def line_col(text: str, pos: int) -> tuple[int, int]:
 
 
 def lexed(tokenizer, text: str):
-    """Each token's (kind, text, line, col), or the error's text and place."""
+    """Each token's (kind, text, line, col), or the error's text and place.
+    tokenize's positions come from token_offsets, the stream that
+    parse_error reads; a few are also read through parse_error itself."""
     try:
         tokens = tokenizer(text)
     except ParseError as err:
         return str(err), err.line, err.col
     if tokenizer is reference_tokenize:
         return [(t.kind, t.text, t.line, t.col) for t in tokens]
-    return [(kind, lexeme, *line_col(text, pos)) for kind, lexeme, pos in tokens]
+    offsets = list(token_offsets(text))
+    assert len(tokens) == len(tokens.kinds) == len(offsets)
+    for i in {0, len(offsets) // 2, len(offsets) - 1}:
+        err = parse_error(text, i, "here")
+        assert (err.line, err.col) == line_col(text, offsets[i])
+    return [(kind, lexeme, *line_col(text, pos))
+            for kind, lexeme, pos in zip(tokens.kinds, tokens.texts, offsets)]
 
 
 def assert_lexes_as_reference(text: str) -> None:
@@ -149,10 +159,13 @@ def test_fragment_strings_lex_as_reference(text):
     assert_lexes_as_reference(text)
 
 
-def test_tokens_carry_offsets_and_end_in_one_eof():
-    assert tokenize("def d=(x) # c\n  x1") == [
+def test_tokens_end_in_one_eof_and_offsets_are_found_again():
+    text = "def d=(x) # c\n  x1"
+    tokens = tokenize(text)
+    assert list(zip(tokens.kinds, tokens.texts, token_offsets(text))) == [
         ("IDENT", "def", 0), ("IDENT", "d", 4), ("EQUALS", "=", 5),
         ("OTENSOR", "(x)", 6), ("IDENT", "x1", 16), ("EOF", "", 18)]
+    assert len(tokens) == 6
 
 
 def test_eof_after_a_trailing_comment_is_at_the_true_end():
@@ -167,7 +180,8 @@ def test_eof_after_a_trailing_comment_is_at_the_true_end():
 
 def cuts(text: str) -> list[int]:
     """Every offset where a token starts or ends."""
-    return sorted({p for _, lexeme, pos in tokenize(text)
+    return sorted({p for lexeme, pos in zip(tokenize(text).texts,
+                                            token_offsets(text))
                    for p in (pos, pos + len(lexeme))})
 
 

@@ -51,8 +51,7 @@ def edited(tokens: list[str], vocabulary: list[str],
 def inputs():
     """(name, text) for every corpus file and its edited variants."""
     texts = {p.name: p.read_text(encoding="utf-8") for p in CORPUS}
-    tokens = {name: [t for _, t, _ in tokenize(text)[:-1]]
-              for name, text in texts.items()}
+    tokens = {name: tokenize(text).texts[:-1] for name, text in texts.items()}
     vocabulary = sorted(set(chain.from_iterable(tokens.values())))
     rng = random.Random(27)
     for name, text in texts.items():
