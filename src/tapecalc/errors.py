@@ -29,6 +29,10 @@ class ModelError(TapecalcError):
     pass
 
 
+class SizeError(TapecalcError):
+    """Work refused before it is done, as its size exceeds a fixed bound."""
+
+
 class ParseError(TapecalcError):
     """Syntax or resolution error with source position."""
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (or equal), 1 unequal or suite failure, 2 usage
-errors, 3 parse or type errors.  Subcommands print nothing on success
-except the artifact they were asked for.
+errors and work refused as too large, 3 parse or type errors.
+Subcommands print nothing on success except the artifact they were
+asked for.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import argparse
 import functools
 import sys
 
-from ..errors import TapecalcError, TypeCheckError, UnknownOperationError
+from ..errors import (SizeError, TapecalcError, TypeCheckError,
+                      UnknownOperationError)
 from ..hashcons import postorder
 from ..interp import eval_tape
 from ..kleisli import exact_str, model_for
@@ -237,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
                 "render": cmd_render}
     try:
         return handlers[args.command](args)
+    except SizeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     except TapecalcError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

@@ -201,10 +201,13 @@ class Parser:
         self.sort_index = SortIndex()
         self.sorts: list[str] = []     # module.sorts, frozen at the end
         # each leaf atom built once: a reference by definition name, a
-        # generator by its name, an identity by its monomial
+        # generator by its name, an identity by its monomial; and a bracket
+        # of one generator or identity by its leaf's id, as the leaves
+        # live as long as the parser
         self.refs: dict[str, SRef] = {}
         self.gen_atoms: dict[str, CAtomGen] = {}
         self.id_atoms: dict[Monomial, CAtomId] = {}
+        self.brackets: dict[int, SCircuit] = {}
 
     # -- token plumbing: a token is its index; the cursor stops at EOF ----
 
@@ -474,9 +477,11 @@ class Parser:
             operands.append(atom())
             while True:
                 op = ops.get(kinds[self.pos])
-                if (op is not None and op[0] is SSeq and ops is TAPE_OPS
-                        and not self.starts_tape_atom(self.pos + 1)):
-                    op = None
+                if op is not None and op[0] is SSeq and ops is TAPE_OPS:
+                    kind, text = kinds[self.pos + 1], self.texts[self.pos + 1]
+                    if not (kind in ("LPAREN", "LBRACK") or kind == "IDENT" and (
+                            text in TAPE_ATOM_KEYWORDS or text in self.refs)):
+                        op = None       # the ';' ends the declaration
                 level = -1 if op is None else op[1]
                 while pending and pending[-1][1] >= level:
                     right = operands.pop()
@@ -518,11 +523,6 @@ class Parser:
             args.append(arg())
         return key, tuple(args)
 
-    def starts_tape_atom(self, tok: int) -> bool:
-        kind, text = self.kinds[tok], self.texts[tok]
-        return kind in ("LPAREN", "LBRACK") or kind == "IDENT" and (
-            text in TAPE_ATOM_KEYWORDS or text in self.refs)
-
     def tape_atom(self) -> SExpr:
         """A definition's name first: none is spelt as an atom keyword,
         as fresh_name rejects the reserved words."""
@@ -533,10 +533,21 @@ class Parser:
             self.pos = pos + 1
             return ref
         if kind == "LBRACK":
-            self.pos = pos + 1
-            c = self.infix(CIRCUIT_OPS, self.circuit_atom)
-            self.close("RBRACK", "']'")
-            return SCircuit(c)
+            # `[ G ]` for a generator G needs no circuit infix; as the
+            # tokens end in EOF, pos + 2 exists once pos + 1 is a name
+            c = self.gen_atoms.get(self.texts[pos + 1])
+            if c is not None and self.kinds[pos + 2] == "RBRACK":
+                self.pos = pos + 3
+            else:
+                self.pos = pos + 1
+                c = self.infix(CIRCUIT_OPS, self.circuit_atom)
+                self.close("RBRACK", "']'")
+            if type(c) not in (CAtomGen, CAtomId):
+                return SCircuit(c)
+            bracket = self.brackets.get(id(c))
+            if bracket is None:
+                bracket = self.brackets[id(c)] = SCircuit(c)
+            return bracket
         if kind != "IDENT":
             self.fail(f"expected a tape expression, found {text!r}",
                       {"atom", "'('", "'['"})

@@ -5,12 +5,21 @@ One tree serves both layers: a circuit bracket ``[ ... ]`` is an
 and ``SAtom`` nodes as the tape around it, its table atoms keyed into
 ``CIRCUIT_ATOMS`` where a tape's are keyed into ``TAPE_ATOMS``.  Parsing
 keeps the shape the user wrote (``copier@P`` stays one atom); elaboration
-lowers surface expressions to core circuit and tape terms on demand.  A
-``SourceModule`` keeps its declarations in source order, for the printer,
-and one table per kind of declaration, filled by the parser as it reads
-each one.  The printer emits the canonical concrete syntax, which is also
-the format of the shipped corpus: parse then print is stable modulo
-whitespace.
+lowers surface expressions to core circuit and tape terms on demand.
+
+Surface nodes are slotted dataclasses, never mutated after construction,
+and compared by value; they are not hashable, and nothing hashes them.
+The parser builds each leaf once per module and shares it: a reference
+to a definition, a generator, an identity, and a bracket ``[ G ]`` whose
+contents are one such leaf, so a chain of ``[ G ]`` steps over three
+generators holds three ``SCircuit``s.  ``elaborate`` lowers each shared
+bracket once a call.
+
+A ``SourceModule`` keeps its declarations in source order, for the
+printer, and one table per kind of declaration, filled by the parser as
+it reads each one.  The printer emits the canonical concrete syntax,
+which is also the format of the shipped corpus: parse then print is
+stable modulo whitespace.
 """
 
 from __future__ import annotations
@@ -35,63 +44,63 @@ from ..theory import AlgebraicTheory, OpSymbol, SigmaTerm, builtin_theory
 
 # --- surface expressions ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SExpr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SAtom(SExpr):
     kind: str  # a key of TAPE_ATOMS, or of CIRCUIT_ATOMS inside a bracket
     args: tuple = ()  # Polynomials for a tape atom, Monomials for a circuit atom
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SOp(SExpr):
     op: OpSymbol
     poly: Polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class STermBr(SExpr):
     term: SigmaTerm
     context: int
     poly: Polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SCircuit(SExpr):
     circuit: SExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SRef(SExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CAtomId(SExpr):
     mono: Monomial
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CAtomGen(SExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SSeq(SExpr):
     left: SExpr
     right: SExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class STensor(SExpr):
     left: SExpr
     right: SExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SSum(SExpr):
     left: SExpr
     right: SExpr
@@ -250,6 +259,7 @@ def elaborate(e: SExpr, module: SourceModule) -> TapeTerm:
     sig = module.signature()
     defs = module.defs
     refs: dict[str, TapeTerm] = {}   # each definition elaborates once a call
+    brackets: dict[int, TapeTerm] = {}   # and each bracket object, by id
 
     def go(e: SExpr) -> TapeTerm:
         if isinstance(e, SAtom) and e.kind in TAPE_ATOMS:
@@ -259,7 +269,10 @@ def elaborate(e: SExpr, module: SourceModule) -> TapeTerm:
         if isinstance(e, STermBr):
             return term_tape(e.term, e.poly, e.context)
         if isinstance(e, SCircuit):
-            return TCirc(elaborate_circuit(e.circuit))
+            term = brackets.get(id(e))
+            if term is None:
+                term = brackets[id(e)] = TCirc(elaborate_circuit(e.circuit))
+            return term
         if isinstance(e, SRef):
             term = refs.get(e.name)
             if term is None:

@@ -414,13 +414,21 @@ class Matrix:
             product = self._then_packed(other)
             if product is not None:
                 return product
+        # one pass: each column's gcd with den is taken as it is summed
+        right, den = other.cols, self.den * other.den
+        g = den
         for col in self.cols:
             out = {}
             for y, a in col.items():
-                for z, b in other.cols[y].items():
+                for z, b in right[y].items():
                     out[z] = out.get(z, 0) + b * a
+            if g != 1:
+                g = gcd(g, *out.values())
             cols.append(out)
-        return _reduced(self.dom, other.cod, tuple(cols), self.den * other.den)
+        if g != 1:
+            den //= g
+            cols = [{z: v // g for z, v in out.items()} for out in cols]
+        return Matrix(self.dom, other.cod, tuple(cols), den=den)
 
     def _then_packed(self, other: "Matrix") -> "Matrix | None":
         """self ; other with other's columns packed: output column x is

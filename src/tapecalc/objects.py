@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
+from math import prod
 from typing import Iterable, Union
 
-from .errors import UnknownSortError
+from .errors import SizeError, UnknownSortError
 
 
 class Monomial(tuple):
@@ -118,6 +119,9 @@ class Sum(ObjTerm):
     right: ObjTerm
 
 
+MAX_MONOMIALS = 1 << 20    # the largest (x) product normalize expands
+
+
 def normalize(term: ObjTerm, sorts: Iterable[str]) -> Polynomial:
     """Rewrite an object term to its polynomial normal form.
 
@@ -129,6 +133,8 @@ def normalize(term: ObjTerm, sorts: Iterable[str]) -> Polynomial:
     linear in the size of the term and of its normal form.  The walk keeps
     its own stack, so deeply nested terms do not recurse, and it meets the
     leaves from left to right, so the first unregistered sort is reported.
+    A product of more than MAX_MONOMIALS monomials raises SizeError before
+    it is expanded: n two-term factors have 2^n.
     """
     registered = set(sorts)
     results: list[Polynomial] = []
@@ -139,9 +145,13 @@ def normalize(term: ObjTerm, sorts: Iterable[str]) -> Polynomial:
         if done:
             parts = results[-done:]
             del results[-done:]
-            results.append(Polynomial(chain.from_iterable(parts))
-                           if isinstance(t, Sum) else
-                           Polynomial(Monomial(chain.from_iterable(ms))
+            if isinstance(t, Sum):
+                results.append(Polynomial(chain.from_iterable(parts)))
+                continue
+            if prod(map(len, parts)) > MAX_MONOMIALS:
+                raise SizeError(f"a (x) product of {len(parts)} factors has "
+                                f"more than {MAX_MONOMIALS} monomials")
+            results.append(Polynomial(Monomial(chain.from_iterable(ms))
                                       for ms in product(*parts)))
         elif isinstance(t, (Sum, Tensor)):
             operands, spine = [], [t]

@@ -104,8 +104,9 @@ def test_edited_corpus_ends_in_an_exit_code(edited, tmp_path_factory):
 # flag, a flag without its value, `--help`, or any flag again with a
 # value.  `-o` only ever comes with a path under the test's directory,
 # so a run writes nowhere else.  normalize takes only the fixed
-# expressions below, with at most three sums: a product of n two-term
-# sums normalizes to 2^n monomials.
+# expressions below: a product of n two-term sums normalizes to 2^n
+# monomials, so all but the last have at most three sums, and the last
+# has 64, which normalize refuses before expanding.
 MODULES = {path: parse_module(source) for path, source in SOURCES.items()}
 COMMANDS = [None, "bogus", "check", "normalize", "eval", "eq", "suite",
             "render"]
@@ -117,7 +118,7 @@ FILES = [*map(str, CORPUS), str(CORPUS[0].parent / "missing.tape"),
          str(CORPUS[0].parent), "/dev/null"]
 EXPRESSIONS = ["A", "AB (x) 1", "(A (+) B) (x) C", "0 (+) A (+) 1",
                "(A (+) 1) (x) (B (+) 0) (x) (A (+) BA)", "(A (+) B", "A (x)",
-               "", "1.5", "A ⊗ B"]
+               "", "1.5", "A ⊗ B", " (x) ".join(["(A (+) B)"] * 64)]
 DEF_NAMES = sorted({name for m in MODULES.values() for name in m.defs})
 VALUES = {
     "--term": DEF_NAMES, "--left": DEF_NAMES, "--right": DEF_NAMES,

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from tapecalc.circuit import MonSignature
+from tapecalc.circuit import CGen, MonSignature
 from tapecalc.errors import ParseError
-from tapecalc.frontend import cli, parser
+from tapecalc.frontend import cli, parser, surface
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.parser import SortIndex, parse_module
-from tapecalc.frontend.surface import elaborate
+from tapecalc.frontend.surface import (SCircuit, SSeq, elaborate,
+                                       elaborate_circuit)
+from tapecalc.tape import TCirc, TSeq
 
 ROOT = Path(__file__).parent.parent
 CORPUS = sorted((ROOT / "corpus").glob("*.tape"))
@@ -68,10 +70,12 @@ def chain_text(steps: int) -> str:
 
 
 def test_parser_makes_few_calls_per_token():
-    """Parsing a 512-step `[ G ] ; ...` chain makes at most 2.5 Python
-    calls per token: the infix loop and the atoms read the token list by
-    index, and each generator atom is built once.  With a helper call per
-    token read, and a new atom per use, it made 6.4."""
+    """Parsing a 512-step `[ G ] ; ...` chain makes at most 0.55 Python
+    calls per token, about one per step and one per `;`: the infix loop
+    and the atoms read the token list by index, a `[ G ]` is read without
+    the circuit infix, and each generator atom and its bracket are built
+    once.  With a helper call per token read, and a new atom per use, it
+    made 6.4; with a circuit infix and a new bracket per step, 1.78."""
     text = chain_text(512)
     tokens = len(parser.tokenize(text))
     calls = 0
@@ -86,7 +90,35 @@ def test_parser_makes_few_calls_per_token():
     finally:
         sys.setprofile(None)
     assert len(module.defs) == 1
-    assert calls <= 2.5 * tokens, calls / tokens
+    assert calls <= 0.55 * tokens, calls / tokens
+
+
+def test_chain_shares_its_brackets_and_elaborates_each_once(monkeypatch):
+    """A 512-step `[ G ] ; ...` chain over three generators holds three
+    bracket objects, and elaborate lowers each of them once."""
+    module = parse_module(chain_text(512))
+    brackets, todo = {}, [module.defs["chain"]]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, SSeq):
+            todo += (e.left, e.right)
+        else:
+            assert isinstance(e, SCircuit)
+            brackets[id(e)] = e
+    assert len(brackets) == 3
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return elaborate_circuit(c)
+
+    monkeypatch.setattr(surface, "elaborate_circuit", counting)
+    tape = elaborate(module.defs["chain"], module)
+    assert len(calls) == 3
+    expected = TCirc(CGen("G0"))
+    for i in range(1, 512):
+        expected = TSeq(expected, TCirc(CGen(f"G{i % 3}")))
+    assert tape is expected
 
 
 def test_tokenize_makes_no_call_per_token():

@@ -255,6 +255,34 @@ def test_reduction_after_each_kernel():
     assert assert_canonical(f.tensor(Matrix(0, 0, image=()))).den == 1
 
 
+@st.composite
+def small_dense(draw, dom, cod):
+    """Dense rows of weights in [0, 2]: integers only (den 1) or with
+    Fractions, and about one column in eight all zero."""
+    weights = draw(st.sampled_from((INTS, FRACTIONS)))
+    zero = draw(st.lists(st.integers(0, 7).map(lambda k: k == 0),
+                         min_size=dom, max_size=dom))
+    rows = draw(st.lists(st.lists(weights, min_size=dom, max_size=dom),
+                         min_size=cod, max_size=cod))
+    return dom, cod, [[0 if zero[x] else w for x, w in enumerate(row)]
+                      for row in rows]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_then_folds_chains_of_small_dict_matrices(data):
+    """A left fold of then over 2-40 column-dict matrices of at most 3x3
+    is canonical after every step and equals the Fraction product."""
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=41))
+    dense = [data.draw(small_dense(d, c)) for d, c in zip(dims, dims[1:])]
+    product, reference = from_dense(dense[0]), dense[0]
+    for step in dense[1:]:
+        product = assert_canonical(product.then(from_dense(step)))
+        reference = dense_then(reference, step)
+        assert product.image is None and product.packed is None
+    check(product, reference)
+
+
 @given(dom=SIZES, cod=SIZES, seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_rand_substochastic_matches_its_draws(dom, cod, seed):

@@ -3,13 +3,14 @@ not ASCII, weights longer than Python's int->str conversion allows (4300
 digits by default), and terms and parentheses deeper than the recursion
 limit.  Each ends in a documented exit code, never in a traceback."""
 
+import itertools
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from tapecalc import hashcons
+from tapecalc import hashcons, objects
 from tapecalc.circuit import CGen, MonSignature, cseq
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.parser import parse_module
@@ -213,6 +214,30 @@ def test_deep_nesting_checks_and_renders(tmp_path, capsys, shape, command):
 def test_normalize_5000_nested_parentheses(capsys):
     code = main(["normalize", "(" * DEEP + "A (+) (B)" + ")" * DEEP])
     assert (code, capsys.readouterr().out) == (0, "A (+) B\n")
+
+
+@pytest.mark.parametrize("n", [10, 21, 64])
+def test_normalize_refuses_a_product_past_its_bound(n, monkeypatch, capsys):
+    """n two-term factors normalize to 2^n monomials: above 2^20 normalize
+    exits 2 with one error line and expands nothing; at n = 10 it prints
+    all 1,024."""
+    expanded = []
+
+    def product(*parts):
+        expanded.append(len(parts))
+        return itertools.product(*parts)
+
+    monkeypatch.setattr(objects, "product", product)
+    code = main(["normalize", " (x) ".join(["(A (+) B)"] * n)])
+    out = capsys.readouterr()
+    if n <= 20:
+        assert (code, out.err, expanded) == (0, "", [n])
+        assert out.out.count(" (+) ") + 1 == 2 ** n
+        assert out.out.startswith("A" * n + " (+) ")
+    else:
+        assert (code, out.out, expanded) == (2, "", [])
+        assert out.err == (f"error: a (x) product of {n} factors has more "
+                           "than 1048576 monomials\n")
 
 
 def test_5000_step_bracket_checks_and_evaluates(tmp_path, capsys):
