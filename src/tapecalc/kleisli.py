@@ -97,6 +97,13 @@ def _reduced(dom: int, cod: int, cols: tuple[dict[int, int], ...],
         if g == 1:
             break
         g = gcd(g, *col.values())
+    return _divided(dom, cod, cols, den, g)
+
+
+def _divided(dom: int, cod: int, cols: tuple[dict[int, int], ...],
+             den: int, g: int) -> "Matrix":
+    """The matrix of numerators ``cols`` over ``den``, both divided by
+    their common divisor g."""
     if g != 1:
         den //= g
         cols = tuple([{y: v // g for y, v in col.items()} for col in cols])
@@ -425,10 +432,7 @@ class Matrix:
             if g != 1:
                 g = gcd(g, *out.values())
             cols.append(out)
-        if g != 1:
-            den //= g
-            cols = [{z: v // g for z, v in out.items()} for out in cols]
-        return Matrix(self.dom, other.cod, tuple(cols), den=den)
+        return _divided(self.dom, other.cod, tuple(cols), den, g)
 
     def _then_packed(self, other: "Matrix") -> "Matrix | None":
         """self ; other with other's columns packed: output column x is

@@ -257,8 +257,8 @@ def test_reduction_after_each_kernel():
 
 @st.composite
 def small_dense(draw, dom, cod):
-    """Dense rows of weights in [0, 2]: integers only (den 1) or with
-    Fractions, and about one column in eight all zero."""
+    """Dense rows of weights: integers 0-3 only (den 1) or Fractions in
+    [0, 2], and about one column in eight all zero."""
     weights = draw(st.sampled_from((INTS, FRACTIONS)))
     zero = draw(st.lists(st.integers(0, 7).map(lambda k: k == 0),
                          min_size=dom, max_size=dom))
