@@ -6,8 +6,12 @@ monomials by the usual inductive clauses.  Nodes are hash-consed (see
 ``hashcons``).
 
 The identity, symmetry, copier and discharger of a whole monomial are
-each one ``CBlock(builder, words)`` node, their builder call, read from
-its ``wire_map``; a call whose tree is one primitive node returns it.
+each one ``CBlock(builder, words)`` node, their builder call; a call
+whose tree is one primitive node returns it.  The five primitives
+``CIdSort``, ``CIdOne``, ``CSym``, ``CCopier`` and ``CDischarger`` are
+builder calls too, at one-sort words: every ``CStructural`` node keeps
+the ``wire_map`` of its call, its type is read from that alone, and its
+matrix is the ``kleisli`` closed form of its call (see ``interp``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from operator import attrgetter
 from typing import Callable, Mapping
 
 from .errors import TypeCheckError, UnknownGeneratorError, UnknownSortError
-from .hashcons import Term, fold, term_node
+from .hashcons import Term, fold, kept, term_node
 from .objects import ONE, Monomial
 
 
@@ -36,9 +40,12 @@ class MonSignature:
                     raise UnknownSortError(
                         f"generator {name} mentions unregistered sort {s}")
 
-    def check_sort(self, name: str) -> None:
-        if name not in self.sort_set:
-            raise UnknownSortError(f"unregistered sort: {name}")
+    def check_sorts(self, *words) -> None:
+        """Raise on the first sort of the words, in order, not registered."""
+        if not self.sort_set.issuperset(chain.from_iterable(words)):
+            for s in chain.from_iterable(words):
+                if s not in self.sort_set:
+                    raise UnknownSortError(f"unregistered sort: {s}")
 
     def gen_type(self, name: str) -> tuple[Monomial, Monomial]:
         try:
@@ -56,14 +63,25 @@ class CircuitTerm(Term):
     pass
 
 
+class CStructural(CircuitTerm):
+    """Base of the structural circuits, the nodes whose meaning is a wire
+    map: ``CBlock`` and the five primitives below.  ``call`` is the
+    node's builder call (builder, *words), a primitive's the call of its
+    class's builder at the one-sort monomials of its fields; ``wires``
+    is the ``wire_map`` of the call, kept."""
+
+    wires = kept(lambda c: wire_map(*c.call))
+
+
 @term_node
-class CIdSort(CircuitTerm):
+class CIdSort(CStructural):
     sort: str
+    call = property(lambda c: ("identity_circuit", Monomial((c.sort,))))
 
 
 @term_node
-class CIdOne(CircuitTerm):
-    pass
+class CIdOne(CStructural):
+    call = property(lambda c: ("identity_circuit", ONE))
 
 
 @term_node
@@ -72,9 +90,11 @@ class CGen(CircuitTerm):
 
 
 @term_node
-class CSym(CircuitTerm):
+class CSym(CStructural):
     left: str
     right: str
+    call = property(lambda c: ("sym_circuit", Monomial((c.left,)),
+                               Monomial((c.right,))))
 
 
 @term_node
@@ -90,22 +110,25 @@ class CTensor(CircuitTerm):
 
 
 @term_node
-class CCopier(CircuitTerm):
+class CCopier(CStructural):
     sort: str
+    call = property(lambda c: ("copier_circuit", Monomial((c.sort,))))
 
 
 @term_node
-class CDischarger(CircuitTerm):
+class CDischarger(CStructural):
     sort: str
+    call = property(lambda c: ("discharger_circuit", Monomial((c.sort,))))
 
 
 @term_node
-class CBlock(CircuitTerm):
+class CBlock(CStructural):
     """The structural circuit of the builder named ``builder`` at the
     monomials ``words``: (U, W) for ``sym_circuit``, (U,) for
     ``copier_circuit``, ``discharger_circuit`` and ``identity_circuit``."""
     builder: str
     words: tuple
+    call = property(lambda c: (c.builder, *c.words))
 
 
 CIRCUIT_KIDS: dict[type, Callable] = {
@@ -114,7 +137,9 @@ CIRCUIT_KIDS: dict[type, Callable] = {
 
 def circuit_node_type(c: CircuitTerm, sig: MonSignature,
                       kids: tuple) -> tuple[Monomial, Monomial]:
-    """The type of c, given the types of its children, in order."""
+    """The type of c, given the types of its children, in order.  A
+    structural circuit's is its wire map's; its sorts are checked in dom
+    order, and every sort of its words is in dom."""
     cls = c.__class__
     if cls is CGen:
         return sig.gen_type(c.name)
@@ -127,25 +152,10 @@ def circuit_node_type(c: CircuitTerm, sig: MonSignature,
     if cls is CTensor:
         (dom1, cod1), (dom2, cod2) = kids
         return dom1 * dom2, cod1 * cod2
-    if cls is CIdSort:
-        sig.check_sort(c.sort)
-        return Monomial((c.sort,)), Monomial((c.sort,))
-    if cls is CIdOne:
-        return ONE, ONE
-    if cls is CSym:
-        sig.check_sort(c.left)
-        sig.check_sort(c.right)
-        return Monomial((c.left, c.right)), Monomial((c.right, c.left))
-    if cls is CCopier:
-        sig.check_sort(c.sort)
-        return Monomial((c.sort,)), Monomial((c.sort, c.sort))
-    if cls is CDischarger:
-        sig.check_sort(c.sort)
-        return Monomial((c.sort,)), ONE
-    if cls is CBlock:
-        for s in chain.from_iterable(c.words):
-            sig.check_sort(s)
-        return wire_map(c)[:2]
+    if isinstance(c, CStructural):
+        dom, cod, _ = c.wires
+        sig.check_sorts(dom)
+        return dom, cod
     raise TypeCheckError(f"not a circuit term: {c!r}")
 
 
@@ -157,18 +167,19 @@ def type_of_circuit(c: CircuitTerm, sig: MonSignature) -> tuple[Monomial, Monomi
 
 # --- derived structural circuits ----------------------------------------------
 
-def wire_map(c: CBlock) -> tuple[Monomial, Monomial, list]:
-    """(dom, cod, targets) of c: the i-th wire of dom joins the wires
-    targets[i] of cod, each wire carrying one sort."""
-    u, *w = c.words
+def wire_map(builder: str, u: Monomial, *w: Monomial
+             ) -> tuple[Monomial, Monomial, list]:
+    """(dom, cod, targets) of the structural circuit of the call
+    builder(u, *w): the i-th wire of dom joins the wires targets[i] of
+    cod, each wire carrying one sort."""
     n = len(u)
-    if c.builder == "sym_circuit":
+    if builder == "sym_circuit":
         m = len(w[0])
         return (u * w[0], w[0] * u,
                 [(m + i,) for i in range(n)] + [(j,) for j in range(m)])
-    if c.builder == "copier_circuit":
+    if builder == "copier_circuit":
         return u, u * u, [(i, n + i) for i in range(n)]
-    if c.builder == "discharger_circuit":
+    if builder == "discharger_circuit":
         return u, ONE, [()] * n
     return u, u, [(i,) for i in range(n)]
 

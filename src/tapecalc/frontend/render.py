@@ -5,23 +5,24 @@ wires inside their lane.  Merges, caps and operation splits get fixed
 glyphs.  Nothing is optimized: box sizes and lane heights are constants,
 a leaf takes one lane per monomial on the longer side of its type, so
 identical terms produce identical bytes.  The DAG that typing walks is
-drawn, so the drawing grows with the term: a block tape from its
-``block_layout``, a block circuit as its ``wire_map``, a whiskered tape
-as the tape it whiskers, labelled with its whiskerings.  A tape is typed
-first, as ``check`` types it, so an ill-typed one fails before drawing.
+drawn, so the drawing grows with the term: a block tape or sum symmetry
+from its ``block_layout``, a structural circuit as its ``wires`` unless
+it has a glyph (identities and dischargers of one sort), a whiskered
+tape as the tape it whiskers, labelled with its whiskerings.  The fold
+that sizes a tape types it first, as ``check`` does, so an ill-typed
+one fails before drawing.
 """
 
 from __future__ import annotations
 
-from ..circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne, CIdSort,
-                       CSeq, CSym, CTensor, CircuitTerm, MonSignature,
-                       wire_map)
+from ..circuit import (CDischarger, CGen, CIdOne, CIdSort, CSeq, CStructural,
+                       CTensor, CircuitTerm, MonSignature)
 from ..errors import TypeCheckError
 from ..hashcons import fold
 from ..objects import Monomial
-from ..tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon,
-                    TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker, TapeTerm,
-                    node_type, tape_types)
+from ..tape import (TERM_KIDS, Structural, TBlock, TCirc, TCobang, TCodiag,
+                    TIdMon, TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker,
+                    TapeTerm, node_type)
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -79,23 +80,12 @@ def _draw_gate(c: CircuitTerm, memo: _Memo, x: float, y: float,
         if isinstance(c, CIdSort):
             elems.append(_text(x + w / 2, ys_in[0] - 3, c.sort))
         return
-    if isinstance(c, CSym):
-        elems.append(_line(x, ys_in[0], x + w, ys_out[1]))
-        elems.append(_line(x, ys_in[1], x + w, ys_out[0]))
-        return
-    if isinstance(c, CCopier):
-        mid = y + h / 2
-        elems.append(_line(x, mid, x + w / 2, mid))
-        elems.append(_line(x + w / 2, mid, x + w, ys_out[0]))
-        elems.append(_line(x + w / 2, mid, x + w, ys_out[1]))
-        elems.append(_dot(x + w / 2, mid))
-        return
     if isinstance(c, CDischarger):
         mid = y + h / 2
         elems.append(_line(x, mid, x + w / 2, mid))
         elems.append(_line(x + w / 2, mid - 5, x + w / 2, mid + 5, 2.0))
         return
-    if isinstance(c, CBlock):
+    if isinstance(c, CStructural):
         _draw_wire_map(c, ys_in, ys_out, x, w, elems)
         return
     if isinstance(c, CGen):
@@ -111,13 +101,13 @@ def _draw_gate(c: CircuitTerm, memo: _Memo, x: float, y: float,
     raise TypeCheckError(f"not a circuit term: {c!r}")
 
 
-def _draw_wire_map(c: CBlock, ys_in, ys_out, x: float, w: float,
+def _draw_wire_map(c: CStructural, ys_in, ys_out, x: float, w: float,
                    elems: list[str]) -> None:
     """Each input wire, labelled with its sort, joined to each output wire
     it reaches: a dot where it forks, a bar where it ends."""
     x1, x2 = x + w * 0.3, x + w * 0.7
-    dom, _, wires = wire_map(c)
-    elems.append(f'<g class="wires {c.builder}">')
+    dom, _, wires = c.wires
+    elems.append(f'<g class="wires {c.call[0]}">')
     for sort, wy, targets in zip(dom, ys_in, wires):
         elems.append(_line(x, wy, x1, wy))
         elems.append(_text(x + w * 0.15, wy - 3, sort))
@@ -244,13 +234,13 @@ def _draw(t: TapeTerm, memo: _Memo, x: float, y: float, w: float,
                 label = f"{u} |&gt; {label}" if left else f"{label} &lt;| {u}"
             elems.append(_text(x, y - 2, label, "start"))
             stack.append((node.tape, x, y, w, h))
-        elif isinstance(node, TBlock):
+        elif isinstance(node, (TBlock, TSymPlus)):
             _draw_block(node, x, y, w, elems)
         else:
             _draw_tape_leaf(node, x, y, w, h, elems)
 
 
-def _draw_block(t: TBlock, x: float, y: float, w: float,
+def _draw_block(t: Structural, x: float, y: float, w: float,
                 elems: list[str]) -> None:
     """A block tape from its ``block_layout``: the band of the i-th dom
     monomial runs to the cod band ``blocks[i]``, and each band is
@@ -266,7 +256,7 @@ def _draw_block(t: TBlock, x: float, y: float, w: float,
     for b in blocks:
         joins[b] += 1
     straight = {i for i, b in enumerate(blocks) if b == i and joins[b] == 1}
-    elems.append(f'<g class="block {t.builder}">')
+    elems.append(f'<g class="block {t.call[0]}">')
     for i, (mid, u) in enumerate(zip(mids, dom)):
         width = w if i in straight else band_w
         _tape_band(x, mid - LANE_H / 2, width, LANE_H, elems)
@@ -293,15 +283,6 @@ def _draw_tape_leaf(t: TapeTerm, x: float, y: float, w: float, h: float,
     if isinstance(t, TIdMon):
         _tape_band(x, y, w, LANE_H, elems)
         _draw_lane_wires(t.mono, x, y, w, elems)
-        return
-    if isinstance(t, TSymPlus):
-        _tape_band(x, y, w, LANE_H, elems)
-        _tape_band(x, y + LANE_H + LANE_GAP, w, LANE_H, elems)
-        m1 = y + LANE_H / 2
-        m2 = y + LANE_H + LANE_GAP + LANE_H / 2
-        elems.append(_line(x, m1, x + w, m2))
-        elems.append(_line(x, m2, x + w, m1))
-        elems.append(_text(x + w / 2, y - 2, f"{t.left}/{t.right}"))
         return
     if isinstance(t, TCodiag):
         mid = y + h / 2
@@ -337,7 +318,6 @@ def render_svg(t: TapeTerm, sig: MonSignature) -> str:
     """Valid SVG 1.1 text for a typeable tape, drawn as its DAG;
     byte-stable per term.  An ill-typed tape fails as ``check`` does,
     before anything is drawn."""
-    tape_types((t,), sig)
     memo = _Memo(t, sig)
     w_units, lanes = memo.sizes[t]
     width = w_units * UNIT_W + 2 * PAD

@@ -93,6 +93,25 @@ term_node = dataclass(frozen=True, eq=False, init=False)
 """Class decorator of the hash-consed term nodes."""
 
 
+class kept:
+    """A fact of a node, ``compute(node)``, computed on first read and
+    stored as a plain attribute in the node's ``__dict__``, which later
+    reads find first, so it dies with the node.  (A ``cached_property``
+    takes a lock on first read.)"""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __set_name__(self, cls, name: str) -> None:
+        self.name = name
+
+    def __get__(self, node, cls=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.compute(node)
+        return value
+
+
 def postorder(roots, kids: Mapping[type, Callable]) -> tuple[list, dict]:
     """The distinct subterms of the roots, each after its own, and how
     often each is used: once per parent edge, and once per root.  The

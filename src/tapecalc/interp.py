@@ -12,9 +12,10 @@ computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
 the tape t it whiskers: its matrix is t's tensored with an identity per
 whiskering, its blocks reordered by ``kleisli.pairing`` from the
 carrier sizes of t's type, which t keeps (``tape.tape_types``).  A
-structural circuit (``circuit.CBlock``) is a leaf too, whose matrix is
-the ``kleisli`` closed form of its builder at the carrier sizes of its
-words.  Carrier indexing is fixed once and for all: tensor indices are
+structural circuit (a ``circuit.CBlock`` or one of the five primitives
+of ``circuit.CStructural``) is a leaf too, whose matrix is the
+``kleisli`` closed form of its call's builder at the carrier sizes of
+its words.  Carrier indexing is fixed once and for all: tensor indices are
 left-major within a monomial, and a polynomial carrier concatenates its
 monomial blocks in order.
 """
@@ -26,8 +27,8 @@ from itertools import accumulate, chain
 from typing import Callable, Mapping, Union
 
 from . import kleisli
-from .circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne, CIdSort,
-                      CSeq, CSym, CTensor, CircuitTerm, MonSignature)
+from .circuit import (CGen, CSeq, CStructural, CTensor, CircuitTerm,
+                      MonSignature)
 from .errors import DimensionError, ModelError, UnknownSortError
 from .hashcons import fold
 from .kleisli import Matrix, TheoryModel, op_matrix, pairing
@@ -174,8 +175,9 @@ def evaluator(interp: Interpretation) -> Callable:
     identity on U.  On the right, t <| U is exactly that; on the
     left, U |> t is that with its dom and cod blocks reordered by
     ``pairing``, from the carrier sizes of the monomials of t's type,
-    which t keeps (see ``tape.tape_types``).  A ``CBlock`` is its
-    ``CLOSED_FORMS`` builder at the carrier sizes of its words."""
+    which t keeps (see ``tape.tape_types``).  A structural circuit is
+    the ``CLOSED_FORMS`` builder of its call at the carrier sizes of its
+    words, found by name, so that a wrapper of the builder sees it."""
     def whiskered(node: TWhisker, m: Matrix) -> Matrix:
         t = node.tape
         scale = 1       # the carrier size of the steps so far
@@ -208,9 +210,10 @@ def evaluator(interp: Interpretation) -> Callable:
             return whiskered(node, *kids)
         if cls is CTensor:
             return kids[0].tensor(kids[1])
-        if cls is CBlock:
-            return getattr(kleisli, CLOSED_FORMS[node.builder])(
-                *map(interp.mono_size, node.words))
+        if isinstance(node, CStructural):
+            builder, *words = node.call
+            return getattr(kleisli, CLOSED_FORMS[builder])(
+                *map(interp.mono_size, words))
         if cls is TCirc:
             return kids[0]
         if cls is CGen:
@@ -219,19 +222,8 @@ def evaluator(interp: Interpretation) -> Callable:
                 return interp.gen_matrices[node.name]
             except KeyError:
                 raise ModelError(f"generator {node.name} has no matrix")
-        if cls is CIdSort:
-            return Matrix.identity(interp.sort_size(node.sort))
         if cls is TOpInj:
             return op_matrix(node.op, interp.model, interp.mono_size(node.mono))
-        if cls is CSym:
-            return kleisli.sym_tensor(interp.sort_size(node.left),
-                                      interp.sort_size(node.right))
-        if cls is CCopier:
-            return kleisli.copier(interp.sort_size(node.sort))
-        if cls is CDischarger:
-            return kleisli.discharger(interp.sort_size(node.sort))
-        if cls is CIdOne:
-            return Matrix.identity(1)
         raise ModelError(f"not a tape term: {node!r}")
 
     return step

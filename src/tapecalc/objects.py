@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from math import prod
 from typing import Iterable, Union
 
 from .errors import SizeError, UnknownSortError
@@ -119,7 +118,7 @@ class Sum(ObjTerm):
     right: ObjTerm
 
 
-MAX_MONOMIALS = 1 << 20    # the largest (x) product normalize expands
+MAX_MONOMIALS = 1 << 20    # the largest normal form normalize expands
 
 
 def normalize(term: ObjTerm, sorts: Iterable[str]) -> Polynomial:
@@ -130,29 +129,36 @@ def normalize(term: ObjTerm, sorts: Iterable[str]) -> Polynomial:
     product, each output monomial joined once from one monomial per
     operand.  This coincides with exhaustively applying the distributivity,
     unit and annihilator rules oriented left-to-right, and costs time
-    linear in the size of the term and of its normal form.  The walk keeps
-    its own stack, so deeply nested terms do not recurse, and it meets the
-    leaves from left to right, so the first unregistered sort is reported.
-    A product of more than MAX_MONOMIALS monomials raises SizeError before
-    it is expanded: n two-term factors have 2^n.
+    linear in the size of the term and of its normal form.  A first walk
+    keeps its own stack, so deeply nested terms do not recurse, and meets
+    the leaves from left to right, so the first unregistered sort is
+    reported.  It counts the monomials of each spine's normal form, a sum
+    over a ``(+)`` spine and a product over a ``(x)`` spine, and raises
+    SizeError at the first above MAX_MONOMIALS, so nothing is expanded
+    that the whole would not fit: n two-term factors have 2^n.
     """
-    registered = set(sorts)
-    results: list[Polynomial] = []
-    # (term, 0) to visit a term; (spine, n) once its n operands are done
-    stack: list[tuple[ObjTerm, int]] = [(term, 0)]
+    leaves = {s: Polynomial((Monomial((s,)),)) for s in sorts}
+    # the leaves' normal forms and the spines (spine, n operands), each
+    # after its operands, and the number of monomials of each
+    walk: list[tuple] = []
+    counts: list[int] = []
+    stack: list[tuple[ObjTerm, int]] = [(term, 0)]  # (spine, n): operands done
     while stack:
-        t, done = stack.pop()
-        if done:
-            parts = results[-done:]
-            del results[-done:]
+        t, n = stack.pop()
+        if n:
+            parts = counts[-n:]
+            del counts[-n:]
             if isinstance(t, Sum):
-                results.append(Polynomial(chain.from_iterable(parts)))
-                continue
-            if prod(map(len, parts)) > MAX_MONOMIALS:
-                raise SizeError(f"a (x) product of {len(parts)} factors has "
-                                f"more than {MAX_MONOMIALS} monomials")
-            results.append(Polynomial(Monomial(chain.from_iterable(ms))
-                                      for ms in product(*parts)))
+                count, what = sum(parts), f"a (+) sum of {n} summands"
+            else:
+                count, what = 1, f"a (x) product of {n} factors"
+                for k in parts:     # capped, so that a long product stays small
+                    count = min(count * k, MAX_MONOMIALS + 1)
+            if count > MAX_MONOMIALS:
+                raise SizeError(f"{what} has more than {MAX_MONOMIALS} "
+                                "monomials")
+            counts.append(count)
+            walk.append((t, n))
         elif isinstance(t, (Sum, Tensor)):
             operands, spine = [], [t]
             while spine:
@@ -163,16 +169,28 @@ def normalize(term: ObjTerm, sorts: Iterable[str]) -> Polynomial:
                     operands.append((u, 0))
             stack.append((t, len(operands)))
             stack += reversed(operands)
-        elif isinstance(t, SortRef):
-            if t.name not in registered:
-                raise UnknownSortError(f"unregistered sort: {t.name}")
-            results.append(poly((t.name,)))
-        elif isinstance(t, UnitOne):
-            results.append(poly_of_mono(ONE))
-        elif isinstance(t, ZeroObj):
-            results.append(ZERO)
         else:
-            raise TypeError(f"not an object term: {t!r}")
+            if isinstance(t, SortRef):
+                if t.name not in leaves:
+                    raise UnknownSortError(f"unregistered sort: {t.name}")
+                p = leaves[t.name]
+            elif isinstance(t, (UnitOne, ZeroObj)):
+                p = ZERO if isinstance(t, ZeroObj) else poly_of_mono(ONE)
+            else:
+                raise TypeError(f"not an object term: {t!r}")
+            counts.append(len(p))
+            walk.append((p, 0))
+    results: list[Polynomial] = []
+    for t, n in walk:
+        if not n:
+            results.append(t)
+            continue
+        parts = results[-n:]
+        del results[-n:]
+        results.append(Polynomial(chain.from_iterable(parts))
+                       if isinstance(t, Sum)
+                       else Polynomial(Monomial(chain.from_iterable(ms))
+                                       for ms in product(*parts)))
     return results[0]
 
 

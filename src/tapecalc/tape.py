@@ -41,7 +41,6 @@ once per signature however many callers (``tensor_tape``,
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import attrgetter
 from typing import Callable, Sequence, Union
 
@@ -49,7 +48,7 @@ from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
                       ctensor, identity_circuit, sym_circuit)
 from .errors import TypeCheckError
-from .hashcons import Term, fold, term_node
+from .hashcons import Term, fold, kept, term_node
 from .objects import Monomial, ONE, Polynomial, nfold_sum, poly_of_mono
 from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
 
@@ -58,26 +57,14 @@ class TapeTerm(Term):
     """Base of the tape nodes."""
 
 
-class _Layout:
-    """``Structural.block_layout``, the ``block_map`` of the node's call:
-    computed on first read and stored as a plain attribute in the node's
-    ``__dict__``, which later reads find first, so it dies with the node.
-    (A ``cached_property`` takes a lock on first read.)"""
-
-    def __get__(self, node, cls=None):
-        if node is None:
-            return self
-        layout = node.__dict__["block_layout"] = block_map(*node.call)
-        return layout
-
-
 class Structural(TapeTerm):
     """Base of the structural tapes, the nodes whose meaning is a block
     map: ``TBlock`` and the five primitives below.  ``call`` is the
     node's builder call (builder, *args), a primitive's the call of its
-    class's builder at the one-monomial polynomials of its fields."""
+    class's builder at the one-monomial polynomials of its fields;
+    ``block_layout`` is the ``block_map`` of the call, kept."""
 
-    block_layout = _Layout()
+    block_layout = kept(lambda t: block_map(*t.call))
 
 
 @term_node
@@ -225,9 +212,8 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
         dom, cod = circuit_node_type(node, sig, kids)
     elif cls is TWhisker:
         (dom, cod), = kids
+        sig.check_sorts(*[u for _, u in node.steps])
         for left, u in node.steps:
-            for s in u:
-                sig.check_sort(s)
             dom, cod = (tuple([u * x if left else x * u for x in side])
                         for side in (dom, cod))
     else:
@@ -238,9 +224,7 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
             cod = dom * node.op.arity
         else:
             raise TypeCheckError(f"not a tape term: {node!r}")
-        if not sig.sort_set.issuperset(chain.from_iterable(dom + cod)):
-            for s in chain.from_iterable(dom + cod):
-                sig.check_sort(s)
+        sig.check_sorts(*dom, *cod)
     return dom, cod
 
 

@@ -22,10 +22,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tapecalc import hashcons, suites, tape
-from tapecalc.circuit import MonSignature
+from tapecalc import circuit, hashcons, suites, tape
+from tapecalc.circuit import (CBlock, CCopier, CDischarger, CIdOne, CIdSort,
+                              CSeq, CStructural, CSym, CTensor, MonSignature,
+                              cseq, ctensor)
 from tapecalc.errors import TapecalcError, TypeCheckError
 from tapecalc.frontend.cli import main
+from tapecalc.frontend.render import render_svg
 from tapecalc.hashcons import postorder
 from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import model_for
@@ -597,6 +600,54 @@ def test_sem_eq_computes_each_block_layout_once(monkeypatch):
     assert len(layouts) == len(set(layouts))
     assert {(leaf.builder, leaf.args) for leaf in leaves} <= set(layouts)
     assert all("block_layout" in leaf.__dict__ for leaf in leaves)
+
+
+def test_each_structural_circuit_computes_its_wires_once(monkeypatch):
+    """Two sem_eq calls on terms holding every kind of structural circuit,
+    each primitive and a block of each builder, and a render of one side,
+    compute the wire map of each distinct structural circuit once, and
+    keep it on the node.  A node that other live terms share, such as
+    ``CIdOne()``, may have kept its wire map before."""
+    gc.collect()
+    hashcons._sweep()   # the keys of dead parents keep no earlier circuit alive
+    calls = []
+    wire_map = circuit.wire_map
+
+    def counting(*call):
+        calls.append(call)
+        return wire_map(*call)
+
+    sig = MonSignature(("X", "Y"))
+    interp = Interpretation(sig, {"X": 2, "Y": 3}, {},
+                            model_for(builtin_theory("CM")))
+    x, xy = mono("X"), mono("X", "Y")
+    lhs = tsum(
+        TCirc(CSeq(CSym("X", "Y"), CSym("Y", "X"))),
+        TCirc(CSeq(CCopier("X"), CTensor(CIdSort("X"), CDischarger("X")))),
+        TCirc(CIdOne()),
+        TCirc(cseq(circuit.copier_circuit(xy),
+                   ctensor(circuit.identity_circuit(xy),
+                           circuit.discharger_circuit(xy)))),
+        TCirc(cseq(circuit.sym_circuit(xy, x), circuit.sym_circuit(x, xy))))
+    rhs = tsum(*map(TCirc, (circuit.identity_circuit(xy), CIdSort("X"),
+                            CIdOne(), circuit.identity_circuit(xy),
+                            circuit.identity_circuit(xy * x))))
+    nodes = [node for node in postorder((lhs, rhs), TERM_KIDS)[0]
+             if isinstance(node, CStructural)]
+    kept_before = {node for node in nodes if "wires" in node.__dict__}
+    monkeypatch.setattr(circuit, "wire_map", counting)
+    for _ in range(2):
+        assert sem_eq(lhs, rhs, interp).kind == "equal"
+    render_svg(lhs, sig)
+    assert {node.call[0] for node in nodes if isinstance(node, CBlock)} == {
+        "sym_circuit", "copier_circuit", "discharger_circuit",
+        "identity_circuit"}
+    assert {node.__class__ for node in nodes} == {
+        CBlock, CIdSort, CIdOne, CSym, CCopier, CDischarger}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {node.call for node in nodes
+                          if node not in kept_before}
+    assert all("wires" in node.__dict__ for node in nodes)
 
 
 # --- whiskered tapes: one semantic child, the tape they whisker ----------------

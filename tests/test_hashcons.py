@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapecalc import hashcons, kleisli, suites
-from tapecalc.circuit import (CCopier, CDischarger, CGen, CIdOne, CIdSort,
-                              CSeq, CSym, CTensor, CircuitTerm, MonSignature,
-                              type_of_circuit)
+from tapecalc.circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne,
+                              CIdSort, CSeq, CSym, CTensor, CircuitTerm,
+                              MonSignature, type_of_circuit)
 from tapecalc.errors import ModelError, TapecalcError, TypeCheckError
 from tapecalc.frontend.render import render_svg
 from tapecalc.hashcons import fold, postorder
@@ -112,19 +112,19 @@ def ref_type_circuit(c, sig):
         dom2, cod2 = ref_type_circuit(c.bottom, sig)
         return dom1 * dom2, cod1 * cod2
     if isinstance(c, CIdSort):
-        sig.check_sort(c.sort)
+        sig.check_sorts((c.sort,))
         return mono(c.sort), mono(c.sort)
     if isinstance(c, CIdOne):
         return mono(), mono()
     if isinstance(c, CSym):
-        sig.check_sort(c.left)
-        sig.check_sort(c.right)
+        sig.check_sorts((c.left,))
+        sig.check_sorts((c.right,))
         return mono(c.left, c.right), mono(c.right, c.left)
     if isinstance(c, CCopier):
-        sig.check_sort(c.sort)
+        sig.check_sorts((c.sort,))
         return mono(c.sort), mono(c.sort, c.sort)
     if isinstance(c, CDischarger):
-        sig.check_sort(c.sort)
+        sig.check_sorts((c.sort,))
         return mono(c.sort), mono()
     raise TypeCheckError(f"not a circuit term: {c!r}")
 
@@ -145,7 +145,7 @@ def ref_type_tape(t, sig):
         return poly_of_mono(dom), poly_of_mono(cod)
     if isinstance(t, TIdMon):
         for s in t.mono:
-            sig.check_sort(s)
+            sig.check_sorts((s,))
         return poly_of_mono(t.mono), poly_of_mono(t.mono)
     if isinstance(t, TSymPlus):
         p, q = poly_of_mono(t.left), poly_of_mono(t.right)
@@ -424,9 +424,18 @@ def test_type_errors_match_reference():
         TCirc(CTensor(CSym("A", "C"), CGen("F"))),
         TSeq(TIdZero(), TCodiag(mono("A"))),
         CGen("F"),
+        TCirc(CIdSort("C")),
+        TCirc(CTensor(CIdOne(), CIdSort("C"))),
+        TCirc(CSym("D", "C")),
+        TCirc(CCopier("C")),
+        TCirc(CDischarger("C")),
+        TCirc(CBlock("identity_circuit", (mono("A", "C"),))),
+        TCirc(CBlock("sym_circuit", (mono("A", "B"), mono("C")))),
+        TCirc(CBlock("copier_circuit", (mono("B", "C"),))),
+        TCirc(CBlock("discharger_circuit", (mono("C", "A"),))),
     ]
     for t in cases:
-        expected = outcome(ref_type_tape, t, sig)
+        expected = outcome(ref_type_tape, expand(t), sig)
         assert isinstance(expected[0], type)
         assert outcome(type_of_tape, t, sig) == expected
         assert outcome(render_svg, t, sig) == expected

@@ -240,6 +240,32 @@ def test_normalize_refuses_a_product_past_its_bound(n, monkeypatch, capsys):
                            "than 1048576 monomials\n")
 
 
+@pytest.mark.parametrize("copies, factors", [(2, 10), (17, 16)])
+def test_normalize_bounds_the_whole_normal_form(copies, factors, monkeypatch,
+                                                capsys):
+    """A (+) of products, each under the bound, is refused when the sum
+    is over it, before anything is expanded: 17 copies of a 16-factor
+    product have 17 * 2^16 = 1,114,112 monomials.  Two copies of a
+    10-factor product print all 2,048."""
+    expanded = []
+
+    def product(*parts):
+        expanded.append(len(parts))
+        return itertools.product(*parts)
+
+    monkeypatch.setattr(objects, "product", product)
+    factor = "(" + " (x) ".join(["(A (+) B)"] * factors) + ")"
+    code = main(["normalize", " (+) ".join([factor] * copies)])
+    out = capsys.readouterr()
+    if copies == 2:
+        assert (code, out.err, expanded) == (0, "", [factors] * copies)
+        assert out.out.count(" (+) ") + 1 == 2048
+    else:
+        assert (code, out.out, expanded) == (2, "", [])
+        assert out.err == (f"error: a (+) sum of {copies} summands has more "
+                           "than 1048576 monomials\n")
+
+
 def test_5000_step_bracket_checks_and_evaluates(tmp_path, capsys):
     text = FLIP + "def d = [ " + " ; ".join(["G"] * DEEP) + " ];\n"
     assert run(tmp_path, capsys, text, ["check", "{f}"]) == (0, ("", ""))

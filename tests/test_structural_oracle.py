@@ -1,8 +1,11 @@
-"""The five structural primitives against their per-class rules.
+"""The structural primitives against their per-class rules.
 
 ``TIdMon``, ``TIdZero``, ``TSymPlus``, ``TCodiag`` and ``TCobang`` are
 typed and evaluated from the block map of their builder call, as every
-``TBlock`` is, and whiskered by whiskering their monomial fields.  The
+``TBlock`` is, and whiskered by whiskering their monomial fields.
+``CIdSort``, ``CIdOne``, ``CSym``, ``CCopier`` and ``CDischarger`` are
+typed from the wire map of their builder call, as every ``CBlock`` is,
+and evaluated to the ``kleisli`` closed form of that call.  The
 references below are the rules each class had on its own: its type, its
 sort checks in order, its matrix from the ``kleisli`` builder at carrier
 level, with the carriers read in order, and its whiskering.  A primitive
@@ -16,7 +19,8 @@ from itertools import chain, product
 from hypothesis import given, settings, strategies as st
 
 from tapecalc import kleisli
-from tapecalc.circuit import MonSignature
+from tapecalc.circuit import (CCopier, CDischarger, CIdOne, CIdSort, CSym,
+                              MonSignature, type_of_circuit)
 from tapecalc.errors import TapecalcError
 from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import Matrix, model_for
@@ -35,6 +39,10 @@ primitives = st.one_of(
     st.builds(TIdMon, monomials), st.just(TIdZero()),
     st.builds(TSymPlus, monomials, monomials), st.builds(TCodiag, monomials),
     st.builds(TCobang, monomials))
+sorts = st.sampled_from(SORTS)
+circuit_primitives = st.one_of(
+    st.builds(CIdSort, sorts), st.just(CIdOne()), st.builds(CSym, sorts, sorts),
+    st.builds(CCopier, sorts), st.builds(CDischarger, sorts))
 sort_sets = st.sets(st.sampled_from(SORTS)).map(sorted)
 carrier_maps = st.dictionaries(st.sampled_from(SORTS), st.integers(0, 3))
 
@@ -64,8 +72,39 @@ def ref_type(t, sig):
     else:
         dom = cod = ()
     for s in chain.from_iterable(dom + cod):
-        sig.check_sort(s)
+        sig.check_sorts((s,))
     return dom, cod
+
+
+def ref_circuit_type(c, sig):
+    """The class's type rule, with the check of each of its sorts in
+    order: for ``CSym``, the left sort before the right."""
+    cls = c.__class__
+    if cls is CIdOne:
+        return Monomial(()), Monomial(())
+    if cls is CSym:
+        sig.check_sorts((c.left,))
+        sig.check_sorts((c.right,))
+        return Monomial((c.left, c.right)), Monomial((c.right, c.left))
+    sig.check_sorts((c.sort,))
+    u = Monomial((c.sort,))
+    return u, {CIdSort: u, CCopier: u * u, CDischarger: Monomial(())}[cls]
+
+
+def ref_circuit_matrix(c, interp):
+    """The class's kleisli builder at the carrier sizes of its sorts,
+    read left before right."""
+    size = interp.sort_size
+    cls = c.__class__
+    if cls is CIdOne:
+        return Matrix.identity(1)
+    if cls is CSym:
+        return kleisli.sym_tensor(size(c.left), size(c.right))
+    if cls is CCopier:
+        return kleisli.copier(size(c.sort))
+    if cls is CDischarger:
+        return kleisli.discharger(size(c.sort))
+    return Matrix.identity(size(c.sort))
 
 
 def ref_matrix(t, interp):
@@ -130,6 +169,29 @@ def test_a_primitive_evaluates_to_its_kleisli_builder(t, carriers):
     interp = Interpretation(MonSignature(SORTS), carriers, {}, MODEL)
     got = outcome(eval_tape, t, interp)
     expected = outcome(ref_matrix, t, interp)
+    assert got == expected
+    if isinstance(got, Matrix):
+        assert (got.dom, got.cod, got.image) == \
+            (expected.dom, expected.cod, expected.image)
+
+
+@given(c=circuit_primitives, sorts=sort_sets)
+@settings(max_examples=300, deadline=None)
+def test_a_circuit_primitive_is_typed_by_its_class_rule(c, sorts):
+    """The type, or the unregistered sort named first, as the class's
+    rule gives it: for ``CSym``, the left sort's before the right's."""
+    sig = MonSignature(tuple(sorts))
+    assert outcome(type_of_circuit, c, sig) == outcome(ref_circuit_type, c, sig)
+
+
+@given(c=circuit_primitives, carriers=carrier_maps)
+@settings(max_examples=300, deadline=None)
+def test_a_circuit_primitive_evaluates_to_its_kleisli_builder(c, carriers):
+    """The matrix, a row map, or the sort named first that has no
+    carrier, as the class's kleisli builder gives it."""
+    interp = Interpretation(MonSignature(SORTS), carriers, {}, MODEL)
+    got = outcome(eval_tape, c, interp)
+    expected = outcome(ref_circuit_matrix, c, interp)
     assert got == expected
     if isinstance(got, Matrix):
         assert (got.dom, got.cod, got.image) == \
