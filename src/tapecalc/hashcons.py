@@ -112,12 +112,14 @@ class kept:
         return value
 
 
-def postorder(roots, kids: Mapping[type, Callable]) -> tuple[list, dict]:
+def postorder(roots, kids: Mapping[type, Callable],
+              stop: Callable | None = None) -> tuple[list, dict]:
     """The distinct subterms of the roots, each after its own, and how
     often each is used: once per parent edge, and once per root.  The
     first root's subterms come first, then the second root's new ones, and
     so on.  ``kids`` maps each inner node class to a function returning
-    the node's children as a tuple; other nodes are leaves."""
+    the node's children as a tuple; other nodes are leaves, and so is an
+    inner node for which ``stop``, if given, is true."""
     order, uses, stack = [], {}, list(reversed(roots))
     done = object()     # stack marker: the node under it has its children done
     while stack:
@@ -129,7 +131,7 @@ def postorder(roots, kids: Mapping[type, Callable]) -> tuple[list, dict]:
         else:
             uses[node] = 1
             get = kids.get(node.__class__)
-            if get is None:
+            if get is None or stop is not None and stop(node):
                 order.append(node)
             else:
                 stack += (node, done, *reversed(get(node)))

@@ -22,7 +22,7 @@ monomial blocks in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Callable, Mapping, Union
 
@@ -34,15 +34,24 @@ from .hashcons import fold
 from .kleisli import Matrix, TheoryModel, op_matrix, pairing
 from .objects import Monomial, Polynomial
 from .tape import (TERM_KIDS, Structural, TCirc, TOpInj, TSeq, TSum, TWhisker,
-                   TapeTerm, type_of_tape)
+                   TapeTerm, tape_types)
 
 
 @dataclass(frozen=True)
 class Interpretation:
+    """A carrier size for every sort and a matrix for every generator of
+    sig, under a model of the theory.  ``mono_size`` keeps the carrier
+    size of each monomial it has sized in ``sizes``, which is neither
+    compared nor shown, and which ``with_gens`` shares, as it shares the
+    carriers; a missing carrier is never kept, so it raises each time."""
     sig: MonSignature
     carriers: Mapping[str, int]
     gen_matrices: Mapping[str, Matrix]
     model: TheoryModel
+    sizes: dict[Monomial, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sizes", {})
 
     def validate(self) -> None:
         for s in self.sig.sorts:
@@ -77,9 +86,12 @@ class Interpretation:
             raise UnknownSortError(f"sort {name} has no carrier")
 
     def mono_size(self, u: Monomial) -> int:
-        size = 1
-        for s in u:
-            size *= self.sort_size(s)
+        size = self.sizes.get(u)
+        if size is None:
+            size = 1
+            for s in u:
+                size *= self.sort_size(s)
+            self.sizes[u] = size
         return size
 
     def poly_size(self, p: Polynomial) -> int:
@@ -89,8 +101,10 @@ class Interpretation:
                   extra_matrices: Mapping[str, Matrix]) -> "Interpretation":
         mats = dict(self.gen_matrices)
         mats.update(extra_matrices)
-        return Interpretation(self.sig.with_gens(extra_sig), self.carriers,
-                              mats, self.model)
+        interp = Interpretation(self.sig.with_gens(extra_sig), self.carriers,
+                                mats, self.model)
+        object.__setattr__(interp, "sizes", self.sizes)
+        return interp
 
 
 def carrier_of(p: Union[Polynomial, Monomial], interp: Interpretation) -> int:
@@ -189,7 +203,7 @@ def evaluator(interp: Interpretation) -> Callable:
                 m = m.tensor(Matrix.identity(n))
             else:
                 dom, cod = [[interp.mono_size(u) * scale for u in side]
-                            for side in type_of_tape(t, interp.sig)]
+                            for side in tape_types((t,), interp.sig)[0]]
                 m = Matrix.identity(n).tensor(m)
                 if len(dom) > 1:
                     m = pairing(n, dom).then(m)

@@ -8,8 +8,8 @@ to the bounds; morphism metavariables become fresh generators carrying
 seeded random matrices, so failures are reproducible from the seed.
 Each law is a row (name, draws, sides) that the one driver ``_laws``
 binds, seeds, draws and checks.  ``sem_eq`` decides an instance by one
-walk over both sides' derived nodes (``tape.TERM_KIDS``), typing a side
-only if it keeps no type under the instance's signature (see
+walk over both sides' derived nodes (``tape.TERM_KIDS``), typing only
+the nodes that keep no type under the instance's signature (see
 ``tape.tape_types``); a type error is the one that walk raises.
 """
 
@@ -123,11 +123,12 @@ def first_difference(m1: Matrix, m2: Matrix):
 def sem_eq(t1: TapeTerm, t2: TapeTerm, interp: Interpretation) -> SemEqResult:
     """Decide equality of two tapes under an interpretation, exactly.
 
-    One walk over the distinct subterms of both sides: every node is
-    typed before any is evaluated, so a type error wins over a model
-    error, and t1's error over t2's.  A shared subterm is typed and
-    evaluated once, and a side that keeps its type under ``interp.sig``
-    (see ``tape.tape_types``) is not typed again."""
+    One walk over the distinct subterms of both sides, for typing and
+    evaluation alike: every node is typed before any is evaluated, so a
+    type error wins over a model error, and t1's error over t2's.  A
+    shared subterm is typed and evaluated once, and a node that keeps its
+    type under ``interp.sig`` (see ``tape.tape_types``), as the operands
+    of a law built by ``tensor_tape`` do, is not typed again."""
     walk = postorder((t1, t2), TERM_KIDS)
     try:
         (dom1, cod1), (dom2, cod2) = tape_types((t1, t2), interp.sig, walk)

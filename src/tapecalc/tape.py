@@ -33,10 +33,12 @@ the walk over the derived nodes raises, so it names the subterm where
 that walk failed: for a failure inside a whiskered tape, the
 composition the user wrote.
 
-A tape keeps its type: ``tape_types`` stores each root's type on the
-node, with the signature object it was typed under, so a tape is walked
-once per signature however many callers (``tensor_tape``,
-``whisker_right``, ``sem_eq``, the evaluator) ask for its type.
+A tape keeps its type: ``tape_types`` stores the type of each node it
+types, tape or circuit, on the node, with the signature object it was
+typed under, and its walk stops at a node kept under that object.  So
+each node is typed once per signature however many callers
+(``tensor_tape``, ``whisker_right``, ``sem_eq``, the evaluator) ask for
+its type or the type of a term that holds it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
                       ctensor, identity_circuit, sym_circuit)
 from .errors import TypeCheckError
-from .hashcons import Term, fold, kept, term_node
+from .hashcons import Term, fold, kept, postorder, term_node
 from .objects import Monomial, ONE, Polynomial, nfold_sum, poly_of_mono
 from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
 
@@ -228,27 +230,34 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     return dom, cod
 
 
+_UNTYPED = (None,)
+
+
 def tape_types(roots: Sequence[TapeTerm], sig: MonSignature,
                walk: tuple[list, dict] | None = None) -> tuple:
-    """The types of the roots (see ``node_type``) under sig.  A root keeps
-    its type in its ``__dict__``, as ``typed`` = (sig, type), so it dies
-    with the node; a root typed before under the very same signature
-    object is not walked again.  The other roots are typed by one
-    ``fold`` over ``TERM_KIDS``, each distinct subterm once; ``walk`` is
-    the roots' ``postorder``, used when no root is kept.  The roots are
-    typed in turn, so an error of the first is raised first, and an error
-    is never kept."""
+    """The types of the roots (see ``node_type``) under sig.  Every node
+    typed keeps its type in its ``__dict__``, as ``typed`` = (sig, type),
+    so it dies with the node, and a node kept under the very same
+    signature object is not typed again.  The nodes are typed in
+    ``postorder`` over ``TERM_KIDS``, from ``walk``, the roots' postorder
+    if the caller has made it already, or else from a walk that stops at
+    each kept node.  A kept node is well-typed, so the first node that
+    fails is the one a walk that keeps no type fails at, and an error is
+    never kept, on the failing node or on any node above it."""
     for i, t in enumerate(roots):
         if not isinstance(t, TapeTerm):
             tape_types(roots[:i], sig)
             raise TypeCheckError(f"not a tape term: {t!r}")
-    todo = [t for t in roots if t.__dict__.get("typed", (None,))[0] is not sig]
-    if todo:
-        types = fold(todo, TERM_KIDS,
-                     lambda node, kids: node_type(node, sig, kids),
-                     walk if len(todo) == len(roots) else None)
-        for t, typ in zip(todo, types):
-            t.__dict__["typed"] = sig, typ
+    if walk is None:
+        walk = postorder(roots, TERM_KIDS, lambda node: (
+            node.__dict__.get("typed", _UNTYPED)[0] is sig))
+    for node in walk[0]:
+        facts = getattr(node, "__dict__", {})   # node_type rejects a non-term
+        if facts.get("typed", _UNTYPED)[0] is not sig:
+            get = TERM_KIDS.get(node.__class__)
+            facts["typed"] = sig, node_type(node, sig, () if get is None else
+                                            tuple([k.__dict__["typed"][1]
+                                                   for k in get(node)]))
     return tuple([t.__dict__["typed"][1] for t in roots])
 
 

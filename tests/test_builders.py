@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapecalc import circuit, hashcons, suites, tape
-from tapecalc.circuit import (CBlock, CCopier, CDischarger, CIdOne, CIdSort,
-                              CSeq, CStructural, CSym, CTensor, MonSignature,
-                              cseq, ctensor)
+from tapecalc.circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne,
+                              CIdSort, CSeq, CStructural, CSym, CTensor,
+                              MonSignature, cseq, ctensor)
 from tapecalc.errors import TapecalcError, TypeCheckError
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.render import render_svg
@@ -455,6 +455,42 @@ def test_closed_forms_fail_as_the_full_tree_does(t1, t2, carriers):
             assert semantic == full_tree
 
 
+def cold_types(roots, sig):
+    """The roots' types under sig by a walk of every node that reads and
+    keeps no type, or the class and text of the error it raised."""
+    return outcome(hashcons.fold, roots, TERM_KIDS,
+                   lambda node, kids: tape.node_type(node, sig, kids))
+
+
+@given(t1=block_tapes(), t2=block_tapes(), u=monomials, v=monomials,
+       missing=st.sampled_from([set(), *MISSING]), lacks_g=st.booleans(),
+       b_first=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_kept_types_change_no_result(t1, t2, u, v, missing, lacks_g, b_first):
+    """Typing under a signature A and under a signature B that lacks a
+    sort or the generator G, in turn, warm and cold, and from the roots'
+    typing walk or their whole postorder, gives the types, or the error
+    class and text, of a walk that keeps no type; and after each walk,
+    every node kept under its signature is well-typed, of the kept type,
+    so a failed walk keeps no type on the failing node or above it."""
+    a = MonSignature(SORTS, {"G": (u, u)})
+    sorts = tuple(s for s in SORTS if s not in missing)
+    lacks_g = lacks_g or not missing or not set(u) <= set(sorts)
+    b = MonSignature(sorts, {} if lacks_g else {"G": (u, u)})
+    g = TCirc(CGen("G"))
+    roots = (TSum(tape.whisker_left_mono(v, TSum(t1, TSeq(g, g))), t2),
+             TSeq(t1, t2))
+    for i, sig in enumerate((b, b, a, a, b, a, b) if b_first
+                            else (a, a, b, b, a, b, a)):
+        walk = postorder(roots, TERM_KIDS) if i % 2 else None
+        assert outcome(tape_types, roots, sig, walk) == cold_types(roots, sig)
+        kept = [(node, node.__dict__["typed"][1])
+                for node in postorder(roots, TERM_KIDS)[0]
+                if node.__dict__.get("typed", (None,))[0] is sig]
+        for node, typ in kept:
+            assert cold_types((node,), sig) == (typ,)
+
+
 # --- node counts of the semantic walks -----------------------------------------
 
 P = poly(("A",), ("A", "B"), ("B",))
@@ -479,34 +515,36 @@ def test_tensor_law_walks_few_nodes():
 
 def test_warm_tensor_law_types_each_node_of_its_walk_once(monkeypatch):
     """The bench's tensor law op (f drawn with seed 5), run a second time
-    on the same operands: tensor_tape, whisker_right and the evaluator
-    find their operands' kept types, so only sem_eq's walk of the two new
-    sides is typed, each node once."""
+    on the same operands, after a collection: every node typed keeps its
+    type, so only nodes that no earlier walk typed under the signature
+    are typed, each once, and no subterm of f, whose nodes the first run
+    typed, is typed again."""
     fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1)),
                       Random(5))
     f = fresh.tape(P, P * P)
     interp = fresh.interp()
+    sig = interp.sig
     c, ids = tape.copier_tape(P), (tape.id_tape(P), tape.id_tape(P * P))
     calls = []
     node_type = tape.node_type
 
-    def counting(*args):
-        calls.append(args[0])
-        return node_type(*args)
+    def counting(node, *args):
+        assert node.__dict__.get("typed", (None,))[0] is not sig
+        calls.append(node)
+        return node_type(node, *args)
 
     def law():
-        sig = interp.sig
         lhs = tape.tensor_tape(c, f, sig)
         rhs = tseq(tape.tensor_tape(c, ids[0], sig),
                    tape.tensor_tape(ids[1], f, sig))
         assert sem_eq(lhs, rhs, interp).kind == "equal"
-        return len(postorder((lhs, rhs), TERM_KIDS)[0])
 
+    law()
+    gc.collect()
     monkeypatch.setattr(tape, "node_type", counting)
     law()
-    calls.clear()
-    walked = law()
-    assert len(calls) == len(set(calls)) == walked <= 357
+    assert calls and len(calls) == len(set(calls))
+    assert not set(calls) & set(postorder((f,), TERM_KIDS)[0])
 
 
 def test_copier_tensor_copier_walks_few_nodes():

@@ -95,6 +95,18 @@ def test_a_kept_type_answers_only_under_its_signature():
     assert t.__dict__["typed"][0] is equal
 
 
+@pytest.mark.parametrize("leaf", ["x", 3, (A,)])
+def test_a_child_that_is_not_a_term_is_a_type_error(leaf):
+    """A child that is not a term fails the walk with the type error that
+    names it, the nodes above it keep no type, and the node typed before
+    it keeps its own."""
+    t = tseq(TIdMon(A), TSeq(TIdMon(A), leaf))
+    with pytest.raises(TypeCheckError, match=r"^not a tape term: "):
+        type_of_tape(t, SIG)
+    assert "typed" not in t.__dict__
+    assert TIdMon(A).__dict__["typed"][0] is SIG
+
+
 # --- structural sums ---------------------------------------------------------------
 
 def test_codiag_over_sum_type():
