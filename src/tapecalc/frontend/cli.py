@@ -20,7 +20,8 @@ from ..kleisli import exact_str, model_for
 from ..objects import normalize
 from ..suites import (SuiteBounds, axiom_suite, coherence_suite, lemma_suite,
                       sem_eq)
-from ..tape import TERM_KIDS, TOpInj, tape_types
+from ..tape import TERM_KIDS, Branching, tape_types
+from ..theory import operations
 from .parser import ascii_int, parse_module, parse_object_expr
 from .render import render_svg
 from .surface import elaborate
@@ -129,12 +130,12 @@ def weighs(model, op) -> bool:
 def check_weights(nodes, models) -> None:
     """Raise UnknownOperationError for an operation among a tape's nodes
     that no model weighs, as evaluating the tape under any declared theory
-    would."""
+    would, in the order evaluation looks their weights up."""
     for node in nodes:
-        if isinstance(node, TOpInj) and not any(weighs(m, node.op)
-                                                for m in models):
-            raise UnknownOperationError(f"operation {node.op} has no "
-                                        "weights in any declared theory")
+        for op in operations(node.branch[0]) if isinstance(node, Branching) else ():
+            if not any(weighs(m, op) for m in models):
+                raise UnknownOperationError(f"operation {op} has no "
+                                            "weights in any declared theory")
 
 
 def cmd_check(args) -> int:

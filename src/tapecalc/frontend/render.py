@@ -1,16 +1,16 @@
 """Deterministic SVG rendering of tapes.
 
 One horizontal lane per sum-summand; circuits are drawn as boxes on
-wires inside their lane.  Merges, caps and operation splits get fixed
-glyphs.  Nothing is optimized: box sizes and lane heights are constants,
-a leaf takes one lane per monomial on the longer side of its type, so
-identical terms produce identical bytes.  The DAG that typing walks is
-drawn, so the drawing grows with the term: a block tape or sum symmetry
-from its ``block_layout``, a structural circuit as its ``wires`` unless
-it has a glyph (identities and dischargers of one sort), a whiskered
-tape as the tape it whiskers, labelled with its whiskerings.  The fold
-that sizes a tape types it first, as ``check`` does, so an ill-typed
-one fails before drawing.
+wires inside their lane.  Merges, caps and branchings (an operation's
+or a term's) get fixed glyphs.  Nothing is optimized: box sizes and lane
+heights are constants, a leaf takes one lane per monomial on the longer
+side of its type, so identical terms produce identical bytes.  The DAG
+that typing walks is drawn, so the drawing grows with the term: a block
+tape or sum symmetry from its ``block_layout``, a structural circuit as
+its ``wires`` unless it has a glyph (identities and dischargers of one
+sort), a whiskered tape as the tape it whiskers, labelled with its
+whiskerings.  The fold that sizes a tape types it first, as ``check``
+does, so an ill-typed one fails before drawing.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from ..circuit import (CDischarger, CGen, CIdOne, CIdSort, CSeq, CStructural,
 from ..errors import TypeCheckError
 from ..hashcons import fold
 from ..objects import Monomial
-from ..tape import (TERM_KIDS, Structural, TBlock, TCirc, TCobang, TCodiag,
-                    TIdMon, TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker,
-                    TapeTerm, node_type)
+from ..tape import (TERM_KIDS, Branching, Structural, TBlock, TCirc, TCobang,
+                    TCodiag, TIdMon, TIdZero, TOpInj, TSeq, TSum, TSymPlus,
+                    TWhisker, TapeTerm, node_type)
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -168,7 +168,7 @@ class _Memo:
             return sizes[t.circuit], 1
         if isinstance(t, TWhisker):
             return sizes[t.tape]
-        if isinstance(t, (TSymPlus, TCodiag, TOpInj, TBlock)):
+        if isinstance(t, (TSymPlus, TCodiag, Branching, TBlock)):
             return 1.5, lanes
         return 1.0, lanes
 
@@ -300,16 +300,21 @@ def _draw_tape_leaf(t: TapeTerm, x: float, y: float, w: float, h: float,
         elems.append(_line(x + w * 0.3, y, x + w * 0.3, y + LANE_H, 2.0))
         _draw_lane_wires(t.mono, x + w * 0.5, y, w * 0.5, elems)
         return
-    if isinstance(t, TOpInj):
-        mid_in = y + h / 2
-        _tape_band(x, mid_in - LANE_H / 2, w * 0.35, LANE_H, elems)
-        elems.append(_line(x, mid_in, x + w * 0.45, mid_in))
-        for k in range(t.op.arity):
-            ly = y + k * (LANE_H + LANE_GAP)
-            _tape_band(x + w * 0.55, ly, w * 0.45, LANE_H, elems)
-            elems.append(_line(x + w * 0.45, mid_in, x + w * 0.55,
-                               ly + LANE_H / 2))
-        elems.append(_text(x + w / 2, mid_in - LANE_H / 2 - 2, str(t.op)))
+    if isinstance(t, Branching):
+        # dom bands stacked in the middle, each joined to its n copies
+        term, dom, n = t.branch
+        step = LANE_H + LANE_GAP
+        top = y + (h - len(dom) * step + LANE_GAP) / 2
+        mids = [top + j * step + LANE_H / 2 for j in range(len(dom))]
+        for mid in mids:
+            _tape_band(x, mid - LANE_H / 2, w * 0.35, LANE_H, elems)
+            elems.append(_line(x, mid, x + w * 0.45, mid))
+        for k in range(n * len(dom)):
+            _tape_band(x + w * 0.55, y + k * step, w * 0.45, LANE_H, elems)
+            elems.append(_line(x + w * 0.45, mids[k % len(dom)],
+                               x + w * 0.55, y + k * step + LANE_H / 2))
+        label = t.op if t.__class__ is TOpInj else term
+        elems.append(_text(x + w / 2, top - 2, str(label)))
         return
     raise TypeCheckError(f"not a tape term: {t!r}")
 

@@ -12,12 +12,13 @@ computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
 the tape t it whiskers: its matrix is t's tensored with an identity per
 whiskering, its blocks reordered by ``kleisli.pairing`` from the
 carrier sizes of t's type, which t keeps (``tape.tape_types``).  A
-structural circuit (a ``circuit.CBlock`` or one of the five primitives
-of ``circuit.CStructural``) is a leaf too, whose matrix is the
-``kleisli`` closed form of its call's builder at the carrier sizes of
-its words.  Carrier indexing is fixed once and for all: tensor indices are
-left-major within a monomial, and a polynomial carrier concatenates its
-monomial blocks in order.
+branching tape (``tape.Branching``) is a leaf, its matrix read from its
+term's weight vector.  A structural circuit (a ``circuit.CBlock`` or
+one of the five primitives of ``circuit.CStructural``) is a leaf too,
+whose matrix is the ``kleisli`` closed form of its call's builder at
+the carrier sizes of its words.  Carrier indexing is fixed once and for
+all: tensor indices are left-major within a monomial, and a polynomial
+carrier concatenates its monomial blocks in order.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .circuit import (CGen, CSeq, CStructural, CTensor, CircuitTerm,
                       MonSignature)
 from .errors import DimensionError, ModelError, UnknownSortError
 from .hashcons import fold
-from .kleisli import Matrix, TheoryModel, op_matrix, pairing
+from .kleisli import Matrix, TheoryModel, branch_matrix, eval_vector, pairing
 from .objects import Monomial, Polynomial
-from .tape import (TERM_KIDS, Structural, TCirc, TOpInj, TSeq, TSum, TWhisker,
-                   TapeTerm, tape_types)
+from .tape import (TERM_KIDS, Branching, Structural, TCirc, TSeq, TSum,
+                   TWhisker, TapeTerm, as_poly, tape_types)
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,6 @@ class Interpretation:
             self.sizes[u] = size
         return size
 
-    def poly_size(self, p: Polynomial) -> int:
-        return sum(self.mono_size(u) for u in p)
-
     def with_gens(self, extra_sig: Mapping[str, tuple[Monomial, Monomial]],
                   extra_matrices: Mapping[str, Matrix]) -> "Interpretation":
         mats = dict(self.gen_matrices)
@@ -108,18 +106,7 @@ class Interpretation:
 
 
 def carrier_of(p: Union[Polynomial, Monomial], interp: Interpretation) -> int:
-    if isinstance(p, Monomial):
-        return interp.mono_size(p)
-    return interp.poly_size(p)
-
-
-def mono_offsets(p: Polynomial, interp: Interpretation) -> list[int]:
-    """Start index of each monomial block in the carrier of p."""
-    offsets, acc = [], 0
-    for u in p:
-        offsets.append(acc)
-        acc += interp.mono_size(u)
-    return offsets
+    return sum(map(interp.mono_size, as_poly(p)))
 
 
 def prod_index(p: Polynomial, q: Polynomial, interp: Interpretation):
@@ -129,25 +116,18 @@ def prod_index(p: Polynomial, q: Polynomial, interp: Interpretation):
     monomial of P and the j-th of Q, with the P-part major within the
     block.  Returns a function of two carrier indices.
     """
-    p_offsets = mono_offsets(p, interp)
-    q_offsets = mono_offsets(q, interp)
-    q_sizes = [interp.mono_size(v) for v in q]
-    pq_offsets = mono_offsets(p * q, interp)
-    n_q = len(q_sizes)
+    size = interp.mono_size
 
-    def locate(offsets: list[int], idx: int) -> tuple[int, int]:
-        block = 0
-        for b, start in enumerate(offsets):
-            if idx >= start:
-                block = b
-            else:
-                break
-        return block, idx - offsets[block]
+    def cells(r: Polynomial) -> list[tuple[int, int]]:
+        """(monomial block, index in it) of each carrier index of r."""
+        return [(i, a) for i, u in enumerate(r) for a in range(size(u))]
+
+    p_cells, q_cells = cells(p), cells(q)
+    pq_starts = [0, *accumulate(map(size, p * q))]
 
     def index(x: int, y: int) -> int:
-        i, a = locate(p_offsets, x)
-        j, b = locate(q_offsets, y)
-        return pq_offsets[i * n_q + j] + a * q_sizes[j] + b
+        (i, a), (j, b) = p_cells[x], q_cells[y]
+        return pq_starts[i * len(q) + j] + a * size(q[j]) + b
 
     return index
 
@@ -189,7 +169,9 @@ def evaluator(interp: Interpretation) -> Callable:
     identity on U.  On the right, t <| U is exactly that; on the
     left, U |> t is that with its dom and cod blocks reordered by
     ``pairing``, from the carrier sizes of the monomials of t's type,
-    which t keeps (see ``tape.tape_types``).  A structural circuit is
+    which t keeps (see ``tape.tape_types``).  A branching tape is the
+    ``branch_matrix`` of its term's ``eval_vector``, its carriers read
+    first.  A structural circuit is
     the ``CLOSED_FORMS`` builder of its call at the carrier sizes of its
     words, found by name, so that a wrapper of the builder sees it."""
     def whiskered(node: TWhisker, m: Matrix) -> Matrix:
@@ -236,8 +218,10 @@ def evaluator(interp: Interpretation) -> Callable:
                 return interp.gen_matrices[node.name]
             except KeyError:
                 raise ModelError(f"generator {node.name} has no matrix")
-        if cls is TOpInj:
-            return op_matrix(node.op, interp.model, interp.mono_size(node.mono))
+        if isinstance(node, Branching):
+            term, dom, n = node.branch
+            size = sum(map(interp.mono_size, dom))
+            return branch_matrix(eval_vector(term, n, interp.model), size)
         raise ModelError(f"not a tape term: {node!r}")
 
     return step

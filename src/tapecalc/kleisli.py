@@ -36,9 +36,9 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ModelError, UnknownOperationError
-from .hashcons import fold
+from .hashcons import postorder
 from .theory import (SIGMA_KIDS, AlgebraicTheory, App, Equation, OpSymbol,
-                     SigmaTerm, Var)
+                     SigmaTerm, operations)
 
 
 _PIECE = 10 ** 500    # 500 digits: under any int->str limit Python allows
@@ -696,36 +696,41 @@ def _canonical_model(theory: AlgebraicTheory) -> TheoryModel:
     return model
 
 
-def op_matrix(op: OpSymbol, model: TheoryModel, n: int) -> Matrix:
-    """The branching matrix of an operation over a carrier of size n.
+def branch_matrix(w: Sequence[Any], n: int) -> Matrix:
+    """The (len(w)*n)-by-n stack whose block j is w_j times the identity
+    on a carrier of size n: a row map when w is a unit vector."""
+    den = lcm(*[v.denominator for v in w]) if n else 1
+    blocks = [(j * n, v.numerator * den // v.denominator)
+              for j, v in enumerate(w) if v]
+    if len(blocks) == 1 and blocks[0][1] == den:    # w_j = 1, the rest 0
+        start = blocks[0][0]
+        return Matrix(n, len(w) * n, image=tuple(range(start, start + n)))
+    return Matrix(n, len(w) * n, tuple([{j + x: a for j, a in blocks}
+                                        for x in range(n)]), den=den)
 
-    Block j of the (arity*n)-by-n stack is w_j(op) times the identity.
-    """
-    w = model.weight_vector(op)
-    entries = []
-    for j, wj in enumerate(w):
-        for i in range(n):
-            entries.append((j * n + i, i, wj))
-    return Matrix.make(n, op.arity * n, entries)
+
+def op_matrix(op: OpSymbol, model: TheoryModel, n: int) -> Matrix:
+    """The branching matrix of an operation over a carrier of size n."""
+    return branch_matrix(model.weight_vector(op), n)
 
 
 def eval_vector(term: SigmaTerm, context: int, model: TheoryModel) -> tuple[Any, ...]:
-    """Weight vector of a term: variables are unit vectors, applications
-    combine argument vectors with the operation weights."""
-    zero, one = model.semiring.zero, model.semiring.one
-
-    def step(t, vecs: tuple) -> tuple:
-        if isinstance(t, Var):
-            return tuple(one if i == t.index - 1 else zero for i in range(context))
-        if isinstance(t, App):
-            acc = [zero] * context
-            for wj, vec in zip(model.weight_vector(t.op), vecs):
-                for i in range(context):
-                    acc[i] += wj * vec[i]
-            return tuple(acc)
-        raise ModelError(f"not a term: {t!r}")
-
-    return fold((term,), SIGMA_KIDS, step)[0]
+    """Weight vector of a term: entry i sums, over the paths from the root
+    to x_{i+1}, the products of the weights along them.  One pass over
+    the term's DAG, parents before children, adds up the path weights;
+    the weights are looked up first, in ``operations`` order."""
+    order, _ = postorder((term,), SIGMA_KIDS)
+    weights = {op: model.weight_vector(op) for op in operations(term)}
+    paths = dict.fromkeys(order, model.semiring.zero)
+    paths[term] = model.semiring.one
+    vector = [model.semiring.zero] * context
+    for t in reversed(order):
+        if t.__class__ is App:
+            for w, arg in zip(weights[t.op], t.args):
+                paths[arg] += paths[t] * w
+        elif 1 <= t.index <= context:
+            vector[t.index - 1] += paths[t]
+    return tuple(vector)
 
 
 def model_soundness(model: TheoryModel) -> list[Equation]:

@@ -3,8 +3,8 @@
 Tapes are typed by polynomials.  The primitive constructors live at the
 monomial level (identities, tape-of-circuit, sum symmetry, codiagonal,
 cobang and the operation branchings); identities, symmetries, codiagonals,
-distributors, whiskerings, the tensor of tapes, term branchings and the
-polynomial copy/discard structure are all built inductively from them.
+distributors, whiskerings, the tensor of tapes and the polynomial
+copy/discard structure are all built inductively from them.
 
 Nodes are hash-consed like circuits (see ``hashcons``): equal terms are
 identical and ``==`` is identity.  It is syntactic equality only; equality
@@ -33,6 +33,10 @@ the walk over the derived nodes raises, so it names the subterm where
 that walk failed: for a failure inside a whiskered tape, the
 composition the user wrote.
 
+A ``Branching`` tape <t>_P : P -> (+)^n P of a Σ-term t over n
+variables is one leaf too, read from its ``branch`` (t, P, n): no tape
+is built per variable or operation of t.
+
 A tape keeps its type: ``tape_types`` stores the type of each node it
 types, tape or circuit, on the node, with the signature object it was
 typed under, and its walk stops at a node kept under that object.  So
@@ -50,9 +54,9 @@ from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
                       ctensor, identity_circuit, sym_circuit)
 from .errors import TypeCheckError
-from .hashcons import Term, fold, kept, postorder, term_node
-from .objects import Monomial, ONE, Polynomial, nfold_sum, poly_of_mono
-from .theory import SIGMA_KIDS, OpSymbol, SigmaTerm, Var, check_term
+from .hashcons import Term, kept, postorder, term_node
+from .objects import Monomial, ONE, Polynomial, poly_of_mono
+from .theory import OpSymbol, SigmaTerm, Var, check_term
 
 
 class TapeTerm(Term):
@@ -116,10 +120,30 @@ class TCodiag(Structural):
     call = property(lambda t: ("codiag_tape", (t.mono,)))
 
 
+class Branching(TapeTerm):
+    """Base of the branching tapes <t>_P, an operation's at a monomial
+    (``TOpInj``) or a term's (``TTerm``), whose matrix stacks w_i(t)
+    times the identity on P; ``branch`` is (t, P as a tuple, n)."""
+
+
+def _applied(op: OpSymbol) -> SigmaTerm:
+    """The term op(x1, ..., xn)."""
+    return op(*map(Var, range(1, op.arity + 1)))
+
+
 @term_node
-class TOpInj(TapeTerm):
+class TOpInj(Branching):
     op: OpSymbol
     mono: Monomial
+    branch = kept(lambda t: (_applied(t.op), (t.mono,), t.op.arity))
+
+
+@term_node
+class TTerm(Branching):
+    term: SigmaTerm
+    poly: Polynomial
+    context: int
+    branch = kept(lambda t: (t.term, tuple(t.poly), t.context))
 
 
 @term_node
@@ -193,9 +217,9 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     is a pair of ``Monomial``s, a tape's a pair of plain tuples of
     ``Monomial``s, so a sum is one tuple concatenation and a composition
     check one tuple comparison.  A structural tape's type is its block
-    map's; a whiskered tape's is that of the tape it whiskers, its one
-    child, with each step's monomial multiplied into every monomial on
-    its side.
+    map's; a branching tape's P -> P repeated n times; a whiskered
+    tape's is that of the tape it whiskers, its one child, with each
+    step's monomial multiplied into every monomial on its side.
     Raises if a step, or the type of a leaf, names a sort not in sig."""
     cls = node.__class__
     if cls is TSeq:
@@ -221,9 +245,9 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
     else:
         if isinstance(node, Structural):
             dom, cod, _ = node.block_layout
-        elif cls is TOpInj:
-            dom = (node.mono,)
-            cod = dom * node.op.arity
+        elif isinstance(node, Branching):
+            _, dom, n = node.branch
+            cod = dom * n
         else:
             raise TypeCheckError(f"not a tape term: {node!r}")
         sig.check_sorts(*dom, *cod)
@@ -394,35 +418,19 @@ def symtensor_tape(p: Union[Polynomial, Monomial],
 
 
 def op_inj_tape(op: OpSymbol, p: Union[Polynomial, Monomial]) -> TapeTerm:
-    """<f>_P : P -> (+)^n P for arbitrary polynomials."""
-    def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
-        if p_rest.is_zero:
-            return TOpInj(op, u)
-        n_ones = nfold_sum(poly_of_mono(ONE), op.arity)
-        return tseq(tsum(TOpInj(op, u), t),
-                    distributor(n_ones, poly_of_mono(u), p_rest, inverse=True))
-
-    return _right_fold(as_poly(p), TIdZero, step)
+    """<f>_P : P -> (+)^n P: a ``TOpInj`` at a monomial, else the
+    ``term_tape`` of f(x1, ..., xn)."""
+    p = as_poly(p)
+    return (TOpInj(op, p[0]) if len(p) == 1
+            else term_tape(_applied(op), p, op.arity))
 
 
 def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
               context: int) -> TapeTerm:
     """<t>_P : P -> (+)^n P realizing the term's branching behaviour."""
-    p = as_poly(p)
     check_term(term, context)
-
-    def step(t: SigmaTerm, branches: tuple) -> TapeTerm:
-        if isinstance(t, Var):
-            return tsum(cobang_tape(nfold_sum(p, t.index - 1)),
-                        id_tape(p),
-                        cobang_tape(nfold_sum(p, context - t.index)))
-        split = op_inj_tape(t.op, p)
-        if not branches:
-            return tseq(split, nfold_codiag(nfold_sum(p, context), 0))
-        return tseq(split, tsum(*branches),
-                    nfold_codiag(nfold_sum(p, context), len(branches)))
-
-    return fold((term,), SIGMA_KIDS, step)[0]
+    p = as_poly(p)
+    return TTerm(term, p, context) if p else TIdZero()
 
 
 # --- whiskerings and the tensor of tapes ---------------------------------------
@@ -450,17 +458,18 @@ def _whiskered(node: TBlock, u: Monomial, left: bool) -> TapeTerm:
 def _whisker_leaf(node: TapeTerm, u: Monomial, left: bool) -> TapeTerm:
     """U |> t if left, else t <| U, for a primitive tape t: a circuit
     beside the identity on U, any other primitive with each of its
-    monomial fields whiskered."""
+    monomial fields whiskered (U |> <t>_P = <t>_{UP} for a ``TTerm``)."""
     if node.__class__ is TCirc:
         ids = identity_circuit(u)
         return TCirc(ctensor(ids, node.circuit) if left
                      else ctensor(node.circuit, ids))
-    if not isinstance(node, (Structural, TOpInj)):
+    if not isinstance(node, (Structural, Branching)):
         raise TypeCheckError(f"not a tape term: {node!r}")
-    fields = [getattr(node, name) for name in node.__match_args__]
+    if node.__class__ is TTerm:
+        u = poly_of_mono(u)     # to multiply the polynomial field
     return node.__class__(*[
-        (u * x if left else x * u) if isinstance(x, Monomial) else x
-        for x in fields])
+        (u * x if left else x * u) if x.__class__ is u.__class__ else x
+        for x in map(node.__dict__.get, node.__match_args__)])
 
 
 def whisker_chain(t: TapeTerm, steps: tuple) -> TapeTerm:
@@ -500,9 +509,7 @@ def whisker_right_mono(t: TapeTerm, u: Monomial) -> TapeTerm:
 
 def whisker_left(s: Union[Polynomial, Monomial], t: TapeTerm) -> TapeTerm:
     """S |> t for a polynomial S: the sum of the monomial whiskerings."""
-    if isinstance(s, Monomial):
-        return whisker_left_mono(s, t)
-    return tsum(*_whiskers(t, s, left=True))
+    return tsum(*_whiskers(t, as_poly(s), left=True))
 
 
 def whisker_right(t: TapeTerm, s: Union[Polynomial, Monomial],

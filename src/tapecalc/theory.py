@@ -88,6 +88,13 @@ def check_term(term: SigmaTerm, context: int) -> None:
                                  f"applied to {len(t.args)} arguments")
 
 
+def operations(term: SigmaTerm) -> tuple[OpSymbol, ...]:
+    """The distinct operations of a term in left-to-right preorder of
+    first occurrence, the order in which ``postorder`` enters nodes."""
+    return tuple(dict.fromkeys([t.op for t in postorder((term,), SIGMA_KIDS)[1]
+                                if isinstance(t, App)]))
+
+
 def substitute(term: SigmaTerm, args: Sequence[SigmaTerm]) -> SigmaTerm:
     """Simultaneous substitution of x_i by args[i-1]."""
     def step(t, new_args: tuple) -> SigmaTerm:
@@ -117,11 +124,10 @@ class AlgebraicTheory:
         for eq in self.equations:
             check_term(eq.lhs, eq.context)
             check_term(eq.rhs, eq.context)
-            for side in (eq.lhs, eq.rhs):
-                for t in postorder((side,), SIGMA_KIDS)[0]:
-                    if isinstance(t, App) and t.op not in declared:
-                        raise ModelError(f"equation {eq.name} uses "
-                                         f"undeclared operation {t.op}")
+            for op in operations(eq.lhs) + operations(eq.rhs):
+                if op not in declared:
+                    raise ModelError(f"equation {eq.name} uses "
+                                     f"undeclared operation {op}")
 
 
 STAR = OpSymbol("star", 0)

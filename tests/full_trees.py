@@ -11,6 +11,9 @@ those definitions give, as the library built them before:
   ``discharger_circuit``), and ``circuit_tree`` of a ``CBlock``;
 - a block tape's definition unfolded once (``_body``, with
   ``_mono_vs_poly``);
+- a branching tape's step construction (``op_inj_tree``, ``term_tree``
+  and ``branching_tree``): a tape per variable and per operation of its
+  term, and one distributor chain per operation over a polynomial;
 - ``expand``, the full tree of any term, with no derived node in it.
 
 Terms are hash-consed, so a derived node agrees with its definition
@@ -22,12 +25,15 @@ from itertools import chain
 from tapecalc.circuit import (CBlock, CCopier, CDischarger, CIdOne, CIdSort,
                               CSeq, CSym, CTensor, CircuitTerm, ctensor)
 from tapecalc.hashcons import Term, fold
-from tapecalc.objects import Monomial, Polynomial, poly_of_mono
+from tapecalc.objects import (ONE, Monomial, Polynomial, nfold_sum,
+                              poly_of_mono)
 from tapecalc.tape import (TERM_KIDS, TBlock, TCobang, TCodiag, TIdMon,
-                           TSum, TSymPlus, TWhisker, TapeTerm, _right_fold,
-                           cobang_tape, codiag_tape, distributor, dl_nary,
-                           id_tape, nfold_codiag, symplus_tape, tseq, tsum,
+                           TIdZero, TOpInj, TSum, TSymPlus, TTerm, TWhisker,
+                           TapeTerm, _right_fold, as_poly, cobang_tape,
+                           codiag_tape, distributor, dl_nary, id_tape,
+                           nfold_codiag, symplus_tape, tseq, tsum,
                            whisker_chain)
+from tapecalc.theory import SIGMA_KIDS, App, Var
 
 
 # --- the structural circuits by their inductive clauses -------------------------
@@ -141,28 +147,78 @@ def _body(node: TBlock) -> TapeTerm:
     return tseq(shuffle, head) if inverse else tseq(head, shuffle)
 
 
+# --- the branching tapes by their step construction -----------------------------
+
+def op_inj_tree(op, p) -> TapeTerm:
+    """<f>_P one monomial at a time: f's ``TOpInj`` at each monomial of P,
+    side by side, then an inverse distributor that gathers the i-th
+    branches of every monomial into the i-th copy of P."""
+    def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
+        if p_rest.is_zero:
+            return TOpInj(op, u)
+        n_ones = nfold_sum(poly_of_mono(ONE), op.arity)
+        return tseq(tsum(TOpInj(op, u), t),
+                    distributor(n_ones, poly_of_mono(u), p_rest, inverse=True))
+
+    return _right_fold(as_poly(p), TIdZero, step)
+
+
+def term_tree(term, p, context: int) -> TapeTerm:
+    """<t>_P : P -> (+)^n P step by step over t: x_i is the identity onto
+    the i-th of the n copies of P, between cobangs of the others, and an
+    application splits P by its operation's ``op_inj_tree``, runs its
+    arguments' tapes side by side and merges their copies of (+)^n P by
+    a codiagonal."""
+    p = as_poly(p)
+
+    def step(t, branches: tuple) -> TapeTerm:
+        if isinstance(t, Var):
+            return tsum(cobang_tape(nfold_sum(p, t.index - 1)), id_tape(p),
+                        cobang_tape(nfold_sum(p, context - t.index)))
+        split = op_inj_tree(t.op, p)
+        if not branches:
+            return tseq(split, nfold_codiag(nfold_sum(p, context), 0))
+        return tseq(split, tsum(*branches),
+                    nfold_codiag(nfold_sum(p, context), len(branches)))
+
+    return fold((term,), SIGMA_KIDS, step)[0]
+
+
+def branching_tree(node: TTerm) -> TapeTerm:
+    """The tree a term's branching stands for: the ``op_inj_tree`` of an
+    operation applied to its context's variables in order, which is what
+    ``op_inj_tape`` builds at a polynomial, else the ``term_tree``."""
+    term, p, n = node.term, node.poly, node.context
+    if term.__class__ is App and term.args == tuple(map(Var, range(1, n + 1))):
+        return op_inj_tree(term.op, p)
+    return term_tree(term, p, n)
+
+
 # --- full trees -------------------------------------------------------------------
 
 def expand(t: Term) -> Term:
     """The full tree of t: t with each block tape replaced by the tree of
     its builder's inductive definition, each block circuit by its
-    ``circuit_tree``, and each whiskered tape by the tree that whiskering
-    its tape leaf by leaf gives.  No node of it is a ``TBlock``, a
-    ``CBlock`` or a ``TWhisker``."""
+    ``circuit_tree``, each term's branching by its ``branching_tree``,
+    and each whiskered tape by the tree that whiskering its tape leaf by
+    leaf gives.  No node of it is a ``TBlock``, a ``CBlock``, a ``TTerm``
+    or a ``TWhisker``."""
     unfolded: dict = {}
 
-    def unfold(node: TBlock | CBlock | TWhisker) -> tuple:
+    def unfold(node: TBlock | CBlock | TTerm | TWhisker) -> tuple:
         """The children of a derived node in the walk: a block tape's
-        body, a block circuit's tree, and the children of the tape a
-        whiskered tape whiskers, each whiskered by its chain, so that
-        U |> (t <| V) is whiskered leaf by leaf, in order, down to how
-        ``ctensor`` groups a circuit's factors."""
+        body, a block circuit's tree, a branching's tree, and the
+        children of the tape a whiskered tape whiskers, each whiskered
+        by its chain, so that U |> (t <| V) is whiskered leaf by leaf, in
+        order, down to how ``ctensor`` groups a circuit's factors."""
         kids = unfolded.get(node)
         if kids is None:
             if node.__class__ is TBlock:
                 kids = (_body(node),)
             elif node.__class__ is CBlock:
                 kids = (circuit_tree(node),)
+            elif node.__class__ is TTerm:
+                kids = (branching_tree(node),)
             else:
                 t = node.tape
                 kids = tuple([whisker_chain(kid, node.steps)
@@ -172,7 +228,7 @@ def expand(t: Term) -> Term:
 
     def step(node, kids: tuple):
         cls = node.__class__
-        if cls is TBlock or cls is CBlock:
+        if cls is TBlock or cls is CBlock or cls is TTerm:
             return kids[0]
         if cls is TWhisker:
             return node.tape.__class__(*kids)
@@ -181,4 +237,4 @@ def expand(t: Term) -> Term:
         return node
 
     return fold((t,), {**TERM_KIDS, TBlock: unfold, CBlock: unfold,
-                       TWhisker: unfold}, step)[0]
+                       TTerm: unfold, TWhisker: unfold}, step)[0]

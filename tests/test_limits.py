@@ -351,9 +351,9 @@ def test_print_module_of_5000_step_definition(nesting):
 
 
 def test_sigma_term_with_variable_index_1000(tmp_path, capsys):
-    """x1000 makes the term's tape range over (+)^1000 A: its codiagonals
-    and sum symmetries range over 1000 monomials, past the recursion
-    limit, and are built by loops in time quadratic in that count."""
+    """x1000 makes the term's tape range over (+)^1000 A, past the
+    recursion limit: one branching node, typed from the term's context
+    and evaluated from its weight vector, in time linear in that count."""
     assert sys.getrecursionlimit() == 1000
     text = FLIP + "def d = term<x1 +_1/2 x1000>@A;\n"
     assert run(tmp_path, capsys, text, ["check", "{f}"]) == (0, ("", ""))

@@ -12,8 +12,10 @@ from tapecalc.frontend.surface import elaborate
 from tapecalc.objects import mono, poly
 from tapecalc.tape import (TBlock, TCirc, TCodiag, TOpInj, TSeq, TSum,
                            TWhisker, id_tape, tseq, tsum)
-from tapecalc.theory import choice
+from tapecalc.theory import Var, choice
 from fractions import Fraction
+
+from full_trees import term_tree
 
 SIG = MonSignature(("A", "B"), {"G": (mono("A"), mono("B"))})
 
@@ -167,7 +169,9 @@ def expected_block(t):
 
 def block_tapes():
     """A call of each block builder, and terms that hold block tapes in
-    sums, compositions and whiskerings."""
+    sums, compositions and whiskerings: among them the step construction
+    of term<x1 +_1/2 x8>@A, whose cobangs and codiagonal range over
+    copies of A."""
     a, b = poly(("A",)), poly(("B",))
     ab = poly(("A",), ("A", "B"), ("B",))
     yield from (tape.id_tape(ab), tape.cobang_tape(ab),
@@ -179,9 +183,7 @@ def block_tapes():
     yield tape.tensor_tape(c, c, SIG)
     yield tsum(tape.cobang_tape(a + b), tape.whisker_left_mono(
         mono("B"), tsum(TCodiag(mono("A")), id_tape(a + b))))
-    module = parse_module("sort A;\ntheory PCA with p = 1/2;\n"
-                          "def d = term<x1 +_1/2 x8>@A;\n")
-    yield elaborate(module.defs["d"], module)
+    yield term_tree(choice(Fraction(1, 2))(Var(1), Var(8)), mono("A"), 8)
 
 
 def test_each_block_tape_draws_its_block_map():

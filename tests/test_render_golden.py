@@ -28,7 +28,7 @@ def swap = [ sym@AB,BA ];
 def term8 = term<x1 +_1/2 x8>@A;
 def whisk = id@B (x) (op<+_1/2>@A ; codiag@A);
 """
-"""A block circuit of each kind's wire map, a term's block tapes, and a
+"""A block circuit of each kind's wire map, a term's branching, and a
 whiskered composite."""
 
 
