@@ -10,10 +10,12 @@ leaf: its matrix is one image, a ``range`` per monomial block, from the
 carrier sizes and its ``block_layout``, the ``block_map`` that the node
 computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
 the tape t it whiskers: its matrix is t's tensored with an identity per
-whiskering, its blocks reordered by ``kleisli.pairing`` from the
-carrier sizes of t's type, which t keeps (``tape.tape_types``).  A
-branching tape (``tape.Branching``) is a leaf, its matrix read from its
-term's weight vector.  A structural circuit (a ``circuit.CBlock`` or
+whiskering, on the left its blocks reordered by ``kleisli.pairing``
+from the carrier sizes of t's type, which t keeps
+(``tape.tape_types``), unless t is structural or branching, whose
+matrix is the same on either side.  A branching tape
+(``tape.Branching``) is a leaf, its matrix read from its term's weight
+vector.  A structural circuit (a ``circuit.CBlock`` or
 one of the five primitives of ``circuit.CStructural``) is a leaf too,
 whose matrix is the ``kleisli`` closed form of its call's builder at
 the carrier sizes of its words.  Carrier indexing is fixed once and for
@@ -169,19 +171,24 @@ def evaluator(interp: Interpretation) -> Callable:
     identity on U.  On the right, t <| U is exactly that; on the
     left, U |> t is that with its dom and cod blocks reordered by
     ``pairing``, from the carrier sizes of the monomials of t's type,
-    which t keeps (see ``tape.tape_types``).  A branching tape is the
-    ``branch_matrix`` of its term's ``eval_vector``, its carriers read
-    first.  A structural circuit is
+    which t keeps (see ``tape.tape_types``).  Tensoring on the right
+    lays each block U u of U |> t out u-major instead of U-major; a
+    structural or branching t moves each block whole or weighs every
+    element alike, so its matrix is the same in either layout, and it
+    is tensored on the right on either side, with no type of t read.
+    A branching tape is the ``branch_matrix`` of its term's
+    ``eval_vector``, its carriers read first.  A structural circuit is
     the ``CLOSED_FORMS`` builder of its call at the carrier sizes of its
     words, found by name, so that a wrapper of the builder sees it."""
     def whiskered(node: TWhisker, m: Matrix) -> Matrix:
         t = node.tape
+        blind = isinstance(t, (Structural, Branching))    # to the side
         scale = 1       # the carrier size of the steps so far
         for left, u in node.steps:
             n = interp.mono_size(u)
             if n == 1:
                 continue
-            if not left:
+            if not left or blind:
                 m = m.tensor(Matrix.identity(n))
             else:
                 dom, cod = [[interp.mono_size(u) * scale for u in side]

@@ -20,18 +20,16 @@ which move whole monomial blocks, so that the meaning of one is a block
 map (``block_map``).  Those five primitives are builder calls too, each
 at one monomial: every ``Structural`` node keeps the block map of its
 call, and its type and matrix are read from that alone.  A ``TWhisker``
-is a composite tape t whiskered by a chain of monomials.  Whiskering a
-block tape calls its builder at the whiskered objects, whiskering a
-whiskered tape extends its chain, and whiskering a primitive whiskers
-its monomial fields.  A builder whose tree is one primitive node
-returns that node.  In ``TERM_KIDS``, the one map of children that
-every walk reads, a structural tape is a leaf and a whiskered tape has
-one child, t, so typing, evaluation and rendering walk t once however
-many copies a tensor makes.  A derived node is the only form of its
-tape: no tree of primitive nodes is built for it.  An error is the one
-the walk over the derived nodes raises, so it names the subterm where
-that walk failed: for a failure inside a whiskered tape, the
-composition the user wrote.
+is any tape t whiskered by a chain of monomials, and whiskering a
+whiskered tape extends its chain.  A builder whose tree is one
+primitive node returns that node.  In ``TERM_KIDS``, the one map of
+children that every walk reads, a structural tape is a leaf and a
+whiskered tape has one child, t, so typing, evaluation and rendering
+walk t once however many copies a tensor makes.  A derived node is the
+only form of its tape: no tree of primitive nodes is built for it.  An
+error is the one the walk over the derived nodes raises, so it names
+the subterm where that walk failed: for a failure inside a whiskered
+tape, the composition the user wrote.
 
 A ``Branching`` tape <t>_P : P -> (+)^n P of a Σ-term t over n
 variables is one leaf too, read from its ``branch`` (t, P, n): no tape
@@ -52,7 +50,7 @@ from typing import Callable, Sequence, Union
 
 from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       circuit_node_type, copier_circuit, discharger_circuit,
-                      ctensor, identity_circuit, sym_circuit)
+                      sym_circuit)
 from .errors import TypeCheckError
 from .hashcons import Term, kept, postorder, term_node
 from .objects import Monomial, ONE, Polynomial, poly_of_mono
@@ -399,12 +397,6 @@ def nfold_codiag(p: Union[Polynomial, Monomial], m: int) -> TapeTerm:
     return TBlock("nfold_codiag", (p, m))
 
 
-_BUILDERS = {builder.__name__: builder for builder in (
-    id_tape, cobang_tape, symplus_tape, codiag_tape, nfold_codiag,
-    distributor, dl_nary)}
-"""The builders of the block tapes, by name."""
-
-
 def symtensor_tape(p: Union[Polynomial, Monomial],
                    q: Union[Polynomial, Monomial]) -> TapeTerm:
     """sigma_{P,Q} : P (x) Q -> Q (x) P."""
@@ -435,61 +427,18 @@ def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
 
 # --- whiskerings and the tensor of tapes ---------------------------------------
 
-def _whiskered(node: TBlock, u: Monomial, left: bool) -> TapeTerm:
-    """U |> t if left, else t <| U, for a block tape t: its builder at the
-    whiskered objects.  U multiplies every polynomial argument on its
-    side, except that for the distributors U joins P on the left and the
-    Q's on the right: U |> dl_{P,Q,R} = dl_{UP,Q,R} and
-    dl_{P,Q,R} <| U = dl_{P,QU,RU}."""
-    u = poly_of_mono(u)
-
-    def grow(x):
-        if isinstance(x, Polynomial):
-            return u * x if left else x * u
-        return tuple(map(grow, x)) if isinstance(x, tuple) else x
-
-    args = node.args
-    grown = [*map(grow, args)]
-    if node.builder == "distributor" or node.builder == "dl_nary":
-        grown = grown[:1] + [*args[1:]] if left else [args[0], *grown[1:]]
-    return _BUILDERS[node.builder](*grown)
-
-
-def _whisker_leaf(node: TapeTerm, u: Monomial, left: bool) -> TapeTerm:
-    """U |> t if left, else t <| U, for a primitive tape t: a circuit
-    beside the identity on U, any other primitive with each of its
-    monomial fields whiskered (U |> <t>_P = <t>_{UP} for a ``TTerm``)."""
-    if node.__class__ is TCirc:
-        ids = identity_circuit(u)
-        return TCirc(ctensor(ids, node.circuit) if left
-                     else ctensor(node.circuit, ids))
-    if not isinstance(node, (Structural, Branching)):
-        raise TypeCheckError(f"not a tape term: {node!r}")
-    if node.__class__ is TTerm:
-        u = poly_of_mono(u)     # to multiply the polynomial field
-    return node.__class__(*[
-        (u * x if left else x * u) if x.__class__ is u.__class__ else x
-        for x in map(node.__dict__.get, node.__match_args__)])
-
-
 def whisker_chain(t: TapeTerm, steps: tuple) -> TapeTerm:
     """t whiskered by each step (left, U) of steps in turn: U |> - if left,
-    else - <| U.  A step by ONE changes nothing and is dropped.  A
-    composite t gives one ``TWhisker`` node, and a whiskered one extends
-    its chain; a block tape is whiskered by its builder, and a primitive
-    tape by whiskering its fields."""
+    else - <| U, as one ``TWhisker`` node.  A step by ONE changes nothing
+    and is dropped, and a whiskered t extends its chain."""
     steps = tuple([step for step in steps if step[1]])
     if not steps:
         return t
-    cls = t.__class__
-    if cls is TSeq or cls is TSum:
-        return TWhisker(t, steps)
-    if cls is TWhisker:
+    if not isinstance(t, TapeTerm):
+        raise TypeCheckError(f"not a tape term: {t!r}")
+    if t.__class__ is TWhisker:
         return TWhisker(t.tape, t.steps + steps)
-    for left, u in steps:
-        t = (_whiskered(t, u, left) if t.__class__ is TBlock
-             else _whisker_leaf(t, u, left))
-    return t
+    return TWhisker(t, steps)
 
 
 def _whiskers(t: TapeTerm, monos: Sequence[Monomial], left: bool) -> tuple:

@@ -14,6 +14,10 @@ those definitions give, as the library built them before:
 - a branching tape's step construction (``op_inj_tree``, ``term_tree``
   and ``branching_tree``): a tape per variable and per operation of its
   term, and one distributor chain per operation over a polynomial;
+- the whiskering of a leaf (``whiskered``): a block tape's builder
+  called again at the whiskered objects, U |> [c] = [id_U (x) c] for a
+  circuit's tape, and any other primitive with each monomial field
+  whiskered;
 - ``expand``, the full tree of any term, with no derived node in it.
 
 Terms are hash-consed, so a derived node agrees with its definition
@@ -22,16 +26,17 @@ exactly when ``expand`` of it is the node the definition builds.
 
 from itertools import chain
 
+from tapecalc import circuit, tape
 from tapecalc.circuit import (CBlock, CCopier, CDischarger, CIdOne, CIdSort,
                               CSeq, CSym, CTensor, CircuitTerm, ctensor)
 from tapecalc.hashcons import Term, fold
 from tapecalc.objects import (ONE, Monomial, Polynomial, nfold_sum,
                               poly_of_mono)
-from tapecalc.tape import (TERM_KIDS, TBlock, TCobang, TCodiag, TIdMon,
-                           TIdZero, TOpInj, TSum, TSymPlus, TTerm, TWhisker,
-                           TapeTerm, _right_fold, as_poly, cobang_tape,
-                           codiag_tape, distributor, dl_nary, id_tape,
-                           nfold_codiag, symplus_tape, tseq, tsum,
+from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag,
+                           TIdMon, TIdZero, TOpInj, TSeq, TSum, TSymPlus,
+                           TTerm, TWhisker, TapeTerm, _right_fold, as_poly,
+                           cobang_tape, codiag_tape, distributor, dl_nary,
+                           id_tape, nfold_codiag, symplus_tape, tseq, tsum,
                            whisker_chain)
 from tapecalc.theory import SIGMA_KIDS, App, Var
 
@@ -194,6 +199,54 @@ def branching_tree(node: TTerm) -> TapeTerm:
     return term_tree(term, p, n)
 
 
+# --- whiskering a leaf ------------------------------------------------------------
+
+def whiskered_call(node: TBlock, u: Monomial, left: bool) -> TapeTerm:
+    """U |> t if left, else t <| U, for a block tape t: its builder at the
+    whiskered objects.  U multiplies every polynomial argument on its
+    side, except that for the distributors U joins P on the left and the
+    Q's on the right: U |> dl_{P,Q,R} = dl_{UP,Q,R} and
+    dl_{P,Q,R} <| U = dl_{P,QU,RU}."""
+    u = poly_of_mono(u)
+
+    def grow(x):
+        if isinstance(x, Polynomial):
+            return u * x if left else x * u
+        return tuple(map(grow, x)) if isinstance(x, tuple) else x
+
+    args = node.args
+    grown = [*map(grow, args)]
+    if node.builder == "distributor" or node.builder == "dl_nary":
+        grown = grown[:1] + [*args[1:]] if left else [args[0], *grown[1:]]
+    return getattr(tape, node.builder)(*grown)
+
+
+def whiskered(t: TapeTerm, steps: tuple) -> TapeTerm:
+    """t whiskered by each step (left, U) of steps in turn, leaf by leaf:
+    a composite by ``whisker_chain``, a block tape by its builder
+    (``whiskered_call``), a circuit's tape beside the identity on U, and
+    any other primitive with each of its monomial fields whiskered
+    (U |> <t>_P = <t>_{UP} for a ``TTerm``).  A zero tape has no field,
+    so it whiskers to itself, and its full tree names no sort of U."""
+    for left, u in steps:
+        if not u:
+            continue
+        cls = t.__class__
+        if cls is TSeq or cls is TSum or cls is TWhisker:
+            t = whisker_chain(t, ((left, u),))
+        elif cls is TBlock:
+            t = whiskered_call(t, u, left)
+        elif cls is TCirc:
+            ids = circuit.identity_circuit(u)
+            t = TCirc(ctensor(ids, t.circuit) if left
+                      else ctensor(t.circuit, ids))
+        else:
+            x = poly_of_mono(u) if cls is TTerm else u     # a field's class
+            t = cls(*[(x * f if left else f * x) if f.__class__ is x.__class__
+                      else f for f in map(t.__dict__.get, t.__match_args__)])
+    return t
+
+
 # --- full trees -------------------------------------------------------------------
 
 def expand(t: Term) -> Term:
@@ -201,16 +254,17 @@ def expand(t: Term) -> Term:
     its builder's inductive definition, each block circuit by its
     ``circuit_tree``, each term's branching by its ``branching_tree``,
     and each whiskered tape by the tree that whiskering its tape leaf by
-    leaf gives.  No node of it is a ``TBlock``, a ``CBlock``, a ``TTerm``
-    or a ``TWhisker``."""
+    leaf (``whiskered``) gives.  No node of it is a ``TBlock``, a
+    ``CBlock``, a ``TTerm`` or a ``TWhisker``."""
     unfolded: dict = {}
 
     def unfold(node: TBlock | CBlock | TTerm | TWhisker) -> tuple:
         """The children of a derived node in the walk: a block tape's
         body, a block circuit's tree, a branching's tree, and the
-        children of the tape a whiskered tape whiskers, each whiskered
-        by its chain, so that U |> (t <| V) is whiskered leaf by leaf, in
-        order, down to how ``ctensor`` groups a circuit's factors."""
+        children of the composite a whiskered tape whiskers, each
+        whiskered by its chain, or else the whiskered leaf, so that
+        U |> (t <| V) is whiskered leaf by leaf, in order, down to how
+        ``ctensor`` groups a circuit's factors."""
         kids = unfolded.get(node)
         if kids is None:
             if node.__class__ is TBlock:
@@ -219,10 +273,12 @@ def expand(t: Term) -> Term:
                 kids = (circuit_tree(node),)
             elif node.__class__ is TTerm:
                 kids = (branching_tree(node),)
-            else:
+            elif node.tape.__class__ in (TSeq, TSum):
                 t = node.tape
-                kids = tuple([whisker_chain(kid, node.steps)
+                kids = tuple([whiskered(kid, node.steps)
                               for kid in TERM_KIDS[t.__class__](t)])
+            else:
+                kids = (whiskered(node.tape, node.steps),)
             unfolded[node] = kids
         return kids
 
@@ -230,8 +286,8 @@ def expand(t: Term) -> Term:
         cls = node.__class__
         if cls is TBlock or cls is CBlock or cls is TTerm:
             return kids[0]
-        if cls is TWhisker:
-            return node.tape.__class__(*kids)
+        if cls is TWhisker:     # a composite's two children, or the leaf
+            return node.tape.__class__(*kids) if len(kids) == 2 else kids[0]
         if kids and kids != TERM_KIDS[cls](node):
             return cls(*kids)
         return node

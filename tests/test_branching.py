@@ -25,12 +25,12 @@ from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import (Matrix, branch_matrix, eval_vector, model_for,
                               op_matrix)
 from tapecalc.objects import Monomial, Polynomial, mono, poly
-from tapecalc.tape import (TOpInj, TTerm, op_inj_tape, tape_types, term_tape,
-                           whisker_left_mono, whisker_right_mono)
+from tapecalc.tape import (TOpInj, TTerm, TWhisker, op_inj_tape, tape_types,
+                           term_tape, whisker_left_mono, whisker_right_mono)
 from tapecalc.theory import (CM_PLUS, CM_ZERO, SIGMA_KIDS, STAR, Var,
                              builtin_theory, choice, operations)
 
-from full_trees import op_inj_tree, term_tree
+from full_trees import expand, op_inj_tree, term_tree
 
 SORTS = ("A", "B")
 MODELS = {"PCA": model_for(builtin_theory("PCA", (Fraction(1, 2),))),
@@ -88,8 +88,6 @@ def test_branchings_match_their_step_construction(data):
     carriers = dict(zip(SORTS, data.draw(st.lists(st.integers(0, 2),
                                                    min_size=2, max_size=2))))
     interp = Interpretation(sig, carriers, {}, MODELS[name])
-    if not p:   # 0 whiskers to 0; the step construction checks U's sorts
-        u = Monomial([s for s in u if s in sig.sorts])
 
     def whiskered(t):
         if side == "left":
@@ -103,15 +101,22 @@ def test_branchings_match_their_step_construction(data):
 
 
 def test_whiskering_a_branching_whiskers_its_polynomial():
-    """U |> <t>_P = <t>_{UP} and <t>_P <| U = <t>_{PU}, one node each."""
+    """U |> <t>_P = <t>_{UP} and <t>_P <| U = <t>_{PU}: one whiskered
+    node each, whose full tree, type and matrix are those of the
+    branching at the whiskered polynomial."""
     term = choice(Fraction(1, 2))(Var(2), CM_ZERO())
     p, u = poly(("A",), ("B", "A")), mono("B")
     t = term_tape(term, p, 3)
     assert isinstance(t, TTerm) and t.branch == (term, tuple(p), 3)
-    assert whisker_left_mono(u, t) is term_tape(term, poly(("B", "A"),
-                                                           ("B", "B", "A")), 3)
-    assert whisker_right_mono(t, u) is term_tape(term, poly(("A", "B"),
-                                                            ("B", "A", "B")), 3)
+    interp = Interpretation(MonSignature(SORTS), {"A": 2, "B": 3}, {},
+                            MODELS["CM"])
+    for w, grown in ((whisker_left_mono(u, t),
+                      poly(("B", "A"), ("B", "B", "A"))),
+                     (whisker_right_mono(t, u),
+                      poly(("A", "B"), ("B", "A", "B")))):
+        assert w is TWhisker(t, ((w.steps[0][0], u),))
+        assert expand(w) is expand(term_tape(term, grown, 3))
+        assert outcome(w, interp) == outcome(term_tape(term, grown, 3), interp)
     assert op_inj_tape(CM_PLUS, p) is term_tape(CM_PLUS(Var(1), Var(2)), p, 2)
     assert op_inj_tape(CM_PLUS, mono("A")) is TOpInj(CM_PLUS, mono("A"))
 

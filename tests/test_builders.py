@@ -40,7 +40,7 @@ from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon,
                            TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker,
                            as_poly, tape_types, tseq, tsum,
                            type_of_tape)
-from tapecalc.theory import OpSymbol, builtin_theory, choice
+from tapecalc.theory import STAR, OpSymbol, Var, builtin_theory, choice
 
 from full_trees import (copier_circuit, discharger_circuit, expand,
                         identity_circuit, sym_circuit)
@@ -388,7 +388,7 @@ def block_tapes(draw):
         t = tape.whisker_left_mono(draw(monomials), t)
     elif side == "right":
         t = tape.whisker_right_mono(t, draw(monomials))
-    assert not isinstance(t, (TSeq, TSum, TWhisker)), (builder, side)
+    assert not isinstance(t, (TSeq, TSum)), (builder, side)
     return t
 
 
@@ -432,13 +432,105 @@ def test_a_corrupted_kept_type_fails_the_closed_form_check():
 MISSING = [set(c) for n in (1, 2) for c in itertools.combinations(SORTS, n)]
 
 
+def tape_subterms(roots):
+    """The tape subterms of the roots, in the walks' order."""
+    return [node for node in postorder(roots, TERM_KIDS)[0]
+            if isinstance(node, tape.TapeTerm)]
+
+
+def walk_types(roots, sig):
+    """The roots' types by their full trees, each tape subterm's full
+    tree typed in the walk's order, and the sorts of a whiskered tape's
+    chain checked after the tape it whiskers: the walk types U |> t as t,
+    then U, where t's full tree, whiskered leaf by leaf, may name a sort
+    of U first, and names none when t is a zero tape."""
+    for node in tape_subterms(roots):
+        if node.__class__ is TWhisker:
+            sig.check_sorts(*[u for _, u in node.steps])
+        tape_types((expand(node),), sig)
+    return tape_types(tuple(map(expand, roots)), sig)
+
+
+def walk_matrices(roots, interp):
+    """The matrices of the tape subterms of the roots by their full
+    trees, each evaluated in the walk's order, and the carriers of a
+    whiskered tape's chain read after the tape it whiskers: the walk
+    evaluates U |> t as t, then U, where t's full tree, whiskered leaf
+    by leaf, may read a carrier of U first, and reads none when t is a
+    zero tape."""
+    matrices = {}
+    for node in tape_subterms(roots):
+        if node.__class__ is TWhisker:
+            for _, u in node.steps:
+                interp.mono_size(u)
+        matrices[node] = eval_tape(expand(node), interp)
+    return matrices
+
+
+def walk_eval(t, interp):
+    """t's matrix by ``walk_matrices``."""
+    return walk_matrices((t,), interp)[t]
+
+
+def walk_sem_eq(t1, t2, interp):
+    """``sem_eq`` on the full trees, after ``walk_types`` of both sides
+    and, if their types agree, ``walk_matrices``, whose errors come
+    first."""
+    try:
+        types = walk_types((t1, t2), interp.sig)
+    except TypeCheckError as exc:
+        return SemEqResult("type-error", message=str(exc))
+    if types[0] == types[1]:
+        walk_matrices((t1, t2), interp)
+    return sem_eq(expand(t1), expand(t2), interp)
+
+
+def walk_order(f, *args):
+    """``outcome`` of ``tape_types``, ``eval_tape`` or ``sem_eq`` on args
+    and of its walk-order reference, which expands the tapes itself,
+    under a fresh signature."""
+    reference = {tape_types: walk_types, eval_tape: walk_eval,
+                 sem_eq: walk_sem_eq}[f]
+    return outcome(f, *args), outcome(reference, *[
+        x if isinstance(x, (tape.TapeTerm, tuple)) else full_tree(x)
+        for x in args])
+
+
+def reordered(roots, missing, sorts):
+    """Whether the walk may name a missing sort before the roots' full
+    trees do: some whiskered tape U |> t or t <| U among their subterms
+    has a missing sort in U and one in t's type over sorts, where the
+    walk names t's first, or t is a zero tape, whose full tree names no
+    sort of U."""
+    sig = MonSignature(sorts, {})
+    for node in tape_subterms(roots):
+        if node.__class__ is TWhisker and not missing.isdisjoint(
+                itertools.chain(*[u for _, u in node.steps])):
+            dom, cod = type_of_tape(node.tape, sig)
+            if not (dom or cod) or not missing.isdisjoint(
+                    itertools.chain(*dom, *cod)):
+                return True
+    return False
+
+
+def full_tree_or_walk(missing, sorts, f, *args):
+    """``both_ways`` of f on args, or ``walk_order`` where the roots'
+    walk and full trees name missing sorts in another order
+    (``reordered``, sorts being every sort of the roots)."""
+    roots = args[0] if f is tape_types else args[:-1]
+    check = walk_order if reordered(roots, missing, sorts) else both_ways
+    return check(f, *args)
+
+
 @given(t1=block_tapes(), t2=block_tapes(),
        carriers=st.tuples(*[st.integers(0, 3)] * 3))
 @settings(max_examples=200, deadline=None)
 def test_closed_forms_fail_as_the_full_tree_does(t1, t2, carriers):
     """One or two sorts missing from the signature or from the carriers:
     the same error class and text, naming the same sort, or the same
-    value, either way."""
+    value, either way; where a whiskered tape and its chain both miss a
+    sort, or the tape is a zero tape, a whiskering's sorts are checked
+    in the walk's order (``walk_types``)."""
     for missing in MISSING:
         kept = [s for s in SORTS if s not in missing]
         unsorted = interpretation_over(carriers, kept)
@@ -447,12 +539,78 @@ def test_closed_forms_fail_as_the_full_tree_does(t1, t2, carriers):
             s: n for s, n in full.carriers.items() if s in kept},
             {}, full.model)
         for interp in (unsorted, uncarried):
-            semantic, full_tree = both_ways(tape_types, (t1, t2), interp.sig)
-            assert semantic == full_tree
-            semantic, full_tree = both_ways(eval_tape, t1, interp)
-            assert semantic == full_tree
-            semantic, full_tree = both_ways(sem_eq, t1, t2, interp)
-            assert semantic == full_tree
+            for f, *args in ((tape_types, (t1, t2), interp.sig),
+                             (eval_tape, t1, interp),
+                             (sem_eq, t1, t2, interp)):
+                semantic, full_tree = full_tree_or_walk(
+                    missing, SORTS, f, *args)
+                assert semantic == full_tree, f.__name__
+
+
+leaf_chains = st.lists(st.tuples(st.booleans(), st.lists(
+    st.sampled_from(("A", "W")), max_size=2).map(
+        lambda sorts: Monomial(tuple(sorts)))), min_size=1, max_size=3)
+"""Chains of one to three whiskerings (left, U), U over A and W, a sort
+that no leaf below holds."""
+
+
+@st.composite
+def leaf_tapes(draw):
+    """A leaf of the walks: a block tape's builder call, one of the five
+    structural primitives, a structural circuit's tape, an operation's
+    branching at a monomial or a term's at a polynomial."""
+    kind = draw(st.sampled_from(("block", "primitive", "circuit", "branching")))
+    u, v = draw(monomials), draw(monomials)
+    if kind == "block":
+        builder, args = draw(builder_calls())
+        return builder(*args)
+    if kind == "primitive":
+        return draw(st.sampled_from((TIdMon(u), TIdZero(), TSymPlus(u, v),
+                                     TCodiag(u), TCobang(u))))
+    if kind == "circuit":
+        return TCirc(draw(st.sampled_from((
+            circuit.identity_circuit(u), circuit.sym_circuit(u, v),
+            circuit.copier_circuit(u), circuit.discharger_circuit(u)))))
+    op = choice(Fraction(1, draw(st.integers(2, 5))))
+    context = draw(st.integers(0, 3))
+    pool = [*map(Var, range(1, context + 1)), STAR()]
+    for _ in range(draw(st.integers(0, 3))):
+        pool.append(op(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    if draw(st.booleans()):
+        return TOpInj(op, u)
+    term = pool[-1] if context == 0 else draw(st.sampled_from(pool))
+    return tape.term_tape(term, draw(polynomials), context)
+
+
+@given(t=leaf_tapes(), chain=leaf_chains,
+       carriers=st.tuples(*[st.integers(0, 2)] * 4))
+@settings(max_examples=300, deadline=None)
+def test_a_whiskered_leaf_is_its_reference_whiskering(t, chain, carriers):
+    """A leaf whiskered by a chain of one to three steps, each U |> - or
+    - <| U by a monomial over A and W, ONE among them, is one
+    ``TWhisker`` of the leaf (the leaf itself if every U is ONE).  Its
+    type and matrix, or error class and text, are those of the leaf
+    whiskered as ``full_trees.whiskered`` does (a block tape by its
+    builder, a circuit's tape beside the identity on U, any other leaf
+    field by field), under a signature with W and one without, and with
+    W's carrier and without."""
+    w = t
+    for left, u in chain:
+        w = (tape.whisker_left_mono(u, w) if left
+             else tape.whisker_right_mono(w, u))
+    steps = tuple([(left, u) for left, u in chain if u])
+    assert w is (TWhisker(t, steps) if steps else t)
+    sizes = dict(zip(SORTS + ("W",), carriers))
+    model = model_for(builtin_theory("PCA", (Fraction(1, 2),)))
+    for sorts, carried in ((SORTS + ("W",), sizes), (SORTS, sizes),
+                           (SORTS + ("W",), {**sizes, "W": None})):
+        interp = Interpretation(MonSignature(sorts, {}), {
+            s: n for s, n in carried.items() if n is not None}, {}, model)
+        missing = {"W"} - set(sorts).intersection(interp.carriers)
+        for f, *args in ((tape_types, (w,), interp.sig), (eval_tape, w, interp)):
+            semantic, reference = full_tree_or_walk(
+                missing, SORTS + ("W",), f, *args)
+            assert semantic == reference, f.__name__
 
 
 def cold_types(roots, sig):
@@ -555,7 +713,7 @@ def test_copier_tensor_copier_walks_few_nodes():
     assert len(postorder((t,), TERM_KIDS)[0]) <= 70
 
 
-# --- whiskering a block tape is its builder's call -----------------------------
+# --- a whiskered block tape means its builder's call ---------------------------
 
 def whiskered_args(builder, args, u, left):
     """The builder's arguments at U |> t if left, else t <| U: whiskering
@@ -580,33 +738,36 @@ def whiskered_args(builder, args, u, left):
 @given(call=builder_calls(), u=monomials, left=st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_whiskering_a_tagged_tape_calls_its_builder(call, u, left):
-    """_whiskers returns the builder's tape at the whiskered arguments,
-    and a block tape is the call of the builder that returned t."""
+    """U |> t and t <| U are one ``TWhisker`` of the builder's tape t,
+    whose full tree is that of the builder's tape at the whiskered
+    arguments; a block tape is the call of the builder that returned
+    it."""
     builder, args = call
     t = builder(*args)
-    w = tape._whiskers(t, (u,), left)[0]
-    assert w is builder(*whiskered_args(builder, args, u, left))
+    w = (tape.whisker_left_mono(u, t) if left
+         else tape.whisker_right_mono(t, u))
+    assert w is (t if u.is_unit else TWhisker(t, ((left, u),)))
+    assert expand(w) is expand(builder(*whiskered_args(builder, args, u, left)))
     if isinstance(t, TBlock):
         assert getattr(tape, t.builder)(*t.args) is t
-        assert w.builder == t.builder
-        assert getattr(tape, w.builder)(*w.args) is w
 
 
 @given(call=builder_calls(), u=monomials, left=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_whiskering_a_block_tape_constructs_one_node(call, u, left):
-    """Whiskering a block tape constructs one tape node, the block tape at
-    the whiskered objects, and enters no tree; whiskering by ONE returns
-    the tape itself."""
+    """Whiskering a block tape constructs one tape node, a ``TWhisker``
+    of it, and enters no tree; whiskering by ONE returns the tape
+    itself."""
     builder, args = call
     t = builder(*args)
     if not isinstance(t, TBlock):
         return
     with counting_constructions() as constructed:
-        w = tape._whiskers(t, (u,), left)[0]
-    assert w is t if u.is_unit else isinstance(w, TBlock)
+        w = (tape.whisker_left_mono(u, t) if left
+             else tape.whisker_right_mono(t, u))
+    assert w is t if u.is_unit else w.tape is t
     assert [cls for cls in constructed if issubclass(cls, tape.TapeTerm)] \
-        == ([] if u.is_unit else [TBlock])
+        == ([] if u.is_unit else [TWhisker])
 
 
 def test_sem_eq_computes_each_block_layout_once(monkeypatch):
@@ -845,8 +1006,8 @@ def ref_whisker_mono(t, u, left):
             return node
         if cls is TCirc:
             i = identity_circuit(u)
-            return TCirc(tape.ctensor(i, node.circuit) if left
-                         else tape.ctensor(node.circuit, i))
+            return TCirc(ctensor(i, node.circuit) if left
+                         else ctensor(node.circuit, i))
         if cls is TSymPlus:
             return TSymPlus(times(node.left), times(node.right))
         if cls is TOpInj:
@@ -915,10 +1076,9 @@ def test_whiskering_suite_reports_as_the_full_trees(monkeypatch):
 def test_each_builder_call_is_its_own_node():
     """dl_nary(0, [A, B]) and nfold_codiag(0, 2) have the same full tree,
     (id_0 ; id_0), but are two nodes, each its own builder's call, each
-    typed and evaluated as the identity on 0, and each whiskered by its
-    own builder."""
+    typed and evaluated as the identity on 0, and each whiskered as its
+    own node."""
     a, b, u = poly(("A",)), poly(("B",)), mono("B")
-    grown = [a * poly_of_mono(u), b * poly_of_mono(u)]
     dl, codiag = tape.dl_nary(ZERO, [a, b]), tape.nfold_codiag(ZERO, 2)
     assert dl is not codiag
     assert (dl.builder, dl.args) == ("dl_nary", (ZERO, (a, b), False))
@@ -926,12 +1086,11 @@ def test_each_builder_call_is_its_own_node():
     assert expand(dl) is expand(codiag) is TSeq(TIdZero(), TIdZero())
     interp = interpretation_over((2, 2, 2))
     for t in (dl, codiag):
-        assert type_of_tape(t, interp.sig) == (ZERO, ZERO)
-        assert eval_tape(t, interp) == eval_tape(TIdZero(), interp)
-    assert tape.whisker_left_mono(u, dl) is dl
-    assert tape.whisker_right_mono(dl, u) is tape.dl_nary(ZERO, grown)
-    assert tape.whisker_left_mono(u, codiag) is codiag
-    assert tape.whisker_right_mono(codiag, u) is codiag
+        for w in (t, tape.whisker_left_mono(u, t),
+                  tape.whisker_right_mono(t, u)):
+            assert w is t or w.tape is t
+            assert type_of_tape(w, interp.sig) == (ZERO, ZERO)
+            assert eval_tape(w, interp) == eval_tape(TIdZero(), interp)
 
 
 def law_sides(sig, f):

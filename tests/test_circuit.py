@@ -26,7 +26,8 @@ from tapecalc.errors import (TapecalcError, TypeCheckError,
 from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import Matrix, model_for
 from tapecalc.objects import Monomial, ONE, mono
-from tapecalc.tape import TCirc, whisker_left_mono, whisker_right_mono
+from tapecalc.tape import (TCirc, type_of_tape, whisker_left_mono,
+                           whisker_right_mono)
 from tapecalc.theory import builtin_theory
 
 import full_trees
@@ -245,7 +246,6 @@ def test_a_block_is_whiskered_as_its_tree(call, u, left, carriers):
     expected = TCirc(ctensor(ids, tree) if left else ctensor(tree, ids))
     assert expand(whiskered) is expected
     sig = MonSignature(SORTS)
-    assert type_of_circuit(whiskered.circuit, sig) == \
-        type_of_circuit(expected.circuit, sig)
+    assert type_of_tape(whiskered, sig) == type_of_tape(expected, sig)
     interp = Interpretation(sig, dict(zip(SORTS, carriers)), {}, MODEL)
     same_matrix(eval_tape(whiskered, interp), eval_tape(expected, interp))

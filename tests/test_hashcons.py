@@ -532,7 +532,7 @@ def test_deep_chain_types_and_evaluates():
     assert type_of_circuit(deep_circuit, sig) == (mono("A"), mono("A"))
     assert eval_tape(deep_circuit, interp) == Matrix.from_rows([[0, 1], [1, 0]])
     assert expand(whisker_right_mono(chain, mono("A"))) is tseq(
-        *[whisker_right_mono(s, mono("A")) for s in steps])
+        *[expand(whisker_right_mono(s, mono("A"))) for s in steps])
 
 
 # --- fold ----------------------------------------------------------------------

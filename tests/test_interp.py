@@ -202,3 +202,41 @@ def test_copier_tensor_copier_is_a_row_map():
                 pair(pp, pp, pair(p, p, x1, x1), pair(p, p, x2, x2))
                 for x1 in range(n) for x2 in range(n)}
     assert list(m.nonzeros()) == [(expected[z], z, 1) for z in range(n * n)]
+
+
+def test_a_whiskered_leaf_is_tensored_on_the_right(monkeypatch):
+    """U |> t and t <| U for a structural or branching t are both t's
+    matrix tensored on the right with the identity on U, with no
+    ``pairing`` and no type of t read: a row map for the structural t,
+    equal to the block tape at the whiskered objects, and so for an
+    operation's branching, under a signature with U's sorts and under
+    one without t's."""
+    from tapecalc import interp
+    from tapecalc.tape import distributor, whisker_left_mono, whisker_right_mono
+    p, q = poly(("A",), ("B",)), poly(("A", "B"))
+    u = mono("B", "A")
+    t, op = distributor(p, q, p, inverse=True), choice(H)
+    cases = ((whisker_left_mono(u, t), distributor(poly_of_mono(u) * p, q, p,
+                                                   inverse=True)),
+             (whisker_right_mono(t, u), distributor(p, q * poly_of_mono(u),
+                                                    p * poly_of_mono(u),
+                                                    inverse=True)),
+             (whisker_left_mono(u, TOpInj(op, mono("B"))),
+              TOpInj(op, mono("B", "A", "B"))),
+             (whisker_right_mono(TOpInj(op, mono("B")), u),
+              TOpInj(op, mono("B", "B", "A"))))
+    pairings, tensors = [], []
+    tensor, pairing = Matrix.tensor, interp.pairing
+    monkeypatch.setattr(Matrix, "tensor", lambda *args: (
+        tensors.append(args[1]), tensor(*args))[1])
+    monkeypatch.setattr(interp, "pairing", lambda *args: (
+        pairings.append(args), pairing(*args))[1])
+    unsorted = Interpretation(MonSignature(("A",), {}), INTERP.carriers, {},
+                              INTERP.model)
+    for whiskered, grown in cases:
+        m = eval_tape(whiskered, INTERP)
+        assert m == eval_tape(grown, INTERP)
+        assert (m.image is not None) == (grown.__class__ is not TOpInj)
+        assert eval_tape(whiskered, unsorted) == m
+    assert pairings == []
+    assert tensors == [Matrix.identity(6)] * 8

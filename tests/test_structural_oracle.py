@@ -2,7 +2,8 @@
 
 ``TIdMon``, ``TIdZero``, ``TSymPlus``, ``TCodiag`` and ``TCobang`` are
 typed and evaluated from the block map of their builder call, as every
-``TBlock`` is, and whiskered by whiskering their monomial fields.
+``TBlock`` is; whiskered, each is one ``TWhisker`` node, typed and
+evaluated as the primitive with its monomial fields whiskered.
 ``CIdSort``, ``CIdOne``, ``CSym``, ``CCopier`` and ``CDischarger`` are
 typed from the wire map of their builder call, as every ``CBlock`` is,
 and evaluated to the ``kleisli`` closed form of that call.  The
@@ -200,11 +201,22 @@ def test_a_circuit_primitive_evaluates_to_its_kleisli_builder(c, carriers):
 
 @given(t=st.one_of(primitives, st.builds(TOpInj, st.just(choice(Fraction(1, 2))),
                                           monomials)),
-       u=monomials, left=st.booleans())
+       u=monomials, left=st.booleans(),
+       carriers=st.tuples(*[st.integers(0, 3)] * len(SORTS)))
 @settings(max_examples=300, deadline=None)
-def test_a_primitive_is_whiskered_field_by_field(t, u, left):
+def test_a_primitive_is_whiskered_field_by_field(t, u, left, carriers):
+    """U |> t and t <| U are one whiskered node of t, whose type and
+    matrix are those of t with each monomial field whiskered."""
     whiskered = whisker_left_mono(u, t) if left else whisker_right_mono(t, u)
-    assert whiskered is ref_whisker(t, u, left)
+    assert whiskered is t if u.is_unit else whiskered.tape is t
+    expected = ref_whisker(t, u, left)
+    interp = Interpretation(MonSignature(SORTS), dict(zip(SORTS, carriers)),
+                            {}, MODEL)
+    assert outcome(tape_types, (whiskered,), interp.sig) \
+        == outcome(tape_types, (expected,), interp.sig)
+    got = eval_tape(whiskered, interp)
+    assert (got, got.image) == (eval_tape(expected, interp),
+                                eval_tape(expected, interp).image)
 
 
 def test_dl_is_the_old_closed_form():

@@ -18,10 +18,12 @@ from tapecalc.tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
                            TSeq, TSymPlus, cobang_tape, codiag_tape,
                            copier_tape, discharger_tape, distributor, id_tape,
                            nfold_codiag, op_inj_tape, symplus_tape,
-                           symtensor_tape, tensor_tape, term_tape, tseq, tsum,
-                           type_of_tape, whisker_left, whisker_left_mono,
-                           whisker_right, whisker_right_mono)
+                           symtensor_tape, tape_types, tensor_tape, term_tape,
+                           tseq, tsum, type_of_tape, whisker_left,
+                           whisker_left_mono, whisker_right, whisker_right_mono)
 from tapecalc.theory import App, STAR, Var, choice
+
+from full_trees import expand
 
 H = Fraction(1, 2)
 INTERP = standard_interpretation()
@@ -247,9 +249,26 @@ def test_whisker_zero_clause():
 
 
 def test_whisker_op_inj_clause():
+    """<f>_A <| B and B |> <f>_A have the full trees <f>_{AB} and
+    <f>_{BA}, and their types and matrices."""
     op = choice(H)
-    assert whisker_right_mono(TOpInj(op, A), B) == TOpInj(op, mono("A", "B"))
-    assert whisker_left_mono(B, TOpInj(op, A)) == TOpInj(op, mono("B", "A"))
+    for w, grown in ((whisker_right_mono(TOpInj(op, A), B),
+                      TOpInj(op, mono("A", "B"))),
+                     (whisker_left_mono(B, TOpInj(op, A)),
+                      TOpInj(op, mono("B", "A")))):
+        assert expand(w) is grown
+        assert type_of_tape(w, SIG) == type_of_tape(grown, SIG)
+        assert eval_tape(w, INTERP) == eval_tape(grown, INTERP)
+
+
+@pytest.mark.parametrize("t", [TIdZero(), TSeq(TIdZero(), TIdZero())])
+def test_a_zero_tape_whiskers_like_any_other_tape(t):
+    """B |> t and t <| B name the unregistered sort B for the identity on
+    0 as for a composite of 0 -> 0, though neither type holds a sort."""
+    sig = MonSignature(("A",))
+    for w in (whisker_left_mono(mono("B"), t), whisker_right_mono(t, mono("B"))):
+        with pytest.raises(UnknownSortError, match="^unregistered sort: B$"):
+            tape_types((w,), sig)
 
 
 def test_tensor_with_identity_is_whiskering():
