@@ -13,9 +13,13 @@ the tape t it whiskers: its matrix is t's tensored with an identity per
 whiskering, on the left its blocks reordered by ``kleisli.pairing``
 from the carrier sizes of t's type, which t keeps
 (``tape.tape_types``), unless t is structural or branching, whose
-matrix is the same on either side.  A branching tape
-(``tape.Branching``) is a leaf, its matrix read from its term's weight
-vector.  A structural circuit (a ``circuit.CBlock`` or
+matrix is the same on either side, or a circuit's tape, one monomial
+a side.  A branching tape (``tape.Branching``) is a leaf, its matrix
+read from its term's weight vector, which depends on the model alone
+and which the node keeps per model object, as it keeps its type per
+signature object: so a ``TheoryModel``'s weights must not change once
+a tape is evaluated under it (``kleisli.model_for``'s are read-only, a
+``MappingProxyType``).  A structural circuit (a ``circuit.CBlock`` or
 one of the five primitives of ``circuit.CStructural``) is a leaf too,
 whose matrix is the ``kleisli`` closed form of its call's builder at
 the carrier sizes of its words.  Carrier indexing is fixed once and for
@@ -171,13 +175,19 @@ def evaluator(interp: Interpretation) -> Callable:
     identity on U.  On the right, t <| U is exactly that; on the
     left, U |> t is that with its dom and cod blocks reordered by
     ``pairing``, from the carrier sizes of the monomials of t's type,
-    which t keeps (see ``tape.tape_types``).  Tensoring on the right
+    which t keeps (see ``tape.tape_types``), under interp's signature
+    with the carried sorts added if it lacks one of t's, as t's full
+    tree reads no sort of the signature.  A circuit's tape has one
+    monomial a side, so U |> [c] needs no type.  Tensoring on the right
     lays each block U u of U |> t out u-major instead of U-major; a
     structural or branching t moves each block whole or weighs every
     element alike, so its matrix is the same in either layout, and it
     is tensored on the right on either side, with no type of t read.
-    A branching tape is the ``branch_matrix`` of its term's
-    ``eval_vector``, its carriers read first.  A structural circuit is
+    A branching tape is the ``branch_matrix`` of its term's weight
+    vector, its carriers read first: the node keeps (model, vector) in
+    its ``__dict__`` as ``weighed``, and under any model object but that
+    one the vector is the term's ``eval_vector``, kept in its place; a
+    missing weight raises and keeps nothing.  A structural circuit is
     the ``CLOSED_FORMS`` builder of its call at the carrier sizes of its
     words, found by name, so that a wrapper of the builder sees it."""
     def whiskered(node: TWhisker, m: Matrix) -> Matrix:
@@ -190,9 +200,17 @@ def evaluator(interp: Interpretation) -> Callable:
                 continue
             if not left or blind:
                 m = m.tensor(Matrix.identity(n))
+            elif t.__class__ is TCirc:      # one monomial a side
+                m = Matrix.identity(n).tensor(m)
             else:
+                try:
+                    typ = tape_types((t,), interp.sig)[0]
+                except UnknownSortError:    # a sort that only has a carrier
+                    sig = MonSignature((*interp.sig.sorts, *interp.carriers),
+                                       interp.sig.gens)
+                    typ = tape_types((t,), sig)[0]
                 dom, cod = [[interp.mono_size(u) * scale for u in side]
-                            for side in tape_types((t,), interp.sig)[0]]
+                            for side in typ]
                 m = Matrix.identity(n).tensor(m)
                 if len(dom) > 1:
                     m = pairing(n, dom).then(m)
@@ -228,7 +246,11 @@ def evaluator(interp: Interpretation) -> Callable:
         if isinstance(node, Branching):
             term, dom, n = node.branch
             size = sum(map(interp.mono_size, dom))
-            return branch_matrix(eval_vector(term, n, interp.model), size)
+            model, w = node.__dict__.get("weighed", (None, None))
+            if model is not interp.model:
+                w = eval_vector(term, n, interp.model)
+                node.__dict__["weighed"] = interp.model, w
+            return branch_matrix(w, size)
         raise ModelError(f"not a tape term: {node!r}")
 
     return step

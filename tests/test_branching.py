@@ -14,16 +14,18 @@ the same text.
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapecalc.circuit import MonSignature
-from tapecalc.errors import TapecalcError
+from tapecalc.errors import (TapecalcError, UnknownOperationError,
+                             UnknownSortError)
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.render import render_svg
 from tapecalc.hashcons import postorder
 from tapecalc.interp import Interpretation, eval_tape
-from tapecalc.kleisli import (Matrix, branch_matrix, eval_vector, model_for,
-                              op_matrix)
+from tapecalc.kleisli import (Matrix, TheoryModel, branch_matrix, eval_vector,
+                              model_for, op_matrix)
 from tapecalc.objects import Monomial, Polynomial, mono, poly
 from tapecalc.tape import (TOpInj, TTerm, TWhisker, op_inj_tape, tape_types,
                            term_tape, whisker_left_mono, whisker_right_mono)
@@ -163,6 +165,75 @@ def test_weight_vectors_and_their_stacks_match_the_dense_ones(data):
         assert (m.image is not None) == (sorted(w) == [0] * (len(w) - 1) + [1])
     op = data.draw(st.sampled_from(weighed))
     assert op_matrix(op, model, n) == stacked(model.weight_vector(op), n)
+
+
+PCA = MODELS["PCA"]
+KEYED_MODELS = {
+    "PCA": PCA,
+    "PCA 1/3": model_for(builtin_theory("PCA", (Fraction(1, 3),))),
+    "CM": MODELS["CM"],
+    "PCA by hand": TheoryModel(PCA.theory, PCA.semiring, dict(PCA.weights)),
+    "PCA skewed": TheoryModel(PCA.theory, PCA.semiring, {
+        **PCA.weights, choice(Fraction(1, 2)): (Fraction(1, 3),
+                                                Fraction(2, 3))})}
+"""Models that a branching is evaluated under in turn: PCA at two
+parameter sets, CM, PCA's weights in a new object, equal to PCA's model
+but not it, and PCA with +_1/2 weighed (1/3, 2/3), which no sound model
+of PCA does but which tells a vector kept under PCA from its own."""
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_branching_keeps_its_weight_vector_per_model(data):
+    """One branching, a term's at a polynomial or an operation's at a
+    monomial, evaluated under the KEYED_MODELS in a drawn order, models
+    repeated: under a model that weighs its term, each matrix is its
+    full tree's (``branching_tree``) and the stack of the dense weight
+    vector, and the node keeps that model's vector; under one that does
+    not, every evaluation raises ``UnknownOperationError`` and the node
+    keeps what it kept before.  Without a carrier for a sort of P, the
+    carrier is named, not the weight, and nothing is kept either."""
+    name = data.draw(st.sampled_from(sorted(MODELS)))
+    ops = OPS[name][0]
+    context = data.draw(st.integers(0, 4))
+    if data.draw(st.booleans()):
+        p = Polynomial(data.draw(st.lists(monomials, min_size=1, max_size=3)))
+        node = term_tape(draw_term(data, ops, context), p, context)
+    else:
+        node = TOpInj(data.draw(st.sampled_from(ops)), data.draw(monomials))
+    assert isinstance(node, (TTerm, TOpInj))
+    term, dom, n = node.branch
+    sig = MonSignature(SORTS)
+    carriers = dict(zip(SORTS, data.draw(st.lists(
+        st.integers(0, 2), min_size=2, max_size=2))))
+    order = data.draw(st.lists(st.sampled_from(sorted(KEYED_MODELS)),
+                               min_size=1, max_size=8))
+    sorts = [s for u in dom for s in u]
+    for key in order:
+        model = KEYED_MODELS[key]
+        interp = Interpretation(sig, carriers, {}, model)
+        kept = node.__dict__.get("weighed")
+        if sorts:
+            uncarried = Interpretation(sig, {}, {}, model)
+            assert outcome(node, uncarried) == (
+                UnknownSortError, f"sort {sorts[0]} has no carrier")
+            assert node.__dict__.get("weighed") is kept
+        try:
+            for op in operations(term):
+                model.weight_vector(op)
+        except UnknownOperationError:
+            for _ in range(2):
+                with pytest.raises(UnknownOperationError):
+                    eval_tape(node, interp)
+                assert node.__dict__.get("weighed") is kept
+            continue
+        m = eval_tape(node, interp)
+        assert m == eval_tape(expand(node), interp)
+        assert m == stacked(dense_vector(term, n, model),
+                            sum(map(interp.mono_size, dom)))
+        assert node.__dict__["weighed"][0] is model
+    assert KEYED_MODELS["PCA by hand"] == PCA
+    assert KEYED_MODELS["PCA by hand"] is not PCA
 
 
 def test_the_first_unweighed_operation_in_preorder_is_named(tmp_path, capsys):

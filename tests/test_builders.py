@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapecalc import circuit, hashcons, suites, tape
+from tapecalc import interp as interp_module
 from tapecalc.circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne,
                               CIdSort, CSeq, CStructural, CSym, CTensor,
                               MonSignature, cseq, ctensor)
@@ -31,15 +32,15 @@ from tapecalc.frontend.cli import main
 from tapecalc.frontend.render import render_svg
 from tapecalc.hashcons import postorder
 from tapecalc.interp import Interpretation, eval_tape
-from tapecalc.kleisli import model_for
+from tapecalc.kleisli import Matrix, model_for
 from tapecalc.objects import (ONE, Monomial, Polynomial, ZERO, mono, nfold_sum,
                               poly, poly_of_mono)
 from tapecalc.suites import (Freshener, SemEqResult, rand_poly, sem_eq,
                              standard_interpretation)
-from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag, TIdMon,
-                           TIdZero, TOpInj, TSeq, TSum, TSymPlus, TWhisker,
-                           as_poly, tape_types, tseq, tsum,
-                           type_of_tape)
+from tapecalc.tape import (TERM_KIDS, Branching, TBlock, TCirc, TCobang,
+                           TCodiag, TIdMon, TIdZero, TOpInj, TSeq, TSum,
+                           TSymPlus, TWhisker, as_poly, tape_types, tseq,
+                           tsum, type_of_tape)
 from tapecalc.theory import STAR, OpSymbol, Var, builtin_theory, choice
 
 from full_trees import (copier_circuit, discharger_circuit, expand,
@@ -392,13 +393,43 @@ def block_tapes(draw):
     return t
 
 
+circuit_tapes = st.tuples(monomials, monomials).flatmap(
+    lambda uv: st.sampled_from((
+        circuit.identity_circuit(uv[0]), circuit.sym_circuit(*uv),
+        circuit.copier_circuit(uv[0]), circuit.discharger_circuit(uv[0])))
+).map(TCirc)
+"""A structural circuit's tape over SORTS."""
+
+
+@st.composite
+def composite_tapes(draw):
+    """A sum of two block or circuit tapes, or one of them composed with
+    a sum symmetry that swaps two parts of its codomain."""
+    x = draw(st.one_of(block_tapes(), circuit_tapes))
+    if draw(st.booleans()):
+        return TSum(x, draw(st.one_of(block_tapes(), circuit_tapes)))
+    cod = type_of_tape(x, MonSignature(SORTS, {}))[1]
+    i = draw(st.integers(0, len(cod)))
+    return TSeq(x, tape.symplus_tape(Polynomial(cod[:i]), Polynomial(cod[i:])))
+
+
+@st.composite
+def closed_form_tapes(draw):
+    """A ``block_tapes`` tape, or a circuit's tape or a composite
+    whiskered on the left, whose matrix is reordered by ``pairing``."""
+    if draw(st.booleans()):
+        return draw(block_tapes())
+    return tape.whisker_left_mono(
+        draw(monomials), draw(st.one_of(circuit_tapes, composite_tapes())))
+
+
 def interpretation_over(carriers, sorts=SORTS):
     sig = MonSignature(tuple(sorts), {})
     return Interpretation(sig, dict(zip(SORTS, carriers)), {},
                           model_for(builtin_theory("PCA", (Fraction(1, 2),))))
 
 
-@given(t=block_tapes(), carriers=st.tuples(*[st.integers(0, 3)] * 3))
+@given(t=closed_form_tapes(), carriers=st.tuples(*[st.integers(0, 3)] * 3))
 @settings(max_examples=300, deadline=None)
 def test_closed_forms_match_the_full_tree(t, carriers):
     check_closed_form(t, interpretation_over(carriers))
@@ -522,7 +553,7 @@ def full_tree_or_walk(missing, sorts, f, *args):
     return check(f, *args)
 
 
-@given(t1=block_tapes(), t2=block_tapes(),
+@given(t1=closed_form_tapes(), t2=closed_form_tapes(),
        carriers=st.tuples(*[st.integers(0, 3)] * 3))
 @settings(max_examples=200, deadline=None)
 def test_closed_forms_fail_as_the_full_tree_does(t1, t2, carriers):
@@ -545,6 +576,35 @@ def test_closed_forms_fail_as_the_full_tree_does(t1, t2, carriers):
                 semantic, full_tree = full_tree_or_walk(
                     missing, SORTS, f, *args)
                 assert semantic == full_tree, f.__name__
+
+
+def test_a_left_whiskered_circuit_or_composite_reads_no_sort_of_sig():
+    """B |> [copier_A], and B |> t for composites t of it, under a
+    signature without A, with A's carrier: the matrices of their full
+    trees, which read no sort of the signature, though t does not type
+    under it; and B |> [G], for G a generator on A, with no carrier for
+    A: id_B (x) G, as its full tree is, since a circuit's tape has one
+    monomial a side."""
+    model = model_for(builtin_theory("PCA", (Fraction(1, 2),)))
+    a, b = mono("A"), mono("B")
+    copier = TCirc(circuit.copier_circuit(a))
+    composites = (copier, tsum(copier, TCirc(circuit.discharger_circuit(a))),
+                  tseq(tsum(copier, TIdMon(a)),
+                       tape.symplus_tape(poly(("A", "A")), poly(("A",)))))
+    interp = Interpretation(MonSignature(("B",), {}), {"B": 2, "A": 3}, {},
+                            model)
+    shapes = []
+    for t in composites:
+        m = eval_tape(tape.whisker_left_mono(b, t), interp)
+        assert m == eval_tape(expand(tape.whisker_left_mono(b, t)), interp)
+        shapes.append((m.dom, m.cod))
+    assert shapes == [(6, 18), (12, 20), (12, 24)]
+    g = Matrix.make(3, 3, [(1, 0, 1), (0, 1, 1), (2, 2, 1)])
+    interp = Interpretation(MonSignature(("A", "B"), {"G": (a, a)}),
+                            {"B": 2}, {"G": g}, model)
+    t = tape.whisker_left_mono(b, TCirc(CGen("G")))
+    assert eval_tape(t, interp) == eval_tape(expand(t), interp) == \
+        Matrix.identity(2).tensor(g)
 
 
 leaf_chains = st.lists(st.tuples(st.booleans(), st.lists(
@@ -703,6 +763,65 @@ def test_warm_tensor_law_types_each_node_of_its_walk_once(monkeypatch):
     law()
     assert calls and len(calls) == len(set(calls))
     assert not set(calls) & set(postorder((f,), TERM_KIDS)[0])
+
+
+def primed(t):
+    """t over primed copies of its generators, each node above one
+    rebuilt from its fields, as the bench builds its control's f: a
+    branching holds no generator, so it is t's very node."""
+    if isinstance(t, CGen):
+        return CGen(t.name + "'")
+    terms = (tape.TapeTerm, circuit.CircuitTerm)
+    return dataclasses.replace(t, **{
+        f.name: primed(getattr(t, f.name)) for f in dataclasses.fields(t)
+        if isinstance(getattr(t, f.name), terms)})
+
+
+def test_a_law_and_its_control_weigh_their_term_tapes_once(monkeypatch):
+    """The bench's tensor law op and its control, whose f has primed
+    generators, one weight halved, and f's branchings: after a
+    collection, a first round weighs each of f's three term tapes once,
+    for both ops, and a second round on the same operands weighs none,
+    since each keeps its weight vector under the model."""
+    fresh = Freshener(standard_interpretation("PCA", carriers=(1, 1)),
+                      Random(11))
+    f = fresh.tape(P, P * P)
+    f_control = primed(f)
+    mats = {n + "'": m for n, m in fresh.extra_mats.items()}
+    first = next(iter(mats))
+    (y, x, w), *rest = mats[first].nonzeros()
+    mats[first] = Matrix.make(mats[first].dom, mats[first].cod,
+                              [(y, x, w / 2), *rest])
+    interp = fresh.interp().with_gens(
+        {n + "'": t for n, t in fresh.extra_sig.items()}, mats)
+    sig = interp.sig
+    branchings = {node for node in postorder((f, f_control), TERM_KIDS)[0]
+                  if isinstance(node, Branching)}
+    assert len(branchings) == 3
+    calls = []
+    eval_vector = interp_module.eval_vector
+
+    def counting(term, *args):
+        calls.append(term)
+        return eval_vector(term, *args)
+
+    def law_and_control():
+        c = tape.copier_tape(P)
+        for right, kind in ((f, "equal"), (f_control, "unequal")):
+            lhs = tape.tensor_tape(c, f, sig)
+            rhs = tseq(tape.tensor_tape(c, tape.id_tape(P), sig),
+                       tape.tensor_tape(tape.id_tape(P * P), right, sig))
+            assert sem_eq(lhs, rhs, interp).kind == kind
+
+    monkeypatch.setattr(interp_module, "eval_vector", counting)
+    gc.collect()
+    law_and_control()
+    assert len(calls) == 3
+    assert set(calls) == {node.branch[0] for node in branchings}
+    calls.clear()
+    gc.collect()
+    law_and_control()
+    assert calls == []
 
 
 def test_copier_tensor_copier_walks_few_nodes():
