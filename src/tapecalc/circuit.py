@@ -5,18 +5,19 @@ coarities; every sort has a copier and a discharger, extended to whole
 monomials by the usual inductive clauses.  Nodes are hash-consed (see
 ``hashcons``).
 
-The identity, symmetry, copier and discharger of a whole monomial are
-each one ``CBlock(builder, words)`` node, their builder call; a call
-whose tree is one primitive node returns it.  The five primitives
-``CIdSort``, ``CIdOne``, ``CSym``, ``CCopier`` and ``CDischarger`` are
-builder calls too, at one-sort words: every ``CStructural`` node keeps
-the ``wire_map`` of its call, its type is read from that alone, and its
-matrix is the ``kleisli`` closed form of its call (see ``interp``).
+The identity, symmetry, copier and discharger of a monomial, of one
+sort as of many, are each one ``CBlock(builder, words)`` node, their
+builder call, so that a generator is the builder call at its sort and
+an identity on the unit 1 stands for a call with nothing to do.  A
+``CBlock`` keeps the ``wire_map`` of its call in ``wires``: its type is
+read from that alone, and its matrix is the ``kleisli`` closed form of
+its call (see ``interp``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Mapping
@@ -63,38 +64,9 @@ class CircuitTerm(Term):
     pass
 
 
-class CStructural(CircuitTerm):
-    """Base of the structural circuits, the nodes whose meaning is a wire
-    map: ``CBlock`` and the five primitives below.  ``call`` is the
-    node's builder call (builder, *words), a primitive's the call of its
-    class's builder at the one-sort monomials of its fields; ``wires``
-    is the ``wire_map`` of the call, kept."""
-
-    wires = kept(lambda c: wire_map(*c.call))
-
-
-@term_node
-class CIdSort(CStructural):
-    sort: str
-    call = property(lambda c: ("identity_circuit", Monomial((c.sort,))))
-
-
-@term_node
-class CIdOne(CStructural):
-    call = property(lambda c: ("identity_circuit", ONE))
-
-
 @term_node
 class CGen(CircuitTerm):
     name: str
-
-
-@term_node
-class CSym(CStructural):
-    left: str
-    right: str
-    call = property(lambda c: ("sym_circuit", Monomial((c.left,)),
-                               Monomial((c.right,))))
 
 
 @term_node
@@ -110,25 +82,17 @@ class CTensor(CircuitTerm):
 
 
 @term_node
-class CCopier(CStructural):
-    sort: str
-    call = property(lambda c: ("copier_circuit", Monomial((c.sort,))))
-
-
-@term_node
-class CDischarger(CStructural):
-    sort: str
-    call = property(lambda c: ("discharger_circuit", Monomial((c.sort,))))
-
-
-@term_node
-class CBlock(CStructural):
+class CBlock(CircuitTerm):
     """The structural circuit of the builder named ``builder`` at the
     monomials ``words``: (U, W) for ``sym_circuit``, (U,) for
-    ``copier_circuit``, ``discharger_circuit`` and ``identity_circuit``."""
+    ``copier_circuit``, ``discharger_circuit`` and ``identity_circuit``;
+    ``wires`` is the ``wire_map`` of the call, kept."""
     builder: str
     words: tuple
-    call = property(lambda c: (c.builder, *c.words))
+    wires = kept(lambda c: wire_map(c.builder, *c.words))
+
+
+_ID_ONE = CBlock("identity_circuit", (ONE,))  # identity_circuit(1), ctensor's unit
 
 
 CIRCUIT_KIDS: dict[type, Callable] = {
@@ -152,7 +116,7 @@ def circuit_node_type(c: CircuitTerm, sig: MonSignature,
     if cls is CTensor:
         (dom1, cod1), (dom2, cod2) = kids
         return dom1 * dom2, cod1 * cod2
-    if isinstance(c, CStructural):
+    if cls is CBlock:
         dom, cod, _ = c.wires
         sig.check_sorts(dom)
         return dom, cod
@@ -185,30 +149,20 @@ def wire_map(builder: str, u: Monomial, *w: Monomial
 
 
 def cseq(*parts: CircuitTerm) -> CircuitTerm:
-    term = parts[0]
-    for p in parts[1:]:
-        term = CSeq(term, p)
-    return term
+    return reduce(CSeq, parts)
 
 
 def ctensor(*parts: CircuitTerm) -> CircuitTerm:
-    parts = tuple(p for p in parts if not isinstance(p, CIdOne))
-    if not parts:
-        return CIdOne()
-    term = parts[0]
-    for p in parts[1:]:
-        term = CTensor(term, p)
-    return term
+    """Tensor of circuits; identity-on-1 factors are dropped."""
+    return reduce(CTensor, [p for p in parts if p is not _ID_ONE] or [_ID_ONE])
 
 
 def identity_circuit(u: Monomial) -> CircuitTerm:
-    return (CBlock("identity_circuit", (u,)) if len(u) > 1
-            else ctensor(*map(CIdSort, u)))
+    return CBlock("identity_circuit", (u,))
 
 
 def discharger_circuit(u: Monomial) -> CircuitTerm:
-    return (CBlock("discharger_circuit", (u,)) if len(u) > 1
-            else ctensor(*map(CDischarger, u)))
+    return CBlock("discharger_circuit", (u,)) if u else _ID_ONE
 
 
 def sym_circuit(u: Monomial, w: Monomial) -> CircuitTerm:
@@ -220,4 +174,18 @@ def sym_circuit(u: Monomial, w: Monomial) -> CircuitTerm:
 
 def copier_circuit(u: Monomial) -> CircuitTerm:
     """copier_U : U -> UU, interleaving the per-sort copies."""
-    return CBlock("copier_circuit", (u,)) if u else CIdOne()
+    return CBlock("copier_circuit", (u,)) if u else _ID_ONE
+
+
+# --- the generators by name, each its builder's node at one sort --------------
+
+def CIdSort(sort: str) -> CircuitTerm:
+    return identity_circuit(Monomial((sort,)))
+
+
+def CSym(left: str, right: str) -> CircuitTerm:
+    return sym_circuit(Monomial((left,)), Monomial((right,)))
+
+
+def CCopier(sort: str) -> CircuitTerm:
+    return copier_circuit(Monomial((sort,)))

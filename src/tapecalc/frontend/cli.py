@@ -20,7 +20,7 @@ from ..kleisli import exact_str, model_for
 from ..objects import normalize
 from ..suites import (SuiteBounds, axiom_suite, coherence_suite, lemma_suite,
                       sem_eq)
-from ..tape import TERM_KIDS, Branching, tape_types
+from ..tape import TERM_KIDS, TTerm, tape_types
 from ..theory import operations
 from .parser import ascii_int, parse_module, parse_object_expr
 from .render import render_svg
@@ -132,7 +132,7 @@ def check_weights(nodes, models) -> None:
     that no model weighs, as evaluating the tape under any declared theory
     would, in the order evaluation looks their weights up."""
     for node in nodes:
-        for op in operations(node.branch[0]) if isinstance(node, Branching) else ():
+        for op in operations(node.term) if node.__class__ is TTerm else ():
             if not any(weighs(m, op) for m in models):
                 raise UnknownOperationError(f"operation {op} has no "
                                             "weights in any declared theory")

@@ -1,28 +1,29 @@
 """Deterministic SVG rendering of tapes.
 
 One horizontal lane per sum-summand; circuits are drawn as boxes on
-wires inside their lane.  Merges, caps and branchings (an operation's
-or a term's) get fixed glyphs.  Nothing is optimized: box sizes and lane
+wires inside their lane.  Nothing is optimized: box sizes and lane
 heights are constants, a leaf takes one lane per monomial on the longer
 side of its type, so identical terms produce identical bytes.  The DAG
-that typing walks is drawn, so the drawing grows with the term: a block
-tape or sum symmetry from its ``block_layout``, a structural circuit as
-its ``wires`` unless it has a glyph (identities and dischargers of one
-sort), a whiskered tape as the tape it whiskers, labelled with its
-whiskerings.  The fold that sizes a tape types it first, as ``check``
+that typing walks is drawn, so the drawing grows with the term.  A
+builder call gets a fixed glyph where it has one: the identity on 0 or
+on one monomial, the cobang of one monomial, the identity and the
+discharger of at most one sort, and a branching, labelled with its
+operation if its term is one applied to x1, ..., xn, else with its
+term.  Any other block tape is drawn from its ``block_layout``, any
+other structural circuit as its ``wires``, and a whiskered tape as the
+tape it whiskers, labelled with its whiskerings.  The fold that sizes a tape types it first, as ``check``
 does, so an ill-typed one fails before drawing.
 """
 
 from __future__ import annotations
 
-from ..circuit import (CDischarger, CGen, CIdOne, CIdSort, CSeq, CStructural,
-                       CTensor, CircuitTerm, MonSignature)
+from ..circuit import CBlock, CGen, CSeq, CTensor, CircuitTerm, MonSignature
 from ..errors import TypeCheckError
 from ..hashcons import fold
 from ..objects import Monomial
-from ..tape import (TERM_KIDS, Branching, Structural, TBlock, TCirc, TCobang,
-                    TCodiag, TIdMon, TIdZero, TOpInj, TSeq, TSum, TSymPlus,
-                    TWhisker, TapeTerm, node_type)
+from ..tape import (TERM_KIDS, TBlock, TCirc, TSeq, TSum, TTerm, TWhisker,
+                    TapeTerm, node_type)
+from ..theory import App, Var
 
 LANE_H = 48.0
 LANE_GAP = 10.0
@@ -74,19 +75,18 @@ def _draw_gate(c: CircuitTerm, memo: _Memo, x: float, y: float,
     dom, cod = memo.types[c]
     ys_in = _wire_ys(len(dom), y, h)
     ys_out = _wire_ys(len(cod), y, h)
-    if isinstance(c, (CIdSort, CIdOne)):
-        for wy in ys_in:
-            elems.append(_line(x, wy, x + w, wy))
-        if isinstance(c, CIdSort):
-            elems.append(_text(x + w / 2, ys_in[0] - 3, c.sort))
-        return
-    if isinstance(c, CDischarger):
-        mid = y + h / 2
-        elems.append(_line(x, mid, x + w / 2, mid))
-        elems.append(_line(x + w / 2, mid - 5, x + w / 2, mid + 5, 2.0))
-        return
-    if isinstance(c, CStructural):
-        _draw_wire_map(c, ys_in, ys_out, x, w, elems)
+    if c.__class__ is CBlock:
+        if len(dom) > 1 or c.builder not in ("identity_circuit",
+                                             "discharger_circuit"):
+            _draw_wire_map(c, ys_in, ys_out, x, w, elems)
+        elif c.builder == "discharger_circuit":
+            mid = y + h / 2
+            elems.append(_line(x, mid, x + w / 2, mid))
+            elems.append(_line(x + w / 2, mid - 5, x + w / 2, mid + 5, 2.0))
+        else:
+            for sort, wy in zip(dom, ys_in):
+                elems.append(_line(x, wy, x + w, wy))
+                elems.append(_text(x + w / 2, wy - 3, sort))
         return
     if isinstance(c, CGen):
         bx, bw = x + w * 0.2, w * 0.6
@@ -101,13 +101,13 @@ def _draw_gate(c: CircuitTerm, memo: _Memo, x: float, y: float,
     raise TypeCheckError(f"not a circuit term: {c!r}")
 
 
-def _draw_wire_map(c: CStructural, ys_in, ys_out, x: float, w: float,
+def _draw_wire_map(c: CBlock, ys_in, ys_out, x: float, w: float,
                    elems: list[str]) -> None:
     """Each input wire, labelled with its sort, joined to each output wire
     it reaches: a dot where it forks, a bar where it ends."""
     x1, x2 = x + w * 0.3, x + w * 0.7
     dom, _, wires = c.wires
-    elems.append(f'<g class="wires {c.call[0]}">')
+    elems.append(f'<g class="wires {c.builder}">')
     for sort, wy, targets in zip(dom, ys_in, wires):
         elems.append(_line(x, wy, x1, wy))
         elems.append(_text(x + w * 0.15, wy - 3, sort))
@@ -168,9 +168,7 @@ class _Memo:
             return sizes[t.circuit], 1
         if isinstance(t, TWhisker):
             return sizes[t.tape]
-        if isinstance(t, (TSymPlus, TCodiag, Branching, TBlock)):
-            return 1.5, lanes
-        return 1.0, lanes
+        return (1.0 if _has_glyph(t) else 1.5), lanes
 
     def _height(self, t) -> float:
         heights = self.heights
@@ -234,13 +232,22 @@ def _draw(t: TapeTerm, memo: _Memo, x: float, y: float, w: float,
                 label = f"{u} |&gt; {label}" if left else f"{label} &lt;| {u}"
             elems.append(_text(x, y - 2, label, "start"))
             stack.append((node.tape, x, y, w, h))
-        elif isinstance(node, (TBlock, TSymPlus)):
+        elif _has_glyph(node):
+            _draw_tape_leaf(node, x, y, w, elems)
+        elif node.__class__ is TBlock:
             _draw_block(node, x, y, w, elems)
         else:
-            _draw_tape_leaf(node, x, y, w, h, elems)
+            _draw_branching(node, x, y, w, h, elems)
 
 
-def _draw_block(t: Structural, x: float, y: float, w: float,
+def _has_glyph(t: TapeTerm) -> bool:
+    """Whether t is drawn as the glyph of the identity on 0 or on one
+    monomial, or of the cobang of one monomial."""
+    return (t.__class__ is TBlock and len(t.args[0]) < 2
+            and t.builder in ("id_tape", "cobang_tape"))
+
+
+def _draw_block(t: TBlock, x: float, y: float, w: float,
                 elems: list[str]) -> None:
     """A block tape from its ``block_layout``: the band of the i-th dom
     monomial runs to the cod band ``blocks[i]``, and each band is
@@ -256,7 +263,7 @@ def _draw_block(t: Structural, x: float, y: float, w: float,
     for b in blocks:
         joins[b] += 1
     straight = {i for i, b in enumerate(blocks) if b == i and joins[b] == 1}
-    elems.append(f'<g class="block {t.call[0]}">')
+    elems.append(f'<g class="block {t.builder}">')
     for i, (mid, u) in enumerate(zip(mids, dom)):
         width = w if i in straight else band_w
         _tape_band(x, mid - LANE_H / 2, width, LANE_H, elems)
@@ -275,48 +282,41 @@ def _draw_block(t: Structural, x: float, y: float, w: float,
     elems.append("</g>")
 
 
-def _draw_tape_leaf(t: TapeTerm, x: float, y: float, w: float, h: float,
+def _draw_tape_leaf(t: TBlock, x: float, y: float, w: float,
                     elems: list[str]) -> None:
-    """Draw a tape that is neither a sum, a sequence nor a circuit."""
-    if isinstance(t, TIdZero):
+    """Draw the glyph of an identity on at most one monomial, or of a
+    cobang of one."""
+    p = t.args[0]
+    if not p:
         return
-    if isinstance(t, TIdMon):
+    if t.builder == "id_tape":
         _tape_band(x, y, w, LANE_H, elems)
-        _draw_lane_wires(t.mono, x, y, w, elems)
-        return
-    if isinstance(t, TCodiag):
-        mid = y + h / 2
-        _tape_band(x, y, w * 0.4, LANE_H, elems)
-        _tape_band(x, y + LANE_H + LANE_GAP, w * 0.4, LANE_H, elems)
-        _tape_band(x + w * 0.6, mid - LANE_H / 2, w * 0.4, LANE_H, elems)
-        elems.append(_line(x + w * 0.4, y + LANE_H / 2, x + w * 0.6, mid))
-        elems.append(_line(x + w * 0.4, y + LANE_H + LANE_GAP + LANE_H / 2,
-                           x + w * 0.6, mid))
-        elems.append(_line(x + w * 0.6, mid, x + w, mid))
-        elems.append(_text(x + w / 2, y - 2, str(t.mono)))
-        return
-    if isinstance(t, TCobang):
+        _draw_lane_wires(p[0], x, y, w, elems)
+    else:
         _tape_band(x + w * 0.3, y, w * 0.7, LANE_H, elems)
         elems.append(_line(x + w * 0.3, y, x + w * 0.3, y + LANE_H, 2.0))
-        _draw_lane_wires(t.mono, x + w * 0.5, y, w * 0.5, elems)
-        return
-    if isinstance(t, Branching):
-        # dom bands stacked in the middle, each joined to its n copies
-        term, dom, n = t.branch
-        step = LANE_H + LANE_GAP
-        top = y + (h - len(dom) * step + LANE_GAP) / 2
-        mids = [top + j * step + LANE_H / 2 for j in range(len(dom))]
-        for mid in mids:
-            _tape_band(x, mid - LANE_H / 2, w * 0.35, LANE_H, elems)
-            elems.append(_line(x, mid, x + w * 0.45, mid))
-        for k in range(n * len(dom)):
-            _tape_band(x + w * 0.55, y + k * step, w * 0.45, LANE_H, elems)
-            elems.append(_line(x + w * 0.45, mids[k % len(dom)],
-                               x + w * 0.55, y + k * step + LANE_H / 2))
-        label = t.op if t.__class__ is TOpInj else term
-        elems.append(_text(x + w / 2, top - 2, str(label)))
-        return
-    raise TypeCheckError(f"not a tape term: {t!r}")
+        _draw_lane_wires(p[0], x + w * 0.5, y, w * 0.5, elems)
+
+
+def _draw_branching(t: TTerm, x: float, y: float, w: float, h: float,
+                    elems: list[str]) -> None:
+    """Dom bands stacked in the middle, each joined to its n copies,
+    labelled with the operation f of a term f(x1, ..., xn), else with
+    the term."""
+    term, dom, n = t.branch
+    step = LANE_H + LANE_GAP
+    top = y + (h - len(dom) * step + LANE_GAP) / 2
+    mids = [top + j * step + LANE_H / 2 for j in range(len(dom))]
+    for mid in mids:
+        _tape_band(x, mid - LANE_H / 2, w * 0.35, LANE_H, elems)
+        elems.append(_line(x, mid, x + w * 0.45, mid))
+    for k in range(n * len(dom)):
+        _tape_band(x + w * 0.55, y + k * step, w * 0.45, LANE_H, elems)
+        elems.append(_line(x + w * 0.45, mids[k % len(dom)],
+                           x + w * 0.55, y + k * step + LANE_H / 2))
+    applied = (term.__class__ is App
+               and term.args == tuple(map(Var, range(1, n + 1))))
+    elems.append(_text(x + w / 2, top - 2, str(term.op if applied else term)))
 
 
 def render_svg(t: TapeTerm, sig: MonSignature) -> str:

@@ -34,8 +34,8 @@ from ..circuit import (CGen, CSeq, CTensor, CircuitTerm, MonSignature,
 from ..errors import ParseError, UnknownSortError
 from ..interp import Interpretation
 from ..kleisli import Matrix, model_for
-from ..objects import Monomial, Polynomial
-from ..tape import (TCirc, TIdZero, TSeq, TSum, TapeTerm, cobang_tape,
+from ..objects import Monomial, Polynomial, ZERO
+from ..tape import (TCirc, TSeq, TSum, TapeTerm, cobang_tape,
                     codiag_tape, copier_tape, discharger_tape, distributor,
                     id_tape, op_inj_tape, symplus_tape, tensor_tape,
                     term_tape)
@@ -120,7 +120,7 @@ INFIX = {
 # Tape atoms take polynomials, circuit atoms monomials.  The parser, the
 # printer and the elaborators all read these tables.
 TAPE_ATOMS = {
-    "id0": ("id0", 0, TIdZero),
+    "id0": ("id0", 0, lambda: id_tape(ZERO)),
     "id": ("id", 1, id_tape),
     "symplus": ("sym+", 2, symplus_tape),
     "codiag": ("codiag", 1, codiag_tape),

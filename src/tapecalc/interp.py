@@ -4,25 +4,24 @@ An interpretation assigns a finite carrier to every sort and an exact
 matrix to every generator; it extends homomorphically to all circuits
 and tapes: ``eval_tape`` is one ``fold`` of ``evaluator`` over
 ``tape.TERM_KIDS``, which gives a node's matrix from its children's, and
-a failure is the error that walk raises.  A structural tape (a
-``TBlock`` or one of the five primitives of ``tape.Structural``) is a
-leaf: its matrix is one image, a ``range`` per monomial block, from the
-carrier sizes and its ``block_layout``, the ``block_map`` that the node
-computes once and keeps.  A whiskered tape (``TWhisker``) has one child,
+a failure is the error that walk raises.  A structural tape, a
+``TBlock`` at one monomial as at many, is a leaf: its matrix is one
+image, a ``range`` per monomial block, from the carrier sizes and its
+``block_layout``, the ``block_map`` that the node computes once and
+keeps.  A whiskered tape (``TWhisker``) has one child,
 the tape t it whiskers: its matrix is t's tensored with an identity per
 whiskering, on the left its blocks reordered by ``kleisli.pairing``
 from the carrier sizes of t's type, which t keeps
 (``tape.tape_types``), unless t is structural or branching, whose
 matrix is the same on either side, or a circuit's tape, one monomial
-a side.  A branching tape (``tape.Branching``) is a leaf, its matrix
-read from its term's weight vector, which depends on the model alone
+a side.  A branching tape (``tape.TTerm``, an operation's too) is a
+leaf, its matrix read from its term's weight vector, which depends on the model alone
 and which the node keeps per model object, as it keeps its type per
 signature object: so a ``TheoryModel``'s weights must not change once
 a tape is evaluated under it (``kleisli.model_for``'s are read-only, a
-``MappingProxyType``).  A structural circuit (a ``circuit.CBlock`` or
-one of the five primitives of ``circuit.CStructural``) is a leaf too,
-whose matrix is the ``kleisli`` closed form of its call's builder at
-the carrier sizes of its words.  Carrier indexing is fixed once and for
+``MappingProxyType``).  A structural circuit (a ``circuit.CBlock``, at
+one sort as at many) is a leaf too, whose matrix is the ``kleisli``
+closed form of its call's builder at the carrier sizes of its words.  Carrier indexing is fixed once and for
 all: tensor indices are left-major within a monomial, and a polynomial
 carrier concatenates its monomial blocks in order.
 """
@@ -34,14 +33,13 @@ from itertools import accumulate, chain
 from typing import Callable, Mapping, Union
 
 from . import kleisli
-from .circuit import (CGen, CSeq, CStructural, CTensor, CircuitTerm,
-                      MonSignature)
+from .circuit import CBlock, CGen, CSeq, CTensor, CircuitTerm, MonSignature
 from .errors import DimensionError, ModelError, UnknownSortError
 from .hashcons import fold
 from .kleisli import Matrix, TheoryModel, branch_matrix, eval_vector, pairing
 from .objects import Monomial, Polynomial
-from .tape import (TERM_KIDS, Branching, Structural, TCirc, TSeq, TSum,
-                   TWhisker, TapeTerm, as_poly, tape_types)
+from .tape import (TERM_KIDS, TBlock, TCirc, TSeq, TSum, TTerm, TWhisker,
+                   TapeTerm, as_poly, tape_types)
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def eval_tape(t: TapeTerm | CircuitTerm, interp: Interpretation,
     return fold((t,), TERM_KIDS, evaluator(interp), walk)[0]
 
 
-def block_matrix(node: Structural, interp: Interpretation) -> Matrix:
+def block_matrix(node: TBlock, interp: Interpretation) -> Matrix:
     """The matrix of a structural tape, from its builder call: each dom
     block is the identity onto the cod block that ``block_map`` names,
     kept in the node's ``block_layout``.  The carriers are read in dom
@@ -192,7 +190,7 @@ def evaluator(interp: Interpretation) -> Callable:
     words, found by name, so that a wrapper of the builder sees it."""
     def whiskered(node: TWhisker, m: Matrix) -> Matrix:
         t = node.tape
-        blind = isinstance(t, (Structural, Branching))    # to the side
+        blind = t.__class__ is TBlock or t.__class__ is TTerm  # to the side
         scale = 1       # the carrier size of the steps so far
         for left, u in node.steps:
             n = interp.mono_size(u)
@@ -225,16 +223,15 @@ def evaluator(interp: Interpretation) -> Callable:
             return kids[0].then(kids[1])
         if cls is TSum:
             return kids[0].oplus(kids[1])
-        if isinstance(node, Structural):
+        if cls is TBlock:
             return block_matrix(node, interp)
         if cls is TWhisker:
             return whiskered(node, *kids)
         if cls is CTensor:
             return kids[0].tensor(kids[1])
-        if isinstance(node, CStructural):
-            builder, *words = node.call
-            return getattr(kleisli, CLOSED_FORMS[builder])(
-                *map(interp.mono_size, words))
+        if cls is CBlock:
+            return getattr(kleisli, CLOSED_FORMS[node.builder])(
+                *map(interp.mono_size, node.words))
         if cls is TCirc:
             return kids[0]
         if cls is CGen:
@@ -243,7 +240,7 @@ def evaluator(interp: Interpretation) -> Callable:
                 return interp.gen_matrices[node.name]
             except KeyError:
                 raise ModelError(f"generator {node.name} has no matrix")
-        if isinstance(node, Branching):
+        if cls is TTerm:
             term, dom, n = node.branch
             size = sum(map(interp.mono_size, dom))
             model, w = node.__dict__.get("weighed", (None, None))

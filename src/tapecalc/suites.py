@@ -24,7 +24,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from . import kleisli
-from .circuit import (CGen, CIdOne, CircuitTerm, CTensor, MonSignature,
+from .circuit import (CGen, CircuitTerm, CTensor, MonSignature,
                       copier_circuit, cseq, ctensor, discharger_circuit,
                       identity_circuit, sym_circuit)
 from .errors import TypeCheckError
@@ -34,8 +34,7 @@ from .interp import (Interpretation, carrier_of, eval_tape, evaluator,
 from .kleisli import Matrix, TheoryModel, exact_str, model_for, slot_width
 from .objects import (Monomial, ONE, Polynomial, ZERO, nfold_sum,
                       poly_of_mono)
-from .tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon, TIdZero,
-                   TOpInj, TSum, TSymPlus, TapeTerm, cobang_tape, codiag_tape,
+from .tape import (TERM_KIDS, TCirc, TSum, TapeTerm, cobang_tape, codiag_tape,
                    copier_tape, discharger_tape, distributor, dl_nary, id_tape,
                    nfold_codiag, op_inj_tape, symplus_tape,
                    symtensor_tape, tape_types, tensor_tape, term_tape, tseq,
@@ -400,10 +399,12 @@ def _axioms(theory) -> list:
             return nfold_sum(poly_of_mono(u), op.arity)
         return [
             (f"codiag-nat-op({op})", "U", (), lambda u: (
-                tseq(TCodiag(u), TOpInj(op, u)),
-                tseq(tsum(TOpInj(op, u), TOpInj(op, u)), codiag_tape(n_fold(u))))),
+                tseq(codiag_tape(u), op_inj_tape(op, u)),
+                tseq(tsum(op_inj_tape(op, u), op_inj_tape(op, u)),
+                     codiag_tape(n_fold(u))))),
             (f"cobang-nat-op({op})", "U", (), lambda u: (
-                tseq(TCobang(u), TOpInj(op, u)), cobang_tape(n_fold(u)))),
+                tseq(cobang_tape(u), op_inj_tape(op, u)),
+                cobang_tape(n_fold(u)))),
             (f"op-nat-tape({op})", "PQ", ("PQ",), lambda p, q, t: (
                 tseq(t, op_inj_tape(op, q)),
                 tseq(op_inj_tape(op, p), tsum(*([t] * op.arity))))),
@@ -425,7 +426,7 @@ def _axioms(theory) -> list:
              TCirc(cseq(ctensor(c1, c2), ctensor(d1, d2))),
              TCirc(ctensor(cseq(c1, d1), cseq(c2, d2))))),
         ("circ-unit-tensor", "UV", ("UV",), lambda u, v, c: (
-            TCirc(CTensor(CIdOne(), CTensor(c, CIdOne()))), TCirc(c))),
+            TCirc(CTensor(idc(ONE), CTensor(c, idc(ONE)))), TCirc(c))),
         ("circ-tensor-assoc", "UVW", ("UV", "VW", "WU"), lambda u, v, w, c, d, e: (
             TCirc(CTensor(CTensor(c, d), e)), TCirc(CTensor(c, CTensor(d, e))))),
         ("circ-sym-inv", "UV", (), lambda u, v: (
@@ -453,7 +454,7 @@ def _axioms(theory) -> list:
          lambda p, q, r, s, t1, t2, s1, s2: (
              tseq(TSum(t1, t2), TSum(s1, s2)), TSum(tseq(t1, s1), tseq(t2, s2)))),
         ("tape-unit-sum", "PQ", ("PQ",), lambda p, q, t: (
-            TSum(TIdZero(), TSum(t, TIdZero())), t)),
+            TSum(id_tape(ZERO), TSum(t, id_tape(ZERO))), t)),
         ("tape-sum-assoc", "PQR", ("PQ", "QR", "RP"),
          lambda p, q, r, t1, t2, t3: (
              TSum(TSum(t1, t2), t3), TSum(t1, TSum(t2, t3)))),
@@ -463,26 +464,29 @@ def _axioms(theory) -> list:
             tseq(TSum(t1, t2), symplus_tape(q, s)),
             tseq(symplus_tape(p, r), TSum(t2, t1)))),
         ("tape-symplus-inv-mono", "UV", (), lambda u, v: (
-            tseq(TSymPlus(u, v), TSymPlus(v, u)), tsum(TIdMon(u), TIdMon(v)))),
+            tseq(symplus_tape(u, v), symplus_tape(v, u)),
+            tsum(id_tape(u), id_tape(v)))),
         ("tape-symplus-nat-circ", "UVWX", ("UV", "WX"), lambda u, v, w, x, c, d: (
-            tseq(TSum(TCirc(c), TCirc(d)), TSymPlus(v, x)),
-            tseq(TSymPlus(u, w), TSum(TCirc(d), TCirc(c))))),
+            tseq(TSum(TCirc(c), TCirc(d)), symplus_tape(v, x)),
+            tseq(symplus_tape(u, w), TSum(TCirc(d), TCirc(c))))),
         # finite coproduct structure
         ("codiag-assoc", "U", (), lambda u: (
-            tseq(tsum(TIdMon(u), TCodiag(u)), TCodiag(u)),
-            tseq(tsum(TCodiag(u), TIdMon(u)), TCodiag(u)))),
+            tseq(tsum(id_tape(u), codiag_tape(u)), codiag_tape(u)),
+            tseq(tsum(codiag_tape(u), id_tape(u)), codiag_tape(u)))),
         ("codiag-unit", "U", (), lambda u: (
-            tseq(tsum(TCobang(u), TIdMon(u)), TCodiag(u)), TIdMon(u))),
+            tseq(tsum(cobang_tape(u), id_tape(u)), codiag_tape(u)),
+            id_tape(u))),
         ("codiag-comm", "U", (), lambda u: (
-            tseq(TSymPlus(u, u), TCodiag(u)), TCodiag(u))),
+            tseq(symplus_tape(u, u), codiag_tape(u)), codiag_tape(u))),
         ("codiag-nat-circ", "UV", ("UV",), lambda u, v, c: (
-            tseq(TCodiag(u), TCirc(c)), tseq(TSum(TCirc(c), TCirc(c)), TCodiag(v)))),
+            tseq(codiag_tape(u), TCirc(c)),
+            tseq(TSum(TCirc(c), TCirc(c)), codiag_tape(v)))),
         ("cobang-nat-circ", "UV", ("UV",), lambda u, v, c: (
-            tseq(TCobang(u), TCirc(c)), TCobang(v))),
+            tseq(cobang_tape(u), TCirc(c)), cobang_tape(v))),
         # naturality of the operation branchings
         *(row for op in theory.primary_ops for row in op_rows(op)),
         # the taping functor
-        ("tape-functor-id", "U", (), lambda u: (TCirc(idc(u)), TIdMon(u))),
+        ("tape-functor-id", "U", (), lambda u: (TCirc(idc(u)), id_tape(u))),
         ("tape-functor-seq", "UVW", ("UV", "VW"), lambda u, v, w, c, d: (
             TCirc(cseq(c, d)), tseq(TCirc(c), TCirc(d)))),
         # equations of the theory, as term tapes
@@ -540,11 +544,12 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
               tseq(tsum(copier_tape(x), copier_tape(x)), codiag_tape(x * x)))),
           ("sumcd-codiag-discard", (), lambda x: (
               tseq(codiag_tape(x), discharger_tape(x)),
-              tseq(tsum(discharger_tape(x), discharger_tape(x)), TCodiag(ONE)))),
+              tseq(tsum(discharger_tape(x), discharger_tape(x)),
+                   codiag_tape(ONE)))),
           ("sumcd-cobang-copier", (), lambda x: (
               tseq(cobang_tape(x), copier_tape(x)), cobang_tape(x * x))),
           ("sumcd-cobang-discard", (), lambda x: (
-              tseq(cobang_tape(x), discharger_tape(x)), TCobang(ONE))),
+              tseq(cobang_tape(x), discharger_tape(x)), cobang_tape(ONE))),
           ("maps-codiag-functional", (), lambda x: (
               tseq(codiag_tape(x), copier_tape(x)),
               tseq(copier_tape(x + x), tensor(codiag_tape(x), codiag_tape(x))))),
@@ -566,7 +571,8 @@ def lemma_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds(),
                         distributor(y, x, y, inverse=True))))),
           ("coh-discharger-sum", (), lambda x, y: (
               discharger_tape(x + y),
-              tseq(tsum(discharger_tape(x), discharger_tape(y)), TCodiag(ONE))))],
+              tseq(tsum(discharger_tape(x), discharger_tape(y)),
+                   codiag_tape(ONE))))],
          "XY", pairs)
 
     # canonical-copy and all-ones oracles
@@ -696,8 +702,8 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
               tseq(whisker_right(t, s, sig), whisker_right(t_s, s, sig)))
         check("W3-left", desc, inst, whisker_left(ONE, t), t)
         check("W3-right", desc, inst, whisker_right(t, ONE, sig), t)
-        check("W4-left", desc, inst, whisker_left(ZERO, t), TIdZero())
-        check("W4-right", desc, inst, whisker_right(t, ZERO, sig), TIdZero())
+        check("W4-left", desc, inst, whisker_left(ZERO, t), id_tape(ZERO))
+        check("W4-right", desc, inst, whisker_right(t, ZERO, sig), id_tape(ZERO))
 
         t2 = fresh.tape(r, p)
         inst = fresh.interp()
@@ -726,10 +732,10 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
               tseq(whisker_left(p, t_b), whisker_right(t, s, sig)),
               tseq(whisker_right(t, r, sig), whisker_left(q, t_b)))
         check("W8-codiag", u_desc, inst,
-              whisker_right(TCodiag(u), s, sig),
+              whisker_right(codiag_tape(u), s, sig),
               codiag_tape(poly_of_mono(u) * s))
         check("W9-cobang", u_desc, inst,
-              whisker_right(TCobang(u), s, sig),
+              whisker_right(cobang_tape(u), s, sig),
               cobang_tape(poly_of_mono(u) * s))
         check("W10-symplus", desc, inst,
               whisker_right(symplus_tape(p, q), s, sig),
@@ -758,7 +764,7 @@ def whiskering_suite(interp: Interpretation, bounds: SuiteBounds = SuiteBounds()
               tseq(distributor(s * p, q, r),
                    distributor(s, p * q, p * r, inverse=True)))
         check("W18-opinj", u_desc, inst,
-              whisker_right(TOpInj(f_op, u), s, sig),
+              whisker_right(op_inj_tape(f_op, u), s, sig),
               op_inj_tape(f_op, poly_of_mono(u) * s))
 
     return report

@@ -1,39 +1,36 @@
 """Outer-layer tape terms and every derived structural construction.
 
-Tapes are typed by polynomials.  The primitive constructors live at the
-monomial level (identities, tape-of-circuit, sum symmetry, codiagonal,
-cobang and the operation branchings); identities, symmetries, codiagonals,
-distributors, whiskerings, the tensor of tapes and the polynomial
-copy/discard structure are all built inductively from them.
+Tapes are typed by polynomials.  In the calculus, a tape is built from
+generators at one monomial (identities, tape-of-circuit, sum symmetry,
+codiagonal, cobang and the operation branchings), and every other tape
+(identities, symmetries, codiagonals, distributors, whiskerings, the
+tensor of tapes and the polynomial copy/discard structure) is derived
+from them by induction.
 
 Nodes are hash-consed like circuits (see ``hashcons``): equal terms are
 identical and ``==`` is identity.  It is syntactic equality only; equality
 of tapes is decided semantically, per interpretation.  Each walker visits
 each distinct subterm once a call, without recursion.
 
-Two node classes stand for a derived tape by the call that defines it,
-so that building one costs a single node.  A ``TBlock`` is a call of a
-builder of *block tapes* (identities, cobangs, sum symmetries,
-codiagonals, distributors): tapes built from ``TIdMon``, ``TSymPlus``,
-``TCodiag``, ``TCobang`` and ``TIdZero`` under ``TSum`` and ``TSeq``,
-which move whole monomial blocks, so that the meaning of one is a block
-map (``block_map``).  Those five primitives are builder calls too, each
-at one monomial: every ``Structural`` node keeps the block map of its
-call, and its type and matrix are read from that alone.  A ``TWhisker``
-is any tape t whiskered by a chain of monomials, and whiskering a
-whiskered tape extends its chain.  A builder whose tree is one
-primitive node returns that node.  In ``TERM_KIDS``, the one map of
-children that every walk reads, a structural tape is a leaf and a
-whiskered tape has one child, t, so typing, evaluation and rendering
-walk t once however many copies a tensor makes.  A derived node is the
-only form of its tape: no tree of primitive nodes is built for it.  An
-error is the one the walk over the derived nodes raises, so it names
-the subterm where that walk failed: for a failure inside a whiskered
-tape, the composition the user wrote.
-
-A ``Branching`` tape <t>_P : P -> (+)^n P of a Σ-term t over n
-variables is one leaf too, read from its ``branch`` (t, P, n): no tape
-is built per variable or operation of t.
+A builder call is one node, at one monomial as at any polynomial, so
+that building a derived tape costs a single node and a generator is
+the builder call at its monomial.  A ``TBlock`` is a call of a builder
+of *block tapes* (identities, cobangs, sum symmetries, codiagonals,
+distributors), which move whole monomial blocks, so that the meaning of
+one is a block map (``block_map``), kept in its ``block_layout``: its
+type and matrix are read from that alone.  A ``TTerm`` <t>_P :
+P -> (+)^n P is the branching of a Σ-term t over n variables, an
+operation's <f>_P that of f(x1, ..., xn), read from its ``branch``
+(t, P, n): no tape is built per variable or operation of t.  A
+``TWhisker`` is any tape t whiskered by a chain of monomials, and
+whiskering a whiskered tape extends its chain.  In ``TERM_KIDS``, the
+one map of children that every walk reads, a block tape and a branching
+are leaves and a whiskered tape has one child, t, so typing, evaluation
+and rendering walk t once however many copies a tensor makes.  A
+builder's node is the only form of its tape: no tree of generators is
+built for it.  An error is the one the walk over these nodes raises, so
+it names the subterm where that walk failed: for a failure inside a
+whiskered tape, the composition the user wrote.
 
 A tape keeps its type: ``tape_types`` stores the type of each node it
 types, tape or circuit, on the node, with the signature object it was
@@ -45,6 +42,7 @@ its type or the type of a term that holds it.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import attrgetter
 from typing import Callable, Sequence, Union
 
@@ -53,7 +51,7 @@ from .circuit import (CIRCUIT_KIDS, CircuitTerm, MonSignature,
                       sym_circuit)
 from .errors import TypeCheckError
 from .hashcons import Term, kept, postorder, term_node
-from .objects import Monomial, ONE, Polynomial, poly_of_mono
+from .objects import Monomial, ONE, Polynomial, ZERO, poly_of_mono
 from .theory import OpSymbol, SigmaTerm, Var, check_term
 
 
@@ -61,37 +59,9 @@ class TapeTerm(Term):
     """Base of the tape nodes."""
 
 
-class Structural(TapeTerm):
-    """Base of the structural tapes, the nodes whose meaning is a block
-    map: ``TBlock`` and the five primitives below.  ``call`` is the
-    node's builder call (builder, *args), a primitive's the call of its
-    class's builder at the one-monomial polynomials of its fields;
-    ``block_layout`` is the ``block_map`` of the call, kept."""
-
-    block_layout = kept(lambda t: block_map(*t.call))
-
-
-@term_node
-class TIdMon(Structural):
-    mono: Monomial
-    call = property(lambda t: ("id_tape", (t.mono,)))
-
-
-@term_node
-class TIdZero(Structural):
-    call = property(lambda t: ("id_tape", ()))
-
-
 @term_node
 class TCirc(TapeTerm):
     circuit: CircuitTerm
-
-
-@term_node
-class TSymPlus(Structural):
-    left: Monomial
-    right: Monomial
-    call = property(lambda t: ("symplus_tape", (t.left,), (t.right,)))
 
 
 @term_node
@@ -107,37 +77,10 @@ class TSum(TapeTerm):
 
 
 @term_node
-class TCobang(Structural):
-    mono: Monomial
-    call = property(lambda t: ("cobang_tape", (t.mono,)))
-
-
-@term_node
-class TCodiag(Structural):
-    mono: Monomial
-    call = property(lambda t: ("codiag_tape", (t.mono,)))
-
-
-class Branching(TapeTerm):
-    """Base of the branching tapes <t>_P, an operation's at a monomial
-    (``TOpInj``) or a term's (``TTerm``), whose matrix stacks w_i(t)
-    times the identity on P; ``branch`` is (t, P as a tuple, n)."""
-
-
-def _applied(op: OpSymbol) -> SigmaTerm:
-    """The term op(x1, ..., xn)."""
-    return op(*map(Var, range(1, op.arity + 1)))
-
-
-@term_node
-class TOpInj(Branching):
-    op: OpSymbol
-    mono: Monomial
-    branch = kept(lambda t: (_applied(t.op), (t.mono,), t.op.arity))
-
-
-@term_node
-class TTerm(Branching):
+class TTerm(TapeTerm):
+    """The branching <term>_poly : P -> (+)^n P of a Σ-term over n =
+    ``context`` variables, whose matrix stacks w_i(term) times the
+    identity on P; ``branch`` is (term, P as a tuple, n)."""
     term: SigmaTerm
     poly: Polynomial
     context: int
@@ -145,11 +88,12 @@ class TTerm(Branching):
 
 
 @term_node
-class TBlock(Structural):
-    """The block tape of the builder named ``builder`` at ``args``."""
+class TBlock(TapeTerm):
+    """The block tape of the builder named ``builder`` at ``args``;
+    ``block_layout`` is the ``block_map`` of the call, kept."""
     builder: str
     args: tuple
-    call = property(lambda t: (t.builder, *t.args))
+    block_layout = kept(lambda t: block_map(t.builder, *t.args))
 
 
 @term_node
@@ -158,6 +102,9 @@ class TWhisker(TapeTerm):
     ``steps`` in turn (see ``whisker_chain``)."""
     tape: TapeTerm
     steps: tuple
+
+
+_ID_ZERO = TBlock("id_tape", (ZERO,))     # id_tape(0), the unit of tsum
 
 
 TERM_KIDS: dict[type, Callable] = {
@@ -177,8 +124,7 @@ def block_map(builder: str, p: Polynomial, *args
     dom monomial lands identically in the cod monomial blocks[i].  The
     calls are id_tape(P), cobang_tape(P), symplus_tape(P, Q),
     codiag_tape(P), nfold_codiag(P, m), distributor(P, Q, R, inverse)
-    and dl_nary(P, (Q1, ..., Qk), inverse); a primitive's P and Q are
-    plain tuples of one monomial, its P the empty tuple for ``TIdZero``."""
+    and dl_nary(P, (Q1, ..., Qk), inverse)."""
     p, n = tuple(p), len(p)
     if builder == "id_tape":
         dom, cod, blocks = p, p, range(n)
@@ -241,9 +187,9 @@ def node_type(node: Term, sig: MonSignature, kids: tuple) -> tuple:
             dom, cod = (tuple([u * x if left else x * u for x in side])
                         for side in (dom, cod))
     else:
-        if isinstance(node, Structural):
+        if cls is TBlock:
             dom, cod, _ = node.block_layout
-        elif isinstance(node, Branching):
+        elif cls is TTerm:
             _, dom, n = node.branch
             cod = dom * n
         else:
@@ -292,21 +238,12 @@ def type_of_tape(t: TapeTerm, sig: MonSignature) -> tuple[Polynomial, Polynomial
 # --- composition helpers ------------------------------------------------------
 
 def tseq(*parts: TapeTerm) -> TapeTerm:
-    term = parts[0]
-    for p in parts[1:]:
-        term = TSeq(term, p)
-    return term
+    return reduce(TSeq, parts)
 
 
 def tsum(*parts: TapeTerm) -> TapeTerm:
     """Sum of tapes; identity-on-zero summands are dropped."""
-    parts = tuple(p for p in parts if not isinstance(p, TIdZero))
-    if not parts:
-        return TIdZero()
-    term = parts[0]
-    for p in parts[1:]:
-        term = TSum(term, p)
-    return term
+    return reduce(TSum, [p for p in parts if p is not _ID_ZERO] or [_ID_ZERO])
 
 
 def as_poly(x: Union[Polynomial, Monomial]) -> Polynomial:
@@ -317,35 +254,27 @@ def as_poly(x: Union[Polynomial, Monomial]) -> Polynomial:
 #
 # The structural tapes are defined by recursion on the first monomial of a
 # polynomial.  A block tape's builder returns its call as one ``TBlock``
-# node, whose meaning is its ``block_map``; the other builders compute
-# the recursion by a loop (``_right_fold``).
+# node, whose meaning is its ``block_map``, the identity on 0 for a call
+# at 0; the other builders compute the recursion by a loop
+# (``_right_fold``).
 
-def _right_fold(p: Polynomial, base: Callable[[], TapeTerm],
+def _right_fold(p: Polynomial, t: TapeTerm,
                 step: Callable[[Monomial, Polynomial, TapeTerm], TapeTerm]
                 ) -> TapeTerm:
-    """The tape that is base() at 0 and step(u, rest, tape at rest) at
+    """The tape that is t at 0 and step(u, rest, tape at rest) at
     u (+) rest, from p's last monomial to its first."""
-    t = base()
     for i in reversed(range(len(p))):
         t = step(p[i], Polynomial(p[i + 1:]), t)
     return t
 
 
-def _monowise(cls: type, builder: str,
-              p: Union[Polynomial, Monomial]) -> TapeTerm:
-    """The sum of cls(u) over the monomials u of p."""
-    p = as_poly(p)
-    if len(p) > 1:
-        return TBlock(builder, (p,))
-    return cls(p[0]) if p else TIdZero()
-
-
 def id_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
-    return _monowise(TIdMon, "id_tape", p)
+    return TBlock("id_tape", (as_poly(p),))
 
 
 def cobang_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
-    return _monowise(TCobang, "cobang_tape", p)
+    p = as_poly(p)
+    return TBlock("cobang_tape", (p,)) if p else _ID_ZERO
 
 
 def symplus_tape(p: Union[Polynomial, Monomial],
@@ -360,7 +289,7 @@ def symplus_tape(p: Union[Polynomial, Monomial],
 def codiag_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
     """codiag_P : P (+) P -> P."""
     p = as_poly(p)
-    return TBlock("codiag_tape", (p,)) if p else TIdZero()
+    return TBlock("codiag_tape", (p,)) if p else _ID_ZERO
 
 
 def distributor(p: Union[Polynomial, Monomial],
@@ -374,7 +303,7 @@ def distributor(p: Union[Polynomial, Monomial],
     """
     p = as_poly(p)
     if p.is_zero:
-        return TIdZero()
+        return _ID_ZERO
     return TBlock("distributor", (p, as_poly(q), as_poly(r), bool(inverse)))
 
 
@@ -385,7 +314,7 @@ def dl_nary(p: Union[Polynomial, Monomial],
     p = as_poly(p)
     qs = tuple([as_poly(q) for q in qs])
     if len(qs) < 2:
-        return id_tape(p * qs[0]) if qs else TIdZero()
+        return id_tape(p * qs[0]) if qs else _ID_ZERO
     return TBlock("dl_nary", (p, qs, bool(inverse)))
 
 
@@ -406,15 +335,12 @@ def symtensor_tape(p: Union[Polynomial, Monomial],
         blocks = tsum(*(TCirc(sym_circuit(u, v)) for u in p))
         return tseq(distributor(p, poly_of_mono(v), q_rest), tsum(blocks, t))
 
-    return _right_fold(as_poly(q), TIdZero, step)
+    return _right_fold(as_poly(q), _ID_ZERO, step)
 
 
 def op_inj_tape(op: OpSymbol, p: Union[Polynomial, Monomial]) -> TapeTerm:
-    """<f>_P : P -> (+)^n P: a ``TOpInj`` at a monomial, else the
-    ``term_tape`` of f(x1, ..., xn)."""
-    p = as_poly(p)
-    return (TOpInj(op, p[0]) if len(p) == 1
-            else term_tape(_applied(op), p, op.arity))
+    """<f>_P : P -> (+)^n P, the ``term_tape`` of f(x1, ..., xn)."""
+    return term_tape(op(*map(Var, range(1, op.arity + 1))), p, op.arity)
 
 
 def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
@@ -422,7 +348,7 @@ def term_tape(term: SigmaTerm, p: Union[Polynomial, Monomial],
     """<t>_P : P -> (+)^n P realizing the term's branching behaviour."""
     check_term(term, context)
     p = as_poly(p)
-    return TTerm(term, p, context) if p else TIdZero()
+    return TTerm(term, p, context) if p else _ID_ZERO
 
 
 # --- whiskerings and the tensor of tapes ---------------------------------------
@@ -494,7 +420,7 @@ def copier_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
                       distributor(p_rest, u_poly, p_rest, inverse=True))
         return tsum(top, bottom)
 
-    return _right_fold(as_poly(p), TIdZero, step)
+    return _right_fold(as_poly(p), _ID_ZERO, step)
 
 
 def discharger_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
@@ -502,6 +428,20 @@ def discharger_tape(p: Union[Polynomial, Monomial]) -> TapeTerm:
     def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
         if p_rest.is_zero:
             return TCirc(discharger_circuit(u))
-        return tseq(tsum(TCirc(discharger_circuit(u)), t), TCodiag(ONE))
+        return tseq(tsum(TCirc(discharger_circuit(u)), t), codiag_tape(ONE))
 
-    return _right_fold(as_poly(p), lambda: TCobang(ONE), step)
+    return _right_fold(as_poly(p), cobang_tape(ONE), step)
+
+
+# --- the generators by name, each its builder's node at one monomial ----------
+
+def TIdMon(u: Monomial) -> TapeTerm:
+    return id_tape(u)
+
+
+def TCodiag(u: Monomial) -> TapeTerm:
+    return codiag_tape(u)
+
+
+def TOpInj(op: OpSymbol, u: Monomial) -> TapeTerm:
+    return op_inj_tape(op, u)

@@ -1,10 +1,13 @@
-"""The full trees of derived nodes: the reference the tests check them by.
+"""The full trees of builder calls: the reference the tests check them by.
 
-A derived node stands for a tree of primitive nodes by the inductive
-definition of the call that builds it.  The library keeps only the node:
-a ``TBlock`` and a ``CBlock`` are read from their block or wire maps, and
-a ``TWhisker`` from the tape it whiskers.  This module builds the trees
-those definitions give, as the library built them before:
+In the calculus, a tape or circuit is built from generators at one
+monomial (one sort), and a call of a builder at a larger polynomial or
+word stands for the tree its inductive definition gives.  The library
+keeps only the call: a ``TBlock`` and a ``CBlock`` are read from their
+block or wire maps, a ``TTerm`` from its term's weights, and a
+``TWhisker`` from the tape it whiskers.  A generator is the same call
+at one monomial or sort (``is_leaf``).  This module builds the trees
+those definitions give, with the generators as their leaves:
 
 - the structural circuits by the inductive clauses, a loop each
   (``identity_circuit``, ``sym_circuit``, ``copier_circuit``,
@@ -14,37 +17,62 @@ those definitions give, as the library built them before:
 - a branching tape's step construction (``op_inj_tree``, ``term_tree``
   and ``branching_tree``): a tape per variable and per operation of its
   term, and one distributor chain per operation over a polynomial;
-- the whiskering of a leaf (``whiskered``): a block tape's builder
-  called again at the whiskered objects, U |> [c] = [id_U (x) c] for a
-  circuit's tape, and any other primitive with each monomial field
-  whiskered;
-- ``expand``, the full tree of any term, with no derived node in it.
+- the whiskering of a leaf (``whiskered``): a block tape's or a
+  branching's builder called again at the whiskered objects, and
+  U |> [c] = [id_U (x) c] for a circuit's tape;
+- ``expand``, the full tree of any term, whose only builder calls are
+  generators.
 
-Terms are hash-consed, so a derived node agrees with its definition
+Terms are hash-consed, so a builder call agrees with its definition
 exactly when ``expand`` of it is the node the definition builds.
 """
 
 from itertools import chain
 
 from tapecalc import circuit, tape
-from tapecalc.circuit import (CBlock, CCopier, CDischarger, CIdOne, CIdSort,
-                              CSeq, CSym, CTensor, CircuitTerm, ctensor)
+from tapecalc.circuit import CBlock, CSeq, CTensor, CircuitTerm, ctensor
 from tapecalc.hashcons import Term, fold
-from tapecalc.objects import (ONE, Monomial, Polynomial, nfold_sum,
+from tapecalc.objects import (ONE, Monomial, Polynomial, ZERO, nfold_sum,
                               poly_of_mono)
-from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TCobang, TCodiag,
-                           TIdMon, TIdZero, TOpInj, TSeq, TSum, TSymPlus,
-                           TTerm, TWhisker, TapeTerm, _right_fold, as_poly,
+from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TSeq, TSum, TTerm,
+                           TWhisker, TapeTerm, _right_fold, as_poly,
                            cobang_tape, codiag_tape, distributor, dl_nary,
-                           id_tape, nfold_codiag, symplus_tape, tseq, tsum,
-                           whisker_chain)
+                           id_tape, nfold_codiag, op_inj_tape, symplus_tape,
+                           tseq, tsum, whisker_chain)
 from tapecalc.theory import SIGMA_KIDS, App, Var
+
+GENERATOR_BUILDERS = ("id_tape", "cobang_tape", "codiag_tape", "symplus_tape")
+
+
+def is_applied(term, n: int) -> bool:
+    """Whether term is an operation applied to x1, ..., xn."""
+    return term.__class__ is App and term.args == tuple(map(Var, range(1, n + 1)))
+
+
+def is_leaf(node: Term) -> bool:
+    """Whether node is a generator, a leaf of the full trees: a block
+    tape's builder call at one monomial per argument (or the identity on
+    0), a structural circuit's at one sort per word (or the identity on
+    1), or an operation's branching <f>_U at one monomial."""
+    cls = node.__class__
+    if cls is TBlock:
+        return (node.builder in GENERATOR_BUILDERS
+                and all(len(p) <= 1 for p in node.args))
+    if cls is CBlock:
+        return all(len(w) <= 1 for w in node.words)
+    if cls is TTerm:
+        return len(node.poly) == 1 and is_applied(node.term, node.context)
+    return False
+
+
+def _sort(a: str) -> Monomial:
+    return Monomial((a,))
 
 
 # --- the structural circuits by their inductive clauses -------------------------
 
 def identity_circuit(u: Monomial) -> CircuitTerm:
-    return ctensor(*(CIdSort(a) for a in u))
+    return ctensor(*(circuit.identity_circuit(_sort(a)) for a in u))
 
 
 def _suffix_identities(u: tuple) -> list[CircuitTerm]:
@@ -55,25 +83,30 @@ def _suffix_identities(u: tuple) -> list[CircuitTerm]:
 def _sort_syms(a: str, w: tuple, w_ids: list) -> list[CircuitTerm]:
     """sigma_{A,w[j:]} for j = 0 .. len(w), given w's
     ``_suffix_identities``, each from the next shorter one:
+    sigma_{A,1} = id_A, sigma_{A,B} is the generator, and
     sigma_{A, B.W'} = (sigma_{A,B} (x) id_{W'}) ; (id_B (x) sigma_{A,W'})."""
-    syms = [CIdSort(a)]
+    syms = [identity_circuit(_sort(a))]
     for j in reversed(range(len(w))):
-        syms.append(CSeq(ctensor(CSym(a, w[j]), w_ids[j + 1]),
-                         CTensor(CIdSort(w[j]), syms[-1])))
+        sym = circuit.sym_circuit(_sort(a), _sort(w[j]))
+        syms.append(sym if j == len(w) - 1 else
+                    CSeq(ctensor(sym, w_ids[j + 1]),
+                         CTensor(identity_circuit(_sort(w[j])), syms[-1])))
     return syms[::-1]
 
 
 def sym_circuit(u: Monomial, w: Monomial) -> CircuitTerm:
     """sigma_{U,W} : U (x) W -> W (x) U by the inductive clauses, from the
     last sort of u to the first:
-    sigma_{A.U',W} = (id_A (x) sigma_{U',W}) ; (sigma_{A,W} (x) id_{U'})."""
+    sigma_{A.U',W} = (id_A (x) sigma_{U',W}) ; (sigma_{A,W} (x) id_{U'})
+    for U' other than 1."""
     if u.is_unit or w.is_unit:
         return identity_circuit(u * w)
     u_ids, w_ids = _suffix_identities(u), _suffix_identities(w)
     syms = {a: _sort_syms(a, w, w_ids)[0] for a in dict.fromkeys(u)}
-    t = w_ids[0]
-    for i in reversed(range(len(u))):
-        t = CSeq(CTensor(CIdSort(u[i]), t), ctensor(syms[u[i]], u_ids[i + 1]))
+    t = syms[u[-1]]
+    for i in reversed(range(len(u) - 1)):
+        t = CSeq(CTensor(identity_circuit(_sort(u[i])), t),
+                 ctensor(syms[u[i]], u_ids[i + 1]))
     return t
 
 
@@ -81,22 +114,25 @@ def copier_circuit(u: Monomial) -> CircuitTerm:
     """copier_U : U -> UU, interleaving the per-sort copies, from the last
     sort of u to the first:
     copier_{A.U'} = (copier_A (x) copier_{U'}) ;
-                    (id_A (x) sigma_{A,U'} (x) id_{U'}),
-    with sigma_{A,U'} built as ``sym_circuit`` builds it."""
+                    (id_A (x) sigma_{A,U'} (x) id_{U'})
+    for U' other than 1, with sigma_{A,U'} built as ``sym_circuit``
+    builds it; copier_A is the generator."""
+    if not u:
+        return identity_circuit(u)
     ids = _suffix_identities(u)
     syms = {a: _sort_syms(a, u, ids) for a in dict.fromkeys(u)}
-    t = CIdOne()
-    for i in reversed(range(len(u))):
+    t = circuit.copier_circuit(_sort(u[-1]))
+    for i in reversed(range(len(u) - 1)):
         a, id_rest = u[i], ids[i + 1]
-        sym = (CSeq(CTensor(CIdSort(a), id_rest), syms[a][i + 1])
-               if i + 1 < len(u) else CIdSort(a))
-        t = CSeq(ctensor(CCopier(a), t),
-                 CTensor(CIdSort(a), ctensor(sym, id_rest)))
+        id_a = identity_circuit(_sort(a))
+        sym = CSeq(CTensor(id_a, id_rest), syms[a][i + 1])
+        t = CSeq(ctensor(circuit.copier_circuit(_sort(a)), t),
+                 CTensor(id_a, ctensor(sym, id_rest)))
     return t
 
 
 def discharger_circuit(u: Monomial) -> CircuitTerm:
-    return ctensor(*(CDischarger(a) for a in u))
+    return ctensor(*(circuit.discharger_circuit(_sort(a)) for a in u))
 
 
 CIRCUIT_BUILDERS = {builder.__name__: builder for builder in (
@@ -104,7 +140,7 @@ CIRCUIT_BUILDERS = {builder.__name__: builder for builder in (
 
 
 def circuit_tree(c: CBlock) -> CircuitTerm:
-    """The tree of primitive circuit nodes that c stands for."""
+    """The tree of one-sort circuit generators that c stands for."""
     return CIRCUIT_BUILDERS[c.builder](*c.words)
 
 
@@ -113,19 +149,20 @@ def circuit_tree(c: CBlock) -> CircuitTerm:
 def _mono_vs_poly(u: Monomial, q: Polynomial) -> TapeTerm:
     """sigma+_{U,Q} : U (+) Q -> Q (+) U, one monomial of Q at a time."""
     return _right_fold(
-        q, lambda: TIdMon(u),
-        lambda w, q_rest, t: tseq(tsum(TSymPlus(u, w), id_tape(q_rest)),
-                                  tsum(TIdMon(w), t)))
+        q, id_tape(u),
+        lambda w, q_rest, t: tseq(tsum(symplus_tape(u, w), id_tape(q_rest)),
+                                  tsum(id_tape(w), t)))
 
 
 def _body(node: TBlock) -> TapeTerm:
-    """The definition of a block tape unfolded once: a term over
-    primitive nodes and the block tapes of smaller arguments."""
+    """The definition of a block tape that is not a generator unfolded
+    once: a term over generators and the block tapes of smaller
+    arguments."""
     builder, (p, *args) = node.builder, node.args
     if builder == "id_tape":
-        return TSum(id_tape(Polynomial(p[:-1])), TIdMon(p[-1]))
+        return TSum(id_tape(Polynomial(p[:-1])), id_tape(p[-1]))
     if builder == "cobang_tape":
-        return TSum(cobang_tape(Polynomial(p[:-1])), TCobang(p[-1]))
+        return TSum(cobang_tape(Polynomial(p[:-1])), cobang_tape(p[-1]))
     if builder == "nfold_codiag":
         return tseq(tsum(id_tape(p), nfold_codiag(p, args[0] - 1)),
                     codiag_tape(p))
@@ -138,12 +175,12 @@ def _body(node: TBlock) -> TapeTerm:
     u_poly = poly_of_mono(u)
     if builder == "symplus_tape":
         q, = args
-        return tseq(tsum(TIdMon(u), symplus_tape(p_rest, q)),
+        return tseq(tsum(id_tape(u), symplus_tape(p_rest, q)),
                     tsum(_mono_vs_poly(u, q), id_tape(p_rest)))
     if builder == "codiag_tape":
-        shuffle = tsum(TIdMon(u), symplus_tape(p_rest, u_poly),
+        shuffle = tsum(id_tape(u), symplus_tape(p_rest, u_poly),
                        id_tape(p_rest))
-        return tseq(shuffle, tsum(TCodiag(u), codiag_tape(p_rest)))
+        return tseq(shuffle, tsum(codiag_tape(u), codiag_tape(p_rest)))
     q, r, inverse = args    # the distributor
     head = tsum(id_tape(u_poly * (q + r)), distributor(p_rest, q, r, inverse))
     swap = (symplus_tape(p_rest * q, u_poly * r) if inverse
@@ -155,17 +192,17 @@ def _body(node: TBlock) -> TapeTerm:
 # --- the branching tapes by their step construction -----------------------------
 
 def op_inj_tree(op, p) -> TapeTerm:
-    """<f>_P one monomial at a time: f's ``TOpInj`` at each monomial of P,
+    """<f>_P one monomial at a time: f's branching at each monomial of P,
     side by side, then an inverse distributor that gathers the i-th
     branches of every monomial into the i-th copy of P."""
     def step(u: Monomial, p_rest: Polynomial, t: TapeTerm) -> TapeTerm:
         if p_rest.is_zero:
-            return TOpInj(op, u)
+            return op_inj_tape(op, u)
         n_ones = nfold_sum(poly_of_mono(ONE), op.arity)
-        return tseq(tsum(TOpInj(op, u), t),
+        return tseq(tsum(op_inj_tape(op, u), t),
                     distributor(n_ones, poly_of_mono(u), p_rest, inverse=True))
 
-    return _right_fold(as_poly(p), TIdZero, step)
+    return _right_fold(as_poly(p), id_tape(ZERO), step)
 
 
 def term_tree(term, p, context: int) -> TapeTerm:
@@ -194,7 +231,7 @@ def branching_tree(node: TTerm) -> TapeTerm:
     operation applied to its context's variables in order, which is what
     ``op_inj_tape`` builds at a polynomial, else the ``term_tree``."""
     term, p, n = node.term, node.poly, node.context
-    if term.__class__ is App and term.args == tuple(map(Var, range(1, n + 1))):
+    if is_applied(term, n):
         return op_inj_tree(term.op, p)
     return term_tree(term, p, n)
 
@@ -225,9 +262,9 @@ def whiskered(t: TapeTerm, steps: tuple) -> TapeTerm:
     """t whiskered by each step (left, U) of steps in turn, leaf by leaf:
     a composite by ``whisker_chain``, a block tape by its builder
     (``whiskered_call``), a circuit's tape beside the identity on U, and
-    any other primitive with each of its monomial fields whiskered
-    (U |> <t>_P = <t>_{UP} for a ``TTerm``).  A zero tape has no field,
-    so it whiskers to itself, and its full tree names no sort of U."""
+    a branching at the whiskered polynomial (U |> <t>_P = <t>_{UP}).
+    The identity on 0 whiskers to itself, and its full tree names no
+    sort of U."""
     for left, u in steps:
         if not u:
             continue
@@ -241,33 +278,36 @@ def whiskered(t: TapeTerm, steps: tuple) -> TapeTerm:
             t = TCirc(ctensor(ids, t.circuit) if left
                       else ctensor(t.circuit, ids))
         else:
-            x = poly_of_mono(u) if cls is TTerm else u     # a field's class
-            t = cls(*[(x * f if left else f * x) if f.__class__ is x.__class__
-                      else f for f in map(t.__dict__.get, t.__match_args__)])
+            x = poly_of_mono(u)
+            t = TTerm(t.term, x * t.poly if left else t.poly * x, t.context)
     return t
 
 
 # --- full trees -------------------------------------------------------------------
 
 def expand(t: Term) -> Term:
-    """The full tree of t: t with each block tape replaced by the tree of
-    its builder's inductive definition, each block circuit by its
-    ``circuit_tree``, each term's branching by its ``branching_tree``,
-    and each whiskered tape by the tree that whiskering its tape leaf by
-    leaf (``whiskered``) gives.  No node of it is a ``TBlock``, a
-    ``CBlock``, a ``TTerm`` or a ``TWhisker``."""
+    """The full tree of t: t with each block tape that is not a
+    generator replaced by the tree of its builder's inductive
+    definition, each such block circuit by its ``circuit_tree``, each
+    such branching by its ``branching_tree``, and each whiskered tape by
+    the tree that whiskering its tape leaf by leaf (``whiskered``)
+    gives.  Each ``TBlock``, ``CBlock`` and ``TTerm`` of it is a leaf
+    (``is_leaf``), and no node of it is a ``TWhisker``."""
     unfolded: dict = {}
 
     def unfold(node: TBlock | CBlock | TTerm | TWhisker) -> tuple:
-        """The children of a derived node in the walk: a block tape's
-        body, a block circuit's tree, a branching's tree, and the
+        """The children of a builder call in the walk: none for a
+        leaf, a block tape's body, a block circuit's tree, a branching's
+        tree, and the
         children of the composite a whiskered tape whiskers, each
         whiskered by its chain, or else the whiskered leaf, so that
         U |> (t <| V) is whiskered leaf by leaf, in order, down to how
         ``ctensor`` groups a circuit's factors."""
         kids = unfolded.get(node)
         if kids is None:
-            if node.__class__ is TBlock:
+            if is_leaf(node):
+                kids = ()
+            elif node.__class__ is TBlock:
                 kids = (_body(node),)
             elif node.__class__ is CBlock:
                 kids = (circuit_tree(node),)
@@ -285,7 +325,7 @@ def expand(t: Term) -> Term:
     def step(node, kids: tuple):
         cls = node.__class__
         if cls is TBlock or cls is CBlock or cls is TTerm:
-            return kids[0]
+            return kids[0] if kids else node
         if cls is TWhisker:     # a composite's two children, or the leaf
             return node.tape.__class__(*kids) if len(kids) == 2 else kids[0]
         if kids and kids != TERM_KIDS[cls](node):

@@ -1,8 +1,8 @@
 """The branching tapes against their step construction.
 
-``tape.TTerm`` (a term's branching at a polynomial) and ``tape.TOpInj``
-(an operation's at a monomial) are one leaf each, typed, evaluated and
-whiskered from their ``branch``.  The references are the step
+A ``tape.TTerm``, a term's branching at a polynomial, an operation's
+<f>_P too (the branching of f(x1, ..., xn)), is one leaf, typed,
+evaluated and whiskered from its ``branch``.  The references are the step
 construction of ``full_trees`` (a tape per variable and per operation
 of the term, and a distributor chain per operation over a polynomial),
 the weight vector computed densely node by node, and the stack of
@@ -27,7 +27,7 @@ from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import (Matrix, TheoryModel, branch_matrix, eval_vector,
                               model_for, op_matrix)
 from tapecalc.objects import Monomial, Polynomial, mono, poly
-from tapecalc.tape import (TOpInj, TTerm, TWhisker, op_inj_tape, tape_types,
+from tapecalc.tape import (TTerm, TWhisker, op_inj_tape, tape_types,
                            term_tape, whisker_left_mono, whisker_right_mono)
 from tapecalc.theory import (CM_PLUS, CM_ZERO, SIGMA_KIDS, STAR, Var,
                              builtin_theory, choice, operations)
@@ -119,8 +119,9 @@ def test_whiskering_a_branching_whiskers_its_polynomial():
         assert w is TWhisker(t, ((w.steps[0][0], u),))
         assert expand(w) is expand(term_tape(term, grown, 3))
         assert outcome(w, interp) == outcome(term_tape(term, grown, 3), interp)
-    assert op_inj_tape(CM_PLUS, p) is term_tape(CM_PLUS(Var(1), Var(2)), p, 2)
-    assert op_inj_tape(CM_PLUS, mono("A")) is TOpInj(CM_PLUS, mono("A"))
+    for q in (p, mono("A")):
+        assert op_inj_tape(CM_PLUS, q) is term_tape(CM_PLUS(Var(1), Var(2)),
+                                                    q, 2)
 
 
 def dense_vector(term, context, model):
@@ -200,8 +201,9 @@ def test_a_branching_keeps_its_weight_vector_per_model(data):
         p = Polynomial(data.draw(st.lists(monomials, min_size=1, max_size=3)))
         node = term_tape(draw_term(data, ops, context), p, context)
     else:
-        node = TOpInj(data.draw(st.sampled_from(ops)), data.draw(monomials))
-    assert isinstance(node, (TTerm, TOpInj))
+        node = op_inj_tape(data.draw(st.sampled_from(ops)),
+                           data.draw(monomials))
+    assert node.__class__ is TTerm
     term, dom, n = node.branch
     sig = MonSignature(SORTS)
     carriers = dict(zip(SORTS, data.draw(st.lists(

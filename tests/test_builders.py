@@ -12,6 +12,7 @@ are, are checked against the same calls on the full trees.
 
 import dataclasses
 import gc
+import inspect
 import itertools
 import time
 import weakref
@@ -24,9 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from tapecalc import circuit, hashcons, suites, tape
 from tapecalc import interp as interp_module
-from tapecalc.circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne,
-                              CIdSort, CSeq, CStructural, CSym, CTensor,
-                              MonSignature, cseq, ctensor)
+from tapecalc.circuit import (CBlock, CGen, CSeq, CTensor, MonSignature, cseq,
+                              ctensor)
 from tapecalc.errors import TapecalcError, TypeCheckError
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.render import render_svg
@@ -37,10 +37,9 @@ from tapecalc.objects import (ONE, Monomial, Polynomial, ZERO, mono, nfold_sum,
                               poly, poly_of_mono)
 from tapecalc.suites import (Freshener, SemEqResult, rand_poly, sem_eq,
                              standard_interpretation)
-from tapecalc.tape import (TERM_KIDS, Branching, TBlock, TCirc, TCobang,
-                           TCodiag, TIdMon, TIdZero, TOpInj, TSeq, TSum,
-                           TSymPlus, TWhisker, as_poly, tape_types, tseq,
-                           tsum, type_of_tape)
+from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TSeq, TSum, TTerm,
+                           TWhisker, as_poly, tape_types, tseq, tsum,
+                           type_of_tape)
 from tapecalc.theory import STAR, OpSymbol, Var, builtin_theory, choice
 
 from full_trees import (copier_circuit, discharger_circuit, expand,
@@ -48,13 +47,15 @@ from full_trees import (copier_circuit, discharger_circuit, expand,
 
 
 # --- the recursive references --------------------------------------------------
+#
+# Their leaves are the generators: each builder's call at one monomial.
 
 def ref_id_tape(p):
-    return tsum(*(TIdMon(u) for u in as_poly(p)))
+    return tsum(*(tape.id_tape(u) for u in as_poly(p)))
 
 
 def ref_cobang_tape(p):
-    return tsum(*(TCobang(u) for u in as_poly(p)))
+    return tsum(*(tape.cobang_tape(u) for u in as_poly(p)))
 
 
 def ref_symplus_tape(p, q):
@@ -62,34 +63,36 @@ def ref_symplus_tape(p, q):
 
     def mono_vs_poly(u, q):
         if q.is_zero:
-            return TIdMon(u)
+            return tape.id_tape(u)
         w, q_rest = q[0], Polynomial(q[1:])
-        return tseq(tsum(TSymPlus(u, w), ref_id_tape(q_rest)),
-                    tsum(TIdMon(w), mono_vs_poly(u, q_rest)))
+        return tseq(tsum(tape.symplus_tape(u, w), ref_id_tape(q_rest)),
+                    tsum(tape.id_tape(w), mono_vs_poly(u, q_rest)))
 
     if p.is_zero:
         return ref_id_tape(q)
     if q.is_zero:
         return ref_id_tape(p)
+    if len(p) == len(q) == 1:
+        return tape.symplus_tape(p, q)
     u, p_rest = p[0], Polynomial(p[1:])
-    return tseq(tsum(TIdMon(u), ref_symplus_tape(p_rest, q)),
+    return tseq(tsum(tape.id_tape(u), ref_symplus_tape(p_rest, q)),
                 tsum(mono_vs_poly(u, q), ref_id_tape(p_rest)))
 
 
 def ref_codiag_tape(p):
     p = as_poly(p)
-    if p.is_zero:
-        return TIdZero()
+    if len(p) < 2:
+        return tape.codiag_tape(p)
     u, p_rest = p[0], Polynomial(p[1:])
-    shuffle = tsum(TIdMon(u), ref_symplus_tape(p_rest, poly_of_mono(u)),
+    shuffle = tsum(tape.id_tape(u), ref_symplus_tape(p_rest, poly_of_mono(u)),
                    ref_id_tape(p_rest))
-    return tseq(shuffle, tsum(TCodiag(u), ref_codiag_tape(p_rest)))
+    return tseq(shuffle, tsum(tape.codiag_tape(u), ref_codiag_tape(p_rest)))
 
 
 def ref_distributor(p, q, r, inverse=False):
     p, q, r = as_poly(p), as_poly(q), as_poly(r)
     if p.is_zero:
-        return TIdZero()
+        return tape.id_tape(ZERO)
     u, p_rest = p[0], Polynomial(p[1:])
     u_poly = poly_of_mono(u)
     head = tsum(ref_id_tape(u_poly * (q + r)),
@@ -104,7 +107,7 @@ def ref_dl_nary(p, qs, inverse=False):
     p = as_poly(p)
     qs = [as_poly(q) for q in qs]
     if not qs:
-        return TIdZero()
+        return tape.id_tape(ZERO)
     if len(qs) == 1:
         return ref_id_tape(p * qs[0])
     q_rest = ZERO
@@ -118,7 +121,7 @@ def ref_dl_nary(p, qs, inverse=False):
 def ref_symtensor_tape(p, q):
     p, q = as_poly(p), as_poly(q)
     if q.is_zero:
-        return TIdZero()
+        return tape.id_tape(ZERO)
     v, q_rest = q[0], Polynomial(q[1:])
     blocks = tsum(*(TCirc(sym_circuit(u, v)) for u in p))
     return tseq(ref_distributor(p, poly_of_mono(v), q_rest),
@@ -128,12 +131,12 @@ def ref_symtensor_tape(p, q):
 def ref_op_inj_tape(op, p):
     p = as_poly(p)
     if p.is_zero:
-        return TIdZero()
+        return tape.id_tape(ZERO)
     if len(p) == 1:
-        return TOpInj(op, p[0])
+        return tape.op_inj_tape(op, p[0])
     u, p_rest = p[0], Polynomial(p[1:])
     n_ones = nfold_sum(poly_of_mono(ONE), op.arity)
-    return tseq(tsum(TOpInj(op, u), ref_op_inj_tape(op, p_rest)),
+    return tseq(tsum(tape.op_inj_tape(op, u), ref_op_inj_tape(op, p_rest)),
                 ref_distributor(n_ones, poly_of_mono(u), p_rest, inverse=True))
 
 
@@ -150,7 +153,7 @@ def ref_nfold_codiag(p, m):
 def ref_copier_tape(p):
     p = as_poly(p)
     if p.is_zero:
-        return TIdZero()
+        return tape.id_tape(ZERO)
     u, p_rest = p[0], Polynomial(p[1:])
     top = tsum(TCirc(copier_circuit(u)),
                ref_cobang_tape(poly_of_mono(u) * p_rest))
@@ -166,12 +169,12 @@ def ref_copier_tape(p):
 def ref_discharger_tape(p):
     p = as_poly(p)
     if p.is_zero:
-        return TCobang(ONE)
+        return tape.cobang_tape(ONE)
     u, p_rest = p[0], Polynomial(p[1:])
     if p_rest.is_zero:
         return TCirc(discharger_circuit(u))
     return tseq(tsum(TCirc(discharger_circuit(u)), ref_discharger_tape(p_rest)),
-                TCodiag(ONE))
+                tape.codiag_tape(ONE))
 
 
 # --- random calls --------------------------------------------------------------
@@ -589,7 +592,7 @@ def test_a_left_whiskered_circuit_or_composite_reads_no_sort_of_sig():
     a, b = mono("A"), mono("B")
     copier = TCirc(circuit.copier_circuit(a))
     composites = (copier, tsum(copier, TCirc(circuit.discharger_circuit(a))),
-                  tseq(tsum(copier, TIdMon(a)),
+                  tseq(tsum(copier, tape.id_tape(a)),
                        tape.symplus_tape(poly(("A", "A")), poly(("A",)))))
     interp = Interpretation(MonSignature(("B",), {}), {"B": 2, "A": 3}, {},
                             model)
@@ -617,16 +620,18 @@ that no leaf below holds."""
 @st.composite
 def leaf_tapes(draw):
     """A leaf of the walks: a block tape's builder call, one of the five
-    structural primitives, a structural circuit's tape, an operation's
-    branching at a monomial or a term's at a polynomial."""
+    structural generators (a block builder's call at one monomial), a
+    structural circuit's tape, an operation's branching at a monomial or
+    a term's at a polynomial."""
     kind = draw(st.sampled_from(("block", "primitive", "circuit", "branching")))
     u, v = draw(monomials), draw(monomials)
     if kind == "block":
         builder, args = draw(builder_calls())
         return builder(*args)
     if kind == "primitive":
-        return draw(st.sampled_from((TIdMon(u), TIdZero(), TSymPlus(u, v),
-                                     TCodiag(u), TCobang(u))))
+        return draw(st.sampled_from((
+            tape.id_tape(u), tape.id_tape(ZERO), tape.symplus_tape(u, v),
+            tape.codiag_tape(u), tape.cobang_tape(u))))
     if kind == "circuit":
         return TCirc(draw(st.sampled_from((
             circuit.identity_circuit(u), circuit.sym_circuit(u, v),
@@ -637,7 +642,7 @@ def leaf_tapes(draw):
     for _ in range(draw(st.integers(0, 3))):
         pool.append(op(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
     if draw(st.booleans()):
-        return TOpInj(op, u)
+        return tape.op_inj_tape(op, u)
     term = pool[-1] if context == 0 else draw(st.sampled_from(pool))
     return tape.term_tape(term, draw(polynomials), context)
 
@@ -726,7 +731,7 @@ def test_tensor_law_walks_few_nodes():
     lhs = tape.tensor_tape(c, f, sig)
     rhs = tseq(tape.tensor_tape(c, tape.id_tape(P), sig),
                tape.tensor_tape(tape.id_tape(P * P), f, sig))
-    assert len(postorder((expand(lhs), expand(rhs)), TERM_KIDS)[0]) == 21735
+    assert len(postorder((expand(lhs), expand(rhs)), TERM_KIDS)[0]) == 21255
     assert len(postorder((lhs, rhs), TERM_KIDS)[0]) <= 400
     assert sem_eq(lhs, rhs, interp).kind == "equal"
 
@@ -796,7 +801,7 @@ def test_a_law_and_its_control_weigh_their_term_tapes_once(monkeypatch):
         {n + "'": t for n, t in fresh.extra_sig.items()}, mats)
     sig = interp.sig
     branchings = {node for node in postorder((f, f_control), TERM_KIDS)[0]
-                  if isinstance(node, Branching)}
+                  if node.__class__ is TTerm}
     assert len(branchings) == 3
     calls = []
     eval_vector = interp_module.eval_vector
@@ -828,7 +833,7 @@ def test_copier_tensor_copier_walks_few_nodes():
     sig = MonSignature(("A", "B"), {})
     c = tape.copier_tape(P)
     t = tape.tensor_tape(c, c, sig)
-    assert len(postorder((expand(t),), TERM_KIDS)[0]) == 8644
+    assert len(postorder((expand(t),), TERM_KIDS)[0]) == 8581
     assert len(postorder((t,), TERM_KIDS)[0]) <= 70
 
 
@@ -922,10 +927,10 @@ def test_sem_eq_computes_each_block_layout_once(monkeypatch):
 
 def test_each_structural_circuit_computes_its_wires_once(monkeypatch):
     """Two sem_eq calls on terms holding every kind of structural circuit,
-    each primitive and a block of each builder, and a render of one side,
-    compute the wire map of each distinct structural circuit once, and
-    keep it on the node.  A node that other live terms share, such as
-    ``CIdOne()``, may have kept its wire map before."""
+    each builder's call at one sort and at longer words, and a render of
+    one side, compute the wire map of each distinct structural circuit
+    once, and keep it on the node.  A node that other live terms share,
+    such as the identity on 1, may have kept its wire map before."""
     gc.collect()
     hashcons._sweep()   # the keys of dead parents keep no earlier circuit alive
     calls = []
@@ -938,32 +943,35 @@ def test_each_structural_circuit_computes_its_wires_once(monkeypatch):
     sig = MonSignature(("X", "Y"))
     interp = Interpretation(sig, {"X": 2, "Y": 3}, {},
                             model_for(builtin_theory("CM")))
-    x, xy = mono("X"), mono("X", "Y")
+    x, y, xy = mono("X"), mono("Y"), mono("X", "Y")
     lhs = tsum(
-        TCirc(CSeq(CSym("X", "Y"), CSym("Y", "X"))),
-        TCirc(CSeq(CCopier("X"), CTensor(CIdSort("X"), CDischarger("X")))),
-        TCirc(CIdOne()),
+        TCirc(CSeq(circuit.sym_circuit(x, y), circuit.sym_circuit(y, x))),
+        TCirc(CSeq(circuit.copier_circuit(x),
+                   CTensor(circuit.identity_circuit(x),
+                           circuit.discharger_circuit(x)))),
+        TCirc(circuit.identity_circuit(ONE)),
         TCirc(cseq(circuit.copier_circuit(xy),
                    ctensor(circuit.identity_circuit(xy),
                            circuit.discharger_circuit(xy)))),
         TCirc(cseq(circuit.sym_circuit(xy, x), circuit.sym_circuit(x, xy))))
-    rhs = tsum(*map(TCirc, (circuit.identity_circuit(xy), CIdSort("X"),
-                            CIdOne(), circuit.identity_circuit(xy),
+    rhs = tsum(*map(TCirc, (circuit.identity_circuit(xy),
+                            circuit.identity_circuit(x),
+                            circuit.identity_circuit(ONE),
+                            circuit.identity_circuit(xy),
                             circuit.identity_circuit(xy * x))))
     nodes = [node for node in postorder((lhs, rhs), TERM_KIDS)[0]
-             if isinstance(node, CStructural)]
+             if isinstance(node, CBlock)]
     kept_before = {node for node in nodes if "wires" in node.__dict__}
     monkeypatch.setattr(circuit, "wire_map", counting)
     for _ in range(2):
         assert sem_eq(lhs, rhs, interp).kind == "equal"
     render_svg(lhs, sig)
-    assert {node.call[0] for node in nodes if isinstance(node, CBlock)} == {
-        "sym_circuit", "copier_circuit", "discharger_circuit",
-        "identity_circuit"}
-    assert {node.__class__ for node in nodes} == {
-        CBlock, CIdSort, CIdOne, CSym, CCopier, CDischarger}
+    assert {(node.builder, max(map(len, node.words))) for node in nodes} == {
+        (builder, n) for builder in ("sym_circuit", "copier_circuit",
+                                     "discharger_circuit", "identity_circuit")
+        for n in (1, 2)} | {("identity_circuit", 0), ("identity_circuit", 3)}
     assert len(calls) == len(set(calls))
-    assert set(calls) == {node.call for node in nodes
+    assert set(calls) == {(node.builder, *node.words) for node in nodes
                           if node not in kept_before}
     assert all("wires" in node.__dict__ for node in nodes)
 
@@ -1085,7 +1093,7 @@ def test_whiskered_ill_typed_tape_fails_at_the_composition_it_whiskers():
     the whiskered copy of that composition."""
     sig = MonSignature(("A", "B"), {})
     t = tape.whisker_left_mono(
-        mono("B"), TSeq(TIdMon(mono("A")), TIdMon(mono("B"))))
+        mono("B"), TSeq(tape.id_tape(mono("A")), tape.id_tape(mono("B"))))
     assert isinstance(t, TWhisker) and TERM_KIDS[TWhisker](t) == (t.tape,)
     assert outcome(tape_types, (t,), sig) == (
         TypeCheckError, "tape composition mismatch: A vs B")
@@ -1098,14 +1106,15 @@ def test_a_hand_built_tree_and_its_block_tape_share_a_full_tree():
     gives a whiskered tape; id_tape at the whiskered polynomial gives
     another node, a leaf of the walks, with the same full tree."""
     a, b, u = mono("Hand1"), mono("Hand2"), mono("Hand3")
-    w = tape.whisker_left_mono(u, tsum(TIdMon(a), TIdMon(b)))
+    w = tape.whisker_left_mono(u, tsum(tape.id_tape(a), tape.id_tape(b)))
     assert isinstance(w, TWhisker)
     p = Polynomial((u * a, u * b))
     block = tape.id_tape(p)
     assert block is not w
     assert (block.builder, block.args) == ("id_tape", (p,))
     assert TERM_KIDS.get(TBlock) is None
-    assert expand(block) is expand(w) is tsum(TIdMon(u * a), TIdMon(u * b))
+    assert expand(block) is expand(w) is tsum(tape.id_tape(u * a),
+                                              tape.id_tape(u * b))
 
 
 TAPE_TREE = {TSeq: lambda t: (t.first, t.second),
@@ -1113,7 +1122,8 @@ TAPE_TREE = {TSeq: lambda t: (t.first, t.second),
 
 
 def ref_whisker_mono(t, u, left):
-    """U |> t if left, else t <| U, node by node over the full tree t."""
+    """U |> t if left, else t <| U, node by node over the full tree t,
+    a generator at its whiskered monomials."""
     def times(m):
         return u * m if left else m * u
 
@@ -1121,17 +1131,15 @@ def ref_whisker_mono(t, u, left):
         cls = node.__class__
         if kids:
             return cls(*kids)
-        if cls is TIdZero:
-            return node
         if cls is TCirc:
             i = identity_circuit(u)
             return TCirc(ctensor(i, node.circuit) if left
                          else ctensor(node.circuit, i))
-        if cls is TSymPlus:
-            return TSymPlus(times(node.left), times(node.right))
-        if cls is TOpInj:
-            return TOpInj(node.op, times(node.mono))
-        return cls(times(node.mono))
+        if cls is TTerm:
+            return TTerm(node.term, Polynomial(map(times, node.poly)),
+                         node.context)
+        return getattr(tape, node.builder)(
+            *[Polynomial(map(times, p)) for p in node.args])
 
     return hashcons.fold((t,), TAPE_TREE, step)[0]
 
@@ -1202,14 +1210,66 @@ def test_each_builder_call_is_its_own_node():
     assert dl is not codiag
     assert (dl.builder, dl.args) == ("dl_nary", (ZERO, (a, b), False))
     assert (codiag.builder, codiag.args) == ("nfold_codiag", (ZERO, 2))
-    assert expand(dl) is expand(codiag) is TSeq(TIdZero(), TIdZero())
+    id0 = tape.id_tape(ZERO)
+    assert expand(dl) is expand(codiag) is TSeq(id0, id0)
     interp = interpretation_over((2, 2, 2))
     for t in (dl, codiag):
         for w in (t, tape.whisker_left_mono(u, t),
                   tape.whisker_right_mono(t, u)):
             assert w is t or w.tape is t
             assert type_of_tape(w, interp.sig) == (ZERO, ZERO)
-            assert eval_tape(w, interp) == eval_tape(TIdZero(), interp)
+            assert eval_tape(w, interp) == eval_tape(id0, interp)
+
+
+THEORY_OPS = (*builtin_theory("PCA", (Fraction(1, 2), Fraction(1, 3))).ops,
+              *builtin_theory("CM").ops)
+
+
+@given(u=monomials, v=monomials, a=st.sampled_from(SORTS),
+       b=st.sampled_from(SORTS), op=st.sampled_from(THEORY_OPS))
+@settings(max_examples=200, deadline=None)
+def test_a_generator_is_its_builder_call(u, v, a, b, op):
+    """A generator is its builder's call at one monomial (one sort), one
+    node: each name of a generator returns the builder's node, each tape
+    generator is a ``TBlock`` or a ``TTerm`` and each circuit generator
+    a ``CBlock``, so each equal pair walks as one node."""
+    a1, b1 = Monomial((a,)), Monomial((b,))
+    applied = op(*map(Var, range(1, op.arity + 1)))
+    pairs = ((tape.TCodiag(u), tape.codiag_tape(u)),
+             (tape.TIdMon(u), tape.id_tape(u)),
+             (tape.TOpInj(op, u), tape.term_tape(applied, u, op.arity)),
+             (tape.TOpInj(op, u), tape.op_inj_tape(op, poly_of_mono(u))),
+             (circuit.CSym(a, b), circuit.sym_circuit(a1, b1)),
+             (circuit.CCopier(a), circuit.copier_circuit(a1)),
+             (circuit.CIdSort(a), circuit.identity_circuit(a1)))
+    for x, y in pairs:
+        assert x is y
+        assert len(postorder((x, y), TERM_KIDS)[0]) == 1
+    assert tape.TOpInj(op, u).__class__ is TTerm
+    for t in (tape.symplus_tape(u, v), tape.cobang_tape(u), tape.id_tape(u),
+              tape.codiag_tape(u), tape.id_tape(ZERO)):
+        assert t.__class__ is TBlock
+    for c in (circuit.sym_circuit(a1, b1), circuit.copier_circuit(a1),
+              circuit.discharger_circuit(a1), circuit.identity_circuit(a1),
+              circuit.identity_circuit(ONE)):
+        assert c.__class__ is CBlock
+
+
+def test_the_node_classes_are_the_builder_calls_and_composites():
+    """The tape nodes are the composites and one class per kind of
+    builder call; the names of the generators are plain functions."""
+    def node_classes(module, base):
+        return {cls for cls in vars(module).values() if isinstance(cls, type)
+                and issubclass(cls, base) and cls is not base}
+
+    assert node_classes(tape, tape.TapeTerm) == {
+        TCirc, TSeq, TSum, TTerm, TBlock, TWhisker}
+    assert node_classes(circuit, circuit.CircuitTerm) == {
+        CGen, CSeq, CTensor, CBlock}
+    for name in ("TIdMon", "TCodiag", "TOpInj"):
+        assert inspect.isfunction(getattr(tape, name)), name
+    for name in ("CIdSort", "CSym", "CCopier"):
+        assert inspect.isfunction(getattr(circuit, name)), name
 
 
 def law_sides(sig, f):

@@ -1,9 +1,10 @@
 """Circuit typing and the derived structural circuits.
 
 ``sym_circuit``, ``copier_circuit``, ``discharger_circuit`` and
-``identity_circuit`` return one ``CBlock`` node, their call, or the one
-primitive node that their tree is.  The references are the trees the
-inductive clauses build (``full_trees``).  A block circuit agrees with its
+``identity_circuit`` return one ``CBlock`` node, their call, at one sort
+as at many; a call with nothing to do returns the identity on 1.  The
+references are the trees the inductive clauses build (``full_trees``),
+whose leaves are the one-sort calls.  A block circuit agrees with its
 tree when both have the same type, the same matrix, the same first error
 (class and text) and the same whiskerings, over words of 0 to 3 sorts
 and carriers of 0 to 3 elements.
@@ -16,9 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapecalc import circuit, hashcons
-from tapecalc.circuit import (CIRCUIT_KIDS, CBlock, CCopier, CDischarger,
-                              CGen, CIdOne, CIdSort, CSeq, CTensor,
-                              MonSignature, copier_circuit, ctensor,
+from tapecalc.circuit import (CBlock, CGen, CSeq, CTensor, MonSignature,
+                              copier_circuit, ctensor,
                               discharger_circuit, identity_circuit,
                               sym_circuit, type_of_circuit)
 from tapecalc.errors import (TapecalcError, TypeCheckError,
@@ -57,11 +57,13 @@ def test_generator_type():
 
 
 def test_id_one_type():
-    assert type_of_circuit(CIdOne(), SIG) == (ONE, ONE)
+    assert type_of_circuit(identity_circuit(ONE), SIG) == (ONE, ONE)
 
 
 def test_copier_then_discard_type():
-    c = CSeq(CCopier("A"), CTensor(CIdSort("A"), CDischarger("A")))
+    a = mono("A")
+    c = CSeq(copier_circuit(a),
+             CTensor(identity_circuit(a), discharger_circuit(a)))
     assert type_of_circuit(c, SIG) == (mono("A"), mono("A"))
 
 
@@ -71,15 +73,15 @@ def test_type_errors():
     with pytest.raises(TypeCheckError):
         type_of_circuit(CSeq(CGen("AND"), CGen("AND")), SIG)
     with pytest.raises(UnknownSortError):
-        type_of_circuit(CIdSort("Z"), SIG)
+        type_of_circuit(identity_circuit(mono("Z")), SIG)
 
 
 def test_sym_base_cases():
     w = mono("A", "B")
     assert sym_circuit(ONE, w) == identity_circuit(w)
     assert sym_circuit(w, ONE) == identity_circuit(w)
-    assert copier_circuit(ONE) == CIdOne()
-    assert discharger_circuit(ONE) == CIdOne()
+    assert copier_circuit(ONE) is identity_circuit(ONE)
+    assert discharger_circuit(ONE) is identity_circuit(ONE)
 
 
 def count_constructions(build):
@@ -200,12 +202,14 @@ def same_matrix(got, expected):
 @given(call=calls)
 @settings(max_examples=300, deadline=None)
 def test_a_call_is_one_block_or_its_one_primitive_node(call):
+    """One ``CBlock``, a leaf of the full trees exactly when its words
+    have at most one sort each, and then its own tree."""
     builder, args = call
     c = getattr(circuit, builder)(*args)
     tree = getattr(full_trees, builder)(*args)
-    if tree.__class__ in CIRCUIT_KIDS:
-        assert c.__class__ is CBlock
-    else:
+    assert c.__class__ is CBlock
+    assert full_trees.is_leaf(c) == all(len(w) <= 1 for w in args)
+    if full_trees.is_leaf(c):
         assert c is tree
     assert expand(c) is tree
 

@@ -9,7 +9,7 @@ import pytest
 from tapecalc.frontend.cli import main
 from tapecalc.objects import mono
 from tapecalc.suites import Freshener, _check_instance, standard_interpretation
-from tapecalc.tape import TCirc, TCodiag, TOpInj, id_tape, tseq
+from tapecalc.tape import TCirc, codiag_tape, id_tape, op_inj_tape, tseq
 from tapecalc.theory import choice
 
 A = mono("A")
@@ -36,8 +36,8 @@ def test_check_instance_fail_carries_a_repro_witness():
     fresh = Freshener(INTERP, Random(0))
     g = TCirc(fresh.circuit(A, A))
     pad = (g, id_tape(A)) * 3
-    lhs = tseq(*pad, TOpInj(choice(Fraction(1, 2)), A))
-    rhs = tseq(*pad, TOpInj(choice(Fraction(1, 3)), A))
+    lhs = tseq(*pad, op_inj_tape(choice(Fraction(1, 2)), A))
+    rhs = tseq(*pad, op_inj_tape(choice(Fraction(1, 3)), A))
     result = _check_instance("law", "P=A#0", fresh.interp(), lhs, rhs)
     assert not result.ok
     assert result.instance == "law[P=A#0]"
@@ -56,15 +56,16 @@ def test_check_instance_fail_carries_a_repro_witness():
 
 def test_check_instance_short_terms_are_not_clipped():
     fresh = Freshener(INTERP, Random(0))
-    lhs = TOpInj(choice(Fraction(1, 2)), A)
-    rhs = TOpInj(choice(Fraction(1, 3)), A)
+    lhs = op_inj_tape(choice(Fraction(1, 2)), A)
+    rhs = op_inj_tape(choice(Fraction(1, 3)), A)
     result = _check_instance("law", "x", fresh.interp(), lhs, rhs)
     assert result.witness.endswith(f"gens[] lhs={lhs!r} rhs={rhs!r}")
 
 
 def test_check_instance_type_error():
     fresh = Freshener(INTERP, Random(0))
-    result = _check_instance("law", "x", fresh.interp(), TCodiag(A), TCodiag(mono("B")))
+    result = _check_instance("law", "x", fresh.interp(), codiag_tape(A),
+                             codiag_tape(mono("B")))
     assert not result.ok
     assert result.witness.startswith("type error: type mismatch: ")
 

@@ -14,8 +14,8 @@ from tapecalc.frontend import surface as S
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.parser import parse_module, parse_object_expr
 from tapecalc.frontend.surface import elaborate, print_module
-from tapecalc.objects import mono, normalize
-from tapecalc.tape import TCirc, TIdZero, type_of_tape
+from tapecalc.objects import ZERO, mono, normalize
+from tapecalc.tape import TCirc, id_tape, type_of_tape
 
 CORPUS = sorted((Path(__file__).parent.parent / "corpus").glob("*.tape"))
 BOOL = Path(__file__).parent.parent / "corpus" / "bool_gates.tape"
@@ -37,7 +37,7 @@ def test_gen_declaration():
 def test_id0_def():
     module = parse_module("def d = id0;\n")
     tape = elaborate(module.defs["d"], module)
-    assert isinstance(tape, TIdZero)
+    assert tape is id_tape(ZERO)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)

@@ -14,84 +14,85 @@ import pickle
 import sys
 import weakref
 from fractions import Fraction
+from itertools import chain
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapecalc import hashcons, kleisli, suites
-from tapecalc.circuit import (CBlock, CCopier, CDischarger, CGen, CIdOne,
-                              CIdSort, CSeq, CSym, CTensor, CircuitTerm,
-                              MonSignature, type_of_circuit)
+from tapecalc.circuit import (CBlock, CGen, CSeq, CTensor, CircuitTerm,
+                              MonSignature, copier_circuit,
+                              discharger_circuit, identity_circuit,
+                              sym_circuit, type_of_circuit)
 from tapecalc.errors import ModelError, TapecalcError, TypeCheckError
 from tapecalc.frontend.render import render_svg
 from tapecalc.hashcons import fold, postorder
 from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import Matrix, model_for, op_matrix
-from tapecalc.objects import (Monomial, ZERO, mono, nfold_sum, poly,
-                              poly_of_mono)
+from tapecalc.objects import (ONE, Monomial, Polynomial, ZERO, mono,
+                              nfold_sum, poly, poly_of_mono)
 from tapecalc.suites import (Freshener, SemEqResult, SuiteBounds, axiom_suite,
                              lemma_suite, rand_poly, sem_eq,
                              standard_interpretation)
-from tapecalc.tape import (TERM_KIDS, TCirc, TCobang, TCodiag, TIdMon,
-                           TIdZero, TOpInj, TSeq, TSum, TSymPlus, distributor,
-                           id_tape, tensor_tape, tseq, tsum,
-                           type_of_tape, whisker_left, whisker_left_mono, whisker_right,
-                           whisker_right_mono)
+from tapecalc.tape import (TERM_KIDS, TBlock, TCirc, TSeq, TSum, TTerm,
+                           cobang_tape, codiag_tape, distributor, id_tape,
+                           op_inj_tape, symplus_tape, tensor_tape, tseq, tsum,
+                           type_of_tape, whisker_left, whisker_left_mono,
+                           whisker_right, whisker_right_mono)
 from tapecalc.theory import OpSymbol, builtin_theory
 
 from full_trees import expand
 
 
 # --- the tree-recursive reference evaluator ------------------------------------
+#
+# A full tree's leaves are generators, each a builder's call at one
+# monomial (one sort): each is read here by the rule of its builder.
 
 def ref_eval_circuit(c, interp):
-    if isinstance(c, CIdSort):
-        return Matrix.identity(interp.sort_size(c.sort))
-    if isinstance(c, CIdOne):
-        return Matrix.identity(1)
+    if isinstance(c, CBlock):
+        sizes = [interp.sort_size(s) for s in chain.from_iterable(c.words)]
+        if c.builder == "identity_circuit":
+            return Matrix.identity(*sizes or [1])
+        if c.builder == "sym_circuit":
+            return kleisli.sym_tensor(*sizes)
+        if c.builder == "copier_circuit":
+            return kleisli.copier(*sizes)
+        return kleisli.discharger(*sizes)
     if isinstance(c, CGen):
         interp.sig.gen_type(c.name)
         try:
             return interp.gen_matrices[c.name]
         except KeyError:
             raise ModelError(f"generator {c.name} has no matrix")
-    if isinstance(c, CSym):
-        return kleisli.sym_tensor(interp.sort_size(c.left),
-                                  interp.sort_size(c.right))
     if isinstance(c, CSeq):
         return ref_eval_circuit(c.first, interp).then(
             ref_eval_circuit(c.second, interp))
     if isinstance(c, CTensor):
         return ref_eval_circuit(c.top, interp).tensor(
             ref_eval_circuit(c.bottom, interp))
-    if isinstance(c, CCopier):
-        return kleisli.copier(interp.sort_size(c.sort))
-    if isinstance(c, CDischarger):
-        return kleisli.discharger(interp.sort_size(c.sort))
     raise ModelError(f"not a circuit term: {c!r}")
 
 
 def ref_eval_tape(t, interp):
-    if isinstance(t, TIdMon):
-        return Matrix.identity(interp.mono_size(t.mono))
-    if isinstance(t, TIdZero):
-        return Matrix.identity(0)
+    if isinstance(t, TBlock):
+        sizes = [interp.mono_size(u) for u in chain.from_iterable(t.args)]
+        if t.builder == "id_tape":
+            return Matrix.identity(sum(sizes))
+        if t.builder == "symplus_tape":
+            return kleisli.sym_plus(*sizes)
+        if t.builder == "cobang_tape":
+            return kleisli.cobang(*sizes)
+        return kleisli.codiag(*sizes)
     if isinstance(t, TCirc):
         return ref_eval_circuit(t.circuit, interp)
-    if isinstance(t, TSymPlus):
-        return kleisli.sym_plus(interp.mono_size(t.left),
-                                interp.mono_size(t.right))
     if isinstance(t, TSeq):
         return ref_eval_tape(t.first, interp).then(ref_eval_tape(t.second, interp))
     if isinstance(t, TSum):
         return ref_eval_tape(t.top, interp).oplus(ref_eval_tape(t.bottom, interp))
-    if isinstance(t, TCobang):
-        return kleisli.cobang(interp.mono_size(t.mono))
-    if isinstance(t, TCodiag):
-        return kleisli.codiag(interp.mono_size(t.mono))
-    if isinstance(t, TOpInj):
-        return op_matrix(t.op, interp.model, interp.mono_size(t.mono))
+    if isinstance(t, TTerm):
+        return op_matrix(t.term.op, interp.model, interp.mono_size(t.poly[0]))
     raise ModelError(f"not a tape term: {t!r}")
 
 
@@ -111,21 +112,17 @@ def ref_type_circuit(c, sig):
         dom1, cod1 = ref_type_circuit(c.top, sig)
         dom2, cod2 = ref_type_circuit(c.bottom, sig)
         return dom1 * dom2, cod1 * cod2
-    if isinstance(c, CIdSort):
-        sig.check_sorts((c.sort,))
-        return mono(c.sort), mono(c.sort)
-    if isinstance(c, CIdOne):
-        return mono(), mono()
-    if isinstance(c, CSym):
-        sig.check_sorts((c.left,))
-        sig.check_sorts((c.right,))
-        return mono(c.left, c.right), mono(c.right, c.left)
-    if isinstance(c, CCopier):
-        sig.check_sorts((c.sort,))
-        return mono(c.sort), mono(c.sort, c.sort)
-    if isinstance(c, CDischarger):
-        sig.check_sorts((c.sort,))
-        return mono(c.sort), mono()
+    if isinstance(c, CBlock):
+        u = mono(*chain.from_iterable(c.words))
+        for s in u:     # for a symmetry, the left sort before the right
+            sig.check_sorts((s,))
+        if c.builder == "identity_circuit":
+            return u, u
+        if c.builder == "sym_circuit":
+            return u, Monomial(u[::-1])
+        if c.builder == "copier_circuit":
+            return u, u * u
+        return u, mono()
     raise TypeCheckError(f"not a circuit term: {c!r}")
 
 
@@ -143,23 +140,19 @@ def ref_type_tape(t, sig):
     if isinstance(t, TCirc):
         dom, cod = ref_type_circuit(t.circuit, sig)
         return poly_of_mono(dom), poly_of_mono(cod)
-    if isinstance(t, TIdMon):
-        for s in t.mono:
-            sig.check_sorts((s,))
-        return poly_of_mono(t.mono), poly_of_mono(t.mono)
-    if isinstance(t, TSymPlus):
-        p, q = poly_of_mono(t.left), poly_of_mono(t.right)
-        return p + q, q + p
-    if isinstance(t, TCodiag):
-        p = poly_of_mono(t.mono)
-        return p + p, p
-    if isinstance(t, TCobang):
-        return ZERO, poly_of_mono(t.mono)
-    if isinstance(t, TOpInj):
-        p = poly_of_mono(t.mono)
-        return p, nfold_sum(p, t.op.arity)
-    if isinstance(t, TIdZero):
-        return ZERO, ZERO
+    if isinstance(t, TBlock):
+        p = Polynomial(chain.from_iterable(t.args))
+        if t.builder == "id_tape":
+            for s in chain.from_iterable(p):
+                sig.check_sorts((s,))
+            return p, p
+        if t.builder == "symplus_tape":
+            return p, Polynomial(p[::-1])
+        if t.builder == "codiag_tape":
+            return p + p, p
+        return ZERO, p
+    if isinstance(t, TTerm):
+        return t.poly, nfold_sum(t.poly, t.context)
     raise TypeCheckError(f"not a tape term: {t!r}")
 
 
@@ -270,7 +263,7 @@ def test_sem_eq_type_error_wins_over_missing_matrix():
     which has no matrix, and the rhs is ill-typed."""
     interp = one_sort_interpretation({})
     lhs = TCirc(CGen("F"))
-    rhs = TSeq(TCirc(CGen("F")), TIdZero())
+    rhs = TSeq(TCirc(CGen("F")), id_tape(ZERO))
     with pytest.raises(ModelError):
         eval_tape(lhs, interp)
     result = sem_eq(lhs, rhs, interp)
@@ -281,8 +274,8 @@ def test_sem_eq_type_error_wins_over_missing_matrix():
 
 def test_sem_eq_reports_the_lhs_type_error_first():
     interp = one_sort_interpretation({"F": Matrix.identity(2)})
-    lhs = TSum(TCirc(CGen("F")), TSeq(TIdMon(mono("A")), TIdZero()))
-    rhs = TSeq(TIdZero(), TCirc(CGen("F")))
+    lhs = TSum(TCirc(CGen("F")), TSeq(id_tape(mono("A")), id_tape(ZERO)))
+    rhs = TSeq(id_tape(ZERO), TCirc(CGen("F")))
     result = sem_eq(lhs, rhs, interp)
     assert result.message == "tape composition mismatch: A vs 0"
     assert sem_eq(rhs, lhs, interp).message == \
@@ -303,7 +296,7 @@ def test_sem_eq_evaluates_a_shared_subterm_once(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Matrix, "then", counted)
-    result = sem_eq(TSum(shared, TIdZero()), shared, interp)
+    result = sem_eq(TSum(shared, id_tape(ZERO)), shared, interp)
     assert result.equal and len(calls) == 1
 
 
@@ -362,8 +355,9 @@ def test_typer_matches_reference(model, seed):
     if rng.random() < 0.7:
         target = rng.choice(tape_nodes(t))
         x = rng.choice([lambda: fresh.tape(random_poly(rng), random_poly(rng)),
-                        lambda: TIdMon(mono("A", "C")),
-                        lambda: TCirc(CSeq(CIdSort("A"), CGen("unknown")))])()
+                        lambda: id_tape(mono("A", "C")),
+                        lambda: TCirc(CSeq(identity_circuit(mono("A")),
+                                           CGen("unknown")))])()
         t = splice(t, target, TSeq(target, x))
     sig = fresh.sig if rng.random() < 0.8 else fresh.base.sig
     expected = outcome(ref_type_tape, expand(t), sig)
@@ -388,15 +382,16 @@ def test_type_error_texts():
     polynomial as 0 and the unit monomial as 1."""
     sig = MonSignature(("A", "B"), {"F": (mono("A"), mono("B"))})
     cases = [
-        (TSeq(TIdZero(), TCodiag(mono("A"))),
+        (TSeq(id_tape(ZERO), codiag_tape(mono("A"))),
          "tape composition mismatch: 0 vs A (+) A"),
-        (TSeq(TCirc(CGen("F")), TCobang(mono("B", "A"))),
+        (TSeq(TCirc(CGen("F")), cobang_tape(mono("B", "A"))),
          "tape composition mismatch: B vs 0"),
-        (TSeq(TSymPlus(mono(), mono("A", "B")), TIdMon(mono("A", "B"))),
+        (TSeq(symplus_tape(mono(), mono("A", "B")), id_tape(mono("A", "B"))),
          "tape composition mismatch: AB (+) 1 vs AB"),
-        (TCirc(CSeq(CIdOne(), CGen("F"))),
+        (TCirc(CSeq(identity_circuit(ONE), CGen("F"))),
          "circuit composition mismatch: 1 vs A"),
-        (TCirc(CSeq(CTensor(CGen("F"), CIdSort("A")), CCopier("B"))),
+        (TCirc(CSeq(CTensor(CGen("F"), identity_circuit(mono("A"))),
+                    copier_circuit(mono("B")))),
          "circuit composition mismatch: BA vs B"),
     ]
     for t, text in cases:
@@ -405,9 +400,10 @@ def test_type_error_texts():
         assert str(exc.value) == text
     interp = one_sort_interpretation({})
     plus = OpSymbol("+", 2)
-    results = [sem_eq(TIdMon(mono("A")), TCobang(mono("A")), interp),
-               sem_eq(TIdMon(mono()), TIdZero(), interp),
-               sem_eq(TCodiag(mono("A", "A")), TOpInj(plus, mono()), interp)]
+    results = [sem_eq(id_tape(mono("A")), cobang_tape(mono("A")), interp),
+               sem_eq(id_tape(mono()), id_tape(ZERO), interp),
+               sem_eq(codiag_tape(mono("A", "A")), op_inj_tape(plus, mono()),
+                      interp)]
     assert [r.message for r in results] == [
         "type mismatch: A -> A vs 0 -> A",
         "type mismatch: 1 -> 1 vs 0 -> 0",
@@ -419,16 +415,16 @@ def test_type_errors_match_reference():
     sig = MonSignature(("A", "B"), {"F": (mono("A"), mono("B"))})
     cases = [
         TSeq(TCirc(CGen("F")), TCirc(CGen("F"))),
-        TSum(TIdMon(mono("C")), TCirc(CGen("G"))),
+        TSum(id_tape(mono("C")), TCirc(CGen("G"))),
         TCirc(CSeq(CGen("F"), CGen("F"))),
-        TCirc(CTensor(CSym("A", "C"), CGen("F"))),
-        TSeq(TIdZero(), TCodiag(mono("A"))),
+        TCirc(CTensor(sym_circuit(mono("A"), mono("C")), CGen("F"))),
+        TSeq(id_tape(ZERO), codiag_tape(mono("A"))),
         CGen("F"),
-        TCirc(CIdSort("C")),
-        TCirc(CTensor(CIdOne(), CIdSort("C"))),
-        TCirc(CSym("D", "C")),
-        TCirc(CCopier("C")),
-        TCirc(CDischarger("C")),
+        TCirc(identity_circuit(mono("C"))),
+        TCirc(CTensor(identity_circuit(ONE), identity_circuit(mono("C")))),
+        TCirc(sym_circuit(mono("D"), mono("C"))),
+        TCirc(copier_circuit(mono("C"))),
+        TCirc(discharger_circuit(mono("C"))),
         TCirc(CBlock("identity_circuit", (mono("A", "C"),))),
         TCirc(CBlock("sym_circuit", (mono("A", "B"), mono("C")))),
         TCirc(CBlock("copier_circuit", (mono("B", "C"),))),
@@ -444,24 +440,27 @@ def test_type_errors_match_reference():
 # --- hash-consing -------------------------------------------------------------
 
 def test_equal_constructions_are_identical():
-    a = TSeq(TCirc(CGen("f")), TIdMon(mono("A", "B")))
+    ab = poly(("A", "B"))
+    a = TSeq(TCirc(CGen("f")), id_tape(ab))
     b = TSeq(first=TCirc(circuit=CGen(name="f")),
-             second=TIdMon(mono=mono("A", "B")))
+             second=TBlock(builder="id_tape", args=(ab,)))
+    zero = id_tape(ZERO)
     assert a is b
     assert dataclasses.replace(a) is a
-    assert dataclasses.replace(a, second=TIdMon(mono("A", "B"))) is a
-    assert dataclasses.replace(a, first=TIdZero()) is TSeq(TIdZero(), a.second)
+    assert dataclasses.replace(a, second=id_tape(mono("A", "B"))) is a
+    assert dataclasses.replace(a, first=zero) is TSeq(zero, a.second)
     assert copy.copy(a) is a and copy.deepcopy(a) is a
     assert pickle.loads(pickle.dumps(a)) is a
     assert a == b and hash(a) == hash(b)
-    assert TSeq(TIdZero(), TIdZero()) != TSum(TIdZero(), TIdZero())
+    assert TSeq(zero, zero) != TSum(zero, zero)
     assert repr(a) == ("TSeq(first=TCirc(circuit=CGen(name='f')), "
-                       "second=TIdMon(mono=Monomial(sorts=('A', 'B'))))")
-    for bad in ((TIdZero(),), (TIdZero(), TIdZero(), TIdZero())):
+                       "second=TBlock(builder='id_tape', args=(Polynomial("
+                       "monomials=(Monomial(sorts=('A', 'B')),)),)))")
+    for bad in ((zero,), (zero, zero, zero)):
         with pytest.raises(TypeError):
             TSeq(*bad)
     with pytest.raises(TypeError):
-        TSeq(TIdZero(), third=TIdZero())
+        TSeq(zero, third=zero)
 
 
 def test_a_fresh_import_replaces_the_collection_callback():
@@ -521,7 +520,8 @@ def test_deep_chain_types_and_evaluates():
     interp = Interpretation(sig, {"A": 2},
                             {"S": Matrix.from_rows([[0, 1], [1, 0]])},
                             model_for(builtin_theory("CM")))
-    steps = [TCirc(CSeq(CGen("S"), CIdSort("A"))) for _ in range(20000)]
+    steps = [TCirc(CSeq(CGen("S"), identity_circuit(mono("A"))))
+             for _ in range(20000)]
     chain = tseq(*steps)
     assert type_of_tape(chain, sig) == (poly(("A",)), poly(("A",)))
     assert eval_tape(chain, interp) == Matrix.identity(2)
@@ -568,8 +568,8 @@ def test_fold_drops_each_value_after_its_last_use():
 
 
 def test_fold_returns_the_roots_values_in_roots_order():
-    shared = TSeq(TCirc(CGen("F")), TIdMon(mono("A")))
-    roots = (TSum(shared, TIdZero()), shared, TCirc(CGen("F")), shared)
+    shared = TSeq(TCirc(CGen("F")), id_tape(mono("A")))
+    roots = (TSum(shared, id_tape(ZERO)), shared, TCirc(CGen("F")), shared)
     walk = postorder(roots, TERM_KIDS)
     uses = dict(walk[1])
 
@@ -604,20 +604,33 @@ def test_polynomial_whiskering_is_the_sum_of_monomial_ones(model, seed):
 
 @pytest.mark.parametrize("model", ["PCA", "CM"])
 def test_every_monomial_field_is_a_monomial(monkeypatch, model):
-    """A Monomial equals the plain tuple of its sort names, and the intern
-    table compares keys with ==, so a node built from a plain tuple would
-    be handed back for the equal Monomial and print without it.  The
-    suites construct every node with a real Monomial in each monomial
-    field, and every live node holds one (all are kept alive for the
-    check)."""
-    fields = {TIdMon: ("mono",), TCobang: ("mono",), TCodiag: ("mono",),
-              TOpInj: ("mono",), TSymPlus: ("left", "right")}
+    """A Monomial equals the plain tuple of its sort names, and a
+    Polynomial the plain tuple of its monomials, and the intern table
+    compares keys with ==, so a node built from a plain tuple would be
+    handed back for the equal Monomial or Polynomial and print without
+    it.  The suites construct every node with a real Polynomial of real
+    Monomials in each polynomial field of a block tape or branching, and
+    a real Monomial in each word of a block circuit, and every live node
+    holds them (all are kept alive for the check)."""
+    def typed_words(cls, fields):
+        if cls is CBlock:
+            return all(type(w) is Monomial for w in fields["words"])
+        if cls is TTerm:
+            polys = [fields["poly"]]
+        elif cls is TBlock:
+            args = fields["args"]
+            polys = ([args[0], *args[1]] if fields["builder"] == "dl_nary"
+                     else [a for a in args if isinstance(a, tuple)])
+        else:
+            return True
+        return all(type(p) is Polynomial and all(type(u) is Monomial for u in p)
+                   for p in polys)
+
     kept, new = [], hashcons.Term.__new__
 
     def keeping(cls, *args, **kwargs):
         given = {**dict(zip(cls.__match_args__, args)), **kwargs}
-        for name in fields.get(cls, ()):
-            assert type(given[name]) is Monomial, (cls, given)
+        assert typed_words(cls, given), (cls, given)
         kept.append(new(cls, *args, **kwargs))
         return kept[-1]
 
@@ -629,7 +642,7 @@ def test_every_monomial_field_is_a_monomial(monkeypatch, model):
     seen = set()
     for entry in list(hashcons._LIVE.values()):
         node = entry()
-        for name in fields.get(type(node), ()):
-            assert type(getattr(node, name)) is Monomial, node
+        if node is not None:
+            assert typed_words(type(node), node.__dict__), node
             seen.add(type(node))
-    assert seen == set(fields)
+    assert {TBlock, TTerm, CBlock} <= seen

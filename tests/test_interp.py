@@ -5,14 +5,15 @@ from random import Random
 
 import pytest
 
-from tapecalc.circuit import (CCopier, CGen, CIdOne, CIdSort, CSeq, CTensor,
-                              MonSignature)
+from tapecalc.circuit import (CGen, CSeq, CTensor, MonSignature,
+                              copier_circuit, identity_circuit)
 from tapecalc.errors import DimensionError, ModelError
 from tapecalc.interp import Interpretation, carrier_of, eval_tape, prod_index
 from tapecalc.kleisli import Matrix, model_for
 from tapecalc.objects import ONE, ZERO, mono, poly, poly_of_mono
 from tapecalc.suites import Freshener, standard_interpretation
-from tapecalc.tape import TCirc, TCodiag, TIdZero, TOpInj, TSeq, TSum, tseq, tsum
+from tapecalc.tape import (TCirc, TSeq, TSum, TTerm, codiag_tape, id_tape,
+                           op_inj_tape, tseq, tsum)
 from tapecalc.theory import builtin_theory, choice
 
 H = Fraction(1, 2)
@@ -64,27 +65,28 @@ def test_eval_and_gate():
 
 
 def test_eval_id_one():
-    assert eval_tape(CIdOne(), INTERP) == Matrix.identity(1)
+    assert eval_tape(identity_circuit(ONE), INTERP) == Matrix.identity(1)
 
 
 def test_eval_copier_then_not():
-    c = CSeq(CCopier("A"), CTensor(CGen("NOT"), CIdSort("A")))
+    a = mono("A")
+    c = CSeq(copier_circuit(a), CTensor(CGen("NOT"), identity_circuit(a)))
     m = eval_tape(c, INTERP)
     # x maps to (not x, x): column x has a single 1 at row (1-x)*2 + x
     assert m.to_rows() == [[0, 0], [0, 1], [1, 0], [0, 0]]
 
 
 def test_eval_flip():
-    flip = tseq(TOpInj(choice(Fraction(1, 3)), ONE),
+    flip = tseq(op_inj_tape(choice(Fraction(1, 3)), ONE),
                 tsum(TCirc(CGen("F1")),
                      TCirc(CSeq(CGen("F1"), CGen("NOT")))),
-                TCodiag(mono("A")))
+                codiag_tape(mono("A")))
     m = eval_tape(flip, INTERP)
     assert m.to_rows() == [[Fraction(2, 3)], [Fraction(1, 3)]]
 
 
 def test_eval_id_zero():
-    m = eval_tape(TIdZero(), INTERP)
+    m = eval_tape(id_tape(ZERO), INTERP)
     assert (m.dom, m.cod) == (0, 0)
 
 
@@ -221,10 +223,10 @@ def test_a_whiskered_leaf_is_tensored_on_the_right(monkeypatch):
              (whisker_right_mono(t, u), distributor(p, q * poly_of_mono(u),
                                                     p * poly_of_mono(u),
                                                     inverse=True)),
-             (whisker_left_mono(u, TOpInj(op, mono("B"))),
-              TOpInj(op, mono("B", "A", "B"))),
-             (whisker_right_mono(TOpInj(op, mono("B")), u),
-              TOpInj(op, mono("B", "B", "A"))))
+             (whisker_left_mono(u, op_inj_tape(op, mono("B"))),
+              op_inj_tape(op, mono("B", "A", "B"))),
+             (whisker_right_mono(op_inj_tape(op, mono("B")), u),
+              op_inj_tape(op, mono("B", "B", "A"))))
     pairings, tensors = [], []
     tensor, pairing = Matrix.tensor, interp.pairing
     monkeypatch.setattr(Matrix, "tensor", lambda *args: (
@@ -236,7 +238,7 @@ def test_a_whiskered_leaf_is_tensored_on_the_right(monkeypatch):
     for whiskered, grown in cases:
         m = eval_tape(whiskered, INTERP)
         assert m == eval_tape(grown, INTERP)
-        assert (m.image is not None) == (grown.__class__ is not TOpInj)
+        assert (m.image is not None) == (grown.__class__ is not TTerm)
         assert eval_tape(whiskered, unsorted) == m
     assert pairings == []
     assert tensors == [Matrix.identity(6)] * 8

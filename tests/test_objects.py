@@ -7,13 +7,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tapecalc.circuit import (CGen, CIdOne, CIdSort, CSym, CTensor,
-                              MonSignature, type_of_circuit)
+from tapecalc.circuit import (CGen, CTensor, MonSignature, identity_circuit,
+                              sym_circuit, type_of_circuit)
 from tapecalc.errors import UnknownSortError
 from tapecalc.objects import (Monomial, ONE, Polynomial, SortRef, Sum, Tensor,
                               UnitOne, ZERO, ZeroObj, embed, mono, nfold_sum,
                               normalize, poly, poly_of_mono, poly_tensor)
-from tapecalc.tape import (TCirc, TCodiag, TIdMon, TIdZero, TSum, TSymPlus,
+from tapecalc.tape import (TCirc, TSum, codiag_tape, id_tape, symplus_tape,
                            type_of_tape)
 
 SORTS = ("A", "B", "C")
@@ -319,16 +319,19 @@ def test_object_operations_return_the_object_types():
 
 def test_types_are_object_types():
     sig = MonSignature(("A", "B"), {"F": (mono("A"), mono("B", "A"))})
-    tapes = (TSum(TIdMon(mono("A")), TCodiag(mono("A", "B"))), TIdZero(),
-             TSymPlus(ONE, mono("B")), TCirc(CTensor(CGen("F"), CIdOne())))
+    id_a, id_one = identity_circuit(mono("A")), identity_circuit(ONE)
+    tapes = (TSum(id_tape(mono("A")), codiag_tape(mono("A", "B"))),
+             id_tape(ZERO), symplus_tape(ONE, mono("B")),
+             TCirc(CTensor(CGen("F"), id_one)))
     for t in tapes:
         dom, cod = type_of_tape(t, sig)
         assert is_polynomial(dom) and is_polynomial(cod), t
-    for c in (CTensor(CGen("F"), CIdSort("A")), CIdOne(), CSym("A", "B")):
+    for c in (CTensor(CGen("F"), id_a), id_one,
+              sym_circuit(mono("A"), mono("B"))):
         dom, cod = type_of_circuit(c, sig)
         assert type(dom) is Monomial and type(cod) is Monomial, c
-    assert type_of_circuit(CIdOne(), sig) == (ONE, ONE)
-    assert type_of_circuit(CTensor(CGen("F"), CIdSort("A")), sig) \
+    assert type_of_circuit(id_one, sig) == (ONE, ONE)
+    assert type_of_circuit(CTensor(CGen("F"), id_a), sig) \
         == (mono("A", "A"), mono("B", "A", "A"))
 
 

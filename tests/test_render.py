@@ -10,8 +10,8 @@ from tapecalc.frontend.parser import parse_module
 from tapecalc.frontend.render import LANE_GAP, LANE_H, render_svg
 from tapecalc.frontend.surface import elaborate
 from tapecalc.objects import mono, poly
-from tapecalc.tape import (TBlock, TCirc, TCodiag, TOpInj, TSeq, TSum,
-                           TWhisker, id_tape, tseq, tsum)
+from tapecalc.tape import (TBlock, TCirc, TSeq, TSum, TWhisker, codiag_tape,
+                           id_tape, op_inj_tape, term_tape, tseq, tsum)
 from tapecalc.theory import Var, choice
 from fractions import Fraction
 
@@ -33,21 +33,36 @@ def test_identity_sum_renders_two_lanes():
 
 
 def test_codiag_renders_merge_of_three_bands():
-    svg = render_svg(TCodiag(mono("A")), SIG)
+    svg = render_svg(codiag_tape(mono("A")), SIG)
     ET.fromstring(svg)
     assert rect_count(svg) == 3
 
 
 def test_op_split_renders_branches():
-    svg = render_svg(TOpInj(choice(Fraction(1, 2)), mono("A")), SIG)
+    svg = render_svg(op_inj_tape(choice(Fraction(1, 2)), mono("A")), SIG)
     ET.fromstring(svg)
     assert rect_count(svg) == 3  # one input band, two branch bands
 
 
+def test_a_branching_is_labelled_with_its_operation_at_every_polynomial():
+    """f(x1, ..., xn) at any P is labelled f, as the operation's
+    branching <f>_P is; any other term is labelled with the term."""
+    def labels(t):
+        root = ET.fromstring(render_svg(t, SIG))
+        return [el.text for el in root.iter() if el.tag.endswith("text")]
+
+    half, x1, x2 = choice(Fraction(1, 2)), Var(1), Var(2)
+    for p in (mono("A"), poly(("A",), ("B",)), poly(("A", "B"), ("A",))):
+        assert labels(op_inj_tape(half, p)) == ["+_1/2"]
+        assert labels(term_tape(half(x1, x2), p, 2)) == ["+_1/2"]
+        assert labels(term_tape(half(x2, x1), p, 2)) == ["(x2 +_1/2 x1)"]
+        assert labels(term_tape(half(x1, x2), p, 3)) == ["(x1 +_1/2 x2)"]
+
+
 def test_render_is_byte_deterministic():
-    tape = tseq(TOpInj(choice(Fraction(1, 3)), mono("A")),
+    tape = tseq(op_inj_tape(choice(Fraction(1, 3)), mono("A")),
                 tsum(TCirc(CGen("G")), TCirc(CGen("G"))),
-                TCodiag(mono("B")))
+                codiag_tape(mono("B")))
     assert render_svg(tape, SIG) == render_svg(tape, SIG)
 
 
@@ -91,7 +106,8 @@ def test_render_to_a_bad_output_path_is_a_usage_error(tmp_path, capsys):
 def draw_order(t):
     """The block tapes of t in the order render_svg draws them: each
     node before its subterms, the first subterm before the second, a
-    whiskered tape as the tape it whiskers."""
+    whiskered tape as the tape it whiskers.  An identity on at most one
+    monomial and a cobang of one are drawn as glyphs, not blocks."""
     found, stack = [], [t]
     while stack:
         node = stack.pop()
@@ -101,7 +117,9 @@ def draw_order(t):
             stack += (node.second, node.first)
         elif isinstance(node, TWhisker):
             stack.append(node.tape)
-        elif isinstance(node, TBlock):
+        elif isinstance(node, TBlock) and not (
+                node.builder in ("id_tape", "cobang_tape")
+                and len(node.args[0]) < 2):
             found.append(node)
     return found
 
@@ -182,7 +200,7 @@ def block_tapes():
     c = tape.copier_tape(ab)
     yield tape.tensor_tape(c, c, SIG)
     yield tsum(tape.cobang_tape(a + b), tape.whisker_left_mono(
-        mono("B"), tsum(TCodiag(mono("A")), id_tape(a + b))))
+        mono("B"), tsum(codiag_tape(mono("A")), id_tape(a + b))))
     yield term_tree(choice(Fraction(1, 2))(Var(1), Var(8)), mono("A"), 8)
 
 

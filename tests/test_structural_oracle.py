@@ -1,17 +1,20 @@
-"""The structural primitives against their per-class rules.
+"""The structural generators against the rules each had as a class.
 
-``TIdMon``, ``TIdZero``, ``TSymPlus``, ``TCodiag`` and ``TCobang`` are
-typed and evaluated from the block map of their builder call, as every
-``TBlock`` is; whiskered, each is one ``TWhisker`` node, typed and
-evaluated as the primitive with its monomial fields whiskered.
-``CIdSort``, ``CIdOne``, ``CSym``, ``CCopier`` and ``CDischarger`` are
-typed from the wire map of their builder call, as every ``CBlock`` is,
-and evaluated to the ``kleisli`` closed form of that call.  The
-references below are the rules each class had on its own: its type, its
-sort checks in order, its matrix from the ``kleisli`` builder at carrier
-level, with the carriers read in order, and its whiskering.  A primitive
-agrees with its reference when both give the same value, or both raise
-the same error.
+A generator is its builder's call at one monomial (one sort for a
+circuit): the identity on one monomial or on 0, the sum symmetry of two
+monomials, the codiagonal and the cobang of one, and the identity,
+symmetry, copier and discharger of one sort or the identity on 1.  A
+tape generator is a ``TBlock``, typed and evaluated from its block map
+as every ``TBlock`` is; whiskered, it is one ``TWhisker`` node, typed
+and evaluated as the generator at its whiskered monomials, as an
+operation's branching is.  A circuit generator is a ``CBlock``, typed
+from its wire map, as every ``CBlock`` is, and evaluated to the
+``kleisli`` closed form of its call.  The references below are the rules
+each generator had as a node class of its own: its type, its sort checks
+in order, its matrix from the ``kleisli`` builder at carrier level, with
+the carriers read in order, and its whiskering.  A generator agrees with
+its reference when both give the same value, or both raise the same
+error.
 """
 
 from fractions import Fraction
@@ -19,33 +22,54 @@ from itertools import chain, product
 
 from hypothesis import given, settings, strategies as st
 
-from tapecalc import kleisli
-from tapecalc.circuit import (CCopier, CDischarger, CIdOne, CIdSort, CSym,
-                              MonSignature, type_of_circuit)
+from tapecalc import circuit, kleisli, tape
+from tapecalc.circuit import MonSignature, type_of_circuit
 from tapecalc.errors import TapecalcError
 from tapecalc.interp import Interpretation, eval_tape
 from tapecalc.kleisli import Matrix, model_for
-from tapecalc.objects import Monomial
-from tapecalc.tape import (TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
-                           TSymPlus, tape_types, whisker_left_mono,
-                           whisker_right_mono)
+from tapecalc.objects import ONE, ZERO, Monomial
+from tapecalc.tape import (id_tape, op_inj_tape, tape_types,
+                           whisker_left_mono, whisker_right_mono)
 from tapecalc.theory import builtin_theory, choice
 
 SORTS = ("A", "B", "C")
 MODEL = model_for(builtin_theory("PCA", (Fraction(1, 2),)))
+HALF = choice(Fraction(1, 2))
 
 monomials = st.lists(st.sampled_from(SORTS), max_size=3).map(
     lambda sorts: Monomial(tuple(sorts)))
+# a generator as (builder, the monomials of its call)
 primitives = st.one_of(
-    st.builds(TIdMon, monomials), st.just(TIdZero()),
-    st.builds(TSymPlus, monomials, monomials), st.builds(TCodiag, monomials),
-    st.builds(TCobang, monomials))
+    st.tuples(st.just("id_tape"), st.tuples(monomials)),
+    st.just(("id_tape", ())),
+    st.tuples(st.just("symplus_tape"), st.tuples(monomials, monomials)),
+    st.tuples(st.sampled_from(("codiag_tape", "cobang_tape")),
+              st.tuples(monomials)))
 sorts = st.sampled_from(SORTS)
+# a circuit generator as (builder, the sorts of its call)
 circuit_primitives = st.one_of(
-    st.builds(CIdSort, sorts), st.just(CIdOne()), st.builds(CSym, sorts, sorts),
-    st.builds(CCopier, sorts), st.builds(CDischarger, sorts))
+    st.tuples(st.sampled_from(("identity_circuit", "copier_circuit",
+                               "discharger_circuit")), st.tuples(sorts)),
+    st.just(("identity_circuit", ())),
+    st.tuples(st.just("sym_circuit"), st.tuples(sorts, sorts)))
 sort_sets = st.sets(st.sampled_from(SORTS)).map(sorted)
 carrier_maps = st.dictionaries(st.sampled_from(SORTS), st.integers(0, 3))
+
+
+def build(call):
+    """The generator of a call (builder, monomials): the identity on 0
+    for no monomial, and ``op_inj_tape`` is +_1/2's branching."""
+    builder, monos = call
+    if builder == "op_inj_tape":
+        return op_inj_tape(HALF, *monos)
+    return getattr(tape, builder)(*monos) if monos else id_tape(ZERO)
+
+
+def build_circuit(call):
+    """The circuit generator of a call (builder, sorts): the identity on
+    1 for no sort."""
+    builder, sorts = call
+    return getattr(circuit, builder)(*[Monomial((s,)) for s in sorts] or [ONE])
 
 
 def outcome(f, *args):
@@ -58,85 +82,69 @@ def outcome(f, *args):
 
 # --- the per-class rules ------------------------------------------------------
 
-def ref_type(t, sig):
-    """The class's type rule, then the check of each sort of dom and cod
-    in order."""
-    cls = t.__class__
-    if cls is TIdMon:
-        dom = cod = (t.mono,)
-    elif cls is TSymPlus:
-        dom, cod = (t.left, t.right), (t.right, t.left)
-    elif cls is TCodiag:
-        dom, cod = (t.mono, t.mono), (t.mono,)
-    elif cls is TCobang:
-        dom, cod = (), (t.mono,)
+def ref_type(call, sig):
+    """The generator's type rule, then the check of each sort of dom and
+    cod in order."""
+    builder, monos = call
+    if builder == "symplus_tape":
+        dom, cod = monos, monos[::-1]
+    elif builder == "codiag_tape":
+        dom, cod = monos * 2, monos
+    elif builder == "cobang_tape":
+        dom, cod = (), monos
     else:
-        dom = cod = ()
+        dom = cod = monos
     for s in chain.from_iterable(dom + cod):
         sig.check_sorts((s,))
     return dom, cod
 
 
-def ref_circuit_type(c, sig):
-    """The class's type rule, with the check of each of its sorts in
-    order: for ``CSym``, the left sort before the right."""
-    cls = c.__class__
-    if cls is CIdOne:
-        return Monomial(()), Monomial(())
-    if cls is CSym:
-        sig.check_sorts((c.left,))
-        sig.check_sorts((c.right,))
-        return Monomial((c.left, c.right)), Monomial((c.right, c.left))
-    sig.check_sorts((c.sort,))
-    u = Monomial((c.sort,))
-    return u, {CIdSort: u, CCopier: u * u, CDischarger: Monomial(())}[cls]
+def ref_circuit_type(call, sig):
+    """The generator's type rule, with the check of each of its sorts in
+    order: for ``sym_circuit``, the left sort before the right."""
+    builder, sorts = call
+    for s in sorts:
+        sig.check_sorts((s,))
+    u = Monomial(sorts)
+    if builder == "sym_circuit":
+        return u, u[::-1]
+    return u, {"identity_circuit": u, "copier_circuit": u * u,
+               "discharger_circuit": ONE}[builder]
 
 
-def ref_circuit_matrix(c, interp):
-    """The class's kleisli builder at the carrier sizes of its sorts,
+def ref_circuit_matrix(call, interp):
+    """The generator's kleisli builder at the carrier sizes of its sorts,
     read left before right."""
-    size = interp.sort_size
-    cls = c.__class__
-    if cls is CIdOne:
-        return Matrix.identity(1)
-    if cls is CSym:
-        return kleisli.sym_tensor(size(c.left), size(c.right))
-    if cls is CCopier:
-        return kleisli.copier(size(c.sort))
-    if cls is CDischarger:
-        return kleisli.discharger(size(c.sort))
-    return Matrix.identity(size(c.sort))
+    builder, sorts = call
+    sizes = [interp.sort_size(s) for s in sorts]
+    if builder == "sym_circuit":
+        return kleisli.sym_tensor(*sizes)
+    if builder == "copier_circuit":
+        return kleisli.copier(*sizes)
+    if builder == "discharger_circuit":
+        return kleisli.discharger(*sizes)
+    return Matrix.identity(*sizes or [1])
 
 
-def ref_matrix(t, interp):
-    """The class's kleisli builder at the carrier sizes of its fields,
-    read left before right."""
-    size = interp.mono_size
-    cls = t.__class__
-    if cls is TIdMon:
-        return Matrix.identity(size(t.mono))
-    if cls is TSymPlus:
-        return kleisli.sym_plus(size(t.left), size(t.right))
-    if cls is TCodiag:
-        return kleisli.codiag(size(t.mono))
-    if cls is TCobang:
-        return kleisli.cobang(size(t.mono))
-    return Matrix.identity(0)
+def ref_matrix(call, interp):
+    """The generator's kleisli builder at the carrier sizes of its
+    monomials, read left before right."""
+    builder, monos = call
+    sizes = [interp.mono_size(u) for u in monos]
+    if builder == "symplus_tape":
+        return kleisli.sym_plus(*sizes)
+    if builder == "codiag_tape":
+        return kleisli.codiag(*sizes)
+    if builder == "cobang_tape":
+        return kleisli.cobang(*sizes)
+    return Matrix.identity(sum(sizes))
 
 
-def ref_whisker(t, u, left):
-    """U |> t if left, else t <| U, field by field."""
-    def times(m):
-        return u * m if left else m * u
-
-    cls = t.__class__
-    if cls is TIdZero:
-        return t
-    if cls is TSymPlus:
-        return TSymPlus(times(t.left), times(t.right))
-    if cls is TOpInj:
-        return TOpInj(t.op, times(t.mono))
-    return cls(times(t.mono))
+def ref_whisker(call, u, left):
+    """U |> t if left, else t <| U, for the generator t of call: the
+    generator at each of its monomials whiskered."""
+    builder, monos = call
+    return build((builder, tuple([u * m if left else m * u for m in monos])))
 
 
 def old_dl_image(x, y, z):
@@ -151,65 +159,68 @@ def old_dl_image(x, y, z):
 
 # --- the oracle ---------------------------------------------------------------
 
-@given(t=primitives, sorts=sort_sets)
+@given(call=primitives, sorts=sort_sets)
 @settings(max_examples=300, deadline=None)
-def test_a_primitive_is_typed_by_its_class_rule(t, sorts):
-    """The type, or the unregistered sort named first, as the class's
-    rule gives it: for ``TSymPlus``, the left monomial's before the
-    right's."""
+def test_a_primitive_is_typed_by_its_class_rule(call, sorts):
+    """The type, or the unregistered sort named first, as the
+    generator's rule gives it: for a sum symmetry, the left monomial's
+    before the right's."""
     sig = MonSignature(tuple(sorts))
-    assert outcome(lambda: tape_types((t,), sig)[0]) == \
-        outcome(ref_type, t, sig)
+    assert outcome(lambda: tape_types((build(call),), sig)[0]) == \
+        outcome(ref_type, call, sig)
 
 
-@given(t=primitives, carriers=carrier_maps)
+@given(call=primitives, carriers=carrier_maps)
 @settings(max_examples=300, deadline=None)
-def test_a_primitive_evaluates_to_its_kleisli_builder(t, carriers):
+def test_a_primitive_evaluates_to_its_kleisli_builder(call, carriers):
     """The matrix, a row map, or the sort named first that has no
-    carrier, as the class's kleisli builder gives it."""
+    carrier, as the generator's kleisli builder gives it."""
     interp = Interpretation(MonSignature(SORTS), carriers, {}, MODEL)
-    got = outcome(eval_tape, t, interp)
-    expected = outcome(ref_matrix, t, interp)
+    got = outcome(eval_tape, build(call), interp)
+    expected = outcome(ref_matrix, call, interp)
     assert got == expected
     if isinstance(got, Matrix):
         assert (got.dom, got.cod, got.image) == \
             (expected.dom, expected.cod, expected.image)
 
 
-@given(c=circuit_primitives, sorts=sort_sets)
+@given(call=circuit_primitives, sorts=sort_sets)
 @settings(max_examples=300, deadline=None)
-def test_a_circuit_primitive_is_typed_by_its_class_rule(c, sorts):
-    """The type, or the unregistered sort named first, as the class's
-    rule gives it: for ``CSym``, the left sort's before the right's."""
+def test_a_circuit_primitive_is_typed_by_its_class_rule(call, sorts):
+    """The type, or the unregistered sort named first, as the
+    generator's rule gives it: for a symmetry, the left sort's before
+    the right's."""
     sig = MonSignature(tuple(sorts))
-    assert outcome(type_of_circuit, c, sig) == outcome(ref_circuit_type, c, sig)
+    assert outcome(type_of_circuit, build_circuit(call), sig) == \
+        outcome(ref_circuit_type, call, sig)
 
 
-@given(c=circuit_primitives, carriers=carrier_maps)
+@given(call=circuit_primitives, carriers=carrier_maps)
 @settings(max_examples=300, deadline=None)
-def test_a_circuit_primitive_evaluates_to_its_kleisli_builder(c, carriers):
+def test_a_circuit_primitive_evaluates_to_its_kleisli_builder(call, carriers):
     """The matrix, a row map, or the sort named first that has no
-    carrier, as the class's kleisli builder gives it."""
+    carrier, as the generator's kleisli builder gives it."""
     interp = Interpretation(MonSignature(SORTS), carriers, {}, MODEL)
-    got = outcome(eval_tape, c, interp)
-    expected = outcome(ref_circuit_matrix, c, interp)
+    got = outcome(eval_tape, build_circuit(call), interp)
+    expected = outcome(ref_circuit_matrix, call, interp)
     assert got == expected
     if isinstance(got, Matrix):
         assert (got.dom, got.cod, got.image) == \
             (expected.dom, expected.cod, expected.image)
 
 
-@given(t=st.one_of(primitives, st.builds(TOpInj, st.just(choice(Fraction(1, 2))),
-                                          monomials)),
+@given(call=st.one_of(primitives, st.tuples(st.just("op_inj_tape"),
+                                            st.tuples(monomials))),
        u=monomials, left=st.booleans(),
        carriers=st.tuples(*[st.integers(0, 3)] * len(SORTS)))
 @settings(max_examples=300, deadline=None)
-def test_a_primitive_is_whiskered_field_by_field(t, u, left, carriers):
+def test_a_primitive_is_whiskered_field_by_field(call, u, left, carriers):
     """U |> t and t <| U are one whiskered node of t, whose type and
-    matrix are those of t with each monomial field whiskered."""
+    matrix are those of t at its whiskered monomials."""
+    t = build(call)
     whiskered = whisker_left_mono(u, t) if left else whisker_right_mono(t, u)
     assert whiskered is t if u.is_unit else whiskered.tape is t
-    expected = ref_whisker(t, u, left)
+    expected = ref_whisker(call, u, left)
     interp = Interpretation(MonSignature(SORTS), dict(zip(SORTS, carriers)),
                             {}, MODEL)
     assert outcome(tape_types, (whiskered,), interp.sig) \

@@ -10,7 +10,8 @@ from tapecalc.objects import Monomial, Polynomial, mono
 from tapecalc.suites import (SuiteBounds, axiom_suite, coherence_suite,
                              lemma_suite, sem_eq, standard_interpretation,
                              whiskering_suite)
-from tapecalc.tape import TCodiag, TOpInj, TSymPlus, term_tape, tseq, tsum
+from tapecalc.tape import (codiag_tape, op_inj_tape, symplus_tape, term_tape,
+                           tseq, tsum)
 from tapecalc.theory import App, Var, choice
 
 INTERP = standard_interpretation()
@@ -19,18 +20,18 @@ SMALL = SuiteBounds(mono_len=1, poly_len=1, samples=2, max_tuples=40)
 
 
 def test_sem_eq_reflexive():
-    t = TCodiag(A)
+    t = codiag_tape(A)
     assert sem_eq(t, t, INTERP).equal
 
 
 def test_sem_eq_commutativity_axiom():
-    lhs = tseq(TSymPlus(A, A), TCodiag(A))
-    assert sem_eq(lhs, TCodiag(A), INTERP).equal
+    lhs = tseq(symplus_tape(A, A), codiag_tape(A))
+    assert sem_eq(lhs, codiag_tape(A), INTERP).equal
 
 
 def test_sem_eq_distinguishes_choice_weights():
-    result = sem_eq(TOpInj(choice(Fraction(1, 2)), A),
-                    TOpInj(choice(Fraction(1, 3)), A), INTERP)
+    result = sem_eq(op_inj_tape(choice(Fraction(1, 2)), A),
+                    op_inj_tape(choice(Fraction(1, 3)), A), INTERP)
     assert result.kind == "unequal"
     y, x, a, b = result.witness
     assert (y, x) == (0, 0)
@@ -54,9 +55,9 @@ def test_sem_eq_distinguishes_flips():
     interp.validate()
 
     def flip(p):
-        return tseq(TOpInj(choice(p), ONE),
+        return tseq(op_inj_tape(choice(p), ONE),
                     tsum(TCirc(CGen("F1")), TCirc(CGen("F0"))),
-                    TCodiag(A))
+                    codiag_tape(A))
 
     result = sem_eq(flip(Fraction(1, 2)), flip(Fraction(1, 3)), interp)
     assert result.kind == "unequal"
@@ -66,7 +67,7 @@ def test_sem_eq_distinguishes_flips():
 
 
 def test_sem_eq_type_error():
-    result = sem_eq(TCodiag(A), TCodiag(mono("B")), INTERP)
+    result = sem_eq(codiag_tape(A), codiag_tape(mono("B")), INTERP)
     assert result.kind == "type-error"
 
 

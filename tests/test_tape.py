@@ -14,8 +14,7 @@ from tapecalc.kleisli import Matrix
 from tapecalc.objects import (Monomial, ONE, Polynomial, ZERO, mono,
                               poly, poly_of_mono)
 from tapecalc.suites import Freshener, sem_eq, standard_interpretation
-from tapecalc.tape import (TCirc, TCobang, TCodiag, TIdMon, TIdZero, TOpInj,
-                           TSeq, TSymPlus, cobang_tape, codiag_tape,
+from tapecalc.tape import (TCirc, TSeq, cobang_tape, codiag_tape,
                            copier_tape, discharger_tape, distributor, id_tape,
                            nfold_codiag, op_inj_tape, symplus_tape,
                            symtensor_tape, tape_types, tensor_tape, term_tape,
@@ -50,30 +49,31 @@ def assert_equal_tapes(t1, t2, interp=INTERP):
 # --- typing ---------------------------------------------------------------------
 
 def test_codiag_type():
-    assert type_of_tape(TCodiag(A), SIG) == (pA + pA, pA)
+    assert type_of_tape(codiag_tape(A), SIG) == (pA + pA, pA)
 
 
 def test_op_inj_type():
-    assert type_of_tape(TOpInj(choice(H), A), SIG) == (pA, pA + pA)
-    assert type_of_tape(TOpInj(STAR, A), SIG) == (pA, ZERO)
+    assert type_of_tape(op_inj_tape(choice(H), A), SIG) == (pA, pA + pA)
+    assert type_of_tape(op_inj_tape(STAR, A), SIG) == (pA, ZERO)
 
 
 def test_id_zero_type():
-    assert type_of_tape(TIdZero(), SIG) == (ZERO, ZERO)
+    assert type_of_tape(id_tape(ZERO), SIG) == (ZERO, ZERO)
 
 
 def test_seq_mismatch():
     with pytest.raises(TypeCheckError):
-        type_of_tape(TSeq(TIdMon(A), TIdMon(B)), SIG)
+        type_of_tape(TSeq(id_tape(A), id_tape(B)), SIG)
 
 
 def test_every_primitive_checks_its_sorts():
-    """Each primitive tape, and a block tape on either side, raises on a
-    sort that the signature lacks, with the primitive's error text."""
+    """Each generator, a builder call at one monomial, and a block tape on
+    either side raise on a sort that the signature lacks, with the
+    generator's error text."""
     sig = MonSignature(("A",), {})
     z, az = mono("Z"), poly(("A",), ("Z",))
-    for t in (TIdMon(z), TCobang(z), TCodiag(z), TSymPlus(A, z),
-              TSymPlus(z, A), TOpInj(choice(H), z), id_tape(az),
+    for t in (id_tape(z), cobang_tape(z), codiag_tape(z), symplus_tape(A, z),
+              symplus_tape(z, A), op_inj_tape(choice(H), z), id_tape(az),
               cobang_tape(az), codiag_tape(az), symplus_tape(pA, az)):
         with pytest.raises(UnknownSortError, match="unregistered sort: Z$"):
             type_of_tape(t, sig)
@@ -86,7 +86,7 @@ def test_a_kept_type_answers_only_under_its_signature():
     not kept."""
     gen = {"kept_g": (A, A)}
     with_g, without_g = MonSignature(("A",), gen), MonSignature(("A",), {})
-    t = tseq(TCirc(CGen("kept_g")), TIdMon(A))
+    t = tseq(TCirc(CGen("kept_g")), id_tape(A))
     assert type_of_tape(t, with_g) == (pA, pA)
     assert t.__dict__["typed"] == (with_g, ((A,), (A,)))
     with pytest.raises(UnknownGeneratorError):
@@ -102,11 +102,11 @@ def test_a_child_that_is_not_a_term_is_a_type_error(leaf):
     """A child that is not a term fails the walk with the type error that
     names it, the nodes above it keep no type, and the node typed before
     it keeps its own."""
-    t = tseq(TIdMon(A), TSeq(TIdMon(A), leaf))
+    t = tseq(id_tape(A), TSeq(id_tape(A), leaf))
     with pytest.raises(TypeCheckError, match=r"^not a tape term: "):
         type_of_tape(t, SIG)
     assert "typed" not in t.__dict__
-    assert TIdMon(A).__dict__["typed"][0] is SIG
+    assert id_tape(A).__dict__["typed"][0] is SIG
 
 
 # --- structural sums ---------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_distributor_is_transported_index_bijection():
 # --- tensor symmetry and operation branchings -----------------------------------------
 
 def test_symtensor_zero_clause():
-    assert isinstance(symtensor_tape(pA + pB, ZERO), TIdZero)
+    assert symtensor_tape(pA + pB, ZERO) is id_tape(ZERO)
 
 
 def test_symtensor_on_sorts_is_transpose():
@@ -201,11 +201,11 @@ def test_symtensor_invertible():
 
 
 def test_op_inj_zero_clause():
-    assert isinstance(op_inj_tape(choice(H), ZERO), TIdZero)
+    assert op_inj_tape(choice(H), ZERO) is id_tape(ZERO)
 
 
 def test_op_inj_on_sort_semantics():
-    m = eval_tape(TOpInj(choice(Fraction(1, 3)), A), INTERP)
+    m = eval_tape(op_inj_tape(choice(Fraction(1, 3)), A), INTERP)
     assert m.to_rows() == [[Fraction(1, 3), 0], [0, Fraction(1, 3)],
                            [Fraction(2, 3), 0], [0, Fraction(2, 3)]]
 
@@ -244,24 +244,25 @@ def test_whisker_circuit_clause():
 
 
 def test_whisker_zero_clause():
-    assert isinstance(whisker_left(ZERO, TCodiag(A)), TIdZero)
-    assert isinstance(whisker_right(TCodiag(A), ZERO, SIG), TIdZero)
+    assert whisker_left(ZERO, codiag_tape(A)) is id_tape(ZERO)
+    assert whisker_right(codiag_tape(A), ZERO, SIG) is id_tape(ZERO)
 
 
 def test_whisker_op_inj_clause():
     """<f>_A <| B and B |> <f>_A have the full trees <f>_{AB} and
     <f>_{BA}, and their types and matrices."""
     op = choice(H)
-    for w, grown in ((whisker_right_mono(TOpInj(op, A), B),
-                      TOpInj(op, mono("A", "B"))),
-                     (whisker_left_mono(B, TOpInj(op, A)),
-                      TOpInj(op, mono("B", "A")))):
+    for w, grown in ((whisker_right_mono(op_inj_tape(op, A), B),
+                      op_inj_tape(op, mono("A", "B"))),
+                     (whisker_left_mono(B, op_inj_tape(op, A)),
+                      op_inj_tape(op, mono("B", "A")))):
         assert expand(w) is grown
         assert type_of_tape(w, SIG) == type_of_tape(grown, SIG)
         assert eval_tape(w, INTERP) == eval_tape(grown, INTERP)
 
 
-@pytest.mark.parametrize("t", [TIdZero(), TSeq(TIdZero(), TIdZero())])
+@pytest.mark.parametrize("t", [id_tape(ZERO),
+                               TSeq(id_tape(ZERO), id_tape(ZERO))])
 def test_a_zero_tape_whiskers_like_any_other_tape(t):
     """B |> t and t <| B name the unregistered sort B for the identity on
     0 as for a composite of 0 -> 0, though neither type holds a sort."""
@@ -303,7 +304,7 @@ def test_term_tape_variable_is_identity():
 
 def test_term_tape_single_op_matches_op_inj():
     term = App(choice(H), (Var(1), Var(2)))
-    assert_equal_tapes(term_tape(term, A, 2), TOpInj(choice(H), A))
+    assert_equal_tapes(term_tape(term, A, 2), op_inj_tape(choice(H), A))
 
 
 def test_term_tape_drawn_example_weight():
@@ -333,8 +334,8 @@ def test_copier_type_on_two_sorts():
 
 
 def test_copier_base_clause():
-    assert isinstance(copier_tape(ZERO), TIdZero)
-    assert discharger_tape(ZERO) == TCobang(ONE)
+    assert copier_tape(ZERO) is id_tape(ZERO)
+    assert discharger_tape(ZERO) is cobang_tape(ONE)
 
 
 def test_copier_is_canonical_copy():
