@@ -92,7 +92,7 @@ class CBlock(CircuitTerm):
     wires = kept(lambda c: wire_map(c.builder, *c.words))
 
 
-_ID_ONE = CBlock("identity_circuit", (ONE,))  # identity_circuit(1), ctensor's unit
+_ID_ONE = CBlock("identity_circuit", (ONE,))   # the unit of ctensor
 
 
 CIRCUIT_KIDS: dict[type, Callable] = {

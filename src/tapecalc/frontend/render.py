@@ -11,8 +11,9 @@ discharger of at most one sort, and a branching, labelled with its
 operation if its term is one applied to x1, ..., xn, else with its
 term.  Any other block tape is drawn from its ``block_layout``, any
 other structural circuit as its ``wires``, and a whiskered tape as the
-tape it whiskers, labelled with its whiskerings.  The fold that sizes a tape types it first, as ``check``
-does, so an ill-typed one fails before drawing.
+tape it whiskers, labelled with its whiskerings.  The fold that sizes a
+tape types it first, as ``check`` does, so an ill-typed one fails
+before drawing.
 """
 
 from __future__ import annotations

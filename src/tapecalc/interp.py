@@ -8,22 +8,23 @@ a failure is the error that walk raises.  A structural tape, a
 ``TBlock`` at one monomial as at many, is a leaf: its matrix is one
 image, a ``range`` per monomial block, from the carrier sizes and its
 ``block_layout``, the ``block_map`` that the node computes once and
-keeps.  A whiskered tape (``TWhisker``) has one child,
-the tape t it whiskers: its matrix is t's tensored with an identity per
-whiskering, on the left its blocks reordered by ``kleisli.pairing``
-from the carrier sizes of t's type, which t keeps
-(``tape.tape_types``), unless t is structural or branching, whose
-matrix is the same on either side, or a circuit's tape, one monomial
-a side.  A branching tape (``tape.TTerm``, an operation's too) is a
-leaf, its matrix read from its term's weight vector, which depends on the model alone
-and which the node keeps per model object, as it keeps its type per
-signature object: so a ``TheoryModel``'s weights must not change once
-a tape is evaluated under it (``kleisli.model_for``'s are read-only, a
+keeps.  A whiskered tape (``TWhisker``) has one child, the tape t it
+whiskers: its matrix is t's tensored with an identity per whiskering,
+on the left its blocks reordered by ``kleisli.pairing`` from the
+carrier sizes of t's type, which t keeps (``tape.tape_types``), unless
+t is structural or branching, whose matrix is the same on either side,
+or a circuit's tape, one monomial a side.  A branching tape
+(``tape.TTerm``, an operation's too) is a leaf, its matrix read from
+its term's weight vector, which depends on the model alone and which
+the node keeps per model object, as it keeps its type per signature
+object: so a ``TheoryModel``'s weights must not change once a tape is
+evaluated under it (``kleisli.model_for``'s are read-only, a
 ``MappingProxyType``).  A structural circuit (a ``circuit.CBlock``, at
 one sort as at many) is a leaf too, whose matrix is the ``kleisli``
-closed form of its call's builder at the carrier sizes of its words.  Carrier indexing is fixed once and for
-all: tensor indices are left-major within a monomial, and a polynomial
-carrier concatenates its monomial blocks in order.
+closed form of its call's builder at the carrier sizes of its words.
+Carrier indexing is fixed once and for all: tensor indices are
+left-major within a monomial, and a polynomial carrier concatenates its
+monomial blocks in order.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ class TWhisker(TapeTerm):
     steps: tuple
 
 
-_ID_ZERO = TBlock("id_tape", (ZERO,))     # id_tape(0), the unit of tsum
+_ID_ZERO = TBlock("id_tape", (ZERO,))   # the unit of tsum
 
 
 TERM_KIDS: dict[type, Callable] = {

@@ -1,9 +1,10 @@
 """The structural generators against the rules each had as a class.
 
-A generator is its builder's call at one monomial (one sort for a
-circuit): the identity on one monomial or on 0, the sum symmetry of two
-monomials, the codiagonal and the cobang of one, and the identity,
-symmetry, copier and discharger of one sort or the identity on 1.  A
+A generator, a primitive of the calculus, is its builder's call at one
+monomial (one sort for a circuit): the identity on one monomial or on 0,
+the sum symmetry of two monomials, the codiagonal and the cobang of one,
+and the identity, symmetry, copier and discharger of one sort or the
+identity on 1.  A
 tape generator is a ``TBlock``, typed and evaluated from its block map
 as every ``TBlock`` is; whiskered, it is one ``TWhisker`` node, typed
 and evaluated as the generator at its whiskered monomials, as an
