@@ -152,18 +152,36 @@ def derive_seed(master: int, *parts) -> int:
     return (zlib.crc32(text.encode()) ^ (master & 0xFFFFFFFF)) & 0xFFFFFFFF
 
 
+def _below(bits, n: int) -> int:
+    """A number in range(n), drawn as ``Random.randrange`` draws it on
+    CPython 3.10-3.13: n.bit_length() bits from ``bits``, drawn again
+    while they read n or more."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def rand_substochastic(dom: int, cod: int, rng: Random) -> Matrix:
     """Column x gets weights a/denom, denom drawn from 2..6, that sum to
-    at most one; stored over the lcm of their reduced denominators."""
+    at most one; stored over the lcm of their reduced denominators.
+    Each column takes ``rng.randint(2, 6)``, ``rng.shuffle`` of its rows
+    and ``rng.randint(0, remaining)`` per row in shuffled order, drawn
+    with one ``getrandbits`` call per number (``_below``), so the matrix
+    and the rng's state after it are those of the ``randint`` calls."""
+    bits = rng.getrandbits
     drawn = []
     for x in range(dom):
-        denom = rng.randint(2, 6)
-        remaining = denom
+        denom = 2 + _below(bits, 5)
         rows = list(range(cod))
-        rng.shuffle(rows)
+        for i in range(cod - 1, 0, -1):   # Random.shuffle's swaps
+            j = _below(bits, i + 1)
+            rows[i], rows[j] = rows[j], rows[i]
+        remaining = denom
         col = {}
         for y in rows:
-            a = rng.randint(0, remaining)
+            a = _below(bits, remaining + 1)
             remaining -= a
             if a:
                 col[y] = a
@@ -175,13 +193,19 @@ def rand_substochastic(dom: int, cod: int, rng: Random) -> Matrix:
 
 
 def rand_natural(dom: int, cod: int, rng: Random) -> Matrix:
-    entries = []
+    """Entries drawn from 0..2, column by column, rows ascending: the
+    draws of ``rng.randint(0, 2)`` per entry, made with one
+    ``getrandbits`` call per number (``_below``)."""
+    bits = rng.getrandbits
+    cols = []
     for x in range(dom):
+        col = {}
         for y in range(cod):
-            w = rng.randint(0, 2)
+            w = _below(bits, 3)
             if w:
-                entries.append((y, x, w))
-    return Matrix.make(dom, cod, entries)
+                col[y] = w
+        cols.append(col)
+    return Matrix(dom, cod, tuple(cols))
 
 
 def rand_matrix(dom: int, cod: int, model: TheoryModel, rng: Random) -> Matrix:
@@ -299,7 +323,7 @@ def small_polys(sorts: Sequence[str]) -> list[Polynomial]:
 
 def rand_poly(rng: Random, sorts: Sequence[str], max_monos: int,
               max_len: int) -> Polynomial:
-    if rng.random() < Fraction(1, 8):
+    if rng.random() < 0.125:   # 1/8, exact in binary
         return ZERO
     k = rng.randint(1, max_monos)
     monos = []

@@ -9,20 +9,27 @@ the dense list-of-lists product, sum or Kronecker product, and must be
 canonical: int numerators over ``den``, the lcm of the entries' reduced
 denominators, with no stored zero, and a packed result's ints, top,
 content and count exactly those of its numerators.
+
+The suites' fresh matrices are checked against reference draws made
+with ``randint`` and ``shuffle``: the same matrices, and the same state
+of the ``Random`` after them.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from tapecalc import kleisli
+from tapecalc import kleisli, suites
 from tapecalc.errors import DimensionError
 from tapecalc.kleisli import Matrix, slot_width
-from tapecalc.suites import first_difference, rand_substochastic
+from tapecalc.objects import Monomial, poly
+from tapecalc.suites import (Freshener, first_difference, rand_natural,
+                             rand_substochastic, standard_interpretation)
 
 
 # --- dense reference: (dom, cod, rows), rows[y][x] is entry (y, x) -------------
@@ -283,11 +290,12 @@ def test_then_folds_chains_of_small_dict_matrices(data):
     check(product, reference)
 
 
-@given(dom=SIZES, cod=SIZES, seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_rand_substochastic_matches_its_draws(dom, cod, seed):
-    # the same draws made one Fraction at a time, as weights for make
-    rng, entries = random.Random(seed), []
+# --- fresh matrices: the draws of randint and shuffle -----------------------------
+
+def reference_substochastic(dom, cod, rng):
+    """rand_substochastic's draws made by randint and shuffle, one
+    Fraction at a time, as weights for make."""
+    entries = []
     for x in range(dom):
         denom = rng.randint(2, 6)
         remaining = denom
@@ -297,9 +305,68 @@ def test_rand_substochastic_matches_its_draws(dom, cod, seed):
             a = rng.randint(0, remaining)
             remaining -= a
             entries.append((y, x, Fraction(a, denom)))
-    drawn = rand_substochastic(dom, cod, random.Random(seed))
-    assert assert_canonical(drawn) == Matrix.make(dom, cod, entries)
+    return Matrix.make(dom, cod, entries)
+
+
+def reference_natural(dom, cod, rng):
+    """rand_natural's draws made by randint, column-major."""
+    return Matrix.make(dom, cod, [(y, x, rng.randint(0, 2))
+                                  for x in range(dom) for y in range(cod)])
+
+
+DRAWN_SIZES = st.integers(0, 9)   # the suites' carriers reach 9, for BB
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@given(dom=DRAWN_SIZES, cod=DRAWN_SIZES, seed=SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_rand_substochastic_matches_its_draws(dom, cod, seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    drawn = rand_substochastic(dom, cod, rng)
+    assert (assert_canonical(drawn)
+            == reference_substochastic(dom, cod, reference))
+    assert rng.getstate() == reference.getstate()
     assert drawn.is_substochastic()
+
+
+@given(dom=DRAWN_SIZES, cod=DRAWN_SIZES, seed=SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_rand_natural_matches_its_draws(dom, cod, seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    drawn = rand_natural(dom, cod, rng)
+    assert assert_canonical(drawn) == reference_natural(dom, cod, reference)
+    assert rng.getstate() == reference.getstate()
+
+
+@given(seed=SEEDS,
+       circuits=st.lists(st.tuples(st.sampled_from(("PCA", "CM")),
+                                   DRAWN_SIZES, DRAWN_SIZES), max_size=12))
+@settings(max_examples=30, deadline=None)
+def test_a_freshener_draws_what_randint_and_shuffle_draw(seed, circuits):
+    """PCA and CM circuits between sorts of 0-9 elements, then the bench
+    tensor workload's tape P -> PP, all from one Random: the fresh
+    matrices and the Random's final state are those of the reference
+    draws."""
+    p = poly(("A",), ("A", "B"), ("B",))
+
+    def draw():
+        rng = random.Random(seed)
+        fresh = {name: Freshener(standard_interpretation(
+                     name, carriers=tuple(range(10))), rng)
+                 for name in ("PCA", "CM")}
+        for name, i, j in circuits:
+            sorts = fresh[name].base.sig.sorts   # sort i has i elements
+            fresh[name].circuit(Monomial((sorts[i],)), Monomial((sorts[j],)))
+        tapes = Freshener(standard_interpretation("PCA", carriers=(3, 3)), rng)
+        tapes.tape(p, p * p)
+        return ([list(f.extra_mats.items()) for f in (*fresh.values(), tapes)],
+                rng.getstate())
+
+    drawn = draw()
+    with mock.patch.object(suites, "rand_substochastic",
+                           reference_substochastic), \
+            mock.patch.object(suites, "rand_natural", reference_natural):
+        assert draw() == drawn
 
 
 # --- packed columns ---------------------------------------------------------------
