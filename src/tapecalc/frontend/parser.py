@@ -12,6 +12,7 @@ import re
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 from ..errors import ModelError, ParseError
@@ -19,10 +20,9 @@ from ..objects import Monomial, ONE, Polynomial, ZERO, SortRef, Sum, Tensor, \
     UnitOne, ZeroObj, ObjTerm, poly_of_mono
 from ..hashcons import fold
 from ..theory import App, CM_PLUS, CM_ZERO, OpSymbol, SIGMA_KIDS, STAR, \
-    SigmaTerm, Var, check_term, choice
-from .surface import (CAtomGen, CAtomId, CIRCUIT_ATOMS, CheckDecl, DefDecl,
-                      GenDecl, INFIX, InterpDecl, SAtom, SCircuit, SExpr,
-                      SOp, SRef, SSeq, SSum, STensor, STermBr, SortDecl,
+    SigmaTerm, Var, choice
+from .surface import (CIRCUIT_ATOMS, CheckDecl, DefDecl, GenDecl, INFIX,
+                      InterpDecl, SAtom, SCircuit, SExpr, SInfix, SortDecl,
                       SourceModule, TAPE_ATOMS, TheoryDecl)
 
 
@@ -170,18 +170,24 @@ class SortIndex:
         return parts
 
 
-# spelling -> (SAtom kind, argument count), read from surface's atom tables
-TAPE_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in TAPE_ATOMS.items()}
-CIRCUIT_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in CIRCUIT_ATOMS.items()}
+# spelling -> (SAtom kind, argument count), read from the rows of surface's
+# atom tables that are spelt `spelling@args`
+TAPE_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in TAPE_ATOMS.items()
+                  if type(s) is str}
+CIRCUIT_SPELLINGS = {s: (kind, n) for kind, (s, n, _) in CIRCUIT_ATOMS.items()
+                     if type(s) is str}
 TAPE_ATOM_KEYWORDS = {s.rstrip("+") for s in TAPE_SPELLINGS} | {"op", "term"}
 
 # token kind -> (constructor, precedence level), read from surface.INFIX;
-# circuits take the tape products but (+), object expressions take the
-# rows of the tape products they share symbols with.
-TAPE_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (SSeq, STensor, SSum)}
-CIRCUIT_OPS = {INFIX[c][0]: (c, INFIX[c][2]) for c in (SSeq, STensor)}
-OBJECT_OPS = {INFIX[s][0]: (c, INFIX[s][2]) for s, c in ((STensor, Tensor),
-                                                          (SSum, Sum))}
+# circuits take the tape products but (+), object expressions the rows
+# whose symbols they share.  infix knows the tape `;` by its row, SEQ,
+# so the circuit rows are tuples of their own.
+TAPE_OPS = {op: (partial(SInfix, op), prec) for op, (_, prec) in INFIX.items()}
+CIRCUIT_OPS = {op: (partial(SInfix, op), INFIX[op][1])
+               for op in ("SEMI", "OTENSOR")}
+OBJECT_OPS = {"OTENSOR": (Tensor, INFIX["OTENSOR"][1]),
+              "OPLUS": (Sum, INFIX["OPLUS"][1])}
+SEQ = TAPE_OPS["SEMI"]
 # Σ-term `+` and `+_p`, one level; infix reads the operation after the `+`.
 SIGMA_OPS = {"PLUS": (App, 0)}
 OPEN = (None, -2)    # an open parenthesis on infix's operator stack
@@ -204,9 +210,9 @@ class Parser:
         # generator by its name, an identity by its monomial; and a bracket
         # of one generator or identity by its leaf's id, as the leaves
         # live as long as the parser
-        self.refs: dict[str, SRef] = {}
-        self.gen_atoms: dict[str, CAtomGen] = {}
-        self.id_atoms: dict[Monomial, CAtomId] = {}
+        self.refs: dict[str, SAtom] = {}
+        self.gen_atoms: dict[str, SAtom] = {}
+        self.id_atoms: dict[Monomial, SAtom] = {}
         self.brackets: dict[int, SCircuit] = {}
 
     # -- token plumbing: a token is its index; the cursor stops at EOF ----
@@ -227,9 +233,11 @@ class Parser:
             return True
         return False
 
-    def expect(self, kind: str, expected: str | None = None) -> int:
+    def expect(self, kind: str, expected: str | None = None,
+               text: str | None = None) -> int:
+        """The next token, which must be of kind, and spelt text if given."""
         found = self.kinds[self.pos]
-        if found != kind:
+        if found != kind or text is not None and self.texts[self.pos] != text:
             self.fail(f"unexpected {found} {self.texts[self.pos]!r}",
                       {expected or kind})
         return self.next()
@@ -344,7 +352,7 @@ class Parser:
         coar = self.monomial()
         self.expect("SEMI", "';'")
         self.module.gens[name] = (ar, coar)
-        self.gen_atoms[name] = CAtomGen(name)
+        self.gen_atoms[name] = SAtom("gen", (name,))
         self.module.decls.append(GenDecl(name, ar, coar))
 
     def theory_decl(self):
@@ -353,7 +361,7 @@ class Parser:
             self.fail(f"unknown theory {name!r}", {"PCA", "CM"})
         params: list[Fraction] = []
         if self.accept("IDENT", "with"):
-            self.expect("IDENT", "'p'")
+            self.expect("IDENT", "'p'", "p")
             self.expect("EQUALS", "'='")
             params.append(self.rational())
             while self.accept("COMMA"):
@@ -438,7 +446,7 @@ class Parser:
         body = self.infix(TAPE_OPS, self.tape_atom)
         self.expect("SEMI", "';'")
         self.module.defs[name] = body
-        self.refs[name] = SRef(name)
+        self.refs[name] = SAtom("ref", (name,))
         self.module.decls.append(DefDecl(name, body))
 
     def check_decl(self):
@@ -477,7 +485,7 @@ class Parser:
             operands.append(atom())
             while True:
                 op = ops.get(kinds[self.pos])
-                if op is not None and op[0] is SSeq and ops is TAPE_OPS:
+                if op is SEQ:
                     kind, text = kinds[self.pos + 1], self.texts[self.pos + 1]
                     if not (kind in ("LPAREN", "LBRACK") or kind == "IDENT" and (
                             text in TAPE_ATOM_KEYWORDS or text in self.refs)):
@@ -542,7 +550,7 @@ class Parser:
                 self.pos = pos + 1
                 c = self.infix(CIRCUIT_OPS, self.circuit_atom)
                 self.close("RBRACK", "']'")
-            if type(c) not in (CAtomGen, CAtomId):
+            if type(c) is SInfix or c.kind not in ("gen", "identity"):
                 return SCircuit(c)
             bracket = self.brackets.get(id(c))
             if bracket is None:
@@ -560,14 +568,11 @@ class Parser:
                 op = self.op_symbol()
                 self.expect("GT", "'>'")
                 self.expect("AT", "'@'")
-                return SOp(op, self.poly_arg())
+                return SAtom("op", (op, self.poly_arg()))
             term = self.infix(SIGMA_OPS, self.sigma_atom)
             self.expect("GT", "'>'")
             self.expect("AT", "'@'")
-            poly = self.poly_arg()
-            context = max_var(term)
-            check_term(term, context)
-            return STermBr(term, context, poly)
+            return SAtom("term", (term, self.poly_arg(), max_var(term)))
         self.fail(f"unknown tape atom {text!r}; forward references are rejected",
                   TAPE_ATOM_KEYWORDS)
 
@@ -597,7 +602,7 @@ class Parser:
             self.next()
             return App(STAR if text == "star" else CM_ZERO, ())
         index = ascii_int(text[1:]) if text.startswith("x") else None
-        if kind == "IDENT" and index is not None:
+        if kind == "IDENT" and index:      # variables count from x1
             self.next()
             return Var(index)
         self.fail("expected a term", {"x<i>", "star", "0", "'('"})
@@ -631,7 +636,7 @@ class Parser:
         self.pos = pos + 1
         atom = self.id_atoms.get(mono)
         if atom is None:
-            atom = self.id_atoms[mono] = CAtomId(mono)
+            atom = self.id_atoms[mono] = SAtom("identity", (mono,))
         return atom
 
 

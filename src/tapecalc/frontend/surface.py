@@ -1,11 +1,13 @@
 """Surface syntax trees, their elaboration into core terms, and printing.
 
-One tree serves both layers: a circuit bracket ``[ ... ]`` is an
-``SCircuit`` whose contents are built from the same ``SSeq``, ``STensor``
-and ``SAtom`` nodes as the tape around it, its table atoms keyed into
-``CIRCUIT_ATOMS`` where a tape's are keyed into ``TAPE_ATOMS``.  Parsing
-keeps the shape the user wrote (``copier@P`` stays one atom); elaboration
-lowers surface expressions to core circuit and tape terms on demand.
+One tree serves both layers, with one node class per role: every leaf
+is an ``SAtom(kind, args)``, a row of ``TAPE_ATOMS`` or, inside a
+circuit bracket, of ``CIRCUIT_ATOMS``; every infix product is an
+``SInfix(op, left, right)``, a row of ``INFIX``; and a bracket
+``[ ... ]`` is an ``SCircuit`` around its contents.  The parser, the
+printer and the elaborators read those tables.  Parsing keeps the shape
+the user wrote (``copier@P`` stays one atom); elaboration lowers surface
+expressions to core circuit and tape terms on demand.
 
 Surface nodes are slotted dataclasses, never mutated after construction,
 and compared by value; they are not hashable, and nothing hashes them.
@@ -39,7 +41,7 @@ from ..tape import (TCirc, TSeq, TSum, TapeTerm, cobang_tape,
                     codiag_tape, copier_tape, discharger_tape, distributor,
                     id_tape, op_inj_tape, symplus_tape, tensor_tape,
                     term_tape)
-from ..theory import AlgebraicTheory, OpSymbol, SigmaTerm, builtin_theory
+from ..theory import AlgebraicTheory, SigmaTerm, builtin_theory
 
 
 # --- surface expressions ------------------------------------------------------------
@@ -52,20 +54,7 @@ class SExpr:
 @dataclass(slots=True)
 class SAtom(SExpr):
     kind: str  # a key of TAPE_ATOMS, or of CIRCUIT_ATOMS inside a bracket
-    args: tuple = ()  # Polynomials for a tape atom, Monomials for a circuit atom
-
-
-@dataclass(slots=True)
-class SOp(SExpr):
-    op: OpSymbol
-    poly: Polynomial
-
-
-@dataclass(slots=True)
-class STermBr(SExpr):
-    term: SigmaTerm
-    context: int
-    poly: Polynomial
+    args: tuple = ()  # the arguments of the row's builder
 
 
 @dataclass(slots=True)
@@ -74,51 +63,34 @@ class SCircuit(SExpr):
 
 
 @dataclass(slots=True)
-class SRef(SExpr):
-    name: str
-
-
-@dataclass(slots=True)
-class CAtomId(SExpr):
-    mono: Monomial
-
-
-@dataclass(slots=True)
-class CAtomGen(SExpr):
-    name: str
-
-
-@dataclass(slots=True)
-class SSeq(SExpr):
+class SInfix(SExpr):
+    op: str  # a key of INFIX
     left: SExpr
     right: SExpr
 
 
-@dataclass(slots=True)
-class STensor(SExpr):
-    left: SExpr
-    right: SExpr
-
-
-@dataclass(slots=True)
-class SSum(SExpr):
-    left: SExpr
-    right: SExpr
-
-
-# The infix products of tape and circuit expressions: token kind, printed
-# symbol and precedence level, 0 binding loosest.  All associate to the
-# left.  The parser and the printer both read this table.
+# The infix products of tape and circuit expressions, as SInfix(op, ...):
+# token kind -> printed symbol and precedence level, 0 binding loosest.
+# All associate to the left; circuits have no (+).  The parser and the
+# printer both read this table.
 INFIX = {
-    SSeq: ("SEMI", ";", 0),
-    STensor: ("OTENSOR", "(x)", 1),
-    SSum: ("OPLUS", "(+)", 2),
+    "SEMI": (";", 0),
+    "OTENSOR": ("(x)", 1),
+    "OPLUS": ("(+)", 2),
 }
 
-# The atoms spelt `spelling@arg,...,arg` (`id0` takes no '@'), as
-# SAtom(kind, args): kind -> spelling, argument count and core builder.
-# Tape atoms take polynomials, circuit atoms monomials.  The parser, the
-# printer and the elaborators all read these tables.
+
+def print_term(term: SigmaTerm, p: Polynomial, n: int) -> str:
+    """The text of SAtom("term", (term, p, n)); n is read back from term."""
+    text = str(term)           # str puts a binary term in parentheses
+    return f"term<{text[1:-1] if text[0] == '(' else text}>@{p}"
+
+
+# Every leaf, as SAtom(kind, args): kind -> spelling, argument count and
+# core builder.  The atoms spelt `spelling@arg,...,arg` (`id0` takes no
+# '@') have that word, which the parser reads; the other leaves have
+# their printer.  A reference has no builder: elaborate looks it up.  No
+# kind is a key of both tables, as print_sexpr looks in either.
 TAPE_ATOMS = {
     "id0": ("id0", 0, lambda: id_tape(ZERO)),
     "id": ("id", 1, id_tape),
@@ -128,11 +100,16 @@ TAPE_ATOMS = {
     "copier": ("copier", 1, copier_tape),
     "discard": ("discard", 1, discharger_tape),
     "dl": ("dl", 3, distributor),
+    "op": ("op<{}>@{}".format, 2, op_inj_tape),
+    "term": (print_term, 3, term_tape),
+    "ref": (str, 1, None),
 }
 CIRCUIT_ATOMS = {
     "sym": ("sym", 2, sym_circuit),
     "copy": ("copy", 1, copier_circuit),
     "del": ("del", 1, discharger_circuit),
+    "gen": (str, 1, CGen),
+    "identity": ("id{}".format, 1, identity_circuit),
 }
 
 
@@ -234,57 +211,52 @@ class SourceModule:
 def elaborate_circuit(c: SExpr) -> CircuitTerm:
     """The core circuit of a bracket's contents c, folded on an explicit
     stack, so a bracket of any length elaborates."""
-    products = {SSeq: CSeq, STensor: CTensor}
+    products = {"SEMI": CSeq, "OTENSOR": CTensor}
     out: list[CircuitTerm] = []
     todo: list = [c]
     while todo:
         e = todo.pop()
-        if type(e) in products:
-            todo += (products[type(e)], e.right, e.left)
-        elif isinstance(e, type):        # a core product; operands are folded
+        if type(e) is SInfix:
+            todo += (products[e.op], e.right, e.left)
+        elif type(e) is SAtom:
+            out.append(CIRCUIT_ATOMS[e.kind][2](*e.args))
+        else:                            # a core product; operands are folded
             right = out.pop()
             out[-1] = e(out[-1], right)
-        elif isinstance(e, CAtomId):
-            out.append(identity_circuit(e.mono))
-        elif isinstance(e, CAtomGen):
-            out.append(CGen(e.name))
-        elif isinstance(e, SAtom) and e.kind in CIRCUIT_ATOMS:
-            out.append(CIRCUIT_ATOMS[e.kind][2](*e.args))
-        else:
-            raise ParseError(f"not a circuit expression: {e!r}")
     return out[0]
 
 
 def elaborate(e: SExpr, module: SourceModule) -> TapeTerm:
+    """The core tape of e, whose references name module's definitions.
+    Each definition and each bracket object elaborates once a call.
+
+    The walk recurses once per infix product, so a definition of about a
+    thousand tape steps raises RecursionError.  A fold on an explicit
+    stack would make the deep chains of the `cli` bench workload succeed,
+    and their time would then push its tail latency past its bound
+    (ROADMAP item 1)."""
     sig = module.signature()
     defs = module.defs
-    refs: dict[str, TapeTerm] = {}   # each definition elaborates once a call
-    brackets: dict[int, TapeTerm] = {}   # and each bracket object, by id
+    refs: dict[str, TapeTerm] = {}
+    brackets: dict[int, TapeTerm] = {}
+    products = {"SEMI": TSeq, "OPLUS": TSum,
+                "OTENSOR": lambda a, b: tensor_tape(a, b, sig)}
 
     def go(e: SExpr) -> TapeTerm:
-        if isinstance(e, SAtom) and e.kind in TAPE_ATOMS:
-            return TAPE_ATOMS[e.kind][2](*e.args)
-        if isinstance(e, SOp):
-            return op_inj_tape(e.op, e.poly)
-        if isinstance(e, STermBr):
-            return term_tape(e.term, e.poly, e.context)
-        if isinstance(e, SCircuit):
+        if type(e) is SInfix:
+            return products[e.op](go(e.left), go(e.right))
+        if type(e) is SCircuit:
             term = brackets.get(id(e))
             if term is None:
                 term = brackets[id(e)] = TCirc(elaborate_circuit(e.circuit))
             return term
-        if isinstance(e, SRef):
-            term = refs.get(e.name)
+        if e.kind == "ref":
+            name = e.args[0]
+            term = refs.get(name)
             if term is None:
-                term = refs[e.name] = go(defs[e.name])
+                term = refs[name] = go(defs[name])
             return term
-        if isinstance(e, SSeq):
-            return TSeq(go(e.left), go(e.right))
-        if isinstance(e, SSum):
-            return TSum(go(e.left), go(e.right))
-        if isinstance(e, STensor):
-            return tensor_tape(go(e.left), go(e.right), sig)
-        raise ParseError(f"not a tape expression: {e!r}")
+        return TAPE_ATOMS[e.kind][2](*e.args)
 
     return go(e)
 
@@ -303,30 +275,21 @@ def print_sexpr(e: SExpr) -> str:
             pieces.append(item)
             continue
         e, level = item
-        op = INFIX.get(type(e))
-        if op is not None:
-            _, symbol, prec = op
+        if type(e) is SInfix:
+            symbol, prec = INFIX[e.op]
             group = level > prec
             todo += (")" if group else "", (e.right, prec + 1), f" {symbol} ",
                      (e.left, prec), "(" if group else "")
-        elif isinstance(e, SCircuit):
+        elif type(e) is SCircuit:
             todo += (" ]", (e.circuit, 0), "[ ")
-        elif isinstance(e, SAtom) and (
-                atom := TAPE_ATOMS.get(e.kind) or CIRCUIT_ATOMS.get(e.kind)):
-            spelling, n, _ = atom
-            pieces.append(f"{spelling}@{','.join(map(str, e.args))}" if n
-                          else spelling)
-        elif isinstance(e, SOp):
-            pieces.append(f"op<{e.op}>@{e.poly}")
-        elif isinstance(e, STermBr):     # str puts a binary term in parentheses
-            term = str(e.term)
-            pieces.append(f"term<{term[1:-1] if term[0] == '(' else term}>@{e.poly}")
-        elif isinstance(e, (SRef, CAtomGen)):
-            pieces.append(e.name)
-        elif isinstance(e, CAtomId):
-            pieces.append(f"id{e.mono}")
         else:
-            raise ParseError(f"not a tape or circuit expression: {e!r}")
+            spelling, n, _ = TAPE_ATOMS.get(e.kind) or CIRCUIT_ATOMS[e.kind]
+            if type(spelling) is not str:
+                pieces.append(spelling(*e.args))
+            elif n:
+                pieces.append(f"{spelling}@{','.join(map(str, e.args))}")
+            else:
+                pieces.append(spelling)
     return "".join(pieces)
 
 

@@ -1,21 +1,26 @@
 """Parser diagnostics, corpus round-trips and the CLI exit-code contract."""
 
 import io
+import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tapecalc.circuit import (CGen, CSeq, CTensor, copier_circuit, cseq,
-                              discharger_circuit, sym_circuit)
+                              discharger_circuit, identity_circuit,
+                              sym_circuit)
 from tapecalc.errors import ParseError
 from tapecalc.frontend import surface as S
 from tapecalc.frontend.cli import main
-from tapecalc.frontend.parser import parse_module, parse_object_expr
+from tapecalc.frontend.parser import max_var, parse_module, parse_object_expr
 from tapecalc.frontend.surface import elaborate, print_module
-from tapecalc.objects import ZERO, mono, normalize
-from tapecalc.tape import TCirc, id_tape, type_of_tape
+from tapecalc.objects import (Monomial, Polynomial, ZERO, mono, normalize,
+                              poly_of_mono)
+from tapecalc.tape import TCirc, TSeq, TSum, id_tape, tensor_tape, type_of_tape
+from tapecalc.theory import App, STAR, Var, choice
 
 CORPUS = sorted((Path(__file__).parent.parent / "corpus").glob("*.tape"))
 BOOL = Path(__file__).parent.parent / "corpus" / "bool_gates.tape"
@@ -89,8 +94,9 @@ def all = [ sym@A,B ; del@B (x) copy@A ];
 
 
 def test_circuit_atoms_are_surface_atoms_and_elaborate_to_core_nodes():
-    """Inside a bracket, table atoms are SAtoms and `;` is SSeq, as
-    between tapes; a `;` followed by a generator still composes."""
+    """Inside a bracket, every leaf is an SAtom of CIRCUIT_ATOMS and `;`
+    an SInfix, as between tapes; a `;` followed by a generator still
+    composes."""
     A, B = mono("A"), mono("B")
     module = parse_module(CIRCUIT_ATOMS_MODULE)
     assert print_module(module) == CIRCUIT_ATOMS_MODULE
@@ -98,9 +104,10 @@ def test_circuit_atoms_are_surface_atoms_and_elaborate_to_core_nodes():
     assert bodies["s"] == S.SAtom("sym", (A, B))
     assert bodies["c"] == S.SAtom("copy", (A,))
     assert bodies["k"] == S.SAtom("del", (A,))
-    assert bodies["fg"] == S.SSeq(S.CAtomGen("f"), S.CAtomGen("g"))
-    assert bodies["all"] == S.SSeq(S.SAtom("sym", (A, B)), S.STensor(
-        S.SAtom("del", (B,)), S.SAtom("copy", (A,))))
+    assert bodies["fg"] == S.SInfix("SEMI", S.SAtom("gen", ("f",)),
+                                    S.SAtom("gen", ("g",)))
+    assert bodies["all"] == S.SInfix("SEMI", S.SAtom("sym", (A, B)), S.SInfix(
+        "OTENSOR", S.SAtom("del", (B,)), S.SAtom("copy", (A,))))
     core = {name: elaborate(body, module) for name, body in module.defs.items()}
     assert core["s"] is TCirc(sym_circuit(A, B))
     assert core["c"] is TCirc(copier_circuit(A))
@@ -126,6 +133,23 @@ def test_decimal_literals_rejected():
     with pytest.raises(ParseError) as err:
         parse_module("theory PCA with p = 0.5;\n")
     assert "rational" in str(err.value)
+
+
+def test_theory_parameter_must_be_spelt_p():
+    """The printer writes the parameter back as `p`, so another word there
+    is rejected at that word."""
+    with pytest.raises(ParseError) as err:
+        parse_module("theory PCA with banana = 1/2;\n")
+    assert str(err.value) == \
+        "1:17: unexpected IDENT 'banana' (expected one of: 'p')"
+
+
+def test_variable_x0_rejected_at_its_token(tmp_path, capsys):
+    """Term variables count from x1; x0 is a parse error with a position."""
+    bad = tmp_path / "x0.tape"
+    bad.write_text("sort A;\ntheory PCA with p = 1/2;\ndef d = term<x0>@A;\n")
+    assert main(["check", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: 3:14: expected a term")
 
 
 def test_forward_reference_rejected():
@@ -309,68 +333,97 @@ def test_cli_render_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def rand_mono(rng):
+    return Monomial(tuple(rng.choice(("A", "B"))
+                          for _ in range(rng.randint(0, 2))))
+
+
+def rand_poly(rng):
+    return Polynomial(tuple(rand_mono(rng) for _ in range(rng.randint(0, 2))))
+
+
+def rand_sigma(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice([Var(1), Var(2), App(STAR, ())])
+    op = choice(rng.choice([Fraction(1, 3), Fraction(2, 5)]))
+    return App(op, (rand_sigma(rng, depth - 1), rand_sigma(rng, depth - 1)))
+
+
+def rand_leaf(rng, kind):
+    """An SAtom of a row of TAPE_ATOMS or CIRCUIT_ATOMS, its arguments
+    drawn over ROUND_TRIP_PREAMBLE's sorts, generator and definition."""
+    if kind == "op":
+        return S.SAtom(kind, (rng.choice([choice(Fraction(1, 3)), STAR]),
+                              rand_poly(rng)))
+    if kind == "term":
+        term = rand_sigma(rng, 2)
+        return S.SAtom(kind, (term, rand_poly(rng), max_var(term)))
+    if kind in ("ref", "gen"):
+        return S.SAtom(kind, ({"ref": "r", "gen": "G"}[kind],))
+    n = (S.TAPE_ATOMS.get(kind) or S.CIRCUIT_ATOMS[kind])[1]
+    draw = rand_mono if kind in S.CIRCUIT_ATOMS else rand_poly
+    return S.SAtom(kind, tuple(draw(rng) for _ in range(n)))
+
+
+ROUND_TRIP_PREAMBLE = ("sort A;\nsort B;\ngen G : A -> B;\n"
+                       "theory PCA with p = 1/3;\ndef r = id@A;\n")
+
+
+def test_every_table_row_round_trips_and_elaborates_to_its_builders_node():
+    """Each atom row prints and parses back to an equal tree, a tape atom
+    in a definition and a circuit atom in a bracket, and elaborates to the
+    very node its builder returns; so does each product, over two atoms."""
+    rng = random.Random(5)
+    A, B = mono("A"), mono("B")
+    sig = parse_module(ROUND_TRIP_PREAMBLE).signature()
+    cases = []                        # (surface tree, its core node)
+    for kind, (_, _, build) in S.TAPE_ATOMS.items():
+        atom = rand_leaf(rng, kind)   # the reference r is id@A
+        cases.append((atom, build(*atom.args) if build else id_tape(A)))
+    for kind, (_, _, build) in S.CIRCUIT_ATOMS.items():
+        atom = rand_leaf(rng, kind)
+        cases.append((S.SCircuit(atom), TCirc(build(*atom.args))))
+    tape_products = {"SEMI": TSeq, "OPLUS": TSum,
+                     "OTENSOR": lambda s, t: tensor_tape(s, t, sig)}
+    circuit_products = {"SEMI": CSeq, "OTENSOR": CTensor}
+    ida, idb = (S.SAtom("id", (poly_of_mono(m),)) for m in (A, B))
+    gen, idw = S.SAtom("gen", ("G",)), S.SAtom("identity", (B,))
+    for op in S.INFIX:
+        cases.append((S.SInfix(op, ida, idb),
+                      tape_products[op](id_tape(A), id_tape(B))))
+        if op in circuit_products:
+            cases.append((S.SCircuit(S.SInfix(op, gen, idw)), TCirc(
+                circuit_products[op](CGen("G"), identity_circuit(B)))))
+    for expr, core in cases:
+        text = ROUND_TRIP_PREAMBLE + f"def d = {S.print_sexpr(expr)};\n"
+        module = parse_module(text)
+        assert module.defs["d"] == expr, text
+        assert print_module(module) == text
+        assert elaborate(module.defs["d"], module) is core, text
+
+
 def test_random_expressions_round_trip():
-    # print . parse is the identity on randomly generated surface trees
-    import random
-    from fractions import Fraction
-    from tapecalc.frontend import surface as S
-    from tapecalc.objects import Monomial, Polynomial
-    from tapecalc.theory import App, STAR, Var, choice
-
+    # print . parse is the identity on randomly generated surface trees,
+    # whose leaves are drawn from every row of the atom tables
     rng = random.Random(2)
-    sorts = ("A", "B")
-
-    def rand_mono():
-        return Monomial(tuple(rng.choice(sorts)
-                              for _ in range(rng.randint(0, 2))))
-
-    def rand_poly():
-        return Polynomial(tuple(rand_mono()
-                                for _ in range(rng.randint(0, 2))))
-
-    def rand_sigma(depth):
-        if depth == 0 or rng.random() < 0.4:
-            return rng.choice([Var(1), Var(2), App(STAR, ())])
-        op = choice(rng.choice([Fraction(1, 3), Fraction(2, 5)]))
-        return App(op, (rand_sigma(depth - 1), rand_sigma(depth - 1)))
 
     def rand_circuit(depth):
         if depth == 0 or rng.random() < 0.4:
-            return rng.choice([
-                S.CAtomId(rand_mono()), S.CAtomGen("G"),
-                S.SAtom("sym", (rand_mono(), rand_mono())),
-                S.SAtom("copy", (rand_mono(),)), S.SAtom("del", (rand_mono(),))])
-        ctor = rng.choice([S.SSeq, S.STensor])
-        return ctor(rand_circuit(depth - 1), rand_circuit(depth - 1))
+            return rand_leaf(rng, rng.choice(sorted(S.CIRCUIT_ATOMS)))
+        op = rng.choice(["SEMI", "OTENSOR"])
+        return S.SInfix(op, rand_circuit(depth - 1), rand_circuit(depth - 1))
 
     def rand_expr(depth):
         if depth == 0 or rng.random() < 0.35:
-            choice_ = rng.randint(0, 6)
-            if choice_ == 0:
-                return S.SAtom("id0")
-            if choice_ == 1:
-                return S.SAtom(rng.choice(["id", "codiag", "cobang",
-                                           "copier", "discard"]),
-                               (rand_poly(),))
-            if choice_ == 2:
-                return S.SAtom("symplus", (rand_poly(), rand_poly()))
-            if choice_ == 3:
-                return S.SAtom("dl", (rand_poly(), rand_poly(), rand_poly()))
-            if choice_ == 4:
-                op = rng.choice([choice(Fraction(1, 3)), STAR])
-                return S.SOp(op, rand_poly())
-            if choice_ == 5:
-                term = rand_sigma(2)
-                from tapecalc.frontend.parser import max_var
-                return S.STermBr(term, max_var(term), rand_poly())
-            return S.SCircuit(rand_circuit(2))
-        ctor = rng.choice([S.SSeq, S.STensor, S.SSum])
-        return ctor(rand_expr(depth - 1), rand_expr(depth - 1))
+            kind = rng.choice(sorted(S.TAPE_ATOMS) + ["bracket"])
+            return (S.SCircuit(rand_circuit(2)) if kind == "bracket"
+                    else rand_leaf(rng, kind))
+        op = rng.choice(sorted(S.INFIX))
+        return S.SInfix(op, rand_expr(depth - 1), rand_expr(depth - 1))
 
-    preamble = "sort A;\nsort B;\ngen G : A -> B;\ntheory PCA with p = 1/3;\n"
     for _ in range(120):
         expr = rand_expr(3)
-        text = preamble + f"def d = {S.print_sexpr(expr)};\n"
+        text = ROUND_TRIP_PREAMBLE + f"def d = {S.print_sexpr(expr)};\n"
         module = parse_module(text)
         assert module.defs["d"] == expr, S.print_sexpr(expr)
         assert print_module(parse_module(print_module(module))) == \

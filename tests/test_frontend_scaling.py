@@ -13,7 +13,7 @@ from tapecalc.errors import ParseError
 from tapecalc.frontend import cli, parser, surface
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.parser import SortIndex, parse_module
-from tapecalc.frontend.surface import (SCircuit, SSeq, elaborate,
+from tapecalc.frontend.surface import (SCircuit, SInfix, elaborate,
                                        elaborate_circuit)
 from tapecalc.tape import TCirc, TSeq
 
@@ -109,7 +109,7 @@ def test_chain_shares_its_brackets_and_elaborates_each_once(monkeypatch):
     brackets, todo = {}, [module.defs["chain"]]
     while todo:
         e = todo.pop()
-        if isinstance(e, SSeq):
+        if isinstance(e, SInfix):
             todo += (e.left, e.right)
         else:
             assert isinstance(e, SCircuit)

@@ -15,8 +15,8 @@ from tapecalc.circuit import CGen, MonSignature, cseq
 from tapecalc.frontend.cli import main
 from tapecalc.frontend.parser import parse_module
 from tapecalc.frontend.render import render_svg
-from tapecalc.frontend.surface import (DefDecl, SCircuit, SRef, SSeq, SSum,
-                                       STensor, print_module)
+from tapecalc.frontend.surface import (DefDecl, SAtom, SCircuit, SInfix,
+                                       print_module)
 from tapecalc.interp import eval_tape
 from tapecalc.kleisli import exact_str
 from tapecalc.objects import mono
@@ -310,7 +310,7 @@ def test_print_module_of_5000_deep_sigma_term(shape):
     text = print_module(module)
     assert text.endswith(f"def d = term<{printed}>@A;\n")
     again = parse_module(text)
-    assert again.decls[-1].body.term is module.decls[-1].body.term
+    assert again.decls[-1].body.args[0] is module.decls[-1].body.args[0]
     assert print_module(again) == text
 
 
@@ -321,7 +321,9 @@ def same_tree(a, b) -> bool:
         x, y = todo.pop()
         if type(x) is not type(y):
             return False
-        if isinstance(x, (SSeq, STensor, SSum)):
+        if isinstance(x, SInfix):
+            if x.op != y.op:
+                return False
             todo += [(x.left, y.left), (x.right, y.right)]
         elif isinstance(x, SCircuit):
             todo.append((x.circuit, y.circuit))
@@ -336,10 +338,10 @@ def test_print_module_of_5000_step_definition(nesting):
     4998 levels of parentheses; both read back as the same module."""
     module = parse_module(FLIP)
     head = print_module(module)
-    body = SRef("d0")
+    body = SAtom("ref", ("d0",))
     for _ in range(DEEP - 1):
-        body = SSeq(body, SRef("d0")) if nesting == "left" else \
-            SSeq(SRef("d0"), body)
+        body = SInfix("SEMI", body, SAtom("ref", ("d0",))) \
+            if nesting == "left" else SInfix("SEMI", SAtom("ref", ("d0",)), body)
     module.decls.append(DefDecl("d", body))
     text = print_module(module)
     chain = " ; ".join(["d0"] * DEEP) if nesting == "left" else \
